@@ -121,34 +121,26 @@ impl DhtClient {
 
     /// Unaggregated puts: one `META_PUT` call per (node, replica).
     fn put_nodes_per_item(&self, ctx: &mut Ctx, nodes: &[TreeNode]) -> Result<(), BlobError> {
-        let calls: Vec<(NodeId, u16, MetaPut)> = {
+        // Calls and the number of them each node owns, from one ring
+        // snapshot: a membership change after it cannot shift which
+        // results belong to which node.
+        let mut calls: Vec<(NodeId, u16, MetaPut)> = Vec::new();
+        let mut replica_counts = Vec::with_capacity(nodes.len());
+        {
             // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
             let ring = self.ring.read();
-            nodes
-                .iter()
-                .flat_map(|n| {
-                    ring.replicas(n.key.routing_key())
+            for n in nodes {
+                let dests = ring.replicas(n.key.routing_key());
+                replica_counts.push(dests.len());
+                calls.extend(
+                    dests
                         .into_iter()
-                        .map(|dest| (dest, method::META_PUT, MetaPut { node: n.clone() }))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
-        // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
-        let replication = self.ring.read().replication();
-        let results = self.rpc.fan_out::<MetaPut, ()>(ctx, &calls);
-        // Node i's replicas occupy results[i*R .. (i+1)*R].
-        let mut first_err = None;
-        for (i, chunk) in results.chunks(replication).enumerate() {
-            if !chunk.iter().any(|r| r.is_ok()) {
-                first_err = chunk.iter().find_map(|r| r.as_ref().err().cloned());
-                let _ = i;
+                        .map(|dest| (dest, method::META_PUT, MetaPut { node: n.clone() })),
+                );
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        let results = self.rpc.fan_out::<MetaPut, ()>(ctx, &calls);
+        first_unstored(&results, &replica_counts).map_or(Ok(()), Err)
     }
 
     /// Fetch nodes by key, in key order (`None` = definitely missing on
@@ -279,6 +271,25 @@ impl DhtClient {
     }
 }
 
+/// Per-item put attribution: `results` holds each node's replica puts
+/// back to back, `replica_counts[i]` of them for node `i`. Returns the
+/// error of the first node none of whose replicas stored it.
+fn first_unstored(
+    results: &[Result<(), BlobError>],
+    replica_counts: &[usize],
+) -> Option<BlobError> {
+    let mut rest = results;
+    for &count in replica_counts {
+        let (own, tail) = rest.split_at(count.min(rest.len()));
+        rest = tail;
+        if !own.iter().any(Result::is_ok) {
+            let err = own.iter().find_map(|r| r.as_ref().err().cloned());
+            return Some(err.unwrap_or(BlobError::Internal("metadata put had no replica")));
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +409,51 @@ mod tests {
         assert!(services.iter().all(|s| s.is_empty()));
         let got = client.get_nodes(&mut ctx, &keys).unwrap();
         assert!(got.iter().all(|g| g.is_none()));
+    }
+
+    #[test]
+    fn per_item_attribution_follows_uneven_replica_counts() {
+        let down = || Err(BlobError::Unreachable("down"));
+        // Node 0 has three replicas, nodes 1 and 2 one each, and node 1's
+        // only put failed. Fixed-width chunks of two would pair that
+        // failure with a neighbour's success and call every node stored.
+        let results = [Ok(()), Ok(()), Ok(()), down(), Ok(())];
+        assert!(matches!(
+            first_unstored(&results, &[3, 1, 1]),
+            Some(BlobError::Unreachable("down"))
+        ));
+        // The same results attributed 2 + 2 + 1: every node has a copy.
+        assert!(first_unstored(&results, &[2, 2, 1]).is_none());
+        // All of one node's replicas failing is an error even when every
+        // other node stored everywhere; the first such node is reported.
+        let shed = || {
+            Err(BlobError::Overload {
+                retry_after_hint: 7,
+            })
+        };
+        let results = [Ok(()), Ok(()), shed(), shed(), down()];
+        assert!(matches!(
+            first_unstored(&results, &[2, 2, 1]),
+            Some(BlobError::Overload {
+                retry_after_hint: 7
+            })
+        ));
+        assert!(first_unstored(&[], &[]).is_none());
+    }
+
+    #[test]
+    fn per_item_puts_store_every_replica() {
+        let (client, services) = setup(3, 2);
+        let client = DhtClient::new(
+            client
+                .rpc
+                .clone()
+                .with_aggregation(blobseer_rpc::AggregationPolicy::PerCall),
+            Arc::clone(client.ring()),
+        );
+        let nodes: Vec<TreeNode> = (0..10).map(|i| tree_node(3, i * 4096)).collect();
+        client.put_nodes(&mut Ctx::start(), &nodes).unwrap();
+        assert_eq!(services.iter().map(|s| s.len()).sum::<usize>(), 20);
     }
 
     #[test]

@@ -13,6 +13,26 @@
 //!   same destination are coalesced into a single batch frame — the
 //!   paper's optimization, togglable so the `ablate-agg` bench can
 //!   quantify it.
+//!
+//! # One path, two kinds of concurrency
+//!
+//! A fan-out is group → frame → [`Transport::call_many`] → scatter: one
+//! frame per real message (a lone call as itself, several as one batch),
+//! all handed to the transport at once. What "at once" means is the
+//! transport's business:
+//!
+//! * **Virtual** on the simulator and [`crate::InProcTransport`]: they
+//!   keep `call_many`'s default, the serial loop over `call`. Every call
+//!   starts at the same virtual time and the join is a `max`, so the cost
+//!   model sees a parallel fan-out while the host runs the handlers one
+//!   after another, deterministically.
+//! * **Real** on [`crate::TcpTransport`]: every frame is registered and
+//!   written before the first response is awaited, so the servers work at
+//!   the same time and a fan-out costs about its slowest call, not the
+//!   sum. Pipelined, not threaded — see the [`tcp`](crate::tcp) docs.
+//!
+//! Failure stays per message on both: one destination's error reaches
+//! exactly the calls that travelled in its message.
 
 use crate::frame::Frame;
 use crate::service::parse_response;
@@ -93,113 +113,87 @@ impl RpcClient {
     ///
     /// With [`AggregationPolicy::Batch`], calls sharing a destination
     /// travel in one message and their responses in one message back.
+    /// Every message of the fan-out goes to the transport in **one**
+    /// [`Transport::call_many`], so a transport with real wires has them
+    /// all in flight at once (see the module docs).
     pub fn fan_out<Req: Wire, Resp: Wire>(
         &self,
         ctx: &mut Ctx,
         calls: &[(NodeId, u16, Req)],
     ) -> Vec<Result<Resp, BlobError>> {
-        let start = ctx.vt;
-        let mut results: Vec<Option<Result<Resp, BlobError>>> =
-            (0..calls.len()).map(|_| None).collect();
-        let mut join_vt = start;
-
-        match self.aggregation {
-            AggregationPolicy::PerCall => {
-                for (i, (to, method, req)) in calls.iter().enumerate() {
-                    let frame = Frame::from_msg(*method, req);
-                    match self.transport.call(self.from, *to, start, frame) {
-                        Ok((resp, vt)) => {
-                            join_vt = join_vt.max(vt);
-                            results[i] = Some(parse_response(&resp));
-                        }
-                        Err(e) => results[i] = Some(Err(e)),
-                    }
-                }
+        // Group: the call indices each real message carries, in order of
+        // first appearance. Without aggregation every call is its own.
+        let batch = self.aggregation == AggregationPolicy::Batch;
+        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        for (i, (to, _, _)) in calls.iter().enumerate() {
+            match groups.iter_mut().find(|(n, _)| batch && n == to) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((*to, vec![i])),
             }
-            AggregationPolicy::Batch => {
-                // Group call indices by destination, preserving order.
-                let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-                for (i, (to, _, _)) in calls.iter().enumerate() {
-                    match groups.iter_mut().find(|(n, _)| n == to) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((*to, vec![i])),
-                    }
+        }
+
+        // Frame: a lone call travels as itself, several as one batch
+        // frame. A batch that does not encode never reaches the transport.
+        let frame_of = |i: &usize| Frame::from_msg(calls[*i].1, &calls[*i].2);
+        let mut results = Vec::with_capacity(calls.len());
+        let mut frames = Vec::with_capacity(groups.len());
+        let mut sent = Vec::with_capacity(groups.len());
+        for (to, idxs) in &groups {
+            let framed = match idxs.as_slice() {
+                [i] => Ok(frame_of(i)),
+                _ => Frame::batch(idxs.iter().map(frame_of).collect()),
+            };
+            match framed {
+                Ok(frame) => {
+                    frames.push((*to, frame));
+                    sent.push(idxs);
                 }
-                for (to, idxs) in groups {
-                    if idxs.len() == 1 {
-                        let i = idxs[0];
-                        let (_, method, req) = &calls[i];
-                        let frame = Frame::from_msg(*method, req);
-                        match self.transport.call(self.from, to, start, frame) {
-                            Ok((resp, vt)) => {
-                                join_vt = join_vt.max(vt);
-                                results[i] = Some(parse_response(&resp));
-                            }
-                            Err(e) => results[i] = Some(Err(e)),
-                        }
-                        continue;
-                    }
-                    let frames: Vec<Frame> = idxs
-                        .iter()
-                        .map(|&i| Frame::from_msg(calls[i].1, &calls[i].2))
-                        .collect();
-                    let batch = match Frame::batch(frames) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            for slot in &idxs {
-                                results[*slot] = Some(Err(BlobError::Codec(e)));
-                            }
-                            continue;
-                        }
-                    };
-                    match self.transport.call(self.from, to, start, batch) {
-                        Ok((resp, vt)) => {
-                            join_vt = join_vt.max(vt);
-                            match resp.unbatch() {
-                                Some(Ok(frames)) if frames.len() == idxs.len() => {
-                                    for (slot, frame) in idxs.iter().zip(frames.iter()) {
-                                        results[*slot] = Some(parse_response(frame));
-                                    }
-                                }
-                                Some(Err(_)) => {
-                                    // A METHOD_BATCH response that does not
-                                    // unbatch may be the server's typed
-                                    // refusal (e.g. the response batch
-                                    // overflowed the frame-body cap):
-                                    // surface that error, not a generic one.
-                                    let err = match parse_response::<()>(&resp) {
-                                        Err(e) => e,
-                                        Ok(()) => BlobError::Internal("malformed batch response"),
-                                    };
-                                    for slot in &idxs {
-                                        results[*slot] = Some(Err(err.clone()));
-                                    }
-                                }
-                                _ => {
-                                    for slot in &idxs {
-                                        results[*slot] = Some(Err(BlobError::Internal(
-                                            "malformed batch response",
-                                        )));
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            for slot in &idxs {
-                                results[*slot] = Some(Err(e.clone()));
-                            }
-                        }
-                    }
+                Err(e) => {
+                    let refused = fail_all(&BlobError::Codec(e), idxs.len());
+                    results.extend(idxs.iter().copied().zip(refused));
                 }
             }
         }
-        ctx.vt = join_vt;
-        results
-            .into_iter()
-            // lint: allow(panic-on-serving-path) — the scatter loop above fills
-            // every result slot before we get here
-            .map(|r| r.expect("every slot filled"))
-            .collect()
+
+        // Scatter: each reply back onto its message's call indices.
+        let short = || Err(BlobError::Internal("transport dropped a reply"));
+        let replies = self.transport.call_many(self.from, ctx.vt, frames);
+        let replies = replies.into_iter().chain(std::iter::repeat_with(short));
+        for (idxs, reply) in sent.into_iter().zip(replies) {
+            let per_call = match reply {
+                Ok((resp, vt)) => {
+                    ctx.vt = ctx.vt.max(vt);
+                    scatter(&resp, idxs.len())
+                }
+                Err(e) => fail_all(&e, idxs.len()),
+            };
+            results.extend(idxs.iter().copied().zip(per_call));
+        }
+        // The groups partition `0..calls.len()`, so this is input order.
+        results.sort_unstable_by_key(|(i, _)| *i);
+        results.into_iter().map(|(_, r)| r).collect()
+    }
+}
+
+/// `n` copies of one error: what every call of a failed message gets.
+fn fail_all<Resp>(e: &BlobError, n: usize) -> Vec<Result<Resp, BlobError>> {
+    (0..n).map(|_| Err(e.clone())).collect()
+}
+
+/// Split the reply to a message that carried `n` calls into their
+/// results.
+fn scatter<Resp: Wire>(resp: &Frame, n: usize) -> Vec<Result<Resp, BlobError>> {
+    const MALFORMED: BlobError = BlobError::Internal("malformed batch response");
+    if n == 1 {
+        return vec![parse_response(resp)];
+    }
+    match resp.unbatch() {
+        Some(Ok(frames)) if frames.len() == n => frames.iter().map(parse_response).collect(),
+        // A METHOD_BATCH response that does not unbatch may be the
+        // server's typed refusal (e.g. the response batch overflowed the
+        // frame-body cap): surface that error, not a generic one.
+        Some(Err(_)) => fail_all(&parse_response::<()>(resp).err().unwrap_or(MALFORMED), n),
+        _ => fail_all(&MALFORMED, n),
     }
 }
 

@@ -5,7 +5,10 @@
 //! client-side parallelism via [`RpcClient::fan_out`], and per-destination
 //! **call aggregation** — the original system's custom optimization that
 //! "delays RPC calls to a single machine and streams all of them in a
-//! single real RPC call".
+//! single real RPC call". A fan-out reaches the transport as one
+//! [`Transport::call_many`]: concurrent in virtual time on the simulator
+//! (the serial default, joined with `max`), concurrent on the wire over
+//! tcp (pipelined on the multiplexed sockets — see [`client`]).
 //!
 //! Virtual time: every call carries the caller's clock ([`Ctx`]) and every
 //! handler runs under a [`ServerCtx`] through which it charges processing

@@ -23,7 +23,8 @@
 //!   picks the least-loaded live one and registers a per-call
 //!   completion slot under a fresh **correlation id**. One reader
 //!   thread per connection routes responses to their slots, so any
-//!   number of calls share a socket concurrently. A connection error
+//!   number of calls share a socket concurrently — other threads' calls
+//!   and, within one fan-out, the caller's own (below). A connection error
 //!   fails *every* call in flight on it — typed
 //!   [`BlobError::Unreachable`], never a hang.
 //! * **Ablation.** [`ServerMode::ThreadPerConn`] keeps the PR 3 regime
@@ -31,6 +32,38 @@
 //!   client side is multiplexed in both modes and both speak the same
 //!   wire format. `bench/pr6_reactor` sweeps the two regimes against
 //!   each other.
+//!
+//! # Fan-out is pipelined, not threaded
+//!
+//! A call is three steps: **register** a completion slot under a fresh
+//! correlation id, **gather-write** the frame, **park** on the slot.
+//! [`Transport::call_many`] — what `RpcClient::fan_out` hands a whole
+//! fan-out to — runs the first two steps for every frame and only then
+//! the third, so every call of a fan-out is on the wire before the
+//! caller waits for the first response; the per-connection reader
+//! threads complete the slots in whatever order the servers answer. No
+//! thread is spawned per client or per fan-out, no frame is copied, and
+//! `call` is the same code with one frame. The rules:
+//!
+//! * **Faults stay per call.** A frame that cannot be sent (codec
+//!   refusal, dead or shedding destination, reset mid-write) fails its
+//!   own call; every slot submitted before and after it is still
+//!   awaited, so nothing is stranded and nothing hangs. A connection
+//!   error still fails every call in flight *on that connection* — with
+//!   its typed error, `Overload` hint included.
+//! * **What a burst does to the pool.** Connections are picked for the
+//!   whole burst in one pass under the pool lock, one per distinct
+//!   destination, by the single-call rule (least-loaded live connection
+//!   if it is idle or the pool is at its cap; otherwise dial, outside
+//!   the lock). The burst then *holds* that connection: its further
+//!   calls to the same destination pipeline on it, up to
+//!   [`TcpOptions::max_conn_inflight`] deep, instead of reading their
+//!   own earlier calls as "busy" and dialing a socket and a reader
+//!   thread each. A 16-call unaggregated burst to one node uses one
+//!   connection; two client threads bursting at one node use two.
+//! * **Order.** Frames to one destination leave in input order on one
+//!   connection; responses may complete in any order and are returned in
+//!   input order.
 //!
 //! # Wire envelope (v2)
 //!
@@ -113,7 +146,7 @@ mod mux;
 #[cfg(unix)]
 mod reactor;
 
-use mux::MuxConn;
+use mux::{CallSlot, MuxConn, PoolMap};
 
 /// Envelope length-prefix bytes.
 pub(crate) const ENVELOPE_LEN_BYTES: usize = 4;
@@ -235,7 +268,7 @@ enum ServerEngine {
 pub struct TcpTransport {
     opts: TcpOptions,
     nodes: RwLock<Vec<NodeSlot>>,
-    mux: Arc<Mutex<HashMap<u32, Vec<Arc<MuxConn>>>>>,
+    mux: Arc<Mutex<PoolMap>>,
     server: Mutex<ServerEngine>,
     shared: Arc<Shared>,
 }
@@ -432,20 +465,31 @@ impl TcpTransport {
         self.mux.lock().get(&node.0).map_or(0, Vec::len)
     }
 
+    /// The least-loaded live pooled connection to `to`, if the pool rule
+    /// lets one more caller onto it: it is idle, or the pool is at its
+    /// cap and can only multiplex.
+    fn pooled(&self, map: &mut PoolMap, to: NodeId) -> Option<Arc<MuxConn>> {
+        let pool = map.get_mut(&to.0)?;
+        pool.retain(|c| !c.is_dead());
+        let best = pool.iter().min_by_key(|c| c.inflight())?;
+        let usable = best.inflight() == 0 || pool.len() >= self.opts.max_pooled_per_peer.max(1);
+        usable.then(|| Arc::clone(best))
+    }
+
+    /// Calls registered and not yet resolved on the pooled connections to
+    /// `node` (white-box metric: fault tests assert a fan-out leaves no
+    /// slot behind on the connections that survive it).
+    pub fn inflight_calls(&self, node: NodeId) -> usize {
+        let map = self.mux.lock();
+        map.get(&node.0)
+            .map_or(0, |pool| pool.iter().map(|c| c.inflight()).sum())
+    }
+
     /// Pick the least-loaded live connection to `to`, dialing a new one
     /// only when all existing ones are busy and the per-peer cap allows.
     fn mux_conn(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<MuxConn>, BlobError> {
-        let cap = self.opts.max_pooled_per_peer.max(1);
-        {
-            let mut map = self.mux.lock();
-            if let Some(pool) = map.get_mut(&to.0) {
-                pool.retain(|c| !c.is_dead());
-                if let Some(best) = pool.iter().min_by_key(|c| c.inflight()).cloned() {
-                    if best.inflight() == 0 || pool.len() >= cap {
-                        return Ok(best);
-                    }
-                }
-            }
+        if let Some(conn) = self.pooled(&mut self.mux.lock(), to) {
+            return Ok(conn);
         }
         // Every connection is busy (or none exists): dial outside the
         // pool lock so concurrent calls never serialize on a connect.
@@ -459,7 +503,7 @@ impl TcpTransport {
         let mut map = self.mux.lock();
         let pool = map.entry(to.0).or_default();
         pool.retain(|c| !c.is_dead());
-        if pool.len() >= cap {
+        if pool.len() >= self.opts.max_pooled_per_peer.max(1) {
             // Concurrent dials raced us past the cap: multiplex over an
             // existing connection and discard ours.
             if let Some(best) = pool.iter().min_by_key(|c| c.inflight()).cloned() {
@@ -471,10 +515,37 @@ impl TcpTransport {
         pool.push(Arc::clone(&conn));
         Ok(conn)
     }
-}
 
-impl Transport for TcpTransport {
-    fn call(&self, _from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
+    /// The connection the next call of a burst to `to` rides: the one the
+    /// burst already holds for that destination while it has pipeline
+    /// room, else whatever the pool rule gives (which the burst then
+    /// holds).
+    fn burst_conn(
+        &self,
+        burst: &mut Burst,
+        to: NodeId,
+        addr: SocketAddr,
+    ) -> Result<Arc<MuxConn>, BlobError> {
+        if let Some(at) = burst.iter().position(|(dest, _)| *dest == to) {
+            if burst[at].1.inflight() < self.opts.max_conn_inflight.max(1) {
+                return Ok(Arc::clone(&burst[at].1));
+            }
+            burst.swap_remove(at);
+        }
+        let conn = self.mux_conn(to, addr)?;
+        burst.push((to, Arc::clone(&conn)));
+        Ok(conn)
+    }
+
+    /// First two steps of a call: register a completion slot on a
+    /// connection to `to`, then gather-write the frame. Does not wait.
+    fn submit(
+        &self,
+        burst: &mut Burst,
+        to: NodeId,
+        vt: u64,
+        frame: &Frame,
+    ) -> Result<InFlight, BlobError> {
         let addr = {
             let g = self.nodes.read();
             let slot = g
@@ -489,21 +560,78 @@ impl Transport for TcpTransport {
         // the time we register): retry on a fresh connection.
         let mut last_err = BlobError::Unreachable("tcp connect failed");
         for _ in 0..3 {
-            let conn = self.mux_conn(to, addr)?;
+            let conn = self.burst_conn(burst, to, addr)?;
             match conn.register() {
                 Ok((corr, slot)) => {
-                    let req_wire = conn.send(corr, vt, &frame, gather)?;
-                    let (resp_vt, resp, resp_wire) = slot.wait()?;
-                    self.shared.messages.fetch_add(2, Ordering::Relaxed);
-                    self.shared
-                        .bytes
-                        .fetch_add((req_wire + resp_wire) as u64, Ordering::Relaxed);
-                    return Ok((resp, resp_vt));
+                    let req_wire = conn.send(corr, vt, frame, gather)?;
+                    return Ok(InFlight { slot, req_wire });
                 }
-                Err(e) => last_err = e,
+                Err(e) => {
+                    burst.retain(|(_, held)| !Arc::ptr_eq(held, &conn));
+                    last_err = e;
+                }
             }
         }
         Err(last_err)
+    }
+
+    /// Last step of a call: park until its response (or its connection's
+    /// death) resolves the slot.
+    fn complete(&self, sent: InFlight) -> TransportResult {
+        let (resp_vt, resp, resp_wire) = sent.slot.wait()?;
+        self.shared.messages.fetch_add(2, Ordering::Relaxed);
+        self.shared
+            .bytes
+            .fetch_add((sent.req_wire + resp_wire) as u64, Ordering::Relaxed);
+        Ok((resp, resp_vt))
+    }
+}
+
+/// A call that is on the wire.
+struct InFlight {
+    slot: Arc<CallSlot>,
+    req_wire: usize,
+}
+
+/// The connections one burst holds, by destination: its own calls
+/// pipeline on them instead of counting as "busy" under the pool rule.
+type Burst = Vec<(NodeId, Arc<MuxConn>)>;
+
+impl Transport for TcpTransport {
+    fn call(&self, _from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
+        let sent = self.submit(&mut Burst::new(), to, vt, &frame)?;
+        self.complete(sent)
+    }
+
+    /// Pipelined: every frame is registered and written before the first
+    /// response is awaited, so the calls are served concurrently. No
+    /// thread is spawned — the per-connection readers already complete
+    /// slots in whatever order responses arrive.
+    fn call_many(
+        &self,
+        _from: NodeId,
+        vt: u64,
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<TransportResult> {
+        // One pass under the pool lock: a usable pooled connection per
+        // distinct destination. Destinations left without one dial as
+        // their first frame is submitted.
+        let mut burst = Burst::new();
+        {
+            let mut map = self.mux.lock();
+            for (to, _) in &calls {
+                if !burst.iter().any(|(dest, _)| dest == to) {
+                    burst.extend(self.pooled(&mut map, *to).map(|conn| (*to, conn)));
+                }
+            }
+        }
+        // A frame that fails to go out costs only its own call: every
+        // slot submitted before and after it is still awaited below.
+        let sent: Vec<Result<InFlight, BlobError>> = calls
+            .into_iter()
+            .map(|(to, frame)| self.submit(&mut burst, to, vt, &frame))
+            .collect();
+        sent.into_iter().map(|sent| self.complete(sent?)).collect()
     }
 }
 

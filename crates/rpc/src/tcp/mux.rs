@@ -76,7 +76,9 @@ struct Pending {
     registered: Instant,
 }
 
-type MuxMap = Arc<Mutex<HashMap<u32, Vec<Arc<MuxConn>>>>>;
+/// The client-side pool: live connections by destination node id.
+pub(crate) type PoolMap = HashMap<u32, Vec<Arc<MuxConn>>>;
+type MuxMap = Arc<Mutex<PoolMap>>;
 
 /// One multiplexed connection to a destination node.
 pub(crate) struct MuxConn {

@@ -49,6 +49,27 @@ pub trait Transport: Send + Sync {
     /// Deliver `frame` from `from` to `to`, starting at virtual time `vt`;
     /// returns the response frame and its arrival time back at `from`.
     fn call(&self, from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult;
+
+    /// Deliver every frame of one fan-out, each starting at virtual time
+    /// `vt`; results come back in input order, one per call, and one
+    /// call's failure never fails another.
+    ///
+    /// The default is the serial loop over [`Transport::call`]: right for
+    /// transports whose concurrency lives in the virtual clock (the
+    /// simulator, [`InProcTransport`]) and for decorators that only wrap
+    /// `call`. A transport with real wires overrides it to put every
+    /// frame in flight before it waits for the first response.
+    fn call_many(
+        &self,
+        from: NodeId,
+        vt: u64,
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<TransportResult> {
+        calls
+            .into_iter()
+            .map(|(to, frame)| self.call(from, to, vt, frame))
+            .collect()
+    }
 }
 
 /// Result of a transport call.

@@ -524,3 +524,185 @@ fn shed_then_backoff_then_admitted_succeeds_under_retry_policy() {
     assert_eq!(result.unwrap(), 7, "retry after shed must succeed");
     assert!(sheds.get() >= 1, "the first attempt was shed");
 }
+
+// ---- fan-out: fault semantics stay per call -------------------------------
+
+/// Four echo nodes on one transport, each warmed so its connection is
+/// pooled before the fault is injected.
+fn four_echoes(t: &Arc<TcpTransport>) -> (blobseer_proto::NodeId, Vec<blobseer_proto::NodeId>) {
+    let client = t.add_node();
+    let servers: Vec<_> = (0..4)
+        .map(|_| {
+            let s = t.add_node();
+            t.bind(s, Arc::new(Echo));
+            t.call(client, s, 0, Frame::from_msg(1, &0u64)).unwrap();
+            s
+        })
+        .collect();
+    (client, servers)
+}
+
+/// Every connection a burst touched and left alive must hold no
+/// registered slot afterwards: each submitted call was either awaited or
+/// deregistered.
+fn assert_no_slot_left(t: &TcpTransport, nodes: &[blobseer_proto::NodeId]) {
+    for n in nodes {
+        assert_eq!(t.inflight_calls(*n), 0, "slot stranded on {n:?}");
+    }
+}
+
+#[test]
+fn fan_out_with_a_killed_node_fails_only_that_destination() {
+    use blobseer_rpc::AggregationPolicy;
+    for policy in [AggregationPolicy::PerCall, AggregationPolicy::Batch] {
+        let t = transport();
+        let (client, servers) = four_echoes(&t);
+        let dead = servers[1];
+        t.kill(dead);
+        let rpc = RpcClient::new(Arc::clone(&t) as _, client).with_aggregation(policy);
+        // Two calls per node, destinations interleaved.
+        let calls: Vec<_> = (0..8u64).map(|i| (servers[i as usize % 4], 1, i)).collect();
+        let start = Instant::now();
+        let results = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+        assert!(start.elapsed() < Duration::from_secs(3), "nothing hangs");
+        for ((to, _, x), r) in calls.iter().zip(&results) {
+            if *to == dead {
+                assert!(
+                    matches!(r, Err(BlobError::Unreachable(_))),
+                    "{policy:?}: {r:?}"
+                );
+            } else {
+                assert_eq!(r.as_ref().unwrap(), x, "{policy:?}: survivors succeed");
+            }
+        }
+        assert_eq!(t.pooled_connections(dead), 0);
+        assert_no_slot_left(&t, &servers);
+    }
+}
+
+#[test]
+fn fan_out_with_a_peer_resetting_mid_frame_fails_only_that_call() {
+    let (addr, h) = evil_peer(|mut s| {
+        let mut sink = [0u8; 16];
+        let _ = s.read_exact(&mut sink);
+        // drop with megabytes still inbound → RST under the gather write
+    });
+    let t = transport();
+    let (client, servers) = four_echoes(&t);
+    let evil = t.register_remote(addr);
+    let big = PageBuf::from_vec(vec![0x5A; 16 << 20]);
+    // The doomed frame goes out second: one frame is already on the wire
+    // when its send fails, two more follow it.
+    let results = t.call_many(
+        client,
+        0,
+        vec![
+            (servers[0], Frame::from_msg(1, &10u64)),
+            (evil, Frame::from_msg(1, &big)),
+            (servers[1], Frame::from_msg(1, &11u64)),
+            (servers[2], Frame::from_msg(1, &12u64)),
+        ],
+    );
+    assert!(
+        matches!(results[1], Err(BlobError::Unreachable(_))),
+        "{:?}",
+        results[1].as_ref().err()
+    );
+    for (i, want) in [(0usize, 10u64), (2, 11), (3, 12)] {
+        let (frame, _) = results[i].as_ref().unwrap();
+        assert_eq!(blobseer_rpc::parse_response::<u64>(frame).unwrap(), want);
+    }
+    assert_eq!(t.pooled_connections(evil), 0);
+    assert_no_slot_left(&t, &servers);
+    h.join().unwrap();
+}
+
+#[test]
+fn fan_out_with_a_shedding_node_keeps_its_typed_overload() {
+    // A server transport capped at one connection, the slot occupied: the
+    // fan-out's call to it is shed with CTRL_SHED.
+    let shedding = Arc::new(TcpTransport::with_options(TcpOptions {
+        max_connections: 1,
+        ..TcpOptions::default()
+    }));
+    let node = shedding.add_node();
+    shedding.bind(node, Arc::new(Echo));
+    let addr = shedding.addr(node).unwrap();
+    let _held = TcpStream::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while shedding.active_connections() < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(shedding.active_connections(), 1);
+
+    let t = transport();
+    let (client, servers) = four_echoes(&t);
+    let shed = t.register_remote(addr);
+    let results = t.call_many(
+        client,
+        0,
+        vec![
+            (servers[0], Frame::from_msg(1, &10u64)),
+            (shed, Frame::from_msg(1, &1u64)),
+            (servers[1], Frame::from_msg(1, &11u64)),
+            (servers[2], Frame::from_msg(1, &12u64)),
+        ],
+    );
+    assert!(
+        matches!(
+            results[1],
+            Err(BlobError::Overload {
+                retry_after_hint: blobseer_rpc::SHED_RETRY_HINT_MS
+            })
+        ),
+        "the shed's hint must survive the fan-out: {:?}",
+        results[1].as_ref().err()
+    );
+    for i in [0, 2, 3] {
+        assert!(
+            results[i].is_ok(),
+            "call {i}: {:?}",
+            results[i].as_ref().err()
+        );
+    }
+    assert_eq!(t.pooled_connections(shed), 0);
+    assert_no_slot_left(&t, &servers);
+}
+
+#[test]
+fn fan_out_send_side_codec_error_does_not_strand_frames_already_sent() {
+    // A body over MAX_FRAME_BODY, built from refcount clones of one
+    // segment (gigabytes on the wire, megabytes in RAM): refused before a
+    // byte of it is written.
+    let seg = PageBuf::from_vec(vec![0xEE; 1 << 24]);
+    let mut body = blobseer_proto::wire::ByteChain::new();
+    while body.len() as u64 <= blobseer_rpc::MAX_FRAME_BODY {
+        body.push(seg.clone());
+    }
+    let t = transport();
+    let (client, servers) = four_echoes(&t);
+    let results = t.call_many(
+        client,
+        0,
+        vec![
+            (servers[0], Frame::from_msg(1, &10u64)),
+            (servers[1], Frame { method: 1, body }),
+            (servers[2], Frame::from_msg(1, &12u64)),
+        ],
+    );
+    assert!(
+        matches!(results[1], Err(BlobError::Codec(_))),
+        "{:?}",
+        results[1].as_ref().err()
+    );
+    for (i, want) in [(0usize, 10u64), (2, 12)] {
+        let (frame, _) = results[i].as_ref().unwrap();
+        assert_eq!(blobseer_rpc::parse_response::<u64>(frame).unwrap(), want);
+    }
+    assert_eq!(
+        t.pooled_connections(servers[1]),
+        1,
+        "nothing hit the wire: the connection stays usable"
+    );
+    assert_no_slot_left(&t, &servers);
+}

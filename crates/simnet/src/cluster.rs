@@ -341,6 +341,35 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_is_the_serial_loop_on_the_virtual_clock() {
+        // The cluster keeps `Transport::call_many`'s default, so a fan-out
+        // must cost exactly what one `call` per message cost before that
+        // method existed: same join time, same message count — cold
+        // connections, repeated destinations and all.
+        let calls_over = |servers: &[NodeId]| -> Vec<(NodeId, u16, u64)> {
+            (0..12u64)
+                .map(|i| (servers[i as usize % 4], 1, i))
+                .collect()
+        };
+        let (c, client, servers) = cluster_with_echo(4);
+        let mut want_vt = 0;
+        for (to, method, x) in calls_over(&servers) {
+            let (_, vt) = c.call(client, to, 0, Frame::from_msg(method, &x)).unwrap();
+            want_vt = want_vt.max(vt);
+        }
+
+        let (c2, client2, servers2) = cluster_with_echo(4);
+        let rpc = RpcClient::new(Arc::clone(&c2) as _, client2)
+            .with_aggregation(blobseer_rpc::AggregationPolicy::PerCall);
+        let mut ctx = Ctx::start();
+        let rs = rpc.fan_out::<u64, u64>(&mut ctx, &calls_over(&servers2));
+        assert!(rs.iter().all(|r| r.is_ok()));
+        assert_eq!(ctx.vt, want_vt);
+        assert_eq!(c2.message_count(), c.message_count());
+        assert_eq!(c2.message_count(), 24);
+    }
+
+    #[test]
     fn dead_node_is_unreachable_and_revivable() {
         let (c, client, servers) = cluster_with_echo(1);
         let rpc = RpcClient::new(Arc::clone(&c) as _, client);
