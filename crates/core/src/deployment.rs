@@ -419,8 +419,7 @@ impl DeploymentConfig {
 
     /// Enter the typed builder: tune any subset of knobs off a named
     /// baseline, then [`DeploymentConfigBuilder::build`] back into a
-    /// config. This is the one coherent way to configure a deployment
-    /// (the historical `with_*` setters are deprecated forwards).
+    /// config. This is the one way to configure a deployment.
     ///
     /// ```
     /// use blobseer_core::{AdmissionOptions, DeploymentConfig, RetryPolicy, TransportKind};
@@ -436,31 +435,6 @@ impl DeploymentConfig {
     /// ```
     pub fn tune(self) -> DeploymentConfigBuilder {
         DeploymentConfigBuilder { config: self }
-    }
-
-    /// Select the storage backend (builder style, keeps the rest).
-    #[deprecated(note = "use `config.tune().backend(..).build()`")]
-    pub fn with_backend(self, backend: BackendKind) -> Self {
-        self.tune().backend(backend).build()
-    }
-
-    /// Select the transport (builder style, keeps the rest).
-    #[deprecated(note = "use `config.tune().transport(..).build()`")]
-    pub fn with_transport(self, transport: TransportKind) -> Self {
-        self.tune().transport(transport).build()
-    }
-
-    /// Replace the page-log tuning wholesale (builder style).
-    #[deprecated(note = "use `config.tune().log(..).build()`")]
-    pub fn with_log(self, log: LogOptions) -> Self {
-        self.tune().log(log).build()
-    }
-
-    /// The durability knob: `fdatasync` the page log on every commit
-    /// marker.
-    #[deprecated(note = "use `config.tune().fsync_on_commit(..).build()`")]
-    pub fn with_fsync_on_commit(self, fsync: bool) -> Self {
-        self.tune().fsync_on_commit(fsync).build()
     }
 
     /// The capacity each provider actually registers and enforces:
@@ -1282,24 +1256,6 @@ mod tests {
         let root = d.backend_dir(0).unwrap().parent().unwrap().to_path_buf();
         drop(d);
         assert!(!root.exists(), "data root removed on drop");
-    }
-
-    #[test]
-    #[allow(deprecated)] // the compat contract under test
-    fn deprecated_setters_forward_to_the_builder() {
-        let a = DeploymentConfig::functional(1)
-            .with_transport(TransportKind::Tcp)
-            .with_backend(BackendKind::Mmap)
-            .with_fsync_on_commit(true);
-        let b = DeploymentConfig::functional(1)
-            .tune()
-            .transport(TransportKind::Tcp)
-            .backend(BackendKind::Mmap)
-            .fsync_on_commit(true)
-            .build();
-        assert_eq!(a.transport, b.transport);
-        assert_eq!(a.backend, b.backend);
-        assert_eq!(a.log.fsync_on_commit, b.log.fsync_on_commit);
     }
 
     #[test]

@@ -183,12 +183,12 @@ impl Service for VersionManagerService {
                             .record(m.version)
                             .ok_or(BlobError::Internal("completion for unassigned version"))?;
                         if !rec.is_completed() {
-                            // Grouped append: concurrent publishers from
-                            // one grant flush as a single BSVRPUB1 batch
-                            // under one commit marker. Still write-ahead
-                            // — this returns only once the caller's
-                            // record is covered by a durable marker.
-                            log.record_publish_grouped(m.blob, m.version, rec.write, &rec.seg)?;
+                            // Concurrent publishers from one grant share
+                            // a commit marker (the journal's group
+                            // commit). Still write-ahead — this returns
+                            // only once the caller's record is covered
+                            // by a durable marker.
+                            log.record_publish(m.blob, m.version, rec.write, &rec.seg)?;
                         }
                     }
                     Ok(PublishState {

@@ -101,11 +101,7 @@ fn log_err(path: &Path, e: LogError) -> BlobError {
     BlobError::Recovery {
         file: path.display().to_string(),
         offset: 0,
-        detail: match e {
-            LogError::Io(op) => op,
-            LogError::Poisoned => "meta log poisoned",
-            LogError::CommitFailed => "meta log commit failed",
-        },
+        detail: e.detail(),
     }
 }
 

@@ -13,41 +13,30 @@
 //! on the same directory replays the log to re-serve everything it
 //! ever acknowledged.
 //!
-//! # Log format (generation files)
+//! # Log format and crash model
 //!
-//! A provider directory holds exactly one live **generation** file,
-//! `pages.g<N>.log` (plus, transiently, the debris of an interrupted
-//! compaction — see below). A generation is a sequence of 48-byte
-//! little-endian headers (`magic, a, b, c, len, check`), three kinds:
+//! The page log is a client of the record-then-commit engine in
+//! [`blobseer_util::recordlog`], which owns the on-disk format
+//! (48-byte headers, tombstones, sequenced commit markers), the
+//! reserve → write → group-commit append protocol, marker-by-marker
+//! replay, and the `<base>.g<N>.log` generation files — see its module
+//! docs. What this module adds:
 //!
-//! * **Page record** (`magic` = `BSPGLOG2`): `a/b/c` are the page key
-//!   (blob, write, index), `len` payload bytes follow the header, and
-//!   `check` folds in a digest of those payload bytes so a torn record
-//!   fails validation instead of serving corrupt bytes.
-//! * **Tombstone** (`BSPGDEAD`): a reserved range whose write failed
-//!   while later appenders had already reserved beyond it; replay steps
-//!   over its `len` payload bytes.
-//! * **Commit marker** (`BSPGCMT1`): `a` is a strictly-sequential
-//!   marker number, `b` is the log offset the previous marker sealed
-//!   up to, `len` is 0. A marker at offset `M` declares every record in
-//!   `[b, M)` **committed**.
+//! * the **page record**: magic `BSPGLOG2`, header words `a/b/c` = the
+//!   page key (blob, write, index), payload = the page bytes;
+//! * the file is `pages.g<N>.log`, sparse pre-sized to the provider's
+//!   capacity and memory-mapped read-only exactly once, so the
+//!   engine's [`Appender`] is bounded by the mapping and an append's
+//!   payload offset *is* the serving slice;
+//! * replay runs over the mapping and slices it — recovery copies no
+//!   page.
 //!
-//! # Crash model: record-then-commit
-//!
-//! An append is *record then commit*: the record bytes land first
-//! (CAS-reserved disjoint ranges, positioned kernel writes — no lock,
-//! no user-space copy), and the append is acknowledged only once a
-//! commit marker covering it lands. Replay makes records visible
-//! **only up to the last valid, in-sequence marker**: a torn record, a
-//! torn marker, or a checksum-valid marker with the wrong sequence
-//! number or coverage ends replay at the previous durable point, and
-//! appends resume there — so a *process* crash between two in-flight
-//! concurrent appends can tear at most the uncommitted tail, never a
-//! page that was acknowledged. Commit is **group commit**: one leader
-//! seals everything completed so far with a single marker (and, with
-//! [`LogOptions::fsync_on_commit`], a single `fdatasync`) while
-//! followers wait for coverage, so the marker cost amortizes across
-//! concurrent appenders.
+//! An append is acknowledged only once a commit marker covers it
+//! (optionally `fdatasync`ed: [`LogOptions::fsync_on_commit`]), and
+//! replay surfaces records only up to the last valid, in-sequence
+//! marker — so a *process* crash between two in-flight concurrent
+//! appends can tear at most the uncommitted tail, never a page that
+//! was acknowledged.
 //!
 //! # Space model: online compaction
 //!
@@ -57,12 +46,11 @@
 //! ([`LogOptions::compact_dead_ratio`] of the log, at least
 //! [`LogOptions::compact_min_dead_bytes`]), the provider rewrites the
 //! live records into a fresh generation file `pages.g<N+1>.log`
-//! (written to a `.tmp` name, sealed with a marker, fsynced, then
-//! atomically renamed), swaps the in-memory mapping, and unlinks the
-//! old file. Readers are never invalidated: the old mapping is
-//! immutable and refcounted, so every [`PageBuf`] served before the
-//! swap keeps reading its bytes until it drops — generation swap, not
-//! invalidation. A crash mid-compaction leaves either a `.tmp` (the
+//! (staged, sealed and installed by the engine's
+//! [`GenerationWriter`]) and swaps the in-memory mapping. Readers are
+//! never invalidated: the old mapping is immutable and refcounted, so
+//! every [`PageBuf`] served before the swap keeps reading its bytes
+//! until it drops — generation swap, not invalidation. A crash mid-compaction leaves either a `.tmp` (the
 //! swap never happened: the old generation wins) or both `pages.g<N>`
 //! and `pages.g<N+1>` (the rename happened: the newest complete
 //! generation wins); [`MmapBackend::open`] scans the directory,
@@ -89,12 +77,10 @@
 use blobseer_proto::tree::PageKey;
 use blobseer_proto::{BlobError, BlobId, WriteId};
 use blobseer_util::recordlog::{
-    check_word, encode_header, payload_digest, write_at, COMMIT_MAGIC, REC_HEADER, TOMBSTONE_MAGIC,
+    self, Appender, GenerationWriter, LogError, Record, RecordLogOptions, ResumePoint, REC_HEADER,
 };
 use blobseer_util::PageBuf;
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,16 +174,13 @@ pub struct CompactOutcome {
 /// sealed, fsynced — but **not yet serving** — next generation, plus
 /// the snapshot it was built from. Opaque: the only thing to do with
 /// one is hand it to [`StorageBackend::compact_install`] (or drop it,
-/// which abandons the file as `.tmp` debris the next open sweeps up).
+/// which removes the staged file).
 pub struct PreparedCompaction {
-    next: u64,
-    file: File,
-    tmp_path: PathBuf,
-    final_path: PathBuf,
+    /// The staged generation, sealed up to the end of the snapshot —
+    /// the durable point if nothing moved during the window, and where
+    /// catch-up appends.
+    staged: GenerationWriter,
     map: PageBuf,
-    /// End of the sealed snapshot (records + marker): the durable point
-    /// if nothing moved during the window, and where catch-up appends.
-    durable: u64,
     /// `key → (payload offset, len)` in the new file, snapshot order.
     ranges: Vec<(PageKey, usize, usize)>,
     /// The snapshot itself, kept alive so install can compare the
@@ -378,332 +361,93 @@ impl StorageBackend for MemoryBackend {
 }
 
 // ---------------------------------------------------------------------------
-// Mmap backend: log format primitives
+// Mmap backend
 // ---------------------------------------------------------------------------
-//
-// The header/check/tombstone/commit-marker format lives in
-// `blobseer_util::recordlog` since PR 7 — the control plane (metadata
-// tree, version history) journals through the same engine. Only the
-// page-record magic and the mmap-specific replay stay here.
 
 /// Page-record magic ("BSPGLOG2" — the commit-marker format; v1 logs
 /// without markers do not replay).
 const LOG_MAGIC: u64 = 0x4253_5047_4c4f_4732;
 
-/// One parsed log record.
-enum LogRecord {
-    /// A valid page record: key + payload-range end.
-    Page(PageKey, u64),
-    /// A tombstone (failed write's reserved range): skip to its end.
-    Skip(u64),
-    /// A commit marker: sequence number + the durable offset it claims
-    /// the previous marker sealed up to.
-    Commit { seq: u64, covered_from: u64 },
+/// Generation files are `pages.g<N>.log`.
+const LOG_BASE: &str = "pages";
+
+/// The page record of `key → data`.
+fn page_record<'a>(key: &PageKey, data: &'a PageBuf) -> Record<'a> {
+    Record {
+        magic: LOG_MAGIC,
+        a: key.blob.0,
+        b: key.write.0,
+        c: key.index,
+        payload: data.as_slice(),
+    }
 }
 
-/// `pages.g<n>.log`.
-fn gen_file_name(n: u64) -> String {
-    format!("pages.g{n}.log")
-}
-
-/// Parse a generation number out of a `pages.g<n>.log` file name.
-fn parse_gen_name(name: &str) -> Option<u64> {
-    name.strip_prefix("pages.g")?
-        .strip_suffix(".log")?
-        .parse()
-        .ok()
-}
-
-// ---------------------------------------------------------------------------
-// Mmap backend: one generation
-// ---------------------------------------------------------------------------
-
-/// Commit bookkeeping of one generation, guarded by its mutex.
-#[derive(Default)]
-struct CommitState {
-    /// Every byte below this offset is sealed by a marker (the marker
-    /// bytes included). Replay never recovers past it.
-    durable: u64,
-    /// Contiguous completed-bytes frontier: every reserved range below
-    /// it has finished its write (record, tombstone, or marker).
-    frontier: u64,
-    /// Completed ranges that landed out of order (`start → end`),
-    /// merged into `frontier` as the gap before them closes.
-    completed: BTreeMap<u64, u64>,
-    /// Sequence number the next marker carries.
-    next_seq: u64,
-    /// A group-commit leader is in flight; followers wait for coverage.
-    committing: bool,
-    /// The medium failed in a way that could strand committed-but-
-    /// unreplayable records; no further commit may succeed.
-    poisoned: bool,
+/// Surface an engine error as the provider's typed error.
+fn log_err(e: LogError) -> BlobError {
+    BlobError::Internal(match e {
+        LogError::Io(op) => op,
+        LogError::Full => "provider page log full",
+        LogError::WriteFailed { .. } => "provider page log write failed",
+        LogError::Poisoned => "provider page log poisoned",
+        LogError::CommitFailed => "provider page log commit failed",
+    })
 }
 
 /// One mapped generation file of the page log.
 struct Generation {
     number: u64,
-    file: File,
+    /// The engine's append/commit half, bounded by the mapping.
+    log: Appender,
     /// The whole-capacity read-only mapping served slices borrow,
     /// tagged with the generation number.
     map: PageBuf,
-    capacity: u64,
-    /// Reservation frontier: appends CAS disjoint ranges off it.
-    tail: AtomicU64,
-    commit: Mutex<CommitState>,
-    commit_cv: Condvar,
     path: PathBuf,
 }
 
 impl Generation {
     /// Open (or create) generation `number` under `dir`, extend it
-    /// sparsely to `capacity`, and map it exactly once. With
-    /// `strict_dir_sync` (the fsync-on-commit regime) the directory
-    /// entry of a freshly created log must itself reach stable storage
-    /// before any commit is acknowledged — a power loss that drops the
-    /// dirent drops every "durable" marker with it.
+    /// sparsely to `capacity`, and map it exactly once.
     fn open(
         dir: &Path,
         number: u64,
         capacity: u64,
-        strict_dir_sync: bool,
+        opts: RecordLogOptions,
     ) -> Result<Self, BlobError> {
-        let path = dir.join(gen_file_name(number));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|_| BlobError::Internal("open provider page log"))?;
+        let (file, path) = recordlog::open_generation(dir, LOG_BASE, number).map_err(log_err)?;
         let existing = file
             .metadata()
             .map_err(|_| BlobError::Internal("stat provider page log"))?
             .len();
         let map_len = capacity.max(existing);
-        if map_len > existing || existing == 0 {
+        if map_len > existing {
             file.set_len(map_len)
                 .map_err(|_| BlobError::Internal("extend provider page log"))?;
         }
-        let dir_synced = File::open(dir).and_then(|d| d.sync_all());
-        if dir_synced.is_err() && strict_dir_sync {
-            return Err(BlobError::Internal("sync provider dir"));
-        }
+        recordlog::sync_dir(dir, opts.fsync_on_commit).map_err(log_err)?;
         let map = PageBuf::map_file_tagged(&file, number)
             .map_err(|_| BlobError::Internal("map provider page log"))?;
         Ok(Self {
             number,
-            file,
+            log: Appender::new(file, map.len() as u64, opts, ResumePoint::default()),
             map,
-            capacity: map_len,
-            tail: AtomicU64::new(0),
-            commit: Mutex::new(CommitState::default()),
-            commit_cv: Condvar::new(),
             path,
         })
     }
-
-    fn read_u64(&self, off: u64) -> u64 {
-        let s = &self.map.as_slice()[off as usize..off as usize + 8];
-        // lint: allow(panic-on-serving-path) — the slice above is exactly 8 bytes
-        u64::from_le_bytes(s.try_into().expect("8 bytes"))
-    }
-
-    /// Parse the record at `off`; `None` is an invalid record (torn,
-    /// corrupt, out of bounds) — replay ends at the last durable point
-    /// before it.
-    fn parse_record(&self, off: u64, limit: u64) -> Option<LogRecord> {
-        if off + REC_HEADER > limit {
-            return None;
-        }
-        let magic = self.read_u64(off);
-        if magic != LOG_MAGIC && magic != TOMBSTONE_MAGIC && magic != COMMIT_MAGIC {
-            return None;
-        }
-        let a = self.read_u64(off + 8);
-        let b = self.read_u64(off + 16);
-        let c = self.read_u64(off + 24);
-        let len = self.read_u64(off + 32);
-        let check = self.read_u64(off + 40);
-        let end = (off + REC_HEADER).checked_add(len)?;
-        if end > limit {
-            return None;
-        }
-        match magic {
-            COMMIT_MAGIC => {
-                // A marker carries no payload; its check covers the
-                // header only.
-                (len == 0 && check == check_word(magic, a, b, c, len, 0)).then_some(
-                    LogRecord::Commit {
-                        seq: a,
-                        covered_from: b,
-                    },
-                )
-            }
-            TOMBSTONE_MAGIC => {
-                // Tombstone check covers the header only — its payload
-                // range is whatever the failed write left behind.
-                (check == check_word(magic, a, b, c, len, 0)).then_some(LogRecord::Skip(end))
-            }
-            _ => {
-                let digest =
-                    payload_digest(&self.map.as_slice()[(off + REC_HEADER) as usize..end as usize]);
-                if check != check_word(magic, a, b, c, len, digest) {
-                    return None;
-                }
-                let key = PageKey {
-                    blob: BlobId(a),
-                    write: WriteId(b),
-                    index: c,
-                };
-                Some(LogRecord::Page(key, end))
-            }
-        }
-    }
-
-    /// Record that the reserved range `[start, end)` finished its
-    /// write, advancing the contiguous frontier when the gap before it
-    /// closed, and wake anyone waiting on the frontier.
-    fn complete(&self, start: u64, end: u64) {
-        let mut st = self.commit.lock();
-        if st.frontier == start {
-            st.frontier = end;
-            loop {
-                let f = st.frontier;
-                match st.completed.remove(&f) {
-                    Some(e) => st.frontier = e,
-                    None => break,
-                }
-            }
-        } else {
-            st.completed.insert(start, end);
-        }
-        self.commit_cv.notify_all();
-    }
-
-    /// Group commit: block until a marker covering `my_end` is durable.
-    /// Exactly one leader at a time seals a marker; every append that
-    /// completed before the seal rides the same marker (and the same
-    /// optional fsync).
-    fn commit_covering(&self, my_end: u64, opts: &LogOptions) -> Result<(), BlobError> {
-        loop {
-            {
-                let mut st = self.commit.lock();
-                loop {
-                    if st.durable >= my_end {
-                        return Ok(());
-                    }
-                    if st.poisoned {
-                        return Err(BlobError::Internal("provider page log poisoned"));
-                    }
-                    if !st.committing {
-                        st.committing = true;
-                        break;
-                    }
-                    self.commit_cv.wait(&mut st);
-                }
-            }
-            let sealed = self.commit_lead(opts);
-            let mut st = self.commit.lock();
-            st.committing = false;
-            self.commit_cv.notify_all();
-            match sealed {
-                // The marker slot is reserved at the tail, after this
-                // append's completed record, so one round always covers
-                // it — the loop is belt and braces.
-                Ok(()) if st.durable >= my_end => return Ok(()),
-                Ok(()) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The leader's half of a group commit: optionally linger so
-    /// concurrent appends join the batch, reserve the marker slot at
-    /// the tail, wait for every record below it to finish writing,
-    /// seal, and (optionally) fsync.
-    fn commit_lead(&self, opts: &LogOptions) -> Result<(), BlobError> {
-        if !opts.group_commit_window.is_zero() {
-            std::thread::sleep(opts.group_commit_window);
-        }
-        let marker_at = self
-            .tail
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                (cur + REC_HEADER <= self.capacity).then_some(cur + REC_HEADER)
-            })
-            .map_err(|_| BlobError::Internal("provider page log full"))?;
-        let (seq, covered_from) = {
-            let mut st = self.commit.lock();
-            while st.frontier < marker_at {
-                if st.poisoned {
-                    return Err(BlobError::Internal("provider page log poisoned"));
-                }
-                self.commit_cv.wait(&mut st);
-            }
-            // Re-check under the same lock: a failed append below the
-            // marker slot poisons *before* completing its range, so a
-            // frontier that already reached the slot can carry an
-            // un-skippable hole — sealing a marker over it would
-            // acknowledge records replay can never reach.
-            if st.poisoned {
-                return Err(BlobError::Internal("provider page log poisoned"));
-            }
-            debug_assert_eq!(st.frontier, marker_at, "marker slot is the frontier");
-            (st.next_seq, st.durable)
-        };
-        let header = encode_header(COMMIT_MAGIC, seq, covered_from, 0, 0, 0);
-        if write_at(&self.file, &header, marker_at).is_err() {
-            // The marker slot would be an un-skippable hole: a later
-            // marker could commit records replay can never reach. Brand
-            // the slot a tombstone so replay steps over it; if even
-            // that fails, poison the generation — nothing further gets
-            // acknowledged.
-            let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, 0, 0);
-            let mut st = self.commit.lock();
-            if write_at(&self.file, &tomb, marker_at).is_err() {
-                st.poisoned = true;
-            }
-            drop(st);
-            self.complete(marker_at, marker_at + REC_HEADER);
-            return Err(BlobError::Internal("provider page log commit failed"));
-        }
-        if opts.fsync_on_commit && self.file.sync_data().is_err() {
-            // The marker bytes may or may not be durable; conservatively
-            // stop acknowledging anything further.
-            self.commit.lock().poisoned = true;
-            self.complete(marker_at, marker_at + REC_HEADER);
-            return Err(BlobError::Internal("provider page log sync failed"));
-        }
-        {
-            let mut st = self.commit.lock();
-            st.next_seq = seq + 1;
-            st.durable = marker_at + REC_HEADER;
-        }
-        self.complete(marker_at, marker_at + REC_HEADER);
-        Ok(())
-    }
 }
-
-// ---------------------------------------------------------------------------
-// Mmap backend
-// ---------------------------------------------------------------------------
 
 /// The persistent backend: a crash-consistent page log, memory-mapped
 /// read-only once per generation (full capacity, sparse), with pages
 /// served as [`PageBuf`] slices of the mapping.
 ///
-/// * **Append** reserves a record range with a CAS on the tail offset
-///   (concurrent appenders never interleave bytes), writes
-///   `header + payload` with positioned I/O — no lock on the hot path,
-///   no user-space copy — then blocks until a group-commit marker
-///   covers it: only committed records are acknowledged, and only
-///   committed records replay.
+/// * **Append** is the engine's ([`Appender::append`]): lock-free
+///   reservation, positioned writes — no user-space copy — and an
+///   acknowledgement only once a group-commit marker covers the
+///   record.
 /// * **Serve** is `map.slice(payload_range)`: a refcount bump on the
 ///   generation mapping, zero copies (unix; other platforms degrade to
 ///   serving the ingested heap buffer — the log still persists).
-/// * **Recover** replays the current generation from offset 0,
-///   validating each record and making pages visible marker by marker;
-///   replay ends at the first invalid or out-of-sequence record, and
-///   appends resume at the last durable marker.
+/// * **Recover** replays the mapping ([`recordlog::replay`]) and
+///   slices it; appends resume at the last durable marker.
 /// * **Compact** rewrites live records into the next generation file
 ///   and atomically swaps it in; see the module docs for the crash
 ///   story.
@@ -731,44 +475,21 @@ impl MmapBackend {
 
     /// Open (or create) the page log under `dir` with room for
     /// `capacity` log bytes per generation, record headers included.
-    /// Scans the directory for generation files, keeps the highest
-    /// (the newest *renamed* generation — an interrupted compaction's
-    /// `.tmp` never wins), removes the debris, and maps the survivor
-    /// exactly once. A log that already holds records keeps them —
-    /// call [`StorageBackend::recover`] to replay.
+    /// Keeps the highest generation file (the newest *renamed*
+    /// generation — an interrupted compaction's `.tmp` never wins),
+    /// removes the debris, and maps the survivor exactly once. A log
+    /// that already holds records keeps them — call
+    /// [`StorageBackend::recover`] to replay.
     pub fn open_with(dir: &Path, capacity: u64, opts: LogOptions) -> Result<Self, BlobError> {
-        std::fs::create_dir_all(dir).map_err(|_| BlobError::Internal("create provider dir"))?;
-        let mut newest: Option<u64> = None;
-        let mut debris: Vec<PathBuf> = Vec::new();
-        let entries =
-            std::fs::read_dir(dir).map_err(|_| BlobError::Internal("scan provider dir"))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("pages.g") && name.ends_with(".tmp") {
-                // A compaction died before its rename: the swap never
-                // happened, the old generation wins.
-                debris.push(entry.path());
-            } else if let Some(n) = parse_gen_name(name) {
-                match newest {
-                    Some(best) if best >= n => debris.push(entry.path()),
-                    Some(_) | None => {
-                        if let Some(best) = newest {
-                            debris.push(dir.join(gen_file_name(best)));
-                        }
-                        newest = Some(n);
-                    }
-                }
-            }
-        }
-        for stale in debris {
-            let _ = std::fs::remove_file(stale);
-        }
-        let generation =
-            Generation::open(dir, newest.unwrap_or(0), capacity, opts.fsync_on_commit)?;
+        let newest = recordlog::newest_generation(dir, LOG_BASE).map_err(log_err)?;
+        let durability = RecordLogOptions {
+            fsync_on_commit: opts.fsync_on_commit,
+            group_commit_window: opts.group_commit_window,
+        };
+        let generation = Generation::open(dir, newest, capacity, durability)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            capacity: generation.capacity,
+            capacity: generation.map.len() as u64,
             opts,
             gen: RwLock::new(Arc::new(generation)),
             dead: AtomicU64::new(0),
@@ -790,7 +511,7 @@ impl MmapBackend {
     /// Committed log bytes of the serving generation (record headers
     /// and markers included).
     pub fn log_bytes(&self) -> u64 {
-        self.gen.read().tail.load(Ordering::Relaxed)
+        self.gen.read().log.log_bytes()
     }
 
     /// The serving generation's log mapping (white-box: tests assert
@@ -799,15 +520,12 @@ impl MmapBackend {
         self.gen.read().map.clone()
     }
 
-    /// White-box for crash tests: the raw file of the serving
-    /// generation.
-    #[cfg(test)]
-    fn file_handle(&self) -> File {
-        self.gen
-            .read()
-            .file
-            .try_clone()
-            .expect("clone log file handle")
+    /// A compaction failed: back the auto-trigger off so a persistent
+    /// failure doesn't turn every remove into a full-log rewrite.
+    fn back_off_compaction(&self) {
+        let dead = self.dead.load(Ordering::Relaxed);
+        self.compact_floor
+            .store(dead.saturating_mul(2), Ordering::Relaxed);
     }
 }
 
@@ -823,78 +541,30 @@ impl StorageBackend for MmapBackend {
         _replaced: Option<u64>,
     ) -> Result<PageBuf, BlobError> {
         let gen = Arc::clone(&self.gen.read());
-        let len = data.len() as u64;
-        let rec = REC_HEADER + len;
-        // Reserve a disjoint record range, keeping headroom for the
-        // commit marker that will seal this batch. The log is
-        // append-only within a generation, so a re-put appends a fresh
-        // record; the superseded one becomes dead bytes (credited via
-        // `on_remove` when the index replacement happens) that the next
-        // compaction reclaims — `replaced` earns no capacity credit
-        // here.
-        let start = gen
-            .tail
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                cur.checked_add(rec + REC_HEADER)
-                    .filter(|&projected| projected <= gen.capacity)
-                    .map(|_| cur + rec)
-            })
-            .map_err(|_| BlobError::Internal("provider page log full"))?;
-
-        let header = encode_header(
-            LOG_MAGIC,
-            key.blob.0,
-            key.write.0,
-            key.index,
-            len,
-            payload_digest(data.as_slice()),
-        );
-        // Positioned kernel writes, not metered memcpys — the payload
-        // goes file-ward the same way gather-write sends it socket-ward.
-        let written = write_at(&gen.file, &header, start)
-            .and_then(|()| write_at(&gen.file, data.as_slice(), start + REC_HEADER));
-        if written.is_err() {
-            // The range was reserved but never became a valid record. If
-            // we are still the log tail, unreserve it; otherwise later
-            // appenders own bytes beyond us, so leave a tombstone replay
-            // can step over — a hole here would truncate recovery of
-            // every record committed after this failure.
-            let rolled_back = gen
-                .tail
-                .compare_exchange(start + rec, start, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
-            if !rolled_back {
-                let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, len, 0);
-                if write_at(&gen.file, &tomb, start).is_err() {
-                    // Not even the tombstone landed: replay will stop at
-                    // this hole, so nothing beyond it may be
-                    // acknowledged ever again.
-                    gen.commit.lock().poisoned = true;
-                }
-                self.dead.fetch_add(rec, Ordering::Relaxed);
-                // Either way the range is settled — committers must not
-                // stall waiting for it.
-                gen.complete(start, start + rec);
+        // The log is append-only within a generation, so a re-put
+        // appends a fresh record; the superseded one becomes dead bytes
+        // (credited via `on_remove` when the index replacement happens)
+        // that the next compaction reclaims — `replaced` earns no
+        // capacity credit here.
+        let payload_at = gen.log.append(page_record(key, data)).map_err(|e| {
+            if let LogError::WriteFailed { wasted } = e {
+                self.dead.fetch_add(wasted, Ordering::Relaxed);
             }
-            return Err(BlobError::Internal("provider page log write failed"));
-        }
-
-        gen.complete(start, start + rec);
-        // Record-then-commit: the append is only acknowledged once a
-        // marker covers it (group commit amortizes the marker and the
-        // optional fsync across concurrent appenders).
-        gen.commit_covering(start + rec, &self.opts)?;
+            log_err(e)
+        })?;
 
         // Serve the mapped bytes (unix: the MAP_SHARED mapping sees the
         // write through the unified page cache). Elsewhere the mapping
         // is a snapshot, so serve the ingested heap buffer instead.
         #[cfg(unix)]
         {
-            let s = (start + REC_HEADER) as usize;
+            // The append fit below the mapping's length, a `usize`.
+            let s = payload_at as usize;
             Ok(gen.map.slice(s..s + data.len()))
         }
         #[cfg(not(unix))]
         {
+            let _ = payload_at;
             Ok(data.clone())
         }
     }
@@ -935,22 +605,10 @@ impl StorageBackend for MmapBackend {
         live: &[(PageKey, PageBuf)],
     ) -> Result<Option<PreparedCompaction>, BlobError> {
         let old = Arc::clone(&self.gen.read());
-        let next = old.number + 1;
-        let tmp_path = self.dir.join(format!("{}.tmp", gen_file_name(next)));
-        match self.write_snapshot(&old, next, &tmp_path, live) {
-            Ok(prepared) => Ok(Some(prepared)),
-            Err(e) => {
-                // Don't leak the half-written file until the next
-                // restart, and back the auto-trigger off so a persistent
-                // failure doesn't turn every remove into a full-log
-                // rewrite.
-                let _ = std::fs::remove_file(&tmp_path);
-                let dead = self.dead.load(Ordering::Relaxed);
-                self.compact_floor
-                    .store(dead.saturating_mul(2), Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.write_snapshot(&old, live).map(Some).map_err(|e| {
+            self.back_off_compaction();
+            log_err(e)
+        })
     }
 
     fn compact_install(
@@ -958,20 +616,15 @@ impl StorageBackend for MmapBackend {
         prepared: PreparedCompaction,
         current: &[(PageKey, PageBuf)],
     ) -> Result<Option<CompactOutcome>, BlobError> {
-        let tmp_path = prepared.tmp_path.clone();
+        // A failure leaves the serving generation untouched: nothing
+        // fails past the rename, and the staged file removes itself.
         match self.catch_up_and_swap(prepared, current) {
             Ok(outcome) => {
                 self.compact_floor.store(0, Ordering::Relaxed);
                 Ok(Some(outcome))
             }
             Err(e) => {
-                // Same cleanup as a failed prepare: the serving
-                // generation is untouched (nothing fails past the
-                // rename), so only the staged file needs removing.
-                let _ = std::fs::remove_file(&tmp_path);
-                let dead = self.dead.load(Ordering::Relaxed);
-                self.compact_floor
-                    .store(dead.saturating_mul(2), Ordering::Relaxed);
+                self.back_off_compaction();
                 Err(e)
             }
         }
@@ -979,130 +632,62 @@ impl StorageBackend for MmapBackend {
 
     fn recover(&self) -> Result<Vec<(PageKey, PageBuf)>, BlobError> {
         let gen = Arc::clone(&self.gen.read());
-        let limit = gen.map.len() as u64;
         let mut visible = Vec::new();
-        let mut pending: Vec<(PageKey, std::ops::Range<usize>)> = Vec::new();
-        let mut off = 0u64;
-        let mut durable = 0u64;
-        let mut seq = 0u64;
-        loop {
-            match gen.parse_record(off, limit) {
-                Some(LogRecord::Page(key, end)) => {
-                    pending.push((key, (off + REC_HEADER) as usize..end as usize));
-                    off = end;
-                }
-                Some(LogRecord::Skip(end)) => off = end,
-                Some(LogRecord::Commit {
-                    seq: s,
-                    covered_from,
-                }) => {
-                    // A checksum-valid marker that is out of sequence or
-                    // claims the wrong coverage is stale bytes from an
-                    // earlier incarnation, not a commit: replay ends at
-                    // the previous durable point.
-                    if s != seq || covered_from != durable {
-                        break;
-                    }
-                    for (key, range) in pending.drain(..) {
-                        visible.push((key, gen.map.slice(range)));
-                    }
-                    off += REC_HEADER;
-                    durable = off;
-                    seq += 1;
-                }
-                None => break,
+        let resume = recordlog::replay(gen.map.as_slice(), |r| {
+            // Only page records are this log's; a committed record of
+            // any other kind serves nothing.
+            if r.magic == LOG_MAGIC {
+                let key = PageKey {
+                    blob: BlobId(r.a),
+                    write: WriteId(r.b),
+                    index: r.c,
+                };
+                visible.push((key, gen.map.slice(r.payload)));
             }
-        }
-        // Everything beyond the last marker — complete-but-uncommitted
-        // records included — was never acknowledged; appends resume
-        // over it.
-        {
-            let mut st = gen.commit.lock();
-            st.durable = durable;
-            st.frontier = durable;
-            st.completed.clear();
-            st.next_seq = seq;
-            st.committing = false;
-            st.poisoned = false;
-        }
-        gen.tail.store(durable, Ordering::Relaxed);
+        });
+        gen.log.resume_at(resume);
         Ok(visible)
     }
 
     fn sync(&self) -> Result<(), BlobError> {
-        self.gen
-            .read()
-            .file
-            .sync_data()
-            .map_err(|_| BlobError::Internal("provider page log sync failed"))
+        self.gen.read().log.sync().map_err(log_err)
     }
 }
 
 impl MmapBackend {
-    /// Compaction phase 1 body: write the `live` snapshot into
-    /// generation `next` under `tmp_path` (records in index order,
-    /// sealed by one commit marker — the payload bytes come straight
-    /// off the old mapping, a kernel-side rewrite, not a metered copy),
-    /// fsync, and map it. Nothing here touches the serving generation,
-    /// so concurrent ingests and removes are fine — the install phase
-    /// reconciles them.
+    /// Compaction phase 1 body: stage the `live` snapshot as the next
+    /// generation (records in index order, sealed by one commit marker
+    /// — the payload bytes come straight off the old mapping, a
+    /// kernel-side rewrite, not a metered copy) and map it. Nothing
+    /// here touches the serving generation, so concurrent ingests and
+    /// removes are fine — the install phase reconciles them.
     fn write_snapshot(
         &self,
-        old: &Arc<Generation>,
-        next: u64,
-        tmp_path: &Path,
+        old: &Generation,
         live: &[(PageKey, PageBuf)],
-    ) -> Result<PreparedCompaction, BlobError> {
-        let final_path = self.dir.join(gen_file_name(next));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(tmp_path)
-            .map_err(|_| BlobError::Internal("create compaction file"))?;
-        file.set_len(self.capacity)
-            .map_err(|_| BlobError::Internal("extend compaction file"))?;
-        let mut off = 0u64;
+    ) -> Result<PreparedCompaction, LogError> {
+        let next = old.number + 1;
+        let mut staged = GenerationWriter::create(&self.dir, LOG_BASE, next, self.capacity)?;
+        staged
+            .file()
+            .set_len(self.capacity)
+            .map_err(|_| LogError::Io("extend compaction file"))?;
         let mut ranges: Vec<(PageKey, usize, usize)> = Vec::with_capacity(live.len());
         for (key, buf) in live {
-            let len = buf.len() as u64;
-            if off + REC_HEADER + len + REC_HEADER > self.capacity {
-                return Err(BlobError::Internal("compaction exceeds log capacity"));
-            }
-            let header = encode_header(
-                LOG_MAGIC,
-                key.blob.0,
-                key.write.0,
-                key.index,
-                len,
-                payload_digest(buf.as_slice()),
-            );
-            write_at(&file, &header, off)
-                .and_then(|()| write_at(&file, buf.as_slice(), off + REC_HEADER))
-                .map_err(|_| BlobError::Internal("compaction write failed"))?;
-            ranges.push((*key, (off + REC_HEADER) as usize, buf.len()));
-            off += REC_HEADER + len;
+            let payload_at = staged.put(page_record(key, buf))?;
+            ranges.push((*key, payload_at as usize, buf.len()));
         }
-        let marker = encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0);
-        write_at(&file, &marker, off).map_err(|_| BlobError::Internal("compaction seal failed"))?;
-        let durable = off + REC_HEADER;
-        file.sync_data()
-            .map_err(|_| BlobError::Internal("compaction sync failed"))?;
+        staged.seal()?;
 
         // Map now, not at install (the mapping is inode-based, not
         // name-based): catch-up appends written through the file are
         // coherent with this mapping, and install must not be able to
         // fail past its swap point.
-        let map = PageBuf::map_file_tagged(&file, next)
-            .map_err(|_| BlobError::Internal("map compaction file"))?;
+        let map = PageBuf::map_file_tagged(staged.file(), next)
+            .map_err(|_| LogError::Io("map compaction file"))?;
 
         Ok(PreparedCompaction {
-            next,
-            file,
-            tmp_path: tmp_path.to_path_buf(),
-            final_path,
-            durable,
+            staged,
             ranges,
             map,
             // lint: allow(unmetered-copy) — live-record index snapshot for compaction
@@ -1116,9 +701,9 @@ impl MmapBackend {
     /// append every `current` entry that is not byte-identical to its
     /// snapshot record — pages ingested or re-put during the prepare
     /// window — after the sealed snapshot, under a second commit marker;
-    /// then rename, swap the serving generation, and unlink the old
-    /// file. Snapshot records whose key was superseded or removed during
-    /// the window stay in the new file as its opening dead bytes.
+    /// then install the generation and swap it in. Snapshot records
+    /// whose key was superseded or removed during the window stay in
+    /// the new file as its opening dead bytes.
     fn catch_up_and_swap(
         &self,
         prepared: PreparedCompaction,
@@ -1131,13 +716,9 @@ impl MmapBackend {
             // serving generation's lineage.
             return Err(BlobError::Internal("stale prepared compaction"));
         }
-        let old_bytes = old.tail.load(Ordering::Relaxed);
+        let old_bytes = old.log.log_bytes();
         let PreparedCompaction {
-            next,
-            file,
-            tmp_path,
-            final_path,
-            durable: sealed,
+            mut staged,
             ranges,
             map,
             snapshot,
@@ -1163,10 +744,9 @@ impl MmapBackend {
             std::ptr::eq(s.as_ptr(), c.as_ptr()) && s.len() == c.len()
         };
 
-        let mut off = sealed;
+        let snapshot_end = staged.log_bytes();
         let mut placed: Vec<(usize, usize)> = Vec::with_capacity(current.len());
         let mut matched = vec![false; snapshot.len()];
-        let mut caught_up = 0usize;
         for (key, buf) in current {
             match snap_idx.get(key) {
                 Some(&i) if identical(i, buf) => {
@@ -1175,40 +755,16 @@ impl MmapBackend {
                     placed.push((s, l));
                 }
                 _ => {
-                    let len = buf.len() as u64;
-                    if off + REC_HEADER + len + REC_HEADER > self.capacity {
-                        return Err(BlobError::Internal("compaction exceeds log capacity"));
-                    }
-                    let header = encode_header(
-                        LOG_MAGIC,
-                        key.blob.0,
-                        key.write.0,
-                        key.index,
-                        len,
-                        payload_digest(buf.as_slice()),
-                    );
-                    write_at(&file, &header, off)
-                        .and_then(|()| write_at(&file, buf.as_slice(), off + REC_HEADER))
-                        .map_err(|_| BlobError::Internal("compaction catch-up write failed"))?;
-                    placed.push(((off + REC_HEADER) as usize, buf.len()));
-                    off += REC_HEADER + len;
-                    caught_up += 1;
+                    let payload_at = staged.put(page_record(key, buf)).map_err(log_err)?;
+                    placed.push((payload_at as usize, buf.len()));
                 }
             }
         }
-        let (durable, next_seq) = if caught_up > 0 {
-            // Seal the catch-up batch with marker #1 covering from the
-            // snapshot's durable point — exactly the shape recovery
-            // replays — and make it durable before the swap.
-            let marker = encode_header(COMMIT_MAGIC, 1, sealed, 0, 0, 0);
-            write_at(&file, &marker, off)
-                .map_err(|_| BlobError::Internal("compaction catch-up seal failed"))?;
-            file.sync_data()
-                .map_err(|_| BlobError::Internal("compaction catch-up sync failed"))?;
-            (off + REC_HEADER, 2)
-        } else {
-            (sealed, 1)
-        };
+        if staged.log_bytes() > snapshot_end {
+            // Seal the catch-up batch under the second marker — exactly
+            // the shape recovery replays — durable before the swap.
+            staged.seal().map_err(log_err)?;
+        }
         // Snapshot records superseded or removed during the window open
         // the new generation already dead; carry them so the next
         // trigger fires on truth. (A removal's disappearance was never
@@ -1222,57 +778,29 @@ impl MmapBackend {
             .map(|(_, &(_, _, l))| REC_HEADER + l as u64)
             .sum();
 
-        // The swap point: rename is atomic, and open() prefers the
-        // highest *renamed* generation — before this line a crash
-        // recovers the old generation, after it the new one.
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|_| BlobError::Internal("compaction swap failed"))?;
-        let dir_synced = File::open(&self.dir).and_then(|d| d.sync_all());
-        if dir_synced.is_err() && self.opts.fsync_on_commit {
-            // The power-loss regime cannot tolerate an un-durable
-            // rename (a crash could revert the directory to the old
-            // generation, dropping post-swap commits). Undo the swap so
-            // disk and memory agree again; if even that fails, poison
-            // the old generation so nothing further gets acknowledged.
-            if std::fs::rename(&final_path, &tmp_path).is_err() {
-                old.commit.lock().poisoned = true;
-            }
-            return Err(BlobError::Internal("compaction dir sync failed"));
-        }
+        let (log, path) = staged.install(&old.log, &old.path).map_err(log_err)?;
 
         let entries: Vec<(PageKey, PageBuf)> = current
             .iter()
             .zip(&placed)
             .map(|((key, _), &(s, l))| (*key, map.slice(s..s + l)))
             .collect();
-        let generation = Generation {
-            number: next,
-            file,
+        let generation = old.number + 1;
+        let new_bytes = log.log_bytes();
+        *self.gen.write() = Arc::new(Generation {
+            number: generation,
+            log,
             map,
-            capacity: self.capacity,
-            tail: AtomicU64::new(durable),
-            commit: Mutex::new(CommitState {
-                durable,
-                frontier: durable,
-                next_seq,
-                ..CommitState::default()
-            }),
-            commit_cv: Condvar::new(),
-            path: final_path,
-        };
-        let old_path = old.path.clone();
-        *self.gen.write() = Arc::new(generation);
-        // Readers holding slices of the old mapping keep it alive by
-        // refcount; the unlink only drops the name.
-        let _ = std::fs::remove_file(&old_path);
+            path,
+        });
         self.dead.store(dead_in_new, Ordering::Relaxed);
         Ok(CompactOutcome {
             entries,
             report: CompactReport {
-                generation: next,
+                generation,
                 old_log_bytes: old_bytes,
-                new_log_bytes: durable,
-                reclaimed_bytes: old_bytes.saturating_sub(durable),
+                new_log_bytes: new_bytes,
+                reclaimed_bytes: old_bytes.saturating_sub(new_bytes),
             },
         })
     }
@@ -1282,6 +810,21 @@ impl MmapBackend {
 mod tests {
     use super::*;
     use blobseer_util::copymeter;
+    use blobseer_util::recordlog::{
+        encode_header, payload_digest, write_at, COMMIT_MAGIC, TOMBSTONE_MAGIC,
+    };
+
+    fn gen_file_name(n: u64) -> String {
+        format!("{LOG_BASE}.g{n}.log")
+    }
+
+    /// White-box for crash tests: the raw file of generation 0.
+    fn raw_log(dir: &Path) -> std::fs::File {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(gen_file_name(0)))
+            .expect("open generation 0")
+    }
 
     fn key(w: u64, i: u64) -> PageKey {
         PageKey {
@@ -1410,8 +953,8 @@ mod tests {
             committed_end = b.log_bytes();
             // Handcraft a complete-but-uncommitted record at the tail.
             let h = encode_header(LOG_MAGIC, 1, 7, 7, 512, payload_digest(pb.as_slice()));
-            write_at(&b.file_handle(), &h, committed_end).unwrap();
-            write_at(&b.file_handle(), pb.as_slice(), committed_end + REC_HEADER).unwrap();
+            write_at(&raw_log(&dir), &h, committed_end).unwrap();
+            write_at(&raw_log(&dir), pb.as_slice(), committed_end + REC_HEADER).unwrap();
         }
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b.recover().unwrap();
@@ -1442,7 +985,7 @@ mod tests {
         {
             let b = MmapBackend::open(&dir, 1 << 16).unwrap();
             b.ingest(&key(1, 0), &pa, None).unwrap();
-            let f = b.file_handle();
+            let f = raw_log(&dir);
             let tail = b.log_bytes();
             // Handcraft the aftermath of a batch {page C, failed append}
             // sealed by one marker: C's record, a tombstone over the
@@ -1486,7 +1029,7 @@ mod tests {
         {
             let b = MmapBackend::open(&dir, 1 << 16).unwrap();
             b.ingest(&key(1, 0), &pa, None).unwrap();
-            let f = b.file_handle();
+            let f = raw_log(&dir);
             let tail = b.log_bytes();
             let bh = encode_header(LOG_MAGIC, 1, 9, 9, 512, payload_digest(pb.as_slice()));
             write_at(&f, &bh, tail).unwrap();
@@ -1503,7 +1046,7 @@ mod tests {
 
         // Same story for a marker with the right sequence number but
         // the wrong coverage offset.
-        let f = b.file_handle();
+        let f = raw_log(&dir);
         let tail = b.log_bytes();
         let bh = encode_header(LOG_MAGIC, 1, 9, 9, 512, payload_digest(pb.as_slice()));
         write_at(&f, &bh, tail).unwrap();
@@ -1532,7 +1075,7 @@ mod tests {
                 .unwrap();
             // Tear one payload byte of the second record.
             let second_payload = rec(512) + REC_HEADER + REC_HEADER;
-            write_at(&b.file_handle(), &[0xEE], second_payload + 100).unwrap();
+            write_at(&raw_log(&dir), &[0xEE], second_payload + 100).unwrap();
         }
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b.recover().unwrap();
@@ -1564,7 +1107,7 @@ mod tests {
         b.ingest(&key(1, 1), &page, None).unwrap();
         // Flip a byte in the second record's header check word.
         let second = rec(512) + REC_HEADER + 40;
-        write_at(&b.file_handle(), &[0xFF], second).unwrap();
+        write_at(&raw_log(&dir), &[0xFF], second).unwrap();
         drop(b);
         let b2 = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b2.recover().unwrap();
@@ -1930,4 +1473,49 @@ mod tests {
         assert_eq!(MemoryBackend::new(1).kind(), BackendKind::Memory);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// FNV-1a over the image: independent of the engine's own digest.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn golden_image_pins_the_page_log_format() {
+        // A fixed single-threaded history; the hash below was computed
+        // at the commit before the page log became a client of
+        // `util::recordlog`'s engine. Any drift in record, tombstone or
+        // marker bytes — or in what a compaction writes — fails here.
+        let dir = temp_dir("golden");
+        let b = MmapBackend::open(&dir, 1 << 16).unwrap();
+        let page = |seed: u8, len: usize| {
+            PageBuf::from_vec((0..len).map(|i| seed.wrapping_add(i as u8)).collect())
+        };
+        let a = b.ingest(&key(1, 0), &page(1, 100), None).unwrap();
+        let old = b.ingest(&key(1, 1), &page(2, 257), None).unwrap();
+        let gone = b.ingest(&key(2, 0), &page(3, 64), None).unwrap();
+        let new = b.ingest(&key(1, 1), &page(4, 300), Some(257)).unwrap();
+        b.on_remove(old.len() as u64);
+        b.on_remove(gone.len() as u64);
+        assert_eq!(
+            fnv1a(&std::fs::read(dir.join("pages.g0.log")).unwrap()[..b.log_bytes() as usize]),
+            GOLDEN_G0,
+            "generation 0 image drifted"
+        );
+        b.compact(&[(key(1, 0), a), (key(1, 1), new)])
+            .unwrap()
+            .expect("mmap compacts");
+        b.ingest(&key(3, 0), &page(5, 33), None).unwrap();
+        b.ingest(&key(3, 1), &page(6, 1), None).unwrap();
+        let image = std::fs::read(dir.join("pages.g1.log")).unwrap();
+        assert_eq!(
+            fnv1a(&image[..b.log_bytes() as usize]),
+            GOLDEN_G1,
+            "generation 1 image drifted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    const GOLDEN_G0: u64 = 16761954313851723565;
+    const GOLDEN_G1: u64 = 16653890185418770178;
 }

@@ -34,11 +34,14 @@
 //!   (serializing / version-assign / sharded / shared), plus the
 //!   serialized-control-plane ablation flag. The zero-serialization
 //!   invariant is asserted by `crates/core/tests/lock_free.rs`.
-//! * [`recordlog`] — the shared record-then-commit append-only log
-//!   engine (48-byte checksummed headers, tombstones, group-commit
-//!   markers) extracted from the provider's page log, plus
-//!   [`recordlog::RecordLog`], the plain-file variant the durable
-//!   control plane (metadata tree, version history) journals through.
+//! * [`recordlog`] — the record-then-commit append-only log engine,
+//!   the one copy of the crash protocol: [`recordlog::Appender`]
+//!   (bounded reserve → write → group-commit), [`recordlog::replay`]
+//!   (pure, over `&[u8]`) and [`recordlog::GenerationWriter`]
+//!   (stage → seal → install). The provider's mapped page log and
+//!   [`recordlog::RecordLog`] — the plain-file client the durable
+//!   control plane (metadata tree, version history) journals through —
+//!   are both built from those three pieces.
 //! * [`rcu`] — [`RcuCell`], wait-free reads of a rarely replaced
 //!   snapshot (retention-based reclamation); the substrate of the
 //!   provider manager's lock-free roster.

@@ -26,9 +26,12 @@
 //! Since PR 10 even the sanctioned assignment mutex is no longer paid
 //! per write. Writers that collide on a hot blob form a **grant group**:
 //! one leader acquires the mutex once and assigns a contiguous run of
-//! versions to the whole group ([`state::BlobState::request_version_grant`]),
-//! and the WAL flushes the group's publish records as one batch under
-//! one commit marker ([`wal::VersionLog::record_publish_grouped`]). The
+//! versions to the whole group ([`state::BlobState::request_version_grant`]).
+//! On the journal side there is nothing version-specific to combine:
+//! each member appends its own publish record
+//! ([`wal::VersionLog::record_publish`]) and the record log's group
+//! commit *is* the combining — the records land in parallel and one
+//! leader's marker (and `fdatasync`) acknowledges the group. The
 //! steady-state `version_assign_locks_per_op` therefore drops to
 //! `1/group` under contention — the CI bench gate holds it below 1.0 at
 //! 16+ concurrent writers. For horizontal scale across *distinct* blobs,
@@ -50,4 +53,4 @@ pub use history::ConcurrentHistory;
 pub use publish::{PublishWindow, DEFAULT_WINDOW};
 pub use recovery::{restore, restore_with, snapshot, BlobSnapshot};
 pub use state::{BlobState, RegistryConfig, VersionGrant, VersionRegistry, WriteRecord};
-pub use wal::{PublishEntry, VersionLog};
+pub use wal::VersionLog;

@@ -18,7 +18,9 @@
 //!   write id; payload = 16 LE bytes `(offset, size)` of the patched
 //!   segment. Appended **before** the version becomes observable
 //!   (write-ahead): a reader that ever saw `latest >= v` is guaranteed
-//!   to see `v` again after a crash.
+//!   to see `v` again after a crash. The publishers of one version
+//!   grant arrive together; the engine's group commit seals their
+//!   records under one marker — there is no publish queue here.
 //! * group-commit markers / tombstones as defined by the engine.
 //!
 //! ## Crash model and replay
@@ -44,10 +46,8 @@ use crate::recovery::{restore_with, snapshot};
 use crate::state::{RegistryConfig, VersionRegistry};
 use blobseer_proto::{BlobError, BlobId, Geometry, Segment, Version, WriteId};
 use blobseer_util::recordlog::{LogError, OwnedRecord, Record, RecordLog, RecordLogOptions};
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Magic of a blob-create record ("BSVRCRE1").
 pub const VERSION_CREATE_MAGIC: u64 = 0x4253_5652_4352_4531;
@@ -63,58 +63,15 @@ fn log_err(path: &Path, e: LogError) -> BlobError {
     BlobError::Recovery {
         file: path.display().to_string(),
         offset: 0,
-        detail: match e {
-            LogError::Io(op) => op,
-            LogError::Poisoned => "version log poisoned",
-            LogError::CommitFailed => "version log commit failed",
-        },
+        detail: e.detail(),
     }
-}
-
-/// One publish to journal: `(blob, version, write, segment)`.
-#[derive(Clone, Copy, Debug)]
-pub struct PublishEntry {
-    /// The blob the write patched.
-    pub blob: BlobId,
-    /// The version being published.
-    pub version: Version,
-    /// The write id its pages were stored under.
-    pub write: WriteId,
-    /// The patched segment.
-    pub seg: Segment,
-}
-
-/// One parked publisher in the WAL's grant-batching queue.
-struct PublishCell {
-    entry: PublishEntry,
-    slot: Mutex<Option<Result<(), BlobError>>>,
-    done: Condvar,
-}
-
-/// The publish combiner queue (same leading-flag discipline as the
-/// version grant queue in [`crate::state`]).
-struct PublishQueue {
-    pending: Vec<Arc<PublishCell>>,
-    leading: bool,
 }
 
 /// The version manager's write-ahead journal. See the module docs for
 /// the record format and replay rules.
+#[derive(Debug)]
 pub struct VersionLog {
     log: RecordLog,
-    /// Combine concurrent publish appends into one `BSVRPUB1` batch
-    /// under one commit marker (off in the per-op ablation).
-    batched: bool,
-    publishers: Mutex<PublishQueue>,
-}
-
-impl std::fmt::Debug for VersionLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VersionLog")
-            .field("log", &self.log)
-            .field("batched", &self.batched)
-            .finish_non_exhaustive()
-    }
 }
 
 impl VersionLog {
@@ -159,20 +116,7 @@ impl VersionLog {
             payload: &snap,
         }])
         .map_err(|e| log_err(dir, e))?;
-        Ok((
-            Self {
-                log,
-                batched: config.batched,
-                // lint: allow(unmetered-lock) — publish-combiner plumbing: held
-                // for queue push/take only, never across the append or fsync;
-                // the durable append itself is the engine's metered seam
-                publishers: Mutex::new(PublishQueue {
-                    pending: Vec::new(),
-                    leading: false,
-                }),
-            },
-            registry,
-        ))
+        Ok((Self { log }, registry))
     }
 
     /// Journal a blob creation. Must return before the blob id is
@@ -190,7 +134,11 @@ impl VersionLog {
     }
 
     /// Journal a publication (write-ahead: call **before** the version
-    /// becomes observable via `complete_write`).
+    /// becomes observable via `complete_write`). Returns only once a
+    /// commit marker covers the record. Concurrent publishers — the
+    /// members of one version grant — are combined by the engine's
+    /// group commit: their records land in parallel and one leader's
+    /// marker (and `fdatasync`) acknowledges them all.
     pub fn record_publish(
         &self,
         blob: BlobId,
@@ -198,138 +146,18 @@ impl VersionLog {
         write: WriteId,
         seg: &Segment,
     ) -> Result<(), BlobError> {
-        self.record_publish_batch(&[PublishEntry {
-            blob,
-            version,
-            write,
-            seg: *seg,
-        }])
-    }
-
-    /// Journal a batch of publications contiguously under **one** commit
-    /// marker (one optional fsync): the durability half of a version
-    /// grant. All-or-nothing — on error no entry is durable, so no
-    /// member of the grant may be acknowledged.
-    pub fn record_publish_batch(&self, entries: &[PublishEntry]) -> Result<(), BlobError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let payloads: Vec<[u8; 16]> = entries
-            .iter()
-            .map(|e| {
-                let mut p = [0u8; 16];
-                p[..8].copy_from_slice(&e.seg.offset.to_le_bytes());
-                p[8..].copy_from_slice(&e.seg.size.to_le_bytes());
-                p
-            })
-            .collect();
-        let records: Vec<Record<'_>> = entries
-            .iter()
-            .zip(&payloads)
-            .map(|(e, p)| Record {
-                magic: VERSION_PUBLISH_MAGIC,
-                a: e.blob.0,
-                b: e.version,
-                c: e.write.0,
-                payload: p,
-            })
-            .collect();
+        let mut payload = [0u8; 16];
+        payload[..8].copy_from_slice(&seg.offset.to_le_bytes());
+        payload[8..].copy_from_slice(&seg.size.to_le_bytes());
         self.log
-            .append_batch(&records)
+            .append(Record {
+                magic: VERSION_PUBLISH_MAGIC,
+                a: blob.0,
+                b: version,
+                c: write.0,
+                payload: &payload,
+            })
             .map_err(|e| log_err(self.log.path(), e))
-    }
-
-    /// Journal one publication through the **publish combiner**: callers
-    /// that arrive while another append is in flight park on a queue,
-    /// and the leader flushes the whole group as one
-    /// [`record_publish_batch`](Self::record_publish_batch) — one commit
-    /// marker, one fsync, for N publications. The durability guarantee
-    /// is unchanged: this returns only once a commit marker covers the
-    /// caller's record (or with the batch's error, in which case nothing
-    /// in the batch is durable and no member may ack). With batching
-    /// disabled (the per-op ablation) this is plain
-    /// [`record_publish`](Self::record_publish).
-    pub fn record_publish_grouped(
-        &self,
-        blob: BlobId,
-        version: Version,
-        write: WriteId,
-        seg: &Segment,
-    ) -> Result<(), BlobError> {
-        let entry = PublishEntry {
-            blob,
-            version,
-            write,
-            seg: *seg,
-        };
-        if !self.batched {
-            return self.record_publish_batch(&[entry]);
-        }
-        let cell = {
-            // lint: allow(unmetered-lock) — publish-combiner queue push/leader
-            // election only, never held across the durable append
-            let mut q = self.publishers.lock();
-            if q.leading {
-                let cell = Arc::new(PublishCell {
-                    entry,
-                    // lint: allow(unmetered-lock) — parked publisher's handoff
-                    // slot; the durable work is metered at the engine's seam
-                    slot: Mutex::new(None),
-                    done: Condvar::new(),
-                });
-                q.pending.push(Arc::clone(&cell));
-                Some(cell)
-            } else {
-                q.leading = true;
-                None
-            }
-        };
-        if let Some(cell) = cell {
-            // lint: allow(unmetered-lock) — parked publisher's own handoff slot;
-            // the durable work is the leader's single batched append
-            let mut slot = cell.slot.lock();
-            while slot.is_none() {
-                cell.done.wait(&mut slot);
-            }
-            // lint: allow(panic-on-serving-path) — the wait loop above exits only
-            // once the slot is `Some`, so the take can never observe `None`
-            return slot.take().expect("slot filled before notify");
-        }
-        // Leader: flush rounds of (own entry + everyone queued) until
-        // the queue drains; release leadership only under the queue lock
-        // after an empty check, so no parked cell is stranded.
-        let mut own: Option<Result<(), BlobError>> = None;
-        loop {
-            let batch: Vec<Arc<PublishCell>> = {
-                // lint: allow(unmetered-lock) — combiner-queue drain/leadership
-                // release only, never held across the durable append
-                let mut q = self.publishers.lock();
-                if own.is_some() && q.pending.is_empty() {
-                    q.leading = false;
-                    break;
-                }
-                std::mem::take(&mut q.pending)
-            };
-            let mut entries: Vec<PublishEntry> = Vec::with_capacity(batch.len() + 1);
-            if own.is_none() {
-                entries.push(entry);
-            }
-            entries.extend(batch.iter().map(|c| c.entry));
-            let result = self.record_publish_batch(&entries);
-            if own.is_none() {
-                own = Some(result.clone());
-            }
-            for cell in &batch {
-                // lint: allow(unmetered-lock) — publisher handoff slot fill +
-                // notify; the durable work was the one batched append above
-                let mut slot = cell.slot.lock();
-                *slot = Some(result.clone());
-                cell.done.notify_one();
-            }
-        }
-        // lint: allow(panic-on-serving-path) — the loop cannot break until `own`
-        // is `Some` (the first flush always covers the leader's own entry)
-        own.expect("leader flushed its own entry")
     }
 
     /// Journal size in bytes.
@@ -679,23 +507,28 @@ mod tests {
             let state = registry.create_blob(geom());
             blob = state.blob;
             wal.record_create(state.blob, &state.geom).unwrap();
-            let entries: Vec<PublishEntry> = (1..=4u64)
+            // Four publish records appended contiguously under one
+            // commit marker (`RecordLog::append_batch`, what
+            // `META_PUT_BATCH` journals through).
+            let mut seg = [0u8; 16];
+            seg[8..].copy_from_slice(&1024u64.to_le_bytes());
+            let records: Vec<Record<'_>> = (1..=4u64)
                 .map(|w| {
                     let t = state
                         .request_version(WriteId(w), Segment::new(0, 1024))
                         .unwrap();
-                    PublishEntry {
-                        blob: state.blob,
-                        version: t.version,
-                        write: WriteId(w),
-                        seg: Segment::new(0, 1024),
+                    Record {
+                        magic: VERSION_PUBLISH_MAGIC,
+                        a: state.blob.0,
+                        b: t.version,
+                        c: w,
+                        payload: &seg,
                     }
                 })
                 .collect();
-            // One grant, one WAL batch, one commit marker.
-            wal.record_publish_batch(&entries).unwrap();
-            for e in &entries {
-                state.complete_write(e.version).unwrap();
+            wal.log.append_batch(&records).unwrap();
+            for r in &records {
+                state.complete_write(r.b).unwrap();
             }
         }
         let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
@@ -772,21 +605,10 @@ mod tests {
                 .collect();
             assert_eq!(tickets, vec![1, 2, 3, 4]);
             // Only the first two writers got to the publish step.
-            wal.record_publish_batch(&[
-                PublishEntry {
-                    blob,
-                    version: 1,
-                    write: WriteId(1),
-                    seg: Segment::new(0, 1024),
-                },
-                PublishEntry {
-                    blob,
-                    version: 2,
-                    write: WriteId(2),
-                    seg: Segment::new(0, 1024),
-                },
-            ])
-            .unwrap();
+            for v in [1u64, 2] {
+                wal.record_publish(blob, v, WriteId(v), &Segment::new(0, 1024))
+                    .unwrap();
+            }
             state.complete_write(1).unwrap();
             state.complete_write(2).unwrap();
         }
@@ -802,23 +624,33 @@ mod tests {
     }
 
     #[test]
-    fn grouped_publish_combines_concurrent_callers() {
+    fn concurrent_publishes_share_commit_markers() {
+        // Group commit is the publish combining: while one leader
+        // lingers, every publisher that lands its record rides the
+        // leader's marker — strictly fewer markers than publishes, and
+        // every acknowledged version replays.
         let dir = tmp_dir("grouped");
+        let lingering = RecordLogOptions {
+            group_commit_window: std::time::Duration::from_millis(20),
+            ..opts()
+        };
         let blob;
         {
-            let (wal, registry) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
+            let (wal, registry) = VersionLog::open(&dir, lingering, DEFAULT_WINDOW).unwrap();
             let state = registry.create_blob(geom());
             blob = state.blob;
             wal.record_create(state.blob, &state.geom).unwrap();
-            let state = &state;
-            let wal = &wal;
+            let before = wal.log_bytes();
+            let start = std::sync::Barrier::new(16);
+            let (state, wal, start) = (&state, &wal, &start);
             std::thread::scope(|s| {
                 for w in 1..=16u64 {
                     s.spawn(move || {
                         let t = state
                             .request_version(WriteId(w), Segment::new(0, 1024))
                             .unwrap();
-                        wal.record_publish_grouped(
+                        start.wait();
+                        wal.record_publish(
                             state.blob,
                             t.version,
                             WriteId(w),
@@ -830,6 +662,8 @@ mod tests {
                 }
             });
             assert_eq!(state.latest(), 16);
+            let markers = (wal.log_bytes() - before - 16 * (48 + 16)) / 48;
+            assert!((1..16).contains(&markers), "markers: {markers}");
         }
         let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
         assert_eq!(reg.get(blob).unwrap().latest(), 16);

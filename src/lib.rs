@@ -235,8 +235,9 @@
 //! the mmap backend every storage node journals its metadata-tree
 //! mutations write-ahead (`meta.g<N>.log`) and the version manager
 //! journals blob creation and every publish before acknowledging it
-//! (`version.g<N>.log`) — all three logs ride the same
-//! record-then-commit engine (`blobseer_util::recordlog`). So the
+//! (`version.g<N>.log`) — all three logs are clients of the one
+//! record-then-commit engine (`blobseer_util::recordlog`: the same
+//! append/group-commit, replay and generation-install code). So the
 //! cluster doesn't just tolerate a provider crash; the *product can
 //! reboot*: [`Deployment::restart_cluster`] kills the version manager,
 //! the provider manager, and every storage node, replays every journal,
