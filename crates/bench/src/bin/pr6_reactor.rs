@@ -138,7 +138,7 @@ fn run_cell(mode: ServerMode, conns: usize) -> Cell {
     t.bind(server, Arc::new(Echo));
     let addr = t.addr(server).expect("bound server");
 
-    // Warm the client mux (reader thread and all) before the RSS and
+    // Warm the client mux (dial its connection) before the RSS and
     // thread-count baselines.
     let (resp, _) = t
         .call(client, server, 0, Frame::from_msg(1, &1u64))

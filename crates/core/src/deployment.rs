@@ -119,6 +119,14 @@ impl Service for StorageNodeService {
         "storage-node"
     }
 
+    fn nonblocking(&self, method: u16) -> bool {
+        match method >> 8 {
+            0x01 => self.data().nonblocking(method),
+            0x03 => self.meta().nonblocking(method),
+            _ => false,
+        }
+    }
+
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         match frame.method >> 8 {
             0x01 => {

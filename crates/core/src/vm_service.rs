@@ -124,6 +124,13 @@ impl Service for VersionManagerService {
         "version-manager"
     }
 
+    /// `GET_LATEST` and `GET_BLOB` read the registry. Everything else
+    /// journals, lingers as a grant leader or publishes in order; it
+    /// keeps the pool.
+    fn nonblocking(&self, method: u16) -> bool {
+        matches!(method, method::GET_LATEST | method::GET_BLOB)
+    }
+
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         match frame.method {
             method::CREATE_BLOB => {

@@ -157,6 +157,13 @@ impl Service for DhtNodeService {
         "metadata-provider"
     }
 
+    /// Gets probe the sharded in-memory store, journaled or not. Puts
+    /// and removes are write-ahead (a journal append and its commit);
+    /// they keep the pool.
+    fn nonblocking(&self, method: u16) -> bool {
+        matches!(method, method::META_GET | method::META_GET_BATCH)
+    }
+
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         match frame.method {
             method::META_PUT => {

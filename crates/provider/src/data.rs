@@ -433,6 +433,12 @@ impl Service for DataProviderService {
         "data-provider"
     }
 
+    /// `GET_PAGE` is an index probe and a refcount. Puts and removes
+    /// append, commit and pass the maintenance gate; they keep the pool.
+    fn nonblocking(&self, method: u16) -> bool {
+        method == method::GET_PAGE
+    }
+
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         match frame.method {
             method::PUT_PAGE => {

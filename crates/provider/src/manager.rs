@@ -487,6 +487,13 @@ impl Service for ProviderManagerService {
         "provider-manager"
     }
 
+    /// Planning is lock-free (roster snapshot, p2c, CAS reservation) and
+    /// a heartbeat is a handful of atomic stores. Registration and
+    /// listing republish or walk the roster; they keep the pool.
+    fn nonblocking(&self, method: u16) -> bool {
+        matches!(method, method::PLAN_WRITE | method::HEARTBEAT)
+    }
+
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         ctx.charge(self.costs.manager_query_ns);
         match frame.method {

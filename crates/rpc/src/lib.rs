@@ -20,6 +20,12 @@
 //! gather-written straight from their segment chains (`writev`, no
 //! flatten) and inbound payloads are lent out of the receive buffer by
 //! refcount — see [`tcp`] for the frame discipline and error taxonomy.
+//! Its threads are the server's and only the server's
+//! (`event_loops + dispatch_threads`, whatever the connection count): a
+//! client thread waiting for a response reads its own connection, and a
+//! handler its [`Service`] declares [`Service::nonblocking`] is answered
+//! by the event loop that read the request — two thread wake-ups per
+//! such call, four for one that needs the dispatch pool.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

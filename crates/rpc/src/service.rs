@@ -96,6 +96,26 @@ pub trait Service: Send + Sync {
     fn name(&self) -> &'static str {
         "service"
     }
+
+    /// Whether the handler for `method` **cannot block**: it does no
+    /// file I/O, waits on no condvar, sleeps on nothing, and takes no
+    /// lock that another thread may hold across any of those — a map
+    /// probe, an atomic read, a refcount. A transport with an event loop
+    /// ([`crate::TcpTransport`]'s reactor) answers such a method on the
+    /// loop itself instead of handing it to a worker thread, which saves
+    /// two thread wake-ups per call; while it runs, every other
+    /// connection that loop owns waits, which is why the promise matters.
+    ///
+    /// The default is `false` — the safe side: the handler runs on the
+    /// dispatch pool, where it may take as long as it likes. A decorator
+    /// that forwards only [`Service::handle`] therefore keeps the pool,
+    /// whatever the service inside it says; one that adds blocking of
+    /// its own (an admission gate that can wait for a permit) must.
+    /// Answer `true` only after reading the handler, and move the method
+    /// back in the same change that teaches it to append, commit or wait.
+    fn nonblocking(&self, _method: u16) -> bool {
+        false
+    }
 }
 
 /// Shared services dispatch through the pointer, so wrappers like
@@ -108,6 +128,10 @@ impl<S: Service + ?Sized> Service for std::sync::Arc<S> {
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn nonblocking(&self, method: u16) -> bool {
+        (**self).nonblocking(method)
     }
 }
 

@@ -13,20 +13,44 @@
 //!   `polling` shim, `poll(2)` elsewhere on unix) own every accepted
 //!   connection, and a bounded dispatch pool of
 //!   [`TcpOptions::dispatch_threads`] workers runs the [`Service`]
-//!   handlers — a slow handler occupies a pool slot, never an event
-//!   loop. When the pool or a connection's in-flight budget is full the
-//!   connection's read interest is parked (backpressure), not buffered
-//!   without bound. Off-unix (or if the poller cannot start) the
-//!   transport falls back to thread-per-connection serving.
-//! * **Client = multiplexing.** Each destination keeps a small set of
-//!   connections (at most [`TcpOptions::max_pooled_per_peer`]); a call
-//!   picks the least-loaded live one and registers a per-call
-//!   completion slot under a fresh **correlation id**. One reader
-//!   thread per connection routes responses to their slots, so any
-//!   number of calls share a socket concurrently — other threads' calls
-//!   and, within one fan-out, the caller's own (below). A connection error
-//!   fails *every* call in flight on it — typed
-//!   [`BlobError::Unreachable`], never a hang.
+//!   handlers that may block — a slow handler occupies a pool slot,
+//!   never an event loop. A handler that **cannot** block — its service
+//!   says so per method, [`Service::nonblocking`]: a page get, a
+//!   metadata get, `latest`, a write plan — is answered by the event
+//!   loop itself, in the readiness event that brought the request: no
+//!   pool slot, no in-flight budget, no wake-up of a worker and none of
+//!   the loop for the completion, and it may overtake an earlier pooled
+//!   call on the same socket (correlation ids allow that). A batch runs
+//!   on the loop only if every sub-call may; everything that appends,
+//!   commits, lingers or can queue keeps the pool, and so does any
+//!   service that does not say (the default is `false`). When the pool
+//!   or a connection's in-flight budget is full the connection's read
+//!   interest is parked (backpressure), not buffered without bound. A
+//!   handler that panics costs its own call a typed
+//!   [`BlobError::Internal`] — never the worker or the loop it ran on.
+//!   Off-unix (or if the poller cannot start) the transport falls back
+//!   to thread-per-connection serving.
+//! * **Client = multiplexing, and the waiters read.** Each destination
+//!   keeps a small set of connections (at most
+//!   [`TcpOptions::max_pooled_per_peer`]); a call picks the least-loaded
+//!   live one and registers a per-call completion slot under a fresh
+//!   **correlation id**. There is no reader thread: a caller waiting for
+//!   its response takes its connection's **read role** if it is free,
+//!   receives frames itself and routes each to its slot by correlation
+//!   id; it leaves the role when its own slot is filled and nudges the
+//!   connection's other waiters so that one of them takes over. A caller
+//!   that finds the role taken parks on its slot. So any number of calls
+//!   share a socket concurrently — other threads' calls and, within one
+//!   fan-out, the caller's own (below) — and the usual call, alone on
+//!   its connection, is woken exactly once, by its own reply. A
+//!   connection error fails *every* call in flight on it with the same
+//!   typed error, never a hang.
+//! * **Thread census.** `event_loops + dispatch_threads` server threads
+//!   per transport, whatever the connection count; **zero** client
+//!   threads. One call blocks two threads once each when its handler
+//!   runs on the loop (the caller, the loop) and four when it runs on
+//!   the pool (plus the worker, plus the loop again for the completion)
+//!   — `rpc/tests/handoffs.rs` counts them.
 //! * **Ablation.** [`ServerMode::ThreadPerConn`] keeps the PR 3 regime
 //!   (accept thread + thread per connection) alive for benchmarks; the
 //!   client side is multiplexed in both modes and both speak the same
@@ -36,14 +60,19 @@
 //! # Fan-out is pipelined, not threaded
 //!
 //! A call is three steps: **register** a completion slot under a fresh
-//! correlation id, **gather-write** the frame, **park** on the slot.
-//! [`Transport::call_many`] — what `RpcClient::fan_out` hands a whole
-//! fan-out to — runs the first two steps for every frame and only then
-//! the third, so every call of a fan-out is on the wire before the
-//! caller waits for the first response; the per-connection reader
-//! threads complete the slots in whatever order the servers answer. No
-//! thread is spawned per client or per fan-out, no frame is copied, and
-//! `call` is the same code with one frame. The rules:
+//! correlation id, **gather-write** the frame, then **read or park** —
+//! wait on the connection until the slot is filled, as its reader or
+//! behind it. [`Transport::call_many`] — what `RpcClient::fan_out` hands
+//! a whole fan-out to — runs the first two steps for every frame and
+//! only then the third, slot by slot in input order, so every call of a
+//! fan-out is on the wire before the caller waits for the first
+//! response. Whoever holds a connection's read role fills its slots in
+//! whatever order the server answers — the burst's own later slots
+//! included, which it simply finds filled when it reaches them; and
+//! while it reads one connection, the replies on the others wait in
+//! their sockets. No thread is spawned per client or per fan-out, no
+//! frame is copied, and `call` is the same code with one frame. The
+//! rules:
 //!
 //! * **Faults stay per call.** A frame that cannot be sent (codec
 //!   refusal, dead or shedding destination, reset mid-write) fails its
@@ -58,9 +87,9 @@
 //!   the lock). The burst then *holds* that connection: its further
 //!   calls to the same destination pipeline on it, up to
 //!   [`TcpOptions::max_conn_inflight`] deep, instead of reading their
-//!   own earlier calls as "busy" and dialing a socket and a reader
-//!   thread each. A 16-call unaggregated burst to one node uses one
-//!   connection; two client threads bursting at one node use two.
+//!   own earlier calls as "busy" and dialing a socket each. A 16-call
+//!   unaggregated burst to one node uses one connection; two client
+//!   threads bursting at one node use two.
 //! * **Order.** Frames to one destination leave in input order on one
 //!   connection; responses may complete in any order and are returned in
 //!   input order.
@@ -102,8 +131,9 @@
 //! reserve fd (`/dev/null`); on fd exhaustion it drops the reserve,
 //! accepts the waiting connection, writes it a [`CTRL_SHED`] control
 //! frame, closes it, and re-opens the reserve. Clients surface a shed
-//! as [`BlobError::Unreachable`] on every call in flight — established
-//! connections are never sacrificed for new ones.
+//! as [`BlobError::Overload`] — the notice's retry-after hint intact —
+//! on every call in flight on that connection; established connections
+//! are never sacrificed for new ones.
 //! [`TcpOptions::max_connections`] applies the same shed path at a
 //! deterministic threshold (fault tests use this).
 //!
@@ -114,7 +144,8 @@
 //! | connect refused / timeout                 | [`BlobError::Unreachable`]  |
 //! | peer closed mid-frame, short read/write   | [`BlobError::Unreachable`]  |
 //! | I/O timeout (peer accepted, never replied)| [`BlobError::Unreachable`]  |
-//! | connection shed by the server             | [`BlobError::Unreachable`]  |
+//! | connection shed by the server             | [`BlobError::Overload`]     |
+//! | handler panicked                          | [`BlobError::Internal`]     |
 //! | corrupt envelope or frame bytes           | [`BlobError::Codec`]        |
 //! | body above the frame cap (send or recv)   | [`BlobError::Codec`]        |
 //! | response with an unknown correlation id   | [`BlobError::Codec`]        |
@@ -122,12 +153,18 @@
 //! A connection that fails (including a stray correlation id — the
 //! stream framing can no longer be trusted) is dropped, all its
 //! in-flight calls resolve with the typed error, and the next call
-//! reconnects. Virtual time still flows (the envelope carries `vt` and
+//! reconnects. That holds for a connection that fails while *idle*, too,
+//! though nobody is reading it: bytes arrive only for registered calls,
+//! so a pooled connection with nothing in flight that is readable (an
+//! EOF, a shed notice, anything) is never healthy — checkout probes for
+//! that with one zero-timeout `poll(2)`, takes what is there through the
+//! ordinary receive path, and dials afresh; no error surfaces. Virtual
+//! time still flows (the envelope carries `vt` and
 //! handlers may charge), but wall-clock time is real — TCP deployments
 //! use zero-cost models and measure with real clocks.
 
 use crate::frame::{Frame, MAX_FRAME_BODY};
-use crate::service::{dispatch_frame, ServerCtx, Service};
+use crate::service::{dispatch_frame, error_frame, ServerCtx, Service};
 use blobseer_proto::wire::{Reader, Wire};
 use blobseer_proto::{BlobError, CodecError, NodeId, PageBuf};
 use parking_lot::{Mutex, RwLock};
@@ -135,6 +172,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -235,9 +273,8 @@ impl Default for TcpOptions {
     }
 }
 
-/// State shared with server threads and client readers (no
-/// back-reference to the transport, so dropping the transport tears the
-/// threads down).
+/// State shared with the server threads (no back-reference to the
+/// transport, so dropping the transport tears the threads down).
 pub(crate) struct Shared {
     pub shutdown: AtomicBool,
     pub gather: AtomicBool,
@@ -488,18 +525,18 @@ impl TcpTransport {
     /// Pick the least-loaded live connection to `to`, dialing a new one
     /// only when all existing ones are busy and the per-peer cap allows.
     fn mux_conn(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<MuxConn>, BlobError> {
-        if let Some(conn) = self.pooled(&mut self.mux.lock(), to) {
-            return Ok(conn);
+        loop {
+            let pooled = self.pooled(&mut self.mux.lock(), to);
+            let Some(conn) = pooled else { break };
+            // Outside the pool lock: a connection the peer closed or shed
+            // while it sat idle evicts itself here, and we look again.
+            if conn.checkout() {
+                return Ok(conn);
+            }
         }
         // Every connection is busy (or none exists): dial outside the
         // pool lock so concurrent calls never serialize on a connect.
-        let conn = MuxConn::connect(
-            addr,
-            &self.opts,
-            Arc::clone(&self.mux),
-            to.0,
-            Arc::clone(&self.shared),
-        )?;
+        let conn = MuxConn::connect(addr, &self.opts, Arc::clone(&self.mux), to.0)?;
         let mut map = self.mux.lock();
         let pool = map.entry(to.0).or_default();
         pool.retain(|c| !c.is_dead());
@@ -555,7 +592,7 @@ impl TcpTransport {
                 .ok_or(BlobError::Unreachable("no tcp endpoint bound"))?
         };
         let gather = self.shared.gather.load(Ordering::Relaxed);
-        // Registration can race a connection dying (its reader resolves
+        // Registration can race a connection dying (its death resolves
         // every registered slot, but a conn observed live can be dead by
         // the time we register): retry on a fresh connection.
         let mut last_err = BlobError::Unreachable("tcp connect failed");
@@ -564,7 +601,11 @@ impl TcpTransport {
             match conn.register() {
                 Ok((corr, slot)) => {
                     let req_wire = conn.send(corr, vt, frame, gather)?;
-                    return Ok(InFlight { slot, req_wire });
+                    return Ok(InFlight {
+                        conn,
+                        slot,
+                        req_wire,
+                    });
                 }
                 Err(e) => {
                     burst.retain(|(_, held)| !Arc::ptr_eq(held, &conn));
@@ -575,10 +616,11 @@ impl TcpTransport {
         Err(last_err)
     }
 
-    /// Last step of a call: park until its response (or its connection's
-    /// death) resolves the slot.
+    /// Last step of a call: wait on its connection — reading, or parked
+    /// behind another waiter that is — until its response (or the
+    /// connection's death) resolves the slot.
     fn complete(&self, sent: InFlight) -> TransportResult {
-        let (resp_vt, resp, resp_wire) = sent.slot.wait()?;
+        let (resp_vt, resp, resp_wire) = sent.conn.wait(&sent.slot)?;
         self.shared.messages.fetch_add(2, Ordering::Relaxed);
         self.shared
             .bytes
@@ -589,6 +631,7 @@ impl TcpTransport {
 
 /// A call that is on the wire.
 struct InFlight {
+    conn: Arc<MuxConn>,
     slot: Arc<CallSlot>,
     req_wire: usize,
 }
@@ -605,8 +648,9 @@ impl Transport for TcpTransport {
 
     /// Pipelined: every frame is registered and written before the first
     /// response is awaited, so the calls are served concurrently. No
-    /// thread is spawned — the per-connection readers already complete
-    /// slots in whatever order responses arrive.
+    /// thread is spawned — whoever reads a connection fills its slots in
+    /// whatever order responses arrive, and a slot this burst reaches
+    /// later is simply found filled.
     fn call_many(
         &self,
         _from: NodeId,
@@ -625,6 +669,7 @@ impl Transport for TcpTransport {
                 }
             }
         }
+        burst.retain(|(_, conn)| conn.checkout());
         // A frame that fails to go out costs only its own call: every
         // slot submitted before and after it is still awaited below.
         let sent: Vec<Result<InFlight, BlobError>> = calls
@@ -638,13 +683,10 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Tear down client connections: shutdown EOFs each reader.
+        // Client side: there are only sockets to close, no thread to join.
         let conns: Vec<Arc<MuxConn>> = self.mux.lock().drain().flat_map(|(_, pool)| pool).collect();
-        for conn in &conns {
-            conn.close();
-        }
         for conn in conns {
-            conn.join_reader();
+            conn.close();
         }
         match std::mem::replace(&mut *self.server.lock(), ServerEngine::Idle) {
             ServerEngine::Idle => {}
@@ -780,9 +822,8 @@ fn serve_conn(
         if shared.shutdown.load(Ordering::SeqCst) || !alive.load(Ordering::Acquire) {
             return;
         }
-        let mut sctx = ServerCtx::new(vt);
-        let resp = dispatch_frame(svc.as_ref(), &mut sctx, &frame);
-        let done = sctx.vt + sctx.charged + sctx.charged_latency;
+        // `_held` (admission permits) lives until the response is sent.
+        let (done, resp, _held) = run_handler(svc.as_ref(), vt, &frame);
         if !alive.load(Ordering::Acquire) {
             return; // died during the call: no response
         }
@@ -791,6 +832,24 @@ fn serve_conn(
             return;
         }
     }
+}
+
+/// Request state a handler pinned past its return ([`ServerCtx::hold`]),
+/// dropped once the response has left the server.
+pub(crate) type Held = Vec<Box<dyn std::any::Any + Send>>;
+
+/// Run the service handler for one decoded request, the way every
+/// serving path does (dispatch worker, event loop, per-connection
+/// thread): returns the response's virtual time, the response and the
+/// state to hold until it is written. A handler that panics costs its
+/// own call a typed error — never the thread that ran it, which other
+/// connections depend on.
+pub(crate) fn run_handler(svc: &dyn Service, vt: u64, frame: &Frame) -> (u64, Frame, Held) {
+    let mut sctx = ServerCtx::new(vt);
+    let resp = catch_unwind(AssertUnwindSafe(|| dispatch_frame(svc, &mut sctx, frame)))
+        .unwrap_or_else(|_| error_frame(frame.method, BlobError::Internal("handler panicked")));
+    let done = sctx.vt + sctx.charged + sctx.charged_latency;
+    (done, resp, sctx.take_held())
 }
 
 /// A socket read/write timeout surfaces as `WouldBlock` or `TimedOut`
@@ -878,8 +937,9 @@ pub(crate) enum RecvError {
     /// Clean close at a frame boundary.
     Closed,
     /// Read timeout at a frame boundary (no envelope byte yet): the
-    /// connection is idle, not stalled. Servers re-arm; client readers
-    /// with calls in flight treat it as a timeout.
+    /// connection is idle, not stalled. Servers re-arm; on a client the
+    /// thread reading is itself waiting for a reply, so it is that
+    /// call's — and the connection's — timeout.
     IdleTimeout,
     Io(io::Error),
     Codec(CodecError),

@@ -1,23 +1,38 @@
-//! Multiplexed client connections.
+//! Multiplexed client connections: the waiters read.
 //!
 //! One [`MuxConn`] carries any number of in-flight calls: each call
 //! claims a fresh correlation id, registers a [`CallSlot`], writes its
 //! frame under the send lock (gather-write, serialized so frames never
-//! interleave), and parks on the slot. A dedicated reader thread per
-//! connection decodes responses — in whatever order the server finishes
-//! them — and routes each to its slot by correlation id.
+//! interleave), and then waits **on the connection**
+//! ([`MuxConn::wait`]). There is no reader thread. The connection has
+//! one **read role**; a waiter whose slot is unresolved takes it if it
+//! is free, receives frames itself and routes each to its slot by
+//! correlation id — its own, another thread's, or a later slot of its
+//! own burst — and leaves the role the moment its own slot is filled,
+//! nudging every still-registered slot so that a parked waiter takes
+//! over. A waiter that finds the role taken parks on its slot. So the
+//! common call — one waiter on its connection — is woken once, by the
+//! kernel, with its own reply in hand; and a connection with a parked
+//! waiter and a free read role never persists.
 //!
 //! Failure is total per connection: the first read error, codec error,
 //! stray correlation id, or [`CTRL_SHED`] control frame marks the
 //! connection dead, removes it from the transport's pool, and resolves
 //! **every** registered slot with the typed error — a connection error
 //! fails every call in flight on it, never hangs one. The `dead` flag
-//! lives inside the same mutex as the in-flight map, so a call can
-//! never register a slot the reader will not see.
+//! and the read role live inside the same mutex as the in-flight map,
+//! so a call can never register a slot no reader will see, and a
+//! departing reader can never miss a waiter it should have nudged.
+//!
+//! Nobody watches an idle connection, so a peer that closes (or sheds)
+//! one between calls is found at the next **checkout**
+//! ([`MuxConn::checkout`]): bytes arrive only for registered calls, so
+//! a connection with nothing in flight that is readable is never
+//! healthy — what is there is taken through the same receive path, the
+//! connection dies with the typed error, and the call dials afresh.
 
 use super::{
-    is_timeout, recv_frame, send_frame, RecvError, SendError, Shared, TcpOptions, CTRL_CORR,
-    CTRL_SHED,
+    is_timeout, recv_frame, send_frame, RecvError, SendError, TcpOptions, CTRL_CORR, CTRL_SHED,
 };
 use crate::frame::Frame;
 use blobseer_proto::{BlobError, CodecError};
@@ -26,41 +41,55 @@ use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// `(response vt, response frame, response wire bytes)`.
 type CallOutcome = Result<(u64, Frame, usize), BlobError>;
 
-/// A one-shot completion slot the calling thread parks on.
+/// A one-shot completion slot the calling thread parks on while another
+/// waiter holds its connection's read role.
 pub(crate) struct CallSlot {
-    done: Mutex<Option<CallOutcome>>,
+    state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    outcome: Option<CallOutcome>,
+    /// Left by a departing reader: the read role may be free, stop
+    /// parking and go look. A flag, not a bare notify, so a waiter that
+    /// has not parked yet cannot miss it.
+    nudged: bool,
 }
 
 impl CallSlot {
     fn new() -> Self {
         Self {
-            done: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             cv: Condvar::new(),
         }
     }
 
     fn resolve(&self, outcome: CallOutcome) {
-        *self.done.lock() = Some(outcome);
+        self.state.lock().outcome = Some(outcome);
         self.cv.notify_all();
     }
 
-    /// Park until the reader resolves this slot. The reader guarantees
-    /// resolution: every exit path fails all registered slots first.
-    pub(crate) fn wait(&self) -> CallOutcome {
-        let mut g = self.done.lock();
-        loop {
-            if let Some(outcome) = g.take() {
-                return outcome;
-            }
+    fn nudge(&self) {
+        self.state.lock().nudged = true;
+        self.cv.notify_all();
+    }
+
+    fn take(&self) -> Option<CallOutcome> {
+        self.state.lock().outcome.take()
+    }
+
+    /// Park until the slot is resolved or nudged.
+    fn park(&self) {
+        let mut g = self.state.lock();
+        while g.outcome.is_none() && !g.nudged {
             self.cv.wait(&mut g);
         }
+        g.nudged = false;
     }
 }
 
@@ -68,12 +97,9 @@ struct ConnState {
     /// Set exactly once, under this mutex, before the in-flight map is
     /// drained — registration checks it under the same lock.
     dead: Option<BlobError>,
-    inflight: HashMap<u64, Pending>,
-}
-
-struct Pending {
-    slot: Arc<CallSlot>,
-    registered: Instant,
+    inflight: HashMap<u64, Arc<CallSlot>>,
+    /// The read role: some waiter is receiving on the socket.
+    reading: bool,
 }
 
 /// The client-side pool: live connections by destination node id.
@@ -88,23 +114,20 @@ pub(crate) struct MuxConn {
     send: Mutex<()>,
     state: Mutex<ConnState>,
     next_corr: AtomicU64,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    io_timeout: Option<Duration>,
-    /// The transport's pool this connection lives in, so both death
-    /// paths (reader exit, send-side I/O failure) can evict it before
-    /// any caller observes the error.
+    /// The transport's pool this connection lives in, so every death
+    /// path (a reader's error, a send-side I/O failure, a failed
+    /// checkout) can evict it before any caller observes the error.
     map: MuxMap,
     key: u32,
 }
 
 impl MuxConn {
-    /// Dial `addr` and start the connection's reader thread.
+    /// Dial `addr`.
     pub(crate) fn connect(
         addr: SocketAddr,
         opts: &TcpOptions,
         map: MuxMap,
         key: u32,
-        shared: Arc<Shared>,
     ) -> Result<Arc<MuxConn>, BlobError> {
         let stream = TcpStream::connect_timeout(&addr, opts.connect_timeout)
             // lint: allow(overload-erasure) — io::Error source, a connect failure
@@ -113,30 +136,22 @@ impl MuxConn {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(opts.io_timeout);
         let _ = stream.set_write_timeout(opts.io_timeout);
-        let conn = Arc::new(MuxConn {
+        Ok(Arc::new(MuxConn {
             stream,
             send: Mutex::new(()),
             state: Mutex::new(ConnState {
                 dead: None,
                 inflight: HashMap::new(),
+                reading: false,
             }),
             // Correlation ids start at 1: 0 is the control channel.
             next_corr: AtomicU64::new(CTRL_CORR + 1),
-            reader: Mutex::new(None),
-            io_timeout: opts.io_timeout,
             map,
             key,
-        });
-        let rc = Arc::clone(&conn);
-        let handle = std::thread::spawn(move || {
-            let err = read_loop(&rc, &shared);
-            die(&rc, err);
-        });
-        *conn.reader.lock() = Some(handle);
-        Ok(conn)
+        }))
     }
 
-    /// Whether the reader has declared this connection dead.
+    /// Whether this connection has been declared dead.
     pub(crate) fn is_dead(&self) -> bool {
         self.state.lock().dead.is_some()
     }
@@ -146,8 +161,38 @@ impl MuxConn {
         self.state.lock().inflight.len()
     }
 
+    /// Whether a connection just picked from the pool may carry a call.
+    /// One that is idle — nothing in flight, nobody reading — must also
+    /// be silent: a zero-timeout readiness probe, and if the socket is
+    /// readable (the peer closed it, shed it, or is talking out of
+    /// turn) what is there goes through the ordinary receive path and
+    /// kills the connection with its typed error. The caller then picks
+    /// or dials another; no error surfaces.
+    pub(crate) fn checkout(&self) -> bool {
+        {
+            let mut st = self.state.lock();
+            if st.dead.is_some() {
+                return false;
+            }
+            if st.reading || !st.inflight.is_empty() || !readable_now(&self.stream) {
+                return true;
+            }
+            st.reading = true;
+        }
+        match self.read_one() {
+            Ok(()) => {
+                self.leave_read_role();
+                true
+            }
+            Err(err) => {
+                die(self, err);
+                false
+            }
+        }
+    }
+
     /// Claim a correlation id and register a completion slot. Fails
-    /// with the connection's death error if the reader already exited
+    /// with the connection's death error if it died since it was picked
     /// (the caller retries on a fresh connection).
     pub(crate) fn register(&self) -> Result<(u64, Arc<CallSlot>), BlobError> {
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
@@ -156,13 +201,7 @@ impl MuxConn {
         if let Some(e) = &st.dead {
             return Err(e.clone());
         }
-        st.inflight.insert(
-            corr,
-            Pending {
-                slot: Arc::clone(&slot),
-                registered: Instant::now(),
-            },
-        );
+        st.inflight.insert(corr, Arc::clone(&slot));
         Ok((corr, slot))
     }
 
@@ -197,8 +236,8 @@ impl MuxConn {
                 // The stream is corrupt for everyone: deregister our own
                 // slot, then kill the connection *synchronously* — the
                 // pool must be clean before the caller sees the error
-                // (the reader's own death path is idempotent and will
-                // follow once the shutdown EOFs it).
+                // (the shutdown EOFs whoever holds the read role, whose
+                // own death path is idempotent).
                 self.state.lock().inflight.remove(&corr);
                 die(self, err.clone());
                 Err(err)
@@ -206,86 +245,122 @@ impl MuxConn {
         }
     }
 
-    /// Shut the socket down so the reader exits (transport teardown).
-    pub(crate) fn close(&self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-
-    /// Join the reader thread (after [`MuxConn::close`]).
-    pub(crate) fn join_reader(&self) {
-        if let Some(handle) = self.reader.lock().take() {
-            let _ = handle.join();
+    /// Last step of a call: wait on the connection until `slot` is
+    /// resolved — by reading, if the read role is free; parked on the
+    /// slot while another waiter holds it. Every exit of a reader
+    /// either hands the role on or fails all registered slots, so this
+    /// always returns.
+    pub(crate) fn wait(&self, slot: &CallSlot) -> CallOutcome {
+        loop {
+            if let Some(outcome) = slot.take() {
+                return outcome;
+            }
+            if self.take_read_role() {
+                return self.read_until(slot);
+            }
+            slot.park();
         }
     }
-}
 
-/// Decode responses until the connection fails; returns the typed error
-/// every remaining in-flight call resolves with.
-fn read_loop(conn: &Arc<MuxConn>, shared: &Shared) -> BlobError {
-    loop {
-        match recv_frame(&mut &conn.stream) {
+    fn take_read_role(&self) -> bool {
+        let mut st = self.state.lock();
+        if st.dead.is_some() || st.reading {
+            return false;
+        }
+        st.reading = true;
+        true
+    }
+
+    /// Give the role up and nudge every registered slot: one of their
+    /// owners that is parked takes over. All of them, not one — the
+    /// slot picked might belong to a thread that is busy elsewhere (a
+    /// burst's owner waiting on another connection).
+    fn leave_read_role(&self) {
+        let mut st = self.state.lock();
+        st.reading = false;
+        for slot in st.inflight.values() {
+            slot.nudge();
+        }
+    }
+
+    /// Holding the read role: receive and route frames until `mine` is
+    /// filled (possibly by an earlier reader — hence the check before
+    /// the first receive) or the connection fails.
+    fn read_until(&self, mine: &CallSlot) -> CallOutcome {
+        loop {
+            if let Some(outcome) = mine.take() {
+                self.leave_read_role();
+                return outcome;
+            }
+            if let Err(err) = self.read_one() {
+                // `die` resolves every registered slot, ours included.
+                die(self, err.clone());
+                return mine.take().unwrap_or(Err(err));
+            }
+        }
+    }
+
+    /// Receive one frame and resolve the slot it answers. An error is
+    /// the typed death of the connection.
+    fn read_one(&self) -> Result<(), BlobError> {
+        match recv_frame(&mut &self.stream) {
+            Ok((CTRL_CORR, vt, frame, _)) if frame.method == CTRL_SHED => {
+                // A typed admission shed, not a dead peer: the server is
+                // alive and chose to reject. The envelope's vt field
+                // carries its retry hint.
+                Err(BlobError::Overload {
+                    retry_after_hint: vt,
+                })
+            }
             Ok((corr, vt, frame, wire)) => {
-                if corr == CTRL_CORR {
-                    if frame.method == CTRL_SHED {
-                        // A typed admission shed, not a dead peer: the
-                        // server is alive and chose to reject. The
-                        // envelope's vt field carries its retry hint.
-                        return BlobError::Overload {
-                            retry_after_hint: vt,
-                        };
-                    }
-                    // Unknown control frame: the stream cannot be trusted.
-                    return BlobError::Codec(CodecError::StrayCorrelation { corr });
-                }
-                match conn.state.lock().inflight.remove(&corr) {
-                    Some(p) => p.slot.resolve(Ok((vt, frame, wire))),
-                    None => {
-                        // A response nothing asked for: framing is broken.
-                        return BlobError::Codec(CodecError::StrayCorrelation { corr });
-                    }
-                }
+                let slot = self.state.lock().inflight.remove(&corr);
+                // A response nothing asked for (or an unknown control
+                // frame): the stream cannot be trusted.
+                let slot = slot.ok_or(BlobError::Codec(CodecError::StrayCorrelation { corr }))?;
+                slot.resolve(Ok((vt, frame, wire)));
+                Ok(())
             }
-            Err(RecvError::IdleTimeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return BlobError::Unreachable("tcp connection lost");
-                }
-                // Timeout with no envelope byte: idle between calls —
-                // unless calls are waiting and the oldest has waited a
-                // full window (the read may have been armed long before
-                // that call registered; re-arm instead of failing it
-                // early).
-                let oldest = conn
-                    .state
-                    .lock()
-                    .inflight
-                    .values()
-                    .map(|p| p.registered)
-                    .min();
-                let Some(oldest) = oldest else { continue };
-                let window = conn.io_timeout.unwrap_or(Duration::MAX);
-                if oldest.elapsed() >= window {
-                    return BlobError::Unreachable("tcp recv timed out");
-                }
-            }
-            Err(RecvError::Codec(c)) => return BlobError::Codec(c),
+            Err(RecvError::Codec(c)) => Err(BlobError::Codec(c)),
+            // A full io timeout with no byte — and the thread it expired
+            // on is itself a waiter — or a stall mid-frame: the stream is
+            // wedged for everyone.
+            Err(RecvError::IdleTimeout) => Err(BlobError::Unreachable("tcp recv timed out")),
             Err(RecvError::Io(e)) if is_timeout(&e) => {
-                // Stalled mid-frame: the stream is wedged for everyone.
-                return BlobError::Unreachable("tcp recv timed out");
+                Err(BlobError::Unreachable("tcp recv timed out"))
             }
             Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
                 // lint: allow(overload-erasure) — RecvError is pure I/O; a shed
-                // arrives as a decoded Overload response frame, not here
-                return BlobError::Unreachable("tcp connection lost");
+                // arrives as a decoded CTRL_SHED frame above, not here
+                Err(BlobError::Unreachable("tcp connection lost"))
             }
         }
     }
+
+    /// Shut the socket down (transport teardown): whoever is reading
+    /// sees EOF.
+    pub(crate) fn close(&self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// One zero-timeout readiness probe of a blocking socket.
+#[cfg(unix)]
+fn readable_now(stream: &TcpStream) -> bool {
+    use std::os::unix::io::AsRawFd;
+    polling::readable_now(stream.as_raw_fd()).unwrap_or(false)
+}
+
+/// Off unix there is no probe: a stale connection fails its next call.
+#[cfg(not(unix))]
+fn readable_now(_stream: &TcpStream) -> bool {
+    false
 }
 
 /// Kill a connection: remove it from the transport's pool *first* (so
 /// no new call can pick it, and a caller returning an error never
 /// observes it still pooled), then mark it dead and fail every
-/// registered slot. Idempotent — the send path and the reader's exit
-/// both funnel here.
+/// registered slot. Idempotent — the send path, a reader's error and a
+/// failed checkout all funnel here.
 fn die(conn: &MuxConn, err: BlobError) {
     {
         let mut m = conn.map.lock();
@@ -297,15 +372,15 @@ fn die(conn: &MuxConn, err: BlobError) {
         }
     }
     let _ = conn.stream.shutdown(Shutdown::Both);
-    let drained: Vec<Pending> = {
+    let drained: Vec<Arc<CallSlot>> = {
         let mut st = conn.state.lock();
         if st.dead.is_some() {
             return;
         }
         st.dead = Some(err.clone());
-        st.inflight.drain().map(|(_, p)| p).collect()
+        st.inflight.drain().map(|(_, slot)| slot).collect()
     };
-    for p in drained {
-        p.slot.resolve(Err(err.clone()));
+    for slot in drained {
+        slot.resolve(Err(err.clone()));
     }
 }

@@ -7,6 +7,22 @@
 //! (listener registration from `bind`, completions from the dispatch
 //! pool) drained after each wakeup.
 //!
+//! Where a handler runs is decided per decoded frame, by its method:
+//! one the service declares [`Service::nonblocking`] (for a batch: all
+//! of them) runs right in `read_conn` and its response is queued and
+//! flushed in the same readiness event — one wake-up of this loop per
+//! call, none of a worker. It holds neither a pool slot nor the
+//! connection's in-flight budget, so it is exempt from both
+//! backpressure rules below, and it may overtake an earlier pooled call
+//! on its socket; what bounds it is fairness — at most
+//! `max_conn_inflight` such answers per readiness event, then the loop
+//! turns to its other connections. Every other frame is a [`Job`] for the dispatch pool
+//! and comes back as a [`Cmd::Complete`], which costs the worker's
+//! wake-up and a second one of this loop. Both paths run the handler
+//! through [`run_handler`](super::run_handler) — same `alive` checks
+//! before and after, same virtual-time and `held` plumbing, same
+//! `catch_unwind` — and answer through the same `respond`.
+//!
 //! Invariants carried across partial readiness:
 //!
 //! * **Reads** accumulate the 4-byte length prefix, then the wire body,
@@ -33,11 +49,11 @@
 //! epoch check (slab slots are reused; epochs are not).
 
 use super::{
-    encode_head, is_fd_exhaustion, open_reserve_fd, shed_connection, Shared, TcpOptions,
-    ENVELOPE_FIXED, ENVELOPE_LEN_BYTES, MAX_WIRE_FRAME, WIRE_HEAD,
+    encode_head, is_fd_exhaustion, open_reserve_fd, run_handler, shed_connection, Held, Shared,
+    TcpOptions, ENVELOPE_FIXED, ENVELOPE_LEN_BYTES, MAX_WIRE_FRAME, WIRE_HEAD,
 };
 use crate::frame::{Frame, MAX_FRAME_BODY};
-use crate::service::{dispatch_frame, ServerCtx, Service};
+use crate::service::Service;
 use blobseer_proto::wire::ByteChain;
 use parking_lot::{Condvar, Mutex};
 use polling::Poller;
@@ -70,7 +86,7 @@ pub(crate) enum Cmd {
         /// Request state pinned past the handler (admission permits);
         /// dropped when the response has been fully written — or the
         /// connection dies first.
-        held: Vec<Box<dyn std::any::Any + Send>>,
+        held: Held,
     },
     Close {
         token: usize,
@@ -184,16 +200,14 @@ pub(crate) struct Job {
 impl Job {
     fn run(self) {
         let cmd = if self.alive.load(Ordering::Acquire) {
-            let mut sctx = ServerCtx::new(self.vt);
-            let resp = dispatch_frame(self.svc.as_ref(), &mut sctx, &self.frame);
-            let done = sctx.vt + sctx.charged + sctx.charged_latency;
+            let (vt, frame, held) = run_handler(self.svc.as_ref(), self.vt, &self.frame);
             Cmd::Complete {
                 token: self.token,
                 epoch: self.epoch,
                 corr: self.corr,
-                vt: done,
-                frame: resp,
-                held: sctx.take_held(),
+                vt,
+                frame,
+                held,
             }
         } else {
             // Node died before the handler ran: close without response.
@@ -330,7 +344,7 @@ struct Outgoing {
     /// Dropped when this response has been fully written (see
     /// [`Cmd::Complete::held`]) — the admission permit's release point.
     /// Never read; it exists for its `Drop`.
-    _held: Vec<Box<dyn std::any::Any + Send>>,
+    _held: Held,
 }
 
 struct Conn {
@@ -612,6 +626,11 @@ fn flush_conn(conn: &mut Conn) -> Verdict {
 /// Read until the socket runs dry or backpressure parks the
 /// connection, accumulating at most one partial frame across calls.
 fn read_conn(env: &LoopEnv, conn: &mut Conn, token: usize) -> Verdict {
+    // Handlers this readiness event may still run on the loop before it
+    // moves on: a peer that never lets its socket run dry must not keep
+    // the loop from its other connections. Level-triggered polling
+    // reports whatever is left unread again.
+    let mut inline_budget = env.max_conn_inflight;
     loop {
         if conn.paused {
             return Verdict::Keep;
@@ -667,7 +686,32 @@ fn read_conn(env: &LoopEnv, conn: &mut Conn, token: usize) -> Verdict {
         if !conn.alive.load(Ordering::Acquire) {
             return Verdict::Close;
         }
-        submit_or_stash(env, conn, token, corr, vt, frame);
+        if runs_inline(conn.svc.as_ref(), &frame) {
+            // Answered here and now: no pool slot, no in-flight budget,
+            // and it may overtake an earlier pooled call on this socket.
+            let (done, resp, held) = run_handler(conn.svc.as_ref(), vt, &frame);
+            if let Verdict::Close = respond(env, conn, corr, done, resp, held) {
+                return Verdict::Close;
+            }
+            inline_budget -= 1;
+            if inline_budget == 0 {
+                return Verdict::Keep;
+            }
+        } else {
+            submit_or_stash(env, conn, token, corr, vt, frame);
+        }
+    }
+}
+
+/// Whether a decoded frame is answered on the event loop: every handler
+/// it reaches — for a batch, every sub-frame's — is one its service
+/// declares [`Service::nonblocking`]. Anything else goes to the dispatch
+/// pool whole. (A corrupt batch reaches no handler at all.)
+fn runs_inline(svc: &dyn Service, frame: &Frame) -> bool {
+    match frame.unbatch() {
+        None => svc.nonblocking(frame.method),
+        Some(Ok(subframes)) => subframes.iter().all(|f| runs_inline(svc, f)),
+        Some(Err(_)) => true,
     }
 }
 
@@ -711,8 +755,42 @@ fn retry_pending(env: &LoopEnv, conn: &mut Conn, token: usize) {
     }
 }
 
-/// A handler finished: queue its response on the owning connection (if
-/// the epoch still matches) and push bytes out opportunistically.
+/// A handler finished — on a dispatch worker or right here on the loop:
+/// queue its response on the connection and push bytes out
+/// opportunistically.
+fn respond(
+    env: &LoopEnv,
+    conn: &mut Conn,
+    corr: u64,
+    vt: u64,
+    frame: Frame,
+    held: Held,
+) -> Verdict {
+    if !conn.alive.load(Ordering::Acquire) {
+        // Died during the call: close without a response.
+        return Verdict::Close;
+    }
+    if frame.body.len() as u64 > MAX_FRAME_BODY {
+        return Verdict::Close;
+    }
+    let head = encode_head(corr, vt, frame.method, frame.body.len());
+    let body = if env.shared.gather.load(Ordering::Relaxed) {
+        OutBody::Chain(frame.body)
+    } else {
+        // lint: allow(unmetered-copy) — the ablated flatten; Chain::to_vec records it
+        OutBody::Flat(frame.body.to_vec())
+    };
+    conn.out.push_back(Outgoing {
+        head,
+        body,
+        _held: held,
+    });
+    flush_conn(conn)
+}
+
+/// A dispatch worker finished: answer on the owning connection (if the
+/// epoch still matches) and give its freed in-flight slot to a parked
+/// frame.
 #[allow(clippy::too_many_arguments)]
 fn complete(
     env: &LoopEnv,
@@ -723,7 +801,7 @@ fn complete(
     corr: u64,
     vt: u64,
     frame: Frame,
-    held: Vec<Box<dyn std::any::Any + Send>>,
+    held: Held,
 ) {
     let verdict = {
         let Some(Slot::Conn(conn)) = slots.get_mut(token) else {
@@ -733,30 +811,11 @@ fn complete(
             return;
         }
         conn.inflight = conn.inflight.saturating_sub(1);
-        if !conn.alive.load(Ordering::Acquire) {
-            // Died during the call: close without a response.
-            Verdict::Close
-        } else if frame.body.len() as u64 > MAX_FRAME_BODY {
-            Verdict::Close
-        } else {
-            let head = encode_head(corr, vt, frame.method, frame.body.len());
-            let body = if env.shared.gather.load(Ordering::Relaxed) {
-                OutBody::Chain(frame.body)
-            } else {
-                // lint: allow(unmetered-copy) — the ablated flatten; Chain::to_vec records it
-                OutBody::Flat(frame.body.to_vec())
-            };
-            conn.out.push_back(Outgoing {
-                head,
-                body,
-                _held: held,
-            });
-            let v = flush_conn(conn);
-            if matches!(v, Verdict::Keep) {
-                retry_pending(env, conn, token);
-            }
-            v
+        let v = respond(env, conn, corr, vt, frame, held);
+        if matches!(v, Verdict::Keep) {
+            retry_pending(env, conn, token);
         }
+        v
     };
     finish_conn_event(env, slots, free, token, verdict);
 }

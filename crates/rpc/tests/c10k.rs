@@ -96,9 +96,9 @@ fn ten_thousand_connections_on_a_fixed_thread_count() {
     assert_eq!(t.server_mode(), ServerMode::Reactor);
     let addr = t.addr(server).unwrap();
 
-    // Warm the client path (mux connection + its reader thread), then
-    // let the harness's sibling-test threads wind down before the
-    // thread-count baseline.
+    // Warm the client path (dial the mux connection), then let the
+    // harness's sibling-test threads wind down before the thread-count
+    // baseline.
     let (resp, _) = t
         .call(client, server, 0, Frame::from_msg(1, &1u64))
         .unwrap();

@@ -525,6 +525,288 @@ fn shed_then_backoff_then_admitted_succeeds_under_retry_policy() {
     assert!(sheds.get() >= 1, "the first attempt was shed");
 }
 
+// ---- the read role: waiters read, hand over, and fail together -------------
+//
+// All on `max_pooled_per_peer: 1`, so the callers *must* share one socket.
+
+/// Sleeps `x` milliseconds on its dispatch worker, then echoes `x`.
+struct Napper;
+impl blobseer_rpc::Service for Napper {
+    fn handle(&self, _ctx: &mut blobseer_rpc::ServerCtx, frame: &Frame) -> Frame {
+        blobseer_rpc::respond(frame, |x: u64| {
+            std::thread::sleep(Duration::from_millis(x));
+            Ok(x)
+        })
+    }
+}
+
+fn one_socket_transport() -> Arc<TcpTransport> {
+    Arc::new(TcpTransport::with_options(TcpOptions {
+        connect_timeout: Duration::from_millis(500),
+        io_timeout: Some(Duration::from_secs(5)),
+        max_pooled_per_peer: 1,
+        dispatch_threads: 8,
+        ..TcpOptions::default()
+    }))
+}
+
+/// One napping call on its own thread: `(echoed, elapsed)`.
+fn nap_call(
+    t: &Arc<TcpTransport>,
+    from: blobseer_proto::NodeId,
+    to: blobseer_proto::NodeId,
+    ms: u64,
+) -> std::thread::JoinHandle<(u64, Duration)> {
+    let t = Arc::clone(t);
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let (resp, _) = t.call(from, to, 0, Frame::from_msg(1, &ms)).unwrap();
+        let x: u64 = blobseer_rpc::parse_response(&resp).unwrap();
+        (x, started.elapsed())
+    })
+}
+
+#[cfg(unix)]
+#[test]
+fn a_departing_reader_hands_the_read_role_to_the_waiter_behind_it() {
+    // The mirror of `interleaved_responses_share_one_multiplexed_socket`:
+    // the *fast* caller is first onto the socket, so it holds the read
+    // role; the slow caller parks behind it. When the fast response
+    // arrives its reader leaves — and the slow caller must take the role
+    // over and read its own reply, or it waits for ever.
+    let t = one_socket_transport();
+    let client = t.add_node();
+    let server = t.add_node();
+    t.bind(server, Arc::new(Napper));
+    t.call(client, server, 0, Frame::from_msg(1, &0u64))
+        .unwrap();
+
+    let fast = nap_call(&t, client, server, 150);
+    std::thread::sleep(Duration::from_millis(50));
+    let slow = nap_call(&t, client, server, 400);
+    let (x, fast_elapsed) = fast.join().unwrap();
+    assert_eq!(x, 150);
+    assert!(
+        fast_elapsed < Duration::from_millis(350),
+        "the role holder leaves as soon as its own reply is in ({fast_elapsed:?})"
+    );
+    let (x, slow_elapsed) = slow.join().unwrap();
+    assert_eq!(x, 400);
+    assert!(
+        slow_elapsed < Duration::from_secs(2),
+        "the parked caller took over and finished ({slow_elapsed:?})"
+    );
+    assert_eq!(t.pooled_connections(server), 1, "one socket throughout");
+    assert_eq!(t.inflight_calls(server), 0);
+}
+
+#[cfg(unix)]
+#[test]
+fn a_free_read_role_never_strands_a_parked_waiter() {
+    // Three callers on the shared socket. One is a fan-out whose *first*
+    // destination naps 400 ms, so its slot on the shared socket is
+    // registered but its thread is not parked there — it is reading
+    // another connection. If the departing reader woke only that slot,
+    // the third caller would sit parked beside a free read role until the
+    // fan-out came back. It must not: its 200 ms call takes 200 ms.
+    let t = one_socket_transport();
+    let client = t.add_node();
+    let shared = t.add_node();
+    t.bind(shared, Arc::new(Napper));
+    let other = t.add_node();
+    t.bind(other, Arc::new(Napper));
+    for n in [shared, other] {
+        t.call(client, n, 0, Frame::from_msg(1, &0u64)).unwrap();
+    }
+
+    let t_burst = Arc::clone(&t);
+    let burst = std::thread::spawn(move || {
+        t_burst.call_many(
+            client,
+            0,
+            vec![
+                (other, Frame::from_msg(1, &400u64)),
+                (shared, Frame::from_msg(1, &300u64)),
+            ],
+        )
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let reader = nap_call(&t, client, shared, 100); // takes the read role
+    std::thread::sleep(Duration::from_millis(20));
+    let third = nap_call(&t, client, shared, 200); // parks behind it
+
+    let (x, _) = reader.join().unwrap();
+    assert_eq!(x, 100);
+    let (x, third_elapsed) = third.join().unwrap();
+    assert_eq!(x, 200);
+    assert!(
+        third_elapsed < Duration::from_millis(300),
+        "a parked waiter next to a free read role ({third_elapsed:?})"
+    );
+    for (want, r) in [400u64, 300].iter().zip(burst.join().unwrap()) {
+        let (frame, _) = r.unwrap();
+        assert_eq!(blobseer_rpc::parse_response::<u64>(&frame).unwrap(), *want);
+    }
+    assert_eq!(t.pooled_connections(shared), 1);
+    assert_eq!(t.inflight_calls(shared), 0);
+}
+
+#[test]
+fn a_reader_losing_its_peer_mid_frame_fails_every_waiter_the_same_way() {
+    // Three calls in flight on one socket, one of their threads reading.
+    // The peer has all three requests, starts a response and closes
+    // mid-frame: the reader's error is every waiter's error.
+    const REQ: usize = 26 + 8; // wire head + a u64 body
+    let (first_seen_tx, first_seen) = std::sync::mpsc::channel();
+    let (addr, h) = evil_peer(move |mut s| {
+        let mut req = [0u8; REQ];
+        s.read_exact(&mut req).unwrap();
+        first_seen_tx.send(()).unwrap();
+        s.read_exact(&mut req).unwrap();
+        s.read_exact(&mut req).unwrap();
+        // Let the last caller reach its wait, then die mid-frame.
+        std::thread::sleep(Duration::from_millis(50));
+        let mut partial = Vec::new();
+        partial.extend_from_slice(&100u32.to_le_bytes()); // promises 100
+        partial.extend_from_slice(&[7u8; 10]); // delivers 10
+        let _ = s.write_all(&partial);
+    });
+    let t = one_socket_transport();
+    let client = t.add_node();
+    let peer = t.register_remote(addr);
+    let call = |x: u64| {
+        let t = Arc::clone(&t);
+        std::thread::spawn(move || t.call(client, peer, 0, Frame::from_msg(1, &x)).unwrap_err())
+    };
+    let start = Instant::now();
+    let mut callers = vec![call(1)];
+    // The connection is dialed and pooled once the first request is in;
+    // the other two can only multiplex onto it.
+    first_seen.recv().unwrap();
+    callers.push(call(2));
+    callers.push(call(3));
+    let errors: Vec<BlobError> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+    assert!(start.elapsed() < Duration::from_secs(3), "nobody hangs");
+    for e in &errors {
+        assert!(matches!(e, BlobError::Unreachable(_)), "{e:?}");
+        assert_eq!(e, &errors[0], "one death, one error");
+    }
+    assert_eq!(t.pooled_connections(peer), 0);
+    assert_eq!(t.inflight_calls(peer), 0);
+    h.join().unwrap();
+}
+
+#[test]
+fn a_burst_of_64_is_read_by_its_own_caller_in_input_order() {
+    // One thread, one socket, 64 unaggregated calls: the caller is the
+    // only reader there is. Responses for later slots arrive while it
+    // waits on the first; it files them and finds them filled.
+    let t = one_socket_transport();
+    let client = t.add_node();
+    let server = t.add_node();
+    t.bind(server, Arc::new(Echo));
+    let calls = (0..64u64)
+        .map(|i| (server, Frame::from_msg(1, &i)))
+        .collect();
+    let results = t.call_many(client, 0, calls);
+    assert_eq!(results.len(), 64);
+    for (i, r) in results.into_iter().enumerate() {
+        let (frame, _) = r.unwrap();
+        assert_eq!(
+            blobseer_rpc::parse_response::<u64>(&frame).unwrap(),
+            i as u64
+        );
+    }
+    assert_eq!(t.pooled_connections(server), 1);
+    assert_eq!(t.inflight_calls(server), 0);
+}
+
+/// A hand-rolled peer that accepts two connections in turn. On each it
+/// echoes one call; after the first it runs `then` on the still-open
+/// stream, reports on the channel, and holds the stream until the test
+/// is over.
+fn two_connection_peer(
+    then: impl FnOnce(&mut TcpStream) -> bool + Send + 'static,
+) -> (
+    SocketAddr,
+    std::sync::mpsc::Receiver<()>,
+    std::thread::JoinHandle<()>,
+) {
+    let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = l.local_addr().unwrap();
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let h = std::thread::spawn(move || {
+        let echo_one = |s: &mut TcpStream| {
+            let (corr, vt, frame) = read_wire_frame(s).unwrap();
+            let x: u64 = frame.parse().unwrap();
+            let resp = blobseer_rpc::ok_frame(frame.method, &x);
+            s.write_all(&encode_wire_frame(corr, vt, &resp).unwrap())
+                .unwrap();
+        };
+        let (mut first, _) = l.accept().unwrap();
+        echo_one(&mut first);
+        let keep_open = then(&mut first);
+        let _held = keep_open.then_some(first);
+        done_tx.send(()).unwrap();
+        let (mut second, _) = l.accept().unwrap();
+        echo_one(&mut second);
+    });
+    (addr, done, h)
+}
+
+/// First call on one connection, second call after the peer misbehaved on
+/// it while it sat idle in the pool: both succeed, the second on a fresh
+/// dial.
+fn second_call_redials(addr: SocketAddr, misbehaved: std::sync::mpsc::Receiver<()>) {
+    let t = transport();
+    let c = t.add_node();
+    let peer = t.register_remote(addr);
+    let rpc = RpcClient::new(Arc::clone(&t) as _, c);
+    let mut ctx = Ctx::start();
+    let r: u64 = rpc.call(&mut ctx, peer, 1, &7u64).unwrap();
+    assert_eq!(r, 7);
+    assert_eq!(t.pooled_connections(peer), 1);
+    misbehaved.recv().unwrap();
+    // Loopback delivers the FIN / the frame within the kernel, but not
+    // within the peer's syscall: give it a moment.
+    std::thread::sleep(Duration::from_millis(50));
+    let r: u64 = rpc
+        .call(&mut ctx, peer, 1, &8u64)
+        .expect("a stale pooled connection is found at checkout, not by the call");
+    assert_eq!(r, 8);
+    assert_eq!(t.pooled_connections(peer), 1, "the fresh dial is pooled");
+}
+
+#[cfg(unix)]
+#[test]
+fn a_connection_closed_while_idle_is_replaced_at_checkout() {
+    // Nobody reads an idle connection any more, so nobody sees the EOF
+    // when it arrives. The next checkout must: the call dials afresh and
+    // no error surfaces.
+    let (addr, closed, h) = two_connection_peer(|_| false);
+    second_call_redials(addr, closed);
+    h.join().unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn a_shed_notice_on_an_idle_connection_is_found_at_checkout() {
+    // CTRL_SHED written to a connection with nothing in flight, and the
+    // connection left open: the notice sits unread in the socket. It is
+    // the connection's death, not the next call's failure.
+    let (addr, shed, h) = two_connection_peer(|s| {
+        let notice = Frame {
+            method: CTRL_SHED,
+            body: Vec::new().into(),
+        };
+        s.write_all(&encode_wire_frame(CTRL_CORR, 20, &notice).unwrap())
+            .unwrap();
+        true
+    });
+    second_call_redials(addr, shed);
+    h.join().unwrap();
+}
+
 // ---- fan-out: fault semantics stay per call -------------------------------
 
 /// Four echo nodes on one transport, each warmed so its connection is

@@ -18,6 +18,11 @@
 //! Registrations are level-triggered everywhere: a readable fd keeps
 //! reporting until drained, so callers never lose a partial frame to a
 //! missed edge.
+//!
+//! One addition the published crate does not have: [`readable_now`], a
+//! zero-timeout `poll(2)` of a single descriptor, for callers that own
+//! a blocking socket and only need to ask "is anything there?" without
+//! registering it anywhere.
 
 #![warn(missing_docs)]
 
@@ -37,6 +42,57 @@ pub struct Event {
 
 /// Key reserved for the internal wakeup descriptor; never reported.
 const NOTIFY_KEY: usize = usize::MAX;
+
+#[cfg(unix)]
+mod poll2 {
+    //! Raw `poll(2)` FFI (every unix): the one-shot probe, and the
+    //! non-Linux poller's wait.
+    use std::ffi::{c_int, c_ulong};
+
+    pub const POLLIN: i16 = 0x001;
+
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+}
+
+/// Whether `fd` has bytes to read, a pending EOF or an error **right
+/// now** — one zero-timeout `poll(2)`, no registration, never blocks.
+#[cfg(unix)]
+pub fn readable_now(fd: i32) -> io::Result<bool> {
+    loop {
+        let mut pfd = poll2::PollFd {
+            fd,
+            events: poll2::POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `pfd` is one live `#[repr(C)]` pollfd and nfds is 1;
+        // the kernel writes only its `revents`.
+        let rc = unsafe { poll2::poll(&mut pfd, 1, 0) };
+        if rc >= 0 {
+            // Errors and hangups count as readable, as in `Poller::wait`:
+            // the caller's next read observes the actual error/EOF.
+            return Ok(rc > 0);
+        }
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+}
+
+/// Off unix there is no descriptor to ask: never readable.
+#[cfg(not(unix))]
+pub fn readable_now(_fd: i32) -> io::Result<bool> {
+    Ok(false)
+}
 
 #[cfg(all(unix, target_os = "linux"))]
 mod sys {
@@ -234,27 +290,19 @@ impl Drop for Poller {
 mod fallback {
     //! `poll(2)` fallback for non-Linux unix: a registration table
     //! rebuilt into a pollfd array per wait, plus a self-pipe wakeup.
+    use super::poll2::{poll, PollFd, POLLIN};
     use super::{Event, NOTIFY_KEY};
     use std::collections::HashMap;
-    use std::ffi::{c_int, c_void};
+    use std::ffi::{c_int, c_ulong, c_void};
     use std::io;
     use std::sync::Mutex;
     use std::time::Duration;
 
-    const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
         fn pipe(fds: *mut c_int) -> c_int;
         fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -334,7 +382,7 @@ mod fallback {
             };
             // SAFETY: `fds` is a live Vec of `#[repr(C)]` PollFd and the
             // nfds passed is its exact length.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
+            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
             if rc < 0 {
                 let e = io::Error::last_os_error();
                 if e.kind() == io::ErrorKind::Interrupted {
@@ -558,6 +606,35 @@ mod tests {
             "notify must cut the wait short"
         );
         waker.join().unwrap();
+    }
+
+    #[test]
+    fn readable_now_sees_bytes_and_eof_without_blocking() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        // A blocking socket with nothing on it: quiet, and at once.
+        let start = Instant::now();
+        assert!(!readable_now(server.as_raw_fd()).unwrap());
+        assert!(start.elapsed() < Duration::from_secs(1));
+
+        client.write_all(b"ping").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !readable_now(server.as_raw_fd()).unwrap() {
+            assert!(Instant::now() < deadline, "bytes never became readable");
+            std::thread::yield_now();
+        }
+        let mut buf = [0u8; 4];
+        server.read_exact(&mut buf).unwrap();
+        assert!(!readable_now(server.as_raw_fd()).unwrap(), "drained");
+
+        drop(client); // EOF counts as readable: the next read returns 0
+        while !readable_now(server.as_raw_fd()).unwrap() {
+            assert!(Instant::now() < deadline, "EOF never became readable");
+            std::thread::yield_now();
+        }
+        assert_eq!(server.read(&mut buf).unwrap(), 0);
     }
 
     #[test]
