@@ -296,11 +296,10 @@ mod tests {
         );
         let ticket = parse_response::<WriteTicket>(&resp).unwrap();
         assert_eq!(ticket.version, 1);
-        // First write: every border links to version 0.
-        assert!(ticket
-            .borders
-            .iter()
-            .all(|b: &BorderLink| b.left.or(b.right) == Some(0)));
+        // First write: the 4-page root misses pages 0, 2 and 3, and each
+        // links to version 0.
+        assert_eq!(ticket.borders.len(), 3);
+        assert!(ticket.borders.iter().all(|b: &BorderLink| b.version == 0));
 
         let resp = s.handle(
             &mut ctx,
@@ -313,6 +312,60 @@ mod tests {
             ),
         );
         assert_eq!(parse_response::<PublishState>(&resp).unwrap().latest, 1);
+    }
+
+    #[test]
+    fn wrapping_request_is_a_typed_error_and_latest_stays() {
+        let s = svc();
+        let mut ctx = ServerCtx::new(0);
+        let resp = s.handle(
+            &mut ctx,
+            &Frame::from_msg(
+                method::CREATE_BLOB,
+                &CreateBlob {
+                    total_size: 1 << 30,
+                    page_size: 1 << 20,
+                },
+            ),
+        );
+        let info = parse_response::<BlobInfo>(&resp).unwrap();
+        let request = |write: u64, offset: u64, size: u64| {
+            Frame::from_msg(
+                method::REQUEST_VERSION,
+                &RequestVersion {
+                    blob: info.blob,
+                    write: WriteId(write),
+                    offset,
+                    size,
+                },
+            )
+        };
+        // offset + size wraps to 1 MiB: granted at the parent (or a
+        // debug-build overflow panic inside the handler).
+        let resp = s.handle(&mut ctx, &request(1, u64::MAX - (1 << 20) + 1, 2 << 20));
+        assert!(
+            matches!(
+                parse_response::<WriteTicket>(&resp),
+                Err(BlobError::BadSegment {
+                    reason: "out of bounds",
+                    ..
+                })
+            ),
+            "{:?}",
+            parse_response::<WriteTicket>(&resp)
+        );
+        let latest = |s: &VersionManagerService, ctx: &mut ServerCtx| {
+            let resp = s.handle(
+                ctx,
+                &Frame::from_msg(method::GET_LATEST, &GetLatest { blob: info.blob }),
+            );
+            parse_response::<u64>(&resp).unwrap()
+        };
+        assert_eq!(latest(&s, &mut ctx), 0);
+        // The refused request burned no version: the next one is 1.
+        let resp = s.handle(&mut ctx, &request(2, 0, 1 << 20));
+        assert_eq!(parse_response::<WriteTicket>(&resp).unwrap().version, 1);
+        assert_eq!(latest(&s, &mut ctx), 0, "nothing published yet");
     }
 
     #[test]

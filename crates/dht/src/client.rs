@@ -294,7 +294,7 @@ fn first_unstored(
 mod tests {
     use super::*;
     use crate::node::DhtNodeService;
-    use blobseer_proto::tree::NodeBody;
+    use blobseer_proto::tree::{ChildVersions, NodeBody};
     use blobseer_proto::BlobId;
     use blobseer_rpc::InProcTransport;
     use blobseer_simnet::ServiceCosts;
@@ -327,8 +327,7 @@ mod tests {
                 size: 4096,
             },
             body: NodeBody::Inner {
-                left_version: v,
-                right_version: v,
+                children: ChildVersions::new(&[v; 16]).unwrap(),
             },
         }
     }

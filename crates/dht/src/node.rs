@@ -228,6 +228,7 @@ impl Service for DhtNodeService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blobseer_proto::tree::ChildVersions;
     use blobseer_proto::BlobId;
     use blobseer_rpc::parse_response;
 
@@ -240,8 +241,7 @@ mod tests {
                 size: 4096,
             },
             body: NodeBody::Inner {
-                left_version: v,
-                right_version: v,
+                children: ChildVersions::new(&[v; 16]).unwrap(),
             },
         }
     }

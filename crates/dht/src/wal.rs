@@ -17,6 +17,13 @@
 //!   Tree nodes are immutable and content-addressed by [`NodeKey`], so
 //!   replaying puts in order is idempotent — a double put (replica
 //!   repair, retried write) re-inserts the same body.
+//!
+//!   The node encoding is part of this format. Inner bodies are 16-way
+//!   (wire tag 2: fan-out, then one version per child); the binary
+//!   tree's `{left, right}` body (tag 0) is refused. So a metadata
+//!   journal written before the 16-way tree does **not** reopen: its
+//!   first committed inner node is a [`BlobError::Recovery`], and no
+//!   node of it is served — never a binary node read as a 16-way one.
 //! * **remove** (`BSMTDEL1`): payload is the wire-encoded [`NodeKey`]
 //!   (GC executing a plan).
 //! * group-commit markers / tombstones as defined by the engine.
@@ -190,7 +197,7 @@ impl MetaBackend for WalMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_proto::tree::NodeBody;
+    use blobseer_proto::tree::{ChildVersions, NodeBody};
     use blobseer_proto::BlobId;
     use blobseer_util::recordlog::{encode_header, payload_digest, write_at, REC_HEADER};
     use std::path::PathBuf;
@@ -216,8 +223,7 @@ mod tests {
                 size: 4096,
             },
             body: NodeBody::Inner {
-                left_version: v,
-                right_version: v,
+                children: ChildVersions::new(&[v; 16]).unwrap(),
             },
         }
     }
@@ -246,10 +252,20 @@ mod tests {
         // A validly checksummed, committed record whose payload is not
         // a decodable TreeNode: replay must surface Recovery with the
         // offending offset, never panic.
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("meta.g0.log");
-        let file = std::fs::File::create(&path).unwrap();
-        let payload = b"not a tree node";
+        write_committed_put(&dir, b"not a tree node");
+        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, BlobError::Recovery { offset: 0, .. }),
+            "got {err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commit one put record with `payload` at the head of a fresh
+    /// `meta.g0.log` under `dir`.
+    fn write_committed_put(dir: &Path, payload: &[u8]) {
+        std::fs::create_dir_all(dir).unwrap();
+        let file = std::fs::File::create(dir.join("meta.g0.log")).unwrap();
         let header = encode_header(
             META_PUT_MAGIC,
             0,
@@ -263,12 +279,33 @@ mod tests {
         let marker_at = REC_HEADER + payload.len() as u64;
         let marker = encode_header(blobseer_util::recordlog::COMMIT_MAGIC, 0, 0, 0, 0, 0);
         write_at(&file, &marker, marker_at).unwrap();
-        drop(file);
+    }
+
+    #[test]
+    fn binary_tree_journal_does_not_reopen() {
+        // A committed put of a binary inner node, exactly as the
+        // pre-16-way tree journaled it: key, tag 0, left, right.
+        let dir = tmp_dir("binary");
+        let mut payload = node(1, 0).key.to_wire();
+        payload.push(0);
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        write_committed_put(&dir, &payload);
         let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
-        assert!(
-            matches!(err, BlobError::Recovery { offset: 0, .. }),
-            "got {err:?}"
+        match &err {
+            BlobError::Recovery { file, offset, .. } => {
+                assert!(file.ends_with("meta.g0.log"), "{file}");
+                assert_eq!(*offset, 0);
+            }
+            other => panic!("expected Recovery, got {other:?}"),
+        }
+        // The node service refuses to open on it: nothing is served.
+        let svc = crate::node::DhtNodeService::open_durable(
+            &dir,
+            RecordLogOptions::default(),
+            blobseer_simnet::ServiceCosts::zero(),
         );
+        assert!(matches!(svc, Err(BlobError::Recovery { .. })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,19 +5,23 @@
 //! deterministic computation over intervals, so the whole core of the
 //! paper's contribution is property-testable in isolation.
 //!
-//! The tree, per blob version, is a full binary tree over the blob's byte
-//! space: the root covers `[0, total_size)`, children halve their parent's
-//! interval, leaves cover exactly one page. A node is identified by
-//! `(blob, version, offset, size)` ([`blobseer_proto::NodeKey`]) and inner
-//! nodes store the *versions* of their children — weaving a new version's
-//! partial tree into history is nothing more than recording an older
-//! version number for an untouched half.
+//! The tree, per blob version, is a 16-way segment tree over the blob's
+//! byte space: the root covers `[0, total_size)`, levels are sized from
+//! the leaves up (a node of `page · 16^j` bytes has 16 children of
+//! `page · 16^(j−1)`, so only the root's fan-out varies), and leaves
+//! cover exactly one page. The paper's tree is the k = 2 case of the same
+//! algorithm; [`blobseer_proto::tree`] says why we run k = 16. A node is
+//! identified by `(blob, version, offset, size)`
+//! ([`blobseer_proto::NodeKey`]) and inner nodes store the *versions* of
+//! their children — weaving a new version's partial tree into history is
+//! nothing more than recording an older version number for each
+//! untouched child.
 //!
 //! Modules:
 //! * [`shape`] — interval arithmetic: which tree intervals intersect a
 //!   segment, expected node counts, alignment helpers.
-//! * [`mod@write`] — what a WRITE must build: the new node set, the border
-//!   nodes, and [`write::build_write_tree`] which assembles the final
+//! * [`mod@write`] — what a WRITE must build: the new node set, the
+//!   missing children of its border nodes, and [`write::build_write_tree`] which assembles the final
 //!   [`TreeNode`](blobseer_proto::tree::TreeNode) batch from a
 //!   [`WriteTicket`](blobseer_proto::messages::WriteTicket).
 //! * [`read`] — the step function of the READ traversal
@@ -39,4 +43,4 @@ pub mod write;
 pub use read::{expand, root_key, Visit};
 pub use reference::ReferenceStore;
 pub use shape::{node_count_for_write, write_intervals};
-pub use write::{border_specs, build_write_tree, BorderSpec};
+pub use write::{border_specs, build_write_tree};

@@ -8,6 +8,7 @@
 //! batched metadata fetches (one parallel round trip per tree level, as in
 //! the paper).
 
+use crate::shape::touched_children;
 use blobseer_proto::tree::{NodeBody, NodeKey, PageLoc};
 use blobseer_proto::{BlobError, BlobId, Geometry, PageBuf, Segment, Version};
 use blobseer_util::copymeter;
@@ -69,32 +70,30 @@ pub fn expand(
                 blob_range,
             }])
         }
-        NodeBody::Inner {
-            left_version,
-            right_version,
-        } => {
+        NodeBody::Inner { children } => {
             if iv.size <= geom.page_size {
                 return Err(BlobError::Internal("inner node at page interval"));
             }
-            let mut out = Vec::with_capacity(2);
-            let half = iv.size / 2;
-            let halves = [
-                (Segment::new(iv.offset, half), *left_version, true),
-                (Segment::new(iv.offset + half, half), *right_version, false),
-            ];
-            for (child, cv, is_left) in halves {
-                let Some(overlap) = child.intersection(read_seg) else {
-                    continue;
-                };
+            let size = geom.child_size(iv.size);
+            if children.fanout() as u64 != iv.size / size {
+                return Err(BlobError::Internal(
+                    "inner node fan-out does not fit its interval",
+                ));
+            }
+            // Only the contiguous run of children the read touches; the
+            // fan-out check above keeps it inside `children`.
+            let touched = touched_children(iv, size, read_seg);
+            let run = &children.as_slice()[touched.start as usize..touched.end as usize];
+            let mut out = Vec::with_capacity(run.len());
+            for (i, &cv) in touched.zip(run) {
                 if cv == 0 {
+                    let child = Segment::new(iv.offset + i * size, size);
+                    let overlap = child
+                        .intersection(read_seg)
+                        .ok_or(BlobError::Internal("zero child outside read"))?;
                     out.push(Visit::Zeros(overlap));
                 } else {
-                    let ck = if is_left {
-                        key.left_child(cv)
-                    } else {
-                        key.right_child(cv)
-                    };
-                    out.push(Visit::Descend(ck));
+                    out.push(Visit::Descend(key.child(geom, i, cv)));
                 }
             }
             Ok(out)
@@ -175,7 +174,7 @@ fn assemble_pieces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_proto::tree::PageKey;
+    use blobseer_proto::tree::{ChildVersions, PageKey};
     use blobseer_proto::{ProviderId, WriteId};
 
     fn geom() -> Geometry {
@@ -207,26 +206,35 @@ mod tests {
         );
     }
 
+    fn inner(versions: &[Version]) -> NodeBody {
+        NodeBody::Inner {
+            children: ChildVersions::new(versions).unwrap(),
+        }
+    }
+
+    fn leaf_key(v: Version, page: u64) -> NodeKey {
+        NodeKey {
+            blob: BlobId(1),
+            version: v,
+            offset: page * 1024,
+            size: 1024,
+        }
+    }
+
     #[test]
     fn expand_inner_mixed_children() {
         let g = geom();
         let key = root_key(&g, BlobId(1), 2);
-        let body = NodeBody::Inner {
-            left_version: 2,
-            right_version: 0,
-        };
-        // Read the whole blob: left half descends at v2, right half zeros.
+        // The 4-page root: pages 0 and 3 at v2, pages 1 and 2 never written.
+        let body = inner(&[2, 0, 0, 2]);
         let visits = expand(&g, &key, &body, &g.full_segment()).unwrap();
         assert_eq!(
             visits,
             vec![
-                Visit::Descend(NodeKey {
-                    blob: BlobId(1),
-                    version: 2,
-                    offset: 0,
-                    size: 2048
-                }),
-                Visit::Zeros(Segment::new(2048, 2048)),
+                Visit::Descend(leaf_key(2, 0)),
+                Visit::Zeros(Segment::new(1024, 1024)),
+                Visit::Zeros(Segment::new(2048, 1024)),
+                Visit::Descend(leaf_key(2, 3)),
             ]
         );
     }
@@ -235,21 +243,42 @@ mod tests {
     fn expand_prunes_non_intersecting_children() {
         let g = geom();
         let key = root_key(&g, BlobId(1), 1);
-        let body = NodeBody::Inner {
-            left_version: 1,
-            right_version: 1,
-        };
-        // Read only page 3: left child pruned.
+        let body = inner(&[1, 1, 1, 1]);
+        // Read only page 3: children 0..3 pruned.
         let visits = expand(&g, &key, &body, &Segment::new(3072, 1024)).unwrap();
+        assert_eq!(visits, vec![Visit::Descend(leaf_key(1, 3))]);
+        // An unaligned read clips its zero ranges.
+        let body = inner(&[1, 0, 0, 1]);
+        let visits = expand(&g, &key, &body, &Segment::new(1500, 1000)).unwrap();
         assert_eq!(
             visits,
-            vec![Visit::Descend(NodeKey {
-                blob: BlobId(1),
-                version: 1,
-                offset: 2048,
-                size: 2048
-            })]
+            vec![
+                Visit::Zeros(Segment::new(1500, 548)),
+                Visit::Zeros(Segment::new(2048, 452)),
+            ]
         );
+    }
+
+    #[test]
+    fn expand_walks_sixteen_children() {
+        // 64 pages: root of 4 over 16-page nodes.
+        let g = Geometry::new(64 * 1024, 1024).unwrap();
+        let node = NodeKey {
+            blob: BlobId(1),
+            version: 7,
+            offset: 16 * 1024,
+            size: 16 * 1024,
+        };
+        let versions: Vec<Version> = (0..16).map(|i| i % 3).collect();
+        let visits = expand(&g, &node, &inner(&versions), &node.segment()).unwrap();
+        assert_eq!(visits.len(), 16);
+        for (i, visit) in (0u64..).zip(&visits) {
+            match (versions[i as usize], visit) {
+                (0, Visit::Zeros(z)) => assert_eq!(*z, Segment::new((16 + i) * 1024, 1024)),
+                (v, Visit::Descend(k)) => assert_eq!(*k, leaf_key(v, 16 + i)),
+                other => panic!("child {i}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -297,11 +326,12 @@ mod tests {
             offset: 0,
             size: 1024,
         };
-        let body = NodeBody::Inner {
-            left_version: 1,
-            right_version: 1,
-        };
-        assert!(expand(&g, &key, &body, &g.full_segment()).is_err());
+        assert!(expand(&g, &key, &inner(&[1, 1]), &g.full_segment()).is_err());
+        // A fan-out that does not fit the interval: the 4-page root
+        // claiming 2 or 16 children.
+        let root = root_key(&g, BlobId(1), 1);
+        assert!(expand(&g, &root, &inner(&[1, 1]), &g.full_segment()).is_err());
+        assert!(expand(&g, &root, &inner(&[1; 16]), &g.full_segment()).is_err());
         // Node that does not intersect the read at all.
         let key = NodeKey {
             blob: BlobId(1),

@@ -348,11 +348,11 @@ mod tests {
     fn structural_sharing_bounds_node_growth() {
         let mut store = ReferenceStore::new(geom());
         store.write(seg(0, 8192), &[1u8; 8192]).unwrap();
-        let full_tree = store.node_count(); // 15 nodes for 8 leaves
-        assert_eq!(full_tree, 15);
+        let full_tree = store.node_count(); // a root over 8 leaves
+        assert_eq!(full_tree, 9);
         store.write(seg(0, 1024), &[2u8; 1024]).unwrap();
-        // One-page write adds height+1 = 4 nodes, not a whole tree.
-        assert_eq!(store.node_count(), full_tree + 4);
+        // One-page write adds height+1 = 2 nodes, not a whole tree.
+        assert_eq!(store.node_count(), full_tree + 2);
     }
 
     #[test]

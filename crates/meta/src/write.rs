@@ -4,46 +4,28 @@
 //! A WRITE of segment `seg` producing version `v` creates a new node for
 //! every tree interval intersecting `seg`. Children of those nodes that
 //! *also* intersect `seg` are version-`v` nodes created by the same write;
-//! children that do not are the **missing halves of border nodes** and must
-//! link to the newest older version that wrote them — the
-//! [`BorderLink`]s precomputed by the
-//! version manager, which is what lets concurrent writers weave in complete
-//! isolation.
+//! children that do not are the **missing children of border nodes** and
+//! must link to the newest older version that wrote them — the
+//! [`BorderLink`]s precomputed by the version manager, which is what lets
+//! concurrent writers weave in complete isolation.
+//!
+//! In the paper's binary tree a border node misses exactly one half. In
+//! the 16-way tree it misses every child outside the write's contiguous
+//! run of touched children — up to 15 — and each gets its own link.
 
-use crate::shape::write_intervals;
+use crate::shape::{children, touched_children, write_intervals};
 use blobseer_proto::messages::{BorderLink, WriteTicket};
-use blobseer_proto::tree::{NodeBody, NodeKey, PageLoc, TreeNode};
+use blobseer_proto::tree::{ChildVersions, NodeBody, NodeKey, PageLoc, TreeNode};
 use blobseer_proto::{BlobError, BlobId, Geometry, Segment, Version};
 use blobseer_util::FxHashMap;
 
-/// A border node of a write: the tree interval and which child half the
-/// write does not cover. Exactly one half is always missing (a node whose
-/// both halves intersect the write is interior, not border).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BorderSpec {
-    /// The border node's interval.
-    pub interval: Segment,
-    /// True if the *left* child is the missing (uncovered) half.
-    pub missing_left: bool,
-}
-
-impl BorderSpec {
-    /// The missing child's interval.
-    pub fn missing_child(&self) -> Segment {
-        let half = self.interval.size / 2;
-        if self.missing_left {
-            Segment::new(self.interval.offset, half)
-        } else {
-            Segment::new(self.interval.offset + half, half)
-        }
-    }
-}
-
-/// Enumerate the border nodes of a write of `seg` in `O(tree_height)`.
+/// Enumerate every missing child of every border node of a write of
+/// `seg` — the intervals the new tree must link to older versions — in
+/// `O(tree_height · ARITY)`.
 ///
 /// Walks only partially-covered intervals: a fully-covered subtree cannot
 /// contain border nodes, and an untouched subtree is not created at all.
-pub fn border_specs(geom: &Geometry, seg: &Segment) -> Vec<BorderSpec> {
+pub fn border_specs(geom: &Geometry, seg: &Segment) -> Vec<Segment> {
     let mut out = Vec::new();
     if seg.is_empty() {
         return out;
@@ -53,29 +35,16 @@ pub fn border_specs(geom: &Geometry, seg: &Segment) -> Vec<BorderSpec> {
         if iv.size == geom.page_size || seg.contains(&iv) || !iv.intersects(seg) {
             continue;
         }
-        let half = iv.size / 2;
-        let left = Segment::new(iv.offset, half);
-        let right = Segment::new(iv.offset + half, half);
-        let li = left.intersects(seg);
-        let ri = right.intersects(seg);
-        debug_assert!(li || ri, "visited node must intersect the write");
-        if !li {
-            out.push(BorderSpec {
-                interval: iv,
-                missing_left: true,
-            });
-        } else if !ri {
-            out.push(BorderSpec {
-                interval: iv,
-                missing_left: false,
-            });
-        }
-        // Only partially-covered children can host further border nodes.
-        if li && !seg.contains(&left) {
-            stack.push(left);
-        }
-        if ri && !seg.contains(&right) {
-            stack.push(right);
+        let size = geom.child_size(iv.size);
+        let touched = touched_children(iv, size, seg);
+        for (i, child) in (0u64..).zip(children(geom, iv)) {
+            if !touched.contains(&i) {
+                out.push(child);
+            } else if !seg.contains(&child) {
+                // Only partially-covered children can host further
+                // border nodes: at most the first and the last.
+                stack.push(child);
+            }
         }
     }
     out
@@ -90,8 +59,9 @@ pub fn border_specs(geom: &Geometry, seg: &Segment) -> Vec<BorderSpec> {
 ///   and the border links.
 ///
 /// Returns the nodes in pre-order (root first). Fails if the ticket's
-/// border links do not cover every border node of `seg` — that would mean
-/// the version manager and client disagree on geometry.
+/// border links do not cover every missing child of `seg`'s border
+/// nodes — that would mean the version manager and client disagree on
+/// geometry.
 pub fn build_write_tree(
     geom: &Geometry,
     blob: BlobId,
@@ -106,14 +76,17 @@ pub fn build_write_tree(
         return Err(BlobError::Internal("page locator count mismatch"));
     }
 
-    let borders: FxHashMap<(u64, u64), &BorderLink> = ticket
+    let links: FxHashMap<(u64, u64), Version> = ticket
         .borders
         .iter()
-        .map(|b| ((b.offset, b.size), b))
+        .map(|b| ((b.offset, b.size), b.version))
         .collect();
 
-    let mut nodes = Vec::with_capacity(write_intervals(geom, seg).len());
-    for iv in write_intervals(geom, seg) {
+    let intervals = write_intervals(geom, seg);
+    let mut nodes = Vec::with_capacity(intervals.len());
+    // One scratch buffer for every inner node's child versions.
+    let mut versions = Vec::with_capacity(Geometry::ARITY as usize);
+    for iv in intervals {
         let key = NodeKey {
             blob,
             version: v,
@@ -126,25 +99,19 @@ pub fn build_write_tree(
                 page: pages[idx as usize].clone(),
             }
         } else {
-            let half = iv.size / 2;
-            let left = Segment::new(iv.offset, half);
-            let right = Segment::new(iv.offset + half, half);
-            let link = borders.get(&(iv.offset, iv.size));
-            let left_version = if left.intersects(seg) {
-                v
-            } else {
-                link.and_then(|b| b.left)
-                    .ok_or(BlobError::Internal("missing left border link"))?
-            };
-            let right_version = if right.intersects(seg) {
-                v
-            } else {
-                link.and_then(|b| b.right)
-                    .ok_or(BlobError::Internal("missing right border link"))?
-            };
+            versions.clear();
+            for child in children(geom, iv) {
+                versions.push(if child.intersects(seg) {
+                    v
+                } else {
+                    *links
+                        .get(&(child.offset, child.size))
+                        .ok_or(BlobError::Internal("missing border link"))?
+                });
+            }
             NodeBody::Inner {
-                left_version,
-                right_version,
+                children: ChildVersions::new(&versions)
+                    .ok_or(BlobError::Internal("inner node fan-out out of range"))?,
             }
         };
         nodes.push(TreeNode { key, body });
@@ -157,20 +124,15 @@ pub fn build_write_tree(
 /// (`IntervalMap::range_max`); `None` means nothing wrote the interval yet,
 /// which links to the implicit all-zero version 0.
 pub fn borders_to_links(
-    specs: &[BorderSpec],
+    specs: &[Segment],
     mut latest_writer: impl FnMut(Segment) -> Option<Version>,
 ) -> Vec<BorderLink> {
     specs
         .iter()
-        .map(|spec| {
-            let child = spec.missing_child();
-            let w = latest_writer(child).unwrap_or(0);
-            BorderLink {
-                offset: spec.interval.offset,
-                size: spec.interval.size,
-                left: spec.missing_left.then_some(w),
-                right: (!spec.missing_left).then_some(w),
-            }
+        .map(|&child| BorderLink {
+            offset: child.offset,
+            size: child.size,
+            version: latest_writer(child).unwrap_or(0),
         })
         .collect()
 }
@@ -181,6 +143,8 @@ mod tests {
     use blobseer_proto::tree::PageKey;
     use blobseer_proto::{ProviderId, WriteId};
 
+    /// The paper's Figure 2 blob: 4 pages of 1 KiB — on the 16-way tree,
+    /// one root over 4 leaves.
     fn geom_4_pages() -> Geometry {
         Geometry::new(4096, 1024).unwrap()
     }
@@ -196,6 +160,16 @@ mod tests {
         }
     }
 
+    fn inner(versions: &[Version]) -> NodeBody {
+        NodeBody::Inner {
+            children: ChildVersions::new(versions).unwrap(),
+        }
+    }
+
+    fn pages(n: u64) -> Segment {
+        Segment::new(n * 1024, 1024)
+    }
+
     #[test]
     fn border_specs_full_write_has_none() {
         let g = geom_4_pages();
@@ -205,49 +179,26 @@ mod tests {
 
     #[test]
     fn border_specs_single_page() {
-        // Write page 1 (paper Figure 2(b), version 2 = grey).
+        // Write page 1 (paper Figure 2(b), version 2 = grey): the root is
+        // the only border node and misses pages 0, 2 and 3.
         let g = geom_4_pages();
-        let mut specs = border_specs(&g, &Segment::new(1024, 1024));
-        specs.sort_by_key(|s| s.interval.size);
-        assert_eq!(
-            specs,
-            vec![
-                // B2 misses its left child (page 0).
-                BorderSpec {
-                    interval: Segment::new(0, 2048),
-                    missing_left: true
-                },
-                // A2 misses its right child ([2048, 4096)).
-                BorderSpec {
-                    interval: Segment::new(0, 4096),
-                    missing_left: false
-                },
-            ]
-        );
-        assert_eq!(specs[0].missing_child(), Segment::new(0, 1024));
-        assert_eq!(specs[1].missing_child(), Segment::new(2048, 2048));
+        let specs = border_specs(&g, &pages(1));
+        assert_eq!(specs, vec![pages(0), pages(2), pages(3)]);
     }
 
     #[test]
-    fn border_specs_middle_straddling_write() {
-        // Write pages 1-2: the root has both halves intersecting (no
-        // border at the root), each half is partially covered.
-        let g = geom_4_pages();
-        let mut specs = border_specs(&g, &Segment::new(1024, 2048));
-        specs.sort_by_key(|s| s.interval.offset);
-        assert_eq!(
-            specs,
-            vec![
-                BorderSpec {
-                    interval: Segment::new(0, 2048),
-                    missing_left: true
-                },
-                BorderSpec {
-                    interval: Segment::new(2048, 2048),
-                    missing_left: false
-                },
-            ]
-        );
+    fn border_specs_straddling_write() {
+        // 256 pages of 1 KiB: root over 16 sixteen-page nodes. Pages
+        // 14..18 straddle nodes 0 and 1: each is a border node, and the
+        // root misses the 14 nodes the write does not touch.
+        let g = Geometry::new(256 * 1024, 1024).unwrap();
+        let mut specs = border_specs(&g, &Segment::new(14 * 1024, 4 * 1024));
+        specs.sort_by_key(|s| s.offset);
+        let mut expected: Vec<Segment> = (0..14).map(pages).collect();
+        expected.extend((18..32).map(pages));
+        expected.extend((2..16).map(|i| Segment::new(i * 16 * 1024, 16 * 1024)));
+        expected.sort_by_key(|s| s.offset);
+        assert_eq!(specs, expected);
     }
 
     #[test]
@@ -255,12 +206,18 @@ mod tests {
         let g = Geometry::new(1 << 30, 4096).unwrap(); // 2^18 pages
         let seg = Segment::new(4096 * 12345, 4096 * 1000);
         let specs = border_specs(&g, &seg);
+        // At most two border nodes per level, each missing at most
+        // ARITY − 1 children.
         assert!(
-            specs.len() as u32 <= 2 * g.tree_height(),
+            specs.len() as u64 <= 2 * (Geometry::ARITY - 1) * u64::from(g.tree_height()),
             "{} borders for height {}",
             specs.len(),
             g.tree_height()
         );
+        // The missing children and the (aligned) write tile the blob.
+        assert!(specs.iter().all(|s| !s.intersects(&seg)));
+        let missing: u64 = specs.iter().map(|s| s.size).sum();
+        assert_eq!(missing + seg.size, g.total_size);
     }
 
     #[test]
@@ -268,119 +225,66 @@ mod tests {
         let g = geom_4_pages();
         let blob = BlobId(1);
 
-        // Version 1 (white): full write — no borders.
+        // Version 1 (white): full write — no borders. Root A1 over the
+        // four leaves D1..G1.
         let t1 = WriteTicket {
             version: 1,
             borders: vec![],
         };
         let full = g.full_segment();
         let n1 = build_write_tree(&g, blob, &full, &[loc(0), loc(1), loc(2), loc(3)], &t1).unwrap();
-        assert_eq!(n1.len(), 7);
-        // Root's children are both version 1.
-        assert_eq!(
-            n1[0].body,
-            NodeBody::Inner {
-                left_version: 1,
-                right_version: 1
-            }
-        );
+        assert_eq!(n1.len(), 5);
+        assert_eq!(n1[0].body, inner(&[1, 1, 1, 1]));
 
-        // Version 2 (grey) writes page 1. The paper: "the missing left
-        // child of B2 is set to D1 and the missing right child of A2 is
-        // set to C1".
-        let seg2 = Segment::new(1024, 1024);
-        let specs = border_specs(&g, &seg2);
-        let links = borders_to_links(&specs, |_child| Some(1));
+        // Version 2 (grey) writes page 1. The paper links B2's missing
+        // child to D1 and A2's to C1; with no middle level, A2 links
+        // pages 0, 2, 3 to version 1 directly.
+        let seg2 = pages(1);
+        let links = borders_to_links(&border_specs(&g, &seg2), |_child| Some(1));
         let t2 = WriteTicket {
             version: 2,
             borders: links,
         };
         let n2 = build_write_tree(&g, blob, &seg2, &[loc(1)], &t2).unwrap();
-        assert_eq!(n2.len(), 3);
-        let a2 = n2.iter().find(|n| n.key.size == 4096).unwrap();
-        let b2 = n2.iter().find(|n| n.key.size == 2048).unwrap();
-        let e2 = n2.iter().find(|n| n.key.size == 1024).unwrap();
-        assert_eq!(
-            a2.body,
-            NodeBody::Inner {
-                left_version: 2,
-                right_version: 1
-            }
-        );
-        assert_eq!(
-            b2.body,
-            NodeBody::Inner {
-                left_version: 1,
-                right_version: 2
-            }
-        );
-        assert!(matches!(e2.body, NodeBody::Leaf { .. }));
+        assert_eq!(n2.len(), 2);
+        assert_eq!(n2[0].key.size, 4096);
+        assert_eq!(n2[0].body, inner(&[1, 2, 1, 1]));
+        assert!(matches!(n2[1].body, NodeBody::Leaf { .. }));
 
-        // Version 3 (black) writes page 2: "setting the right child of C3
-        // to G1 and the left child of A3 to B2".
-        let seg3 = Segment::new(2048, 1024);
-        let specs = border_specs(&g, &seg3);
-        let links = borders_to_links(&specs, |child| {
-            // Version index after v1 (full) and v2 (page 1):
-            // page 3 → 1; [0,2048) → 2 (v2 intersects).
-            if child.offset == 3072 {
-                Some(1)
-            } else {
-                Some(2)
-            }
+        // Version 3 (black) writes page 2: page 1 links to E2 (v2 wrote
+        // it), pages 0 and 3 to version 1.
+        let seg3 = pages(2);
+        let links = borders_to_links(&border_specs(&g, &seg3), |child| {
+            Some(if child == pages(1) { 2 } else { 1 })
         });
         let t3 = WriteTicket {
             version: 3,
             borders: links,
         };
         let n3 = build_write_tree(&g, blob, &seg3, &[loc(2)], &t3).unwrap();
-        let a3 = n3.iter().find(|n| n.key.size == 4096).unwrap();
-        let c3 = n3.iter().find(|n| n.key.size == 2048).unwrap();
-        assert_eq!(
-            a3.body,
-            NodeBody::Inner {
-                left_version: 2,
-                right_version: 3
-            }
-        );
-        assert_eq!(
-            c3.body,
-            NodeBody::Inner {
-                left_version: 3,
-                right_version: 1
-            }
-        );
+        assert_eq!(n3.len(), 2);
+        assert_eq!(n3[0].body, inner(&[1, 2, 3, 1]));
     }
 
     #[test]
     fn first_write_links_to_zero_version() {
-        // Writing page 0 of a fresh blob: every missing half links to the
-        // implicit all-zero version 0.
-        let g = geom_4_pages();
-        let seg = Segment::new(0, 1024);
-        let specs = border_specs(&g, &seg);
-        let links = borders_to_links(&specs, |_child| None);
+        // Writing page 0 of a fresh 32-page blob (root of 2 over 16-page
+        // nodes): every missing child links to the implicit version 0.
+        let g = Geometry::new(32 * 1024, 1024).unwrap();
+        let seg = pages(0);
+        let links = borders_to_links(&border_specs(&g, &seg), |_child| None);
+        assert_eq!(links.len(), 1 + 15);
+        assert!(links.iter().all(|l| l.version == 0));
         let t = WriteTicket {
             version: 1,
             borders: links,
         };
         let nodes = build_write_tree(&g, BlobId(1), &seg, &[loc(0)], &t).unwrap();
-        let root = nodes.iter().find(|n| n.key.size == 4096).unwrap();
-        assert_eq!(
-            root.body,
-            NodeBody::Inner {
-                left_version: 1,
-                right_version: 0
-            }
-        );
-        let b = nodes.iter().find(|n| n.key.size == 2048).unwrap();
-        assert_eq!(
-            b.body,
-            NodeBody::Inner {
-                left_version: 1,
-                right_version: 0
-            }
-        );
+        assert_eq!(nodes.len(), 3);
+        assert_eq!(nodes[0].body, inner(&[1, 0]));
+        let mut mid = [0; 16];
+        mid[0] = 1;
+        assert_eq!(nodes[1].body, inner(&mid));
     }
 
     #[test]
@@ -397,13 +301,18 @@ mod tests {
     #[test]
     fn build_rejects_missing_border_link() {
         let g = geom_4_pages();
-        // Write page 1 but hand an empty ticket.
+        // Write page 1 but hand a ticket missing page 3's link.
+        let mut links = borders_to_links(&border_specs(&g, &pages(1)), |_| Some(1));
+        links.retain(|l| l.offset != 3072);
         let t = WriteTicket {
             version: 2,
-            borders: vec![],
+            borders: links,
         };
-        let err = build_write_tree(&g, BlobId(1), &Segment::new(1024, 1024), &[loc(1)], &t);
-        assert!(err.is_err());
+        let err = build_write_tree(&g, BlobId(1), &pages(1), &[loc(1)], &t);
+        assert!(matches!(
+            err,
+            Err(BlobError::Internal("missing border link"))
+        ));
     }
 
     #[test]

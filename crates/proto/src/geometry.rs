@@ -19,7 +19,10 @@ pub struct Segment {
 
 impl fmt::Debug for Segment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {})", self.offset, self.end())
+        match self.checked_end() {
+            Some(end) => write!(f, "[{}, {})", self.offset, end),
+            None => write!(f, "[{}, +{})", self.offset, self.size),
+        }
     }
 }
 
@@ -29,9 +32,18 @@ impl Segment {
         Self { offset, size }
     }
 
-    /// One-past-the-last byte offset.
+    /// One-past-the-last byte offset. Unchecked: only for segments
+    /// already known to lie inside a blob — a segment from the wire goes
+    /// through [`checked_end`](Self::checked_end) (via
+    /// [`Geometry::validate_aligned`]/[`Geometry::validate_bounds`]) first.
     pub fn end(&self) -> u64 {
         self.offset + self.size
+    }
+
+    /// One-past-the-last byte offset, or `None` if `offset + size`
+    /// overflows `u64`.
+    pub fn checked_end(&self) -> Option<u64> {
+        self.offset.checked_add(self.size)
     }
 
     /// True when the segment contains no bytes.
@@ -132,9 +144,34 @@ impl Geometry {
         self.total_size / self.page_size
     }
 
-    /// log2 of the page count == height of the metadata tree.
+    /// Fan-out of the metadata tree: a node of `page · ARITY^j` bytes has
+    /// `ARITY` children of `page · ARITY^(j−1)` (see [`crate::tree`] for
+    /// why 16 rather than the paper's 2). Only the root's fan-out varies
+    /// with the page count. A constant, not a knob.
+    pub const ARITY: u64 = 16;
+
+    /// `log2(ARITY)`: how many binary levels one tree level spans.
+    const ARITY_BITS: u32 = Self::ARITY.trailing_zeros();
+
+    /// Height of the metadata tree: the number of [`ARITY`](Self::ARITY)-way
+    /// levels below the root, `⌈log16(page_count)⌉` (0 for a one-page
+    /// blob, whose root is its only leaf; 6 for the paper's 1 TB × 64 KB).
     pub fn tree_height(&self) -> u32 {
-        self.page_count().trailing_zeros()
+        self.page_count()
+            .trailing_zeros()
+            .div_ceil(Self::ARITY_BITS)
+    }
+
+    /// Size of each child of a tree node of `size` bytes: the largest
+    /// `page_size · ARITY^j` below `size`. Levels are sized from the
+    /// leaves up, so every node but the root has exactly `ARITY`
+    /// children and the root has `total_size / child_size(total_size)`
+    /// (between 2 and `ARITY`). A leaf (`size <= page_size`) has no
+    /// children; for it this returns `page_size`.
+    pub fn child_size(&self, size: u64) -> u64 {
+        let pages_log2 = (size / self.page_size).trailing_zeros();
+        let child_log2 = pages_log2.saturating_sub(1) / Self::ARITY_BITS * Self::ARITY_BITS;
+        self.page_size << child_log2
     }
 
     /// The page index containing byte `offset`.
@@ -167,18 +204,7 @@ impl Geometry {
     /// in-bounds, and page-aligned on both ends (paper §II: reads/writes
     /// operate on segments = whole pages).
     pub fn validate_aligned(&self, seg: &Segment) -> Result<PageRange, BlobError> {
-        if seg.is_empty() {
-            return Err(BlobError::BadSegment {
-                segment: *seg,
-                reason: "empty segment",
-            });
-        }
-        if seg.end() > self.total_size {
-            return Err(BlobError::BadSegment {
-                segment: *seg,
-                reason: "out of bounds",
-            });
-        }
+        self.validate_bounds(seg)?;
         if !seg.offset.is_multiple_of(self.page_size) || !seg.size.is_multiple_of(self.page_size) {
             return Err(BlobError::BadSegment {
                 segment: *seg,
@@ -192,6 +218,8 @@ impl Geometry {
     }
 
     /// Validate bounds only (for the unaligned read-modify-write path).
+    /// A segment whose `offset + size` overflows `u64` is out of bounds,
+    /// never a wrapped end that happens to fit.
     pub fn validate_bounds(&self, seg: &Segment) -> Result<(), BlobError> {
         if seg.is_empty() {
             return Err(BlobError::BadSegment {
@@ -199,7 +227,7 @@ impl Geometry {
                 reason: "empty segment",
             });
         }
-        if seg.end() > self.total_size {
+        if seg.checked_end().is_none_or(|end| end > self.total_size) {
             return Err(BlobError::BadSegment {
                 segment: *seg,
                 reason: "out of bounds",
@@ -257,7 +285,7 @@ mod tests {
     fn page_math() {
         let g = Geometry::new(1 << 20, 64 * KB).unwrap(); // 16 pages
         assert_eq!(g.page_count(), 16);
-        assert_eq!(g.tree_height(), 4);
+        assert_eq!(g.tree_height(), 1, "one 16-way level: root over 16 leaves");
         assert_eq!(g.page_of(0), 0);
         assert_eq!(g.page_of(64 * KB - 1), 0);
         assert_eq!(g.page_of(64 * KB), 1);
@@ -305,11 +333,55 @@ mod tests {
     }
 
     #[test]
+    fn wrapping_end_is_out_of_bounds() {
+        // offset + size wraps to 1 MiB: the unchecked sum would "fit".
+        let g = Geometry::new(1 << 30, 1 << 20).unwrap();
+        let seg = Segment::new(u64::MAX - (1 << 20) + 1, 2 << 20);
+        assert_eq!(seg.checked_end(), None);
+        let out_of_bounds = |e: BlobError| {
+            matches!(
+                e,
+                BlobError::BadSegment {
+                    reason: "out of bounds",
+                    ..
+                }
+            )
+        };
+        assert!(out_of_bounds(g.validate_aligned(&seg).unwrap_err()));
+        assert!(out_of_bounds(g.validate_bounds(&seg).unwrap_err()));
+        assert_eq!(
+            format!("{seg:?}"),
+            format!("[{}, +{})", seg.offset, 2 << 20)
+        );
+    }
+
+    #[test]
+    fn child_sizes_grow_from_the_leaves() {
+        // 1,024 pages (sim_paper): 256 · 4 → the root has 4 children.
+        let g = Geometry::new(256 << 20, 256 * KB).unwrap();
+        assert_eq!(g.tree_height(), 3);
+        assert_eq!(g.child_size(256 << 20), 64 << 20);
+        assert_eq!(g.child_size(64 << 20), 4 << 20);
+        assert_eq!(g.child_size(4 << 20), 256 * KB);
+        assert_eq!(g.child_size(256 * KB), 256 * KB, "a leaf has no children");
+        // Every root fan-out from 2 to 16 over 2..=16 pages.
+        for pages_log2 in 1..=4u32 {
+            let g = Geometry::new(KB << pages_log2, KB).unwrap();
+            assert_eq!(g.tree_height(), 1);
+            assert_eq!(g.total_size / g.child_size(g.total_size), 1 << pages_log2);
+        }
+        // 32 pages: root of 2 over 16-leaf nodes.
+        let g = Geometry::new(32 * KB, KB).unwrap();
+        assert_eq!((g.tree_height(), g.child_size(32 * KB)), (2, 16 * KB));
+    }
+
+    #[test]
     fn paper_scale_geometry() {
-        // The paper's headline configuration: 1 TB blob, 64 KB pages.
+        // The paper's headline configuration: 1 TB blob, 64 KB pages —
+        // 24 binary levels, 6 sixteen-way ones.
         let g = Geometry::new(1 << 40, 64 * KB).unwrap();
         assert_eq!(g.page_count(), 1 << 24);
-        assert_eq!(g.tree_height(), 24);
+        assert_eq!(g.tree_height(), 6);
         let r = g.pages_touching(&Segment::new(123 * 64 * KB, 16 * 1024 * KB));
         assert_eq!(r.count(), 256, "16 MiB segment = 256 pages");
     }

@@ -23,5 +23,5 @@ pub use blobseer_util::PageBuf;
 pub use error::{BlobError, CodecError};
 pub use geometry::{Geometry, PageRange, Segment};
 pub use ids::{BlobId, NodeId, ProviderId, Version, WriteId, ZERO_VERSION};
-pub use tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
+pub use tree::{ChildVersions, NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
 pub use wire::{ByteChain, Reader, Wire, WireBuf};

@@ -321,25 +321,22 @@ impl RequestVersion {
     }
 }
 
-/// One precomputed border link (paper §IV.C): at border-node interval
-/// `(offset, size)` of the new tree, the child half that the write does
-/// not cover must link to an older version.
+/// One precomputed border link (paper §IV.C): the child interval
+/// `(offset, size)` of a border node that the write does not cover, and
+/// the older version the new tree links there (0 = never written).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BorderLink {
-    /// Border node interval offset.
+    /// Missing child interval offset.
     pub offset: u64,
-    /// Border node interval size.
+    /// Missing child interval size.
     pub size: u64,
-    /// Version for the *left* child if it is the missing half.
-    pub left: Option<Version>,
-    /// Version for the *right* child if it is the missing half.
-    pub right: Option<Version>,
+    /// Version of the node the border node links at that child.
+    pub version: Version,
 }
 wire_struct!(BorderLink {
     offset,
     size,
-    left,
-    right
+    version
 });
 
 /// The version manager's answer to [`RequestVersion`]: the assigned
@@ -542,7 +539,7 @@ impl<T: Wire> Wire for Result<T, BlobError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::NodeBody;
+    use crate::tree::{ChildVersions, NodeBody};
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         assert_eq!(T::from_wire(&v.to_wire()).unwrap(), v);
@@ -601,8 +598,7 @@ mod tests {
                 size: 1 << 20,
             },
             body: NodeBody::Inner {
-                left_version: 4,
-                right_version: 2,
+                children: ChildVersions::new(&[4, 2, 0, 4]).unwrap(),
             },
         };
         roundtrip(MetaPutBatch {
@@ -638,16 +634,14 @@ mod tests {
             version: 12,
             borders: vec![
                 BorderLink {
-                    offset: 0,
+                    offset: 1 << 20,
                     size: 1 << 20,
-                    left: Some(3),
-                    right: None,
+                    version: 3,
                 },
                 BorderLink {
                     offset: 0,
-                    size: 1 << 19,
-                    left: None,
-                    right: Some(0),
+                    size: 1 << 16,
+                    version: 0,
                 },
             ],
         });

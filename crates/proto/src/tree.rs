@@ -1,20 +1,39 @@
 //! Metadata-tree node types (paper §III.C).
 //!
 //! Metadata is organized as a *distributed segment tree*, one per blob
-//! version: a full binary tree whose root covers the whole blob and whose
-//! leaves cover single pages. A node is identified by
+//! version: a tree whose root covers the whole blob and whose leaves
+//! cover single pages. A node is identified by
 //! `(blob, version, offset, size)` and its body is **immutable once
 //! written** — the property that makes lock-free concurrent sharing and
 //! unbounded client-side caching sound.
 //!
-//! Inner nodes store the *versions* of their two children (the child
-//! intervals are implied by halving), which is exactly how "weaving"
-//! works: a border node of version `v` simply records an older version
-//! number for the half that `v` did not rewrite.
+//! ## Sixteen children, not two
+//!
+//! The paper's tree is binary (arity k = 2): a node of size `s` has two
+//! children of `s / 2`. Ours runs the same algorithm with
+//! [`Geometry::ARITY`] = 16. Levels are sized from the leaves up — a node
+//! of `page · 16^j` bytes has 16 children of `page · 16^(j−1)` — so every
+//! interval is still a size-aligned power of two, and only the root's
+//! fan-out (2 to 16) depends on the page count. The reason is depth: a
+//! read pays one dependent, batched round trip per level, and a write
+//! builds one node per level on each border. For the paper's own 1 TB
+//! blob of 64 KB pages the height falls from 24 to 6
+//! ([`Geometry::tree_height`]). Everything else is the paper's scheme.
+//!
+//! Inner nodes store the *versions* of their children (the child
+//! intervals are implied by the geometry), which is exactly how
+//! "weaving" works: a border node of version `v` simply records an older
+//! version number for each child interval that `v` did not rewrite.
+//! Version 0 names the implicit all-zero subtree. The child versions sit
+//! inline in the body ([`ChildVersions`]: a fixed array plus its
+//! fan-out), so a node is never a heap allocation of its own.
 
-use crate::geometry::Segment;
+use crate::error::CodecError;
+use crate::geometry::{Geometry, Segment};
 use crate::ids::{BlobId, ProviderId, Version, WriteId};
+use crate::wire::{Reader, Wire, WireBuf};
 use crate::{wire_newtype, wire_struct};
+use std::fmt;
 
 wire_newtype!(BlobId);
 wire_newtype!(crate::ids::NodeId);
@@ -48,25 +67,16 @@ impl NodeKey {
         Segment::new(self.offset, self.size)
     }
 
-    /// Key of the left child at version `v` (first half of the interval).
-    pub fn left_child(&self, v: Version) -> NodeKey {
-        debug_assert!(self.size >= 2);
+    /// Key of child `i` (in offset order) at version `v`: the `i`-th
+    /// interval of [`Geometry::child_size`] bytes inside this one.
+    pub fn child(&self, geom: &Geometry, i: u64, v: Version) -> NodeKey {
+        let size = geom.child_size(self.size);
+        debug_assert!(size < self.size && i < self.size / size);
         NodeKey {
             blob: self.blob,
             version: v,
-            offset: self.offset,
-            size: self.size / 2,
-        }
-    }
-
-    /// Key of the right child at version `v` (second half).
-    pub fn right_child(&self, v: Version) -> NodeKey {
-        debug_assert!(self.size >= 2);
-        NodeKey {
-            blob: self.blob,
-            version: v,
-            offset: self.offset + self.size / 2,
-            size: self.size / 2,
+            offset: self.offset + i * size,
+            size,
         }
     }
 
@@ -108,16 +118,61 @@ pub struct PageKey {
 
 wire_struct!(PageKey { blob, write, index });
 
+/// Slots in a [`ChildVersions`]: the tree's arity.
+const ARITY: usize = Geometry::ARITY as usize;
+
+/// The child versions of an inner node, in offset order, held inline: a
+/// fixed array of [`Geometry::ARITY`] slots plus the fan-out in use
+/// (2 to 16 — only a root has fewer than 16).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ChildVersions {
+    fanout: u8,
+    versions: [Version; ARITY],
+}
+
+impl ChildVersions {
+    /// The versions of `2..=ARITY` children; `None` for any other count.
+    pub fn new(versions: &[Version]) -> Option<Self> {
+        if !(2..=ARITY).contains(&versions.len()) {
+            return None;
+        }
+        let mut slots = [0; ARITY];
+        for (slot, &v) in slots.iter_mut().zip(versions) {
+            *slot = v;
+        }
+        Some(Self {
+            // Bounded by `ARITY` (16) just above.
+            fanout: versions.len() as u8,
+            versions: slots,
+        })
+    }
+
+    /// The child versions in use, child 0 first.
+    pub fn as_slice(&self) -> &[Version] {
+        &self.versions[..usize::from(self.fanout)]
+    }
+
+    /// Number of children.
+    pub fn fanout(&self) -> usize {
+        usize::from(self.fanout)
+    }
+}
+
+impl fmt::Debug for ChildVersions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Body of a metadata tree node.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum NodeBody {
-    /// Non-leaf: versions of the two children. A version of 0 denotes the
-    /// implicit all-zero subtree (nothing stored — "allocate on write").
+    /// Non-leaf: the versions of its children. A version of 0 denotes
+    /// the implicit all-zero subtree (nothing stored — "allocate on
+    /// write").
     Inner {
-        /// Version of the left-child node.
-        left_version: Version,
-        /// Version of the right-child node.
-        right_version: Version,
+        /// One version per child interval, in offset order.
+        children: ChildVersions,
     },
     /// Leaf: locator of the single page this node covers.
     Leaf {
@@ -126,34 +181,53 @@ pub enum NodeBody {
     },
 }
 
-impl crate::wire::Wire for NodeBody {
-    fn encode(&self, out: &mut crate::wire::WireBuf) {
+/// Wire tag of a leaf body.
+const TAG_LEAF: u8 = 1;
+/// Wire tag of a 16-way inner body: fan-out byte, then one `u64` version
+/// per child. Tag 0 was the binary tree's `{left, right}` body; its
+/// intervals differ from this tree's, so it is refused rather than read
+/// as a two-child node (see `blobseer_dht::wal`).
+const TAG_INNER: u8 = 2;
+
+impl Wire for NodeBody {
+    fn encode(&self, out: &mut WireBuf) {
         match self {
-            NodeBody::Inner {
-                left_version,
-                right_version,
-            } => {
-                out.push(0);
-                left_version.encode(out);
-                right_version.encode(out);
+            NodeBody::Inner { children } => {
+                out.push(TAG_INNER);
+                out.push(children.fanout);
+                for v in children.as_slice() {
+                    v.encode(out);
+                }
             }
             NodeBody::Leaf { page } => {
-                out.push(1);
+                out.push(TAG_LEAF);
                 page.encode(out);
             }
         }
     }
 
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::error::CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.take(1)?[0] {
-            0 => Ok(NodeBody::Inner {
-                left_version: Version::decode(r)?,
-                right_version: Version::decode(r)?,
-            }),
-            1 => Ok(NodeBody::Leaf {
+            TAG_INNER => {
+                let fanout = r.take(1)?[0];
+                if !(2..=ARITY).contains(&usize::from(fanout)) {
+                    return Err(CodecError::BadTag {
+                        tag: fanout,
+                        ty: "ChildVersions fan-out",
+                    });
+                }
+                let mut versions = [0; ARITY];
+                for slot in &mut versions[..usize::from(fanout)] {
+                    *slot = Version::decode(r)?;
+                }
+                Ok(NodeBody::Inner {
+                    children: ChildVersions { fanout, versions },
+                })
+            }
+            TAG_LEAF => Ok(NodeBody::Leaf {
                 page: PageLoc::decode(r)?,
             }),
-            tag => Err(crate::error::CodecError::BadTag {
+            tag => Err(CodecError::BadTag {
                 tag,
                 ty: "NodeBody",
             }),
@@ -162,7 +236,7 @@ impl crate::wire::Wire for NodeBody {
 
     fn wire_hint(&self) -> usize {
         match self {
-            NodeBody::Inner { .. } => 17,
+            NodeBody::Inner { children } => 2 + 8 * children.fanout(),
             NodeBody::Leaf { page } => 1 + page.wire_hint(),
         }
     }
@@ -182,7 +256,6 @@ wire_struct!(TreeNode { key, body });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Wire;
 
     fn key(v: Version, offset: u64, size: u64) -> NodeKey {
         NodeKey {
@@ -193,14 +266,37 @@ mod tests {
         }
     }
 
+    fn inner(versions: &[Version]) -> NodeBody {
+        NodeBody::Inner {
+            children: ChildVersions::new(versions).unwrap(),
+        }
+    }
+
     #[test]
-    fn child_keys_halve_interval() {
-        let root = key(5, 0, 1024);
-        let l = root.left_child(5);
-        let r = root.right_child(2);
-        assert_eq!((l.offset, l.size, l.version), (0, 512, 5));
-        assert_eq!((r.offset, r.size, r.version), (512, 512, 2));
-        assert_eq!(l.segment(), Segment::new(0, 512));
+    fn child_keys_split_interval_sixteen_ways() {
+        // 1,024 pages of 1 KiB: root of 4 children × 256 KiB, then 16s.
+        let g = Geometry::new(1 << 20, 1024).unwrap();
+        let root = key(5, 0, 1 << 20);
+        let c3 = root.child(&g, 3, 2);
+        assert_eq!((c3.offset, c3.size, c3.version), (3 << 18, 1 << 18, 2));
+        let g15 = c3.child(&g, 15, 5);
+        assert_eq!(
+            (g15.offset, g15.size),
+            ((3 << 18) + 15 * (1 << 14), 1 << 14)
+        );
+        assert_eq!(g15.segment(), Segment::new(g15.offset, 1 << 14));
+    }
+
+    #[test]
+    fn child_versions_are_inline_and_bounded() {
+        assert!(ChildVersions::new(&[]).is_none());
+        assert!(ChildVersions::new(&[1]).is_none());
+        assert!(ChildVersions::new(&[1; ARITY + 1]).is_none());
+        let c = ChildVersions::new(&[4, 0, 2]).unwrap();
+        assert_eq!((c.fanout(), c.as_slice()), (3, &[4, 0, 2][..]));
+        assert_eq!(format!("{c:?}"), "[4, 0, 2]");
+        // A body is a fixed-size value: no per-node heap allocation.
+        assert!(std::mem::size_of::<NodeBody>() <= 8 * (ARITY + 2));
     }
 
     #[test]
@@ -217,14 +313,15 @@ mod tests {
 
     #[test]
     fn node_roundtrips() {
-        let inner = TreeNode {
-            key: key(7, 0, 65536),
-            body: NodeBody::Inner {
-                left_version: 7,
-                right_version: 3,
-            },
-        };
-        assert_eq!(TreeNode::from_wire(&inner.to_wire()).unwrap(), inner);
+        for versions in [&[7, 3][..], &[7, 0, 3, 1], &[9; ARITY]] {
+            let node = TreeNode {
+                key: key(7, 0, 65536),
+                body: inner(versions),
+            };
+            let bytes = node.to_wire();
+            assert_eq!(bytes.len(), 32 + node.body.wire_hint());
+            assert_eq!(TreeNode::from_wire(&bytes).unwrap(), node);
+        }
 
         let leaf = TreeNode {
             key: key(7, 65536, 65536),
@@ -247,5 +344,36 @@ mod tests {
         let mut bytes = vec![9u8];
         bytes.extend_from_slice(&[0; 16]);
         assert!(NodeBody::from_wire(&bytes).is_err());
+    }
+
+    #[test]
+    fn binary_inner_body_is_a_codec_error() {
+        // The pre-16-way encoding: tag 0, left version, right version.
+        let mut bytes = vec![0u8];
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        assert_eq!(
+            NodeBody::from_wire(&bytes),
+            Err(CodecError::BadTag {
+                tag: 0,
+                ty: "NodeBody"
+            })
+        );
+    }
+
+    #[test]
+    fn inner_fanout_outside_two_to_sixteen_rejected() {
+        for fanout in [0u8, 1, 17, 255] {
+            let mut bytes = vec![TAG_INNER, fanout];
+            bytes.extend_from_slice(&[0; 8 * 17]);
+            let err = NodeBody::from_wire(&bytes).unwrap_err();
+            assert!(matches!(err, CodecError::BadTag { tag, .. } if tag == fanout));
+        }
+        // Truncated versions are an EOF, never a short node.
+        let bytes = [TAG_INNER, 4, 0, 0, 0];
+        assert!(matches!(
+            NodeBody::from_wire(&bytes),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
     }
 }

@@ -2,7 +2,7 @@
 //! robustness of the decoder against corrupted bytes.
 
 use blobseer_proto::messages::*;
-use blobseer_proto::tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
+use blobseer_proto::tree::{ChildVersions, NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
 use blobseer_proto::PageBuf;
 use blobseer_proto::{BlobId, ProviderId, Wire, WriteId};
 use proptest::prelude::*;
@@ -37,9 +37,8 @@ fn arb_tree_node() -> impl Strategy<Value = TreeNode> {
     (
         arb_node_key(),
         prop_oneof![
-            (any::<u64>(), any::<u64>()).prop_map(|(l, r)| NodeBody::Inner {
-                left_version: l,
-                right_version: r
+            proptest::collection::vec(any::<u64>(), 2..17).prop_map(|versions| NodeBody::Inner {
+                children: ChildVersions::new(&versions).unwrap(),
             }),
             arb_page_loc().prop_map(|page| NodeBody::Leaf { page }),
         ],
@@ -65,18 +64,13 @@ proptest! {
     fn tickets_roundtrip(
         version in any::<u64>(),
         borders in proptest::collection::vec(
-            (any::<u64>(), any::<u64>(), any::<bool>(), proptest::option::of(any::<u64>())),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
             0..32
         )
     ) {
         let borders: Vec<BorderLink> = borders
             .into_iter()
-            .map(|(offset, size, left_side, v)| BorderLink {
-                offset,
-                size,
-                left: if left_side { v } else { None },
-                right: if left_side { None } else { v },
-            })
+            .map(|(offset, size, version)| BorderLink { offset, size, version })
             .collect();
         let t = WriteTicket { version, borders };
         prop_assert_eq!(WriteTicket::from_wire(&t.to_wire()).unwrap(), t);

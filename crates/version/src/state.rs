@@ -657,10 +657,10 @@ mod tests {
         let _t1 = b.request_version(WriteId(1), seg(0, 8192)).unwrap();
         let t2 = b.request_version(WriteId(2), seg(0, 1024)).unwrap();
         assert_eq!(t2.version, 2);
-        // All missing halves must link to version 1, not 0.
+        // All missing children must link to version 1, not 0.
+        assert_eq!(t2.borders.len(), 7, "the 8-page root misses 7 pages");
         for link in &t2.borders {
-            let linked = link.left.or(link.right).unwrap();
-            assert_eq!(linked, 1, "border {link:?} must link to in-flight v1");
+            assert_eq!(link.version, 1, "border {link:?} must link to in-flight v1");
         }
     }
 
@@ -670,8 +670,32 @@ mod tests {
         let b = reg.create_blob(geom());
         let t = b.request_version(WriteId(1), seg(0, 1024)).unwrap();
         for link in &t.borders {
-            assert_eq!(link.left.or(link.right).unwrap(), 0);
+            assert_eq!(link.version, 0);
         }
+    }
+
+    #[test]
+    fn wrapping_segment_is_refused_before_any_grant() {
+        // offset + size wraps past 2^64 to 1 MiB on a blob of 1 MiB
+        // pages: an unchecked end would pass the bounds check and be
+        // granted a version with no tree.
+        let reg = VersionRegistry::default();
+        let b = reg.create_blob(Geometry::new(1 << 30, 1 << 20).unwrap());
+        let wrapping = seg(u64::MAX - (1 << 20) + 1, 2 << 20);
+        let err = b.request_version_grant(WriteId(1), wrapping).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BlobError::BadSegment {
+                    reason: "out of bounds",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // Nothing was assigned: the next writer gets version 1.
+        let t = b.request_version(WriteId(2), seg(0, 1 << 20)).unwrap();
+        assert_eq!(t.version, 1);
     }
 
     #[test]
