@@ -4,8 +4,9 @@
 //! WRITE) requests when increasing the number of simultaneous readers
 //! (respectively writers)": 20 storage nodes, clients on their own nodes,
 //! each client looping over disjoint segments of a large prefilled region
-//! (paper §V.D; sizes scaled down — see EXPERIMENTS.md — shapes are the
-//! assertion, not absolutes).
+//! (paper §V.D; 16 iterations of 2 MiB segments per client instead
+//! of the paper's longer runs — the shape is what is reproduced, not the
+//! absolute MB/s).
 //!
 //! Expected shape: per-client bandwidth declines only slightly from 1 to
 //! 20 clients; Read > Write; Read with cached metadata > Read.

@@ -3,10 +3,8 @@
 use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
-use blobseer_util::copymeter;
 use blobseer_util::stats::Table;
 use std::path::Path;
-use std::time::Instant;
 
 /// KiB.
 pub const KB: u64 = 1024;
@@ -66,30 +64,6 @@ pub fn payload(size: u64, salt: u64) -> Vec<u8> {
     (0..size)
         .map(|i| ((i ^ salt).wrapping_mul(31) % 251) as u8)
         .collect()
-}
-
-/// Wall-clock + copy-meter measurement of one benchmark region.
-#[derive(Clone, Copy, Debug)]
-pub struct RegionMeasure {
-    /// Wall-clock duration of the region, seconds.
-    pub secs: f64,
-    /// Payload bytes copied inside the region (process wide).
-    pub bytes_copied: u64,
-    /// Copy events inside the region (process wide).
-    pub copy_events: u64,
-}
-
-/// Run `f` and measure wall-clock time plus payload-copy counters
-/// (process-global: includes copies made by threads `f` spawns).
-pub fn measure_region(f: impl FnOnce()) -> RegionMeasure {
-    let copies = copymeter::snapshot();
-    let start = Instant::now();
-    f();
-    RegionMeasure {
-        secs: start.elapsed().as_secs_f64(),
-        bytes_copied: copies.bytes_since(),
-        copy_events: copies.events_since(),
-    }
 }
 
 /// Pre-populate `region_len` bytes at `region_off` so reads have data,

@@ -1,9 +1,11 @@
 //! # blobseer-bench
 //!
-//! Benchmark harnesses regenerating every figure of the CLUSTER'08
-//! evaluation (§V), plus ablations for the design choices DESIGN.md calls
-//! out. Each figure has a dedicated binary that prints the paper-style
-//! series and writes a CSV under `results/`:
+//! Harnesses regenerating the figures of the CLUSTER'08 evaluation
+//! (the paper's §V), plus ablations of the design choices it argues for
+//! (§I lock-free access, §V.A page size, §V.C RPC aggregation). Each
+//! binary runs on the costed simulator (the ablation of locking runs in
+//! process, on the wall clock), prints the paper-style series and writes
+//! a CSV under `results/`:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -13,27 +15,18 @@
 //! | `ablate_agg` | RPC aggregation on/off (explains Fig. 3(b)) |
 //! | `ablate_lock` | lock-free vs global-lock vs per-page-lock under mixed load |
 //! | `ablate_page` | page-size sweep (striping-vs-overhead tradeoff, §V.A) |
-//! | `sky_e2e` | the supernova pipeline on the simulated cluster |
 //!
-//! PR-acceptance sweeps (`pr1_zero_copy`, `pr2_lockfree`, `pr3_tcp`,
-//! `pr4_backend`, `pr5_durability`, `pr6_reactor`, `pr7_restart`,
-//! `pr9_workload` — the [`workload`]-driven open-loop overload storm
-//! and hot-page fan-out ablation, with p50/p99/p999 latency columns)
-//! emit `BENCH_PR*.json` at the repo root; the
-//! [`gate`] module (driven by the `bench_gate` binary) compares fresh
-//! smoke runs against those committed baselines and hard-fails CI when
-//! an invariant column — bytes-copied-per-op or locks-per-op —
-//! regresses. Throughput stays advisory. [`json`] is the dependency-free
-//! JSON reader behind it.
-//!
-//! Criterion micro-benches live in `benches/micro.rs`.
+//! Nothing here is a gate. The copy and lock invariants are exact test
+//! assertions (`crates/core/tests/{zero_copy,tcp_zero_copy,mmap_zero_copy,
+//! lock_free,version_grants}.rs`), the overload contract is
+//! `crates/core/tests/overload_retry_e2e.rs` plus
+//! `crates/rpc/tests/overload.rs`, connection scaling is
+//! `crates/rpc/tests/c10k.rs`, and end-to-end performance is the
+//! canonical benchmark (`benchmark/`).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod harness;
-pub mod json;
-pub mod workload;
 
 pub use harness::*;

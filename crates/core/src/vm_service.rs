@@ -13,8 +13,8 @@
 //! per write: a grant leader pays one acquisition for its whole group
 //! (`crates/version` grant protocol), so a solo WRITE still records
 //! exactly one `VersionAssign` while a hot-blob storm records `1/group`
-//! per op — strictly below 1.0 under contention, which the CI bench
-//! gate enforces. The simulated cost mirrors the meter: the handler
+//! per op — strictly below 1.0 under contention, which
+//! `core/tests/version_grants.rs` asserts. The simulated cost mirrors the meter: the handler
 //! charges `version_assign_ns` times the acquisitions *this call*
 //! performed, so followers riding a grant are free on both meters.
 //!
@@ -32,7 +32,8 @@
 //! positioned writes coordinated by the engine's group-commit machinery
 //! — durability plumbing, not data-plane serialization, so the
 //! steady-state lock budget (one `VersionAssign` lock per WRITE, zero
-//! serializing locks) is unchanged; the bench gate holds it to that.
+//! serializing locks) is unchanged; `core/tests/mmap_zero_copy.rs`
+//! holds it to that with every journal on.
 
 use blobseer_proto::messages::{
     method, CompleteWrite, CreateBlob, GcRequest, GetLatest, PublishState, RequestVersion,

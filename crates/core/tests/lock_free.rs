@@ -12,8 +12,11 @@
 //!   class: the whole metadata descent runs on shard read locks and
 //!   atomic reference bits;
 //! * the serialized-control-plane ablation reintroduces the measured
-//!   serialization, so the meter (and the `pr2_lockfree` bench built on
-//!   it) actually discriminates the two regimes.
+//!   serialization, so the meter actually discriminates the two regimes.
+//!
+//! The same counts under concurrent tcp writers with every journal on
+//! are asserted in `mmap_zero_copy.rs`, and grant batching below one
+//! acquisition per write in `version_grants.rs`.
 //!
 //! One test function per regime on one thread, using the thread-local
 //! lock meters: the simulated transports dispatch service handlers

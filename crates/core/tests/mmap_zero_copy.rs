@@ -7,19 +7,32 @@
 //! Serving a page out of the mapped log is a refcount bump on the
 //! mapping — if the provider copied, the read legs would show it.
 //!
+//! Durability adds no steady-state cost either. With every journal on
+//! (page log, metadata journal, version journal), concurrent writers
+//! meter exactly one copy of their slice per write, zero `Serializing`
+//! locks and at most one `VersionAssign` per write, in both commit modes
+//! (buffered and `fsync_on_commit`); reads after a compaction and after
+//! a whole-cluster restart meter exactly one copy per page again.
+//!
 //! Lives in its own test binary because TCP dispatch happens on server
-//! worker threads, so the measurements use the process-global copy
-//! meters (one test function, nothing else to pollute them).
+//! worker threads, so the measurements use the process-global copy and
+//! lock meters (one test function, nothing else to pollute them).
 
-use blobseer_core::{BackendKind, Deployment, DeploymentConfig, TransportKind};
-use blobseer_proto::Segment;
+use blobseer_core::{BackendKind, BlobClient, Deployment, DeploymentConfig, TransportKind};
+use blobseer_proto::{BlobId, Segment};
 use blobseer_rpc::Ctx;
-use blobseer_util::copymeter;
+use blobseer_util::{copymeter, lockmeter};
 
 const PAGE: u64 = 4096;
 const PAGES: u64 = 16;
 const TOTAL: u64 = PAGE * PAGES;
 const SEG: u64 = 8 * PAGE;
+
+/// Concurrent clients in the durable legs, and operations each.
+const CLIENTS: usize = 4;
+const OPS_PER_CLIENT: u64 = 4;
+/// The durable legs' blob: one disjoint region of segments per client.
+const REGION: u64 = SEG * OPS_PER_CLIENT * CLIENTS as u64;
 
 /// Run the canonical write / read / aligned-read_buf workload on the
 /// given transport × backend and return the global bytes-copied of each
@@ -56,6 +69,131 @@ fn measure(transport: TransportKind, backend: BackendKind) -> (u64, u64, u64) {
     assert_eq!(&page[..], &data[..PAGE as usize]);
 
     (write_copied, read_copied, read_buf_copied)
+}
+
+/// tcp × mmap with every journal on, in the given commit mode.
+fn durable_cluster(fsync: bool) -> Deployment {
+    let mut cfg = DeploymentConfig::functional_tcp(4)
+        .tune()
+        .backend(BackendKind::Mmap)
+        .fsync_on_commit(fsync)
+        .build();
+    // Compaction runs only when the test asks for it, never under a
+    // measured leg.
+    cfg.log.compact_dead_ratio = 0.0;
+    Deployment::build(cfg)
+}
+
+/// `CLIENTS` clients that already know `blob`: the first open of a blob
+/// is startup (geometry and roster loads), not the per-op profile.
+fn warm_clients(d: &Deployment, blob: BlobId) -> Vec<BlobClient> {
+    let mut ctx = Ctx::start();
+    (0..CLIENTS)
+        .map(|_| {
+            let c = d.client();
+            c.info(&mut ctx, blob).unwrap();
+            c
+        })
+        .collect()
+}
+
+/// Run `op(client index, op index, client, ctx)` `OPS_PER_CLIENT` times
+/// on each client, all clients concurrently; return the global bytes
+/// copied and locks taken meanwhile.
+fn concurrently(
+    clients: &[BlobClient],
+    op: impl Fn(u64, u64, &BlobClient, &mut Ctx) + Sync,
+) -> (u64, lockmeter::LockCounts) {
+    let copies = copymeter::snapshot();
+    let locks = lockmeter::snapshot();
+    std::thread::scope(|scope| {
+        for (t, c) in clients.iter().enumerate() {
+            let op = &op;
+            scope.spawn(move || {
+                let mut ctx = Ctx::start();
+                for i in 0..OPS_PER_CLIENT {
+                    op(t as u64, i, c, &mut ctx);
+                }
+            });
+        }
+    });
+    (copies.bytes_since(), locks.since())
+}
+
+/// Concurrent writers, disjoint segments: one copy of the caller's
+/// slice per write, no serializing lock, at most one version-assignment
+/// acquisition per write (grants may batch below one, never above).
+fn assert_write_parity(fsync: bool) {
+    let d = durable_cluster(fsync);
+    let mut ctx = Ctx::start();
+    let blob = d.client().alloc(&mut ctx, REGION, PAGE).unwrap().blob;
+    let clients = warm_clients(&d, blob);
+    let (copied, locks) = concurrently(&clients, |t, i, c, ctx| {
+        let data = vec![t as u8 + 1; SEG as usize];
+        let off = (t * OPS_PER_CLIENT + i) * SEG;
+        c.write(ctx, blob, off, &data).unwrap();
+    });
+    let writes = CLIENTS as u64 * OPS_PER_CLIENT;
+    assert_eq!(
+        copied,
+        writes * SEG,
+        "fsync={fsync}: each journaled write copies the caller's slice exactly once"
+    );
+    assert_eq!(
+        locks.serializing, 0,
+        "fsync={fsync}: journal appends take no control-plane lock: {locks:?}"
+    );
+    assert!(
+        locks.version_assign > 0 && locks.version_assign <= writes,
+        "fsync={fsync}: {} VersionAssign acquisitions for {writes} writes",
+        locks.version_assign
+    );
+}
+
+/// Concurrent readers of the latest version: one copy per page read,
+/// no serializing lock.
+fn assert_read_parity(d: &Deployment, blob: BlobId, leg: &str) {
+    let clients = warm_clients(d, blob);
+    let (copied, locks) = concurrently(&clients, |t, i, c, ctx| {
+        let mut out = vec![0u8; SEG as usize];
+        let off = ((t + i * CLIENTS as u64) * SEG) % REGION;
+        c.read_into(ctx, blob, None, Segment::new(off, SEG), &mut out)
+            .unwrap();
+        assert!(out.iter().all(|&b| b == 4), "{leg}: latest pass reads back");
+    });
+    assert_eq!(
+        copied,
+        CLIENTS as u64 * OPS_PER_CLIENT * SEG,
+        "{leg}: a read copies each page exactly once"
+    );
+    assert_eq!(locks.serializing, 0, "{leg}: {locks:?}");
+}
+
+/// Four passes over the region, GC of the three superseded ones,
+/// compaction of every provider, then a whole-cluster restart: reads
+/// meter exactly as before after each.
+fn assert_reads_after_compaction_and_restart() {
+    let mut d = durable_cluster(false);
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let blob = c.alloc(&mut ctx, REGION, PAGE).unwrap().blob;
+    let mut latest = 0;
+    for pass in 1..=4u8 {
+        for off in (0..REGION).step_by(SEG as usize) {
+            latest = c
+                .write(&mut ctx, blob, off, &vec![pass; SEG as usize])
+                .unwrap();
+        }
+    }
+    c.gc(&mut ctx, blob, latest).unwrap();
+    for i in 0..d.storage.len() {
+        let report = d.compact_storage(i).unwrap();
+        assert!(report.is_some(), "the mmap backend compacts");
+    }
+    assert_read_parity(&d, blob, "after compaction");
+
+    d.restart_cluster().unwrap();
+    assert_read_parity(&d, blob, "after restart");
 }
 
 #[test]
@@ -108,4 +246,11 @@ fn mmap_backend_meters_identically_to_memory() {
         "over the in-process transport the served page is lent straight \
          from the provider's log mapping"
     );
+
+    // Durable steady state: the same counts under concurrency, with
+    // every journal on, in both commit modes and across a compaction
+    // and a whole-cluster restart.
+    assert_write_parity(false);
+    assert_write_parity(true);
+    assert_reads_after_compaction_and_restart();
 }

@@ -8,11 +8,22 @@
 //!   [`RetryPolicy`]; the non-idempotent version-publish legs of a
 //!   write never retry, whatever policy is set;
 //! * [`ReadOptions`] behavior — version pins and the `deadline_ms`
-//!   retry budget.
+//!   retry budget;
+//! * the same contracts under a skewed workload (Zipf s = 1 page
+//!   popularity, 90/10 read-mostly) on the costed simulator: an
+//!   open-loop storm at 10× the cluster's unloaded rate is shed typed
+//!   and keeps admitted latency bounded, and fan-out lifts hot-page
+//!   virtual throughput.
 
-use blobseer_core::{Deployment, DeploymentConfig, FanOutOptions, ReadOptions, WriteOptions};
-use blobseer_proto::{BlobError, Segment};
+use blobseer_core::{
+    AdmissionMode, AdmissionOptions, BlobClient, Deployment, DeploymentConfig, FanOutOptions,
+    ReadOptions, WriteOptions,
+};
+use blobseer_proto::{BlobError, BlobId, Segment};
 use blobseer_rpc::{Ctx, RetryPolicy};
+use blobseer_simnet::CostModel;
+use blobseer_util::rng::splitmix64;
+use blobseer_util::stats::Samples;
 use std::time::{Duration, Instant};
 
 const PAGE: u64 = 1024;
@@ -265,5 +276,246 @@ fn read_options_pin_versions_exactly() {
             }
         ),
         "{err:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Skewed workload on the costed simulator
+// ---------------------------------------------------------------------------
+
+/// The skewed workload's blob: 64 pages of 4 MiB over 4 providers.
+const BIG_PAGE: u64 = 4 << 20;
+const BIG_PAGES: u64 = 64;
+const PROVIDERS: usize = 4;
+const READ_FRACTION: f64 = 0.9;
+const SEED: u64 = 0x51ab;
+
+/// One uniform draw in `[0, 1)` from a splitmix64 stream.
+fn uniform(state: &mut u64) -> f64 {
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// `n` deterministic arrivals `(is_read, page offset)`: pages drawn
+/// Zipf s = 1 (page `k` with probability ∝ `1 / (k + 1)`, so page 0
+/// draws ~21% of the traffic), reads with probability `READ_FRACTION`.
+fn arrivals(n: usize, seed: u64) -> Vec<(bool, u64)> {
+    let mut acc = 0.0;
+    let mut cdf: Vec<f64> = (0..BIG_PAGES)
+        .map(|k| {
+            acc += 1.0 / (k + 1) as f64;
+            acc
+        })
+        .collect();
+    cdf.iter_mut().for_each(|c| *c /= acc);
+    let mut zipf = seed ^ 0x51ab_7be1_c0de_f00d;
+    let mut mix = seed ^ 0x9e37_79b9_7f4a_7c15;
+    (0..n)
+        .map(|_| {
+            let is_read = uniform(&mut mix) < READ_FRACTION;
+            let u = uniform(&mut zipf);
+            let page = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
+            (is_read, page as u64 * BIG_PAGE)
+        })
+        .collect()
+}
+
+/// Allocate and fill the blob page by page, then warm the client
+/// metadata cache one page read at a time from the cluster horizon (a
+/// clock behind it would queue behind the fill's virtual backlog).
+fn fill(d: &Deployment) -> BlobId {
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let blob = c
+        .alloc(&mut ctx, BIG_PAGE * BIG_PAGES, BIG_PAGE)
+        .unwrap()
+        .blob;
+    let data = vec![7u8; BIG_PAGE as usize];
+    for p in 0..BIG_PAGES {
+        c.write(&mut ctx, blob, p * BIG_PAGE, &data).unwrap();
+    }
+    let mut ctx = Ctx::at(d.cluster.horizon());
+    for p in 0..BIG_PAGES {
+        c.read(&mut ctx, blob, None, seg(p * BIG_PAGE, BIG_PAGE))
+            .unwrap();
+    }
+    blob
+}
+
+/// One read or write of the skewed mix; `Ok(true)` for an admitted read.
+fn skewed_op(
+    c: &BlobClient,
+    ctx: &mut Ctx,
+    blob: BlobId,
+    (is_read, off): (bool, u64),
+) -> Result<bool, BlobError> {
+    if is_read {
+        c.read(ctx, blob, None, seg(off, BIG_PAGE)).map(|_| true)
+    } else {
+        c.write(ctx, blob, off, &vec![9u8; BIG_PAGE as usize])
+            .map(|_| false)
+    }
+}
+
+#[test]
+fn open_loop_storm_is_shed_typed_and_admitted_p99_stays_bounded() {
+    const STORM_ARRIVALS: usize = 4_000;
+    const STORM_CLIENTS: usize = 16;
+    const UNLOADED_OPS: usize = 150;
+    let cost = CostModel::grid5000();
+    let d = Deployment::build(
+        DeploymentConfig::grid5000(PROVIDERS)
+            .tune()
+            .cache_nodes(4096)
+            // Fail fast: the storm counts raw admission decisions, which
+            // a retrying client would turn sheds into admissions.
+            .retry(RetryPolicy::none())
+            // Each provider gate bounds its projected virtual backlog
+            // (handler CPU + response NIC time) at 15 ms, well under the
+            // unloaded per-op latency.
+            .admission(AdmissionOptions {
+                mode: AdmissionMode::Virtual {
+                    max_backlog_ns: 15_000_000,
+                    resp_ns_per_kib: cost.transfer_ns(2048) - cost.transfer_ns(1024),
+                },
+                ..AdmissionOptions::default()
+            })
+            .build(),
+    );
+    let blob = fill(&d);
+
+    // Closed-loop unloaded baseline, one client, virtual latencies.
+    let c = d.client();
+    let mut ctx = Ctx::at(d.cluster.horizon());
+    c.info(&mut ctx, blob).unwrap();
+    let mut unloaded_reads = Samples::new();
+    let mut unloaded_all = Samples::new();
+    for op in arrivals(UNLOADED_OPS, SEED) {
+        let vt0 = ctx.vt;
+        let is_read = skewed_op(&c, &mut ctx, blob, op).unwrap();
+        let ms = (ctx.vt - vt0) as f64 / 1e6;
+        if is_read {
+            unloaded_reads.push(ms);
+        }
+        unloaded_all.push(ms);
+    }
+    let unloaded_p99 = unloaded_reads.percentile(99.0).unwrap();
+
+    // Open loop at 10× the aggregate unloaded rate: one closed-loop
+    // client keeps about one provider busy. Arrivals are driven in
+    // schedule order, each op's clock starting at its due time, so the
+    // modelled clients' concurrency lives in the virtual clock and the
+    // admit/shed frontier is deterministic.
+    let mean_op_ns = unloaded_all.mean().unwrap() * 1e6;
+    let gap_ns = mean_op_ns / (10.0 * PROVIDERS as f64);
+    let base_vt = d.cluster.horizon();
+    let clients: Vec<BlobClient> = (0..STORM_CLIENTS)
+        .map(|_| {
+            let c = d.client();
+            c.info(&mut Ctx::at(base_vt), blob).unwrap();
+            c
+        })
+        .collect();
+    let (mut admitted, mut shed) = (0u64, 0u64);
+    let mut admitted_reads = Samples::new();
+    for (i, op) in arrivals(STORM_ARRIVALS, SEED ^ 0xbeef)
+        .into_iter()
+        .enumerate()
+    {
+        let due = base_vt + (i as f64 * gap_ns) as u64;
+        let mut ctx = Ctx::at(due);
+        match skewed_op(&clients[i % STORM_CLIENTS], &mut ctx, blob, op) {
+            Ok(is_read) => {
+                admitted += 1;
+                if is_read {
+                    admitted_reads.push((ctx.vt - due) as f64 / 1e6);
+                }
+            }
+            Err(BlobError::Overload { retry_after_hint }) => {
+                assert!(retry_after_hint > 0, "a shed carries a backoff hint");
+                shed += 1;
+            }
+            Err(other) => panic!("rejections must be typed Overload, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        admitted + shed,
+        STORM_ARRIVALS as u64,
+        "every arrival is admitted or shed"
+    );
+    assert!(
+        admitted > 0 && shed > 0,
+        "10x offered load both admits and sheds ({admitted} admitted, {shed} shed)"
+    );
+    let admitted_p99 = admitted_reads.percentile(99.0).unwrap();
+    assert!(
+        admitted_p99 <= 5.0 * unloaded_p99,
+        "the bounded queue never becomes an unbounded buffer: admitted read p99 \
+         {admitted_p99:.2} ms vs unloaded {unloaded_p99:.2} ms (virtual)"
+    );
+}
+
+/// Virtual read throughput (bytes per virtual second of provider busy
+/// time) of 8 closed-loop clients hammering page 0.
+fn hot_page_throughput(fan_out: Option<FanOutOptions>) -> f64 {
+    const CLIENTS: u64 = 8;
+    const OPS: u64 = 100;
+    let mut cfg = DeploymentConfig::grid5000(PROVIDERS)
+        .tune()
+        .cache_nodes(4096);
+    if let Some(opts) = fan_out {
+        cfg = cfg.fan_out(opts);
+    }
+    let d = Deployment::build(cfg.build());
+    let blob = fill(&d);
+
+    // Heat the page past several promotion thresholds first, so both
+    // runs measure their steady state. (A crossing whose placement lands
+    // on an existing holder promotes nothing, hence the margin.)
+    let warm = d.client();
+    let mut ctx = Ctx::start();
+    for _ in 0..4 * 16 * 3 {
+        warm.read(&mut ctx, blob, None, seg(0, BIG_PAGE)).unwrap();
+    }
+    assert_eq!(
+        d.heat.as_ref().map_or(0, |h| h.promotions()),
+        fan_out.map_or(0, |f| f.max_replicas as u64 - 1),
+        "warmup promotes the hot page to the replica cap"
+    );
+
+    let clients: Vec<BlobClient> = (0..CLIENTS)
+        .map(|_| {
+            let c = d.client();
+            c.info(&mut Ctx::start(), blob).unwrap();
+            c
+        })
+        .collect();
+    let horizon0 = d.cluster.horizon();
+    std::thread::scope(|s| {
+        for c in &clients {
+            s.spawn(move || {
+                let mut ctx = Ctx::start();
+                for _ in 0..OPS {
+                    c.read(&mut ctx, blob, None, seg(0, BIG_PAGE)).unwrap();
+                }
+            });
+        }
+    });
+    let busy_s = (d.cluster.horizon() - horizon0) as f64 / 1e9;
+    (CLIENTS * OPS * BIG_PAGE) as f64 / busy_s
+}
+
+#[test]
+fn fan_out_lifts_hot_page_virtual_throughput() {
+    let off = hot_page_throughput(None);
+    let on = hot_page_throughput(Some(FanOutOptions {
+        promote_after_reads: 16,
+        max_replicas: 3,
+    }));
+    let mib = (1u64 << 20) as f64;
+    assert!(
+        on > 1.2 * off,
+        "three providers serving the hot page beat one: {:.1} vs {:.1} virtual MiB/s",
+        on / mib,
+        off / mib
     );
 }

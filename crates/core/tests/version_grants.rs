@@ -15,10 +15,17 @@
 //!   hot blob still produce the dense sequence `1..=16`, and every
 //!   intermediate version equals prefix application of its
 //!   predecessors.
+//! * **Batching removes the per-write lock** — on a hot blob with a
+//!   stressed assignment cost, 16 concurrent writers take fewer than one
+//!   `VersionAssign` acquisition per write, the per-op ablation takes
+//!   exactly one, and at 64 writers batching at least doubles virtual
+//!   throughput.
 
 use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_proto::{BlobError, Segment, WriteId};
 use blobseer_rpc::Ctx;
+use blobseer_simnet::ServiceCosts;
+use blobseer_util::{lockmeter, testsync};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -220,4 +227,110 @@ fn hot_blob_sixteen_writers_keep_dense_total_order() {
             );
         }
     }
+}
+
+/// Page size, blob size (64 pages: the whole blob is one hot spot) and
+/// writes per writer of the hot-blob runs.
+const HOT_PAGE: u64 = 8 * 1024;
+const HOT_BLOB: u64 = 64 * HOT_PAGE;
+const HOT_WRITES: u64 = 32;
+
+/// What one hot-blob run measured, summed over its writers.
+struct HotRun {
+    writes: u64,
+    version_assign: u64,
+    serializing: u64,
+    /// Virtual time from the common start to the last writer's finish.
+    makespan_ns: u64,
+}
+
+/// `writers` concurrent writers, one page per write, all on one 64-page
+/// blob, on the costed simulator with the assignment critical section
+/// stressed to 240 µs (~3× the grid5000 calibration) and a 2 ms grant
+/// window, so whether assignment is batched is what throughput measures.
+///
+/// The simulator dispatches handlers inline, so each writer's version
+/// manager charges land on its own thread-local lock meter.
+fn hot_blob(writers: usize, batched: bool) -> HotRun {
+    let d = Deployment::build(
+        DeploymentConfig::grid5000(40)
+            .tune()
+            .service_costs(ServiceCosts {
+                meta_store_ns: 1_000_000,
+                meta_store_cpu_ns: 30_000,
+                meta_fetch_ns: 20_000,
+                page_store_ns: 50_000,
+                page_fetch_ns: 50_000,
+                version_assign_ns: 240_000,
+                manager_query_ns: 10_000,
+            })
+            .version_batched(batched)
+            .version_grant_window(Duration::from_millis(2))
+            .build(),
+    );
+    let mut ctx = Ctx::start();
+    let blob = d.client().alloc(&mut ctx, HOT_BLOB, HOT_PAGE).unwrap().blob;
+    // Warm clients: opening the blob is startup, not the per-write profile.
+    let clients: Vec<_> = (0..writers)
+        .map(|_| {
+            let c = d.client();
+            c.info(&mut ctx, blob).unwrap();
+            c
+        })
+        .collect();
+
+    let start_vt = d.cluster.horizon();
+    let per_writer: Vec<(u64, lockmeter::LockCounts)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter()
+            .enumerate()
+            .map(|(t, c)| {
+                scope.spawn(move || {
+                    let mut ctx = Ctx::at(start_vt);
+                    let data = vec![t as u8; HOT_PAGE as usize];
+                    let locks = lockmeter::thread_snapshot();
+                    for i in 0..HOT_WRITES {
+                        let page = (t as u64 * HOT_WRITES + i) % (HOT_BLOB / HOT_PAGE);
+                        c.write(&mut ctx, blob, page * HOT_PAGE, &data).unwrap();
+                    }
+                    (ctx.vt, locks.since())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    HotRun {
+        writes: writers as u64 * HOT_WRITES,
+        version_assign: per_writer.iter().map(|(_, l)| l.version_assign).sum(),
+        serializing: per_writer.iter().map(|(_, l)| l.serializing).sum(),
+        makespan_ns: per_writer.iter().map(|&(vt, _)| vt).max().unwrap() - start_vt,
+    }
+}
+
+#[test]
+fn hot_blob_grants_take_under_one_lock_per_write_and_double_throughput() {
+    let _shared = testsync::ablation_shared();
+
+    let batched16 = hot_blob(16, true);
+    let va_per_write = batched16.version_assign as f64 / batched16.writes as f64;
+    assert!(
+        va_per_write < 1.0,
+        "16 writers on one blob must share grants: {va_per_write:.3} VersionAssign per write"
+    );
+
+    let batched64 = hot_blob(64, true);
+    let per_op64 = hot_blob(64, false);
+    assert_eq!(
+        per_op64.version_assign, per_op64.writes,
+        "the per-op ablation takes exactly one acquisition per write"
+    );
+    for run in [&batched16, &batched64, &per_op64] {
+        assert_eq!(run.serializing, 0, "the control plane stays lock-free");
+    }
+    // Same writes in both runs, so throughput is inverse makespan.
+    let speedup = per_op64.makespan_ns as f64 / batched64.makespan_ns as f64;
+    assert!(
+        speedup >= 2.0,
+        "at 64 writers batching must at least double virtual throughput, got {speedup:.2}x"
+    );
 }

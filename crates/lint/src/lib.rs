@@ -2,9 +2,9 @@
 //!
 //! The repo's discipline — zero-copy data path, lock-free control
 //! plane, typed errors, measured ablations — is *measured* by
-//! `copymeter`/`lockmeter` and asserted by benches and tier-1 tests.
+//! `copymeter`/`lockmeter` and asserted exactly by tier-1 tests.
 //! Measurement only covers exercised paths: an unmetered `Mutex` on a
-//! branch the benches never hit, a silent `to_vec()` in cold code, or
+//! branch the tests never hit, a silent `to_vec()` in cold code, or
 //! an `as u32` length wrap ships undetected until a workload finds it.
 //! This crate is the *static* leg of enforcement: a dependency-free,
 //! offline pass over every Rust source in the workspace that checks
@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 
 /// Directories the workspace walk never descends into. `fixtures`
 /// holds this crate's own deliberately-violating test inputs.
-const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", ".bench-baselines"];
+const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
 /// Collect every `.rs` file under `root`, workspace-relative, sorted.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {

@@ -60,10 +60,11 @@
 //! ## `unguarded-ablation`
 //! The process-global ablation switches (`set_zero_copy`,
 //! `set_serialized_control_plane`, `set_gather_write`) may only be
-//! flipped by benches or through the `testsync` RAII guards
+//! flipped through the `testsync` RAII guards
 //! (`wire::zero_copy_ablation`, `lockmeter::serialized_ablation`) —
-//! a raw call in a test races every meter-asserting test in the
-//! process.
+//! a raw call races every meter-asserting test in the process. No path
+//! is exempt: a raw call anywhere (test, bench or product code) needs a
+//! sanction saying why nothing else observes the toggle.
 //!
 //! ## `truncating-cast`
 //! `as u16` / `as u32` / `as usize` applied to a length/offset-named
@@ -158,7 +159,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         UNGUARDED_ABLATION,
-        "ablation switch flipped outside benches or the testsync RAII guards",
+        "ablation switch flipped outside the testsync RAII guards",
     ),
     (
         TRUNCATING_CAST,
@@ -229,10 +230,6 @@ fn in_scope(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-fn is_bench_path(path: &str) -> bool {
-    path.starts_with("crates/bench/") || path.contains("/benches/")
-}
-
 // ---------------------------------------------------------------------------
 // The engine entry point
 // ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ pub fn check_file(ctx: &FileCtx, only: Option<&[String]>, out: &mut Vec<Violatio
     if enabled(PANIC_ON_SERVING_PATH) && in_scope(&ctx.rel_path, SERVING) {
         panic_on_serving_path(ctx, out);
     }
-    if enabled(UNGUARDED_ABLATION) && !is_bench_path(&ctx.rel_path) {
+    if enabled(UNGUARDED_ABLATION) {
         unguarded_ablation(ctx, out);
     }
     if enabled(TRUNCATING_CAST) && in_scope(&ctx.rel_path, CAST_SCOPE) {
@@ -534,7 +531,7 @@ fn unguarded_ablation(ctx: &FileCtx, out: &mut Vec<Violation>) {
             rel_path: ctx.rel_path.clone(),
             line: t.line,
             msg: format!(
-                "raw `{}` call outside benches; use the testsync RAII guards \
+                "raw `{}` call; use the testsync RAII guards \
                  (wire::zero_copy_ablation / lockmeter::serialized_ablation) so the \
                  previous value is restored and meter-asserting tests are excluded",
                 t.text

@@ -110,13 +110,13 @@ fn unguarded_ablation_fixture_pair() {
         include_str!("fixtures/ablation_ok.rs"),
     );
     assert!(ok.is_empty(), "sanctioned toggle flagged: {ok:?}");
-    // Benches may flip toggles raw — the ablation *is* the bench.
+    // No path is exempt: a bench that flips a toggle raw is flagged too.
     let bench = run(
         "unguarded-ablation",
         "crates/bench/src/lib.rs",
         include_str!("fixtures/ablation_bad.rs"),
     );
-    assert!(bench.is_empty(), "bench path flagged: {bench:?}");
+    assert_hits(&bench, "unguarded-ablation", &[3]);
 }
 
 #[test]

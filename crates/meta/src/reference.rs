@@ -196,7 +196,7 @@ impl ReferenceStore {
     /// Garbage-collect: drop everything unreachable from versions
     /// `>= keep_from`. Returns `(nodes_removed, pages_removed)`.
     ///
-    /// Rule (DESIGN.md §3): node `(I, w)` with `w < keep_from` is garbage
+    /// Rule: node `(I, w)` with `w < keep_from` is garbage
     /// iff some write in `(w, keep_from]` intersects `I` — equivalently
     /// `range_max(index at keep_from, I) > w`, where the index-at-K is
     /// reconstructed from history.

@@ -48,10 +48,11 @@ const MAX_TAIL_HINT: usize = 1024;
 /// Global switch for the zero-copy payload path. On (the default),
 /// page payloads move through encode/decode by refcount. Off, every
 /// payload is copied at each hop — the seed's behaviour, kept as a
-/// runtime toggle so `bench/pr1` can measure the difference honestly.
+/// runtime toggle so tests can measure the difference honestly.
 static ZERO_COPY: AtomicBool = AtomicBool::new(true);
 
-/// Enable or disable the zero-copy payload path (benchmarks only).
+/// Enable or disable the zero-copy payload path (tests only, through
+/// [`zero_copy_ablation`]).
 pub fn set_zero_copy(enabled: bool) {
     ZERO_COPY.store(enabled, Ordering::Relaxed);
 }

@@ -27,8 +27,8 @@
 //! The pre-PR-2 serialized regime survives as an ablation: with
 //! [`blobseer_util::lockmeter::set_serialized_control_plane`] enabled,
 //! every `plan_write` funnels through one global mutex (charged to the
-//! lock meter as a serializing acquisition) so the `pr2_lockfree` bench
-//! can measure the contention cliff it removes.
+//! lock meter as a serializing acquisition); `core/tests/lock_free.rs`
+//! asserts the meter tells that regime from the lock-free one.
 
 use blobseer_proto::messages::{
     method, Heartbeat, PlanWrite, ProviderStats, RegisterProvider, WritePlan,

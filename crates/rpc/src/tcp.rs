@@ -52,10 +52,10 @@
 //!   the pool (plus the worker, plus the loop again for the completion)
 //!   — `rpc/tests/handoffs.rs` counts them.
 //! * **Ablation.** [`ServerMode::ThreadPerConn`] keeps the PR 3 regime
-//!   (accept thread + thread per connection) alive for benchmarks; the
-//!   client side is multiplexed in both modes and both speak the same
-//!   wire format. `bench/pr6_reactor` sweeps the two regimes against
-//!   each other.
+//!   (accept thread + thread per connection) alive as the comparison
+//!   point; the client side is multiplexed in both modes and both speak
+//!   the same wire format. `rpc/tests/c10k.rs` holds the reactor to a
+//!   fixed thread count and a bound on resident bytes per connection.
 //!
 //! # Fan-out is pipelined, not threaded
 //!
@@ -222,7 +222,8 @@ pub enum ServerMode {
     /// the readiness poller cannot start.
     Reactor,
     /// The PR 3 regime: an accept thread per listener and one worker
-    /// thread per live connection. Kept as the bench ablation.
+    /// thread per live connection. Kept as the ablation the reactor is
+    /// measured against.
     ThreadPerConn,
 }
 
@@ -484,7 +485,7 @@ impl TcpTransport {
         self.shared.sheds.load(Ordering::Relaxed)
     }
 
-    /// Toggle the gather-write path (benchmarks only). `false` restores
+    /// Toggle the gather-write path (tests only). `false` restores
     /// the seed regime: every outbound body is flattened into one
     /// contiguous buffer first — a metered copy per frame.
     pub fn set_gather_write(&self, enabled: bool) {
@@ -996,8 +997,9 @@ pub(crate) fn decode_wire_body(body: Vec<u8>) -> Result<(u64, u64, Frame), RecvE
 }
 
 /// Encode one whole wire frame (envelope v2 head + body) into a
-/// contiguous buffer. Support surface for fault tests and raw-socket
-/// benchmark drivers; the transport itself gather-writes instead.
+/// contiguous buffer. Support surface for raw-socket tests
+/// (`tcp_faults.rs`, `inline_handlers.rs`); the transport itself
+/// gather-writes instead.
 pub fn encode_wire_frame(corr: u64, vt: u64, frame: &Frame) -> Result<Vec<u8>, CodecError> {
     let body_len = frame.body.len();
     if body_len as u64 > MAX_FRAME_BODY {
@@ -1009,7 +1011,7 @@ pub fn encode_wire_frame(corr: u64, vt: u64, frame: &Frame) -> Result<Vec<u8>, C
     // lint: allow(unmetered-copy) — fixed-width frame head, not payload
     out.extend_from_slice(&encode_head(corr, vt, frame.method, body_len));
     for seg in frame.body.segments() {
-        // lint: allow(unmetered-copy) — bench-driver flatten helper, off the
+        // lint: allow(unmetered-copy) — raw-socket test helper, off the
         // serving transport (which gather-writes)
         out.extend_from_slice(seg);
     }
@@ -1017,9 +1019,8 @@ pub fn encode_wire_frame(corr: u64, vt: u64, frame: &Frame) -> Result<Vec<u8>, C
 }
 
 /// Read and decode one whole wire frame from `r`, returning
-/// `(corr, vt, frame)`. Support surface for fault tests and raw-socket
-/// benchmark drivers — errors map exactly like the transport's own
-/// receive path.
+/// `(corr, vt, frame)`. Support surface for raw-socket tests — errors
+/// map exactly like the transport's own receive path.
 pub fn read_wire_frame<R: Read>(r: &mut R) -> Result<(u64, u64, Frame), BlobError> {
     match recv_frame(r) {
         Ok((corr, vt, frame, _)) => Ok((corr, vt, frame)),

@@ -1,39 +1,38 @@
 //! C10K acceptance: ten thousand concurrent established connections
-//! served by a **fixed** number of threads.
+//! served by a **fixed** number of threads, each idle connection adding
+//! a bounded number of resident bytes.
 //!
 //! The thread-per-connection regime would need ten thousand stacks for
 //! this load; the reactor serves it from `event_loops + dispatch_threads`
-//! threads, period. The client swarm runs in a re-executed child process
-//! (this test binary, filtered to [`c10k_client_swarm`]) so the parent's
-//! fd budget is spent only on the server side of each connection.
+//! threads, period, and holds each idle connection in a slab entry. The
+//! client swarm runs in a re-executed child process (this test binary,
+//! filtered to [`c10k_client_swarm`]) so the parent's fd budget and
+//! resident set are spent only on the server side of each connection.
 //!
-//! Linux-only: the assertion reads `/proc/self/status`, and the reactor
+//! Linux-only: the assertions read `/proc/self/status`, and the reactor
 //! regime itself is the unix build.
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use blobseer_rpc::{Frame, ServerMode, TcpOptions, TcpTransport, Transport};
 use blobseer_util::fdlimit;
+use common::{rss_bytes, thread_count};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Resident bytes one idle connection may add to the serving process:
+/// several times what the reactor costs, a fraction of a thread stack.
+const RSS_PER_CONN_BOUND: f64 = 2048.0;
 
 struct Echo;
 impl blobseer_rpc::Service for Echo {
     fn handle(&self, _ctx: &mut blobseer_rpc::ServerCtx, frame: &Frame) -> Frame {
         blobseer_rpc::respond(frame, |x: u64| Ok(x))
     }
-}
-
-/// Current thread count of this process, from `/proc/self/status`.
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
 }
 
 /// Child entry point: dial the address in `BLOBSEER_C10K_ADDR` the
@@ -106,6 +105,7 @@ fn ten_thousand_connections_on_a_fixed_thread_count() {
     assert_eq!(x, 1);
     std::thread::sleep(Duration::from_millis(200));
     let baseline = thread_count();
+    let rss_before = rss_bytes();
 
     let exe = std::env::current_exe().expect("own test binary");
     let mut child = std::process::Command::new(exe)
@@ -153,6 +153,16 @@ fn ten_thousand_connections_on_a_fixed_thread_count() {
         under_load, baseline,
         "thread count must not scale with connections \
          ({baseline} threads before, {under_load} at {conns} connections)"
+    );
+
+    // And an idle connection costs a slab entry (~280 B measured on
+    // x86_64 Linux), not a thread stack (~9.4 KiB).
+    let rss_per_conn = rss_bytes().saturating_sub(rss_before) as f64 / conns as f64;
+    println!("c10k: {rss_per_conn:.0} resident bytes per idle connection");
+    assert!(
+        rss_per_conn <= RSS_PER_CONN_BOUND,
+        "an idle connection must cost a slab entry, not a thread stack: \
+         {rss_per_conn:.0} B/conn (bound {RSS_PER_CONN_BOUND} B)"
     );
 
     // And the server still *serves* under that load.

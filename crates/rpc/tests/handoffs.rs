@@ -15,8 +15,11 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use blobseer_proto::NodeId;
 use blobseer_rpc::{respond, Frame, ServerCtx, Service, TcpTransport, Transport};
+use common::{thread_count, voluntary_switches};
 use std::sync::Arc;
 
 /// Echo that answers on the event loop or on the dispatch pool.
@@ -30,30 +33,6 @@ impl Service for Echo {
     fn nonblocking(&self, _method: u16) -> bool {
         self.inline
     }
-}
-
-/// `voluntary_ctxt_switches` summed over every thread of this process.
-fn voluntary_switches() -> u64 {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
-        .filter_map(|status| {
-            status
-                .lines()
-                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        })
-        .sum()
-}
-
-/// Current thread count of this process, from `/proc/self/status`.
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
 }
 
 fn echo(t: &TcpTransport, client: NodeId, to: NodeId, x: u64) {

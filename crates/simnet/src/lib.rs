@@ -1,7 +1,7 @@
 //! # blobseer-simnet
 //!
 //! The simulated cluster substrate standing in for the paper's Grid'5000
-//! testbed (see DESIGN.md §2 and §4 for the substitution argument).
+//! testbed: a costed virtual clock stands in for the 2008 hardware.
 //!
 //! * [`cost`] — the calibrated cost model: 117.5 MB/s NICs, 0.1 ms
 //!   latency, 2008-era endpoint CPU costs, BambooDHT-era service costs.

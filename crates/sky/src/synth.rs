@@ -1,6 +1,6 @@
 //! Synthetic sky image generation.
 //!
-//! No real telescope feed is available (DESIGN.md §2), so we synthesize
+//! No telescope feed ships with this offline build, so we synthesize
 //! one with the components that matter to a difference-imaging pipeline:
 //! a static star field (Gaussian point-spread functions from a
 //! deterministic catalog), Gaussian sky background noise per exposure,

@@ -1,7 +1,7 @@
 //! A sharded concurrent CLOCK cache with lock-free hit accounting.
 //!
-//! This is PR 2's replacement for the client metadata cache's
-//! `Mutex<LruCache>`: the single mutex serialized every tree-node probe
+//! This is PR 2's replacement for the client metadata cache's single
+//! mutex-guarded LRU: that mutex serialized every tree-node probe
 //! of every reader thread, which is exactly the contention the paper's
 //! design forbids. The CLOCK policy is chosen *because* it needs no
 //! recency-list surgery on a hit — a hit is a shard **read** lock plus
@@ -19,7 +19,7 @@
 //! ([`lockmeter::set_serialized_control_plane`]
 //! (crate::lockmeter::set_serialized_control_plane)) every operation
 //! additionally funnels through one global mutex, reproducing the
-//! pre-PR-2 regime for before/after benchmarks.
+//! pre-PR-2 regime (`core/tests/lock_free.rs` tells the two apart).
 //!
 //! Values are cloned out on hit — use `Arc<T>` values (the metadata
 //! cache stores `Arc<NodeBody>`) so a hit moves a refcount, not bytes.

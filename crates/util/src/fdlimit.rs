@@ -1,6 +1,6 @@
 //! File-descriptor limit introspection and raising.
 //!
-//! The C10K tests and the `pr6_reactor` bench hold thousands of
+//! The C10K tests (`crates/rpc/tests/c10k.rs`) hold thousands of
 //! sockets in one process; default `ulimit -n` soft limits (often 1024)
 //! would fail them spuriously. [`raise_soft_to_hard`] lifts the soft
 //! `RLIMIT_NOFILE` to whatever hard ceiling the process already has —

@@ -9,8 +9,6 @@
 //! * [`sharded`] — a sharded concurrent hash map with short critical
 //!   sections, used where a full lock-free map is not required and no lock
 //!   is ever held across I/O.
-//! * [`lru`] — an intrusive, slab-backed LRU cache, the substrate of the
-//!   client-side metadata-tree cache (the paper's 2^20-node cache).
 //! * [`interval_map`] — a disjoint interval map over `u64` with
 //!   monotone range-assign and range-max queries; backs the version
 //!   manager's *version index* (border-link precomputation) and the GC
@@ -28,7 +26,7 @@
 //!   [`PageBuf::map_file`], a read-only mapped file region — the seam
 //!   the persistent provider backend serves its page log through.
 //! * [`copymeter`] — global bytes-copied accounting, so the zero-copy
-//!   discipline is *measured* by the benches, not asserted.
+//!   discipline is a measured count that tests assert exactly.
 //! * [`lockmeter`] — the control-plane analogue of [`copymeter`]: global
 //!   accounting of control-plane lock acquisitions by class
 //!   (serializing / version-assign / sharded / shared), plus the
@@ -52,7 +50,7 @@
 //!   process-global ablation toggles against `cargo test`'s parallel
 //!   runner.
 //! * [`fdlimit`] — raise the soft `RLIMIT_NOFILE` to the hard ceiling,
-//!   so the C10K transport tests and benches can hold thousands of
+//!   so the C10K transport tests can hold thousands of
 //!   sockets regardless of the environment's default `ulimit -n`.
 
 #![warn(missing_docs)]
@@ -63,7 +61,6 @@ pub mod fdlimit;
 pub mod fxhash;
 pub mod interval_map;
 pub mod lockmeter;
-pub mod lru;
 pub mod pagebuf;
 pub mod rcu;
 pub mod recordlog;
@@ -76,7 +73,6 @@ pub mod testsync;
 pub use clockcache::ClockCache;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interval_map::IntervalMap;
-pub use lru::LruCache;
 pub use pagebuf::PageBuf;
 pub use rcu::RcuCell;
 pub use sharded::ShardedMap;

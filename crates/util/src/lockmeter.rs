@@ -3,9 +3,12 @@
 //! The lock-free control plane is a *measured* property, not an asserted
 //! one — exactly like the zero-copy data path and
 //! [`copymeter`](crate::copymeter). Every acquisition of a control-plane lock reports
-//! here under one of four classes, the tier-1 suite asserts the
-//! steady-state invariant (see `crates/core/tests/lock_free.rs`), and the
-//! `pr2_lockfree` bench emits locks-per-operation columns.
+//! here under one of four classes, and the tier-1 suite asserts the
+//! steady-state invariant exactly (`crates/core/tests/lock_free.rs` per
+//! op on the sim, `mmap_zero_copy.rs` under concurrent tcp writers,
+//! `version_grants.rs` for grant batching); the canonical benchmark
+//! reports `util.serializing_locks_per_op` and
+//! `version.assign_locks_per_op` per workload.
 //!
 //! The classes mirror the paper's concurrency argument ("the only
 //! serialization occurs when interacting with the version manager"):
@@ -201,8 +204,8 @@ impl LockSnapshot {
 /// enabled, the provider manager takes a global mutex around every
 /// `plan_write` and the sharded metadata cache takes a global mutex
 /// around every operation — reproducing the pre-PR-2 contention regime
-/// so the `pr2_lockfree` bench can measure before vs after. Process
-/// global; benchmarks only.
+/// (`lock_free.rs` asserts the meter tells the two regimes apart).
+/// Process global; flipped only through [`serialized_ablation`].
 static SERIALIZED_CONTROL_PLANE: AtomicBool = AtomicBool::new(false);
 
 /// Enable or disable the serialized-control-plane ablation.

@@ -4,7 +4,7 @@
 //! instructions (page tables, DHT buckets, blob registries). Sharding by
 //! key hash keeps contention negligible; the lock discipline of the whole
 //! workspace is that **no shard lock is ever held across a network
-//! operation** — see DESIGN.md §3.
+//! operation**, so contention never outlasts a few instructions.
 
 use crate::fxhash::{mix64, FxBuildHasher, FxHashMap};
 use parking_lot::RwLock;

@@ -1,5 +1,5 @@
 //! Online statistics and human-readable formatting for the benchmark
-//! harnesses (EXPERIMENTS.md tables are produced from these).
+//! harnesses (`crates/bench` prints its figure tables with these).
 
 /// Welford online mean/variance accumulator.
 #[derive(Clone, Debug, Default)]
@@ -114,12 +114,6 @@ impl Samples {
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// The raw samples, in insertion or sorted order (order is an
-    /// implementation detail; use for merging sample sets).
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.data.iter().copied()
     }
 
     /// The `p`-th percentile (0.0..=100.0) by nearest-rank; `None` if empty.

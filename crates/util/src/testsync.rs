@@ -3,7 +3,7 @@
 //! The workspace keeps its seed regimes alive as process-global runtime
 //! switches — `blobseer_proto::wire::set_zero_copy` and
 //! [`lockmeter::set_serialized_control_plane`](crate::lockmeter::set_serialized_control_plane)
-//! — so benchmarks can
+//! — so tests can
 //! measure before vs after honestly. Inside one test binary, however,
 //! `cargo test` runs tests on parallel threads: a test flipping a toggle
 //! would poison every concurrently running copymeter/lockmeter assertion
@@ -20,10 +20,9 @@
 //!   [`ablation_shared`] — meter tests run in parallel with each other
 //!   but never overlap a flip.
 //!
-//! Benchmark binaries are single-threaded mains and may keep calling the
-//! raw setters. The guards are not reentrant: take at most one per
-//! thread (flipping both toggles in one region is a benchmark-only
-//! pattern).
+//! Every flip goes through a guard (the `unguarded-ablation` lint rule
+//! exempts no path). The guards are not reentrant: take at most one per
+//! thread.
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 

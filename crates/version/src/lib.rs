@@ -33,8 +33,8 @@
 //! commit *is* the combining — the records land in parallel and one
 //! leader's marker (and `fdatasync`) acknowledges the group. The
 //! steady-state `version_assign_locks_per_op` therefore drops to
-//! `1/group` under contention — the CI bench gate holds it below 1.0 at
-//! 16+ concurrent writers. For horizontal scale across *distinct* blobs,
+//! `1/group` under contention — `core/tests/version_grants.rs` holds it
+//! below 1.0 at 16 concurrent writers. For horizontal scale across *distinct* blobs,
 //! the registry itself shards by blob id residue
 //! ([`state::RegistryConfig::shards`]): shard `s` of `S` allocates and
 //! serves exactly the ids `≡ s (mod S)`, so any client can route with

@@ -29,7 +29,8 @@
 //! record nothing — so under a hot-blob storm the steady-state
 //! `version_assign_locks_per_op` drops to `grants / ops ≈ 1/group`,
 //! strictly below 1.0 under contention and exactly 1.0 for a solo
-//! writer (a leader-of-one). The bench gate holds the system to that.
+//! writer (a leader-of-one). `core/tests/version_grants.rs` holds the
+//! system to that.
 
 use crate::history::ConcurrentHistory;
 use crate::publish::{PublishWindow, DEFAULT_WINDOW};
@@ -266,7 +267,7 @@ impl BlobState {
         self.geom.validate_aligned(&seg)?;
         if !self.batched {
             // Per-op ablation: every writer pays its own acquisition —
-            // the pre-PR-10 behaviour, kept measurable for the bench.
+            // the pre-PR-10 behaviour, kept as the measured ablation.
             blobseer_util::lockmeter::record_version_assign();
             let ticket = {
                 let mut st = self.assign.lock();
@@ -432,9 +433,9 @@ impl BlobState {
     }
 
     /// Compute the GC plan discarding versions below `keep_from`
-    /// (clamped to the published watermark). See DESIGN.md §3 for the
-    /// reachability rule. Raises the GC floor so subsequent plans do not
-    /// re-report the same nodes.
+    /// (clamped to the published watermark; reachability as in
+    /// `blobseer-meta`'s `ReferenceStore::gc`). Raises the GC floor so
+    /// subsequent plans do not re-report the same nodes.
     pub fn gc_plan(&self, keep_from: Version) -> GcPlan {
         let published = self.latest();
         let keep_from = keep_from.min(published).max(1);

@@ -127,8 +127,9 @@
 //! closing mid-frame, timeouts, and corrupt length prefixes all map to
 //! [`BlobError::Unreachable`] / [`BlobError::Codec`]; a failed call's
 //! connection is dropped, not pooled. See `blobseer_rpc::tcp` for the
-//! wire format and the full error taxonomy, and `bench/pr3_tcp`
-//! (`BENCH_PR3.json`) for the gather-write vs flatten ablation.
+//! wire format and the full error taxonomy, and
+//! `crates/core/tests/tcp_zero_copy.rs` for the exact copy counts over a
+//! socket and the gather-write vs flatten ablation.
 //!
 //! The server side is an **event-driven reactor** ([`ServerMode::Reactor`],
 //! the default): a fixed set of nonblocking event loops owns every
@@ -141,9 +142,9 @@
 //! every call in flight with a typed error, never a hang. The PR 3
 //! thread-per-connection regime survives as the
 //! [`ServerMode::ThreadPerConn`] ablation toggle
-//! ([`TcpOptions::server_mode`]); `bench/pr6_reactor`
-//! (`BENCH_PR6.json`) sweeps the two regimes' per-connection memory,
-//! thread counts, and accept-to-first-byte latency against each other.
+//! ([`TcpOptions::server_mode`]); `crates/rpc/tests/c10k.rs` bounds
+//! the reactor's resident bytes per idle connection well below a
+//! thread stack.
 //! Overload is shed, not queued: past the fd budget (or
 //! [`TcpOptions::max_connections`]) the *newest* connection gets a
 //! typed control-frame close — established connections are never
@@ -283,18 +284,14 @@
 //! — with a real `SIGKILL` at fuzzed offsets mid-append, mid-compaction
 //! and mid-publish, against single providers and the whole cluster —
 //! in `crates/core/tests/crash_injection.rs`;
-//! `bench/pr4_backend` (`BENCH_PR4.json`) sweeps both backends over TCP
-//! while asserting copies-per-op stays at exactly the sanctioned 1 MiB
-//! per 1 MiB operation, `bench/pr5_durability` (`BENCH_PR5.json`)
-//! sweeps the commit modes (buffered vs fsync-on-commit) and the
-//! compaction before/after under the same copy and lock gates, and
-//! `bench/pr7_restart` (`BENCH_PR7.json`) times cold-restart replay
-//! against journal size while holding the steady-state parity gates
-//! with every journal on.
+//! `crates/core/tests/mmap_zero_copy.rs` asserts exact copy and lock
+//! counts over tcp × mmap with every journal on — concurrent writers in
+//! both commit modes (buffered and fsync-on-commit), reads after
+//! compaction and reads after a whole-cluster restart.
 //!
 //! ## Static invariant enforcement
 //!
-//! The meters only see paths the tests and benches exercise, so the
+//! The meters only see paths the tests exercise, so the
 //! invariants above are *also* enforced statically: `blobseer-lint`
 //! (`crates/lint`, a dependency-free offline pass, gated hard in CI)
 //! checks every Rust source in the workspace for unmetered
