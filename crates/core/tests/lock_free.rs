@@ -11,8 +11,10 @@
 //! * a cache-hit READ takes **zero** exclusive acquisitions of any
 //!   class: the whole metadata descent runs on shard read locks and
 //!   atomic reference bits;
-//! * the serialized-control-plane ablation reintroduces the measured
-//!   serialization, so the meter actually discriminates the two regimes.
+//! * re-opening a known blob takes zero exclusive acquisitions, while a
+//!   client's *first* open of it charges exactly one serializing
+//!   acquisition (its geometry-map insert) — so the meter is live, and
+//!   the zeros above are measured, not assumed.
 //!
 //! The same counts under concurrent tcp writers with every journal on
 //! are asserted in `mmap_zero_copy.rs`, and grant batching below one
@@ -27,14 +29,6 @@ use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 use blobseer_util::lockmeter;
-use blobseer_util::testsync;
-
-// The serialized-control-plane ablation flag is process global, and
-// every test here asserts flag-sensitive meter readings, so they hold
-// the shared side of the cross-test ablation lock
-// (`blobseer_util::testsync`); the one test that flips the flag takes
-// the exclusive side via the `lockmeter::serialized_ablation` RAII
-// guard. Meter tests still run in parallel with each other.
 
 const PAGE: u64 = 4096;
 const PAGES: u64 = 8;
@@ -65,7 +59,6 @@ fn warm_deployment() -> (
 
 #[test]
 fn steady_state_write_serializes_only_on_version_assignment() {
-    let _shared = testsync::ablation_shared();
     let (_d, c, mut ctx, blob) = warm_deployment();
     let data = vec![9u8; TOTAL as usize];
 
@@ -95,7 +88,6 @@ fn steady_state_write_serializes_only_on_version_assignment() {
 
 #[test]
 fn cache_hit_read_takes_zero_exclusive_locks() {
-    let _shared = testsync::ablation_shared();
     let (_d, c, mut ctx, blob) = warm_deployment();
 
     let snap = lockmeter::thread_snapshot();
@@ -118,8 +110,7 @@ fn cache_hit_read_takes_zero_exclusive_locks() {
 
 #[test]
 fn repeated_opens_of_a_known_blob_are_lock_write_free() {
-    let _shared = testsync::ablation_shared();
-    let (_d, c, mut ctx, blob) = warm_deployment();
+    let (d, c, mut ctx, blob) = warm_deployment();
 
     let snap = lockmeter::thread_snapshot();
     for _ in 0..10 {
@@ -132,30 +123,24 @@ fn repeated_opens_of_a_known_blob_are_lock_write_free() {
         0,
         "re-opening a known blob must not write-lock the geometry map: {locks:?}"
     );
-}
 
-#[test]
-fn serialized_ablation_restores_the_old_regime() {
-    let (_d, c, mut ctx, blob) = warm_deployment();
-    let data = vec![3u8; TOTAL as usize];
-
-    {
-        let _ablation = lockmeter::serialized_ablation(true);
-        let snap = lockmeter::thread_snapshot();
-        c.write(&mut ctx, blob, 0, &data).unwrap();
-        c.read(&mut ctx, blob, None, Segment::new(0, TOTAL))
-            .unwrap();
-        let locks = snap.since();
-        assert!(
-            locks.serializing > 1,
-            "the ablation must serialize planning and every cache access: {locks:?}"
-        );
-    }
-
-    // Guard dropped: switching back really ends it.
-    let _shared = testsync::ablation_shared();
+    // A client that has never seen the blob inserts its geometry once:
+    // the meter sees that serializing write lock, then nothing more.
+    let fresh = d.client();
     let snap = lockmeter::thread_snapshot();
-    c.read(&mut ctx, blob, None, Segment::new(0, TOTAL))
-        .unwrap();
-    assert_eq!(snap.since().serializing, 0);
+    fresh.info(&mut ctx, blob).unwrap();
+    let first = snap.since();
+    assert_eq!(
+        first.serializing, 1,
+        "a first open charges exactly the geometry-map insert: {first:?}"
+    );
+    let snap = lockmeter::thread_snapshot();
+    for _ in 0..10 {
+        fresh.info(&mut ctx, blob).unwrap();
+    }
+    let again = snap.since();
+    assert_eq!(
+        again.serializing, 0,
+        "its repeat opens are lock-write-free: {again:?}"
+    );
 }

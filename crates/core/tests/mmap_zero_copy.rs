@@ -200,8 +200,6 @@ fn assert_reads_after_compaction_and_restart() {
 fn mmap_backend_meters_identically_to_memory() {
     // Single test function: the global meter must not see traffic from
     // sibling tests, so this binary holds exactly one.
-    let _shared = blobseer_util::testsync::ablation_shared();
-
     let (mem_w, mem_r, mem_rb) = measure(TransportKind::Tcp, BackendKind::Memory);
     let (map_w, map_r, map_rb) = measure(TransportKind::Tcp, BackendKind::Mmap);
 

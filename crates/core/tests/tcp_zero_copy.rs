@@ -2,8 +2,8 @@
 //! TCP transport: the payload leg must meter the **same byte counts**
 //! over a socket as it does in process — send side gather-writes with
 //! zero flatten copies, receive side lends payloads out of the receive
-//! buffer by refcount. Plus the negative control: the flatten-write
-//! ablation reintroduces one body copy per frame and the meter shows it.
+//! buffer by refcount. Both are exact counts, so an extra body copy on
+//! either side of the socket fails them.
 //!
 //! Lives in its own test binary because TCP dispatch happens on server
 //! worker threads, so the measurements use the process-global copy
@@ -57,8 +57,6 @@ fn measure(kind: TransportKind) -> (u64, u64, u64) {
 fn tcp_payload_leg_meters_identically_to_in_process() {
     // Single test function: the global meter must not see traffic from
     // sibling tests, so this binary holds exactly one.
-    let _shared = blobseer_util::testsync::ablation_shared();
-
     let (sim_w, sim_r, sim_rb) = measure(TransportKind::Sim);
     let (tcp_w, tcp_r, tcp_rb) = measure(TransportKind::Tcp);
 
@@ -78,27 +76,5 @@ fn tcp_payload_leg_meters_identically_to_in_process() {
         tcp_rb, 0,
         "an aligned single-page read_buf is zero-copy: the page is lent \
          from the receive buffer"
-    );
-
-    // Negative control: the flatten-write ablation copies every body it
-    // sends — the meter must catch the regression it models.
-    let mut cfg = DeploymentConfig::functional_tcp(4);
-    cfg.replication = 2;
-    let d = Deployment::build(cfg);
-    // lint: allow(unguarded-ablation) — per-transport toggle on a deployment
-    // owned by this test; no process-global state to restore
-    d.cluster.tcp().unwrap().set_gather_write(false);
-    let c = d.client();
-    let mut ctx = Ctx::start();
-    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
-    let data: Vec<u8> = (0..SEG).map(|i| (i % 251) as u8).collect();
-    let before = copymeter::snapshot();
-    c.write(&mut ctx, info.blob, 0, &data).unwrap();
-    assert!(
-        before.bytes_since() >= 2 * SEG,
-        "flatten ablation must add at least one body copy per written \
-         segment: copied {} for a {} byte segment",
-        before.bytes_since(),
-        SEG
     );
 }

@@ -25,7 +25,7 @@ use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_proto::{BlobError, Segment, WriteId};
 use blobseer_rpc::Ctx;
 use blobseer_simnet::ServiceCosts;
-use blobseer_util::{lockmeter, testsync};
+use blobseer_util::lockmeter;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -309,8 +309,6 @@ fn hot_blob(writers: usize, batched: bool) -> HotRun {
 
 #[test]
 fn hot_blob_grants_take_under_one_lock_per_write_and_double_throughput() {
-    let _shared = testsync::ablation_shared();
-
     let batched16 = hot_blob(16, true);
     let va_per_write = batched16.version_assign as f64 / batched16.writes as f64;
     assert!(

@@ -25,9 +25,6 @@ const TOTAL: u64 = PAGE * PAGES;
 
 #[test]
 fn copies_are_counted_and_minimal() {
-    // Copy counts are flag sensitive; exclude any concurrent ablation
-    // flip (none lives in this binary today, but the guard is the rule).
-    let _shared = blobseer_util::testsync::ablation_shared();
     let mut cfg = DeploymentConfig::functional(4);
     cfg.replication = 3; // make per-replica copying impossible to miss
     let d = Deployment::build(cfg);

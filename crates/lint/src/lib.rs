@@ -1,7 +1,7 @@
 //! `blobseer-lint` — the workspace invariant linter.
 //!
 //! The repo's discipline — zero-copy data path, lock-free control
-//! plane, typed errors, measured ablations — is *measured* by
+//! plane, typed errors — is *measured* by
 //! `copymeter`/`lockmeter` and asserted exactly by tier-1 tests.
 //! Measurement only covers exercised paths: an unmetered `Mutex` on a
 //! branch the tests never hit, a silent `to_vec()` in cold code, or

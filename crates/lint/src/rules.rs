@@ -57,15 +57,6 @@
 //! modules (`#[cfg(test)]`), `tests/`, benches and examples are out of
 //! scope.
 //!
-//! ## `unguarded-ablation`
-//! The process-global ablation switches (`set_zero_copy`,
-//! `set_serialized_control_plane`, `set_gather_write`) may only be
-//! flipped through the `testsync` RAII guards
-//! (`wire::zero_copy_ablation`, `lockmeter::serialized_ablation`) —
-//! a raw call races every meter-asserting test in the process. No path
-//! is exempt: a raw call anywhere (test, bench or product code) needs a
-//! sanction saying why nothing else observes the toggle.
-//!
 //! ## `truncating-cast`
 //! `as u16` / `as u32` / `as usize` applied to a length/offset-named
 //! value in `proto`, `rpc`, or `recordlog` silently wraps — the exact
@@ -134,7 +125,6 @@ pub const UNMETERED_LOCK: &str = "unmetered-lock";
 pub const UNMETERED_COPY: &str = "unmetered-copy";
 pub const UNDOCUMENTED_UNSAFE: &str = "undocumented-unsafe";
 pub const PANIC_ON_SERVING_PATH: &str = "panic-on-serving-path";
-pub const UNGUARDED_ABLATION: &str = "unguarded-ablation";
 pub const TRUNCATING_CAST: &str = "truncating-cast";
 pub const OVERLOAD_ERASURE: &str = "overload-erasure";
 pub const BARE_ALLOW: &str = "bare-allow";
@@ -156,10 +146,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         PANIC_ON_SERVING_PATH,
         "unwrap/expect/panic!/unreachable! in non-test server code (use the BlobError taxonomy)",
-    ),
-    (
-        UNGUARDED_ABLATION,
-        "ablation switch flipped outside the testsync RAII guards",
     ),
     (
         TRUNCATING_CAST,
@@ -248,9 +234,6 @@ pub fn check_file(ctx: &FileCtx, only: Option<&[String]>, out: &mut Vec<Violatio
     }
     if enabled(PANIC_ON_SERVING_PATH) && in_scope(&ctx.rel_path, SERVING) {
         panic_on_serving_path(ctx, out);
-    }
-    if enabled(UNGUARDED_ABLATION) {
-        unguarded_ablation(ctx, out);
     }
     if enabled(TRUNCATING_CAST) && in_scope(&ctx.rel_path, CAST_SCOPE) {
         truncating_cast(ctx, out);
@@ -496,44 +479,6 @@ fn panic_on_serving_path(ctx: &FileCtx, out: &mut Vec<Violation>) {
             msg: format!(
                 "`{}` on a serving path; return a typed BlobError (or sanction with a \
                  rationale for provable unreachability)",
-                t.text
-            ),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// unguarded-ablation
-// ---------------------------------------------------------------------------
-
-const ABLATION_SETTERS: &[&str] = &[
-    "set_zero_copy",
-    "set_serialized_control_plane",
-    "set_gather_write",
-];
-
-fn unguarded_ablation(ctx: &FileCtx, out: &mut Vec<Violation>) {
-    let toks = &ctx.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !ABLATION_SETTERS.contains(&t.text.as_str()) {
-            continue;
-        }
-        // A call, not the definition and not a `use` path mention.
-        if !is_call(toks, i) || text(toks, i as isize - 1) == "fn" {
-            continue;
-        }
-        if ctx.sanctioned(UNGUARDED_ABLATION, t.line) {
-            continue;
-        }
-        out.push(Violation {
-            rule: UNGUARDED_ABLATION,
-            rel_path: ctx.rel_path.clone(),
-            line: t.line,
-            msg: format!(
-                "raw `{}` call; use the testsync RAII guards \
-                 (wire::zero_copy_ablation / lockmeter::serialized_ablation) so the \
-                 previous value is restored and meter-asserting tests are excluded",
                 t.text
             ),
         });

@@ -97,29 +97,6 @@ fn panic_on_serving_path_fixture_pair() {
 }
 
 #[test]
-fn unguarded_ablation_fixture_pair() {
-    let bad = run(
-        "unguarded-ablation",
-        "crates/core/src/deployment.rs",
-        include_str!("fixtures/ablation_bad.rs"),
-    );
-    assert_hits(&bad, "unguarded-ablation", &[3]);
-    let ok = run(
-        "unguarded-ablation",
-        "crates/core/src/deployment.rs",
-        include_str!("fixtures/ablation_ok.rs"),
-    );
-    assert!(ok.is_empty(), "sanctioned toggle flagged: {ok:?}");
-    // No path is exempt: a bench that flips a toggle raw is flagged too.
-    let bench = run(
-        "unguarded-ablation",
-        "crates/bench/src/lib.rs",
-        include_str!("fixtures/ablation_bad.rs"),
-    );
-    assert_hits(&bench, "unguarded-ablation", &[3]);
-}
-
-#[test]
 fn truncating_cast_fixture_pair() {
     let bad = run(
         "truncating-cast",

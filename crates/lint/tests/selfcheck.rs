@@ -98,7 +98,6 @@ fn bin_lists_rules() {
         "unmetered-copy",
         "undocumented-unsafe",
         "panic-on-serving-path",
-        "unguarded-ablation",
         "truncating-cast",
         "bare-allow",
     ] {

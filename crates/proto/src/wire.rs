@@ -28,7 +28,6 @@
 
 use crate::error::CodecError;
 use blobseer_util::{copymeter, PageBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Sanity cap on any single length prefix (1 GiB) — prevents a corrupt
 /// length from causing an absurd allocation.
@@ -44,51 +43,6 @@ pub const SHARE_THRESHOLD: usize = 512;
 /// tail, and pre-allocating for them would strand a payload-sized
 /// buffer on every frame.
 const MAX_TAIL_HINT: usize = 1024;
-
-/// Global switch for the zero-copy payload path. On (the default),
-/// page payloads move through encode/decode by refcount. Off, every
-/// payload is copied at each hop — the seed's behaviour, kept as a
-/// runtime toggle so tests can measure the difference honestly.
-static ZERO_COPY: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the zero-copy payload path (tests only, through
-/// [`zero_copy_ablation`]).
-pub fn set_zero_copy(enabled: bool) {
-    ZERO_COPY.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the zero-copy payload path is enabled.
-pub fn zero_copy() -> bool {
-    ZERO_COPY.load(Ordering::Relaxed)
-}
-
-/// RAII handle for a copy-regime ablation in tests: holds the exclusive
-/// side of the shared ablation lock (`blobseer_util::testsync`) and
-/// restores the previous toggle value on drop, so a panicking test
-/// cannot leave the process in the seed's copy regime.
-pub struct ZeroCopyAblation {
-    prev: bool,
-    _lock: blobseer_util::testsync::AblationWriteGuard,
-}
-
-/// Flip the zero-copy toggle for the guard's lifetime, serialized
-/// against every other test that touches or observes the process-global
-/// ablation toggles.
-pub fn zero_copy_ablation(enabled: bool) -> ZeroCopyAblation {
-    let lock = blobseer_util::testsync::ablation_exclusive();
-    let prev = zero_copy();
-    // lint: allow(unguarded-ablation) — this IS the RAII guard; the exclusive
-    // testsync lock is held and `prev` restores on drop
-    set_zero_copy(enabled);
-    ZeroCopyAblation { prev, _lock: lock }
-}
-
-impl Drop for ZeroCopyAblation {
-    fn drop(&mut self) {
-        // lint: allow(unguarded-ablation) — guard drop restoring the saved value
-        set_zero_copy(self.prev);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // ByteChain
@@ -360,16 +314,14 @@ impl WireBuf {
     /// Append a payload buffer. Large buffers are attached as shared
     /// segments (no copy); sub-threshold ones fold into the contiguous
     /// tail — a structural move of header-scale bytes, not counted as a
-    /// payload copy. With the zero-copy path disabled, every payload is
-    /// copied here and the copy is metered.
+    /// payload copy.
     pub fn put_shared(&mut self, buf: &PageBuf) {
-        if buf.len() >= SHARE_THRESHOLD && zero_copy() {
+        if buf.len() >= SHARE_THRESHOLD {
             self.flush_tail();
             self.chain.push(buf.clone());
         } else {
-            if !zero_copy() {
-                copymeter::record_copy(buf.len());
-            }
+            // lint: allow(unmetered-copy) — a sub-threshold payload is header-scale;
+            // folding it into the tail is framing, not a payload copy
             self.tail.extend_from_slice(buf);
         }
     }
@@ -535,7 +487,7 @@ impl<'a> Reader<'a> {
     /// sources always, and for chain sources when the range lies within
     /// one segment — which is how every payload this codec encodes is
     /// laid out. Falls back to a metered copy otherwise (plain-slice
-    /// sources, straddling ranges, or zero-copy disabled).
+    /// sources, sub-threshold payloads, straddling ranges).
     pub fn take_buf(&mut self, n: usize) -> Result<PageBuf, CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof {
@@ -546,7 +498,7 @@ impl<'a> Reader<'a> {
         if n == 0 {
             return Ok(PageBuf::new());
         }
-        let share = zero_copy() && n >= SHARE_THRESHOLD;
+        let share = n >= SHARE_THRESHOLD;
         let pos = self.pos;
         match &mut self.src {
             Source::Slice(buf) => {
@@ -575,7 +527,7 @@ impl<'a> Reader<'a> {
                     self.pos += n;
                     Ok(out)
                 } else {
-                    // Straddles segments (or sharing disabled): stitch.
+                    // Straddles segments (or below the threshold): stitch.
                     let mut v = Vec::with_capacity(n);
                     let mut left = n;
                     while left > 0 {
@@ -585,14 +537,12 @@ impl<'a> Reader<'a> {
                         }
                         let seg = &chain.segments()[*chunk];
                         let take = (seg.len() - *off).min(left);
-                        // lint: allow(unmetered-copy) — metered once for the whole
-                        // gather below via record_copy(n)
                         v.extend_from_slice(&seg.as_slice()[*off..*off + take]);
                         *off += take;
                         left -= take;
                     }
-                    self.pos += n;
                     copymeter::record_copy(n);
+                    self.pos += n;
                     Ok(PageBuf::from_vec(v))
                 }
             }
@@ -1007,6 +957,7 @@ mod tests {
             "chain decode must not copy the payload"
         );
         assert!(decoded.same_allocation(&page));
+        assert_eq!(decoded, page);
     }
 
     #[test]
@@ -1032,9 +983,6 @@ mod tests {
             "sub-threshold payloads stay contiguous"
         );
     }
-
-    // The `set_zero_copy` ablation toggle is process global, so its test
-    // lives in its own test binary: `tests/copy_mode.rs`.
 
     #[test]
     fn subchain_slices_across_segments() {

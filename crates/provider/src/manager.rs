@@ -24,11 +24,8 @@
 //! instead of an O(n) scan. `LeastLoaded` (exact scan), `RoundRobin` and
 //! `Random` are preserved for ablations and tests.
 //!
-//! The pre-PR-2 serialized regime survives as an ablation: with
-//! [`blobseer_util::lockmeter::set_serialized_control_plane`] enabled,
-//! every `plan_write` funnels through one global mutex (charged to the
-//! lock meter as a serializing acquisition); `core/tests/lock_free.rs`
-//! asserts the meter tells that regime from the lock-free one.
+//! Planning takes no lock at all, so the lock meter sees nothing from
+//! it; `core/tests/lock_free.rs` asserts that per client operation.
 
 use blobseer_proto::messages::{
     method, Heartbeat, PlanWrite, ProviderStats, RegisterProvider, WritePlan,
@@ -38,7 +35,6 @@ use blobseer_rpc::{error_frame, respond, Frame, ServerCtx, Service};
 use blobseer_simnet::ServiceCosts;
 use blobseer_util::rng::splitmix64;
 use blobseer_util::{lockmeter, FxHashMap, RcuCell};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -170,8 +166,6 @@ pub struct ProviderManagerService {
     strategy: Strategy,
     /// Bytes a single page occupies, used to project in-flight load.
     page_size_hint: AtomicU64,
-    /// Engaged only under the serialized-control-plane ablation.
-    serial: Mutex<()>,
     costs: ServiceCosts,
 }
 
@@ -185,9 +179,6 @@ impl ProviderManagerService {
             rng_state: AtomicU64::new(seed | 1),
             strategy,
             page_size_hint: AtomicU64::new(64 * 1024),
-            // lint: allow(unmetered-lock) — serialized-control-plane ablation mutex;
-            // record_serializing is charged at the lock() site when engaged
-            serial: Mutex::new(()),
             costs,
         }
     }
@@ -292,16 +283,10 @@ impl ProviderManagerService {
     }
 
     /// Plan a write: a fresh write id plus, for each of `pages` pages,
-    /// `replication` distinct providers (primary first). Holds no lock in
-    /// the default regime — the roster is an RCU snapshot and every
-    /// capacity reservation is a CAS.
+    /// `replication` distinct providers (primary first). Holds no lock —
+    /// the roster is an RCU snapshot and every capacity reservation is a
+    /// CAS.
     pub fn plan_write(&self, pages: u64, replication: u32) -> Result<WritePlan, BlobError> {
-        let _serial = if lockmeter::serialized_control_plane() {
-            lockmeter::record_serializing();
-            Some(self.serial.lock())
-        } else {
-            None
-        };
         let write = WriteId(self.next_write.fetch_add(1, Ordering::Relaxed));
         let page_bytes = self.page_size_hint.load(Ordering::Relaxed);
         let roster = self.roster.load();
@@ -733,10 +718,6 @@ mod tests {
 
     #[test]
     fn plan_write_is_lock_free_and_heartbeat_wait_free() {
-        // Meter readings are flag sensitive: hold the shared side of the
-        // cross-test ablation lock so no concurrent test flips the
-        // serialized-control-plane toggle mid-assertion.
-        let _shared = blobseer_util::testsync::ablation_shared();
         let m = mgr(Strategy::PowerOfTwo);
         let snap = lockmeter::thread_snapshot();
         m.plan_write(8, 2).unwrap();
@@ -746,17 +727,6 @@ mod tests {
         let d = snap.since();
         assert_eq!(d.total_exclusive(), 0, "hot path must acquire no lock");
         assert_eq!(d.shared, 0);
-    }
-
-    #[test]
-    fn serialized_ablation_charges_the_meter() {
-        let m = mgr(Strategy::PowerOfTwo);
-        // The RAII guard holds the exclusive ablation lock and restores
-        // the toggle on drop (even if an assertion panics).
-        let _ablation = lockmeter::serialized_ablation(true);
-        let snap = lockmeter::thread_snapshot();
-        m.plan_write(2, 1).unwrap();
-        assert_eq!(snap.since().serializing, 1);
     }
 
     #[test]

@@ -113,9 +113,7 @@
 //!   followed by the body's [`ByteChain`](blobseer_proto::wire::ByteChain)
 //!   segments via `write_vectored` — no flattening memcpy. Partial
 //!   writes resume from a per-connection `written` cursor over the same
-//!   slice list. The seed behaviour (flatten into one contiguous
-//!   buffer, a metered copy) survives as
-//!   [`TcpTransport::set_gather_write`]`(false)`.
+//!   slice list.
 //! * **Receive is lend-on-decode.** Each inbound frame accumulates into
 //!   a single buffer across however many readiness events it takes,
 //!   then decodes with [`Reader::from_buf`] so page payloads come out
@@ -278,7 +276,6 @@ impl Default for TcpOptions {
 /// transport, so dropping the transport tears the threads down).
 pub(crate) struct Shared {
     pub shutdown: AtomicBool,
-    pub gather: AtomicBool,
     pub messages: AtomicU64,
     pub bytes: AtomicU64,
     /// Established server-side connections currently held.
@@ -332,7 +329,6 @@ impl TcpTransport {
             server: Mutex::new(ServerEngine::Idle),
             shared: Arc::new(Shared {
                 shutdown: AtomicBool::new(false),
-                gather: AtomicBool::new(true),
                 messages: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
                 conns: AtomicUsize::new(0),
@@ -485,18 +481,6 @@ impl TcpTransport {
         self.shared.sheds.load(Ordering::Relaxed)
     }
 
-    /// Toggle the gather-write path (tests only). `false` restores
-    /// the seed regime: every outbound body is flattened into one
-    /// contiguous buffer first — a metered copy per frame.
-    pub fn set_gather_write(&self, enabled: bool) {
-        self.shared.gather.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether outbound frames are gather-written.
-    pub fn gather_write(&self) -> bool {
-        self.shared.gather.load(Ordering::Relaxed)
-    }
-
     /// Live multiplexed connections to `node` (white-box metric: fault
     /// tests assert a failed connection is dropped, not kept).
     pub fn pooled_connections(&self, node: NodeId) -> usize {
@@ -592,7 +576,6 @@ impl TcpTransport {
             slot.addr
                 .ok_or(BlobError::Unreachable("no tcp endpoint bound"))?
         };
-        let gather = self.shared.gather.load(Ordering::Relaxed);
         // Registration can race a connection dying (its death resolves
         // every registered slot, but a conn observed live can be dead by
         // the time we register): retry on a fresh connection.
@@ -601,7 +584,7 @@ impl TcpTransport {
             let conn = self.burst_conn(burst, to, addr)?;
             match conn.register() {
                 Ok((corr, slot)) => {
-                    let req_wire = conn.send(corr, vt, frame, gather)?;
+                    let req_wire = conn.send(corr, vt, frame)?;
                     return Ok(InFlight {
                         conn,
                         slot,
@@ -828,8 +811,7 @@ fn serve_conn(
         if !alive.load(Ordering::Acquire) {
             return; // died during the call: no response
         }
-        let gather = shared.gather.load(Ordering::Relaxed);
-        if send_frame(&mut stream, corr, done, &resp, gather).is_err() {
+        if send_frame(&mut stream, corr, done, &resp).is_err() {
             return;
         }
     }
@@ -881,16 +863,13 @@ pub(crate) fn encode_head(corr: u64, vt: u64, method: u16, body_len: usize) -> [
     head
 }
 
-/// Write one frame: the 26-byte head then the body. Gather mode hands
-/// the head plus every body segment to `write_vectored` in one slice
-/// list; flatten mode (ablation) materializes the body contiguously
-/// first — a metered copy. Returns the wire size.
+/// Write one frame: the 26-byte head plus every body segment, handed to
+/// `write_vectored` in one slice list. Returns the wire size.
 pub(crate) fn send_frame<W: Write>(
     stream: &mut W,
     corr: u64,
     vt: u64,
     frame: &Frame,
-    gather: bool,
 ) -> Result<usize, SendError> {
     let body_len = frame.body.len();
     if body_len as u64 > MAX_FRAME_BODY {
@@ -899,15 +878,8 @@ pub(crate) fn send_frame<W: Write>(
         }));
     }
     let head = encode_head(corr, vt, frame.method, body_len);
-    if gather {
-        let mut slices = frame.body.as_io_slices(&head);
-        write_all_vectored(stream, &mut slices).map_err(SendError::Io)?;
-    } else {
-        // lint: allow(unmetered-copy) — the ablated flatten; Chain::to_vec records it
-        let flat = frame.body.to_vec();
-        stream.write_all(&head).map_err(SendError::Io)?;
-        stream.write_all(&flat).map_err(SendError::Io)?;
-    }
+    let mut slices = frame.body.as_io_slices(&head);
+    write_all_vectored(stream, &mut slices).map_err(SendError::Io)?;
     Ok(head.len() + body_len)
 }
 
@@ -1188,32 +1160,6 @@ mod tests {
             t.message_count() - before,
             2,
             "aggregation survives the socket: one frame each way"
-        );
-    }
-
-    #[test]
-    fn page_payload_roundtrips_shared_through_the_socket() {
-        use blobseer_util::copymeter;
-        struct PageEcho;
-        impl Service for PageEcho {
-            fn handle(&self, _ctx: &mut ServerCtx, frame: &Frame) -> Frame {
-                respond(frame, |p: PageBuf| Ok(p))
-            }
-        }
-        let _shared = blobseer_util::testsync::ablation_shared();
-        let t = Arc::new(TcpTransport::new());
-        let c = t.add_node();
-        let s = t.add_node();
-        t.bind(s, Arc::new(PageEcho));
-        let rpc = RpcClient::new(Arc::clone(&t) as _, c);
-        let page = PageBuf::from_vec(vec![0xAB; 128 * 1024]);
-        let before = copymeter::snapshot();
-        let back: PageBuf = rpc.call(&mut Ctx::start(), s, 1, &page).unwrap();
-        assert_eq!(back, page);
-        assert_eq!(
-            before.bytes_since(),
-            0,
-            "payload leg must be copy-free: gather-write out, lend-on-receive back"
         );
     }
 

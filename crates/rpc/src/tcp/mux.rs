@@ -209,16 +209,10 @@ impl MuxConn {
     /// error leaves the connection usable; an I/O error mid-write has
     /// corrupted the stream, so the connection is killed (failing every
     /// other call in flight too). Returns the request's wire size.
-    pub(crate) fn send(
-        &self,
-        corr: u64,
-        vt: u64,
-        frame: &Frame,
-        gather: bool,
-    ) -> Result<usize, BlobError> {
+    pub(crate) fn send(&self, corr: u64, vt: u64, frame: &Frame) -> Result<usize, BlobError> {
         let res = {
             let _g = self.send.lock();
-            send_frame(&mut &self.stream, corr, vt, frame, gather)
+            send_frame(&mut &self.stream, corr, vt, frame)
         };
         match res {
             Ok(n) => Ok(n),

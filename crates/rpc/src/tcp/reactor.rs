@@ -324,23 +324,9 @@ struct Lst {
     paused_until: Option<Instant>,
 }
 
-enum OutBody {
-    Chain(ByteChain),
-    Flat(Vec<u8>),
-}
-
-impl OutBody {
-    fn len(&self) -> usize {
-        match self {
-            OutBody::Chain(c) => c.len(),
-            OutBody::Flat(v) => v.len(),
-        }
-    }
-}
-
 struct Outgoing {
     head: [u8; WIRE_HEAD],
-    body: OutBody,
+    body: ByteChain,
     /// Dropped when this response has been fully written (see
     /// [`Cmd::Complete::held`]) — the admission permit's release point.
     /// Never read; it exists for its `Drop`.
@@ -596,11 +582,7 @@ fn flush_conn(conn: &mut Conn) -> Verdict {
         let written = conn.written;
         let res = {
             let front = &conn.out[0];
-            let mut slices = match &front.body {
-                OutBody::Chain(c) => c.as_io_slices(&front.head),
-                OutBody::Flat(v) if v.is_empty() => vec![IoSlice::new(&front.head)],
-                OutBody::Flat(v) => vec![IoSlice::new(&front.head), IoSlice::new(v)],
-            };
+            let mut slices = front.body.as_io_slices(&front.head);
             let mut rest: &mut [IoSlice<'_>] = &mut slices;
             IoSlice::advance_slices(&mut rest, written);
             (&conn.stream).write_vectored(rest)
@@ -690,7 +672,7 @@ fn read_conn(env: &LoopEnv, conn: &mut Conn, token: usize) -> Verdict {
             // Answered here and now: no pool slot, no in-flight budget,
             // and it may overtake an earlier pooled call on this socket.
             let (done, resp, held) = run_handler(conn.svc.as_ref(), vt, &frame);
-            if let Verdict::Close = respond(env, conn, corr, done, resp, held) {
+            if let Verdict::Close = respond(conn, corr, done, resp, held) {
                 return Verdict::Close;
             }
             inline_budget -= 1;
@@ -758,14 +740,7 @@ fn retry_pending(env: &LoopEnv, conn: &mut Conn, token: usize) {
 /// A handler finished — on a dispatch worker or right here on the loop:
 /// queue its response on the connection and push bytes out
 /// opportunistically.
-fn respond(
-    env: &LoopEnv,
-    conn: &mut Conn,
-    corr: u64,
-    vt: u64,
-    frame: Frame,
-    held: Held,
-) -> Verdict {
+fn respond(conn: &mut Conn, corr: u64, vt: u64, frame: Frame, held: Held) -> Verdict {
     if !conn.alive.load(Ordering::Acquire) {
         // Died during the call: close without a response.
         return Verdict::Close;
@@ -774,15 +749,9 @@ fn respond(
         return Verdict::Close;
     }
     let head = encode_head(corr, vt, frame.method, frame.body.len());
-    let body = if env.shared.gather.load(Ordering::Relaxed) {
-        OutBody::Chain(frame.body)
-    } else {
-        // lint: allow(unmetered-copy) — the ablated flatten; Chain::to_vec records it
-        OutBody::Flat(frame.body.to_vec())
-    };
     conn.out.push_back(Outgoing {
         head,
-        body,
+        body: frame.body,
         _held: held,
     });
     flush_conn(conn)
@@ -811,7 +780,7 @@ fn complete(
             return;
         }
         conn.inflight = conn.inflight.saturating_sub(1);
-        let v = respond(env, conn, corr, vt, frame, held);
+        let v = respond(conn, corr, vt, frame, held);
         if matches!(v, Verdict::Keep) {
             retry_pending(env, conn, token);
         }

@@ -14,19 +14,16 @@
 //! Every acquisition is charged to [`lockmeter`]:
 //! hits/probes as [`Shared`](crate::lockmeter::LockClass::Shared),
 //! insert/evict/remove as
-//! [`Sharded`](crate::lockmeter::LockClass::Sharded). Under the
-//! serialized-control-plane ablation
-//! ([`lockmeter::set_serialized_control_plane`]
-//! (crate::lockmeter::set_serialized_control_plane)) every operation
-//! additionally funnels through one global mutex, reproducing the
-//! pre-PR-2 regime (`core/tests/lock_free.rs` tells the two apart).
+//! [`Sharded`](crate::lockmeter::LockClass::Sharded); no operation
+//! takes a cache-wide lock, so none is ever charged as
+//! [`Serializing`](crate::lockmeter::LockClass::Serializing).
 //!
 //! Values are cloned out on hit — use `Arc<T>` values (the metadata
 //! cache stores `Arc<NodeBody>`) so a hit moves a refcount, not bytes.
 
 use crate::fxhash::{mix64, FxBuildHasher, FxHashMap};
 use crate::lockmeter;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::RwLock;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -59,8 +56,6 @@ pub struct ClockCache<K, V> {
     mask: usize,
     per_shard: usize,
     hasher: FxBuildHasher,
-    /// Engaged only under the serialized-control-plane ablation.
-    serial: Mutex<()>,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
@@ -104,7 +99,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
             mask: n - 1,
             per_shard,
             hasher: FxBuildHasher::default(),
-            serial: Mutex::new(()),
         }
     }
 
@@ -113,23 +107,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
         &self.shards[(mix64(h) as usize) & self.mask]
     }
 
-    /// Take the global ablation mutex when the serialized regime is on;
-    /// charges the meter accordingly. In the normal (lock-free) regime
-    /// this is a single relaxed atomic load and no lock.
-    fn ablation_guard(&self) -> Option<MutexGuard<'_, ()>> {
-        if lockmeter::serialized_control_plane() {
-            lockmeter::record_serializing();
-            Some(self.serial.lock())
-        } else {
-            None
-        }
-    }
-
     /// Look up `key`, cloning the value out and setting the slot's
     /// reference bit. Concurrent hits on one shard proceed in parallel
     /// (shared lock + relaxed atomic store).
     pub fn get(&self, key: &K) -> Option<V> {
-        let _serial = self.ablation_guard();
         lockmeter::record_shared();
         let shard = self.shard_for(key);
         let inner = shard.inner.read();
@@ -160,7 +141,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
     /// shard is full the CLOCK sweep picks the first unreferenced slot,
     /// clearing reference bits as it passes.
     pub fn insert(&self, key: K, value: V) {
-        let _serial = self.ablation_guard();
         lockmeter::record_sharded();
         let shard = self.shard_for(&key);
         let mut inner = shard.inner.write();
@@ -210,11 +190,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
     /// requirement, so hot paths (a writer caching the tree it just
     /// built) use this to stay non-blocking under oversubscription.
     pub fn try_insert(&self, key: K, value: V) -> bool {
-        if lockmeter::serialized_control_plane() {
-            // The ablation regime models the old always-blocking cache.
-            self.insert(key, value);
-            return true;
-        }
         let shard = self.shard_for(&key);
         let Some(mut inner) = shard.inner.try_write() else {
             return false;
@@ -226,7 +201,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
 
     /// Remove `key`, returning its value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let _serial = self.ablation_guard();
         lockmeter::record_sharded();
         let shard = self.shard_for(key);
         let mut inner = shard.inner.write();
@@ -381,6 +355,6 @@ mod tests {
         let d = snap.since();
         assert_eq!(d.sharded, 1, "one exclusive acquisition per insert");
         assert_eq!(d.shared, 2, "one shared acquisition per probe");
-        assert_eq!(d.serializing, 0, "no singleton lock in the default regime");
+        assert_eq!(d.serializing, 0, "no cache-wide lock");
     }
 }

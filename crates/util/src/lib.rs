@@ -29,9 +29,9 @@
 //!   discipline is a measured count that tests assert exactly.
 //! * [`lockmeter`] — the control-plane analogue of [`copymeter`]: global
 //!   accounting of control-plane lock acquisitions by class
-//!   (serializing / version-assign / sharded / shared), plus the
-//!   serialized-control-plane ablation flag. The zero-serialization
-//!   invariant is asserted by `crates/core/tests/lock_free.rs`.
+//!   (serializing / version-assign / sharded / shared). The
+//!   zero-serialization invariant is asserted by
+//!   `crates/core/tests/lock_free.rs`.
 //! * [`recordlog`] — the record-then-commit append-only log engine,
 //!   the one copy of the crash protocol: [`recordlog::Appender`]
 //!   (bounded reserve → write → group-commit), [`recordlog::replay`]
@@ -46,9 +46,6 @@
 //! * [`clockcache`] — [`ClockCache`], a sharded concurrent CLOCK cache
 //!   whose hits are a shard read lock plus an atomic reference bit; the
 //!   substrate of the shared client metadata cache.
-//! * [`testsync`] — the shared test-serialization lock guarding the
-//!   process-global ablation toggles against `cargo test`'s parallel
-//!   runner.
 //! * [`fdlimit`] — raise the soft `RLIMIT_NOFILE` to the hard ceiling,
 //!   so the C10K transport tests can hold thousands of
 //!   sockets regardless of the environment's default `ulimit -n`.
@@ -68,7 +65,6 @@ pub mod rng;
 pub mod sharded;
 pub mod stats;
 pub mod sync;
-pub mod testsync;
 
 pub use clockcache::ClockCache;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -17,7 +17,7 @@
 //!   **singleton** control-plane lock: one that serializes logically
 //!   independent client operations against each other (the pre-PR-2
 //!   provider-manager planning lock, the single metadata-cache mutex, the
-//!   client geometry-map write lock, the serialized-mode ablation locks).
+//!   client geometry-map write lock on a blob's first open).
 //!   The invariant is that steady-state operations take **zero** of
 //!   these.
 //! * [`LockClass::VersionAssign`] — the paper-sanctioned per-blob
@@ -39,7 +39,7 @@
 //! interest, exactly as with the copy meter.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which kind of control-plane lock was acquired. See the module docs for
 /// the taxonomy.
@@ -199,53 +199,6 @@ impl LockSnapshot {
     }
 }
 
-/// The seed's serialized control plane survives as an ablation (the
-/// lock-discipline analogue of `wire::set_zero_copy(false)`): when
-/// enabled, the provider manager takes a global mutex around every
-/// `plan_write` and the sharded metadata cache takes a global mutex
-/// around every operation — reproducing the pre-PR-2 contention regime
-/// (`lock_free.rs` asserts the meter tells the two regimes apart).
-/// Process global; flipped only through [`serialized_ablation`].
-static SERIALIZED_CONTROL_PLANE: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the serialized-control-plane ablation.
-pub fn set_serialized_control_plane(enabled: bool) {
-    SERIALIZED_CONTROL_PLANE.store(enabled, Ordering::Relaxed);
-}
-
-/// True when the serialized-control-plane ablation is active.
-pub fn serialized_control_plane() -> bool {
-    SERIALIZED_CONTROL_PLANE.load(Ordering::Relaxed)
-}
-
-/// RAII handle for a serialized-control-plane region in tests: holds the
-/// exclusive side of the shared ablation lock (see [`crate::testsync`])
-/// and restores the previous toggle value on drop, so a panicking test
-/// cannot leave the process in the ablated regime.
-pub struct SerializedAblation {
-    prev: bool,
-    _lock: crate::testsync::AblationWriteGuard,
-}
-
-/// Flip the serialized-control-plane ablation for the guard's lifetime,
-/// serialized against every other test that touches or observes the
-/// process-global toggles.
-pub fn serialized_ablation(enabled: bool) -> SerializedAblation {
-    let lock = crate::testsync::ablation_exclusive();
-    let prev = serialized_control_plane();
-    // lint: allow(unguarded-ablation) — this IS the RAII guard; the exclusive
-    // testsync lock is held and `prev` restores on drop
-    set_serialized_control_plane(enabled);
-    SerializedAblation { prev, _lock: lock }
-}
-
-impl Drop for SerializedAblation {
-    fn drop(&mut self) {
-        // lint: allow(unguarded-ablation) — guard drop restoring the saved value
-        set_serialized_control_plane(self.prev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,14 +226,5 @@ mod tests {
         let snap = snapshot();
         record_sharded();
         assert!(snap.since().sharded >= 1);
-    }
-
-    #[test]
-    fn serialized_ablation_guard_restores_on_drop() {
-        {
-            let _g = serialized_ablation(true);
-            assert!(serialized_control_plane());
-        }
-        assert!(!serialized_control_plane());
     }
 }

@@ -129,7 +129,7 @@
 //! connection is dropped, not pooled. See `blobseer_rpc::tcp` for the
 //! wire format and the full error taxonomy, and
 //! `crates/core/tests/tcp_zero_copy.rs` for the exact copy counts over a
-//! socket and the gather-write vs flatten ablation.
+//! socket.
 //!
 //! The server side is an **event-driven reactor** ([`ServerMode::Reactor`],
 //! the default): a fixed set of nonblocking event loops owns every
@@ -296,8 +296,8 @@
 //! (`crates/lint`, a dependency-free offline pass, gated hard in CI)
 //! checks every Rust source in the workspace for unmetered
 //! control-plane locks, unmetered payload copies, undocumented
-//! `unsafe`, panics on serving paths, raw ablation toggles, and
-//! silently truncating length casts. Run it locally with
+//! `unsafe`, panics on serving paths, silently truncating length
+//! casts, and overload errors erased behind a catch-all. Run it locally with
 //! `cargo run -p blobseer-lint -- --workspace`; deliberate exceptions
 //! carry a `// lint: allow(<rule>) — <rationale>` sanction at the
 //! site. The rule catalog lives in the `blobseer_lint::rules` rustdoc
