@@ -13,7 +13,7 @@
 //!
 //! One generation file `meta.g<N>.log` of 48-byte-header records:
 //!
-//! * **put** (`BSMTPUT1`): payload is the wire-encoded [`TreeNode`].
+//! * **put** (`BSMTPUT2`): payload is the wire-encoded [`TreeNode`].
 //!   Tree nodes are immutable and content-addressed by [`NodeKey`], so
 //!   replaying puts in order is idempotent — a double put (replica
 //!   repair, retried write) re-inserts the same body.
@@ -24,7 +24,7 @@
 //!   journal written before the 16-way tree does **not** reopen: its
 //!   first committed inner node is a [`BlobError::Recovery`], and no
 //!   node of it is served — never a binary node read as a 16-way one.
-//! * **remove** (`BSMTDEL1`): payload is the wire-encoded [`NodeKey`]
+//! * **remove** (`BSMTDEL2`): payload is the wire-encoded [`NodeKey`]
 //!   (GC executing a plan).
 //! * group-commit markers / tombstones as defined by the engine.
 //!
@@ -46,13 +46,16 @@ use blobseer_proto::BlobError;
 use blobseer_util::recordlog::{LogError, OwnedRecord, Record, RecordLog, RecordLogOptions};
 use std::path::Path;
 
-/// Magic of a put record ("BSMTPUT1"): payload is a wire-encoded
-/// [`TreeNode`].
-pub const META_PUT_MAGIC: u64 = 0x4253_4d54_5055_5431;
+/// Magic of a put record ("BSMTPUT2"): payload is a wire-encoded
+/// [`TreeNode`]. `BSMTPUT1` is the same record under the engine's
+/// retired single-chain payload digest
+/// ([`blobseer_util::recordlog::RETIRED_MAGICS`]): a journal holding it
+/// is refused at open, untouched.
+pub const META_PUT_MAGIC: u64 = 0x4253_4d54_5055_5432;
 
-/// Magic of a remove record ("BSMTDEL1"): payload is a wire-encoded
-/// [`NodeKey`].
-pub const META_REMOVE_MAGIC: u64 = 0x4253_4d54_4445_4c31;
+/// Magic of a remove record ("BSMTDEL2"): payload is a wire-encoded
+/// [`NodeKey`]. `BSMTDEL1` is retired like `BSMTPUT1`.
+pub const META_REMOVE_MAGIC: u64 = 0x4253_4d54_4445_4c32;
 
 /// The durability seam of one DHT node (`StorageBackend`-style): the
 /// serving index stays in memory; implementations decide whether
@@ -107,7 +110,7 @@ pub enum MetaOp {
 fn log_err(path: &Path, e: LogError) -> BlobError {
     BlobError::Recovery {
         file: path.display().to_string(),
-        offset: 0,
+        offset: e.offset(),
         detail: e.detail(),
     }
 }
@@ -306,6 +309,53 @@ mod tests {
             blobseer_simnet::ServiceCosts::zero(),
         );
         assert!(matches!(svc, Err(BlobError::Recovery { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_in_a_retired_format_is_refused_untouched() {
+        // The journal the previous format leaves after one committed put
+        // of `node(1, 0)`: a `BSMTPUT1` record whose check word the
+        // single-chain digest computed, then its marker.
+        let dir = tmp_dir("retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let payload = node(1, 0).to_wire();
+        assert_eq!(payload.len(), 162);
+        let mut image: Vec<u8> = [
+            0x4253_4d54_5055_5431u64,
+            0,
+            0,
+            0,
+            162,
+            0x6598_839f_c33f_9f55,
+        ]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+        image.extend_from_slice(&payload);
+        image.extend_from_slice(&encode_header(
+            blobseer_util::recordlog::COMMIT_MAGIC,
+            0,
+            0,
+            0,
+            0,
+            0,
+        ));
+        let path = dir.join("meta.g0.log");
+        std::fs::write(&path, &image).unwrap();
+        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, BlobError::Recovery { offset: 0, .. }),
+            "got {err:?}"
+        );
+        // Nor does the node service open on it; nothing was appended.
+        let svc = crate::node::DhtNodeService::open_durable(
+            &dir,
+            RecordLogOptions::default(),
+            blobseer_simnet::ServiceCosts::zero(),
+        );
+        assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
+        assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,8 +22,9 @@
 //! replay, and the `<base>.g<N>.log` generation files — see its module
 //! docs. What this module adds:
 //!
-//! * the **page record**: magic `BSPGLOG2`, header words `a/b/c` = the
-//!   page key (blob, write, index), payload = the page bytes;
+//! * the **page record**: magic `BSPGLOG3`, header words `a/b/c` = the
+//!   page key (blob, write, index), payload = the page bytes (a log of
+//!   an earlier magic is refused at open, untouched);
 //! * the file is `pages.g<N>.log`, sparse pre-sized to the provider's
 //!   capacity and memory-mapped read-only exactly once, so the
 //!   engine's [`Appender`] is bounded by the mapping and an append's
@@ -364,9 +365,13 @@ impl StorageBackend for MemoryBackend {
 // Mmap backend
 // ---------------------------------------------------------------------------
 
-/// Page-record magic ("BSPGLOG2" — the commit-marker format; v1 logs
-/// without markers do not replay).
-const LOG_MAGIC: u64 = 0x4253_5047_4c4f_4732;
+/// Page-record magic ("BSPGLOG3": commit markers and the eight-lane
+/// payload digest). A page log written under an earlier magic —
+/// `BSPGLOG1`, before commit markers, or `BSPGLOG2`, under the
+/// single-chain digest — is refused at open as a typed
+/// [`BlobError::Recovery`] and left untouched
+/// ([`recordlog::RETIRED_MAGICS`]); it is never replayed as empty.
+const LOG_MAGIC: u64 = 0x4253_5047_4c4f_4733;
 
 /// Generation files are `pages.g<N>.log`.
 const LOG_BASE: &str = "pages";
@@ -390,6 +395,7 @@ fn log_err(e: LogError) -> BlobError {
         LogError::WriteFailed { .. } => "provider page log write failed",
         LogError::Poisoned => "provider page log poisoned",
         LogError::CommitFailed => "provider page log commit failed",
+        LogError::RetiredFormat { .. } => "provider page log in a retired format",
     })
 }
 
@@ -418,6 +424,13 @@ impl Generation {
             .metadata()
             .map_err(|_| BlobError::Internal("stat provider page log"))?
             .len();
+        // A retired format is refused before the file is extended,
+        // resumed or appended over.
+        recordlog::check_format(&file).map_err(|e| BlobError::Recovery {
+            file: path.display().to_string(),
+            offset: e.offset(),
+            detail: e.detail(),
+        })?;
         let map_len = capacity.max(existing);
         if map_len > existing {
             file.set_len(map_len)
@@ -1474,6 +1487,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn page_log_in_a_retired_format_is_refused_untouched() {
+        // The file a provider of the previous format leaves after one
+        // committed 100-byte page of key (1, 1, 0): sparse pre-sized to
+        // 64 KiB, the record's check word as the single-chain digest
+        // computed it (a `BSPGLOG1` image reuses it — the magic alone
+        // is what is refused).
+        for (name, magic) in [
+            ("BSPGLOG1", 0x4253_5047_4c4f_4731u64),
+            ("BSPGLOG2", 0x4253_5047_4c4f_4732),
+        ] {
+            let dir = temp_dir(&format!("retired-{name}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut image = vec![0u8; 1 << 16];
+            for (i, w) in [magic, 1, 1, 0, 100, 0xec82_d3a5_0e6f_a637]
+                .into_iter()
+                .enumerate()
+            {
+                image[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
+            }
+            image[48..148].copy_from_slice(&(0..100u8).collect::<Vec<_>>());
+            image[148..196].copy_from_slice(&encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0));
+            // Under the current digest the record does not validate, so
+            // a bare replay would open this log empty.
+            assert_eq!(
+                recordlog::replay(&image, |_| panic!("{name}: nothing replays")),
+                ResumePoint::default()
+            );
+            let path = dir.join(gen_file_name(0));
+            std::fs::write(&path, &image).unwrap();
+            match MmapBackend::open(&dir, 1 << 16) {
+                Err(BlobError::Recovery { file, offset, .. }) => {
+                    assert!(file.ends_with("pages.g0.log"), "{name}: {file}");
+                    assert_eq!(offset, 0, "{name}");
+                }
+                Err(other) => panic!("{name}: expected Recovery, got {other:?}"),
+                Ok(_) => panic!("{name}: a retired page log opened"),
+            }
+            assert!(
+                std::fs::read(&path).unwrap() == image,
+                "{name}: the refused file is byte-identical"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// FNV-1a over the image: independent of the engine's own digest.
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
@@ -1483,10 +1542,10 @@ mod tests {
 
     #[test]
     fn golden_image_pins_the_page_log_format() {
-        // A fixed single-threaded history; the hash below was computed
-        // at the commit before the page log became a client of
-        // `util::recordlog`'s engine. Any drift in record, tombstone or
-        // marker bytes — or in what a compaction writes — fails here.
+        // A fixed single-threaded history; the hashes below pin its
+        // bytes (see the note on them for their last change). Any drift
+        // in record, tombstone or marker bytes — or in what a
+        // compaction writes — fails here.
         let dir = temp_dir("golden");
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         let page = |seed: u8, len: usize| {
@@ -1516,6 +1575,15 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    const GOLDEN_G0: u64 = 16761954313851723565;
-    const GOLDEN_G1: u64 = 16653890185418770178;
+    // Re-pinned for `BSPGLOG3` and the eight-lane digest (was
+    // 16761954313851723565 / 16653890185418770178). Byte diff of the
+    // old images against these: the same length (1,105 and 770 bytes,
+    // so `log_bytes()` and `space_amp` cannot move), and in each page
+    // record header only byte 0 (the magic's low byte, '2' → '3') and
+    // bytes 40..48 (the check word) differ — g0 records at 0, 196,
+    // 549, 709; g1 at 0, 148, 544, 673. Payloads and the commit
+    // markers at g0 148, 501, 661, 1057 and g1 496, 625, 722 are
+    // identical.
+    const GOLDEN_G0: u64 = 14504815563185757129;
+    const GOLDEN_G1: u64 = 7986801911345907384;
 }

@@ -105,8 +105,10 @@ impl Mmap {
         })
     }
 
-    /// Map `file` by reading a snapshot of its contents (non-unix
-    /// fallback — later file writes are **not** visible).
+    /// Map `file` by reading a snapshot of its contents from offset 0
+    /// (non-unix fallback — later file writes are **not** visible).
+    /// The handle's cursor, which a clone shares, does not matter: every
+    /// map of the same file sees the same bytes.
     ///
     /// # Safety
     /// Nothing is actually mapped, so this is trivially safe; the
@@ -114,9 +116,10 @@ impl Mmap {
     /// crate, and callers must uphold the same no-mutation contract.
     #[cfg(not(unix))]
     pub unsafe fn map(file: &File) -> io::Result<Mmap> {
-        use std::io::Read;
+        use std::io::{Read, Seek, SeekFrom};
         let mut data = Vec::new();
         let mut f = file.try_clone()?;
+        f.seek(SeekFrom::Start(0))?;
         f.read_to_end(&mut data)?;
         Ok(Mmap { data })
     }
@@ -188,6 +191,27 @@ mod tests {
         let map = unsafe { Mmap::map(&file) }.unwrap();
         assert_eq!(&map[..], b"hello mapping");
         assert_eq!(map.len(), 13);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mapping_a_file_twice_sees_the_same_bytes() {
+        use std::io::{Read, Seek, SeekFrom};
+        let path = temp_path("twice");
+        std::fs::write(&path, b"mapped twice, whole both times").unwrap();
+        let mut file = File::open(&path).unwrap();
+        // SAFETY: the file is never written while the maps are live.
+        let first = unsafe { Mmap::map(&file) }.unwrap();
+        // SAFETY: as above.
+        let second = unsafe { Mmap::map(&file) }.unwrap();
+        assert_eq!(&first[..], b"mapped twice, whole both times");
+        assert_eq!(&second[..], &first[..]);
+        // Nor does a cursor the caller moved itself.
+        file.seek(SeekFrom::Start(7)).unwrap();
+        file.read_exact(&mut [0u8; 4]).unwrap();
+        // SAFETY: as above.
+        let third = unsafe { Mmap::map(&file) }.unwrap();
+        assert_eq!(&third[..], &first[..]);
         let _ = std::fs::remove_file(&path);
     }
 

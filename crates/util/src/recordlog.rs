@@ -41,6 +41,42 @@
 //!   [`Appender`], replay over the bytes of one `fs::read` with
 //!   payloads copied out, and [`RecordLog::rewrite`] as a one-step
 //!   [`GenerationWriter`] (the version journal's checkpoint-on-open).
+//!
+//! # The check word and the payload digest
+//!
+//! A header's `check` is a splitmix64 hash of the other five words and
+//! of [`payload_digest`] of the payload (commit markers and tombstones
+//! fold digest 0). The digest is built from one step,
+//! `step(acc, w) = (acc ^ w).rotl(23) · 0x2545_f491_4f6c_dd1d`, which is
+//! a bijection in `acc` for a fixed word and in `w` for a fixed state
+//! (xor, rotate and multiplication by an odd constant are each
+//! invertible):
+//!
+//! 1. eight lanes start from `0x9e37_79b9_7f4a_7c15 · (lane + 1)`;
+//!    word `j` (little-endian) of every whole 64-byte block feeds lane
+//!    `j` through `step`;
+//! 2. the lanes fold, in order, through `step` into an accumulator
+//!    seeded with `0x9e37_79b9_7f4a_7c15`;
+//! 3. the sub-64-byte tail follows: whole words through `step`, then
+//!    each byte `b` as `(acc ^ b).rotl(9) · 0x100_0000_01b3`.
+//!
+//! Because every step is a bijection in both arguments, two payloads
+//! of the same length that differ in **one word** — one aligned 8-byte
+//! word of a whole block or of the tail — or in one tail byte always
+//! digest differently: the changed step moves its lane (or the
+//! accumulator), and every later step, with unchanged input, carries
+//! the difference through. That covers any single flipped bit and any
+//! corruption confined to one aligned word. Anything wider (a zeroed
+//! suffix, two swapped words) is caught unless the two 64-bit digests
+//! collide; the unit tests pin those shapes too. The lanes are
+//! independent chains, so the digest runs at the multiplier's
+//! throughput rather than its latency.
+//!
+//! Payload-bearing magics a client used under an earlier digest are
+//! [`RETIRED_MAGICS`]. [`check_format`] — run by every client on the
+//! log file before it resumes, rewrites or appends — refuses a log
+//! whose head holds one as [`LogError::RetiredFormat`] and leaves the
+//! file as it was.
 
 use crate::rng::splitmix64;
 use parking_lot::{Condvar, Mutex};
@@ -67,22 +103,68 @@ pub const TOMBSTONE_MAGIC: u64 = 0x4253_5047_4445_4144;
 /// the marker commits every record between that offset and itself.
 pub const COMMIT_MAGIC: u64 = 0x4253_5047_434d_5431;
 
-/// Fast 64-bit digest of the payload bytes (8-byte chunks + tail),
-/// folded into the record check word so a torn record — valid header,
-/// partial payload — fails validation at replay instead of surfacing
-/// corrupt bytes.
-pub fn payload_digest(data: &[u8]) -> u64 {
-    let mut acc = 0x9e37_79b9_7f4a_7c15u64;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        // lint: allow(panic-on-serving-path) — chunks_exact(8) yields exactly 8 bytes
-        let w = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        acc = (acc ^ w)
-            .rotate_left(23)
-            .wrapping_mul(0x2545_f491_4f6c_dd1d);
+/// Magics of the payload-bearing records the engine's clients wrote
+/// under an earlier format: the page log's `BSPGLOG1` (no commit
+/// markers) and `BSPGLOG2`, the metadata journal's `BSMTPUT1` /
+/// `BSMTDEL1`, the version journal's `BSVRCRE1` / `BSVRPUB1` /
+/// `BSVRSNAP` (all under the single-chain payload digest). Their check
+/// words no longer validate, so replay would end at their first record
+/// and the log would open empty; [`check_format`] refuses them instead.
+/// A client never reuses one.
+pub const RETIRED_MAGICS: [u64; 7] = [
+    0x4253_5047_4c4f_4731, // BSPGLOG1
+    0x4253_5047_4c4f_4732, // BSPGLOG2
+    0x4253_4d54_5055_5431, // BSMTPUT1
+    0x4253_4d54_4445_4c31, // BSMTDEL1
+    0x4253_5652_4352_4531, // BSVRCRE1
+    0x4253_5652_5055_4231, // BSVRPUB1
+    0x4253_5652_534e_4150, // BSVRSNAP
+];
+
+/// Seed of the digest's fold, and (times `lane + 1`) of each lane.
+const DIGEST_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The digest's eight lane seeds: `DIGEST_SEED · (lane + 1)`.
+const LANE_SEEDS: [u64; 8] = {
+    let mut seeds = [0u64; 8];
+    let mut lane = 0;
+    while lane < 8 {
+        seeds[lane] = DIGEST_SEED.wrapping_mul(lane as u64 + 1);
+        lane += 1;
     }
-    for &b in chunks.remainder() {
-        acc = (acc ^ b as u64)
+    seeds
+};
+
+/// One digest step: a bijection in `acc` for a fixed `word`, and in
+/// `word` for a fixed `acc`.
+fn digest_step(acc: u64, word: u64) -> u64 {
+    (acc ^ word)
+        .rotate_left(23)
+        .wrapping_mul(0x2545_f491_4f6c_dd1d)
+}
+
+/// Fast 64-bit digest of the payload bytes, folded into the record
+/// check word so a torn record — valid header, partial payload — fails
+/// validation at replay instead of surfacing corrupt bytes. Eight
+/// independent lanes take the interleaved words of each 64-byte block,
+/// the lanes fold into one accumulator, and the tail follows as words,
+/// then bytes (see the module docs for the definition and what it
+/// always detects: any change confined to one aligned word).
+pub fn payload_digest(data: &[u8]) -> u64 {
+    let (blocks, tail) = data.as_chunks::<64>();
+    let mut lanes = LANE_SEEDS;
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = digest_step(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let mut acc = lanes.into_iter().fold(DIGEST_SEED, digest_step);
+    let (words, bytes) = tail.as_chunks::<8>();
+    for word in words {
+        acc = digest_step(acc, u64::from_le_bytes(*word));
+    }
+    for &b in bytes {
+        acc = (acc ^ u64::from(b))
             .rotate_left(9)
             .wrapping_mul(0x100_0000_01b3);
     }
@@ -155,6 +237,13 @@ pub enum LogError {
     /// A commit marker could not be sealed (the append's bytes are on
     /// disk but un-acknowledged — replay will not surface them).
     CommitFailed,
+    /// The log was written in a retired format ([`RETIRED_MAGICS`]): its
+    /// first record, at `offset`, would not replay. The file is left
+    /// untouched.
+    RetiredFormat {
+        /// Byte offset of the refused record's header.
+        offset: u64,
+    },
 }
 
 impl LogError {
@@ -166,6 +255,15 @@ impl LogError {
             LogError::WriteFailed { .. } => "log record write failed",
             LogError::Poisoned => "log poisoned by an earlier media failure",
             LogError::CommitFailed => "log commit marker could not be sealed",
+            LogError::RetiredFormat { .. } => "log written in a retired record format",
+        }
+    }
+
+    /// The log offset the error names (0 when it names no record).
+    pub fn offset(self) -> u64 {
+        match self {
+            LogError::RetiredFormat { offset } => offset,
+            _ => 0,
         }
     }
 }
@@ -362,6 +460,61 @@ pub fn replay(buf: &[u8], mut visit: impl FnMut(RecordRef)) -> ResumePoint {
         off = end;
     }
     at
+}
+
+/// Refuse a log file written in a retired format: step over the valid
+/// header-only records at its head (tombstones, markers) and fail with
+/// [`LogError::RetiredFormat`] if the first record after them carries
+/// one of [`RETIRED_MAGICS`]. Reads only those headers, with positioned
+/// reads, and never writes. Every client calls it before anything
+/// resumes, rewrites or appends over the file — [`replay`] alone would
+/// open such a log as empty and let appends overwrite it.
+pub fn check_format(file: &File) -> Result<(), LogError> {
+    let mut header = [0u8; REC_HEADER as usize];
+    let mut off = 0u64;
+    loop {
+        if !read_at(file, &mut header, off).map_err(|_| LogError::Io("read log head"))? {
+            return Ok(());
+        }
+        let mut words = [0u64; 6];
+        for (word, bytes) in words.iter_mut().zip(header.as_chunks::<8>().0) {
+            *word = u64::from_le_bytes(*bytes);
+        }
+        let [magic, a, b, c, len, check] = words;
+        if RETIRED_MAGICS.contains(&magic) {
+            return Err(LogError::RetiredFormat { offset: off });
+        }
+        let header_only = magic == TOMBSTONE_MAGIC || (magic == COMMIT_MAGIC && len == 0);
+        if !header_only || check != check_word(magic, a, b, c, len, 0) {
+            return Ok(());
+        }
+        match len.checked_add(REC_HEADER).and_then(|n| off.checked_add(n)) {
+            Some(end) => off = end,
+            None => return Ok(()),
+        }
+    }
+}
+
+/// Positioned read of exactly `buf.len()` bytes at `off` (unix
+/// `pread`; other platforms clone the handle and seek); `Ok(false)`
+/// when the file ends first.
+fn read_at(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<bool> {
+    #[cfg(unix)]
+    let read = {
+        use std::os::unix::fs::FileExt;
+        file.read_exact_at(buf, off)
+    };
+    #[cfg(not(unix))]
+    let read = {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut f = file.try_clone()?;
+        f.seek(SeekFrom::Start(off)).and_then(|_| f.read_exact(buf))
+    };
+    match read {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -897,6 +1050,8 @@ impl RecordLog {
     /// ([`newest_generation`] picks `N` and removes the debris).
     /// Replays the survivor and returns every committed record in
     /// append order; appends resume at the last durable commit marker.
+    /// A survivor in a retired format is refused untouched
+    /// ([`check_format`]).
     pub fn open(
         dir: &Path,
         base: &str,
@@ -904,6 +1059,7 @@ impl RecordLog {
     ) -> Result<(Self, Vec<OwnedRecord>), LogError> {
         let number = newest_generation(dir, base)?;
         let (file, path) = open_generation(dir, base, number)?;
+        check_format(&file)?;
         if opts.fsync_on_commit {
             sync_dir(dir, true)?;
         }
@@ -1380,6 +1536,156 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A payload with no zero byte, so zeroing any suffix changes it.
+    fn nonzero_payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 % 255) as u8 + 1).collect()
+    }
+
+    /// Every single-bit flip among `positions`, every zeroed suffix
+    /// starting at one of `cuts`, and every swap of two differing
+    /// whole-block words in different lanes among `words` changes the
+    /// digest of `data`.
+    fn assert_detects(
+        data: &[u8],
+        positions: impl IntoIterator<Item = usize>,
+        cuts: impl IntoIterator<Item = usize>,
+        words: &[usize],
+    ) {
+        let len = data.len();
+        let clean = payload_digest(data);
+        let mut probe = data.to_vec();
+        for at in positions {
+            for bit in 0..8 {
+                probe[at] ^= 1 << bit;
+                assert_ne!(
+                    payload_digest(&probe),
+                    clean,
+                    "len {len}: bit {bit} of byte {at}"
+                );
+                probe[at] ^= 1 << bit;
+            }
+        }
+        for cut in cuts {
+            probe[cut..].fill(0);
+            assert_ne!(
+                payload_digest(&probe),
+                clean,
+                "len {len}: suffix zeroed from {cut}"
+            );
+            probe[cut..].copy_from_slice(&data[cut..]);
+        }
+        let whole = len / 64 * 8;
+        for &i in words.iter().filter(|&&i| i < whole) {
+            for &k in words.iter().filter(|&&k| k < whole && k % 8 != i % 8) {
+                let (wi, wk) = (i * 8..i * 8 + 8, k * 8..k * 8 + 8);
+                if data[wi.clone()] == data[wk.clone()] {
+                    continue;
+                }
+                probe[wi.clone()].copy_from_slice(&data[wk.clone()]);
+                probe[wk.clone()].copy_from_slice(&data[wi.clone()]);
+                assert_ne!(
+                    payload_digest(&probe),
+                    clean,
+                    "len {len}: words {i} and {k} swapped"
+                );
+                probe[wi.clone()].copy_from_slice(&data[wi]);
+                probe[wk.clone()].copy_from_slice(&data[wk]);
+            }
+        }
+        assert_eq!(probe, data, "every probe restored");
+    }
+
+    #[test]
+    fn digest_detects_flips_torn_tails_and_cross_lane_swaps() {
+        // Every length up to three blocks plus a tail, and the block
+        // edges: exhaustive over bits, suffixes and word pairs.
+        let all_words: Vec<usize> = (0..32).collect();
+        for len in (0..=200).chain([63, 64, 65, 127, 128, 129]) {
+            let data = nonzero_payload(len);
+            assert_detects(&data, 0..len, 0..len, &all_words);
+        }
+        // A 256 KiB page at seeded positions.
+        let len = 256 * 1024;
+        let data = nonzero_payload(len);
+        let mut seed = 0x5eed_d16e_5700_0001_u64;
+        let mut pick = |n: usize| (splitmix64(&mut seed) % n as u64) as usize;
+        let positions: Vec<usize> = (0..48).map(|_| pick(len)).chain([0, len - 1]).collect();
+        let cuts: Vec<usize> = (0..48).map(|_| pick(len)).chain([0, len - 1]).collect();
+        let words: Vec<usize> = (0..24).map(|_| pick(len / 8)).collect();
+        assert_detects(&data, positions, cuts, &words);
+    }
+
+    #[test]
+    fn digest_of_a_fixed_pattern_is_pinned() {
+        // Any edit to the digest's definition lands here, by name,
+        // before it shows up as drifted golden images.
+        let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(payload_digest(&pattern), DIGEST_1K_PATTERN);
+        assert_eq!(payload_digest(&[]), DIGEST_EMPTY);
+    }
+    // Cross-checked against an independent implementation of the
+    // module docs' definition.
+    const DIGEST_1K_PATTERN: u64 = 0x2c10_742d_0f4c_d5b9;
+    const DIGEST_EMPTY: u64 = 0xa665_a3dc_1ec1_29f7;
+
+    #[test]
+    fn retired_formats_are_refused_untouched() {
+        let retired = |magic: u64| {
+            let mut header = encode_header(MAGIC_A, 1, 0, 0, 5, payload_digest(b"old!!"));
+            header[..8].copy_from_slice(&magic.to_le_bytes());
+            [
+                &header[..],
+                b"old!!",
+                &encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0),
+            ]
+            .concat()
+        };
+        let heads = tmp_dir("heads");
+        std::fs::create_dir_all(&heads).unwrap();
+        let check_image = |image: &[u8]| {
+            let path = heads.join("head.log");
+            std::fs::write(&path, image).unwrap();
+            check_format(&File::open(&path).unwrap())
+        };
+        let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, 16, 0);
+        let marker = encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0);
+        for magic in RETIRED_MAGICS {
+            let image = retired(magic);
+            assert_eq!(
+                check_image(&image),
+                Err(LogError::RetiredFormat { offset: 0 })
+            );
+            // Behind the header-only records a failed first append can
+            // leave at the head.
+            let behind = [&tomb[..], &[0xAB; 16], &marker, &image].concat();
+            assert_eq!(
+                check_image(&behind),
+                Err(LogError::RetiredFormat { offset: 112 })
+            );
+            // RecordLog::open refuses before it resumes or appends: the
+            // file is byte-identical and no generation is added.
+            let dir = tmp_dir("retired");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("test.g0.log");
+            std::fs::write(&path, &image).unwrap();
+            let refused = RecordLog::open(&dir, "test", RecordLogOptions::default());
+            assert_eq!(refused.err(), Some(LogError::RetiredFormat { offset: 0 }));
+            assert_eq!(std::fs::read(&path).unwrap(), image);
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // The current format (also sparse-padded, as the page log
+        // leaves it), an empty log, a bare marker and a tombstone whose
+        // range runs past the end pass.
+        let current = Image::default().record(1, b"new").marker(0, 0);
+        assert_eq!(check_image(&current.0), Ok(()));
+        assert_eq!(check_image(&[current.0, vec![0; 4096]].concat()), Ok(()));
+        assert_eq!(check_image(&[]), Ok(()));
+        assert_eq!(check_image(&marker), Ok(()));
+        assert_eq!(check_image(&tomb), Ok(()));
+        let _ = std::fs::remove_dir_all(&heads);
+    }
+
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -1407,6 +1713,13 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    const GOLDEN_G0: u64 = 18291613202746257468;
-    const GOLDEN_G1: u64 = 17551492787344416262;
+    // Re-pinned for the eight-lane digest (was 18291613202746257468 /
+    // 17551492787344416262 under the single chain). Byte diff of the
+    // old images against these: both are the same length (246 and 207
+    // bytes) and differ only in bytes 40..48 — the check word — of the
+    // five payload records (g0 at offsets 0, 99, 150; g1 at 0, 106;
+    // the empty payload included). The test magic is not bumped, and
+    // payloads and markers are identical.
+    const GOLDEN_G0: u64 = 648087245581547038;
+    const GOLDEN_G1: u64 = 15581045687951484820;
 }

@@ -8,13 +8,13 @@
 //!
 //! One generation file `version.g<N>.log` of 48-byte-header records:
 //!
-//! * **snapshot** (`BSVRSNAP`): payload is a [`crate::recovery`]
+//! * **snapshot** (`BSVRSNP2`): payload is a [`crate::recovery`]
 //!   snapshot of the whole registry. At most one per generation, always
 //!   first — written by the checkpoint-on-open rewrite.
-//! * **create** (`BSVRCRE1`): `a` = blob id, `b` = total size, `c` =
+//! * **create** (`BSVRCRE2`): `a` = blob id, `b` = total size, `c` =
 //!   page size; no payload. Appended *before* the blob id is
 //!   acknowledged to the client.
-//! * **publish** (`BSVRPUB1`): `a` = blob id, `b` = version, `c` =
+//! * **publish** (`BSVRPUB2`): `a` = blob id, `b` = version, `c` =
 //!   write id; payload = 16 LE bytes `(offset, size)` of the patched
 //!   segment. Appended **before** the version becomes observable
 //!   (write-ahead): a reader that ever saw `latest >= v` is guaranteed
@@ -49,20 +49,24 @@ use blobseer_util::recordlog::{LogError, OwnedRecord, Record, RecordLog, RecordL
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Magic of a blob-create record ("BSVRCRE1").
-pub const VERSION_CREATE_MAGIC: u64 = 0x4253_5652_4352_4531;
+/// Magic of a blob-create record ("BSVRCRE2"). The three version
+/// magics replaced `BSVRCRE1` / `BSVRPUB1` / `BSVRSNAP`, the same
+/// records under the engine's retired single-chain payload digest
+/// ([`blobseer_util::recordlog::RETIRED_MAGICS`]): a journal holding
+/// them is refused at open, before the checkpoint could rewrite it.
+pub const VERSION_CREATE_MAGIC: u64 = 0x4253_5652_4352_4532;
 
-/// Magic of a publish record ("BSVRPUB1").
-pub const VERSION_PUBLISH_MAGIC: u64 = 0x4253_5652_5055_4231;
+/// Magic of a publish record ("BSVRPUB2").
+pub const VERSION_PUBLISH_MAGIC: u64 = 0x4253_5652_5055_4232;
 
-/// Magic of a registry-snapshot record ("BSVRSNAP").
-pub const VERSION_SNAPSHOT_MAGIC: u64 = 0x4253_5652_534e_4150;
+/// Magic of a registry-snapshot record ("BSVRSNP2").
+pub const VERSION_SNAPSHOT_MAGIC: u64 = 0x4253_5652_534e_5032;
 
 /// Map an engine error onto the typed recovery error.
 fn log_err(path: &Path, e: LogError) -> BlobError {
     BlobError::Recovery {
         file: path.display().to_string(),
-        offset: 0,
+        offset: e.offset(),
         detail: e.detail(),
     }
 }
@@ -543,7 +547,7 @@ mod tests {
     #[test]
     fn leader_crash_between_grant_and_wal_commit_acks_nothing() {
         // A grant leader assigned versions 1..=3 and appended their
-        // BSVRPUB1 batch, but the process died before the batch's commit
+        // BSVRPUB2 batch, but the process died before the batch's commit
         // marker reached disk. No follower may have acked — and indeed
         // replay must surface none of the batch.
         let dir = tmp_dir("grantcrash");
@@ -704,6 +708,69 @@ mod tests {
             assert_eq!(reg.get(BlobId(*id)).unwrap().latest(), 1);
         }
         assert_eq!(reg.create_blob(geom()).blob.0, 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_in_a_retired_format_is_refused_untouched() {
+        // The journal the previous format leaves after opening an empty
+        // directory (checkpoint → generation 1), creating blob 1 and
+        // publishing one write: `BSVRSNAP`, `BSVRCRE1` and `BSVRPUB1`
+        // records whose check words the single-chain digest computed,
+        // each sealed by its own marker.
+        let dir = tmp_dir("retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let empty_snapshot = snapshot(&VersionRegistry::default());
+        assert_eq!(empty_snapshot.len(), 12);
+        let mut seg = [0u8; 16];
+        seg[8..].copy_from_slice(&1024u64.to_le_bytes());
+        let records: [([u64; 6], &[u8]); 3] = [
+            (
+                [0x4253_5652_534e_4150, 0, 0, 0, 12, 0x6edb_bab4_05a0_0d1d],
+                &empty_snapshot,
+            ),
+            (
+                [
+                    0x4253_5652_4352_4531,
+                    1,
+                    8192,
+                    1024,
+                    0,
+                    0x5c44_0f1d_2a4d_69d5,
+                ],
+                &[],
+            ),
+            (
+                [0x4253_5652_5055_4231, 1, 1, 1, 16, 0x70fb_f726_1c2d_ff62],
+                &seg,
+            ),
+        ];
+        let mut image = Vec::new();
+        for (seq, (words, payload)) in (0u64..).zip(records) {
+            let covered_from = image.len() as u64;
+            image.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+            image.extend_from_slice(payload);
+            image.extend_from_slice(&encode_header(COMMIT_MAGIC, seq, covered_from, 0, 0, 0));
+        }
+        assert_eq!(image.len(), 316);
+        let path = dir.join("version.g1.log");
+        std::fs::write(&path, &image).unwrap();
+        let err = match VersionLog::open(&dir, opts(), DEFAULT_WINDOW) {
+            Err(e) => e,
+            Ok(_) => panic!("a retired journal opened"),
+        };
+        assert!(
+            matches!(err, BlobError::Recovery { offset: 0, .. }),
+            "got {err:?}"
+        );
+        // Refused before the checkpoint: no generation 2 was written and
+        // the old file is byte-identical.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["version.g1.log"]);
+        assert_eq!(std::fs::read(&path).unwrap(), image);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
