@@ -119,9 +119,11 @@ pub fn assemble_read(
 }
 
 /// Scatter-assemble a read directly into a caller-provided buffer of
-/// exactly `read_seg.size` bytes. The buffer is cleared first, so
-/// ranges not covered by a page or an explicit zero range read as
-/// zeros — never as the buffer's previous contents.
+/// exactly `read_seg.size` bytes. Every byte no page covers — an
+/// explicit zero range, or a hole left by metadata that does not tile
+/// the segment — reads as zero, never as the buffer's previous
+/// contents. Only those gaps are zeroed, after the page copies, so each
+/// output byte is written once.
 pub fn assemble_read_into(
     geom: &Geometry,
     read_seg: &Segment,
@@ -132,15 +134,35 @@ pub fn assemble_read_into(
     if buf.len() as u64 != read_seg.size {
         return Err(BlobError::Internal("assembly buffer size mismatch"));
     }
-    // A caller-provided buffer may hold stale bytes, and nothing
-    // guarantees the pieces tile the whole segment (corrupt metadata
-    // validates containment, not coverage): clear everything up front
-    // so uncovered ranges can never leak old contents as blob data.
-    buf.fill(0);
-    assemble_pieces(geom, read_seg, zeros, pages, buf)
+    if let Err(e) = assemble_pieces(geom, read_seg, zeros, pages, buf) {
+        // A piece failed validation part-way: leave nothing stale behind.
+        buf.fill(0);
+        return Err(e);
+    }
+    // Corrupt metadata validates containment, not coverage, so the
+    // page ranges may overlap or leave holes: zero whatever lies between
+    // them in offset order.
+    let mut covered: Vec<(usize, usize)> = pages
+        .iter()
+        .map(|(_, r, _)| {
+            let start = (r.offset - read_seg.offset) as usize;
+            (start, start + r.size as usize)
+        })
+        .collect();
+    covered.sort_unstable();
+    let mut at = 0;
+    for (start, end) in covered {
+        if start > at {
+            buf[at..start].fill(0);
+        }
+        at = at.max(end);
+    }
+    buf[at..].fill(0);
+    Ok(())
 }
 
-/// Shared assembly core over an already-zeroed destination.
+/// Shared assembly core: validate every piece and copy each page into
+/// place. Bytes no page covers are left as they were.
 fn assemble_pieces(
     geom: &Geometry,
     read_seg: &Segment,
@@ -148,8 +170,8 @@ fn assemble_pieces(
     pages: &[(PageLoc, Segment, PageBuf)],
     buf: &mut [u8],
 ) -> Result<(), BlobError> {
-    // Zero ranges need no action (the buffer is pre-zeroed) but are
-    // validated.
+    // Zero ranges are validated here; the callers zero them (a fresh
+    // zeroed allocation, or the gap pass of `assemble_read_into`).
     for z in zeros {
         if !read_seg.contains(z) {
             return Err(BlobError::Internal("zero range outside read"));
@@ -371,6 +393,34 @@ mod tests {
         assert!(buf[..512].iter().all(|&b| b == 0));
         assert!(buf[512..1536].iter().all(|&b| b == 7));
         assert!(buf[1536..].iter().all(|&b| b == 9));
+    }
+
+    #[test]
+    fn assemble_into_zeroes_exactly_what_no_page_covers() {
+        let g = geom();
+        // [512, 3584): an explicit zero range, part of page 1, a hole no
+        // piece covers, then the head of page 3 — listed out of order.
+        let read = Segment::new(512, 3072);
+        let pattern = |seed: u8| PageBuf::from_vec((0..1024).map(|i| seed ^ i as u8).collect());
+        let (page1, page3) = (pattern(0x11), pattern(0x33));
+        let pieces = [
+            (loc(3), Segment::new(3072, 512), page3.clone()),
+            (loc(1), Segment::new(1024, 776), page1.clone()),
+        ];
+        let mut buf = vec![0xAAu8; 3072];
+        let before = copymeter::thread_snapshot();
+        assemble_read_into(&g, &read, &[Segment::new(512, 512)], &pieces, &mut buf).unwrap();
+        assert_eq!(before.bytes_since(), 776 + 512, "page bytes only");
+        assert!(buf[..512].iter().all(|&b| b == 0), "explicit zero range");
+        assert_eq!(&buf[512..1288], &page1[..776]);
+        assert!(buf[1288..2560].iter().all(|&b| b == 0), "uncovered hole");
+        assert_eq!(&buf[2560..], &page3[..512]);
+
+        // A piece that fails validation leaves no stale byte behind.
+        let mut buf = vec![0xAAu8; 3072];
+        let outside = [(loc(4), Segment::new(4000, 96), page1)];
+        assert!(assemble_read_into(&g, &read, &[], &outside, &mut buf).is_err());
+        assert!(buf.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -408,6 +408,8 @@ struct Generation {
     /// tagged with the generation number.
     map: PageBuf,
     path: PathBuf,
+    /// The file held no bytes when this generation was opened.
+    created_empty: bool,
 }
 
 impl Generation {
@@ -444,6 +446,7 @@ impl Generation {
             log: Appender::new(file, map.len() as u64, opts, ResumePoint::default()),
             map,
             path,
+            created_empty: existing == 0,
         })
     }
 }
@@ -460,7 +463,8 @@ impl Generation {
 ///   generation mapping, zero copies (unix; other platforms degrade to
 ///   serving the ingested heap buffer — the log still persists).
 /// * **Recover** replays the mapping ([`recordlog::replay`]) and
-///   slices it; appends resume at the last durable marker.
+///   slices it; appends resume at the last durable marker. A log that
+///   was created empty and is still empty is not replayed.
 /// * **Compact** rewrites live records into the next generation file
 ///   and atomically swaps it in; see the module docs for the crash
 ///   story.
@@ -643,8 +647,22 @@ impl StorageBackend for MmapBackend {
         }
     }
 
+    /// Replay the serving generation ([`recordlog::replay`] over its
+    /// mapping), serve every committed page as a slice of it, and resume
+    /// appends at the last durable marker.
+    ///
+    /// A generation whose file was empty when it was opened, with
+    /// nothing appended since, is not replayed and its mapping is not
+    /// touched: it has nothing to surface and its appender already
+    /// starts at the beginning, while the first header read of the
+    /// sparse mapping would fault in a whole readahead window
+    /// (`read_ahead_kb`) of zero-filled page cache. Every other
+    /// generation — a restart, a compacted one — replays in full.
     fn recover(&self) -> Result<Vec<(PageKey, PageBuf)>, BlobError> {
         let gen = Arc::clone(&self.gen.read());
+        if gen.created_empty && gen.log.log_bytes() == 0 {
+            return Ok(Vec::new());
+        }
         let mut visible = Vec::new();
         let resume = recordlog::replay(gen.map.as_slice(), |r| {
             // Only page records are this log's; a committed record of
@@ -805,6 +823,7 @@ impl MmapBackend {
             log,
             map,
             path,
+            created_empty: false,
         });
         self.dead.store(dead_in_new, Ordering::Relaxed);
         Ok(CompactOutcome {
@@ -1485,6 +1504,44 @@ mod tests {
         assert_eq!(b.kind(), BackendKind::Mmap);
         assert_eq!(MemoryBackend::new(1).kind(), BackendKind::Memory);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Major faults the calling thread has taken: field 12 of
+    /// `/proc/thread-self/stat`, counted past the parenthesised name.
+    #[cfg(target_os = "linux")]
+    fn thread_majflt() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        let fields = &stat[stat.rfind(')').unwrap() + 1..];
+        fields
+            .split_whitespace()
+            .nth(12 - 3)
+            .unwrap()
+            .parse()
+            .unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn fresh_log_opens_without_a_page_fault() {
+        // A read of the sparse mapping would fault a readahead window of
+        // zeroed page cache in. The first open warms this thread's code
+        // path, so only the second one is counted.
+        for (name, counted) in [("fresh-warmup", false), ("fresh", true)] {
+            let dir = temp_dir(name);
+            let before = thread_majflt();
+            let b = MmapBackend::open(&dir, 256 << 20).unwrap();
+            assert!(b.recover().unwrap().is_empty());
+            if counted {
+                assert_eq!(thread_majflt(), before, "opening an empty log faulted");
+            }
+            assert_eq!(b.log_bytes(), 0);
+            let page = PageBuf::from_vec(vec![3u8; 512]);
+            assert_eq!(b.ingest(&key(1, 0), &page, None).unwrap(), page);
+            drop(b);
+            let b = MmapBackend::open(&dir, 256 << 20).unwrap();
+            assert_eq!(b.recover().unwrap().len(), 1, "a written log replays");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

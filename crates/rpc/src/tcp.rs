@@ -949,8 +949,19 @@ pub(crate) fn recv_frame<R: Read>(stream: &mut R) -> Result<(u64, u64, Frame, us
     }
     let len = usize::try_from(declared)
         .map_err(|_| RecvError::Codec(CodecError::LengthOverflow { declared }))?;
-    let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf).map_err(RecvError::Io)?;
+    // Read into spare capacity: the kernel writes every byte, so
+    // zero-filling the buffer first would be a wasted pass.
+    let mut buf = Vec::with_capacity(len);
+    stream
+        .take(declared)
+        .read_to_end(&mut buf)
+        .map_err(RecvError::Io)?;
+    if buf.len() < len {
+        return Err(RecvError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "tcp peer closed mid-frame",
+        )));
+    }
     decode_wire_body(buf).map(|(corr, vt, frame)| (corr, vt, frame, ENVELOPE_LEN_BYTES + len))
 }
 

@@ -342,7 +342,7 @@ struct Conn {
     head: [u8; ENVELOPE_LEN_BYTES],
     head_got: usize,
     body: Vec<u8>,
-    body_got: usize,
+    body_len: usize,
     reading_body: bool,
     // -- write queue (partial-write resume) --
     out: VecDeque<Outgoing>,
@@ -642,18 +642,24 @@ fn read_conn(env: &LoopEnv, conn: &mut Conn, token: usize) -> Verdict {
             let Ok(len) = usize::try_from(declared) else {
                 return Verdict::Close;
             };
-            conn.body = vec![0u8; len];
-            conn.body_got = 0;
+            // Spare capacity, filled by the kernel without zeroing first.
+            conn.body = Vec::with_capacity(len);
+            conn.body_len = len;
             conn.reading_body = true;
         }
-        while conn.body_got < conn.body.len() {
-            match (&conn.stream).read(&mut conn.body[conn.body_got..]) {
-                Ok(0) => return Verdict::Close,
-                Ok(n) => {
-                    conn.body_got += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        while conn.body.len() < conn.body_len {
+            let had = conn.body.len();
+            let remaining = (conn.body_len - had) as u64;
+            // Bytes read before a `WouldBlock` stay in `body`; the next
+            // readiness event resumes after them.
+            let res = (&conn.stream).take(remaining).read_to_end(&mut conn.body);
+            if conn.body.len() > had {
+                conn.last_activity = Instant::now();
+            }
+            match res {
+                // The socket reached EOF before the frame was complete.
+                Ok(_) if conn.body.len() < conn.body_len => return Verdict::Close,
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Verdict::Keep,
                 Err(_) => return Verdict::Close,
             }
@@ -900,7 +906,7 @@ fn install_conn(
         head: [0u8; ENVELOPE_LEN_BYTES],
         head_got: 0,
         body: Vec::new(),
-        body_got: 0,
+        body_len: 0,
         reading_body: false,
         out: VecDeque::new(),
         written: 0,

@@ -248,6 +248,75 @@ fn slow_loris_request_is_served_by_thread_per_conn() {
     slow_loris_request_is_served(ServerMode::ThreadPerConn);
 }
 
+/// Echoes a byte payload back.
+struct EchoBytes;
+impl blobseer_rpc::Service for EchoBytes {
+    fn handle(&self, _ctx: &mut blobseer_rpc::ServerCtx, frame: &Frame) -> Frame {
+        blobseer_rpc::respond(frame, |x: PageBuf| Ok(x))
+    }
+}
+
+/// 256 KiB of a pattern that repeats at no power of two.
+fn odd_pattern() -> PageBuf {
+    PageBuf::from_vec((0..256usize << 10).map(|i| (i % 251) as u8).collect())
+}
+
+/// Write `bytes` in uneven chunks — the first ones split the length
+/// prefix — pausing after each, so the reader receives one frame across
+/// many reads and readiness events.
+fn trickle(s: &mut TcpStream, bytes: &[u8]) {
+    s.set_nodelay(true).unwrap();
+    let chunks = [1usize, 3, 17, 4093, 65_537, 9, 100_000];
+    let mut at = 0;
+    for size in chunks.into_iter().cycle() {
+        if at == bytes.len() {
+            break;
+        }
+        let end = (at + size).min(bytes.len());
+        s.write_all(&bytes[at..end]).unwrap();
+        at = end;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_trickled_256k_request_is_echoed_byte_identical_by_the_reactor() {
+    let t = transport();
+    let server = t.add_node();
+    t.bind(server, Arc::new(EchoBytes));
+    let addr = t.addr(server).unwrap();
+    let body = odd_pattern();
+    let mut s = TcpStream::connect(addr).unwrap();
+    trickle(
+        &mut s,
+        &encode_wire_frame(9, 0, &Frame::from_msg(1, &body)).unwrap(),
+    );
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let (corr, _vt, resp) = read_wire_frame(&mut s).unwrap();
+    assert_eq!(corr, 9);
+    let echoed: PageBuf = blobseer_rpc::parse_response(&resp).unwrap();
+    assert_eq!(echoed, body);
+}
+
+#[test]
+fn a_trickled_256k_response_is_read_byte_identical_by_the_client() {
+    let body = odd_pattern();
+    let sent = body.clone();
+    let (addr, h) = evil_peer(move |mut s| {
+        let (corr, vt, frame) = read_wire_frame(&mut s).unwrap();
+        let resp = blobseer_rpc::ok_frame(frame.method, &sent);
+        trickle(&mut s, &encode_wire_frame(corr, vt, &resp).unwrap());
+    });
+    let t = transport();
+    let c = t.add_node();
+    let peer = t.register_remote(addr);
+    let rpc = RpcClient::new(Arc::clone(&t) as _, c);
+    let got: PageBuf = rpc.call(&mut Ctx::start(), peer, 1, &1u64).unwrap();
+    assert_eq!(got, body);
+    h.join().unwrap();
+}
+
 #[test]
 fn stalled_client_is_timed_out_by_the_server_but_idle_pools_survive() {
     let t = transport(); // io timeout: 500 ms, applied server-side too
