@@ -112,9 +112,11 @@ impl ByteChain {
     }
 
     /// Borrow the chain as a `writev`-shaped slice list, prefixed by
-    /// `prefix` (a frame/length header) when non-empty. This is how a
-    /// real socket transport gather-writes a frame straight from the
-    /// shared segments — no flatten, no payload copy.
+    /// `prefix` (a frame/length header) when non-empty: the whole frame
+    /// as one gather-write would hand it to the kernel, pointing
+    /// straight at the shared segments — no flatten, no payload copy.
+    /// (The tcp transport writes segment by segment from a resume
+    /// cursor instead, so it never builds this list.)
     pub fn as_io_slices<'a>(&'a self, prefix: &'a [u8]) -> Vec<std::io::IoSlice<'a>> {
         let mut out = Vec::with_capacity(self.chunks.len() + 1);
         if !prefix.is_empty() {

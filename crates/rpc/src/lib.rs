@@ -18,7 +18,8 @@
 //!
 //! [`TcpTransport`] is the real-socket implementation: frames are
 //! gather-written straight from their segment chains (`writev`, no
-//! flatten) and inbound payloads are lent out of the receive buffer by
+//! flatten; mapped pages of 128 KiB and up by `sendfile`) and inbound
+//! payloads are lent out of the receive buffer by
 //! refcount — see [`tcp`] for the frame discipline and error taxonomy.
 //! Its threads are the server's and only the server's
 //! (`event_loops + dispatch_threads`, whatever the connection count): a

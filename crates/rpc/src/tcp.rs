@@ -109,11 +109,13 @@
 //! pressure (see below). Everything else about the frame discipline is
 //! unchanged from PR 3 and survives partial readiness:
 //!
-//! * **Send is gather-write.** A frame leaves as the 26-byte envelope
-//!   followed by the body's [`ByteChain`](blobseer_proto::wire::ByteChain)
-//!   segments via `write_vectored` — no flattening memcpy. Partial
-//!   writes resume from a per-connection `written` cursor over the same
-//!   slice list.
+//! * **Send is gather-write, and mapped pages leave by `sendfile`.** A
+//!   frame leaves as the 26-byte envelope followed by the body's
+//!   [`ByteChain`](blobseer_proto::wire::ByteChain) segments — no
+//!   flattening memcpy. A mapped segment of at least 128 KiB (a page
+//!   served from a provider's log) goes by `sendfile(2)` from the log
+//!   file; everything else via `write_vectored`. Partial writes resume
+//!   from a per-connection segment cursor (`send::write_frame_from`).
 //! * **Receive is lend-on-decode.** Each inbound frame accumulates into
 //!   a single buffer across however many readiness events it takes,
 //!   then decodes with [`Reader::from_buf`] so page payloads come out
@@ -168,7 +170,7 @@ use blobseer_proto::{BlobError, CodecError, NodeId, PageBuf};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -181,8 +183,10 @@ use crate::transport::{Transport, TransportResult};
 mod mux;
 #[cfg(unix)]
 mod reactor;
+mod send;
 
 use mux::{CallSlot, MuxConn, PoolMap};
+use send::{write_frame_from, FrameCursor};
 
 /// Envelope length-prefix bytes.
 pub(crate) const ENVELOPE_LEN_BYTES: usize = 4;
@@ -811,7 +815,7 @@ fn serve_conn(
         if !alive.load(Ordering::Acquire) {
             return; // died during the call: no response
         }
-        if send_frame(&mut stream, corr, done, &resp).is_err() {
+        if send_frame(&stream, corr, done, &resp).is_err() {
             return;
         }
     }
@@ -863,10 +867,11 @@ pub(crate) fn encode_head(corr: u64, vt: u64, method: u16, body_len: usize) -> [
     head
 }
 
-/// Write one frame: the 26-byte head plus every body segment, handed to
-/// `write_vectored` in one slice list. Returns the wire size.
-pub(crate) fn send_frame<W: Write>(
-    stream: &mut W,
+/// Write one frame on a blocking socket: the 26-byte head plus every
+/// body segment, through [`write_frame_from`] from the frame's start.
+/// Returns the wire size.
+pub(crate) fn send_frame(
+    stream: &TcpStream,
     corr: u64,
     vt: u64,
     frame: &Frame,
@@ -878,32 +883,9 @@ pub(crate) fn send_frame<W: Write>(
         }));
     }
     let head = encode_head(corr, vt, frame.method, body_len);
-    let mut slices = frame.body.as_io_slices(&head);
-    write_all_vectored(stream, &mut slices).map_err(SendError::Io)?;
+    write_frame_from(stream, &head, &frame.body, &mut FrameCursor::default())
+        .map_err(SendError::Io)?;
     Ok(head.len() + body_len)
-}
-
-/// `write_all` over a vectored slice list, advancing across partial
-/// writes without ever copying payload bytes.
-pub(crate) fn write_all_vectored<W: Write>(
-    stream: &mut W,
-    bufs: &mut [IoSlice<'_>],
-) -> io::Result<()> {
-    let mut bufs = bufs;
-    while !bufs.is_empty() {
-        match stream.write_vectored(bufs) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "tcp peer stopped accepting bytes",
-                ))
-            }
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 pub(crate) enum RecvError {

@@ -212,7 +212,7 @@ impl MuxConn {
     pub(crate) fn send(&self, corr: u64, vt: u64, frame: &Frame) -> Result<usize, BlobError> {
         let res = {
             let _g = self.send.lock();
-            send_frame(&mut &self.stream, corr, vt, frame)
+            send_frame(&self.stream, corr, vt, frame)
         };
         match res {
             Ok(n) => Ok(n),

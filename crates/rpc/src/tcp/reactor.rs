@@ -30,10 +30,12 @@
 //!   the length is validated against [`MAX_WIRE_FRAME`] before the
 //!   body is allocated, and decode lends payload ranges out of that
 //!   one buffer by refcount.
-//! * **Writes** gather-write from the response's segment chain; a
-//!   partial write leaves a byte cursor on the connection and the
-//!   remaining slices are rebuilt (and advanced) on the next writable
-//!   event — page bytes are never copied to resume.
+//! * **Writes** go through [`write_frame_from`]: gather-written from
+//!   the response's segment chain, mapped pages of at least
+//!   [`SENDFILE_MIN`](super::send::SENDFILE_MIN) by `sendfile`. A
+//!   partial write leaves a segment cursor on the connection and the
+//!   next writable event resumes from that segment — page bytes are
+//!   never copied to resume.
 //! * **Backpressure**: a connection whose in-flight budget is spent, or
 //!   that hits a full dispatch queue, parks one decoded frame and drops
 //!   its read interest; it resumes when a completion (or the periodic
@@ -49,8 +51,9 @@
 //! epoch check (slab slots are reused; epochs are not).
 
 use super::{
-    encode_head, is_fd_exhaustion, open_reserve_fd, run_handler, shed_connection, Held, Shared,
-    TcpOptions, ENVELOPE_FIXED, ENVELOPE_LEN_BYTES, MAX_WIRE_FRAME, WIRE_HEAD,
+    encode_head, is_fd_exhaustion, open_reserve_fd, run_handler, shed_connection, write_frame_from,
+    FrameCursor, Held, Shared, TcpOptions, ENVELOPE_FIXED, ENVELOPE_LEN_BYTES, MAX_WIRE_FRAME,
+    WIRE_HEAD,
 };
 use crate::frame::{Frame, MAX_FRAME_BODY};
 use crate::service::Service;
@@ -59,7 +62,7 @@ use parking_lot::{Condvar, Mutex};
 use polling::Poller;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -346,7 +349,8 @@ struct Conn {
     reading_body: bool,
     // -- write queue (partial-write resume) --
     out: VecDeque<Outgoing>,
-    written: usize,
+    /// How far the front of `out` has been written.
+    written: FrameCursor,
     // -- dispatch state --
     inflight: usize,
     /// One decoded-but-undispatched frame held under backpressure.
@@ -572,37 +576,25 @@ fn conn_event(
 }
 
 /// Drain the out-queue as far as the socket allows, resuming the front
-/// message from its byte cursor by rebuilding and advancing the gather
-/// slices (no payload copies).
+/// message at its cursor (no payload copies).
 fn flush_conn(conn: &mut Conn) -> Verdict {
-    loop {
-        if conn.out.is_empty() {
-            return Verdict::Keep;
+    while let Some(front) = conn.out.front() {
+        let before = conn.written;
+        let res = write_frame_from(&conn.stream, &front.head, &front.body, &mut conn.written);
+        if conn.written != before {
+            conn.last_activity = Instant::now();
         }
-        let written = conn.written;
-        let res = {
-            let front = &conn.out[0];
-            let mut slices = front.body.as_io_slices(&front.head);
-            let mut rest: &mut [IoSlice<'_>] = &mut slices;
-            IoSlice::advance_slices(&mut rest, written);
-            (&conn.stream).write_vectored(rest)
-        };
         match res {
-            Ok(0) => return Verdict::Close,
-            Ok(n) => {
-                conn.written += n;
-                conn.last_activity = Instant::now();
-                let total = WIRE_HEAD + conn.out[0].body.len();
-                if conn.written >= total {
-                    conn.out.pop_front();
-                    conn.written = 0;
-                }
+            Ok(()) => {
+                // Dropping the response releases what it held.
+                conn.out.pop_front();
+                conn.written = FrameCursor::default();
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Verdict::Keep,
             Err(_) => return Verdict::Close,
         }
     }
+    Verdict::Keep
 }
 
 /// Read until the socket runs dry or backpressure parks the
@@ -909,7 +901,7 @@ fn install_conn(
         body_len: 0,
         reading_body: false,
         out: VecDeque::new(),
-        written: 0,
+        written: FrameCursor::default(),
         inflight: 0,
         pending: None,
         paused: false,

@@ -14,6 +14,18 @@
 //! the mapped region is not *mutated* underneath live `&[u8]` borrows.
 //! Appending past already-borrowed offsets is fine; rewriting them is
 //! not.
+//!
+//! One addition the real crate does not have, on 64-bit Linux only: a
+//! map keeps its own handle to the file it maps (a duplicated
+//! descriptor, so the caller may close theirs), and `Mmap::send_to`
+//! hands a mapped range to a socket **from the file** by `sendfile(2)`,
+//! so the kernel moves the bytes page cache → socket without the
+//! user-space read a `write` from the mapping would make it do. The
+//! page-cache pages may still be referenced by the socket after the call
+//! returns (until the peer acknowledges them), so the no-mutation
+//! promise of [`Mmap::map`] covers bytes in flight too: a range that was
+//! ever sent must never be rewritten. Other targets have no `send_to`;
+//! their callers write from the mapping.
 
 #![warn(missing_docs)]
 
@@ -38,29 +50,38 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+        pub fn sendfile(out_fd: c_int, in_fd: c_int, offset: *mut i64, count: usize) -> isize;
     }
 }
 
 /// An immutable memory map of a file.
 ///
 /// Unix: a `PROT_READ`/`MAP_SHARED` mapping of the file's full length at
-/// map time. Other platforms: a heap snapshot of the file's contents.
+/// map time (plus, on 64-bit Linux, a handle to the file). Other
+/// platforms: a heap snapshot of the file's contents.
 #[derive(Debug)]
 pub struct Mmap {
     #[cfg(unix)]
     ptr: *const u8,
     #[cfg(unix)]
     len: usize,
+    /// The mapped file; [`Mmap::send_to`] reads its page cache.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    file: File,
     #[cfg(not(unix))]
     data: Vec<u8>,
 }
 
-// SAFETY: the mapping is never written through; `&Mmap` only hands out
-// shared `&[u8]` views, which are as thread-safe as any shared slice.
+// SAFETY: the mapping (`ptr`, `len`) is never written through; `&Mmap`
+// only hands out shared `&[u8]` views, which are as thread-safe as any
+// shared slice. `file`, where there is one, is a `File`, itself `Send`.
 #[cfg(unix)]
 unsafe impl Send for Mmap {}
 // SAFETY: same argument as Send above — the mapped bytes are immutable
-// through this type, so concurrent shared access is sound.
+// through this type, so concurrent shared access is sound; `file` is
+// only read from (by `sendfile`, at explicit offsets), and `File` is
+// `Sync`.
 #[cfg(unix)]
 unsafe impl Sync for Mmap {}
 
@@ -76,10 +97,14 @@ impl Mmap {
     pub unsafe fn map(file: &File) -> io::Result<Mmap> {
         use std::os::unix::io::AsRawFd;
         let len = file.metadata()?.len();
+        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+        let file = file.try_clone()?;
         if len == 0 {
             return Ok(Mmap {
                 ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
                 len: 0,
+                #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+                file,
             });
         }
         if len > usize::MAX as u64 {
@@ -102,6 +127,8 @@ impl Mmap {
         Ok(Mmap {
             ptr: ptr as *const u8,
             len: len as usize,
+            #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+            file,
         })
     }
 
@@ -132,6 +159,36 @@ impl Mmap {
     /// True when the mapped region is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Send the mapped bytes `offset..offset + len` to the socket `sock`
+    /// from the file's page cache by `sendfile(2)` and return how many
+    /// the kernel took. Like `write`, the count may be short; a full
+    /// nonblocking socket fails with `WouldBlock`, and a socket send
+    /// timeout with `WouldBlock` or `TimedOut`. `Ok(0)` for a nonzero
+    /// `len` means nothing more can be sent.
+    ///
+    /// # Panics
+    /// If the range exceeds the mapping.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    pub fn send_to(
+        &self,
+        sock: std::os::fd::BorrowedFd<'_>,
+        offset: usize,
+        len: usize,
+    ) -> io::Result<usize> {
+        use std::os::fd::AsRawFd;
+        assert!(
+            offset.checked_add(len).is_some_and(|end| end <= self.len),
+            "send_to out of range"
+        );
+        let mut at = i64::try_from(offset).map_err(|_| io::ErrorKind::InvalidInput)?;
+        // SAFETY: `sendfile` reads `len` bytes of `self.file` at `at` and
+        // writes them to `sock`; both descriptors are open for the whole
+        // call (the file is owned, the socket borrowed), and the only
+        // process memory it touches is `at`, a live local.
+        let sent = unsafe { sys::sendfile(sock.as_raw_fd(), self.file.as_raw_fd(), &mut at, len) };
+        usize::try_from(sent).map_err(|_| io::Error::last_os_error())
     }
 
     #[cfg(unix)]

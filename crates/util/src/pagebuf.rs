@@ -135,6 +135,39 @@ impl PageBuf {
         }
     }
 
+    /// Send the bytes from `skip` to the end of this buffer to the
+    /// socket `sock` straight from the mapped file's page cache by
+    /// `sendfile(2)` (see [`memmap2::Mmap::send_to`]; 64-bit Linux
+    /// only), so the process never touches them. `None` for a heap
+    /// buffer: the caller writes those itself. `Some` carries the
+    /// kernel's count, which may be short, or its error — `WouldBlock`
+    /// on a full nonblocking socket. Call it with `skip < len()`:
+    /// `Ok(0)` means the socket accepts nothing more.
+    ///
+    /// The socket may keep referencing the page-cache pages after the
+    /// call returns, until the peer acknowledges them. That is sound
+    /// under [`PageBuf::map_file`]'s contract — a range once handed out
+    /// is never rewritten — the same promise the mapping itself rests
+    /// on. Like a gather-write, the kernel's transfer is not a payload
+    /// copy and is not counted by [`copymeter`].
+    ///
+    /// # Panics
+    /// If `skip` exceeds the buffer.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    pub fn send_to(
+        &self,
+        sock: std::os::fd::BorrowedFd<'_>,
+        skip: usize,
+    ) -> Option<std::io::Result<usize>> {
+        assert!(skip <= self.len, "send_to skip out of range");
+        match &*self.data {
+            Backing::Heap(_) => None,
+            Backing::Mapped { map, .. } => {
+                Some(map.send_to(sock, self.start + skip, self.len - skip))
+            }
+        }
+    }
+
     /// Copy a slice into a fresh buffer. This is the metered entry point
     /// for payload bytes: one copy here, zero copies downstream.
     pub fn copy_from_slice(s: &[u8]) -> Self {
@@ -314,5 +347,57 @@ mod tests {
         assert_eq!(s.as_slice(), &(16..32u8).collect::<Vec<_>>()[..]);
         assert_eq!(b.ref_count(), 2);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn send_to_sends_what_the_mapping_holds() {
+        use std::io::Read;
+        use std::net::{TcpListener, TcpStream};
+        use std::os::fd::AsFd;
+
+        let path = std::env::temp_dir().join(format!("pagebuf-send-{}", std::process::id()));
+        let bytes: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let page = {
+            let f = std::fs::File::open(&path).unwrap();
+            PageBuf::map_file(&f).unwrap().slice(1000..300_000)
+            // The caller's `File` closes here; the mapping keeps its own.
+        };
+        let _ = std::fs::remove_file(&path);
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        assert!(
+            PageBuf::from_vec(vec![1; 4096])
+                .send_to(tx.as_fd(), 0)
+                .is_none(),
+            "a heap buffer is the caller's to write"
+        );
+
+        let skips = [0, 1, 4095, 65_537, page.len() - 1];
+        let expected: Vec<u8> = skips
+            .iter()
+            .flat_map(|&skip| page[skip..].iter().copied())
+            .collect();
+        let received = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            rx.read_to_end(&mut got).unwrap();
+            got
+        });
+        let before = copymeter::thread_snapshot();
+        for skip in skips {
+            // Short counts resume where the kernel stopped.
+            let mut at = skip;
+            while at < page.len() {
+                let n = page.send_to(tx.as_fd(), at).expect("mapped").unwrap();
+                assert!(n > 0, "a live socket takes bytes");
+                at += n;
+            }
+        }
+        assert_eq!(before.bytes_since(), 0, "sendfile is not a payload copy");
+        drop(tx);
+        assert!(received.join().unwrap() == expected, "byte-identical");
     }
 }
