@@ -16,8 +16,12 @@
 //!   snapshots are impossible: a reader spanning several pages observes
 //!   torn states across pages unless it locks them all (which this store
 //!   does, in order, to stay deadlock-free and comparable).
-//! * [`LockFreeStore`] — `blobseer_core::LocalEngine` adapted to the
-//!   trait: the paper's design in the same in-process regime.
+//! * [`LockFreeStore`] — the shipped `BlobClient` on a one-node
+//!   functional `Deployment`, adapted to the trait: the paper's design
+//!   in the same process, its handlers running inline on the caller's
+//!   thread. Unlike the two stores above it pays the protocol's framing
+//!   and metadata hops, so the comparison is against the system we
+//!   ship, not a reimplementation of it.
 //!
 //! The `ablate_lock` bench drives identical mixed read/write workloads
 //! through all three.
@@ -25,8 +29,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use blobseer_core::LocalEngine;
-use blobseer_proto::{BlobError, Segment};
+use blobseer_core::{BlobClient, Deployment, DeploymentConfig};
+use blobseer_proto::{BlobError, BlobId, Segment};
+use blobseer_rpc::Ctx;
 use parking_lot::RwLock;
 
 /// A concurrent blob store able to serve reads and writes from many
@@ -189,42 +194,56 @@ impl ConcurrentBlob for ShardedLockStore {
     }
 }
 
-/// The paper's design behind the same trait (versioned, lock-free).
+/// The paper's design behind the same trait (versioned, lock-free): the
+/// shipped [`BlobClient`] on a one-node functional [`Deployment`].
 pub struct LockFreeStore {
-    engine: LocalEngine,
-    blob: blobseer_proto::BlobId,
+    // Owns the in-process cluster the client talks to.
+    _deployment: Deployment,
+    client: BlobClient,
+    blob: BlobId,
 }
 
 impl LockFreeStore {
     /// Allocate with the given geometry.
     pub fn new(size: u64, page_size: u64) -> Self {
-        let engine = LocalEngine::new();
-        let blob = engine.alloc(size, page_size).expect("valid geometry");
-        Self { engine, blob }
-    }
-
-    /// Access the underlying engine (GC in long benches).
-    pub fn engine(&self) -> &LocalEngine {
-        &self.engine
+        let deployment = Deployment::build(DeploymentConfig::functional(1));
+        let client = deployment.client();
+        let blob = client
+            .alloc(&mut Ctx::start(), size, page_size)
+            .expect("valid geometry")
+            .blob;
+        Self {
+            _deployment: deployment,
+            client,
+            blob,
+        }
     }
 
     /// The blob id.
-    pub fn blob(&self) -> blobseer_proto::BlobId {
+    pub fn blob(&self) -> BlobId {
         self.blob
     }
 }
 
+// The functional deployment's clock is zero-cost, so every call starts
+// a fresh context.
 impl ConcurrentBlob for LockFreeStore {
     fn write(&self, offset: u64, data: &[u8]) -> Result<u64, BlobError> {
-        self.engine.write(self.blob, offset, data)
+        self.client
+            .write(&mut Ctx::start(), self.blob, offset, data)
     }
 
     fn read(&self, version: Option<u64>, seg: Segment) -> Result<Vec<u8>, BlobError> {
-        Ok(self.engine.read(self.blob, version, seg)?.0)
+        Ok(self
+            .client
+            .read(&mut Ctx::start(), self.blob, version, seg)?
+            .0)
     }
 
     fn latest(&self) -> u64 {
-        self.engine.latest(self.blob).unwrap_or(0)
+        self.client
+            .latest(&mut Ctx::start(), self.blob)
+            .unwrap_or(0)
     }
 
     fn name(&self) -> &'static str {

@@ -3,10 +3,11 @@
 //! concurrently as possible, without locking the string itself", §I).
 //!
 //! Wall-clock stress: `R` reader threads scan random segments while `W`
-//! writer threads patch random pages, over three stores in the same
-//! in-process regime: the versioned lock-free engine, a global-RwLock
-//! string, and a per-page-RwLock string. Reported: aggregate reader and
-//! writer throughput.
+//! writer threads patch random pages, over three stores in one process:
+//! the shipped versioned client on a functional deployment (frames and
+//! metadata hops included), a global-RwLock string, and a
+//! per-page-RwLock string. Reported: aggregate reader and writer
+//! throughput.
 
 use blobseer_baseline::{ConcurrentBlob, GlobalLockStore, LockFreeStore, ShardedLockStore};
 use blobseer_bench::*;

@@ -81,7 +81,6 @@
 pub mod client;
 pub mod deployment;
 pub mod heat;
-pub mod local;
 pub mod options;
 pub mod vm_service;
 
@@ -92,6 +91,5 @@ pub use deployment::{
     DeploymentConfigBuilder, LogOptions, StorageNodeService, TransportKind, MMAP_LOG_CAP,
 };
 pub use heat::{FanOutOptions, HeatTracker};
-pub use local::LocalEngine;
 pub use options::{ReadOptions, WriteOptions};
 pub use vm_service::VersionManagerService;

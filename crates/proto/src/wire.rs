@@ -111,23 +111,6 @@ impl ByteChain {
         }
     }
 
-    /// Borrow the chain as a `writev`-shaped slice list, prefixed by
-    /// `prefix` (a frame/length header) when non-empty: the whole frame
-    /// as one gather-write would hand it to the kernel, pointing
-    /// straight at the shared segments — no flatten, no payload copy.
-    /// (The tcp transport writes segment by segment from a resume
-    /// cursor instead, so it never builds this list.)
-    pub fn as_io_slices<'a>(&'a self, prefix: &'a [u8]) -> Vec<std::io::IoSlice<'a>> {
-        let mut out = Vec::with_capacity(self.chunks.len() + 1);
-        if !prefix.is_empty() {
-            out.push(std::io::IoSlice::new(prefix));
-        }
-        for c in &self.chunks {
-            out.push(std::io::IoSlice::new(c.as_slice()));
-        }
-        out
-    }
-
     /// O(segments) sub-chain `[start, start + len)` sharing every
     /// overlapped segment by refcount.
     ///
@@ -1093,22 +1076,6 @@ mod tests {
     fn try_to_chain_matches_to_chain_for_legal_values() {
         let v = vec![1u64, 2, 3];
         assert_eq!(v.try_to_chain().unwrap().to_vec(), v.to_chain().to_vec());
-    }
-
-    #[test]
-    fn io_slices_cover_the_chain_with_prefix_first() {
-        let mut chain = ByteChain::new();
-        chain.push(PageBuf::from_vec(vec![1u8; 600]));
-        chain.push(PageBuf::from_vec(vec![2u8; 700]));
-        let head = [9u8; 4];
-        let slices = chain.as_io_slices(&head);
-        assert_eq!(slices.len(), 3, "prefix + one slice per segment");
-        let total: usize = slices.iter().map(|s| s.len()).sum();
-        assert_eq!(total, 4 + chain.len());
-        assert_eq!(&slices[0][..], &head);
-        assert_eq!(slices[1].len(), 600);
-        // No prefix: segments only.
-        assert_eq!(chain.as_io_slices(&[]).len(), 2);
     }
 
     #[test]

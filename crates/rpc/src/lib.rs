@@ -14,7 +14,7 @@
 //! handler runs under a [`ServerCtx`] through which it charges processing
 //! cost; the transport folds queueing/transfer/latency in. See
 //! `blobseer-simnet` for the cluster cost model; the in-process transport
-//! here costs nothing and is used by unit tests and embedded deployments.
+//! here costs nothing and is used by unit tests.
 //!
 //! [`TcpTransport`] is the real-socket implementation: frames are
 //! gather-written straight from their segment chains (`writev`, no

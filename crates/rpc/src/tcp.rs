@@ -51,10 +51,11 @@
 //!   runs on the loop (the caller, the loop) and four when it runs on
 //!   the pool (plus the worker, plus the loop again for the completion)
 //!   — `rpc/tests/handoffs.rs` counts them.
-//! * **Ablation.** [`ServerMode::ThreadPerConn`] keeps the PR 3 regime
-//!   (accept thread + thread per connection) alive as the comparison
-//!   point; the client side is multiplexed in both modes and both speak
-//!   the same wire format. `rpc/tests/c10k.rs` holds the reactor to a
+//! * **Fallback.** [`ServerMode::ThreadPerConn`] (accept thread + thread
+//!   per connection) is the server off unix or when no readiness poller
+//!   starts; the fault tests also select it. The client side is
+//!   multiplexed in both modes and both speak the same wire format.
+//!   `rpc/tests/c10k.rs` holds the reactor to a
 //!   fixed thread count and a bound on resident bytes per connection.
 //!
 //! # Fan-out is pipelined, not threaded
@@ -223,9 +224,9 @@ pub enum ServerMode {
     /// Requires unix; falls back to [`ServerMode::ThreadPerConn`] when
     /// the readiness poller cannot start.
     Reactor,
-    /// The PR 3 regime: an accept thread per listener and one worker
-    /// thread per live connection. Kept as the ablation the reactor is
-    /// measured against.
+    /// An accept thread per listener and one worker thread per live
+    /// connection: the server off unix or when no readiness poller
+    /// starts. The fault tests also select it.
     ThreadPerConn,
 }
 
@@ -714,7 +715,7 @@ pub(crate) fn open_reserve_fd() -> Option<File> {
     File::open("/dev/null").ok()
 }
 
-/// Accept loop for the [`ServerMode::ThreadPerConn`] ablation regime.
+/// Accept loop for the [`ServerMode::ThreadPerConn`] server.
 fn accept_loop(
     listener: TcpListener,
     svc: Arc<dyn Service>,

@@ -1,8 +1,9 @@
 //! Mapped buffers through the RPC framing path: a page served out of a
 //! provider's log mapping must ride frames exactly like a heap page —
-//! attached as a shared segment on encode (so the socket gather-writes
-//! straight out of the page cache), preserved by batching, and lent by
-//! refcount on decode. No layer may flatten or copy it.
+//! attached as a shared segment on encode (so the socket sends straight
+//! out of the page cache; `sendfile_frames.rs` checks what reaches it),
+//! preserved by batching, and lent by refcount on decode. No layer may
+//! flatten or copy it.
 
 use blobseer_proto::messages::{method, PutPage};
 use blobseer_proto::tree::PageKey;
@@ -71,16 +72,6 @@ fn mapped_payloads_share_through_framing_and_batching() {
             .iter()
             .any(|s| s.same_allocation(&page)),
         "batched frames still share the mapped allocation"
-    );
-
-    // The gather-write slice list points straight into the mapping —
-    // this is what `write_vectored` hands the kernel.
-    let prefix = [0u8; 18];
-    let slices = batch.body.as_io_slices(&prefix);
-    let mapped_ptr = page.as_slice().as_ptr();
-    assert!(
-        slices.iter().any(|s| std::ptr::eq(s.as_ptr(), mapped_ptr)),
-        "one iovec points directly at the mapped bytes"
     );
 
     let _ = std::fs::remove_file(&path);

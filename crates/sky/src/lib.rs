@@ -9,9 +9,9 @@
 //!   truth);
 //! * [`detect`] — reference-template difference imaging, robust
 //!   thresholding, connected components, light-curve classification;
-//! * [`pipeline`] — telescope writers + detector readers over either the
-//!   embedded engine or the simulated cluster, with recall/precision
-//!   scoring against the injected ground truth.
+//! * [`pipeline`] — telescope writers + detector readers over any
+//!   `BlobClient` (a functional, costed or tcp deployment), with
+//!   recall/precision scoring against the injected ground truth.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,8 +22,6 @@ pub mod sky;
 pub mod synth;
 
 pub use detect::{build_light_curves, detect_tile, Candidate, DetectConfig, LightCurve};
-pub use pipeline::{
-    score, Detector, LocalBackend, SimBackend, SkyBackend, SurveyReport, Telescope,
-};
+pub use pipeline::{score, Detector, SimBackend, SkyBackend, SurveyReport, Telescope};
 pub use sky::{decode_tile, encode_tile, SkyGeometry};
 pub use synth::{SkyModel, SynthConfig, Transient};

@@ -9,16 +9,17 @@
 use crate::detect::{build_light_curves, detect_tile, Candidate, DetectConfig, LightCurve};
 use crate::sky::{decode_tile, encode_tile, SkyGeometry};
 use crate::synth::SkyModel;
-use blobseer_core::{BlobClient, LocalEngine};
+use blobseer_core::BlobClient;
 use blobseer_proto::{BlobError, BlobId, Segment, Version};
 use blobseer_rpc::Ctx;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Storage backend abstraction so the pipeline runs identically over the
-/// embedded engine (wall-clock runs) and the simulated cluster
-/// (virtual-time benches).
+/// Storage backend abstraction: the versioned blob the telescopes write
+/// and the detectors read. [`SimBackend`] implements it over any
+/// [`BlobClient`]; the trait lets a harness wrap that with its own
+/// instrumentation.
 pub trait SkyBackend: Send + Sync {
     /// Page-aligned versioned write; returns the produced version.
     fn write(&self, offset: u64, data: &[u8]) -> Result<Version, BlobError>;
@@ -31,42 +32,9 @@ pub trait SkyBackend: Send + Sync {
     fn latest(&self) -> Result<Version, BlobError>;
 }
 
-/// Embedded backend.
-pub struct LocalBackend {
-    engine: Arc<LocalEngine>,
-    blob: BlobId,
-}
-
-impl LocalBackend {
-    /// Allocate a blob sized for `epochs` epochs of `geom`.
-    pub fn new(engine: Arc<LocalEngine>, geom: &SkyGeometry, epochs: u32) -> Self {
-        let blob = engine
-            .alloc(geom.blob_size(epochs), geom.page_size)
-            .expect("valid sky geometry");
-        Self { engine, blob }
-    }
-}
-
-impl SkyBackend for LocalBackend {
-    fn write(&self, offset: u64, data: &[u8]) -> Result<Version, BlobError> {
-        self.engine.write(self.blob, offset, data)
-    }
-
-    fn read(
-        &self,
-        version: Option<Version>,
-        seg: Segment,
-    ) -> Result<(Vec<u8>, Version), BlobError> {
-        self.engine.read(self.blob, version, seg)
-    }
-
-    fn latest(&self) -> Result<Version, BlobError> {
-        self.engine.latest(self.blob)
-    }
-}
-
-/// Simulated-cluster backend (one `BlobClient`, its virtual clock guarded
-/// by a mutex — each logical actor owns one backend).
+/// A blob behind any [`BlobClient`] — over a simulated deployment
+/// (functional or costed) or a tcp one. Its virtual clock is guarded by
+/// a mutex, so each logical actor owns one backend.
 pub struct SimBackend {
     client: BlobClient,
     blob: BlobId,
@@ -288,21 +256,39 @@ pub fn score(model: &SkyModel, cfg: &DetectConfig, candidates: Vec<Candidate>) -
 mod tests {
     use super::*;
     use crate::synth::SynthConfig;
+    use blobseer_core::{Deployment, DeploymentConfig};
 
     fn small_model(n_transients: usize, epochs: u32) -> SkyModel {
         let geom = SkyGeometry::new(2, 2, 64, 4096);
         SkyModel::new(geom, SynthConfig::default(), 1234, n_transients, epochs)
     }
 
+    /// A blob sized for `epochs` epochs of `geom` on a functional
+    /// deployment (handlers run inline on the caller's thread).
+    fn functional_blob(geom: &SkyGeometry, epochs: u32) -> (Deployment, BlobId) {
+        let d = Deployment::build(DeploymentConfig::functional(4));
+        let blob = d
+            .client()
+            .alloc(&mut Ctx::start(), geom.blob_size(epochs), geom.page_size)
+            .unwrap()
+            .blob;
+        (d, blob)
+    }
+
+    /// One actor's backend: its own client and clock on the shared blob,
+    /// so actors on different threads run their calls in parallel.
+    fn actor(d: &Deployment, blob: BlobId) -> Arc<dyn SkyBackend> {
+        Arc::new(SimBackend::new(d.client(), blob))
+    }
+
     #[test]
-    fn survey_end_to_end_on_local_engine() {
+    fn survey_end_to_end_on_functional_deployment() {
         // Onsets are confined to the first few epochs so every transient
         // has enough post-peak samples to classify (min_epochs = 3).
         let epochs = 10;
         let model = small_model(3, 4);
-        let engine = Arc::new(LocalEngine::new());
-        let backend: Arc<dyn SkyBackend> =
-            Arc::new(LocalBackend::new(Arc::clone(&engine), &model.geom, epochs));
+        let (d, blob) = functional_blob(&model.geom, epochs);
+        let backend = actor(&d, blob);
 
         let telescope = Telescope {
             model: &model,
@@ -340,17 +326,12 @@ mod tests {
         // scan of the same version.
         let epochs = 6;
         let model = Arc::new(small_model(2, epochs - 2));
-        let engine = Arc::new(LocalEngine::new());
-        let backend: Arc<dyn SkyBackend> = Arc::new(LocalBackend::new(
-            Arc::clone(&engine),
-            &model.geom,
-            epochs + 4,
-        ));
+        let (d, blob) = functional_blob(&model.geom, epochs + 4);
 
         // Seed epochs 0..3 and remember the version.
         let telescope = Telescope {
             model: &model,
-            backend: Arc::clone(&backend),
+            backend: actor(&d, blob),
         };
         let mut pinned = 0;
         for e in 0..3 {
@@ -361,15 +342,16 @@ mod tests {
         let quiet = Detector {
             geom: model.geom,
             config: cfg,
-            backend: Arc::clone(&backend),
+            backend: actor(&d, blob),
         }
         .scan_epoch(Some(pinned), 2)
         .unwrap();
 
-        // Writer thread appends epochs 3.. while detector rescans.
+        // Writer thread appends epochs 3.. while detector rescans; each
+        // has its own backend, so the scans overlap the writes.
         let writer = {
             let model = Arc::clone(&model);
-            let backend = Arc::clone(&backend);
+            let backend = actor(&d, blob);
             std::thread::spawn(move || {
                 let t = Telescope {
                     model: &model,
@@ -383,7 +365,7 @@ mod tests {
         let detector = Detector {
             geom: model.geom,
             config: cfg,
-            backend: Arc::clone(&backend),
+            backend: actor(&d, blob),
         };
         for _ in 0..5 {
             let live = detector.scan_epoch(Some(pinned), 2).unwrap();
@@ -399,9 +381,8 @@ mod tests {
     #[test]
     fn multi_telescope_partition_covers_sky() {
         let model = small_model(0, 2);
-        let engine = Arc::new(LocalEngine::new());
-        let backend: Arc<dyn SkyBackend> =
-            Arc::new(LocalBackend::new(Arc::clone(&engine), &model.geom, 4));
+        let (d, blob) = functional_blob(&model.geom, 4);
+        let backend = actor(&d, blob);
         let t = Telescope {
             model: &model,
             backend: Arc::clone(&backend),

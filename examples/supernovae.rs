@@ -7,10 +7,9 @@
 //! ```
 
 use blobseer::sky::{
-    score, DetectConfig, Detector, LocalBackend, SkyBackend, SkyGeometry, SkyModel, SynthConfig,
-    Telescope,
+    score, DetectConfig, Detector, SimBackend, SkyGeometry, SkyModel, SynthConfig, Telescope,
 };
-use blobseer::LocalEngine;
+use blobseer::{Ctx, Deployment, DeploymentConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,9 +33,15 @@ fn main() {
         blobseer::util::stats::fmt_bytes(geom.epoch_bytes())
     );
 
-    // Embedded concurrent engine (wall-clock run).
-    let engine = Arc::new(LocalEngine::new());
-    let backend: Arc<dyn SkyBackend> = Arc::new(LocalBackend::new(engine, &geom, epochs));
+    // A 4-provider deployment on the zero-cost in-process transport
+    // (wall-clock run); every actor gets its own client on the one blob.
+    let d = Deployment::build(DeploymentConfig::functional(4));
+    let blob = d
+        .client()
+        .alloc(&mut Ctx::start(), geom.blob_size(epochs), geom.page_size)
+        .unwrap()
+        .blob;
+    let actor = || Arc::new(SimBackend::new(d.client(), blob));
 
     // Two telescopes split the sky and write concurrently; a detector
     // scans each published epoch while later epochs are still arriving —
@@ -45,8 +50,8 @@ fn main() {
     let half = geom.tiles() / 2;
     std::thread::scope(|s| {
         let model = &model;
-        let b1 = Arc::clone(&backend);
-        let b2 = Arc::clone(&backend);
+        let b1 = actor();
+        let b2 = actor();
         s.spawn(move || {
             let t = Telescope { model, backend: b1 };
             for e in 0..epochs {
@@ -74,7 +79,7 @@ fn main() {
     let detector = Detector {
         geom,
         config: cfg,
-        backend: Arc::clone(&backend),
+        backend: actor(),
     };
     let t1 = Instant::now();
     let mut candidates = Vec::new();

@@ -7,7 +7,7 @@
 //! cargo run --release --example versioned_analytics
 //! ```
 
-use blobseer::{LocalEngine, Segment};
+use blobseer::{Ctx, Deployment, DeploymentConfig, Segment};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,12 +17,16 @@ const PAGES: u64 = 512;
 const TOTAL: u64 = PAGE * PAGES; // 8 MiB dataset
 
 fn main() {
-    let engine = Arc::new(LocalEngine::new());
-    let blob = engine.alloc(TOTAL, PAGE).unwrap();
+    // A 4-provider deployment on the zero-cost in-process transport;
+    // every actor below gets its own client.
+    let d = Deployment::build(DeploymentConfig::functional(4));
+    let client = d.client();
+    let mut ctx = Ctx::start();
+    let blob = client.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob;
 
     // Ingest the base dataset: 8 MiB of "records" (version 1).
     let base: Vec<u8> = (0..TOTAL).map(|i| (i % 251) as u8).collect();
-    engine.write(blob, 0, &base).unwrap();
+    client.write(&mut ctx, blob, 0, &base).unwrap();
     println!("base dataset ingested as version 1 ({} pages)", PAGES);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -30,15 +34,16 @@ fn main() {
 
     // A writer continuously patches random pages (new versions).
     let writer = {
-        let engine = Arc::clone(&engine);
+        let c = d.client();
         let stop = Arc::clone(&stop);
         let updates = Arc::clone(&updates);
         std::thread::spawn(move || {
+            let mut ctx = Ctx::start();
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let off = (i * 37 % PAGES) * PAGE;
                 let fill = vec![(i % 250) as u8 + 1; PAGE as usize];
-                engine.write(blob, off, &fill).unwrap();
+                c.write(&mut ctx, blob, off, &fill).unwrap();
                 updates.fetch_add(1, Ordering::Relaxed);
                 i += 1;
             }
@@ -51,12 +56,15 @@ fn main() {
     let t0 = Instant::now();
     let analysts: Vec<_> = (0..4)
         .map(|id| {
-            let engine = Arc::clone(&engine);
+            let c = d.client();
             std::thread::spawn(move || {
+                let mut ctx = Ctx::start();
                 let mut scans = 0u64;
                 let mut checksum0 = None;
                 for _ in 0..30 {
-                    let (buf, _) = engine.read(blob, Some(1), Segment::new(0, TOTAL)).unwrap();
+                    let (buf, _) = c
+                        .read(&mut ctx, blob, Some(1), Segment::new(0, TOTAL))
+                        .unwrap();
                     let sum: u64 = buf.iter().map(|&b| b as u64).sum();
                     match checksum0 {
                         None => checksum0 = Some(sum),
@@ -92,12 +100,16 @@ fn main() {
     println!(
         "writer published {} new versions concurrently (latest = {})",
         updates.load(Ordering::Relaxed),
-        engine.latest(blob).unwrap()
+        client.latest(&mut ctx, blob).unwrap()
     );
 
     // Time travel: compare the base snapshot with the live head.
-    let (v1_page, _) = engine.read(blob, Some(1), Segment::new(0, PAGE)).unwrap();
-    let (head_page, latest) = engine.read(blob, None, Segment::new(0, PAGE)).unwrap();
+    let (v1_page, _) = client
+        .read(&mut ctx, blob, Some(1), Segment::new(0, PAGE))
+        .unwrap();
+    let (head_page, latest) = client
+        .read(&mut ctx, blob, None, Segment::new(0, PAGE))
+        .unwrap();
     println!(
         "page 0 at v1 starts with {:?}, at v{} with {:?}",
         &v1_page[..4],
@@ -106,11 +118,11 @@ fn main() {
     );
 
     // Retention: collect everything older than the last 10 versions.
-    let keep_from = engine.latest(blob).unwrap().saturating_sub(10).max(1);
-    let (nodes, pages) = engine.gc(blob, keep_from).unwrap();
+    let keep_from = latest.saturating_sub(10).max(1);
+    let (nodes, pages) = client.gc(&mut ctx, blob, keep_from).unwrap();
     println!(
         "GC (keep >= v{keep_from}): reclaimed {nodes} tree nodes and {pages} pages; \
-         store now holds {} pages",
-        engine.page_count()
+         the cluster now holds {} pages",
+        d.total_pages()
     );
 }

@@ -10,7 +10,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `blobseer-core` | [`Deployment`], [`BlobClient`], [`LocalEngine`] |
+//! | [`core`] | `blobseer-core` | [`Deployment`], [`BlobClient`], version-manager service |
 //! | [`meta`] | `blobseer-meta` | segment-tree algorithms, [`ReferenceStore`] |
 //! | [`version`] | `blobseer-version` | version manager internals |
 //! | [`proto`] | `blobseer-proto` | ids, geometry, messages, codec |
@@ -139,10 +139,11 @@
 //! exactly that). The client multiplexes: the wire envelope (v2)
 //! carries a **correlation id**, so one socket carries many in-flight
 //! calls, each completed through its own slot — connection errors fail
-//! every call in flight with a typed error, never a hang. The PR 3
-//! thread-per-connection regime survives as the
-//! [`ServerMode::ThreadPerConn`] ablation toggle
-//! ([`TcpOptions::server_mode`]); `crates/rpc/tests/c10k.rs` bounds
+//! every call in flight with a typed error, never a hang. Off unix, or
+//! when no readiness poller starts, the server falls back to
+//! [`ServerMode::ThreadPerConn`] (a blocking thread per connection),
+//! which the fault tests also select through
+//! [`TcpOptions::server_mode`]; `crates/rpc/tests/c10k.rs` bounds
 //! the reactor's resident bytes per idle connection well below a
 //! thread stack.
 //! Overload is shed, not queued: past the fd budget (or
@@ -319,8 +320,7 @@ pub use blobseer_version as version;
 
 pub use blobseer_core::{
     AdmissionMode, AdmissionOptions, BackendKind, BlobClient, ClusterHandle, Deployment,
-    DeploymentConfig, FanOutOptions, LocalEngine, ReadOptions, RetryPolicy, TransportKind,
-    WriteOptions,
+    DeploymentConfig, FanOutOptions, ReadOptions, RetryPolicy, TransportKind, WriteOptions,
 };
 pub use blobseer_meta::ReferenceStore;
 pub use blobseer_proto::{BlobError, BlobId, Geometry, PageBuf, Segment, Version};

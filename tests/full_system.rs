@@ -6,8 +6,7 @@ use blobseer::sky::{
     Telescope,
 };
 use blobseer::{
-    AggregationPolicy, BlobError, Ctx, Deployment, DeploymentConfig, LocalEngine, ReferenceStore,
-    Segment,
+    AggregationPolicy, BlobError, Ctx, Deployment, DeploymentConfig, ReferenceStore, Segment,
 };
 use std::sync::Arc;
 
@@ -31,17 +30,13 @@ fn facade_quickstart_compiles_and_runs() {
 }
 
 #[test]
-fn distributed_engine_agrees_with_embedded_and_reference() {
-    // Three implementations of the same semantics must agree bit-for-bit:
-    // the distributed deployment, the embedded concurrent engine, and the
-    // single-threaded reference store.
+fn distributed_engine_agrees_with_reference() {
+    // The distributed deployment and the single-threaded reference store
+    // must agree bit-for-bit on every version.
     let d = Deployment::build(DeploymentConfig::functional(4));
     let dist = d.client();
     let mut ctx = Ctx::start();
     let blob = dist.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob;
-
-    let local = LocalEngine::new();
-    let lblob = local.alloc(TOTAL, PAGE).unwrap();
 
     let geom = blobseer::Geometry::new(TOTAL, PAGE).unwrap();
     let mut oracle = ReferenceStore::new(geom);
@@ -57,20 +52,16 @@ fn distributed_engine_agrees_with_embedded_and_reference() {
     for (page, len, fill) in writes {
         let seg = Segment::new(page * PAGE, len * PAGE);
         let data = vec![fill; seg.size as usize];
-        let v1 = dist.write(&mut ctx, blob, seg.offset, &data).unwrap();
-        let v2 = local.write(lblob, seg.offset, &data).unwrap();
-        let v3 = oracle.write(seg, &data).unwrap();
-        assert_eq!(v1, v2);
-        assert_eq!(v2, v3);
+        let got = dist.write(&mut ctx, blob, seg.offset, &data).unwrap();
+        let want = oracle.write(seg, &data).unwrap();
+        assert_eq!(got, want);
     }
     for v in 0..=oracle.latest() {
         let want = oracle.read(v, Segment::new(0, TOTAL)).unwrap();
-        let (got_d, _) = dist
+        let (got, _) = dist
             .read(&mut ctx, blob, Some(v), Segment::new(0, TOTAL))
             .unwrap();
-        let (got_l, _) = local.read(lblob, Some(v), Segment::new(0, TOTAL)).unwrap();
-        assert_eq!(got_d, want, "distributed v{v}");
-        assert_eq!(got_l, want, "embedded v{v}");
+        assert_eq!(got, want, "distributed v{v}");
     }
 }
 
@@ -104,11 +95,16 @@ fn snapshot_isolation_under_interleaved_writers_and_gc() {
         .read(&mut ctx, blob, Some(5), Segment::new(0, TOTAL))
         .unwrap();
     assert_eq!(got, v5_content, "GC must not disturb kept snapshots");
-    // Collected versions fail loudly, not silently.
-    assert!(matches!(
-        c.read(&mut ctx, blob, Some(2), Segment::new(0, TOTAL)),
-        Err(BlobError::MissingMetadata { .. }) | Err(BlobError::MissingPage { .. }) | Ok(_)
-    ));
+    // Collected versions fail loudly, not silently: their roots are gone.
+    for v in 1..5 {
+        let got = c
+            .read(&mut ctx, blob, Some(v), Segment::new(0, TOTAL))
+            .map(|(_, latest)| latest);
+        assert!(
+            matches!(got, Err(BlobError::MissingMetadata { blob: b, version }) if b == blob && version == v),
+            "v{v} must be collected, got {got:?}"
+        );
+    }
 }
 
 #[test]
