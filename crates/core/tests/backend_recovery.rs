@@ -78,7 +78,6 @@ fn crash_recovery_scenario(transport: TransportKind) {
             .page(key)
             .unwrap_or_else(|| panic!("acknowledged page {key:?} lost by restart"));
         assert_eq!(&replayed, page, "page {key:?} byte-identical after restart");
-        #[cfg(unix)]
         assert!(
             replayed.is_mapped(),
             "replayed pages are served from the log mapping"

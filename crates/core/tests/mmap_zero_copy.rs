@@ -238,7 +238,6 @@ fn mmap_backend_meters_identically_to_memory() {
         .read_buf(&mut ctx, info.blob, Some(1), Segment::new(0, PAGE))
         .unwrap();
     assert_eq!(&page[..], &data[..PAGE as usize]);
-    #[cfg(unix)]
     assert!(
         page.is_mapped(),
         "over the in-process transport the served page is lent straight \

@@ -460,8 +460,7 @@ impl Generation {
 ///   acknowledgement only once a group-commit marker covers the
 ///   record.
 /// * **Serve** is `map.slice(payload_range)`: a refcount bump on the
-///   generation mapping, zero copies (unix; other platforms degrade to
-///   serving the ingested heap buffer — the log still persists).
+///   generation mapping, zero copies.
 /// * **Recover** replays the mapping ([`recordlog::replay`]) and
 ///   slices it; appends resume at the last durable marker. A log that
 ///   was created empty and is still empty is not replayed.
@@ -570,20 +569,11 @@ impl StorageBackend for MmapBackend {
             log_err(e)
         })?;
 
-        // Serve the mapped bytes (unix: the MAP_SHARED mapping sees the
-        // write through the unified page cache). Elsewhere the mapping
-        // is a snapshot, so serve the ingested heap buffer instead.
-        #[cfg(unix)]
-        {
-            // The append fit below the mapping's length, a `usize`.
-            let s = payload_at as usize;
-            Ok(gen.map.slice(s..s + data.len()))
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = payload_at;
-            Ok(data.clone())
-        }
+        // Serve the mapped bytes: the MAP_SHARED mapping sees the write
+        // through the unified page cache. The append fit below the
+        // mapping's length, a `usize`.
+        let s = payload_at as usize;
+        Ok(gen.map.slice(s..s + data.len()))
     }
 
     fn on_remove(&self, len: u64) {
@@ -938,12 +928,9 @@ mod tests {
         );
         assert_eq!(s0, p0);
         assert_eq!(s1, p1);
-        #[cfg(unix)]
-        {
-            assert!(s0.is_mapped() && s1.is_mapped());
-            assert!(s0.same_allocation(&b.mapping()));
-            assert_eq!(s0.mapping_generation(), Some(0));
-        }
+        assert!(s0.is_mapped() && s1.is_mapped());
+        assert!(s0.same_allocation(&b.mapping()));
+        assert_eq!(s0.mapping_generation(), Some(0));
         // Two records, each sealed by its own marker (single-threaded
         // appends commit one by one).
         assert_eq!(b.resident().mapped, 2 * rec(4096) + 2 * REC_HEADER);
@@ -1290,15 +1277,11 @@ mod tests {
         for (k, p) in &outcome.entries {
             let (_, want) = live.iter().find(|(lk, _)| lk == k).unwrap();
             assert_eq!(p, want, "live page {k:?} carried byte-identical");
-            #[cfg(unix)]
             assert_eq!(p.mapping_generation(), Some(1));
         }
-        #[cfg(unix)]
-        {
-            assert_eq!(pre_swap_page.mapping_generation(), Some(0));
-            assert!(pre_swap_page.same_allocation(&old_mapping));
-            assert_eq!(pre_swap_page.as_slice()[0], 1, "old slice still readable");
-        }
+        assert_eq!(pre_swap_page.mapping_generation(), Some(0));
+        assert!(pre_swap_page.same_allocation(&old_mapping));
+        assert_eq!(pre_swap_page.as_slice()[0], 1, "old slice still readable");
         assert!(
             !dir.join(gen_file_name(0)).exists(),
             "old generation unlinked"
@@ -1390,7 +1373,6 @@ mod tests {
         for ((k, p), (ck, cp)) in outcome.entries.iter().zip(&current) {
             assert_eq!(k, ck);
             assert_eq!(p.as_slice(), cp.as_slice());
-            #[cfg(unix)]
             assert_eq!(p.mapping_generation(), Some(1));
         }
 

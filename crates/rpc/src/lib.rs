@@ -52,7 +52,7 @@ pub use service::{
     dispatch_frame, error_frame, ok_frame, parse_response, respond, ServerCtx, Service,
 };
 pub use tcp::{
-    encode_wire_frame, read_wire_frame, ServerMode, TcpOptions, TcpTransport, CTRL_CORR, CTRL_SHED,
+    encode_wire_frame, read_wire_frame, TcpOptions, TcpTransport, CTRL_CORR, CTRL_SHED,
     MAX_WIRE_FRAME, SHED_RETRY_HINT_MS,
 };
 pub use transport::{Ctx, InProcTransport, Transport, TransportResult};

@@ -28,8 +28,6 @@
 //!   interest is parked (backpressure), not buffered without bound. A
 //!   handler that panics costs its own call a typed
 //!   [`BlobError::Internal`] — never the worker or the loop it ran on.
-//!   Off-unix (or if the poller cannot start) the transport falls back
-//!   to thread-per-connection serving.
 //! * **Client = multiplexing, and the waiters read.** Each destination
 //!   keeps a small set of connections (at most
 //!   [`TcpOptions::max_pooled_per_peer`]); a call picks the least-loaded
@@ -50,13 +48,9 @@
 //!   threads. One call blocks two threads once each when its handler
 //!   runs on the loop (the caller, the loop) and four when it runs on
 //!   the pool (plus the worker, plus the loop again for the completion)
-//!   — `rpc/tests/handoffs.rs` counts them.
-//! * **Fallback.** [`ServerMode::ThreadPerConn`] (accept thread + thread
-//!   per connection) is the server off unix or when no readiness poller
-//!   starts; the fault tests also select it. The client side is
-//!   multiplexed in both modes and both speak the same wire format.
-//!   `rpc/tests/c10k.rs` holds the reactor to a
-//!   fixed thread count and a bound on resident bytes per connection.
+//!   — `rpc/tests/handoffs.rs` counts them, and `rpc/tests/c10k.rs`
+//!   holds the reactor to a fixed thread count and a bound on resident
+//!   bytes per connection.
 //!
 //! # Fan-out is pipelined, not threaded
 //!
@@ -170,19 +164,16 @@ use blobseer_proto::wire::{Reader, Wire};
 use blobseer_proto::{BlobError, CodecError, NodeId, PageBuf};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::transport::{Transport, TransportResult};
 
 mod mux;
-#[cfg(unix)]
 mod reactor;
 mod send;
 
@@ -217,19 +208,6 @@ pub const CTRL_SHED: u16 = 0xFF01;
 /// the cruder connection-slot shed where no queue exists to inspect.
 pub const SHED_RETRY_HINT_MS: u64 = 20;
 
-/// How the server side of a [`TcpTransport`] serves connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Nonblocking event loops + a bounded dispatch pool (default).
-    /// Requires unix; falls back to [`ServerMode::ThreadPerConn`] when
-    /// the readiness poller cannot start.
-    Reactor,
-    /// An accept thread per listener and one worker thread per live
-    /// connection: the server off unix or when no readiness poller
-    /// starts. The fault tests also select it.
-    ThreadPerConn,
-}
-
 /// Tunables for a [`TcpTransport`].
 #[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
@@ -244,8 +222,6 @@ pub struct TcpOptions {
     /// an existing idle connection and only dials another when every
     /// one is busy and the count is below this.
     pub max_pooled_per_peer: usize,
-    /// Server serving regime (reactor vs thread-per-connection).
-    pub server_mode: ServerMode,
     /// Event loops the reactor runs (≥ 1).
     pub event_loops: usize,
     /// Dispatch-pool workers running service handlers (≥ 1).
@@ -267,7 +243,6 @@ impl Default for TcpOptions {
             connect_timeout: Duration::from_secs(5),
             io_timeout: Some(Duration::from_secs(30)),
             max_pooled_per_peer: 64,
-            server_mode: ServerMode::Reactor,
             event_loops: 2,
             dispatch_threads: 4,
             dispatch_queue: 1024,
@@ -287,19 +262,11 @@ pub(crate) struct Shared {
     pub conns: AtomicUsize,
     /// Connections shed under fd pressure or the connection cap.
     pub sheds: AtomicU64,
-    pub io_timeout: Option<Duration>,
 }
 
 struct NodeSlot {
     addr: Option<SocketAddr>,
     alive: Arc<AtomicBool>,
-}
-
-enum ServerEngine {
-    Idle,
-    Threads(Vec<(SocketAddr, JoinHandle<()>)>),
-    #[cfg(unix)]
-    Reactor(reactor::Reactor),
 }
 
 /// A real socket transport over loopback (or any reachable address via
@@ -309,7 +276,9 @@ pub struct TcpTransport {
     opts: TcpOptions,
     nodes: RwLock<Vec<NodeSlot>>,
     mux: Arc<Mutex<PoolMap>>,
-    server: Mutex<ServerEngine>,
+    /// The server, started by the first [`TcpTransport::bind`]: a
+    /// client-only transport runs no thread.
+    server: Mutex<Option<reactor::Reactor>>,
     shared: Arc<Shared>,
 }
 
@@ -331,14 +300,13 @@ impl TcpTransport {
             opts,
             nodes: RwLock::new(Vec::new()),
             mux: Arc::new(Mutex::new(HashMap::new())),
-            server: Mutex::new(ServerEngine::Idle),
+            server: Mutex::new(None),
             shared: Arc::new(Shared {
                 shutdown: AtomicBool::new(false),
                 messages: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
                 conns: AtomicUsize::new(0),
                 sheds: AtomicU64::new(0),
-                io_timeout: opts.io_timeout,
             }),
         }
     }
@@ -357,9 +325,9 @@ impl TcpTransport {
     }
 
     /// Bind a service to a node: starts a loopback listener served by
-    /// the transport's engine (reactor loops or an accept thread,
-    /// depending on [`TcpOptions::server_mode`]). Panics if the node is
-    /// unknown or already bound.
+    /// the transport's reactor, which the first bind starts. Panics if
+    /// the node is unknown or already bound, or if the listener or the
+    /// reactor cannot start.
     pub fn bind(&self, node: NodeId, svc: Arc<dyn Service>) {
         // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
@@ -373,50 +341,11 @@ impl TcpTransport {
             slot.addr = Some(addr);
             Arc::clone(&slot.alive)
         };
-        let mut engine = self.server.lock();
-        if matches!(*engine, ServerEngine::Idle) {
-            *engine = self.start_engine();
-        }
-        match &mut *engine {
-            #[cfg(unix)]
-            ServerEngine::Reactor(r) => r.add_listener(listener, svc, alive),
-            ServerEngine::Threads(accepts) => {
-                let shared = Arc::clone(&self.shared);
-                let opts = self.opts;
-                let handle =
-                    std::thread::spawn(move || accept_loop(listener, svc, alive, shared, opts));
-                accepts.push((addr, handle));
-            }
-            // lint: allow(panic-on-serving-path) — the Idle arm was replaced by
-            // start_engine two lines up; this arm cannot be reached
-            ServerEngine::Idle => unreachable!("engine started above"),
-        }
-    }
-
-    fn start_engine(&self) -> ServerEngine {
-        #[cfg(unix)]
-        if self.opts.server_mode == ServerMode::Reactor {
-            match reactor::Reactor::start(&self.opts, Arc::clone(&self.shared)) {
-                Ok(r) => return ServerEngine::Reactor(r),
-                Err(_) => {
-                    // No readiness poller available: degrade to the
-                    // thread-per-connection regime.
-                }
-            }
-        }
-        ServerEngine::Threads(Vec::new())
-    }
-
-    /// The serving regime actually in effect (the reactor may have
-    /// fallen back to threads if no poller was available). Meaningful
-    /// once a service is bound.
-    pub fn server_mode(&self) -> ServerMode {
-        match *self.server.lock() {
-            #[cfg(unix)]
-            ServerEngine::Reactor(_) => ServerMode::Reactor,
-            ServerEngine::Threads(_) => ServerMode::ThreadPerConn,
-            ServerEngine::Idle => self.opts.server_mode,
-        }
+        let start = || reactor::Reactor::start(&self.opts, Arc::clone(&self.shared));
+        let mut server = self.server.lock();
+        // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
+        let reactor = server.get_or_insert_with(|| start().expect("start the reactor"));
+        reactor.add_listener(listener, svc, alive);
     }
 
     /// Register a node served by a peer outside this transport (another
@@ -677,147 +606,8 @@ impl Drop for TcpTransport {
         for conn in conns {
             conn.close();
         }
-        match std::mem::replace(&mut *self.server.lock(), ServerEngine::Idle) {
-            ServerEngine::Idle => {}
-            #[cfg(unix)]
-            ServerEngine::Reactor(mut r) => r.stop(),
-            ServerEngine::Threads(accepts) => {
-                // Wake each accept thread with a throwaway connection.
-                for (addr, _) in &accepts {
-                    let _ = TcpStream::connect_timeout(addr, Duration::from_millis(200));
-                }
-                for (_, handle) in accepts {
-                    let _ = handle.join();
-                }
-            }
-        }
-    }
-}
-
-/// `EMFILE`/`ENFILE`: the process or system is out of file descriptors.
-fn is_fd_exhaustion(e: &io::Error) -> bool {
-    matches!(e.raw_os_error(), Some(23) | Some(24))
-}
-
-/// Shed a just-accepted connection with a typed close: best-effort
-/// write of the [`CTRL_SHED`] control frame, then drop.
-pub(crate) fn shed_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let head = encode_head(CTRL_CORR, SHED_RETRY_HINT_MS, CTRL_SHED, 0);
-    let _ = (&stream).write_all(&head);
-    shared.sheds.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Open the per-listener reserve fd used to accept-then-shed under fd
-/// exhaustion.
-pub(crate) fn open_reserve_fd() -> Option<File> {
-    File::open("/dev/null").ok()
-}
-
-/// Accept loop for the [`ServerMode::ThreadPerConn`] server.
-fn accept_loop(
-    listener: TcpListener,
-    svc: Arc<dyn Service>,
-    alive: Arc<AtomicBool>,
-    shared: Arc<Shared>,
-    opts: TcpOptions,
-) {
-    let mut reserve = open_reserve_fd();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if opts.max_connections > 0
-                    && shared.conns.load(Ordering::Relaxed) >= opts.max_connections
-                {
-                    shed_connection(stream, &shared);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(shared.io_timeout);
-                let _ = stream.set_write_timeout(shared.io_timeout);
-                let svc = Arc::clone(&svc);
-                let alive = Arc::clone(&alive);
-                let shared = Arc::clone(&shared);
-                shared.conns.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || serve_conn(stream, svc, alive, shared));
-            }
-            Err(e) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if is_fd_exhaustion(&e) {
-                    // Shed the newest connection with a typed close: free
-                    // the reserve fd, accept the waiting connection, tell
-                    // it why, drop it, re-arm the reserve.
-                    drop(reserve.take());
-                    let shed = match listener.accept() {
-                        Ok((stream, _)) => {
-                            shed_connection(stream, &shared);
-                            true
-                        }
-                        Err(_) => false,
-                    };
-                    reserve = open_reserve_fd();
-                    if shed && reserve.is_some() {
-                        continue;
-                    }
-                }
-                // Persistent failure (couldn't even shed): back off so
-                // the accept thread does not spin at 100% CPU.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// RAII decrement of the established-connection gauge.
-struct ConnGauge(Arc<Shared>);
-
-impl Drop for ConnGauge {
-    fn drop(&mut self) {
-        self.0.conns.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// One connection's request loop (thread-per-connection regime): read a
-/// frame, dispatch, gather-write the response with the request's
-/// correlation id. Any read/decode failure or a dead node closes the
-/// connection — the peer sees EOF mid-conversation.
-fn serve_conn(
-    mut stream: TcpStream,
-    svc: Arc<dyn Service>,
-    alive: Arc<AtomicBool>,
-    shared: Arc<Shared>,
-) {
-    let _gauge = ConnGauge(Arc::clone(&shared));
-    loop {
-        let (corr, vt, frame, _) = match recv_frame(&mut stream) {
-            Ok(x) => x,
-            // A timeout before any envelope byte arrived is just an idle
-            // pooled connection between calls: re-arm the read. Mid-frame
-            // timeouts (a stalled client) fall through and close.
-            Err(RecvError::IdleTimeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) || !alive.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) || !alive.load(Ordering::Acquire) {
-            return;
-        }
-        // `_held` (admission permits) lives until the response is sent.
-        let (done, resp, _held) = run_handler(svc.as_ref(), vt, &frame);
-        if !alive.load(Ordering::Acquire) {
-            return; // died during the call: no response
-        }
-        if send_frame(&stream, corr, done, &resp).is_err() {
-            return;
+        if let Some(mut reactor) = self.server.lock().take() {
+            reactor.stop();
         }
     }
 }
@@ -826,12 +616,11 @@ fn serve_conn(
 /// dropped once the response has left the server.
 pub(crate) type Held = Vec<Box<dyn std::any::Any + Send>>;
 
-/// Run the service handler for one decoded request, the way every
-/// serving path does (dispatch worker, event loop, per-connection
-/// thread): returns the response's virtual time, the response and the
-/// state to hold until it is written. A handler that panics costs its
-/// own call a typed error — never the thread that ran it, which other
-/// connections depend on.
+/// Run the service handler for one decoded request, the way both
+/// serving paths do (dispatch worker, event loop): returns the
+/// response's virtual time, the response and the state to hold until it
+/// is written. A handler that panics costs its own call a typed error —
+/// never the thread that ran it, which other connections depend on.
 pub(crate) fn run_handler(svc: &dyn Service, vt: u64, frame: &Frame) -> (u64, Frame, Held) {
     let mut sctx = ServerCtx::new(vt);
     let resp = catch_unwind(AssertUnwindSafe(|| dispatch_frame(svc, &mut sctx, frame)))
@@ -889,76 +678,62 @@ pub(crate) fn send_frame(
     Ok(head.len() + body_len)
 }
 
-pub(crate) enum RecvError {
-    /// Clean close at a frame boundary.
-    Closed,
-    /// Read timeout at a frame boundary (no envelope byte yet): the
-    /// connection is idle, not stalled. Servers re-arm; on a client the
-    /// thread reading is itself waiting for a reply, so it is that
-    /// call's — and the connection's — timeout.
-    IdleTimeout,
-    Io(io::Error),
-    Codec(CodecError),
+/// What a failed receive costs the connection: a read timeout — with or
+/// without part of a frame read, and the thread it expired on is itself
+/// waiting for a reply — is `Unreachable("tcp recv timed out")`; any
+/// other failure, an EOF included, `Unreachable("tcp connection lost")`.
+/// An `io::Error` cannot carry `Overload`: a shed arrives as a decoded
+/// [`CTRL_SHED`] frame.
+fn recv_lost(e: io::Error) -> BlobError {
+    if is_timeout(&e) {
+        BlobError::Unreachable("tcp recv timed out")
+    } else {
+        BlobError::Unreachable("tcp connection lost")
+    }
 }
 
 /// Read one frame into a single receive buffer and decode it with
 /// [`Reader::from_buf`], so payloads are lent out of the buffer by
-/// refcount. Returns `(corr, vt, frame, wire_size)`.
-pub(crate) fn recv_frame<R: Read>(stream: &mut R) -> Result<(u64, u64, Frame, usize), RecvError> {
+/// refcount. Returns `(corr, vt, frame, wire_size)`; a failed read is
+/// [`recv_lost`], a bad length or body [`BlobError::Codec`].
+pub(crate) fn recv_frame<R: Read>(stream: &mut R) -> Result<(u64, u64, Frame, usize), BlobError> {
     let mut len4 = [0u8; ENVELOPE_LEN_BYTES];
-    let mut got = 0usize;
-    while got < len4.len() {
-        match stream.read(&mut len4[got..]) {
-            Ok(0) if got == 0 => return Err(RecvError::Closed),
-            Ok(0) => {
-                return Err(RecvError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "tcp peer closed mid-envelope",
-                )))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if got == 0 && is_timeout(&e) => return Err(RecvError::IdleTimeout),
-            Err(e) => return Err(RecvError::Io(e)),
-        }
-    }
+    stream.read_exact(&mut len4).map_err(recv_lost)?;
     // Validate the peer-controlled length in the u64 domain, then
     // narrow with a checked conversion — never a silent cast.
     let declared = u64::from(u32::from_le_bytes(len4));
     if declared < ENVELOPE_FIXED as u64 || declared > MAX_WIRE_FRAME {
         // Reject before allocating: a corrupt length must not buy a
         // multi-gigabyte Vec.
-        return Err(RecvError::Codec(CodecError::LengthOverflow { declared }));
+        return Err(BlobError::Codec(CodecError::LengthOverflow { declared }));
     }
     let len = usize::try_from(declared)
-        .map_err(|_| RecvError::Codec(CodecError::LengthOverflow { declared }))?;
+        .map_err(|_| BlobError::Codec(CodecError::LengthOverflow { declared }))?;
     // Read into spare capacity: the kernel writes every byte, so
     // zero-filling the buffer first would be a wasted pass.
     let mut buf = Vec::with_capacity(len);
     stream
         .take(declared)
         .read_to_end(&mut buf)
-        .map_err(RecvError::Io)?;
+        .map_err(recv_lost)?;
     if buf.len() < len {
-        return Err(RecvError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "tcp peer closed mid-frame",
-        )));
+        return Err(recv_lost(io::ErrorKind::UnexpectedEof.into()));
     }
-    decode_wire_body(buf).map(|(corr, vt, frame)| (corr, vt, frame, ENVELOPE_LEN_BYTES + len))
+    let (corr, vt, frame) = decode_wire_body(buf)?;
+    Ok((corr, vt, frame, ENVELOPE_LEN_BYTES + len))
 }
 
 /// Decode an already-read wire body (everything after the length
 /// prefix): correlation id, virtual time, frame. The bytes are owned
 /// and immutable from here on, so payload ranges are lent out of this
 /// allocation by refcount.
-pub(crate) fn decode_wire_body(body: Vec<u8>) -> Result<(u64, u64, Frame), RecvError> {
+pub(crate) fn decode_wire_body(body: Vec<u8>) -> Result<(u64, u64, Frame), CodecError> {
     let buf = PageBuf::from_vec(body);
     let mut r = Reader::from_buf(&buf);
-    let corr = u64::decode(&mut r).map_err(RecvError::Codec)?;
-    let vt = u64::decode(&mut r).map_err(RecvError::Codec)?;
-    let frame = Frame::decode(&mut r).map_err(RecvError::Codec)?;
-    r.finish().map_err(RecvError::Codec)?;
+    let corr = u64::decode(&mut r)?;
+    let vt = u64::decode(&mut r)?;
+    let frame = Frame::decode(&mut r)?;
+    r.finish()?;
     Ok((corr, vt, frame))
 }
 
@@ -988,17 +763,7 @@ pub fn encode_wire_frame(corr: u64, vt: u64, frame: &Frame) -> Result<Vec<u8>, C
 /// `(corr, vt, frame)`. Support surface for raw-socket tests — errors
 /// map exactly like the transport's own receive path.
 pub fn read_wire_frame<R: Read>(r: &mut R) -> Result<(u64, u64, Frame), BlobError> {
-    match recv_frame(r) {
-        Ok((corr, vt, frame, _)) => Ok((corr, vt, frame)),
-        Err(RecvError::Codec(c)) => Err(BlobError::Codec(c)),
-        Err(RecvError::IdleTimeout) => Err(BlobError::Unreachable("tcp recv timed out")),
-        Err(RecvError::Io(e)) if is_timeout(&e) => {
-            Err(BlobError::Unreachable("tcp recv timed out"))
-        }
-        // lint: allow(overload-erasure) — RecvError is pure I/O; a shed arrives
-        // as a decoded Overload response frame, not here
-        Err(_) => Err(BlobError::Unreachable("tcp connection lost")),
-    }
+    recv_frame(r).map(|(corr, vt, frame, _)| (corr, vt, frame))
 }
 
 #[cfg(test)]
@@ -1035,28 +800,6 @@ mod tests {
         assert_eq!(ctx.vt, 250, "server charges flow back through the envelope");
         assert_eq!(t.message_count(), 2, "request + response");
         assert!(t.byte_count() > 0);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn reactor_is_the_default_regime() {
-        let (t, _, _) = setup();
-        assert_eq!(t.server_mode(), ServerMode::Reactor);
-    }
-
-    #[test]
-    fn thread_per_conn_ablation_still_serves() {
-        let t = Arc::new(TcpTransport::with_options(TcpOptions {
-            server_mode: ServerMode::ThreadPerConn,
-            ..TcpOptions::default()
-        }));
-        let c = t.add_node();
-        let s = t.add_node();
-        t.bind(s, Arc::new(Echo));
-        assert_eq!(t.server_mode(), ServerMode::ThreadPerConn);
-        let rpc = RpcClient::new(Arc::clone(&t) as _, c);
-        let resp: u64 = rpc.call(&mut Ctx::start(), s, 1, &41u64).unwrap();
-        assert_eq!(resp, 42);
     }
 
     #[test]
@@ -1165,5 +908,111 @@ mod tests {
         let (corr, vt, back) = read_wire_frame(&mut &bytes[..]).unwrap();
         assert_eq!((corr, vt), (3, 11));
         assert_eq!(back, f);
+    }
+
+    /// An in-memory peer: its bytes, then `end` on every further read
+    /// (`None`: EOF).
+    struct Peer<'a> {
+        bytes: &'a [u8],
+        end: Option<io::ErrorKind>,
+    }
+
+    impl Read for Peer<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.end {
+                _ if !self.bytes.is_empty() => self.bytes.read(buf),
+                None => Ok(0),
+                Some(kind) => Err(kind.into()),
+            }
+        }
+    }
+
+    #[test]
+    fn each_receive_failure_surfaces_as_its_documented_error() {
+        use io::ErrorKind::{ConnectionReset, TimedOut, WouldBlock};
+        let lost = BlobError::Unreachable("tcp connection lost");
+        let timed_out = BlobError::Unreachable("tcp recv timed out");
+        let frame = encode_wire_frame(3, 11, &Frame::from_msg(7, &99u64)).unwrap();
+        // A well-sized envelope whose frame claims a 1000-byte body and
+        // carries 6 bytes.
+        let mut lying = encode_head(1, 0, 1, 6).to_vec();
+        lying[22..26].copy_from_slice(&1000u32.to_le_bytes());
+        lying.extend([0u8; 6]);
+        // A whole frame, and two bytes the envelope length also covers.
+        let mut padded = frame.clone();
+        let len = u32::from_le_bytes(padded[..4].try_into().unwrap());
+        padded[..4].copy_from_slice(&(len + 2).to_le_bytes());
+        padded.extend([0u8; 2]);
+        let codec = BlobError::Codec;
+        let cases = [
+            ("clean EOF at a frame boundary", &[][..], None, lost.clone()),
+            ("EOF mid-envelope", &frame[..2], None, lost.clone()),
+            ("EOF mid-body", &frame[..WIRE_HEAD + 3], None, lost.clone()),
+            (
+                "reset mid-body",
+                &frame[..WIRE_HEAD],
+                Some(ConnectionReset),
+                lost,
+            ),
+            (
+                "WouldBlock before the first byte",
+                &[][..],
+                Some(WouldBlock),
+                timed_out.clone(),
+            ),
+            (
+                "WouldBlock after the first byte",
+                &frame[..1],
+                Some(WouldBlock),
+                timed_out.clone(),
+            ),
+            (
+                "TimedOut mid-body",
+                &frame[..frame.len() - 1],
+                Some(TimedOut),
+                timed_out,
+            ),
+            (
+                "a body that does not decode",
+                &lying[..],
+                None,
+                codec(CodecError::UnexpectedEof {
+                    needed: 1000,
+                    remaining: 6,
+                }),
+            ),
+            (
+                "bytes past the frame",
+                &padded[..],
+                None,
+                codec(CodecError::TrailingBytes { remaining: 2 }),
+            ),
+        ];
+        for (case, bytes, end, want) in cases {
+            let got = read_wire_frame(&mut Peer { bytes, end });
+            assert_eq!(got, Err(want), "{case}");
+        }
+
+        // A length outside the envelope's bounds is refused from the
+        // prefix alone: no body byte is read, so none is allocated for.
+        for declared in [
+            ENVELOPE_FIXED as u64 - 1,
+            MAX_WIRE_FRAME + 1,
+            u64::from(u32::MAX),
+        ] {
+            let prefix = u32::try_from(declared).unwrap().to_le_bytes();
+            let bytes = [&prefix[..], &[0xEE; 8]].concat();
+            let mut peer = Peer {
+                bytes: &bytes,
+                end: Some(ConnectionReset),
+            };
+            let got = read_wire_frame(&mut peer);
+            assert_eq!(
+                got,
+                Err(codec(CodecError::LengthOverflow { declared })),
+                "declared {declared}"
+            );
+            assert_eq!(peer.bytes.len(), 8, "declared {declared}: body untouched");
+        }
     }
 }

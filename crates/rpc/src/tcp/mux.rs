@@ -31,14 +31,13 @@
 //! healthy — what is there is taken through the same receive path, the
 //! connection dies with the typed error, and the call dials afresh.
 
-use super::{
-    is_timeout, recv_frame, send_frame, RecvError, SendError, TcpOptions, CTRL_CORR, CTRL_SHED,
-};
+use super::{is_timeout, recv_frame, send_frame, SendError, TcpOptions, CTRL_CORR, CTRL_SHED};
 use crate::frame::Frame;
 use blobseer_proto::{BlobError, CodecError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -295,10 +294,12 @@ impl MuxConn {
     }
 
     /// Receive one frame and resolve the slot it answers. An error is
-    /// the typed death of the connection.
+    /// the typed death of the connection: a receive error (a timeout
+    /// too — the thread it expired on is itself a waiter, and the stream
+    /// is wedged for everyone), a shed notice, or a stray id.
     fn read_one(&self) -> Result<(), BlobError> {
-        match recv_frame(&mut &self.stream) {
-            Ok((CTRL_CORR, vt, frame, _)) if frame.method == CTRL_SHED => {
+        match recv_frame(&mut &self.stream)? {
+            (CTRL_CORR, vt, frame, _) if frame.method == CTRL_SHED => {
                 // A typed admission shed, not a dead peer: the server is
                 // alive and chose to reject. The envelope's vt field
                 // carries its retry hint.
@@ -306,26 +307,13 @@ impl MuxConn {
                     retry_after_hint: vt,
                 })
             }
-            Ok((corr, vt, frame, wire)) => {
+            (corr, vt, frame, wire) => {
                 let slot = self.state.lock().inflight.remove(&corr);
                 // A response nothing asked for (or an unknown control
                 // frame): the stream cannot be trusted.
                 let slot = slot.ok_or(BlobError::Codec(CodecError::StrayCorrelation { corr }))?;
                 slot.resolve(Ok((vt, frame, wire)));
                 Ok(())
-            }
-            Err(RecvError::Codec(c)) => Err(BlobError::Codec(c)),
-            // A full io timeout with no byte — and the thread it expired
-            // on is itself a waiter — or a stall mid-frame: the stream is
-            // wedged for everyone.
-            Err(RecvError::IdleTimeout) => Err(BlobError::Unreachable("tcp recv timed out")),
-            Err(RecvError::Io(e)) if is_timeout(&e) => {
-                Err(BlobError::Unreachable("tcp recv timed out"))
-            }
-            Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
-                // lint: allow(overload-erasure) — RecvError is pure I/O; a shed
-                // arrives as a decoded CTRL_SHED frame above, not here
-                Err(BlobError::Unreachable("tcp connection lost"))
             }
         }
     }
@@ -338,16 +326,8 @@ impl MuxConn {
 }
 
 /// One zero-timeout readiness probe of a blocking socket.
-#[cfg(unix)]
 fn readable_now(stream: &TcpStream) -> bool {
-    use std::os::unix::io::AsRawFd;
     polling::readable_now(stream.as_raw_fd()).unwrap_or(false)
-}
-
-/// Off unix there is no probe: a stale connection fails its next call.
-#[cfg(not(unix))]
-fn readable_now(_stream: &TcpStream) -> bool {
-    false
 }
 
 /// Kill a connection: remove it from the transport's pool *first* (so

@@ -51,9 +51,8 @@
 //! epoch check (slab slots are reused; epochs are not).
 
 use super::{
-    encode_head, is_fd_exhaustion, open_reserve_fd, run_handler, shed_connection, write_frame_from,
-    FrameCursor, Held, Shared, TcpOptions, ENVELOPE_FIXED, ENVELOPE_LEN_BYTES, MAX_WIRE_FRAME,
-    WIRE_HEAD,
+    encode_head, run_handler, write_frame_from, FrameCursor, Held, Shared, TcpOptions, CTRL_CORR,
+    CTRL_SHED, ENVELOPE_FIXED, ENVELOPE_LEN_BYTES, MAX_WIRE_FRAME, SHED_RETRY_HINT_MS, WIRE_HEAD,
 };
 use crate::frame::{Frame, MAX_FRAME_BODY};
 use crate::service::Service;
@@ -62,7 +61,7 @@ use parking_lot::{Condvar, Mutex};
 use polling::Poller;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -111,9 +110,10 @@ struct LoopHandle {
 }
 
 impl Reactor {
-    /// Start the event loops and the dispatch pool. Fails (so the
-    /// transport can fall back to thread-per-connection) only if a
-    /// readiness poller cannot be created.
+    /// Start the event loops and the dispatch pool. Fails only if a
+    /// readiness poller cannot be created (the process is out of file
+    /// descriptors); `bind` then panics, as it does on a listener that
+    /// cannot bind.
     pub(crate) fn start(opts: &TcpOptions, shared: Arc<Shared>) -> io::Result<Reactor> {
         let n = opts.event_loops.max(1);
         // Create every poller first: no threads to unwind on failure.
@@ -872,6 +872,27 @@ fn accept_ready(
             Arc::clone(&alive),
         );
     }
+}
+
+/// `EMFILE`/`ENFILE`: the process or system is out of file descriptors.
+fn is_fd_exhaustion(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23) | Some(24))
+}
+
+/// Shed a just-accepted connection with a typed close: best-effort
+/// write of the [`CTRL_SHED`] control frame, then drop.
+fn shed_connection(stream: TcpStream, shared: &Shared) {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let head = encode_head(CTRL_CORR, SHED_RETRY_HINT_MS, CTRL_SHED, 0);
+    let _ = (&stream).write_all(&head);
+    shared.sheds.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Open the per-listener reserve fd used to accept-then-shed under fd
+/// exhaustion.
+fn open_reserve_fd() -> Option<File> {
+    File::open("/dev/null").ok()
 }
 
 fn install_conn(

@@ -1,7 +1,6 @@
 //! How a frame leaves a socket: [`write_frame_from`], the one writer
-//! behind the reactor's nonblocking flush and the blocking
-//! [`send_frame`](super::send_frame) (client calls, thread-per-connection
-//! serving).
+//! behind the reactor's nonblocking flush and the client's blocking
+//! [`send_frame`](super::send_frame).
 //!
 //! A frame is the wire head followed by its body's segments. A mapped
 //! segment of at least [`SENDFILE_MIN`] bytes — a page served out of a

@@ -2,21 +2,20 @@
 //! served by a **fixed** number of threads, each idle connection adding
 //! a bounded number of resident bytes.
 //!
-//! The thread-per-connection regime would need ten thousand stacks for
-//! this load; the reactor serves it from `event_loops + dispatch_threads`
+//! A thread per connection would need ten thousand stacks for this
+//! load; the reactor serves it from `event_loops + dispatch_threads`
 //! threads, period, and holds each idle connection in a slab entry. The
 //! client swarm runs in a re-executed child process (this test binary,
 //! filtered to [`c10k_client_swarm`]) so the parent's fd budget and
 //! resident set are spent only on the server side of each connection.
 //!
-//! Linux-only: the assertions read `/proc/self/status`, and the reactor
-//! regime itself is the unix build.
+//! Linux-only: the assertions read `/proc/self/status`.
 
 #![cfg(target_os = "linux")]
 
 mod common;
 
-use blobseer_rpc::{Frame, ServerMode, TcpOptions, TcpTransport, Transport};
+use blobseer_rpc::{Frame, TcpTransport, Transport};
 use blobseer_util::fdlimit;
 use common::{rss_bytes, thread_count};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -85,14 +84,10 @@ fn ten_thousand_connections_on_a_fixed_thread_count() {
         "fd hard limit {hard} too small to exercise connection scaling"
     );
 
-    let t = Arc::new(TcpTransport::with_options(TcpOptions {
-        server_mode: ServerMode::Reactor,
-        ..TcpOptions::default()
-    }));
+    let t = Arc::new(TcpTransport::new());
     let client = t.add_node();
     let server = t.add_node();
     t.bind(server, Arc::new(Echo));
-    assert_eq!(t.server_mode(), ServerMode::Reactor);
     let addr = t.addr(server).unwrap();
 
     // Warm the client path (dial the mux connection), then let the

@@ -5,13 +5,12 @@
 //! [`Service::nonblocking`] on the event loop, in the readiness event
 //! that brought the request; everything else goes to the dispatch pool.
 //! Both kinds share sockets, the kill switch and the `held`-until-written
-//! rule — and neither may lose its thread to a panicking handler, in
-//! either server regime.
+//! rule — and neither may lose its thread to a panicking handler.
 
 use blobseer_proto::{BlobError, NodeId, PageBuf};
 use blobseer_rpc::{
-    encode_wire_frame, error_frame, parse_response, respond, Frame, ServerCtx, ServerMode, Service,
-    TcpOptions, TcpTransport, Transport,
+    encode_wire_frame, error_frame, parse_response, respond, Frame, ServerCtx, Service, TcpOptions,
+    TcpTransport, Transport,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -98,19 +97,14 @@ fn quiet_expected_panics() {
     });
 }
 
-fn transport_in(mode: ServerMode) -> Arc<TcpTransport> {
-    Arc::new(TcpTransport::with_options(TcpOptions {
+fn bound(svc: Mixed) -> (Arc<TcpTransport>, NodeId, NodeId, Arc<Mixed>) {
+    let t = Arc::new(TcpTransport::with_options(TcpOptions {
         connect_timeout: Duration::from_millis(500),
         io_timeout: Some(Duration::from_secs(5)),
         max_pooled_per_peer: 1,
-        server_mode: mode,
         dispatch_threads: 2,
         ..TcpOptions::default()
-    }))
-}
-
-fn bound(mode: ServerMode, svc: Mixed) -> (Arc<TcpTransport>, NodeId, NodeId, Arc<Mixed>) {
-    let t = transport_in(mode);
+    }));
     let client = t.add_node();
     let server = t.add_node();
     let svc = Arc::new(svc);
@@ -123,10 +117,9 @@ fn call(t: &TcpTransport, from: NodeId, to: NodeId, method: u16, x: u64) -> Resu
     parse_response::<u64>(&resp)
 }
 
-#[cfg(unix)]
 #[test]
 fn an_inline_call_issued_second_returns_first_on_the_same_socket() {
-    let (t, client, server, svc) = bound(ServerMode::Reactor, Mixed::default());
+    let (t, client, server, svc) = bound(Mixed::default());
     call(&t, client, server, INLINE, 0).unwrap();
 
     let t_slow = Arc::clone(&t);
@@ -155,10 +148,9 @@ fn an_inline_call_issued_second_returns_first_on_the_same_socket() {
     assert_ne!(svc.threads_of(POOLED)[0], loops[0]);
 }
 
-#[cfg(unix)]
 #[test]
 fn a_batch_with_one_blocking_sub_call_goes_to_the_pool_whole() {
-    let (t, client, server, svc) = bound(ServerMode::Reactor, Mixed::default());
+    let (t, client, server, svc) = bound(Mixed::default());
     call(&t, client, server, INLINE, 0).unwrap();
     let event_loop = svc.threads_of(INLINE)[0];
 
@@ -187,11 +179,10 @@ fn a_batch_with_one_blocking_sub_call_goes_to_the_pool_whole() {
     assert_eq!(svc.threads_of(INLINE), vec![worker; 2]);
 }
 
-#[cfg(unix)]
 #[test]
 fn a_killed_node_closes_at_the_next_inline_frame_like_at_a_pooled_one() {
     for method in [INLINE, POOLED] {
-        let (t, client, server, svc) = bound(ServerMode::Reactor, Mixed::default());
+        let (t, client, server, svc) = bound(Mixed::default());
         call(&t, client, server, method, 0).unwrap();
         assert_eq!(t.pooled_connections(server), 1);
         let served = svc.threads_of(method).len();
@@ -217,7 +208,6 @@ fn a_killed_node_closes_at_the_next_inline_frame_like_at_a_pooled_one() {
     }
 }
 
-#[cfg(unix)]
 #[test]
 fn an_inline_response_holds_its_request_state_until_it_is_written() {
     // 32 MiB cannot fit the loopback socket buffers, so while the client
@@ -229,7 +219,7 @@ fn an_inline_response_holds_its_request_state_until_it_is_written() {
         big: Some(PageBuf::from_vec(vec![0xC3; BIG])),
         ..Mixed::default()
     };
-    let (t, _client, server, svc) = bound(ServerMode::Reactor, svc);
+    let (t, _client, server, svc) = bound(svc);
     let mut s = TcpStream::connect(t.addr(server).unwrap()).unwrap();
     let req = encode_wire_frame(1, 0, &Frame::from_msg(INLINE_HOLDING, &0u64)).unwrap();
     s.write_all(&req).unwrap();
@@ -259,7 +249,6 @@ fn an_inline_response_holds_its_request_state_until_it_is_written() {
     }
 }
 
-#[cfg(unix)]
 #[test]
 fn a_pipelined_inline_burst_deeper_than_one_readiness_event_is_all_answered() {
     // The loop answers at most `max_conn_inflight` frames of one
@@ -267,7 +256,7 @@ fn a_pipelined_inline_burst_deeper_than_one_readiness_event_is_all_answered() {
     // rest of what is already in the socket must be picked up again, in
     // order, without the client sending another byte.
     const DEPTH: u64 = 200;
-    let (t, _client, server, _svc) = bound(ServerMode::Reactor, Mixed::default());
+    let (t, _client, server, _svc) = bound(Mixed::default());
     let mut s = TcpStream::connect(t.addr(server).unwrap()).unwrap();
     let mut burst = Vec::new();
     for corr in 1..=DEPTH {
@@ -284,9 +273,9 @@ fn a_pipelined_inline_burst_deeper_than_one_readiness_event_is_all_answered() {
 
 /// `dispatch_threads + 1` panics in a row, each answered at once with the
 /// typed error; then the same connection serves an ordinary call.
-fn panics_cost_only_their_own_call(mode: ServerMode, panicking: u16, ordinary: u16) {
+fn panics_cost_only_their_own_call(panicking: u16, ordinary: u16) {
     quiet_expected_panics();
-    let (t, client, server, _svc) = bound(mode, Mixed::default());
+    let (t, client, server, _svc) = bound(Mixed::default());
     assert_eq!(call(&t, client, server, ordinary, 1).unwrap(), 1);
     for round in 0..3 {
         let start = Instant::now();
@@ -294,45 +283,37 @@ fn panics_cost_only_their_own_call(mode: ServerMode, panicking: u16, ordinary: u
         assert_eq!(
             err,
             BlobError::Internal("handler panicked"),
-            "{mode:?} round {round}"
+            "method {panicking} round {round}"
         );
         assert!(
             start.elapsed() < Duration::from_secs(2),
-            "{mode:?} round {round}: the caller must not wait out the io timeout"
+            "method {panicking} round {round}: the caller must not wait out the io timeout"
         );
     }
     assert_eq!(call(&t, client, server, ordinary, 2).unwrap(), 2);
     assert_eq!(
         t.pooled_connections(server),
         1,
-        "{mode:?}: a handler's panic is not a connection error"
+        "method {panicking}: a handler's panic is not a connection error"
     );
 }
 
-#[cfg(unix)]
 #[test]
 fn a_panicking_pooled_handler_does_not_take_its_worker_with_it() {
     // Two workers, three panics: at the parent the third call found no
     // worker left and hung until the io timeout.
-    panics_cost_only_their_own_call(ServerMode::Reactor, PANIC_POOLED, POOLED);
+    panics_cost_only_their_own_call(PANIC_POOLED, POOLED);
 }
 
-#[cfg(unix)]
 #[test]
 fn a_panicking_inline_handler_does_not_take_the_event_loop_with_it() {
-    panics_cost_only_their_own_call(ServerMode::Reactor, PANIC_INLINE, INLINE);
+    panics_cost_only_their_own_call(PANIC_INLINE, INLINE);
 }
 
-#[test]
-fn a_panicking_handler_does_not_take_a_per_connection_thread_with_it() {
-    panics_cost_only_their_own_call(ServerMode::ThreadPerConn, PANIC_POOLED, POOLED);
-}
-
-#[cfg(unix)]
 #[test]
 fn a_panic_inside_a_batch_fails_the_batch_not_the_server() {
     quiet_expected_panics();
-    let (t, client, server, _svc) = bound(ServerMode::Reactor, Mixed::default());
+    let (t, client, server, _svc) = bound(Mixed::default());
     let subs = vec![
         Frame::from_msg(INLINE, &1u64),
         Frame::from_msg(PANIC_INLINE, &0u64),

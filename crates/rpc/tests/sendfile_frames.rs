@@ -1,19 +1,14 @@
 //! Responses that mix heap and mapped segments leave the server
-//! byte-identical however the client drains them, in both server
-//! regimes. A mapped segment of at least 128 KiB goes by `sendfile(2)`,
-//! the rest by `writev`; a client that reads in uneven chunks with pauses
-//! makes the server stop mid-segment (a short `sendfile`, a `WouldBlock`)
-//! and resume from its cursor. A client that resets while a response is
-//! still being sent costs only its own connection, and the response's
-//! held state drops.
-
-#![cfg(unix)]
+//! byte-identical however the client drains them. A mapped segment of at
+//! least 128 KiB goes by `sendfile(2)`, the rest by `writev`; a client
+//! that reads in uneven chunks with pauses makes the server stop
+//! mid-segment (a short `sendfile`, a `WouldBlock`) and resume from its
+//! cursor. A client that resets while a response is still being sent
+//! costs only its own connection, and the response's held state drops.
 
 use blobseer_proto::wire::ByteChain;
 use blobseer_proto::PageBuf;
-use blobseer_rpc::{
-    encode_wire_frame, Frame, ServerCtx, ServerMode, Service, TcpOptions, TcpTransport,
-};
+use blobseer_rpc::{encode_wire_frame, Frame, ServerCtx, Service, TcpOptions, TcpTransport};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -59,10 +54,9 @@ fn mixed_body(name: &str) -> ByteChain {
     body
 }
 
-fn serve(mode: ServerMode, name: &str) -> (Arc<TcpTransport>, SocketAddr, ByteChain, Arc<()>) {
+fn serve(name: &str) -> (Arc<TcpTransport>, SocketAddr, ByteChain, Arc<()>) {
     let t = Arc::new(TcpTransport::with_options(TcpOptions {
         io_timeout: Some(Duration::from_secs(5)),
-        server_mode: mode,
         ..TcpOptions::default()
     }));
     let server = t.add_node();
@@ -75,7 +69,6 @@ fn serve(mode: ServerMode, name: &str) -> (Arc<TcpTransport>, SocketAddr, ByteCh
             held: Arc::clone(&held),
         }),
     );
-    assert_eq!(t.server_mode(), mode);
     let addr = t.addr(server).unwrap();
     (t, addr, body, held)
 }
@@ -139,8 +132,9 @@ fn call_until_the_server_stalls(s: &mut TcpStream, held: &Arc<()>) -> u64 {
     panic!("500 unread responses (~290 MB) never filled the socket buffers");
 }
 
-fn trickled_mixed_responses_arrive_byte_identical(mode: ServerMode, name: &str) {
-    let (_t, addr, body, held) = serve(mode, name);
+#[test]
+fn trickled_mixed_responses_arrive_byte_identical_from_the_reactor() {
+    let (_t, addr, body, held) = serve("trickle");
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     // The server is stopped mid-response before the first read, then
@@ -154,17 +148,8 @@ fn trickled_mixed_responses_arrive_byte_identical(mode: ServerMode, name: &str) 
 }
 
 #[test]
-fn trickled_mixed_responses_arrive_byte_identical_from_the_reactor() {
-    trickled_mixed_responses_arrive_byte_identical(ServerMode::Reactor, "trickle-reactor");
-}
-
-#[test]
-fn trickled_mixed_responses_arrive_byte_identical_from_thread_per_conn() {
-    trickled_mixed_responses_arrive_byte_identical(ServerMode::ThreadPerConn, "trickle-tpc");
-}
-
-fn a_reset_mid_send_costs_only_that_connection(mode: ServerMode, name: &str) {
-    let (t, addr, body, held) = serve(mode, name);
+fn a_reset_mid_send_costs_only_that_connection_on_the_reactor() {
+    let (t, addr, body, held) = serve("reset");
     let mut bystander = TcpStream::connect(addr).unwrap();
     bystander
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -186,14 +171,4 @@ fn a_reset_mid_send_costs_only_that_connection(mode: ServerMode, name: &str) {
     let want = response(9, &body);
     let got = read_trickled(&mut bystander, want.len());
     assert!(got == want, "the bystander's response is byte-identical");
-}
-
-#[test]
-fn a_reset_mid_send_costs_only_that_connection_on_the_reactor() {
-    a_reset_mid_send_costs_only_that_connection(ServerMode::Reactor, "reset-reactor");
-}
-
-#[test]
-fn a_reset_mid_send_costs_only_that_connection_on_thread_per_conn() {
-    a_reset_mid_send_costs_only_that_connection(ServerMode::ThreadPerConn, "reset-tpc");
 }

@@ -3,16 +3,14 @@
 //! a large write, accept-then-silence, hostile length prefixes, byte-at-
 //! a-time slow-loris trickles, stray correlation ids, overload shedding
 //! — must surface as a clean `TransportResult` error with no hang and no
-//! leaked pooled connection, in **both** server regimes (the event-driven
-//! reactor and the thread-per-connection ablation). The provider-death
-//! paths simnet already exercises (kill/revive) ride on the same
-//! machinery and are covered in `crates/rpc/src/tcp.rs` and the core
-//! `tcp_e2e` suite.
+//! leaked pooled connection. The provider-death paths simnet already
+//! exercises (kill/revive) ride on the same machinery and are covered in
+//! `crates/rpc/src/tcp.rs` and the core `tcp_e2e` suite.
 
 use blobseer_proto::{BlobError, PageBuf};
 use blobseer_rpc::{
-    encode_wire_frame, read_wire_frame, Ctx, Frame, RpcClient, ServerMode, TcpOptions,
-    TcpTransport, Transport, CTRL_CORR, CTRL_SHED,
+    encode_wire_frame, read_wire_frame, Ctx, Frame, RpcClient, TcpOptions, TcpTransport, Transport,
+    CTRL_CORR, CTRL_SHED,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -21,15 +19,10 @@ use std::time::{Duration, Instant};
 
 /// A transport with short timeouts so fault paths resolve in test time.
 fn transport() -> Arc<TcpTransport> {
-    transport_in(ServerMode::Reactor)
-}
-
-fn transport_in(mode: ServerMode) -> Arc<TcpTransport> {
     Arc::new(TcpTransport::with_options(TcpOptions {
         connect_timeout: Duration::from_millis(500),
         io_timeout: Some(Duration::from_millis(500)),
         max_pooled_per_peer: 8,
-        server_mode: mode,
         ..TcpOptions::default()
     }))
 }
@@ -212,12 +205,12 @@ fn stray_correlation_id_is_codec_error_and_kills_the_connection() {
     h.join().unwrap();
 }
 
-/// Byte-at-a-time slow loris against both server regimes: a client that
-/// trickles a *valid* request one byte at a time must still be served —
-/// each byte is activity, so the io timeout never fires — and the
-/// response must come back intact.
-fn slow_loris_request_is_served(mode: ServerMode) {
-    let t = transport_in(mode);
+/// Byte-at-a-time slow loris: a client that trickles a *valid* request
+/// one byte at a time must still be served — each byte is activity, so
+/// the io timeout never fires — and the response must come back intact.
+#[test]
+fn slow_loris_request_is_served_by_the_reactor() {
+    let t = transport();
     let server = t.add_node();
     t.bind(server, Arc::new(Echo));
     let addr = t.addr(server).unwrap();
@@ -235,17 +228,6 @@ fn slow_loris_request_is_served(mode: ServerMode) {
     assert_eq!(corr, 5, "response must carry the request's correlation id");
     let x: u64 = blobseer_rpc::parse_response(&resp).unwrap();
     assert_eq!(x, 7);
-}
-
-#[cfg(unix)]
-#[test]
-fn slow_loris_request_is_served_by_the_reactor() {
-    slow_loris_request_is_served(ServerMode::Reactor);
-}
-
-#[test]
-fn slow_loris_request_is_served_by_thread_per_conn() {
-    slow_loris_request_is_served(ServerMode::ThreadPerConn);
 }
 
 /// Echoes a byte payload back.
@@ -279,7 +261,6 @@ fn trickle(s: &mut TcpStream, bytes: &[u8]) {
     }
 }
 
-#[cfg(unix)]
 #[test]
 fn a_trickled_256k_request_is_echoed_byte_identical_by_the_reactor() {
     let t = transport();
@@ -382,7 +363,6 @@ fn half_readable_frame_then_stall_only_costs_that_connection() {
     assert_eq!(n, 0, "server must close a half-frame staller");
 }
 
-#[cfg(unix)]
 #[test]
 fn interleaved_responses_share_one_multiplexed_socket() {
     use blobseer_rpc::{respond, ServerCtx, Service};
@@ -635,7 +615,6 @@ fn nap_call(
     })
 }
 
-#[cfg(unix)]
 #[test]
 fn a_departing_reader_hands_the_read_role_to_the_waiter_behind_it() {
     // The mirror of `interleaved_responses_share_one_multiplexed_socket`:
@@ -669,7 +648,6 @@ fn a_departing_reader_hands_the_read_role_to_the_waiter_behind_it() {
     assert_eq!(t.inflight_calls(server), 0);
 }
 
-#[cfg(unix)]
 #[test]
 fn a_free_read_role_never_strands_a_parked_waiter() {
     // Three callers on the shared socket. One is a fan-out whose *first*
@@ -846,7 +824,6 @@ fn second_call_redials(addr: SocketAddr, misbehaved: std::sync::mpsc::Receiver<(
     assert_eq!(t.pooled_connections(peer), 1, "the fresh dial is pooled");
 }
 
-#[cfg(unix)]
 #[test]
 fn a_connection_closed_while_idle_is_replaced_at_checkout() {
     // Nobody reads an idle connection any more, so nobody sees the EOF
@@ -857,7 +834,6 @@ fn a_connection_closed_while_idle_is_replaced_at_checkout() {
     h.join().unwrap();
 }
 
-#[cfg(unix)]
 #[test]
 fn a_shed_notice_on_an_idle_connection_is_found_at_checkout() {
     // CTRL_SHED written to a connection with nothing in flight, and the

@@ -2,13 +2,10 @@
 //!
 //! Implements exactly what the workspace uses: mapping a file read-only
 //! into memory ([`Mmap::map`]) with `Deref<Target = [u8]>`, `Send` and
-//! `Sync`. On unix the mapping is a real `mmap(2)` with `MAP_SHARED`, so
-//! bytes later written to the file *through its descriptor* become
-//! visible in the mapping without re-mapping (the kernel's unified page
-//! cache) — the property the provider's append-only page log relies on.
-//! On other platforms it degrades to a heap snapshot taken at map time;
-//! callers that need write-then-read visibility must re-map (the
-//! workspace gates those paths on `cfg(unix)`).
+//! `Sync`. The mapping is a real `mmap(2)` with `MAP_SHARED`, so bytes
+//! later written to the file *through its descriptor* become visible in
+//! the mapping without re-mapping (the kernel's unified page cache) —
+//! the property the provider's append-only page log relies on.
 //!
 //! Like the real crate, [`Mmap::map`] is `unsafe`: the caller promises
 //! the mapped region is not *mutated* underneath live `&[u8]` borrows.
@@ -33,7 +30,6 @@ use std::fs::File;
 use std::io;
 use std::ops::Deref;
 
-#[cfg(unix)]
 mod sys {
     use std::ffi::{c_int, c_void};
 
@@ -55,34 +51,26 @@ mod sys {
     }
 }
 
-/// An immutable memory map of a file.
-///
-/// Unix: a `PROT_READ`/`MAP_SHARED` mapping of the file's full length at
-/// map time (plus, on 64-bit Linux, a handle to the file). Other
-/// platforms: a heap snapshot of the file's contents.
+/// An immutable memory map of a file: a `PROT_READ`/`MAP_SHARED`
+/// mapping of the file's full length at map time (plus, on 64-bit
+/// Linux, a handle to the file).
 #[derive(Debug)]
 pub struct Mmap {
-    #[cfg(unix)]
     ptr: *const u8,
-    #[cfg(unix)]
     len: usize,
     /// The mapped file; [`Mmap::send_to`] reads its page cache.
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     file: File,
-    #[cfg(not(unix))]
-    data: Vec<u8>,
 }
 
 // SAFETY: the mapping (`ptr`, `len`) is never written through; `&Mmap`
 // only hands out shared `&[u8]` views, which are as thread-safe as any
 // shared slice. `file`, where there is one, is a `File`, itself `Send`.
-#[cfg(unix)]
 unsafe impl Send for Mmap {}
 // SAFETY: same argument as Send above — the mapped bytes are immutable
 // through this type, so concurrent shared access is sound; `file` is
 // only read from (by `sendfile`, at explicit offsets), and `File` is
 // `Sync`.
-#[cfg(unix)]
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
@@ -93,7 +81,6 @@ impl Mmap {
     /// for the lifetime of the map (growing the file and writing beyond
     /// previously read offsets is allowed — this is the append-only-log
     /// contract).
-    #[cfg(unix)]
     pub unsafe fn map(file: &File) -> io::Result<Mmap> {
         use std::os::unix::io::AsRawFd;
         let len = file.metadata()?.len();
@@ -130,25 +117,6 @@ impl Mmap {
             #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
             file,
         })
-    }
-
-    /// Map `file` by reading a snapshot of its contents from offset 0
-    /// (non-unix fallback — later file writes are **not** visible).
-    /// The handle's cursor, which a clone shares, does not matter: every
-    /// map of the same file sees the same bytes.
-    ///
-    /// # Safety
-    /// Nothing is actually mapped, so this is trivially safe; the
-    /// signature stays `unsafe` to mirror the unix path and the real
-    /// crate, and callers must uphold the same no-mutation contract.
-    #[cfg(not(unix))]
-    pub unsafe fn map(file: &File) -> io::Result<Mmap> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut data = Vec::new();
-        let mut f = file.try_clone()?;
-        f.seek(SeekFrom::Start(0))?;
-        f.read_to_end(&mut data)?;
-        Ok(Mmap { data })
     }
 
     /// Length of the mapped region in bytes.
@@ -191,20 +159,13 @@ impl Mmap {
         usize::try_from(sent).map_err(|_| io::Error::last_os_error())
     }
 
-    #[cfg(unix)]
     fn as_slice(&self) -> &[u8] {
         // SAFETY: `ptr..ptr+len` is a live PROT_READ mapping (or a
         // dangling pointer with len 0, a valid empty slice).
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
-
-    #[cfg(not(unix))]
-    fn as_slice(&self) -> &[u8] {
-        &self.data
-    }
 }
 
-#[cfg(unix)]
 impl Drop for Mmap {
     fn drop(&mut self) {
         if self.len > 0 {
@@ -283,7 +244,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(unix)]
     #[test]
     fn shared_mapping_sees_fd_writes() {
         use std::os::unix::fs::FileExt;

@@ -11,9 +11,6 @@
 //!   with an `eventfd(2)` registered for cross-thread wakeups.
 //! * **Other unix** — a `poll(2)` fallback over a registration table,
 //!   with a self-pipe for wakeups. Same semantics, O(fds) per wait.
-//! * **Non-unix** — every constructor fails with
-//!   `ErrorKind::Unsupported`; callers (the TCP reactor) detect this
-//!   and fall back to thread-per-connection serving.
 //!
 //! Registrations are level-triggered everywhere: a readable fd keeps
 //! reporting until drained, so callers never lose a partial frame to a
@@ -43,7 +40,6 @@ pub struct Event {
 /// Key reserved for the internal wakeup descriptor; never reported.
 const NOTIFY_KEY: usize = usize::MAX;
 
-#[cfg(unix)]
 mod poll2 {
     //! Raw `poll(2)` FFI (every unix): the one-shot probe, and the
     //! non-Linux poller's wait.
@@ -65,7 +61,6 @@ mod poll2 {
 
 /// Whether `fd` has bytes to read, a pending EOF or an error **right
 /// now** — one zero-timeout `poll(2)`, no registration, never blocks.
-#[cfg(unix)]
 pub fn readable_now(fd: i32) -> io::Result<bool> {
     loop {
         let mut pfd = poll2::PollFd {
@@ -88,13 +83,7 @@ pub fn readable_now(fd: i32) -> io::Result<bool> {
     }
 }
 
-/// Off unix there is no descriptor to ask: never readable.
-#[cfg(not(unix))]
-pub fn readable_now(_fd: i32) -> io::Result<bool> {
-    Ok(false)
-}
-
-#[cfg(all(unix, target_os = "linux"))]
+#[cfg(target_os = "linux")]
 mod sys {
     //! Raw epoll + eventfd FFI (Linux).
     use std::ffi::{c_int, c_void};
@@ -140,11 +129,11 @@ mod sys {
 /// the per-platform backing.
 #[derive(Debug)]
 pub struct Poller {
-    #[cfg(all(unix, target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     epfd: i32,
-    #[cfg(all(unix, target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     eventfd: i32,
-    #[cfg(all(unix, not(target_os = "linux")))]
+    #[cfg(not(target_os = "linux"))]
     fallback: fallback::PollTable,
 }
 
@@ -153,7 +142,7 @@ pub struct Poller {
 unsafe impl Send for Poller {}
 unsafe impl Sync for Poller {}
 
-#[cfg(all(unix, target_os = "linux"))]
+#[cfg(target_os = "linux")]
 impl Poller {
     /// Create an epoll instance with its wakeup eventfd registered.
     pub fn new() -> io::Result<Poller> {
@@ -275,7 +264,7 @@ impl Poller {
     }
 }
 
-#[cfg(all(unix, target_os = "linux"))]
+#[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
         // SAFETY: both fds are owned by this Poller and closed once.
@@ -286,7 +275,7 @@ impl Drop for Poller {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod fallback {
     //! `poll(2)` fallback for non-Linux unix: a registration table
     //! rebuilt into a pollfd array per wait, plus a self-pipe wakeup.
@@ -436,7 +425,7 @@ mod fallback {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 impl Poller {
     /// Create a `poll(2)`-backed poller with its wakeup pipe.
     pub fn new() -> io::Result<Poller> {
@@ -474,43 +463,7 @@ impl Poller {
     }
 }
 
-#[cfg(not(unix))]
-impl Poller {
-    /// Unsupported off unix: callers fall back to blocking I/O.
-    pub fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "readiness polling requires unix",
-        ))
-    }
-
-    /// Unsupported off unix.
-    pub fn add(&self, _fd: i32, _key: usize, _r: bool, _w: bool) -> io::Result<()> {
-        unreachable!("no Poller can be constructed off unix")
-    }
-
-    /// Unsupported off unix.
-    pub fn modify(&self, _fd: i32, _key: usize, _r: bool, _w: bool) -> io::Result<()> {
-        unreachable!("no Poller can be constructed off unix")
-    }
-
-    /// Unsupported off unix.
-    pub fn delete(&self, _fd: i32) -> io::Result<()> {
-        unreachable!("no Poller can be constructed off unix")
-    }
-
-    /// Unsupported off unix.
-    pub fn wait(&self, _events: &mut Vec<Event>, _t: Option<Duration>) -> io::Result<usize> {
-        unreachable!("no Poller can be constructed off unix")
-    }
-
-    /// Unsupported off unix.
-    pub fn notify(&self) -> io::Result<()> {
-        unreachable!("no Poller can be constructed off unix")
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -52,6 +52,12 @@
 
 #![warn(missing_docs)]
 
+// Every workspace crate depends on this one, so the platform is declared
+// here once: sockets, the page log and mapped pages are built on unix
+// file descriptors, `mmap(2)` and positioned I/O.
+#[cfg(not(target_family = "unix"))]
+compile_error!("blobseer builds on unix only: its transport and storage use unix file descriptors");
+
 pub mod clockcache;
 pub mod copymeter;
 pub mod fdlimit;

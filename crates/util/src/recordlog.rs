@@ -197,21 +197,10 @@ pub fn encode_header(magic: u64, a: u64, b: u64, c: u64, len: u64, digest: u64) 
 }
 
 /// Positioned write: the whole buffer at `off`, no seek on the shared
-/// handle (unix `pwrite`; other platforms clone the handle and seek).
-#[cfg(unix)]
+/// handle (`pwrite`).
 pub fn write_at(file: &File, buf: &[u8], off: u64) -> std::io::Result<()> {
     use std::os::unix::fs::FileExt;
     file.write_all_at(buf, off)
-}
-
-/// Positioned write: the whole buffer at `off`, no seek on the shared
-/// handle (unix `pwrite`; other platforms clone the handle and seek).
-#[cfg(not(unix))]
-pub fn write_at(file: &File, buf: &[u8], off: u64) -> std::io::Result<()> {
-    use std::io::{Seek, SeekFrom, Write};
-    let mut f = file.try_clone()?;
-    f.seek(SeekFrom::Start(off))?;
-    f.write_all(buf)
 }
 
 /// What can go wrong appending to or opening a log. The `&'static str`
@@ -495,22 +484,11 @@ pub fn check_format(file: &File) -> Result<(), LogError> {
     }
 }
 
-/// Positioned read of exactly `buf.len()` bytes at `off` (unix
-/// `pread`; other platforms clone the handle and seek); `Ok(false)`
-/// when the file ends first.
+/// Positioned read of exactly `buf.len()` bytes at `off` (`pread`);
+/// `Ok(false)` when the file ends first.
 fn read_at(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<bool> {
-    #[cfg(unix)]
-    let read = {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, off)
-    };
-    #[cfg(not(unix))]
-    let read = {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = file.try_clone()?;
-        f.seek(SeekFrom::Start(off)).and_then(|_| f.read_exact(buf))
-    };
-    match read {
+    use std::os::unix::fs::FileExt;
+    match file.read_exact_at(buf, off) {
         Ok(()) => Ok(true),
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
         Err(e) => Err(e),
@@ -1346,7 +1324,6 @@ mod tests {
     /// unreadable (the rename still works, opening the directory to
     /// sync it does not), which only binds an unprivileged user: as
     /// root the directory opens anyway and the test has nothing to see.
-    #[cfg(unix)]
     #[test]
     fn strict_rewrite_undoes_a_rename_it_cannot_make_durable() {
         use std::os::unix::fs::PermissionsExt;

@@ -131,21 +131,16 @@
 //! `crates/core/tests/tcp_zero_copy.rs` for the exact copy counts over a
 //! socket.
 //!
-//! The server side is an **event-driven reactor** ([`ServerMode::Reactor`],
-//! the default): a fixed set of nonblocking event loops owns every
-//! accepted connection and a bounded dispatch pool runs the service
-//! handlers, so ten thousand established connections are served by the
-//! same handful of threads as one (`crates/rpc/tests/c10k.rs` asserts
-//! exactly that). The client multiplexes: the wire envelope (v2)
-//! carries a **correlation id**, so one socket carries many in-flight
-//! calls, each completed through its own slot — connection errors fail
-//! every call in flight with a typed error, never a hang. Off unix, or
-//! when no readiness poller starts, the server falls back to
-//! [`ServerMode::ThreadPerConn`] (a blocking thread per connection),
-//! which the fault tests also select through
-//! [`TcpOptions::server_mode`]; `crates/rpc/tests/c10k.rs` bounds
-//! the reactor's resident bytes per idle connection well below a
-//! thread stack.
+//! The server side is an **event-driven reactor**: a fixed set of
+//! nonblocking event loops owns every accepted connection and a bounded
+//! dispatch pool runs the service handlers, so ten thousand established
+//! connections are served by the same handful of threads as one
+//! (`crates/rpc/tests/c10k.rs` asserts exactly that, and bounds the
+//! resident bytes per idle connection well below a thread stack). The
+//! client multiplexes: the wire envelope (v2) carries a **correlation
+//! id**, so one socket carries many in-flight calls, each completed
+//! through its own slot — connection errors fail every call in flight
+//! with a typed error, never a hang.
 //! Overload is shed, not queued: past the fd budget (or
 //! [`TcpOptions::max_connections`]) the *newest* connection gets a
 //! typed control-frame close — established connections are never
@@ -324,5 +319,5 @@ pub use blobseer_core::{
 };
 pub use blobseer_meta::ReferenceStore;
 pub use blobseer_proto::{BlobError, BlobId, Geometry, PageBuf, Segment, Version};
-pub use blobseer_rpc::{AggregationPolicy, Ctx, ServerMode, TcpOptions, TcpTransport};
+pub use blobseer_rpc::{AggregationPolicy, Ctx, TcpOptions, TcpTransport};
 pub use blobseer_simnet::{ClientCosts, CostModel, ServiceCosts};
