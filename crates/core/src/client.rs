@@ -4,10 +4,14 @@
 //! replication) implemented.
 //!
 //! Protocol fidelity (§III.B):
-//! * **READ**: one version-manager round trip for the latest version, then
-//!   a level-by-level descent of the segment tree with *batched, parallel*
-//!   metadata fetches, then *parallel* page downloads — no lock anywhere,
-//!   no interaction with any writer.
+//! * **READ**: a level-by-level descent of the segment tree with
+//!   *batched, parallel* metadata fetches, then *parallel* page downloads
+//!   — no lock anywhere, no interaction with any writer. The one question
+//!   for the version manager, the latest version, costs no round trip of
+//!   its own: published trees never change, so the read descends the
+//!   newest version it has seen published and sends `GET_LATEST` in the
+//!   same burst as its first metadata or page fetch, re-descending only
+//!   if the answer shows a newer version.
 //! * **WRITE**: provider-manager plan → parallel page puts → version +
 //!   border links from the version manager → metadata built **in
 //!   isolation** → batched metadata puts → completion report.
@@ -29,7 +33,7 @@ use blobseer_proto::messages::{
 };
 use blobseer_proto::tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
 use blobseer_proto::{BlobError, BlobId, Geometry, NodeId, PageBuf, ProviderId, Segment, Version};
-use blobseer_rpc::{Ctx, RetryPolicy, RpcClient, ShardRouter};
+use blobseer_rpc::{parse_response, Ctx, Frame, RetryPolicy, RpcClient, ShardRouter};
 use blobseer_simnet::ClientCosts;
 use blobseer_util::{lockmeter, ClockCache, FxHashMap};
 use parking_lot::RwLock;
@@ -75,16 +79,28 @@ impl WriteStats {
 }
 
 /// Virtual-time breakdown of one READ (Figure 3(a)'s instrument).
+///
+/// The stages partition the read's time. The version check travels in
+/// the same burst as the read's first metadata or page fetch, and a
+/// burst is charged to the stage of the work it carried: a read whose
+/// frontier floor was already the latest version has `latest_ns == 0`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReadStats {
-    /// Version-manager round trip.
+    /// The version check, when it cost time of its own: a blob
+    /// descriptor fetched by this read, or a `GET_LATEST` with nothing
+    /// to ride with (no floor yet, a pinned version above the floor, a
+    /// version-0 or all-zero range).
     pub latest_ns: u64,
     /// Tree descent with batched metadata fetches — what Fig. 3(a) plots.
     pub meta_ns: u64,
     /// Parallel page downloads + buffer assembly.
     pub data_ns: u64,
-    /// Tree nodes visited.
+    /// Tree nodes visited in the version the read returned.
     pub nodes_visited: u64,
+    /// Burst fetches dropped because the frontier moved: tree nodes and
+    /// pages fetched for the floor's version that the newer version's
+    /// tree did not use. Zero on a confirmed read.
+    pub refetched: u64,
 }
 
 impl ReadStats {
@@ -96,6 +112,13 @@ impl ReadStats {
     /// Total time.
     pub fn total_ns(&self) -> u64 {
         self.latest_ns + self.meta_ns + self.data_ns
+    }
+
+    /// Charge the virtual time since `mark` to one stage and move the
+    /// mark: consecutive laps partition the read's time.
+    fn lap(&mut self, ctx: &Ctx, mark: &mut u64, stage: fn(&mut ReadStats) -> &mut u64) {
+        *stage(self) += ctx.vt - *mark;
+        *mark = ctx.vt;
     }
 }
 
@@ -111,6 +134,68 @@ struct ReadPlan {
     pieces: Option<(Vec<Segment>, Vec<(PageLoc, Segment, PageBuf)>)>,
 }
 
+/// The reply frames of one burst, in call order.
+type Replies = Vec<Result<Frame, BlobError>>;
+
+/// A read's version check.
+enum Check {
+    /// Still owed: `GET_LATEST` rides the read's next fetch, last in its
+    /// burst, and its answer raises the blob's floor.
+    Owed { vm: NodeId, known: Arc<KnownBlob> },
+    /// The latest published version, as this read observed it.
+    Answered(Version),
+}
+
+/// One READ in progress: what it asked for and what it has learned.
+struct ReadState {
+    blob: BlobId,
+    geom: Geometry,
+    seg: Segment,
+    /// The pinned version, if any.
+    version: Option<Version>,
+    /// The version whose tree the read is descending.
+    target: Version,
+    check: Check,
+    /// Pages a dropped burst brought, by key. Pages are immutable per
+    /// key, so the newer tree reuses any it names.
+    spare: FxHashMap<PageKey, PageBuf>,
+    stats: ReadStats,
+}
+
+impl ReadState {
+    /// Judge the descended target against `latest`: a pinned version
+    /// above it is not published; a `read(None)` whose floor was not the
+    /// latest version moves to it. Returns whether the target moved.
+    fn settle(&mut self, latest: Version) -> Result<bool, BlobError> {
+        match self.version {
+            Some(v) if v > latest => Err(BlobError::VersionNotPublished {
+                requested: v,
+                latest,
+            }),
+            Some(_) => Ok(false),
+            None => Ok(std::mem::replace(&mut self.target, latest) != latest),
+        }
+    }
+}
+
+/// What a client knows of one blob: its geometry, and its **frontier
+/// floor** — the highest version this client has seen published, raised
+/// by every `GET_LATEST`, `GET_BLOB` and `COMPLETE_WRITE` reply. A
+/// `read(None)` descends the floor's tree while it asks for `latest`.
+struct KnownBlob {
+    geom: Geometry,
+    floor: AtomicU64,
+}
+
+impl KnownBlob {
+    /// Raise the floor to a published version just observed. The floor
+    /// publishes no in-process data (the version it names lives on the
+    /// servers), so the ordering is relaxed.
+    fn observe(&self, published: Version) {
+        self.floor.fetch_max(published, Ordering::Relaxed);
+    }
+}
+
 /// A client of the blob store. One instance per logical client process;
 /// cheap to create. Nothing in it serializes independent operations: the
 /// metadata cache is a shared concurrent [`MetaCache`] and the geometry
@@ -123,7 +208,7 @@ pub struct BlobClient {
     dht: DhtClient,
     costs: ClientCosts,
     cache: Option<Arc<MetaCache>>,
-    geoms: RwLock<FxHashMap<BlobId, Geometry>>,
+    blobs: RwLock<FxHashMap<BlobId, Arc<KnownBlob>>>,
     replication: u32,
     retry: RetryPolicy,
     heat: Option<Arc<HeatTracker>>,
@@ -157,7 +242,7 @@ impl BlobClient {
             cache,
             // lint: allow(unmetered-lock) — construction only; every geometry-map
             // acquisition below carries its Shared/Serializing charge
-            geoms: RwLock::new(FxHashMap::default()),
+            blobs: RwLock::new(FxHashMap::default()),
             replication,
             retry: RetryPolicy::none(),
             heat: None,
@@ -242,17 +327,27 @@ impl BlobClient {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Record `blob`'s geometry, write-locking the map only when the
-    /// entry is actually new or changed — repeated opens of a known blob
-    /// stay lock-write-free (geometries are immutable, so the read check
-    /// almost always suffices).
-    fn remember_geometry(&self, blob: BlobId, geom: Geometry) {
+    /// Record a blob descriptor: its geometry, write-locking the map only
+    /// when the entry is actually new or changed — repeated opens of a
+    /// known blob stay lock-write-free (geometries are immutable, so the
+    /// read check almost always suffices) — and its `latest`, which
+    /// raises the entry's frontier floor. A new or changed geometry
+    /// starts a new entry, whose floor is that `latest`.
+    fn remember(&self, info: &BlobInfo) -> Arc<KnownBlob> {
+        let geom = info.geometry();
         lockmeter::record_shared();
-        if self.geoms.read().get(&blob) == Some(&geom) {
-            return;
+        let known = self.blobs.read().get(&info.blob).cloned();
+        if let Some(known) = known.filter(|k| k.geom == geom) {
+            known.observe(info.latest);
+            return known;
         }
+        let known = Arc::new(KnownBlob {
+            geom,
+            floor: AtomicU64::new(info.latest),
+        });
         lockmeter::record_serializing();
-        self.geoms.write().insert(blob, geom);
+        self.blobs.write().insert(info.blob, Arc::clone(&known));
+        known
     }
 
     /// `ALLOC`: create a blob, returning its descriptor.
@@ -274,38 +369,64 @@ impl BlobClient {
                 page_size,
             },
         )?;
-        self.remember_geometry(info.blob, info.geometry());
+        // A new blob starts at its own `latest`, whatever an earlier blob
+        // of this id reached (a memory-backend restart reuses ids).
+        self.remember(&info)
+            .floor
+            .store(info.latest, Ordering::Relaxed);
         Ok(info)
     }
 
     /// Blob descriptor (geometry + latest published version).
     pub fn info(&self, ctx: &mut Ctx, blob: BlobId) -> Result<BlobInfo, BlobError> {
+        Ok(self.open(ctx, blob)?.0)
+    }
+
+    /// `GET_BLOB`: the descriptor, and the client's entry for the blob.
+    fn open(&self, ctx: &mut Ctx, blob: BlobId) -> Result<(BlobInfo, Arc<KnownBlob>), BlobError> {
         let info: BlobInfo = self.rpc.call(
             ctx,
             self.vm_for(blob),
             method::GET_BLOB,
             &GetLatest { blob },
         )?;
-        self.remember_geometry(info.blob, info.geometry());
-        Ok(info)
+        let known = self.remember(&info);
+        Ok((info, known))
     }
 
     /// Latest published version.
     pub fn latest(&self, ctx: &mut Ctx, blob: BlobId) -> Result<Version, BlobError> {
-        self.rpc.call(
+        let latest = self.rpc.call(
             ctx,
             self.vm_for(blob),
             method::GET_LATEST,
             &GetLatest { blob },
-        )
+        )?;
+        if let Some(known) = self.known(blob) {
+            known.observe(latest);
+        }
+        Ok(latest)
     }
 
-    fn geometry(&self, ctx: &mut Ctx, blob: BlobId) -> Result<Geometry, BlobError> {
+    /// The client's entry for `blob`, if it has one.
+    fn known(&self, blob: BlobId) -> Option<Arc<KnownBlob>> {
         lockmeter::record_shared();
-        if let Some(g) = self.geoms.read().get(&blob) {
-            return Ok(*g);
+        self.blobs.read().get(&blob).cloned()
+    }
+
+    /// The client's entry for `blob`, fetching the descriptor if there
+    /// is none — in which case its `latest` comes back too: a version
+    /// check this call has already made.
+    fn entry(
+        &self,
+        ctx: &mut Ctx,
+        blob: BlobId,
+    ) -> Result<(Arc<KnownBlob>, Option<Version>), BlobError> {
+        if let Some(known) = self.known(blob) {
+            return Ok((known, None));
         }
-        Ok(self.info(ctx, blob)?.geometry())
+        let (info, known) = self.open(ctx, blob)?;
+        Ok((known, Some(info.latest)))
     }
 
     // ------------------------------------------------------------------
@@ -404,7 +525,8 @@ impl BlobClient {
     ) -> Result<(Version, WriteStats), BlobError> {
         let t0 = ctx.vt;
         let seg = Segment::new(offset, data.len() as u64);
-        let geom = self.geometry(ctx, blob)?;
+        let (known, _) = self.entry(ctx, blob)?;
+        let geom = known.geom;
         let range = geom.validate_aligned(&seg)?;
         let n_pages = range.count();
 
@@ -535,7 +657,7 @@ impl BlobClient {
         let t_meta = ctx.vt;
 
         // Step 5: report success; the version manager publishes in order.
-        let _publish: PublishState = self.rpc.call(
+        let publish: PublishState = self.rpc.call(
             ctx,
             self.vm_for(blob),
             method::COMPLETE_WRITE,
@@ -544,6 +666,7 @@ impl BlobClient {
                 version: ticket.version,
             },
         )?;
+        known.observe(publish.latest);
         let stats = WriteStats {
             plan_ns: t_plan - t0,
             pages_ns: t_pages - t_plan,
@@ -568,7 +691,7 @@ impl BlobClient {
         data: &[u8],
     ) -> Result<Version, BlobError> {
         let seg = Segment::new(offset, data.len() as u64);
-        let geom = self.geometry(ctx, blob)?;
+        let geom = self.entry(ctx, blob)?.0.geom;
         geom.validate_bounds(&seg)?;
         let envelope = align_to_pages(&geom, &seg);
         if envelope == seg {
@@ -786,6 +909,18 @@ impl BlobClient {
     /// The shared READ engine: version resolution, cached level-by-level
     /// tree descent, parallel page fetches. Returns the pieces for the
     /// caller to assemble (`None` pieces = version-0 all-zero read).
+    ///
+    /// The version check costs no round trip of its own. A read that had
+    /// to fetch the blob descriptor already holds a fresh `latest`.
+    /// Otherwise it descends a *target* — `v` if pinned, else the
+    /// client's frontier floor — and sends `GET_LATEST` last in the burst
+    /// of its first fetch: the first tree level that misses the cache, or
+    /// else the pages. If `latest` shows the floor was behind, the read
+    /// descends `latest`'s tree instead, reusing any burst page the new
+    /// tree still names and dropping everything else the burst brought,
+    /// errors included. The target is always a version known to be
+    /// published when its fetches leave — the floor is one by definition
+    /// — so nothing a burst fetched raced its writer.
     fn read_plan(
         &self,
         ctx: &mut Ctx,
@@ -793,66 +928,146 @@ impl BlobClient {
         version: Option<Version>,
         seg: Segment,
     ) -> Result<ReadPlan, BlobError> {
-        let t0 = ctx.vt;
-        let geom = self.geometry(ctx, blob)?;
+        let mut mark = ctx.vt;
+        let (known, fresh) = self.entry(ctx, blob)?;
+        let geom = known.geom;
         geom.validate_bounds(&seg)?;
-
-        // Single interaction with the (only) centralized entity.
-        let latest = self.latest(ctx, blob)?;
-        let t_latest = ctx.vt;
-        let v = match version {
-            None => latest,
-            Some(v) if v > latest => {
-                return Err(BlobError::VersionNotPublished {
-                    requested: v,
-                    latest,
-                })
-            }
-            Some(v) => v,
+        let floor = fresh.unwrap_or_else(|| known.floor.load(Ordering::Relaxed));
+        let target = version.unwrap_or(floor);
+        let mut st = ReadState {
+            blob,
+            geom,
+            seg,
+            version,
+            target,
+            check: match fresh {
+                Some(latest) => Check::Answered(latest),
+                None => Check::Owed {
+                    vm: self.vm_for(blob),
+                    known,
+                },
+            },
+            spare: FxHashMap::default(),
+            stats: ReadStats::default(),
         };
-        if v == 0 {
-            let stats = ReadStats {
-                latest_ns: t_latest - t0,
-                meta_ns: 0,
-                data_ns: 0,
-                nodes_visited: 0,
-            };
-            return Ok(ReadPlan {
-                geom,
-                latest,
-                stats,
-                pieces: None,
-            });
+        if let Some(latest) = fresh {
+            st.settle(latest)?;
+        } else if target > floor {
+            // A pinned version above the floor may not exist yet, so no
+            // fetch can ride with the check: it goes first, alone.
+            self.burst(ctx, &mut st, Vec::new())?;
         }
+        st.stats.lap(ctx, &mut mark, |s| &mut s.latest_ns);
 
-        // Level-by-level descent with batched parallel metadata fetches;
-        // cache hits and misses alike hand out refcounted bodies, never
-        // deep clones.
-        let mut nodes_visited = 0u64;
-        let mut frontier = vec![root_key(&geom, blob, v)];
+        // A pass per target: a second one only if the check moved it.
+        let pieces = loop {
+            let descent = self.descend(ctx, &mut st)?;
+            st.stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+            let Some((zeros, leaves)) = descent else {
+                continue;
+            };
+            let pages = self.fetch_pages(ctx, &mut st, &leaves)?;
+            if leaves.is_empty() {
+                // Nothing to fetch: the burst was the version check alone.
+                st.stats.lap(ctx, &mut mark, |s| &mut s.latest_ns);
+            }
+            if let Some(pages) = &pages {
+                ctx.advance(self.costs.page_ns * pages.len() as u64);
+            }
+            st.stats.lap(ctx, &mut mark, |s| &mut s.data_ns);
+            if let Some(pages) = pages {
+                break (st.target > 0).then_some((zeros, pages));
+            }
+        };
+        st.stats.refetched += st.spare.len() as u64;
+        let Check::Answered(latest) = st.check else {
+            return Err(BlobError::Internal(
+                "read finished without its version check",
+            ));
+        };
+        Ok(ReadPlan {
+            geom,
+            latest,
+            stats: st.stats,
+            pieces,
+        })
+    }
+
+    /// Send one burst of fetches. If the read still owes its version
+    /// check, `GET_LATEST` goes last in it, and its answer may move the
+    /// read's target. Returns the fetches' replies, in order, and
+    /// whether the target moved.
+    fn burst(
+        &self,
+        ctx: &mut Ctx,
+        st: &mut ReadState,
+        mut frames: Vec<(NodeId, Frame)>,
+    ) -> Result<(Replies, bool), BlobError> {
+        let Check::Owed { vm, known } = &st.check else {
+            if frames.is_empty() {
+                return Ok((Vec::new(), false));
+            }
+            return Ok((self.rpc.fan_out_frames(ctx, frames), false));
+        };
+        let check = Frame::from_msg(method::GET_LATEST, &GetLatest { blob: st.blob });
+        frames.push((*vm, check));
+        let mut replies = self.rpc.fan_out_frames(ctx, frames);
+        let latest: Version = replies
+            .pop()
+            .unwrap_or(Err(BlobError::Internal("transport dropped a reply")))
+            .and_then(|reply| parse_response(&reply))?;
+        known.observe(latest);
+        st.check = Check::Answered(latest);
+        let moved = st.settle(latest)?;
+        Ok((replies, moved))
+    }
+
+    /// Descend `st.target`'s tree level by level, through the cache, with
+    /// batched parallel metadata fetches; cache hits and misses alike
+    /// hand out refcounted bodies, never deep clones. Returns the zero
+    /// ranges and the leaves, or `None` if the check moved the target.
+    #[allow(clippy::type_complexity)]
+    fn descend(
+        &self,
+        ctx: &mut Ctx,
+        st: &mut ReadState,
+    ) -> Result<Option<(Vec<Segment>, Vec<(NodeKey, PageLoc, Segment)>)>, BlobError> {
+        let (geom, blob, seg) = (st.geom, st.blob, st.seg);
+        st.stats.nodes_visited = 0;
+        let mut level = if st.target == 0 {
+            Vec::new()
+        } else {
+            vec![root_key(&geom, blob, st.target)]
+        };
         let mut zeros: Vec<Segment> = Vec::new();
         let mut leaves: Vec<(NodeKey, PageLoc, Segment)> = Vec::new();
-        while !frontier.is_empty() {
-            let mut bodies: Vec<Option<Arc<NodeBody>>> = vec![None; frontier.len()];
+        while !level.is_empty() {
+            let mut bodies: Vec<Option<Arc<NodeBody>>> = vec![None; level.len()];
             let mut missing_idx = Vec::new();
             if let Some(cache) = &self.cache {
-                for (i, key) in frontier.iter().enumerate() {
+                for (i, key) in level.iter().enumerate() {
                     match cache.get(key) {
                         Some(body) => bodies[i] = Some(body),
                         None => missing_idx.push(i),
                     }
                 }
-                ctx.advance(self.costs.cache_ns * frontier.len() as u64);
+                ctx.advance(self.costs.cache_ns * level.len() as u64);
             } else {
-                missing_idx = (0..frontier.len()).collect();
+                missing_idx = (0..level.len()).collect();
             }
             if !missing_idx.is_empty() {
-                let keys: Vec<NodeKey> = missing_idx.iter().map(|&i| frontier[i]).collect();
-                let fetched = self.dht.get_nodes(ctx, &keys)?;
+                let keys: Vec<NodeKey> = missing_idx.iter().map(|&i| level[i]).collect();
+                let (fetch, frames) = self.dht.fetch_frames(&keys);
+                let (replies, moved) = self.burst(ctx, st, frames)?;
+                if moved {
+                    st.stats.refetched += keys.len() as u64;
+                    return Ok(None);
+                }
+                let fetched = self.dht.finish_fetch(ctx, fetch, replies)?;
                 for (&i, node) in missing_idx.iter().zip(fetched) {
                     let node = node.ok_or(BlobError::MissingMetadata {
                         blob,
-                        version: frontier[i].version,
+                        version: level[i].version,
                     })?;
                     let body = Arc::new(node.body);
                     if let Some(cache) = &self.cache {
@@ -864,8 +1079,8 @@ impl BlobClient {
                 ctx.advance(self.costs.read_node_ns * missing_idx.len() as u64);
             }
             let mut next = Vec::new();
-            nodes_visited += frontier.len() as u64;
-            for (key, body) in frontier.iter().zip(bodies) {
+            st.stats.nodes_visited += level.len() as u64;
+            for (key, body) in level.iter().zip(bodies) {
                 // lint: allow(panic-on-serving-path) — every missing index was
                 // filled by the fetch loop above; a hole is a local logic bug
                 let body = body.expect("filled above");
@@ -877,47 +1092,38 @@ impl BlobClient {
                     }
                 }
             }
-            frontier = next;
+            level = next;
         }
-        let t_meta = ctx.vt;
-
-        // Parallel page downloads with replica failover.
-        let pages = self.fetch_pages(ctx, &leaves)?;
-        ctx.advance(self.costs.page_ns * pages.len() as u64);
-        let stats = ReadStats {
-            latest_ns: t_latest - t0,
-            meta_ns: t_meta - t_latest,
-            data_ns: ctx.vt - t_meta,
-            nodes_visited,
-        };
-        Ok(ReadPlan {
-            geom,
-            latest,
-            stats,
-            pieces: Some((zeros, pages)),
-        })
+        Ok(Some((zeros, leaves)))
     }
 
-    /// Fetch every leaf's page. Single-replica pages go to their
-    /// primary; multi-replica (fanned-out or replicated) pages rotate
-    /// the starting replica round-robin so a hot page's read load
-    /// spreads over every holder. On failure the remaining replicas are
-    /// tried in rotation order; if every replica fails, a typed
-    /// `Overload` among the failures wins over `MissingPage` (the page
-    /// exists — the system is shedding, and the caller's retry policy
-    /// should see that).
+    /// Fetch every leaf's page — in the read's first burst, with the
+    /// version check, when the descent needed no metadata fetch; `None`
+    /// if that check moved the target. A page a dropped burst already
+    /// brought is reused, not fetched again.
+    ///
+    /// Single-replica pages go to their primary; multi-replica
+    /// (fanned-out or replicated) pages rotate the starting replica
+    /// round-robin so a hot page's read load spreads over every holder.
+    /// On failure the remaining replicas are tried in rotation order; if
+    /// every replica fails, a typed `Overload` among the failures wins
+    /// over `MissingPage` (the page exists — the system is shedding, and
+    /// the caller's retry policy should see that).
     ///
     /// Successful fetches feed the shared [`HeatTracker`] (when
     /// enabled); a page crossing the promotion threshold is fanned out
     /// onto one more provider right here, best-effort.
+    #[allow(clippy::type_complexity)]
     fn fetch_pages(
         &self,
         ctx: &mut Ctx,
+        st: &mut ReadState,
         leaves: &[(NodeKey, PageLoc, Segment)],
-    ) -> Result<Vec<(PageLoc, Segment, PageBuf)>, BlobError> {
-        if leaves.is_empty() {
-            return Ok(Vec::new());
-        }
+    ) -> Result<Option<Vec<(PageLoc, Segment, PageBuf)>>, BlobError> {
+        let mut replies: Vec<Option<Result<PageBuf, BlobError>>> = leaves
+            .iter()
+            .map(|(_, loc, _)| st.spare.remove(&loc.key).map(Ok))
+            .collect();
         let starts: Vec<usize> = leaves
             .iter()
             .map(|(_, loc, _)| {
@@ -928,69 +1134,51 @@ impl BlobClient {
                 }
             })
             .collect();
-        let calls: Vec<(NodeId, u16, GetPage)> = leaves
+        let wanted: Vec<usize> = (0..leaves.len())
+            .filter(|&i| replies[i].is_none())
+            .collect();
+        let frames: Vec<(NodeId, Frame)> = wanted
             .iter()
-            .zip(&starts)
-            .map(|((_, loc, _), &start)| {
+            .map(|&i| {
+                let loc = &leaves[i].1;
                 // Well-formed leaves always carry at least one replica; a
                 // malformed one routes to an impossible node and surfaces
                 // as MissingPage through the normal failover path.
                 let first = loc
                     .replicas
-                    .get(start)
+                    .get(starts[i])
                     .copied()
                     .unwrap_or(ProviderId(u32::MAX));
-                (NodeId(first.0), method::GET_PAGE, GetPage { key: loc.key })
+                let get = GetPage { key: loc.key };
+                (NodeId(first.0), Frame::from_msg(method::GET_PAGE, &get))
             })
             .collect();
-        let results = self.rpc.fan_out::<GetPage, PageBuf>(ctx, &calls);
-        let mut out = Vec::with_capacity(leaves.len());
-        for (((leaf_key, loc, range), res), start) in leaves.iter().zip(results).zip(&starts) {
-            let data = match res {
-                Ok(data) => data,
-                Err(first_err) => {
-                    // Failover: the remaining replicas, in rotation order.
-                    let mut found = None;
-                    let mut last_shed = first_err.retry_after_hint_ms();
-                    let n = loc.replicas.len();
-                    for k in 1..n {
-                        let replica = loc.replicas[(start + k) % n];
-                        let r: Result<PageBuf, BlobError> = self.rpc.call(
-                            ctx,
-                            NodeId(replica.0),
-                            method::GET_PAGE,
-                            &GetPage { key: loc.key },
-                        );
-                        match r {
-                            Ok(data) => {
-                                found = Some(data);
-                                break;
-                            }
-                            Err(e) => {
-                                if let Some(hint) = e.retry_after_hint_ms() {
-                                    last_shed = Some(last_shed.unwrap_or(0).max(hint));
-                                }
-                            }
-                        }
+        let (fetched, moved) = self.burst(ctx, st, frames)?;
+        let fetched = wanted
+            .into_iter()
+            .zip(fetched)
+            .map(|(i, reply)| (i, reply.and_then(|frame| parse_response::<PageBuf>(&frame))));
+        if moved {
+            // Keep what the newer tree may name again; the rest is waste.
+            for (i, page) in fetched {
+                match page {
+                    Ok(page) => {
+                        st.spare.insert(leaves[i].1.key, page);
                     }
-                    match (found, last_shed) {
-                        (Some(data), _) => data,
-                        // Every replica failed and at least one shed:
-                        // the page is there, the system is overloaded —
-                        // keep the typed Overload so retry policies see
-                        // it (never demote to MissingPage/Unreachable).
-                        (None, Some(hint)) => {
-                            return Err(BlobError::Overload {
-                                retry_after_hint: hint,
-                            })
-                        }
-                        (None, None) => {
-                            return Err(BlobError::MissingPage {
-                                tried: loc.replicas.clone(),
-                            })
-                        }
-                    }
+                    Err(_) => st.stats.refetched += 1,
                 }
+            }
+            return Ok(None);
+        }
+        for (i, page) in fetched {
+            replies[i] = Some(page);
+        }
+
+        let mut out = Vec::with_capacity(leaves.len());
+        for (((leaf_key, loc, range), reply), start) in leaves.iter().zip(replies).zip(starts) {
+            let data = match reply.unwrap_or(Err(BlobError::Internal("page not fetched"))) {
+                Ok(data) => data,
+                Err(first_err) => self.page_failover(ctx, loc, start, first_err)?,
             };
             if let Some(heat) = &self.heat {
                 if heat.record_read(loc.key) && loc.replicas.len() < heat.options().max_replicas {
@@ -999,7 +1187,49 @@ impl BlobClient {
             }
             out.push((loc.clone(), *range, data));
         }
-        Ok(out)
+        Ok(Some(out))
+    }
+
+    /// A page whose first replica failed with `first_err`: try the
+    /// remaining replicas, in rotation order after `start`.
+    fn page_failover(
+        &self,
+        ctx: &mut Ctx,
+        loc: &PageLoc,
+        start: usize,
+        first_err: BlobError,
+    ) -> Result<PageBuf, BlobError> {
+        let mut last_shed = first_err.retry_after_hint_ms();
+        let n = loc.replicas.len();
+        for k in 1..n {
+            let replica = loc.replicas[(start + k) % n];
+            let r: Result<PageBuf, BlobError> = self.rpc.call(
+                ctx,
+                NodeId(replica.0),
+                method::GET_PAGE,
+                &GetPage { key: loc.key },
+            );
+            match r {
+                Ok(data) => return Ok(data),
+                Err(e) => {
+                    if let Some(hint) = e.retry_after_hint_ms() {
+                        last_shed = Some(last_shed.unwrap_or(0).max(hint));
+                    }
+                }
+            }
+        }
+        Err(match last_shed {
+            // Every replica failed and at least one shed: the page is
+            // there, the system is overloaded — keep the typed Overload
+            // so retry policies see it (never demote to
+            // MissingPage/Unreachable).
+            Some(hint) => BlobError::Overload {
+                retry_after_hint: hint,
+            },
+            None => BlobError::MissingPage {
+                tried: loc.replicas.clone(),
+            },
+        })
     }
 
     /// Fan a hot page out onto one more provider: reserve placement via
@@ -1089,7 +1319,7 @@ impl BlobClient {
             return Ok((0, 0));
         }
         // Resolve dead leaves to their replica sets.
-        let geom = self.geometry(ctx, blob)?;
+        let geom = self.entry(ctx, blob)?.0.geom;
         let leaf_keys: Vec<NodeKey> = plan
             .dead_nodes
             .iter()

@@ -385,3 +385,38 @@ fn read_returns_latest_version_witness() {
     let (_, vr) = c.read(&mut ctx, info.blob, Some(1), seg(0, PAGE)).unwrap();
     assert_eq!(vr, 2);
 }
+
+#[test]
+fn the_version_check_costs_no_round_trip_of_its_own() {
+    // On the costed simulator, cache off: a read asks the version
+    // manager once, in the same burst as its first fetch — or, for a
+    // client that has not opened the blob, through the descriptor it
+    // had to fetch anyway.
+    let d = Deployment::build(DeploymentConfig::grid5000(4));
+    let writer = d.client();
+    let mut ctx = Ctx::start();
+    let info = writer.alloc(&mut ctx, TOTAL, PAGE).unwrap();
+    writer
+        .write(&mut ctx, info.blob, 0, &vec![3u8; (4 * PAGE) as usize])
+        .unwrap();
+
+    let reader = d.client();
+    let mut read = || {
+        let before = d.cluster.message_count();
+        let (data, vr, stats) = reader
+            .read_with_stats(&mut ctx, info.blob, None, seg(0, 4 * PAGE))
+            .unwrap();
+        assert_eq!((data, vr), (vec![3u8; (4 * PAGE) as usize], 1));
+        (d.cluster.message_count() - before, stats)
+    };
+    // First read: GET_BLOB answers the version check, no GET_LATEST.
+    let (first, opened) = read();
+    // Every later read: GET_LATEST rides the root fetch.
+    let (later, confirmed) = read();
+    assert_eq!(first, later, "one version-manager call per read");
+    assert!(
+        opened.latest_ns > 0,
+        "the descriptor is the check: {opened:?}"
+    );
+    assert_eq!(confirmed.latest_ns, 0, "{confirmed:?}");
+}

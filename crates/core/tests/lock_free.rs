@@ -10,7 +10,9 @@
 //!   acquisitions: write planning is lock-free end to end;
 //! * a cache-hit READ takes **zero** exclusive acquisitions of any
 //!   class: the whole metadata descent runs on shard read locks and
-//!   atomic reference bits;
+//!   atomic reference bits — also when another writer moved the
+//!   frontier, so the read re-descends and raises its floor (an atomic
+//!   `fetch_max`);
 //! * re-opening a known blob takes zero exclusive acquisitions, while a
 //!   client's *first* open of it charges exactly one serializing
 //!   acquisition (its geometry-map insert) — so the meter is live, and
@@ -106,6 +108,34 @@ fn cache_hit_read_takes_zero_exclusive_locks() {
         locks.shared > 0,
         "the descent does probe the cache (shared acquisitions): {locks:?}"
     );
+}
+
+#[test]
+fn warm_read_that_raises_the_floor_takes_zero_exclusive_locks() {
+    let (d, c, mut ctx, blob) = warm_deployment();
+    // Another client publishes version 2 (pre-warming the shared cache
+    // with its tree); `c`'s floor is still 1.
+    let data = vec![8u8; TOTAL as usize];
+    d.client().write(&mut ctx, blob, 0, &data).unwrap();
+
+    let snap = lockmeter::thread_snapshot();
+    let (got, vr, stats) = c
+        .read_with_stats(&mut ctx, blob, None, Segment::new(0, TOTAL))
+        .unwrap();
+    let locks = snap.since();
+
+    assert_eq!((got, vr), (data, 2));
+    assert_eq!(stats.refetched, PAGES, "every floor page was replaced");
+    assert_eq!(
+        locks.total_exclusive(),
+        0,
+        "re-descending and raising the floor are exclusive-lock-free: {locks:?}"
+    );
+    // The floor did move: the next read is confirmed, nothing dropped.
+    let (_, _, stats) = c
+        .read_with_stats(&mut ctx, blob, None, Segment::new(0, TOTAL))
+        .unwrap();
+    assert_eq!(stats.refetched, 0);
 }
 
 #[test]

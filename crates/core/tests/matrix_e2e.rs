@@ -394,3 +394,119 @@ fn cluster_restart_recovers_acknowledged_writes() {
         }
     }
 }
+
+#[test]
+fn reads_follow_a_moving_frontier() {
+    // A reader descends the newest version it has seen published and
+    // asks for `latest` in the same burst. Another client's writes move
+    // the frontier under it: the read must land on the newer version,
+    // byte-exact, dropping only what the newer tree does not share.
+    let (_, backend) = matrix_cell();
+    let mut config = cfg(3);
+    config.cache_nodes = 1 << 12;
+    let mut d = Deployment::build(config);
+    let (a, b) = (d.client(), d.client());
+    let mut ctx = Ctx::start();
+    let blob = b.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob;
+    let mut model = vec![1u8; TOTAL as usize];
+    assert_eq!(b.write(&mut ctx, blob, 0, &model).unwrap(), 1);
+    let span = seg(0, 4 * PAGE);
+    let read_a = |ctx: &mut Ctx| a.read_with_stats(ctx, blob, None, span).unwrap();
+    let page = |i: u64| (i * PAGE) as usize..((i + 1) * PAGE) as usize;
+    assert_eq!(read_a(&mut ctx).1, 1, "A's first read opens the blob");
+
+    // B writes a page A does not read: A's pages are still the newest
+    // tree's leaves, so the burst's pages are all reused.
+    model[page(20)].fill(2);
+    assert_eq!(
+        b.write(&mut ctx, blob, 20 * PAGE, &model[page(20)])
+            .unwrap(),
+        2
+    );
+    let (got, vr, stats) = read_a(&mut ctx);
+    assert_eq!((vr, stats.refetched), (2, 0), "{stats:?}");
+    assert_eq!(got, model[..span.size as usize]);
+
+    // B rewrites a page A reads: exactly that page is fetched again.
+    model[page(1)].fill(3);
+    assert_eq!(b.write(&mut ctx, blob, PAGE, &model[page(1)]).unwrap(), 3);
+    let (got, vr, stats) = read_a(&mut ctx);
+    assert_eq!((vr, stats.refetched), (3, 1), "{stats:?}");
+    assert_eq!(got, model[..span.size as usize], "B's bytes");
+
+    // Confirmed: the floor is the latest version, nothing is dropped.
+    let (_, vr, stats) = read_a(&mut ctx);
+    assert_eq!((vr, stats.refetched), (3, 0), "{stats:?}");
+
+    // A pinned read above `latest` surfaces nothing it fetched...
+    let err = a.read(&mut ctx, blob, Some(4), span).unwrap_err();
+    assert_eq!(
+        err,
+        blobseer_proto::BlobError::VersionNotPublished {
+            requested: 4,
+            latest: 3
+        }
+    );
+    // ...and once B publishes it, A reads it, though A's floor is 3.
+    model[page(2)].fill(4);
+    assert_eq!(
+        b.write(&mut ctx, blob, 2 * PAGE, &model[page(2)]).unwrap(),
+        4
+    );
+    let (got, vr) = a.read(&mut ctx, blob, Some(4), span).unwrap();
+    assert_eq!((got.as_slice(), vr), (&model[..span.size as usize], 4));
+
+    // A pinned read of a collected version fails as it always has.
+    b.gc(&mut ctx, blob, 3).unwrap();
+    let err = a.read(&mut ctx, blob, Some(1), span).unwrap_err();
+    assert!(
+        matches!(err, blobseer_proto::BlobError::MissingMetadata { .. }),
+        "got {err:?}"
+    );
+
+    // The version check fails the read even when the pages it rode
+    // with arrived.
+    d.cluster.kill(d.vm_node);
+    let before = d.cluster.message_count();
+    let err = a.read(&mut ctx, blob, None, span).unwrap_err();
+    assert!(
+        matches!(err, blobseer_proto::BlobError::Unreachable(_)),
+        "got {err:?}"
+    );
+    assert!(d.cluster.message_count() > before, "the pages travelled");
+    d.cluster.revive(d.vm_node);
+
+    d.restart_cluster().unwrap();
+    match backend {
+        BackendKind::Mmap => {
+            let (got, vr) = a.read(&mut ctx, blob, None, span).unwrap();
+            assert_eq!((got.as_slice(), vr), (&model[..span.size as usize], 4));
+        }
+        BackendKind::Memory => {
+            let err = a.read(&mut ctx, blob, None, span).unwrap_err();
+            assert_eq!(err, blobseer_proto::BlobError::UnknownBlob(blob));
+            // The emptied cluster hands the id out again. A's floor of 4,
+            // left over from the old blob, would send its reads down
+            // trees that do not exist: `alloc` resets the floor...
+            assert_eq!(a.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob, blob);
+            let sixes = vec![6u8; PAGE as usize];
+            for v in 1..=2 {
+                assert_eq!(a.write(&mut ctx, blob, v * PAGE, &sixes).unwrap(), v);
+            }
+            let (got, vr, stats) = read_a(&mut ctx);
+            assert_eq!((vr, stats.refetched), (2, 0), "{stats:?}");
+            assert_eq!(got[page(1)], sixes);
+            assert_eq!(got[page(2)], sixes);
+            // ...and so does a changed geometry in a descriptor.
+            d.restart_cluster().unwrap();
+            assert_eq!(b.alloc(&mut ctx, TOTAL, 2 * PAGE).unwrap().blob, blob);
+            let data = vec![7u8; 2 * PAGE as usize];
+            assert_eq!(b.write(&mut ctx, blob, 0, &data).unwrap(), 1);
+            assert_eq!(a.info(&mut ctx, blob).unwrap().page_size, 2 * PAGE);
+            let (got, vr, stats) = a
+                .read_with_stats(&mut ctx, blob, None, seg(0, 2 * PAGE))
+                .unwrap();
+            assert_eq!((got, vr, stats.refetched), (data, 1, 0));
+        }
+    }
+}

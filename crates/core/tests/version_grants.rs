@@ -15,6 +15,10 @@
 //!   hot blob still produce the dense sequence `1..=16`, and every
 //!   intermediate version equals prefix application of its
 //!   predecessors.
+//! * **A full publish window sheds, typed** — once
+//!   `DEFAULT_WINDOW` grants are unpublished, the next writer's ticket
+//!   request comes back to the client as the manager's `Overload`, hint
+//!   and all.
 //! * **Batching removes the per-write lock** — on a hot blob with a
 //!   stressed assignment cost, 16 concurrent writers take fewer than one
 //!   `VersionAssign` acquisition per write, the per-op ablation takes
@@ -26,6 +30,7 @@ use blobseer_proto::{BlobError, Segment, WriteId};
 use blobseer_rpc::Ctx;
 use blobseer_simnet::ServiceCosts;
 use blobseer_util::lockmeter;
+use blobseer_version::{DEFAULT_WINDOW, WINDOW_FULL_RETRY_HINT_MS};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -165,6 +170,33 @@ fn assigned_but_unpublished_grant_tail_does_not_resurrect() {
         .read(&mut ctx, blob, Some(3), seg(2 * PAGE, PAGE))
         .unwrap();
     assert_eq!(got, page_c);
+}
+
+#[test]
+fn full_publish_window_reaches_the_writer_as_overload() {
+    let d = Deployment::build(DeploymentConfig::functional(2));
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let blob = c.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob;
+
+    // White-box: fill the window with grants that never publish.
+    let state = d.registry.get(blob).unwrap();
+    for i in 0..DEFAULT_WINDOW as u64 {
+        state
+            .request_version(WriteId(1 << 40 | i), seg(0, PAGE))
+            .unwrap();
+    }
+    let err = c
+        .write(&mut ctx, blob, 0, &[1u8; PAGE as usize])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        BlobError::Overload {
+            retry_after_hint: WINDOW_FULL_RETRY_HINT_MS
+        },
+        "the manager's refusal arrives unchanged"
+    );
+    assert_eq!(state.latest(), 0, "nothing was published");
 }
 
 #[test]

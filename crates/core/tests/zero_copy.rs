@@ -8,7 +8,10 @@
 //! * READ copies each page exactly once, into the result buffer;
 //! * `read_into` copies straight into the caller's buffer;
 //! * a single-page aligned `read_buf` copies **zero** bytes — the caller
-//!   receives a refcount borrow of the provider's stored page.
+//!   receives a refcount borrow of the provider's stored page;
+//! * all of the above still hold when another writer moved the frontier
+//!   under the reader, so its read re-descends the newer tree and reuses
+//!   the pages its first burst fetched.
 //!
 //! One test function on one thread, using the thread-local copy meters:
 //! the simulated transports dispatch handlers inline on the calling
@@ -120,4 +123,52 @@ fn copies_are_counted_and_minimal() {
         PAGE,
         "a straddling read copies exactly the requested bytes (each byte once)"
     );
+}
+
+#[test]
+fn a_read_that_reuses_burst_pages_still_copies_each_page_once() {
+    let mut cfg = DeploymentConfig::functional(4);
+    cfg.cache_nodes = 1 << 12; // the descent hits: the first burst carries pages
+    let d = Deployment::build(cfg);
+    let (reader, writer) = (d.client(), d.client());
+    let mut ctx = Ctx::start();
+    let blob = writer.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob;
+    let seg_bytes = 8 * PAGE;
+    let mut data: Vec<u8> = (0..seg_bytes).map(|i| (i % 251) as u8).collect();
+    writer.write(&mut ctx, blob, 0, &data).unwrap();
+    reader
+        .read(&mut ctx, blob, None, Segment::new(0, seg_bytes))
+        .unwrap();
+
+    // The writer replaces one of the reader's pages: seven burst pages
+    // are reused, one is fetched again, and each is copied once.
+    let page = vec![9u8; PAGE as usize];
+    writer.write(&mut ctx, blob, 3 * PAGE, &page).unwrap();
+    data[(3 * PAGE) as usize..(4 * PAGE) as usize].copy_from_slice(&page);
+    let before = copymeter::thread_snapshot();
+    let (got, vr, stats) = reader
+        .read_with_stats(&mut ctx, blob, None, Segment::new(0, seg_bytes))
+        .unwrap();
+    assert_eq!((got, vr, stats.refetched), (data, 2, 1));
+    assert_eq!(
+        before.bytes_since(),
+        seg_bytes,
+        "a re-descended read copies each page exactly once"
+    );
+
+    // An aligned single-page read_buf whose burst page is reused after
+    // the frontier moved is still a refcount borrow.
+    let buf = PageBuf::from_vec(vec![4u8; PAGE as usize]);
+    writer.write_buf(&mut ctx, blob, 0, buf.clone()).unwrap();
+    reader
+        .read_buf(&mut ctx, blob, None, Segment::new(0, PAGE))
+        .unwrap();
+    writer.write(&mut ctx, blob, 5 * PAGE, &page).unwrap();
+    let before = copymeter::thread_snapshot();
+    let (got, vr) = reader
+        .read_buf(&mut ctx, blob, None, Segment::new(0, PAGE))
+        .unwrap();
+    assert_eq!(vr, 4);
+    assert_eq!(before.bytes_since(), 0, "reused burst page, zero copies");
+    assert!(got.same_allocation(&buf));
 }

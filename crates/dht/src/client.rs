@@ -20,7 +20,7 @@ use blobseer_proto::messages::{
 };
 use blobseer_proto::tree::{NodeKey, TreeNode};
 use blobseer_proto::{BlobError, NodeId};
-use blobseer_rpc::{Ctx, RpcClient};
+use blobseer_rpc::{parse_response, Ctx, Frame, RpcClient};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -154,89 +154,94 @@ impl DhtClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
+        let (fetch, frames) = self.fetch_frames(keys);
+        let replies = self.rpc.fan_out_frames(ctx, frames);
+        self.finish_fetch(ctx, fetch, replies)
+    }
+
+    /// The first attempt of a [`DhtClient::get_nodes`] as frames: one
+    /// `META_GET_BATCH` per primary replica. The caller sends them — in a
+    /// burst of its own, if it likes — and hands their replies, in order,
+    /// to [`DhtClient::finish_fetch`].
+    pub fn fetch_frames(&self, keys: &[NodeKey]) -> (NodeFetch, Vec<(NodeId, Frame)>) {
+        let pending: Vec<usize> = (0..keys.len()).collect();
+        let (groups, frames) = self.attempt(keys, &pending, 0);
+        let fetch = NodeFetch {
+            keys: keys.to_vec(),
+            groups,
+        };
+        (fetch, frames)
+    }
+
+    /// Absorb the replies to [`DhtClient::fetch_frames`]' frames, then
+    /// fail over: keys missing or unreachable on one replica are asked of
+    /// the next, until every replica has been tried.
+    pub fn finish_fetch(
+        &self,
+        ctx: &mut Ctx,
+        fetch: NodeFetch,
+        replies: Vec<Result<Frame, BlobError>>,
+    ) -> Result<Vec<Option<TreeNode>>, BlobError> {
+        let NodeFetch { keys, groups } = fetch;
+        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
+        let mut last_err = None;
+        let mut pending = absorb(&groups, replies, &mut out, &mut last_err);
         // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
         let replication = self.ring.read().replication();
-        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
-        // Indices still to resolve.
-        let mut pending: Vec<usize> = (0..keys.len()).collect();
-        let mut last_err = None;
-
-        for attempt in 0..replication {
+        for attempt in 1..replication {
             if pending.is_empty() {
                 break;
             }
-            // Group pending keys by their `attempt`-th replica.
-            let groups: Vec<(NodeId, Vec<usize>)> = {
-                // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
-                let ring = self.ring.read();
-                let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-                for &i in &pending {
-                    let reps = ring.replicas(keys[i].routing_key());
-                    let Some(&dest) = reps.get(attempt) else {
-                        continue;
-                    };
-                    match groups.iter_mut().find(|(d, _)| *d == dest) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((dest, vec![i])),
-                    }
-                }
-                groups
-            };
-            let calls: Vec<(NodeId, u16, MetaGetBatch)> = groups
-                .iter()
-                .map(|(dest, idxs)| {
-                    (
-                        *dest,
-                        method::META_GET_BATCH,
-                        MetaGetBatch {
-                            keys: idxs.iter().map(|&i| keys[i]).collect(),
-                        },
-                    )
-                })
-                .collect();
-            let results = self
-                .rpc
-                .fan_out::<MetaGetBatch, MetaGetBatchResp>(ctx, &calls);
-            let mut unresolved = Vec::new();
-            for ((_, idxs), res) in groups.iter().zip(results) {
-                match res {
-                    Ok(resp) if resp.nodes.len() == idxs.len() => {
-                        for (&i, node) in idxs.iter().zip(resp.nodes) {
-                            match node {
-                                Some(n) => out[i] = Some(n),
-                                // Missing on this replica: retry next.
-                                None => unresolved.push(i),
-                            }
-                        }
-                    }
-                    Ok(_) => {
-                        last_err = Some(BlobError::Internal("malformed batch get response"));
-                        unresolved.extend_from_slice(idxs);
-                    }
-                    Err(e) => {
-                        last_err = Some(e);
-                        unresolved.extend_from_slice(idxs);
-                    }
-                }
-            }
-            pending = unresolved;
-            // If this was the last attempt and keys are simply absent (not
-            // unreachable), they stay None — callers distinguish absence
-            // from transport failure via last_err.
-            if attempt + 1 == replication && !pending.is_empty() {
-                if let Some(e) = last_err.take() {
-                    // Only report failure if a replica was unreachable or
-                    // shedding; pure misses are a legitimate None. An
-                    // Overload must survive here — decaying it into the
-                    // caller's "missing metadata" would erase the backoff
-                    // hint (and lie: the node has the key, it shed us).
-                    if e.is_retryable() {
-                        return Err(e);
-                    }
-                }
-            }
+            let (groups, frames) = self.attempt(&keys, &pending, attempt);
+            let replies = self.rpc.fan_out_frames(ctx, frames);
+            pending = absorb(&groups, replies, &mut out, &mut last_err);
         }
-        Ok(out)
+        // Keys still pending after the last replica stay None when they
+        // are simply absent — callers distinguish absence from transport
+        // failure by the error. Only a replica that was unreachable or
+        // shedding fails the fetch: an Overload must survive here —
+        // decaying it into the caller's "missing metadata" would erase
+        // the backoff hint (and lie: the node has the key, it shed us).
+        match last_err {
+            Some(e) if !pending.is_empty() && e.is_retryable() => Err(e),
+            _ => Ok(out),
+        }
+    }
+
+    /// One attempt's messages: the `pending` keys grouped by their
+    /// `attempt`-th replica. A key with fewer replicas drops out.
+    fn attempt(
+        &self,
+        keys: &[NodeKey],
+        pending: &[usize],
+        attempt: usize,
+    ) -> (Groups, Vec<(NodeId, Frame)>) {
+        let groups: Groups = {
+            // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
+            let ring = self.ring.read();
+            let mut groups = Groups::new();
+            for &i in pending {
+                let reps = ring.replicas(keys[i].routing_key());
+                let Some(&dest) = reps.get(attempt) else {
+                    continue;
+                };
+                match groups.iter_mut().find(|(d, _)| *d == dest) {
+                    Some((_, idxs)) => idxs.push(i),
+                    None => groups.push((dest, vec![i])),
+                }
+            }
+            groups
+        };
+        let frames = groups
+            .iter()
+            .map(|(dest, idxs)| {
+                let batch = MetaGetBatch {
+                    keys: idxs.iter().map(|&i| keys[i]).collect(),
+                };
+                (*dest, Frame::from_msg(method::META_GET_BATCH, &batch))
+            })
+            .collect();
+        (groups, frames)
     }
 
     /// Remove keys from every replica (best effort; returns how many
@@ -269,6 +274,49 @@ impl DhtClient {
             .filter_map(|r| r.ok())
             .sum()
     }
+}
+
+/// A [`DhtClient::get_nodes`] whose first attempt is in flight: the
+/// keys, and which of them each first-attempt frame carries.
+pub struct NodeFetch {
+    keys: Vec<NodeKey>,
+    groups: Groups,
+}
+
+/// The key indices each message of one attempt carries, by destination.
+type Groups = Vec<(NodeId, Vec<usize>)>;
+
+/// Fold one attempt's replies into `out`; returns the key indices still
+/// unresolved (missing on that replica, or its message failed).
+fn absorb(
+    groups: &[(NodeId, Vec<usize>)],
+    replies: Vec<Result<Frame, BlobError>>,
+    out: &mut [Option<TreeNode>],
+    last_err: &mut Option<BlobError>,
+) -> Vec<usize> {
+    let mut unresolved = Vec::new();
+    for ((_, idxs), reply) in groups.iter().zip(replies) {
+        match reply.and_then(|frame| parse_response::<MetaGetBatchResp>(&frame)) {
+            Ok(resp) if resp.nodes.len() == idxs.len() => {
+                for (&i, node) in idxs.iter().zip(resp.nodes) {
+                    match node {
+                        Some(n) => out[i] = Some(n),
+                        // Missing on this replica: retry next.
+                        None => unresolved.push(i),
+                    }
+                }
+            }
+            Ok(_) => {
+                *last_err = Some(BlobError::Internal("malformed batch get response"));
+                unresolved.extend_from_slice(idxs);
+            }
+            Err(e) => {
+                *last_err = Some(e);
+                unresolved.extend_from_slice(idxs);
+            }
+        }
+    }
+    unresolved
 }
 
 /// Per-item put attribution: `results` holds each node's replica puts
@@ -393,8 +441,6 @@ mod tests {
             "failover to surviving replicas"
         );
     }
-
-    use blobseer_rpc::Frame;
 
     #[test]
     fn remove_nodes_deletes_all_replicas() {

@@ -9,6 +9,10 @@
 //! * [`RpcClient::fan_out`] issues many calls that all *start* at the
 //!   caller's current virtual time; the caller's clock then advances to
 //!   the latest response arrival (a parallel join).
+//! * [`RpcClient::fan_out_frames`] is the same fan-out over ready-made
+//!   frames, so one burst may mix methods and destinations — a read
+//!   sends its version check in the same burst as its first metadata or
+//!   page fetch. The typed `fan_out` is a thin wrapper over it.
 //! * When [`AggregationPolicy::Batch`] is active, fan-out calls to the
 //!   same destination are coalesced into a single batch frame — the
 //!   paper's optimization, togglable so the `ablate-agg` bench can
@@ -32,7 +36,8 @@
 //!   sum. Pipelined, not threaded — see the [`tcp`](crate::tcp) docs.
 //!
 //! Failure stays per message on both: one destination's error reaches
-//! exactly the calls that travelled in its message.
+//! exactly the calls that travelled in its message, whatever methods
+//! share the burst.
 
 use crate::frame::Frame;
 use crate::service::parse_response;
@@ -109,48 +114,69 @@ impl RpcClient {
 
     /// Parallel fan-out: every call starts at `ctx.vt`; afterwards
     /// `ctx.vt` is the maximum response arrival (the join). Responses are
-    /// returned in input order.
+    /// returned in input order. The typed face of
+    /// [`RpcClient::fan_out_frames`].
+    pub fn fan_out<Req: Wire, Resp: Wire>(
+        &self,
+        ctx: &mut Ctx,
+        calls: &[(NodeId, u16, Req)],
+    ) -> Vec<Result<Resp, BlobError>> {
+        let frames = calls
+            .iter()
+            .map(|(to, method, req)| (*to, Frame::from_msg(*method, req)))
+            .collect();
+        self.fan_out_frames(ctx, frames)
+            .into_iter()
+            .map(|reply| reply.and_then(|frame| parse_response(&frame)))
+            .collect()
+    }
+
+    /// Parallel fan-out of ready-made request frames, of any methods and
+    /// to any destinations; one reply frame (or error) per call, in
+    /// input order. Timing as in [`RpcClient::fan_out`].
     ///
     /// With [`AggregationPolicy::Batch`], calls sharing a destination
     /// travel in one message and their responses in one message back.
     /// Every message of the fan-out goes to the transport in **one**
     /// [`Transport::call_many`], so a transport with real wires has them
     /// all in flight at once (see the module docs).
-    pub fn fan_out<Req: Wire, Resp: Wire>(
+    pub fn fan_out_frames(
         &self,
         ctx: &mut Ctx,
-        calls: &[(NodeId, u16, Req)],
-    ) -> Vec<Result<Resp, BlobError>> {
-        // Group: the call indices each real message carries, in order of
-        // first appearance. Without aggregation every call is its own.
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<Result<Frame, BlobError>> {
+        // Group: the calls each real message carries, in order of first
+        // appearance. Without aggregation every call is its own.
         let batch = self.aggregation == AggregationPolicy::Batch;
-        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        for (i, (to, _, _)) in calls.iter().enumerate() {
-            match groups.iter_mut().find(|(n, _)| batch && n == to) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((*to, vec![i])),
+        let mut results = Vec::with_capacity(calls.len());
+        let mut groups: Vec<(NodeId, Vec<usize>, Vec<Frame>)> = Vec::new();
+        for (i, (to, frame)) in calls.into_iter().enumerate() {
+            match groups.iter_mut().find(|(n, _, _)| batch && *n == to) {
+                Some((_, idxs, frames)) => {
+                    idxs.push(i);
+                    frames.push(frame);
+                }
+                None => groups.push((to, vec![i], vec![frame])),
             }
         }
 
         // Frame: a lone call travels as itself, several as one batch
         // frame. A batch that does not encode never reaches the transport.
-        let frame_of = |i: &usize| Frame::from_msg(calls[*i].1, &calls[*i].2);
-        let mut results = Vec::with_capacity(calls.len());
         let mut frames = Vec::with_capacity(groups.len());
         let mut sent = Vec::with_capacity(groups.len());
-        for (to, idxs) in &groups {
-            let framed = match idxs.as_slice() {
-                [i] => Ok(frame_of(i)),
-                _ => Frame::batch(idxs.iter().map(frame_of).collect()),
+        for (to, idxs, group) in groups {
+            let framed = match <[Frame; 1]>::try_from(group) {
+                Ok([frame]) => Ok(frame),
+                Err(group) => Frame::batch(group),
             };
             match framed {
                 Ok(frame) => {
-                    frames.push((*to, frame));
+                    frames.push((to, frame));
                     sent.push(idxs);
                 }
                 Err(e) => {
                     let refused = fail_all(&BlobError::Codec(e), idxs.len());
-                    results.extend(idxs.iter().copied().zip(refused));
+                    results.extend(idxs.into_iter().zip(refused));
                 }
             }
         }
@@ -163,36 +189,36 @@ impl RpcClient {
             let per_call = match reply {
                 Ok((resp, vt)) => {
                     ctx.vt = ctx.vt.max(vt);
-                    scatter(&resp, idxs.len())
+                    scatter(resp, idxs.len())
                 }
                 Err(e) => fail_all(&e, idxs.len()),
             };
-            results.extend(idxs.iter().copied().zip(per_call));
+            results.extend(idxs.into_iter().zip(per_call));
         }
-        // The groups partition `0..calls.len()`, so this is input order.
+        // The groups partition the calls, so this is input order.
         results.sort_unstable_by_key(|(i, _)| *i);
         results.into_iter().map(|(_, r)| r).collect()
     }
 }
 
 /// `n` copies of one error: what every call of a failed message gets.
-fn fail_all<Resp>(e: &BlobError, n: usize) -> Vec<Result<Resp, BlobError>> {
+fn fail_all<T>(e: &BlobError, n: usize) -> Vec<Result<T, BlobError>> {
     (0..n).map(|_| Err(e.clone())).collect()
 }
 
 /// Split the reply to a message that carried `n` calls into their
-/// results.
-fn scatter<Resp: Wire>(resp: &Frame, n: usize) -> Vec<Result<Resp, BlobError>> {
+/// reply frames.
+fn scatter(resp: Frame, n: usize) -> Vec<Result<Frame, BlobError>> {
     const MALFORMED: BlobError = BlobError::Internal("malformed batch response");
     if n == 1 {
-        return vec![parse_response(resp)];
+        return vec![Ok(resp)];
     }
     match resp.unbatch() {
-        Some(Ok(frames)) if frames.len() == n => frames.iter().map(parse_response).collect(),
+        Some(Ok(frames)) if frames.len() == n => frames.into_iter().map(Ok).collect(),
         // A METHOD_BATCH response that does not unbatch may be the
         // server's typed refusal (e.g. the response batch overflowed the
         // frame-body cap): surface that error, not a generic one.
-        Some(Err(_)) => fail_all(&parse_response::<()>(resp).err().unwrap_or(MALFORMED), n),
+        Some(Err(_)) => fail_all(&parse_response::<()>(&resp).err().unwrap_or(MALFORMED), n),
         _ => fail_all(&MALFORMED, n),
     }
 }
@@ -263,6 +289,30 @@ mod tests {
         let before = t.message_count();
         rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
         assert_eq!(t.message_count() - before, 2, "one message per destination");
+    }
+
+    #[test]
+    fn one_burst_mixes_methods_and_destinations() {
+        // Method 7 travels beside method 1 to `a`: with aggregation both
+        // ride one batch message, and each reply comes back in call order.
+        let (t, c, a, b) = setup();
+        let rpc = RpcClient::new(Arc::clone(&t) as _, c);
+        let calls = vec![
+            (a, Frame::from_msg(1, &10u64)),
+            (b, Frame::from_msg(1, &20u64)),
+            (a, Frame::from_msg(7, &30u64)),
+        ];
+        let before = t.message_count();
+        let replies = rpc.fan_out_frames(&mut Ctx::start(), calls);
+        assert_eq!(t.message_count() - before, 2, "one message per destination");
+        let got: Vec<(u16, u64)> = replies
+            .iter()
+            .map(|r| {
+                let f = r.as_ref().unwrap();
+                (f.method, parse_response(f).unwrap())
+            })
+            .collect();
+        assert_eq!(got, vec![(1, 11), (1, 21), (7, 31)]);
     }
 
     #[test]

@@ -52,5 +52,8 @@ pub mod wal;
 pub use history::ConcurrentHistory;
 pub use publish::{PublishWindow, DEFAULT_WINDOW};
 pub use recovery::{restore, restore_with, snapshot, BlobSnapshot};
-pub use state::{BlobState, RegistryConfig, VersionGrant, VersionRegistry, WriteRecord};
+pub use state::{
+    BlobState, RegistryConfig, VersionGrant, VersionRegistry, WriteRecord,
+    WINDOW_FULL_RETRY_HINT_MS,
+};
 pub use wal::VersionLog;

@@ -45,6 +45,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Backoff suggested to a writer refused by a full publish window, in
+/// milliseconds: about one write's publish latency, after which the
+/// window's oldest in-flight write has usually published.
+pub const WINDOW_FULL_RETRY_HINT_MS: u64 = 10;
+// A zero hint would tell the writer to retry at once, into the same
+// full window.
+const _: () = assert!(WINDOW_FULL_RETRY_HINT_MS > 0);
+
 /// How a [`VersionRegistry`] assigns versions and allocates blob ids.
 ///
 /// `shard`/`shards` make one registry a member of a sharded version
@@ -387,10 +395,20 @@ impl BlobState {
 
     /// The assignment critical section for one writer: `O(log n)`
     /// interval-map queries, never across I/O.
+    ///
+    /// A full publish window — as many granted but unpublished versions
+    /// as the window holds — refuses the grant as a typed
+    /// [`BlobError::Overload`]: the blob is busy, and a retry succeeds
+    /// once the oldest of those writes publishes. It does not clear a
+    /// stall: if that writer died between grant and publish, the window
+    /// stays full until a cold restart (what a lease that aborts a dead
+    /// grant would fix).
     fn assign_locked(&self, st: &mut AssignState, seg: &Segment) -> Result<WriteTicket, BlobError> {
         let v = st.next_version;
         if self.window.would_overflow(v) {
-            return Err(BlobError::Internal("too many in-flight writes"));
+            return Err(BlobError::Overload {
+                retry_after_hint: WINDOW_FULL_RETRY_HINT_MS,
+            });
         }
         let specs = border_specs(&self.geom, seg);
         let links = borders_to_links(&specs, |child| {
@@ -728,8 +746,13 @@ mod tests {
         for i in 0..4 {
             b.request_version(WriteId(i), seg(0, 1024)).unwrap();
         }
-        // 5th in-flight write exceeds the window.
-        assert!(b.request_version(WriteId(9), seg(0, 1024)).is_err());
+        // 5th in-flight write exceeds the window: typed, with a hint.
+        assert_eq!(
+            b.request_version(WriteId(9), seg(0, 1024)).unwrap_err(),
+            BlobError::Overload {
+                retry_after_hint: WINDOW_FULL_RETRY_HINT_MS
+            }
+        );
         // Completing v1 frees space.
         b.complete_write(1).unwrap();
         assert!(b.request_version(WriteId(10), seg(0, 1024)).is_ok());
@@ -877,7 +900,8 @@ mod tests {
             .collect();
         ok.sort_unstable();
         assert_eq!(ok, vec![1, 2], "exactly the window may be in flight");
-        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 2);
+        let shed = |r: &&Result<WriteTicket, BlobError>| matches!(r, Err(BlobError::Overload { retry_after_hint }) if *retry_after_hint > 0);
+        assert_eq!(results.iter().filter(shed).count(), 2);
     }
 
     #[test]
