@@ -227,7 +227,7 @@ impl BlobClient {
         rpc: RpcClient,
         vm: NodeId,
         pm: NodeId,
-        ring: Arc<RwLock<Ring>>,
+        ring: Arc<Ring>,
         costs: ClientCosts,
         cache: Option<Arc<MetaCache>>,
         replication: u32,
@@ -279,11 +279,6 @@ impl BlobClient {
     pub fn with_heat(mut self, heat: Arc<HeatTracker>) -> Self {
         self.heat = Some(heat);
         self
-    }
-
-    /// The client-wide default retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The shared heat tracker, when fan-out is enabled.

@@ -39,7 +39,7 @@ use crate::vm_service::VersionManagerService;
 use blobseer_dht::{DhtNodeService, Ring};
 use blobseer_proto::messages::ProviderStats;
 use blobseer_proto::{NodeId, ProviderId};
-use blobseer_provider::{DataProviderService, ProviderManagerService, Strategy};
+use blobseer_provider::{DataProviderService, ProviderManagerService};
 use blobseer_rpc::{
     dispatch_frame, AdmissionControlled, AdmissionGate, AdmissionOptions, AggregationPolicy, Frame,
     RetryPolicy, RpcClient, ServerCtx, Service, TcpOptions, TcpTransport, Transport,
@@ -272,8 +272,6 @@ pub struct DeploymentConfig {
     pub replication: u32,
     /// Metadata (DHT) replica count.
     pub meta_replication: usize,
-    /// Page placement strategy.
-    pub strategy: Strategy,
     /// RAM capacity per data provider, bytes.
     pub provider_capacity: u64,
     /// Transport cost model.
@@ -356,8 +354,7 @@ impl DeploymentConfig {
             providers,
             replication: 1,
             meta_replication: 1,
-            strategy: Strategy::default(), // power of two choices
-            provider_capacity: 4 << 30,    // 4 GB nodes
+            provider_capacity: 4 << 30, // 4 GB nodes
             cost: CostModel::grid5000(),
             service_costs: ServiceCosts::grid5000(),
             client_costs: ClientCosts::grid5000(),
@@ -384,7 +381,6 @@ impl DeploymentConfig {
             providers,
             replication: 1,
             meta_replication: 1,
-            strategy: Strategy::default(),
             provider_capacity: u64::MAX,
             cost: CostModel::zero(),
             service_costs: ServiceCosts::zero(),
@@ -512,13 +508,6 @@ impl DeploymentConfigBuilder {
         self
     }
 
-    /// Serve every frame immediately (the default; undoes
-    /// [`DeploymentConfigBuilder::admission`]).
-    pub fn no_admission(mut self) -> Self {
-        self.config.admission = None;
-        self
-    }
-
     /// The retry policy every spawned client starts with (idempotent
     /// paths only).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
@@ -532,12 +521,6 @@ impl DeploymentConfigBuilder {
         self
     }
 
-    /// Disable hot-page fan-out (the default).
-    pub fn no_fan_out(mut self) -> Self {
-        self.config.fan_out = None;
-        self
-    }
-
     /// Page replica count written by every client.
     pub fn replication(mut self, replication: u32) -> Self {
         self.config.replication = replication;
@@ -547,12 +530,6 @@ impl DeploymentConfigBuilder {
     /// Metadata (DHT) replica count.
     pub fn meta_replication(mut self, meta_replication: usize) -> Self {
         self.config.meta_replication = meta_replication;
-        self
-    }
-
-    /// Page placement strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.config.strategy = strategy;
         self
     }
 
@@ -639,8 +616,8 @@ pub struct Deployment {
     pub storage: Vec<Arc<StorageNodeService>>,
     /// Provider manager handle.
     pub manager: Arc<ProviderManagerService>,
-    /// The shared metadata ring.
-    pub ring: Arc<RwLock<Ring>>,
+    /// The metadata ring, fixed at build.
+    pub ring: Arc<Ring>,
     /// The metadata cache shared by every client of this deployment
     /// (`None` when `cache_nodes == 0`).
     pub meta_cache: Option<Arc<MetaCache>>,
@@ -750,7 +727,6 @@ impl Deployment {
         let registry = Arc::clone(&registries[0]);
 
         let manager = Arc::new(ProviderManagerService::new(
-            config.strategy,
             config.seed,
             config.service_costs,
         ));
@@ -790,14 +766,12 @@ impl Deployment {
             storage.push(svc);
         }
 
-        // lint: allow(unmetered-lock) — ring construction at deployment build; the
-        // client-side read locks carry their own sanction in dht::client
-        let ring = Arc::new(RwLock::new(Ring::new(
+        let ring = Arc::new(Ring::new(
             &storage_nodes,
             128,
             config.meta_replication,
             config.seed,
-        )));
+        ));
 
         let meta_cache =
             (config.cache_nodes > 0).then(|| Arc::new(MetaCache::new(config.cache_nodes)));
@@ -1008,12 +982,6 @@ impl Deployment {
         self.data_root.as_deref().map(|r| meta_dir(r, i))
     }
 
-    /// Shard 0's version-manager journal directory (`Some` only for the
-    /// mmap backend).
-    pub fn version_dir(&self) -> Option<PathBuf> {
-        self.version_shard_dir(0)
-    }
-
     /// Version-manager shard `s`'s journal directory (`Some` only for
     /// the mmap backend). Shard 0 keeps the classic `version` directory
     /// so single-shard layouts are unchanged on disk; shard `s > 0`
@@ -1034,7 +1002,7 @@ impl Deployment {
     }
 
     /// Send a heartbeat for storage node `i` with its true current usage
-    /// (drives the least-loaded strategy in long benches).
+    /// (feeds the manager's projected free capacity in long benches).
     pub fn heartbeat(&self, i: usize) {
         let stats: ProviderStats = self.storage[i].data().stats();
         self.manager

@@ -7,12 +7,8 @@
 //! replicas on miss or node death — the paper's §VI points at the DHT's
 //! off-the-shelf fault tolerance, which this reproduces.
 //!
-//! Lock discipline note: the routing ring lives behind an `RwLock` that
-//! is only ever written when membership changes; every steady-state
-//! access is an uncontended read of effectively-immutable routing
-//! state. Like the RCU provider roster and the data-plane sharded
-//! stores, those reads sit deliberately outside `lockmeter` — the
-//! `lint: allow(unmetered-lock)` sanctions below point here.
+//! The routing ring is fixed when the deployment is built, so routing
+//! reads it through a plain shared pointer.
 
 use crate::ring::Ring;
 use blobseer_proto::messages::{
@@ -21,38 +17,18 @@ use blobseer_proto::messages::{
 use blobseer_proto::tree::{NodeKey, TreeNode};
 use blobseer_proto::{BlobError, NodeId};
 use blobseer_rpc::{parse_response, Ctx, Frame, RpcClient};
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// A replicated, batching DHT client.
 pub struct DhtClient {
     rpc: RpcClient,
-    ring: Arc<RwLock<Ring>>,
+    ring: Arc<Ring>,
 }
 
 impl DhtClient {
-    /// Create a client over an existing ring (shared so membership changes
-    /// propagate to every client holding it).
-    pub fn new(rpc: RpcClient, ring: Arc<RwLock<Ring>>) -> Self {
+    /// Create a client over the deployment's ring.
+    pub fn new(rpc: RpcClient, ring: Arc<Ring>) -> Self {
         Self { rpc, ring }
-    }
-
-    /// Convenience: build a ring over `providers` and wrap it.
-    pub fn with_members(
-        rpc: RpcClient,
-        providers: &[NodeId],
-        replication: usize,
-        seed: u64,
-    ) -> Self {
-        let ring = Ring::new(providers, 128, replication, seed);
-        // lint: allow(unmetered-lock) — ring construction; reads below carry their
-        // own sanction (read-mostly routing state, rewritten only on membership change)
-        Self::new(rpc, Arc::new(RwLock::new(ring)))
-    }
-
-    /// The shared ring handle.
-    pub fn ring(&self) -> &Arc<RwLock<Ring>> {
-        &self.ring
     }
 
     /// Store nodes on every replica. Succeeds if **every node** reached at
@@ -70,22 +46,15 @@ impl DhtClient {
             return self.put_nodes_per_item(ctx, nodes);
         }
         // (destination, node indices) for every replica of every node.
-        let assignments: Vec<(NodeId, Vec<usize>)> = {
-            // lint: allow(unmetered-lock) — routing-ring snapshot read: read-mostly
-            // state rewritten only on membership change, outside the meter like the
-            // RCU provider roster
-            let ring = self.ring.read();
-            let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-            for (i, n) in nodes.iter().enumerate() {
-                for dest in ring.replicas(n.key.routing_key()) {
-                    match groups.iter_mut().find(|(d, _)| *d == dest) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((dest, vec![i])),
-                    }
+        let mut assignments: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        for (i, n) in nodes.iter().enumerate() {
+            for dest in self.ring.replicas(n.key.routing_key()) {
+                match assignments.iter_mut().find(|(d, _)| *d == dest) {
+                    Some((_, idxs)) => idxs.push(i),
+                    None => assignments.push((dest, vec![i])),
                 }
             }
-            groups
-        };
+        }
         let calls: Vec<(NodeId, u16, MetaPutBatch)> = assignments
             .iter()
             .map(|(dest, idxs)| {
@@ -121,23 +90,17 @@ impl DhtClient {
 
     /// Unaggregated puts: one `META_PUT` call per (node, replica).
     fn put_nodes_per_item(&self, ctx: &mut Ctx, nodes: &[TreeNode]) -> Result<(), BlobError> {
-        // Calls and the number of them each node owns, from one ring
-        // snapshot: a membership change after it cannot shift which
-        // results belong to which node.
+        // Calls, and the number of them each node owns.
         let mut calls: Vec<(NodeId, u16, MetaPut)> = Vec::new();
         let mut replica_counts = Vec::with_capacity(nodes.len());
-        {
-            // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
-            let ring = self.ring.read();
-            for n in nodes {
-                let dests = ring.replicas(n.key.routing_key());
-                replica_counts.push(dests.len());
-                calls.extend(
-                    dests
-                        .into_iter()
-                        .map(|dest| (dest, method::META_PUT, MetaPut { node: n.clone() })),
-                );
-            }
+        for n in nodes {
+            let dests = self.ring.replicas(n.key.routing_key());
+            replica_counts.push(dests.len());
+            calls.extend(
+                dests
+                    .into_iter()
+                    .map(|dest| (dest, method::META_PUT, MetaPut { node: n.clone() })),
+            );
         }
         let results = self.rpc.fan_out::<MetaPut, ()>(ctx, &calls);
         first_unstored(&results, &replica_counts).map_or(Ok(()), Err)
@@ -186,9 +149,7 @@ impl DhtClient {
         let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
         let mut last_err = None;
         let mut pending = absorb(&groups, replies, &mut out, &mut last_err);
-        // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
-        let replication = self.ring.read().replication();
-        for attempt in 1..replication {
+        for attempt in 1..self.ring.replication() {
             if pending.is_empty() {
                 break;
             }
@@ -216,22 +177,17 @@ impl DhtClient {
         pending: &[usize],
         attempt: usize,
     ) -> (Groups, Vec<(NodeId, Frame)>) {
-        let groups: Groups = {
-            // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
-            let ring = self.ring.read();
-            let mut groups = Groups::new();
-            for &i in pending {
-                let reps = ring.replicas(keys[i].routing_key());
-                let Some(&dest) = reps.get(attempt) else {
-                    continue;
-                };
-                match groups.iter_mut().find(|(d, _)| *d == dest) {
-                    Some((_, idxs)) => idxs.push(i),
-                    None => groups.push((dest, vec![i])),
-                }
+        let mut groups = Groups::new();
+        for &i in pending {
+            let reps = self.ring.replicas(keys[i].routing_key());
+            let Some(&dest) = reps.get(attempt) else {
+                continue;
+            };
+            match groups.iter_mut().find(|(d, _)| *d == dest) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((dest, vec![i])),
             }
-            groups
-        };
+        }
         let frames = groups
             .iter()
             .map(|(dest, idxs)| {
@@ -250,20 +206,15 @@ impl DhtClient {
         if keys.is_empty() {
             return 0;
         }
-        let groups: Vec<(NodeId, Vec<NodeKey>)> = {
-            // lint: allow(unmetered-lock) — routing-ring snapshot read, see module note
-            let ring = self.ring.read();
-            let mut groups: Vec<(NodeId, Vec<NodeKey>)> = Vec::new();
-            for &k in keys {
-                for dest in ring.replicas(k.routing_key()) {
-                    match groups.iter_mut().find(|(d, _)| *d == dest) {
-                        Some((_, ks)) => ks.push(k),
-                        None => groups.push((dest, vec![k])),
-                    }
+        let mut groups: Vec<(NodeId, Vec<NodeKey>)> = Vec::new();
+        for &k in keys {
+            for dest in self.ring.replicas(k.routing_key()) {
+                match groups.iter_mut().find(|(d, _)| *d == dest) {
+                    Some((_, ks)) => ks.push(k),
+                    None => groups.push((dest, vec![k])),
                 }
             }
-            groups
-        };
+        }
         let calls: Vec<(NodeId, u16, MetaRemoveBatch)> = groups
             .into_iter()
             .map(|(dest, keys)| (dest, method::META_REMOVE_BATCH, MetaRemoveBatch { keys }))
@@ -360,10 +311,8 @@ mod tests {
             provider_ids.push(id);
         }
         let rpc = RpcClient::new(t, client_node);
-        (
-            DhtClient::with_members(rpc, &provider_ids, replication, 7),
-            services,
-        )
+        let ring = Arc::new(Ring::new(&provider_ids, 128, replication, 7));
+        (DhtClient::new(rpc, ring), services)
     }
 
     fn tree_node(v: u64, offset: u64) -> TreeNode {
@@ -494,7 +443,7 @@ mod tests {
                 .rpc
                 .clone()
                 .with_aggregation(blobseer_rpc::AggregationPolicy::PerCall),
-            Arc::clone(client.ring()),
+            Arc::clone(&client.ring),
         );
         let nodes: Vec<TreeNode> = (0..10).map(|i| tree_node(3, i * 4096)).collect();
         client.put_nodes(&mut Ctx::start(), &nodes).unwrap();

@@ -5,8 +5,8 @@
 //! pieces:
 //!
 //! * [`ring`] — consistent hashing with virtual nodes: uniform dispersal
-//!   of tree nodes over metadata providers, bounded key movement on
-//!   membership change;
+//!   of tree nodes over metadata providers, fixed when the deployment is
+//!   built;
 //! * [`node`] — the per-node storage service (single + batched
 //!   put/get/remove of immutable tree nodes, with BambooDHT-calibrated
 //!   processing costs);

@@ -5,22 +5,19 @@
 //! ring gives the same property: each member owns many pseudo-random
 //! points on a `u64` circle; a key is served by the first `replication`
 //! *distinct* members clockwise of its hash. Virtual nodes smooth the load
-//! (≈ 1/vnodes imbalance) and membership changes move only the
-//! neighbouring arcs.
+//! (≈ 1/vnodes imbalance).
 
 use blobseer_proto::NodeId;
 use blobseer_util::fxhash::mix64;
 use blobseer_util::rng::child_seed;
 
-/// A consistent-hash ring.
+/// A consistent-hash ring, fixed when it is built: the deployment builds
+/// it once over its metadata providers and only ever routes through it.
 #[derive(Clone, Debug)]
 pub struct Ring {
     /// (position, member) sorted by position.
     points: Vec<(u64, NodeId)>,
-    members: Vec<NodeId>,
-    vnodes: usize,
     replication: usize,
-    seed: u64,
 }
 
 impl Ring {
@@ -33,35 +30,19 @@ impl Ring {
     pub fn new(members: &[NodeId], vnodes: usize, replication: usize, seed: u64) -> Self {
         assert!(!members.is_empty(), "ring needs at least one member");
         assert!(vnodes >= 1);
-        let replication = replication.clamp(1, members.len());
-        let mut ring = Self {
-            points: Vec::new(),
-            members: members.to_vec(),
-            vnodes,
-            replication,
-            seed,
-        };
-        ring.rebuild();
-        ring
-    }
-
-    fn rebuild(&mut self) {
-        self.points.clear();
-        self.points.reserve(self.members.len() * self.vnodes);
-        for &m in &self.members {
-            let base = child_seed(self.seed, m.0 as u64);
-            for v in 0..self.vnodes {
-                self.points
-                    .push((mix64(base ^ (v as u64).wrapping_mul(0x9e37)), m));
+        let mut points = Vec::with_capacity(members.len() * vnodes);
+        for &m in members {
+            let base = child_seed(seed, m.0 as u64);
+            for v in 0..vnodes {
+                points.push((mix64(base ^ (v as u64).wrapping_mul(0x9e37)), m));
             }
         }
-        self.points.sort_unstable();
-        self.points.dedup_by_key(|(p, _)| *p);
-    }
-
-    /// Current members.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
+        points.sort_unstable();
+        points.dedup_by_key(|(p, _)| *p);
+        Self {
+            points,
+            replication: replication.clamp(1, members.len()),
+        }
     }
 
     /// Replication factor.
@@ -69,33 +50,10 @@ impl Ring {
         self.replication
     }
 
-    /// Add a member (no-op if present).
-    pub fn add_member(&mut self, m: NodeId) {
-        if !self.members.contains(&m) {
-            self.members.push(m);
-            self.replication = self.replication.min(self.members.len());
-            self.rebuild();
-        }
-    }
-
-    /// Remove a member (no-op if absent). Panics if it would empty the
-    /// ring.
-    pub fn remove_member(&mut self, m: NodeId) {
-        if let Some(pos) = self.members.iter().position(|&x| x == m) {
-            assert!(self.members.len() > 1, "cannot empty the ring");
-            self.members.remove(pos);
-            self.replication = self.replication.min(self.members.len());
-            self.rebuild();
-        }
-    }
-
     /// The `replication` distinct members responsible for `key`, primary
     /// first.
     pub fn replicas(&self, key: u64) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.replication);
-        if self.points.is_empty() {
-            return out;
-        }
         let start = self.points.partition_point(|(p, _)| *p < key);
         let n = self.points.len();
         for i in 0..n {
@@ -108,11 +66,6 @@ impl Ring {
             }
         }
         out
-    }
-
-    /// Primary member for `key`.
-    pub fn primary(&self, key: u64) -> NodeId {
-        self.replicas(key)[0]
     }
 }
 
@@ -161,7 +114,7 @@ mod tests {
         let mut counts: FxHashMap<NodeId, u64> = FxHashMap::default();
         let keys = 20_000u64;
         for k in 0..keys {
-            *counts.entry(r.primary(mix64(k))).or_default() += 1;
+            *counts.entry(r.replicas(mix64(k))[0]).or_default() += 1;
         }
         let expect = keys as f64 / 10.0;
         for (m, c) in &counts {
@@ -171,50 +124,5 @@ mod tests {
                 "member {m} has load ratio {ratio}"
             );
         }
-    }
-
-    #[test]
-    fn membership_change_moves_bounded_keys() {
-        let mut r = Ring::new(&members(10), 128, 1, 9);
-        let keys: Vec<u64> = (0..5000u64).map(mix64).collect();
-        let before: Vec<NodeId> = keys.iter().map(|&k| r.primary(k)).collect();
-        r.add_member(NodeId(100));
-        let after: Vec<NodeId> = keys.iter().map(|&k| r.primary(k)).collect();
-        let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-        // Adding 1 of 11 members should move ≈ 1/11 ≈ 9% of keys.
-        let frac = moved as f64 / keys.len() as f64;
-        assert!(frac < 0.2, "moved fraction {frac}");
-        // And every moved key moved TO the new member.
-        for (i, (a, b)) in before.iter().zip(&after).enumerate() {
-            if a != b {
-                assert_eq!(*b, NodeId(100), "key {i} moved to an old member");
-            }
-        }
-    }
-
-    #[test]
-    fn removing_member_redistributes_its_keys_only() {
-        let mut r = Ring::new(&members(6), 64, 1, 11);
-        let keys: Vec<u64> = (0..3000u64).map(mix64).collect();
-        let before: Vec<NodeId> = keys.iter().map(|&k| r.primary(k)).collect();
-        r.remove_member(NodeId(3));
-        for (i, (&k, was)) in keys.iter().zip(&before).enumerate() {
-            let now = r.primary(k);
-            if *was != NodeId(3) {
-                assert_eq!(
-                    now, *was,
-                    "key {i} owned by a surviving member must not move"
-                );
-            } else {
-                assert_ne!(now, NodeId(3));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot empty the ring")]
-    fn cannot_remove_last_member() {
-        let mut r = Ring::new(&members(1), 8, 1, 0);
-        r.remove_member(NodeId(0));
     }
 }

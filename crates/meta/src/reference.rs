@@ -68,13 +68,6 @@ impl ReferenceStore {
         self.pages.len()
     }
 
-    /// The segment written by version `v` (if `1 <= v <= latest`).
-    pub fn written_segment(&self, v: Version) -> Option<Segment> {
-        (v >= 1)
-            .then(|| self.history.get(v as usize - 1).copied())
-            .flatten()
-    }
-
     /// `WRITE(id, buffer, offset, size)` — page-aligned fast path.
     ///
     /// Returns the new version number, exactly like the paper's `vw`.

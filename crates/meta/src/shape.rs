@@ -8,26 +8,6 @@
 use blobseer_proto::{Geometry, Segment};
 use std::ops::Range;
 
-/// True if `(offset, size)` is a valid tree interval for `geom`: the
-/// whole blob, or a `page_size · ARITY^j` interval below it, size-aligned
-/// and in bounds.
-pub fn is_tree_interval(geom: &Geometry, offset: u64, size: u64) -> bool {
-    let pages = size / geom.page_size;
-    let level = size == geom.total_size
-        || (size < geom.total_size
-            && size.is_multiple_of(geom.page_size)
-            && pages.is_power_of_two()
-            && pages
-                .trailing_zeros()
-                .is_multiple_of(Geometry::ARITY.trailing_zeros()));
-    level
-        && size >= geom.page_size
-        && offset.is_multiple_of(size)
-        && offset
-            .checked_add(size)
-            .is_some_and(|end| end <= geom.total_size)
-}
-
 /// Every child interval of tree interval `iv`, in offset order (none for
 /// a leaf).
 pub fn children(geom: &Geometry, iv: Segment) -> impl Iterator<Item = Segment> {
@@ -111,6 +91,26 @@ pub fn align_to_pages(geom: &Geometry, seg: &Segment) -> Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if `(offset, size)` is a valid tree interval for `geom`: the
+    /// whole blob, or a `page_size · ARITY^j` interval below it, size-aligned
+    /// and in bounds.
+    pub fn is_tree_interval(geom: &Geometry, offset: u64, size: u64) -> bool {
+        let pages = size / geom.page_size;
+        let level = size == geom.total_size
+            || (size < geom.total_size
+                && size.is_multiple_of(geom.page_size)
+                && pages.is_power_of_two()
+                && pages
+                    .trailing_zeros()
+                    .is_multiple_of(Geometry::ARITY.trailing_zeros()));
+        level
+            && size >= geom.page_size
+            && offset.is_multiple_of(size)
+            && offset
+                .checked_add(size)
+                .is_some_and(|end| end <= geom.total_size)
+    }
 
     fn geom_4_pages() -> Geometry {
         // 4 pages of 1 KiB, as in the paper's Figure 2 — now one root

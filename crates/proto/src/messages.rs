@@ -150,7 +150,8 @@ pub struct RegisterProvider {
 }
 wire_struct!(RegisterProvider { provider, capacity });
 
-/// Periodic load report used by the least-loaded allocation strategy.
+/// Periodic load report: the provider manager places pages by the
+/// projected free capacity it derives from these.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Heartbeat {
     /// Reporting provider.

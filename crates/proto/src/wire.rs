@@ -100,17 +100,6 @@ impl ByteChain {
         out
     }
 
-    /// Flatten into one contiguous [`PageBuf`]. O(1) when the chain is a
-    /// single segment; copies (metered) otherwise.
-    pub fn to_buf(&self) -> PageBuf {
-        match self.chunks.len() {
-            0 => PageBuf::new(),
-            1 => self.chunks[0].clone(),
-            // lint: allow(unmetered-copy) — delegates to to_vec, which records the copy
-            _ => PageBuf::from_vec(self.to_vec()),
-        }
-    }
-
     /// O(segments) sub-chain `[start, start + len)` sharing every
     /// overlapped segment by refcount.
     ///

@@ -530,12 +530,6 @@ impl MmapBackend {
         self.gen.read().log.log_bytes()
     }
 
-    /// The serving generation's log mapping (white-box: tests assert
-    /// served pages share this allocation).
-    pub fn mapping(&self) -> PageBuf {
-        self.gen.read().map.clone()
-    }
-
     /// A compaction failed: back the auto-trigger off so a persistent
     /// failure doesn't turn every remove into a full-log rewrite.
     fn back_off_compaction(&self) {
@@ -929,7 +923,7 @@ mod tests {
         assert_eq!(s0, p0);
         assert_eq!(s1, p1);
         assert!(s0.is_mapped() && s1.is_mapped());
-        assert!(s0.same_allocation(&b.mapping()));
+        assert!(s0.same_allocation(&b.gen.read().map.clone()));
         assert_eq!(s0.mapping_generation(), Some(0));
         // Two records, each sealed by its own marker (single-threaded
         // appends commit one by one).
@@ -1247,7 +1241,7 @@ mod tests {
         assert_eq!(b.dead_bytes(), 8 * rec(1024));
         assert!(b.wants_compaction() || b.dead_bytes() < 64 * 1024);
         let old_bytes = b.log_bytes();
-        let old_mapping = b.mapping();
+        let old_mapping = b.gen.read().map.clone();
 
         // A reader holds a page from before the swap.
         let pre_swap_page = live[0].1.clone();

@@ -183,11 +183,6 @@ impl DataProviderService {
         self.inner.store.len()
     }
 
-    /// Logical bytes currently stored.
-    pub fn bytes_used(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
-    }
-
     /// Usage snapshot: logical pages/bytes plus the backend-resident
     /// split the manager's capacity accounting runs on, and the dead
     /// log bytes a compaction would reclaim.
@@ -497,7 +492,7 @@ mod tests {
         );
         parse_response::<()>(&resp).unwrap();
         assert_eq!(p.page_count(), 1);
-        assert_eq!(p.bytes_used(), 4096);
+        assert_eq!(p.stats().bytes, 4096);
 
         let resp = p.handle(
             &mut ctx,
@@ -510,7 +505,7 @@ mod tests {
             &Frame::from_msg(method::REMOVE_PAGE, &RemovePage { key: key(1, 0) }),
         );
         assert!(parse_response::<bool>(&resp).unwrap());
-        assert_eq!(p.bytes_used(), 0);
+        assert_eq!(p.stats().bytes, 0);
         // Second remove reports false.
         let resp = p.handle(
             &mut ctx,
@@ -576,7 +571,7 @@ mod tests {
             ),
         );
         parse_response::<()>(&resp).unwrap();
-        assert_eq!(p.bytes_used(), 8192, "full provider stays full, not over");
+        assert_eq!(p.stats().bytes, 8192, "full provider stays full, not over");
     }
 
     #[test]
@@ -596,7 +591,7 @@ mod tests {
             );
             parse_response::<()>(&resp).unwrap();
         }
-        assert_eq!(p.bytes_used(), 2048);
+        assert_eq!(p.stats().bytes, 2048);
         assert_eq!(p.page_count(), 1);
     }
 
@@ -622,7 +617,7 @@ mod tests {
             parse_response::<()>(&resp).unwrap();
         }
         assert_eq!(p.page_count(), 3);
-        assert_eq!(p.bytes_used(), 3 * 4096, "logical bytes, not allocations");
+        assert_eq!(p.stats().bytes, 3 * 4096, "logical bytes, not allocations");
 
         // A get serves a refcount bump of the stored buffer, and the
         // accounting is untouched by reads.
@@ -635,7 +630,7 @@ mod tests {
             got.same_allocation(&shared),
             "get must serve the shared allocation"
         );
-        assert_eq!(p.bytes_used(), 3 * 4096);
+        assert_eq!(p.stats().bytes, 3 * 4096);
 
         // Removing one key releases exactly its logical bytes; the other
         // keys (same allocation) are unaffected.
@@ -645,7 +640,7 @@ mod tests {
         );
         assert!(parse_response::<bool>(&resp).unwrap());
         assert_eq!(p.page_count(), 2);
-        assert_eq!(p.bytes_used(), 2 * 4096);
+        assert_eq!(p.stats().bytes, 2 * 4096);
         assert!(p.contains(&key(1, 0)) && p.contains(&key(1, 2)));
 
         // Re-putting an existing key with a sliced view of the same data
@@ -661,7 +656,7 @@ mod tests {
             ),
         );
         parse_response::<()>(&resp).unwrap();
-        assert_eq!(p.bytes_used(), 2 * 4096);
+        assert_eq!(p.stats().bytes, 2 * 4096);
     }
 
     #[test]
@@ -780,7 +775,7 @@ mod tests {
 
         let p = DataProviderService::open_mmap(&dir, 1 << 20, ServiceCosts::zero()).unwrap();
         assert_eq!(p.page_count(), 5);
-        assert_eq!(p.bytes_used(), 5 * 2048);
+        assert_eq!(p.stats().bytes, 5 * 2048);
         for (i, data) in pages.iter().enumerate() {
             let resp = p.handle(
                 &mut ctx,
@@ -1185,7 +1180,7 @@ mod tests {
             &Frame::from_msg(method::REMOVE_PAGE, &RemovePage { key: key(1, 0) }),
         );
         assert!(parse_response::<bool>(&resp).unwrap());
-        assert_eq!(p.bytes_used(), 0, "logical bytes freed");
+        assert_eq!(p.stats().bytes, 0, "logical bytes freed");
         assert_eq!(
             p.stats().mapped_bytes,
             mapped,

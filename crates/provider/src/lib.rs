@@ -10,8 +10,8 @@
 //!   mapped page log ([`MmapBackend`]) that re-serves acknowledged
 //!   pages after a restart;
 //! * [`manager`] — the **provider manager**: provider registration,
-//!   heartbeats, and load-balanced page placement (round-robin /
-//!   least-loaded / random strategies), plus write-id issuance.
+//!   heartbeats, and load-balanced page placement (power of two
+//!   choices), plus write-id issuance.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +25,4 @@ pub use backend::{
     PreparedCompaction, ResidentBytes, StorageBackend,
 };
 pub use data::DataProviderService;
-pub use manager::{ProviderManagerService, Strategy};
+pub use manager::ProviderManagerService;

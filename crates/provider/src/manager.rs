@@ -17,12 +17,11 @@
 //! (`ProviderSlot::try_reserve`), so concurrent planners can never
 //! oversubscribe a provider's projected capacity.
 //!
-//! Four allocation strategies are provided; the default is
-//! [`Strategy::PowerOfTwo`] — sample two distinct alive candidates, place
-//! on the one with more projected free capacity — which gets within a
-//! constant factor of least-loaded balance at O(1) cost per replica
-//! instead of an O(n) scan. `LeastLoaded` (exact scan), `RoundRobin` and
-//! `Random` are preserved for ablations and tests.
+//! Placement is power of two choices: sample two distinct alive
+//! candidates, place on the one with more projected free capacity. That
+//! gets within a constant factor of least-loaded balance at O(1) cost per
+//! replica instead of an O(n) scan; when sampling keeps missing, it falls
+//! back to the exact least-loaded scan.
 //!
 //! Planning takes no lock at all, so the lock meter sees nothing from
 //! it; `core/tests/lock_free.rs` asserts that per client operation.
@@ -30,32 +29,13 @@
 use blobseer_proto::messages::{
     method, Heartbeat, PlanWrite, ProviderStats, RegisterProvider, WritePlan,
 };
-use blobseer_proto::{BlobError, ProviderId, WriteId};
-use blobseer_rpc::{error_frame, respond, Frame, ServerCtx, Service};
+use blobseer_proto::{BlobError, CodecError, ProviderId, WriteId};
+use blobseer_rpc::{error_frame, respond, Frame, ServerCtx, Service, MAX_FRAME_BODY};
 use blobseer_simnet::ServiceCosts;
 use blobseer_util::rng::splitmix64;
 use blobseer_util::{lockmeter, FxHashMap, RcuCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Page-to-provider allocation strategy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Strategy {
-    /// Cycle through providers (ignores load).
-    RoundRobin,
-    /// Exact scan for the provider with the most projected free capacity
-    /// (heartbeat-reported usage plus not-yet-reported in-flight
-    /// assignments). O(providers) per replica.
-    LeastLoaded,
-    /// Uniform random (seeded; useful as a baseline in ablations).
-    Random,
-    /// Power of two choices: sample two distinct alive candidates, place
-    /// on the one with more projected free capacity. O(1) per replica
-    /// with near-least-loaded balance; never oversubscribes projected
-    /// capacity (reservations are CAS-checked).
-    #[default]
-    PowerOfTwo,
-}
 
 /// One registered provider: immutable identity plus atomically updated
 /// load state, shared between roster snapshots across membership changes.
@@ -113,9 +93,9 @@ impl ProviderSlot {
         }
     }
 
-    /// Return a reservation made by [`ProviderSlot::try_reserve`] (or a
-    /// plain in-flight charge) when a plan fails midway. Saturating: a
-    /// concurrent heartbeat may already have zeroed the projection.
+    /// Return a reservation made by [`ProviderSlot::try_reserve`] when a
+    /// plan fails midway. Saturating: a concurrent heartbeat may already
+    /// have zeroed the projection.
     fn release(&self, bytes: u64) {
         let _ = self
             .in_flight
@@ -161,9 +141,7 @@ impl Roster {
 pub struct ProviderManagerService {
     roster: RcuCell<Roster>,
     next_write: AtomicU64,
-    cursor: AtomicUsize,
     rng_state: AtomicU64,
-    strategy: Strategy,
     /// Bytes a single page occupies, used to project in-flight load.
     page_size_hint: AtomicU64,
     costs: ServiceCosts,
@@ -171,13 +149,11 @@ pub struct ProviderManagerService {
 
 impl ProviderManagerService {
     /// Empty manager.
-    pub fn new(strategy: Strategy, seed: u64, costs: ServiceCosts) -> Self {
+    pub fn new(seed: u64, costs: ServiceCosts) -> Self {
         Self {
             roster: RcuCell::new(Roster::default()),
             next_write: AtomicU64::new(1),
-            cursor: AtomicUsize::new(0),
             rng_state: AtomicU64::new(seed | 1),
-            strategy,
             page_size_hint: AtomicU64::new(64 * 1024),
             costs,
         }
@@ -298,7 +274,14 @@ impl ProviderManagerService {
             return Err(BlobError::Unreachable("no data providers registered"));
         }
         let replication = (replication.max(1) as usize).min(alive.len());
-        let mut targets = Vec::with_capacity(pages as usize);
+        // Each page's targets encode as a length prefix plus one id per
+        // replica: a plan whose reply could never be framed is refused
+        // before any of it is built.
+        if pages.saturating_mul(4 + 4 * replication as u64) > MAX_FRAME_BODY {
+            return Err(CodecError::LengthOverflow { declared: pages }.into());
+        }
+        // Capped like a decoded length prefix: `pages` is the peer's word.
+        let mut targets = Vec::with_capacity(pages.min(4096) as usize);
         // Every successful pick reserved `page_bytes` of in-flight
         // projection on its slot; remember them so a plan that fails
         // midway releases what it reserved instead of leaving phantom
@@ -308,64 +291,7 @@ impl ProviderManagerService {
             for _ in 0..pages {
                 let mut page_targets: Vec<ProviderId> = Vec::with_capacity(replication);
                 for _ in 0..replication {
-                    let pick = match self.strategy {
-                        Strategy::RoundRobin => {
-                            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-                            let mut pick = alive[k % alive.len()];
-                            for j in 0..=alive.len() {
-                                let idx = alive[(k + j) % alive.len()];
-                                if !page_targets.contains(&slots[idx].id) {
-                                    pick = idx;
-                                    break;
-                                }
-                            }
-                            slots[pick]
-                                .in_flight
-                                .fetch_add(page_bytes, Ordering::Relaxed);
-                            pick
-                        }
-                        Strategy::Random => {
-                            let k = self.next_rand() as usize;
-                            let mut pick = alive[k % alive.len()];
-                            for j in 0..=alive.len() {
-                                let idx = alive[(k + j) % alive.len()];
-                                if !page_targets.contains(&slots[idx].id) {
-                                    pick = idx;
-                                    break;
-                                }
-                            }
-                            slots[pick]
-                                .in_flight
-                                .fetch_add(page_bytes, Ordering::Relaxed);
-                            pick
-                        }
-                        Strategy::LeastLoaded => {
-                            let mut best: Option<usize> = None;
-                            for &idx in &alive {
-                                if page_targets.contains(&slots[idx].id) {
-                                    continue;
-                                }
-                                let better = match best {
-                                    None => true,
-                                    Some(b) => {
-                                        slots[idx].projected_free() > slots[b].projected_free()
-                                    }
-                                };
-                                if better {
-                                    best = Some(idx);
-                                }
-                            }
-                            let pick =
-                                best.ok_or(BlobError::Internal("replication exceeds providers"))?;
-                            slots[pick]
-                                .in_flight
-                                .fetch_add(page_bytes, Ordering::Relaxed);
-                            pick
-                        }
-                        Strategy::PowerOfTwo => {
-                            self.pick_power_of_two(slots, &alive, &page_targets, page_bytes)?
-                        }
-                    };
+                    let pick = self.pick_power_of_two(slots, &alive, &page_targets, page_bytes)?;
                     reserved.push(pick);
                     page_targets.push(slots[pick].id);
                 }
@@ -503,8 +429,8 @@ impl Service for ProviderManagerService {
 mod tests {
     use super::*;
 
-    fn mgr(strategy: Strategy) -> ProviderManagerService {
-        let m = ProviderManagerService::new(strategy, 42, ServiceCosts::zero());
+    fn mgr() -> ProviderManagerService {
+        let m = ProviderManagerService::new(42, ServiceCosts::zero());
         for i in 0..4 {
             m.register(ProviderId(i), 1 << 30);
         }
@@ -513,23 +439,12 @@ mod tests {
 
     #[test]
     fn plan_issues_unique_write_ids() {
-        let m = mgr(Strategy::RoundRobin);
+        let m = mgr();
         let a = m.plan_write(2, 1).unwrap();
         let b = m.plan_write(2, 1).unwrap();
         assert_ne!(a.write, b.write);
         assert_eq!(a.targets.len(), 2);
         assert_eq!(a.targets[0].len(), 1);
-    }
-
-    #[test]
-    fn round_robin_spreads_pages() {
-        let m = mgr(Strategy::RoundRobin);
-        let plan = m.plan_write(8, 1).unwrap();
-        let mut counts = [0u32; 4];
-        for t in &plan.targets {
-            counts[t[0].0 as usize] += 1;
-        }
-        assert_eq!(counts, [2, 2, 2, 2]);
     }
 
     /// A heartbeat reporting `bytes` of heap-resident load.
@@ -545,9 +460,11 @@ mod tests {
 
     #[test]
     fn least_loaded_prefers_free_capacity() {
-        let m = mgr(Strategy::LeastLoaded);
+        let m = mgr();
         m.set_page_size_hint(1024);
-        // Provider 0 reports heavy usage.
+        // Provider 0 reports heavy usage. Both samples of a pick are
+        // distinct providers, so whenever provider 0 is drawn it is
+        // compared with one that has more room, and loses.
         m.heartbeat(ProviderId(0), heap_load(1000, 1 << 29));
         let plan = m.plan_write(6, 1).unwrap();
         assert!(
@@ -562,7 +479,7 @@ mod tests {
         // An append-only mmap log holds bytes for removed pages too; the
         // manager must budget against the log footprint, not the (lower)
         // logical stored bytes, or try_reserve oversubscribes the disk.
-        let m = mgr(Strategy::LeastLoaded);
+        let m = mgr();
         m.heartbeat(
             ProviderId(0),
             ProviderStats {
@@ -585,22 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_assignments_count_as_load() {
-        let m = mgr(Strategy::LeastLoaded);
-        m.set_page_size_hint(1 << 20);
-        // Without heartbeats, repeated plans must still spread across
-        // providers because in-flight bytes pile up.
-        let plan = m.plan_write(8, 1).unwrap();
-        let mut counts = [0u32; 4];
-        for t in &plan.targets {
-            counts[t[0].0 as usize] += 1;
-        }
-        assert!(counts.iter().all(|&c| c == 2), "{counts:?}");
-    }
-
-    #[test]
     fn power_of_two_balances_under_pressure() {
-        let m = mgr(Strategy::PowerOfTwo);
+        let m = mgr();
         m.set_page_size_hint(1 << 20);
         let plan = m.plan_write(64, 1).unwrap();
         let mut counts = [0u32; 4];
@@ -617,7 +520,7 @@ mod tests {
 
     #[test]
     fn power_of_two_respects_projected_capacity() {
-        let m = ProviderManagerService::new(Strategy::PowerOfTwo, 7, ServiceCosts::zero());
+        let m = ProviderManagerService::new(7, ServiceCosts::zero());
         m.set_page_size_hint(1024);
         // Room for exactly 4 + 2 pages in total.
         m.register(ProviderId(0), 4 * 1024);
@@ -640,7 +543,7 @@ mod tests {
 
     #[test]
     fn failed_plan_releases_its_reservations() {
-        let m = ProviderManagerService::new(Strategy::PowerOfTwo, 5, ServiceCosts::zero());
+        let m = ProviderManagerService::new(5, ServiceCosts::zero());
         m.set_page_size_hint(1024);
         m.register(ProviderId(0), 4 * 1024);
         // 6 pages cannot fit; the pages reserved before the failure must
@@ -653,22 +556,20 @@ mod tests {
 
     #[test]
     fn replication_targets_are_distinct() {
-        for strategy in [Strategy::LeastLoaded, Strategy::PowerOfTwo] {
-            let m = mgr(strategy);
-            let plan = m.plan_write(5, 3).unwrap();
-            for t in &plan.targets {
-                assert_eq!(t.len(), 3);
-                let mut u = t.clone();
-                u.sort();
-                u.dedup();
-                assert_eq!(u.len(), 3, "replicas must be distinct: {t:?}");
-            }
+        let m = mgr();
+        let plan = m.plan_write(5, 3).unwrap();
+        for t in &plan.targets {
+            assert_eq!(t.len(), 3);
+            let mut u = t.clone();
+            u.sort();
+            u.dedup();
+            assert_eq!(u.len(), 3, "replicas must be distinct: {t:?}");
         }
     }
 
     #[test]
     fn replication_clamped_and_dead_skipped() {
-        let m = mgr(Strategy::LeastLoaded);
+        let m = mgr();
         m.mark_dead(ProviderId(2));
         m.mark_dead(ProviderId(3));
         let plan = m.plan_write(2, 4).unwrap();
@@ -684,25 +585,48 @@ mod tests {
     }
 
     #[test]
+    fn unframeable_plan_is_refused_and_the_manager_serves_on() {
+        let refused = |r: Result<WritePlan, BlobError>| {
+            matches!(
+                r,
+                Err(BlobError::Codec(CodecError::LengthOverflow { declared }))
+                    if declared == 1 << 40
+            )
+        };
+        let m = mgr();
+        // 2^40 pages of one 4-byte id each: a reply no frame can carry,
+        // refused before anything is sized from it.
+        assert!(refused(m.plan_write(1 << 40, 1)));
+        assert_eq!(m.plan_write(4, 1).unwrap().targets.len(), 4);
+        // The same as a peer's raw frame, answered by the service. A codec
+        // error crosses the wire as its remote form.
+        let plan = |pages| {
+            let frame = Frame::from_msg(
+                method::PLAN_WRITE,
+                &PlanWrite {
+                    blob: blobseer_proto::BlobId(1),
+                    pages,
+                    replication: 1,
+                },
+            );
+            blobseer_rpc::parse_response::<WritePlan>(&m.handle(&mut ServerCtx::new(0), &frame))
+        };
+        assert!(matches!(
+            plan(1 << 40),
+            Err(BlobError::Internal("remote codec error"))
+        ));
+        assert_eq!(plan(4).unwrap().targets.len(), 4);
+    }
+
+    #[test]
     fn no_providers_is_an_error() {
-        let m = ProviderManagerService::new(Strategy::LeastLoaded, 1, ServiceCosts::zero());
+        let m = ProviderManagerService::new(1, ServiceCosts::zero());
         assert!(m.plan_write(1, 1).is_err());
     }
 
     #[test]
-    fn random_strategy_is_seeded_and_covers() {
-        let m = mgr(Strategy::Random);
-        let plan = m.plan_write(64, 1).unwrap();
-        let mut counts = [0u32; 4];
-        for t in &plan.targets {
-            counts[t[0].0 as usize] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 4), "roughly uniform: {counts:?}");
-    }
-
-    #[test]
     fn register_is_idempotent_and_updates_capacity() {
-        let m = mgr(Strategy::LeastLoaded);
+        let m = mgr();
         m.register(ProviderId(0), 42);
         assert_eq!(m.provider_count(), 4, "re-register must not duplicate");
         let p = m.projection(ProviderId(0)).unwrap();
@@ -718,7 +642,7 @@ mod tests {
 
     #[test]
     fn plan_write_is_lock_free_and_heartbeat_wait_free() {
-        let m = mgr(Strategy::PowerOfTwo);
+        let m = mgr();
         let snap = lockmeter::thread_snapshot();
         m.plan_write(8, 2).unwrap();
         m.heartbeat(ProviderId(1), ProviderStats::default());
@@ -732,11 +656,7 @@ mod tests {
     #[test]
     fn concurrent_planning_and_membership_changes() {
         use std::sync::Arc as StdArc;
-        let m = StdArc::new(ProviderManagerService::new(
-            Strategy::PowerOfTwo,
-            3,
-            ServiceCosts::zero(),
-        ));
+        let m = StdArc::new(ProviderManagerService::new(3, ServiceCosts::zero()));
         for i in 0..8 {
             m.register(ProviderId(i), u64::MAX / 2);
         }

@@ -5,7 +5,7 @@
 
 use blobseer_proto::messages::ProviderStats;
 use blobseer_proto::ProviderId;
-use blobseer_provider::{ProviderManagerService, Strategy as Placement};
+use blobseer_provider::ProviderManagerService;
 use blobseer_simnet::ServiceCosts;
 use proptest::prelude::*;
 
@@ -27,7 +27,7 @@ proptest! {
         seed in any::<u64>(),
         reported_pages in 0u64..16,
     ) {
-        let m = ProviderManagerService::new(Placement::PowerOfTwo, seed, ServiceCosts::zero());
+        let m = ProviderManagerService::new(seed, ServiceCosts::zero());
         m.set_page_size_hint(PAGE_BYTES);
         for (i, &cap) in capacities.iter().enumerate() {
             m.register(ProviderId(i as u32), cap);
@@ -103,7 +103,7 @@ proptest! {
     fn p2c_prefers_the_freer_provider(seed in any::<u64>()) {
         // Two providers, one nearly full: the plan must lean heavily on
         // the free one (two-choice sampling sees both every time).
-        let m = ProviderManagerService::new(Placement::PowerOfTwo, seed, ServiceCosts::zero());
+        let m = ProviderManagerService::new(seed, ServiceCosts::zero());
         m.set_page_size_hint(PAGE_BYTES);
         m.register(ProviderId(0), 1024 * PAGE_BYTES);
         m.register(ProviderId(1), 1024 * PAGE_BYTES);

@@ -134,24 +134,8 @@ pub struct AdmissionGate {
 }
 
 /// RAII permit for one admitted request; releasing wakes one waiter.
-pub struct AdmissionPermit<'a> {
-    gate: &'a AdmissionGate,
-}
-
-impl std::fmt::Debug for AdmissionPermit<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AdmissionPermit")
-    }
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        self.gate.release();
-    }
-}
-
-/// An [`AdmissionPermit`] that owns its gate by `Arc`, so it can outlive
-/// the dispatching stack frame. This is what makes admission bound the
+/// It owns its gate by `Arc`, so it can outlive the dispatching stack
+/// frame. This is what makes admission bound the
 /// request's **full server residency**: the TCP transports park the
 /// owned permit in [`ServerCtx`] and drop it only once the response has
 /// left the server — a fast handler with a large response (a page read)
@@ -235,16 +219,9 @@ impl AdmissionGate {
         self.opts.base_retry_hint_ms.saturating_mul(depth + 1)
     }
 
-    /// Admit or shed. Returns the permit (held for the duration of the
-    /// request) or a typed [`BlobError::Overload`]; blocks at most
-    /// `queue_wait`, never indefinitely.
-    pub fn admit(&self) -> Result<AdmissionPermit<'_>, BlobError> {
-        self.admit_inner().map(|()| AdmissionPermit { gate: self })
-    }
-
-    /// [`AdmissionGate::admit`], but the permit owns the gate — for
-    /// transports that keep it alive past the handler's return (see
-    /// [`OwnedPermit`]).
+    /// Admit or shed. Returns the permit (held until the response has
+    /// left, see [`OwnedPermit`]) or a typed [`BlobError::Overload`];
+    /// blocks at most `queue_wait`, never indefinitely.
     pub fn admit_owned(self: &Arc<Self>) -> Result<OwnedPermit, BlobError> {
         self.admit_inner().map(|()| OwnedPermit {
             gate: Arc::clone(self),
@@ -442,14 +419,14 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn gate(inflight: usize, queue: usize, wait_ms: u64) -> AdmissionGate {
-        AdmissionGate::new(AdmissionOptions {
+    fn gate(inflight: usize, queue: usize, wait_ms: u64) -> Arc<AdmissionGate> {
+        Arc::new(AdmissionGate::new(AdmissionOptions {
             mode: AdmissionMode::Wall,
             max_inflight: inflight,
             max_queue: queue,
             queue_wait: Duration::from_millis(wait_ms),
             base_retry_hint_ms: 5,
-        })
+        }))
     }
 
     fn vt_gate(max_backlog_ns: u64, resp_ns_per_kib: u64) -> AdmissionGate {
@@ -465,8 +442,8 @@ mod tests {
     #[test]
     fn admits_under_capacity() {
         let g = gate(2, 0, 10);
-        let a = g.admit().unwrap();
-        let b = g.admit().unwrap();
+        let a = g.admit_owned().unwrap();
+        let b = g.admit_owned().unwrap();
         drop(a);
         drop(b);
         assert_eq!(g.stats().admitted, 2);
@@ -476,8 +453,8 @@ mod tests {
     #[test]
     fn sheds_past_queue_with_typed_overload_and_growing_hint() {
         let g = gate(1, 0, 10);
-        let held = g.admit().unwrap();
-        let err = g.admit().unwrap_err();
+        let held = g.admit_owned().unwrap();
+        let err = g.admit_owned().unwrap_err();
         match err {
             BlobError::Overload { retry_after_hint } => assert!(retry_after_hint >= 5),
             other => panic!("expected Overload, got {other:?}"),
@@ -488,10 +465,10 @@ mod tests {
 
     #[test]
     fn queued_request_is_admitted_when_a_permit_frees() {
-        let g = Arc::new(gate(1, 4, 2_000));
-        let held = g.admit().unwrap();
+        let g = gate(1, 4, 2_000);
+        let held = g.admit_owned().unwrap();
         let g2 = Arc::clone(&g);
-        let waiter = thread::spawn(move || g2.admit().map(|_p| ()));
+        let waiter = thread::spawn(move || g2.admit_owned().map(|_p| ()));
         // Give the waiter time to park, then free the permit.
         thread::sleep(Duration::from_millis(50));
         drop(held);
@@ -504,9 +481,9 @@ mod tests {
     #[test]
     fn queue_wait_is_bounded() {
         let g = gate(1, 4, 20);
-        let _held = g.admit().unwrap();
+        let _held = g.admit_owned().unwrap();
         let t0 = Instant::now();
-        let err = g.admit().unwrap_err();
+        let err = g.admit_owned().unwrap_err();
         assert!(matches!(err, BlobError::Overload { .. }));
         // Never a hang: the shed lands within a small multiple of the
         // configured wait.
@@ -558,12 +535,12 @@ mod tests {
 
     #[test]
     fn release_wakes_exactly_not_more_than_capacity() {
-        let g = Arc::new(gate(2, 8, 2_000));
+        let g = gate(2, 8, 2_000);
         let mut handles = Vec::new();
         for _ in 0..8 {
             let g = Arc::clone(&g);
             handles.push(thread::spawn(move || {
-                let permit = g.admit();
+                let permit = g.admit_owned();
                 if permit.is_ok() {
                     thread::sleep(Duration::from_millis(5));
                 }

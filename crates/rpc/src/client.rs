@@ -87,11 +87,6 @@ impl RpcClient {
         self.aggregation
     }
 
-    /// The node this client sends from.
-    pub fn from_node(&self) -> NodeId {
-        self.from
-    }
-
     /// The underlying transport.
     pub fn transport(&self) -> &Arc<dyn Transport> {
         &self.transport

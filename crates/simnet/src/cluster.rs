@@ -5,8 +5,8 @@
 //! concurrency comes from concurrent client threads, exactly the threads
 //! whose interleavings exercise the lock-free structures under test —
 //! while *time* is fully simulated: every message reserves the sender CPU,
-//! sender egress NIC, receiver ingress NIC and receiver CPU through atomic
-//! next-free-time registers, so contention (the phenomenon Figure 3
+//! sender egress NIC, receiver ingress NIC and receiver CPU on their
+//! calendars, so contention (the phenomenon Figure 3
 //! measures) emerges from resource queueing, not wall-clock accidents.
 
 use crate::cost::CostModel;
@@ -18,14 +18,11 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A simulated cluster of nodes with uniform intra-site latency and an
-/// optional inter-site latency matrix.
+/// A simulated cluster of nodes on one site: one uniform latency between
+/// any two distinct nodes.
 pub struct SimCluster {
     nodes: RwLock<Vec<Arc<SimNode>>>,
     cost: CostModel,
-    /// `latency[a][b]` in ns between sites a and b (defaults to the cost
-    /// model's uniform latency).
-    site_latency: RwLock<Vec<Vec<u64>>>,
     /// (src, dst) pairs that already paid connection setup.
     connected: ShardedMap<(u32, u32), ()>,
     /// Total messages carried (for aggregation ablations).
@@ -40,7 +37,6 @@ impl SimCluster {
         Self {
             nodes: RwLock::new(Vec::new()),
             cost,
-            site_latency: RwLock::new(Vec::new()),
             connected: ShardedMap::with_shards(64),
             messages: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -57,22 +53,11 @@ impl SimCluster {
         &self.cost
     }
 
-    /// Add a node on site 0.
+    /// Add a node.
     pub fn add_node(&self) -> NodeId {
-        self.add_node_at(0)
-    }
-
-    /// Add a node on a given site.
-    pub fn add_node_at(&self, site: u32) -> NodeId {
         let mut g = self.nodes.write();
-        g.push(Arc::new(SimNode::new(site)));
+        g.push(Arc::new(SimNode::new()));
         NodeId(g.len() as u32 - 1)
-    }
-
-    /// Set the inter-site latency matrix (ns). Unspecified pairs use the
-    /// cost model's uniform latency.
-    pub fn set_site_latency(&self, matrix: Vec<Vec<u64>>) {
-        *self.site_latency.write() = matrix;
     }
 
     /// Bind a service to a node. Panics if the node already has one.
@@ -139,15 +124,6 @@ impl SimCluster {
     fn latency(&self, a: &SimNode, b: &SimNode) -> u64 {
         if std::ptr::eq(a, b) {
             return 0;
-        }
-        if a.site != b.site {
-            let g = self.site_latency.read();
-            if let Some(l) = g
-                .get(a.site as usize)
-                .and_then(|row| row.get(b.site as usize))
-            {
-                return *l;
-            }
         }
         self.cost.latency_ns
     }
@@ -414,20 +390,6 @@ mod tests {
             later >= 2 * xfer,
             "ingress must serialize: {later} < {}",
             2 * xfer
-        );
-    }
-
-    #[test]
-    fn multi_site_latency_applies() {
-        let c = Arc::new(SimCluster::grid5000());
-        let a = c.add_node_at(0);
-        let b = c.add_node_at(1);
-        c.bind(b, Arc::new(Echo));
-        c.set_site_latency(vec![vec![0, 10_000_000], vec![10_000_000, 0]]);
-        let (_resp, vt) = c.call(a, b, 0, Frame::from_msg(1, &1u64)).unwrap();
-        assert!(
-            vt > 20_000_000,
-            "cross-site RTT must include 2x 10 ms: {vt}"
         );
     }
 

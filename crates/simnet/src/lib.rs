@@ -5,13 +5,13 @@
 //!
 //! * [`cost`] — the calibrated cost model: 117.5 MB/s NICs, 0.1 ms
 //!   latency, 2008-era endpoint CPU costs, BambooDHT-era service costs.
-//! * [`node`] — per-node resources (egress/ingress NIC, CPU) as lock-free
-//!   atomic next-free-time registers.
+//! * [`node`] — per-node resources (egress/ingress NIC, CPU) as
+//!   calendars of busy intervals that backfill.
 //! * [`cluster`] — [`SimCluster`], an
 //!   [`rpc::Transport`](blobseer_rpc::Transport) whose calls execute
 //!   handlers inline on real threads while charging fully simulated
-//!   virtual time; includes fault injection (node kill/revive), multi-site
-//!   latency, and global/per-node traffic metrics.
+//!   virtual time; includes fault injection (node kill/revive) and
+//!   global/per-node traffic metrics.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,4 +22,4 @@ pub mod node;
 
 pub use cluster::{distinct_peers, SimCluster};
 pub use cost::{ClientCosts, CostModel, ServiceCosts};
-pub use node::{reserve, NodeMetrics, SimNode};
+pub use node::{NodeMetrics, SimNode};

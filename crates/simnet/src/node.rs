@@ -99,26 +99,6 @@ impl Calendar {
     pub fn horizon(&self) -> u64 {
         self.inner.lock().horizon
     }
-
-    /// Total busy time accumulated (diagnostics; O(intervals) plus pruned
-    /// history is not counted).
-    pub fn busy_intervals(&self) -> usize {
-        self.inner.lock().busy.len()
-    }
-}
-
-/// Legacy helper: CAS max-bump reservation on an atomic register. Kept
-/// for components that genuinely want FIFO-in-real-time semantics.
-pub fn reserve(res: &AtomicU64, earliest: u64, dur: u64) -> u64 {
-    let mut cur = res.load(Ordering::Acquire);
-    loop {
-        let start = cur.max(earliest);
-        let end = start + dur;
-        match res.compare_exchange_weak(cur, end, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return end,
-            Err(actual) => cur = actual,
-        }
-    }
 }
 
 /// Traffic/usage counters for one node.
@@ -167,8 +147,6 @@ pub struct SimNode {
     pub work: Calendar,
     /// Liveness flag (fault injection).
     pub alive: AtomicBool,
-    /// Site index (for multi-site latency matrices).
-    pub site: u32,
     /// Bound service, if any.
     pub service: OnceLock<Arc<dyn Service>>,
     /// Traffic counters.
@@ -176,8 +154,8 @@ pub struct SimNode {
 }
 
 impl SimNode {
-    /// A fresh, alive node at `site`.
-    pub fn new(site: u32) -> Self {
+    /// A fresh, alive node.
+    pub(crate) fn new() -> Self {
         Self {
             egress: Calendar::new(),
             ingress: Calendar::new(),
@@ -185,7 +163,6 @@ impl SimNode {
             cpu_recv: Calendar::new(),
             work: Calendar::new(),
             alive: AtomicBool::new(true),
-            site,
             service: OnceLock::new(),
             metrics: NodeMetrics::default(),
         }
@@ -288,16 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_atomic_reserve() {
-        let res = AtomicU64::new(0);
-        assert_eq!(reserve(&res, 0, 100), 100);
-        assert_eq!(reserve(&res, 0, 100), 200);
-        assert_eq!(reserve(&res, 1_000, 10), 1_010);
-    }
-
-    #[test]
     fn node_lifecycle() {
-        let n = SimNode::new(0);
+        let n = SimNode::new();
         assert!(n.is_alive());
         n.alive.store(false, Ordering::Release);
         assert!(!n.is_alive());

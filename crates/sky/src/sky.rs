@@ -84,14 +84,6 @@ impl SkyGeometry {
     pub fn blob_size(&self, epochs: u32) -> u64 {
         (self.epoch_bytes() * epochs as u64).next_power_of_two()
     }
-
-    /// Convert a tile-local pixel coordinate to sky-global pixels.
-    pub fn global_px(&self, tx: u32, ty: u32, x: u32, y: u32) -> (u64, u64) {
-        (
-            tx as u64 * self.tile_px as u64 + x as u64,
-            ty as u64 * self.tile_px as u64 + y as u64,
-        )
-    }
 }
 
 /// Encode a tile image (u16 intensities) into its padded slot bytes.
@@ -168,13 +160,6 @@ mod tests {
         let bytes = encode_tile(&g, &pixels);
         assert_eq!(bytes.len() as u64, g.tile_slot());
         assert_eq!(decode_tile(&g, &bytes), pixels);
-    }
-
-    #[test]
-    fn global_pixel_mapping() {
-        let g = geom();
-        assert_eq!(g.global_px(0, 0, 5, 6), (5, 6));
-        assert_eq!(g.global_px(2, 1, 0, 0), (128, 64));
     }
 
     #[test]

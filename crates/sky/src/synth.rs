@@ -11,7 +11,6 @@
 use crate::sky::SkyGeometry;
 use blobseer_util::rng::rng_for;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// A static star in the catalog (tile-local coordinates).
 #[derive(Clone, Copy, Debug)]
@@ -176,17 +175,6 @@ impl SkyModel {
             })
             .collect()
     }
-
-    /// Render a whole epoch (tiles in row-major order), in parallel.
-    pub fn render_epoch(&self, epoch: u32) -> Vec<Vec<u16>> {
-        let coords: Vec<(u32, u32)> = (0..self.geom.tiles_y)
-            .flat_map(|ty| (0..self.geom.tiles_x).map(move |tx| (tx, ty)))
-            .collect();
-        coords
-            .par_iter()
-            .map(|&(tx, ty)| self.render_tile(epoch, tx, ty))
-            .collect()
-    }
 }
 
 /// Add a clipped 2-D Gaussian to the image.
@@ -286,14 +274,5 @@ mod tests {
             delta > 5.0 * m.config.noise_sigma,
             "transient must rise above noise: delta={delta}"
         );
-    }
-
-    #[test]
-    fn render_epoch_matches_tiles() {
-        let m = model();
-        let epoch = m.render_epoch(1);
-        assert_eq!(epoch.len(), 4);
-        assert_eq!(epoch[1], m.render_tile(1, 1, 0), "row-major order");
-        assert_eq!(epoch[2], m.render_tile(1, 0, 1));
     }
 }

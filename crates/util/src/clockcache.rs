@@ -247,11 +247,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ClockCache<K, V> {
         self.per_shard * self.shards.len()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// `(hits, misses)` since creation, summed across shards.
     pub fn stats(&self) -> (u64, u64) {
         let mut hits = 0;
@@ -340,7 +335,7 @@ mod tests {
     #[test]
     fn rounds_capacity_up_to_shards() {
         let c: ClockCache<u64, u64> = ClockCache::with_shards(5, 4);
-        assert_eq!(c.shard_count(), 4);
+        assert_eq!(c.shards.len(), 4);
         assert_eq!(c.capacity(), 8); // ceil(5/4) = 2 per shard
     }
 

@@ -12,11 +12,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
-static COPY_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
-    static THREAD_EVENTS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Record one copy of `n` payload bytes.
@@ -24,9 +22,7 @@ thread_local! {
 pub fn record_copy(n: usize) {
     if n > 0 {
         BYTES_COPIED.fetch_add(n as u64, Ordering::Relaxed);
-        COPY_EVENTS.fetch_add(1, Ordering::Relaxed);
         THREAD_BYTES.with(|c| c.set(c.get() + n as u64));
-        THREAD_EVENTS.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -36,22 +32,12 @@ pub fn thread_bytes_copied() -> u64 {
     THREAD_BYTES.with(Cell::get)
 }
 
-/// Copy events recorded by the calling thread since it started.
-pub fn thread_copy_events() -> u64 {
-    THREAD_EVENTS.with(Cell::get)
-}
-
 /// Total payload bytes copied since process start.
 pub fn bytes_copied() -> u64 {
     BYTES_COPIED.load(Ordering::Relaxed)
 }
 
-/// Total copy events since process start.
-pub fn copy_events() -> u64 {
-    COPY_EVENTS.load(Ordering::Relaxed)
-}
-
-/// Snapshot of both counters, for delta measurements.
+/// Snapshot of the byte counter, for delta measurements.
 ///
 /// [`snapshot`] observes the process-global meters (what multi-threaded
 /// benchmarks want); [`thread_snapshot`] observes the calling thread's
@@ -60,8 +46,6 @@ pub fn copy_events() -> u64 {
 pub struct CopySnapshot {
     /// Bytes copied at snapshot time.
     pub bytes: u64,
-    /// Copy events at snapshot time.
-    pub events: u64,
     /// Whether this snapshot reads the thread-local meters.
     thread_local: bool,
 }
@@ -70,7 +54,6 @@ pub struct CopySnapshot {
 pub fn snapshot() -> CopySnapshot {
     CopySnapshot {
         bytes: bytes_copied(),
-        events: copy_events(),
         thread_local: false,
     }
 }
@@ -79,7 +62,6 @@ pub fn snapshot() -> CopySnapshot {
 pub fn thread_snapshot() -> CopySnapshot {
     CopySnapshot {
         bytes: thread_bytes_copied(),
-        events: thread_copy_events(),
         thread_local: true,
     }
 }
@@ -95,17 +77,6 @@ impl CopySnapshot {
         };
         now - self.bytes
     }
-
-    /// Copy events since this snapshot (on this thread, for thread
-    /// snapshots).
-    pub fn events_since(&self) -> u64 {
-        let now = if self.thread_local {
-            thread_copy_events()
-        } else {
-            copy_events()
-        };
-        now - self.events
-    }
 }
 
 #[cfg(test)]
@@ -116,9 +87,8 @@ mod tests {
     fn meters_accumulate() {
         let snap = thread_snapshot();
         record_copy(100);
-        record_copy(0); // zero-byte copies are not events
+        record_copy(0);
         record_copy(28);
         assert_eq!(snap.bytes_since(), 128);
-        assert_eq!(snap.events_since(), 2);
     }
 }

@@ -100,17 +100,16 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hash arbitrary bytes with `FxHasher` (convenience for wire keys).
-#[inline]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hash a byte string through `FxHasher::write`.
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut h = FxHasher::default();
+        h.write(bytes);
+        h.finish()
+    }
 
     #[test]
     fn hashes_are_deterministic() {

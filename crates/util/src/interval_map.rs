@@ -51,11 +51,6 @@ impl<V: Copy + PartialEq> IntervalMap<V> {
         }
     }
 
-    /// Number of stored runs (adjacent equal-valued runs are coalesced).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// True if nothing has ever been assigned.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
@@ -195,29 +190,6 @@ impl<V: Copy + Ord> IntervalMap<V> {
     pub fn range_max(&self, start: u64, end: u64) -> Option<V> {
         self.overlaps(start, end).map(|(_, _, v)| v).max()
     }
-
-    /// True if every byte of `[start, end)` is assigned a value `>= floor`.
-    ///
-    /// Used by GC safety checks ("is this whole interval superseded?").
-    pub fn covers_at_least(&self, start: u64, end: u64, floor: V) -> bool {
-        if start >= end {
-            return true;
-        }
-        let mut cursor = start;
-        for (s, e, v) in self.overlaps(start, end) {
-            if s > cursor {
-                return false; // gap
-            }
-            if v < floor {
-                return false;
-            }
-            cursor = e;
-            if cursor >= end {
-                return true;
-            }
-        }
-        cursor >= end
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +265,7 @@ mod tests {
         assert_eq!(runs(&m), vec![(0, 20, 4)]);
         m.assign(20, 30, 5u64);
         m.assign(30, 40, 5u64);
-        assert_eq!(m.run_count(), 2);
+        assert_eq!(runs(&m), vec![(0, 20, 4), (20, 40, 5)]);
     }
 
     #[test]
@@ -314,19 +286,6 @@ mod tests {
         assert_eq!(m.range_max(250, 300), Some(3));
         // Empty query.
         assert_eq!(m.range_max(80, 80), None);
-    }
-
-    #[test]
-    fn covers_at_least_detects_gaps_and_low_values() {
-        let mut m = IntervalMap::new();
-        m.assign(0, 10, 5u64);
-        m.assign(20, 30, 5u64);
-        assert!(!m.covers_at_least(0, 30, 5)); // gap [10,20)
-        m.assign(10, 20, 4u64);
-        assert!(!m.covers_at_least(0, 30, 5)); // low value in the middle
-        m.assign(10, 20, 6u64);
-        assert!(m.covers_at_least(0, 30, 5));
-        assert!(m.covers_at_least(7, 7, 99)); // empty interval trivially true
     }
 
     #[test]
@@ -357,7 +316,7 @@ mod tests {
         for i in 0..100u64 {
             m.assign(i * 10, i * 10 + 5, i);
         }
-        assert_eq!(m.run_count(), 100);
+        assert_eq!(runs(&m).len(), 100);
         assert_eq!(m.covered(), 500);
         assert_eq!(m.range_max(0, 1000), Some(99));
         assert_eq!(m.get(57), None);

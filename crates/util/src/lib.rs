@@ -15,8 +15,6 @@
 //!   sweep.
 //! * [`stats`] — online statistics and human-readable formatting for the
 //!   benchmark harnesses.
-//! * [`sync`] — tiny synchronization helpers (a parking one-shot slot and a
-//!   spin-then-park waiter) used by the RPC layer and the publish window.
 //! * [`rng`] — splitmix64 and deterministic seeding helpers so every
 //!   simulation and test is reproducible.
 //! * [`pagebuf`] — [`PageBuf`], the cheap-clone immutable byte buffer
@@ -70,7 +68,6 @@ pub mod recordlog;
 pub mod rng;
 pub mod sharded;
 pub mod stats;
-pub mod sync;
 
 pub use clockcache::ClockCache;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -79,11 +79,6 @@ impl<T> RcuCell<T> {
         retired.push(p);
         out
     }
-
-    /// Number of snapshots retained (diagnostics; ≥ 1).
-    pub fn retained(&self) -> usize {
-        self.retired.lock().len()
-    }
 }
 
 impl<T> Drop for RcuCell<T> {
@@ -121,7 +116,7 @@ mod tests {
         assert_eq!(c.load(), &[1, 2, 3]);
         c.store(vec![4]);
         assert_eq!(c.load(), &[4]);
-        assert_eq!(c.retained(), 2);
+        assert_eq!(c.retired.lock().len(), 2);
     }
 
     #[test]
@@ -151,7 +146,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(*c.load(), 1000, "no lost updates");
-        assert_eq!(c.retained(), 1001);
+        assert_eq!(c.retired.lock().len(), 1001);
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         self.shard_for(key).read().get(key).map(f)
     }
 
-    /// Run `f` on a mutable reference to the value for `key`, if present.
-    pub fn with_mut<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
-        self.shard_for(key).write().get_mut(key).map(f)
-    }
-
     /// Get-or-insert with a constructor, then run `f` on the value.
     pub fn with_or_insert<R>(
         &self,
@@ -119,19 +114,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         }
         acc
     }
-
-    /// Remove entries for which `pred` returns true; returns how many were
-    /// removed. Used by the GC sweep.
-    pub fn retain_not(&self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
-        let mut removed = 0;
-        for s in &self.shards {
-            let mut g = s.write();
-            let before = g.len();
-            g.retain(|k, v| !pred(k, v));
-            removed += before - g.len();
-        }
-        removed
-    }
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
@@ -164,19 +146,6 @@ mod tests {
         m.with_or_insert(7, Vec::new, |v| v.push(1));
         m.with_or_insert(7, Vec::new, |v| v.push(2));
         assert_eq!(m.get_cloned(&7), Some(vec![1, 2]));
-    }
-
-    #[test]
-    fn retain_not_removes_matching() {
-        let m: ShardedMap<u32, u32> = ShardedMap::with_shards(8);
-        for i in 0..100 {
-            m.insert(i, i);
-        }
-        let removed = m.retain_not(|_, v| v % 2 == 0);
-        assert_eq!(removed, 50);
-        assert_eq!(m.len(), 50);
-        assert!(!m.contains_key(&2));
-        assert!(m.contains_key(&3));
     }
 
     #[test]

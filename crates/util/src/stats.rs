@@ -1,12 +1,11 @@
 //! Online statistics and human-readable formatting for the benchmark
 //! harnesses (`crates/bench` prints its figure tables with these).
 
-/// Welford online mean/variance accumulator.
+/// Online mean/min/max accumulator.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -17,7 +16,6 @@ impl OnlineStats {
         Self {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -28,7 +26,6 @@ impl OnlineStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -47,15 +44,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation (0 for < 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
     /// Smallest sample (+inf when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -64,26 +52,6 @@ impl OnlineStats {
     /// Largest sample (-inf when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -251,45 +219,10 @@ mod tests {
             s.push(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.stddev() - var.sqrt()).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), before);
     }
 
     #[test]

@@ -1,36 +1,23 @@
 //! Append-only concurrent history of write records.
 //!
 //! `history[v]` is filled exactly once, by whichever thread was assigned
-//! version `v`, and may be awaited by any thread that needs it (readers of
-//! border links, the GC planner, recovery). Slots publish through
-//! [`OnceSlot`] — an acquire load on the fast path — and the chunk table
-//! grows under a short write lock taken only once per `CHUNK` versions.
+//! version `v`, and read without blocking by the publish path, the GC
+//! planner and recovery. Slots are `OnceLock`s in lazily allocated
+//! doubling buckets, so neither a set, a get nor the growth of the
+//! history takes a lock.
 
-use blobseer_util::sync::OnceSlot;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-/// Slots per chunk; chosen so chunk-table growth is rare and a chunk
-/// (1024 slots) stays comfortably cache-resident.
-const CHUNK: usize = 1024;
+/// Slots in the first bucket; bucket `b` holds `FIRST << b`.
+const FIRST: u64 = 1024;
 
-struct Chunk<T> {
-    slots: Vec<OnceSlot<T>>,
-}
+/// Enough buckets for every version `v` with `v - 1 + FIRST` in `u64`.
+const BUCKETS: usize = 54;
 
-impl<T> Chunk<T> {
-    fn new() -> Self {
-        Self {
-            slots: (0..CHUNK).map(|_| OnceSlot::new()).collect(),
-        }
-    }
-}
-
-/// A concurrent, append-only, wait-capable vector indexed by version
-/// number (1-based; version 0 is the implicit initial snapshot and has no
-/// record).
+/// A concurrent, append-only vector indexed by version number (1-based;
+/// version 0 is the implicit initial snapshot and has no record).
 pub struct ConcurrentHistory<T> {
-    chunks: RwLock<Vec<Arc<Chunk<T>>>>,
+    buckets: [OnceLock<Box<[OnceLock<T>]>>; BUCKETS],
 }
 
 impl<T> Default for ConcurrentHistory<T> {
@@ -43,40 +30,28 @@ impl<T> ConcurrentHistory<T> {
     /// Empty history.
     pub fn new() -> Self {
         Self {
-            // lint: allow(unmetered-lock) — chunk spine: reads are uncontended probes
-            // of an append-only Vec, writes amortize to once per CHUNK versions
-            chunks: RwLock::new(Vec::new()),
+            buckets: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    fn chunk_for(&self, v: u64) -> Arc<Chunk<T>> {
-        debug_assert!(v >= 1, "version 0 has no history record");
-        let idx = ((v - 1) as usize) / CHUNK;
-        {
-            // lint: allow(unmetered-lock) — chunk-spine probe, see field note in `new`
-            let g = self.chunks.read();
-            if let Some(c) = g.get(idx) {
-                return Arc::clone(c);
-            }
-        }
-        // lint: allow(unmetered-lock) — chunk growth amortizes to once per CHUNK
-        // versions; never on the per-op steady-state path
-        let mut g = self.chunks.write();
-        while g.len() <= idx {
-            g.push(Arc::new(Chunk::new()));
-        }
-        Arc::clone(&g[idx])
-    }
-
-    fn slot_index(v: u64) -> usize {
-        ((v - 1) as usize) % CHUNK
+    /// Version `v`'s bucket and its slot there; `None` for version 0 and
+    /// for versions past the last bucket.
+    fn locate(v: u64) -> Option<(usize, usize)> {
+        let n = v.checked_sub(1)?.checked_add(FIRST)?;
+        let top = n.ilog2();
+        Some(((top - FIRST.ilog2()) as usize, (n - (1 << top)) as usize))
     }
 
     /// Record the entry for version `v`. Returns `false` if already set
-    /// (which would indicate a duplicate assignment — a protocol bug).
+    /// (which would indicate a duplicate assignment — a protocol bug) or
+    /// if `v` has no slot.
     pub fn set(&self, v: u64, value: T) -> bool {
-        let chunk = self.chunk_for(v);
-        chunk.slots[Self::slot_index(v)].set(value)
+        let Some((b, i)) = Self::locate(v) else {
+            return false;
+        };
+        let bucket =
+            self.buckets[b].get_or_init(|| (0..FIRST << b).map(|_| OnceLock::new()).collect());
+        bucket[i].set(value).is_ok()
     }
 
     /// Non-blocking read of version `v`'s record.
@@ -84,39 +59,26 @@ impl<T> ConcurrentHistory<T> {
     where
         T: Clone,
     {
-        if v == 0 {
-            return None;
-        }
-        let idx = ((v - 1) as usize) / CHUNK;
-        let chunk = {
-            // lint: allow(unmetered-lock) — chunk-spine probe, see field note in `new`
-            let g = self.chunks.read();
-            g.get(idx).cloned()?
-        };
-        chunk.slots[Self::slot_index(v)].try_get().cloned()
-    }
-
-    /// Blocking read: waits for the record of version `v` to be published.
-    /// Only call for versions that have definitely been assigned.
-    pub fn wait(&self, v: u64) -> T
-    where
-        T: Clone,
-    {
-        let chunk = self.chunk_for(v);
-        chunk.slots[Self::slot_index(v)].wait().clone()
+        let (b, i) = Self::locate(v)?;
+        self.buckets[b].get()?[i].get().cloned()
     }
 
     /// Iterate over set records in `[1, up_to]`, in version order, calling
     /// `f(v, &record)` — skips unset slots (in-flight assignments).
     pub fn for_each_up_to(&self, up_to: u64, mut f: impl FnMut(u64, &T)) {
-        // lint: allow(unmetered-lock) — chunk-spine probe (replay/GC walker), see `new`
-        let chunks: Vec<Arc<Chunk<T>>> = self.chunks.read().clone();
-        for v in 1..=up_to {
-            let ci = ((v - 1) as usize) / CHUNK;
-            let Some(chunk) = chunks.get(ci) else { break };
-            if let Some(rec) = chunk.slots[Self::slot_index(v)].try_get() {
-                f(v, rec);
+        let mut first = 1;
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            if first > up_to {
+                break;
             }
+            if let Some(slots) = bucket.get() {
+                for (v, slot) in (first..=up_to).zip(slots.iter()) {
+                    if let Some(rec) = slot.get() {
+                        f(v, rec);
+                    }
+                }
+            }
+            first += FIRST << b;
         }
     }
 }
@@ -124,6 +86,7 @@ impl<T> ConcurrentHistory<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -146,16 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_blocks_until_set() {
-        let h: Arc<ConcurrentHistory<u32>> = Arc::new(ConcurrentHistory::new());
-        let h2 = Arc::clone(&h);
-        let waiter = thread::spawn(move || h2.wait(3));
-        thread::sleep(std::time::Duration::from_millis(10));
-        h.set(3, 42);
-        assert_eq!(waiter.join().unwrap(), 42);
-    }
-
-    #[test]
     fn for_each_skips_unset() {
         let h: ConcurrentHistory<u64> = ConcurrentHistory::new();
         h.set(1, 10);
@@ -163,17 +116,34 @@ mod tests {
         let mut seen = Vec::new();
         h.for_each_up_to(5, |v, r| seen.push((v, *r)));
         assert_eq!(seen, vec![(1, 10), (3, 30)]);
+        // Across the first bucket edge (1024 | 1025), with 1024 unset and
+        // the second bucket allocated; the walk stops at `up_to`.
+        h.set(1023, 10_230);
+        h.set(1025, 10_250);
+        h.set(1026, 10_260);
+        let mut seen = Vec::new();
+        h.for_each_up_to(1025, |v, r| seen.push((v, *r)));
+        assert_eq!(seen, vec![(1, 10), (3, 30), (1023, 10_230), (1025, 10_250)]);
+        // A bucket never allocated is skipped, not the end of the walk.
+        let h: ConcurrentHistory<u64> = ConcurrentHistory::new();
+        h.set(2, 20);
+        h.set(3073, 30_730);
+        let mut seen = Vec::new();
+        h.for_each_up_to(u64::MAX, |v, r| seen.push((v, *r)));
+        assert_eq!(seen, vec![(2, 20), (3073, 30_730)]);
     }
 
     #[test]
     fn concurrent_disjoint_sets() {
         let h: Arc<ConcurrentHistory<u64>> = Arc::new(ConcurrentHistory::new());
+        // Interleaved, so every setter races the others through the
+        // bucket edges at 1024, 3072 and 7168.
         let ts: Vec<_> = (0..8u64)
             .map(|t| {
                 let h = Arc::clone(&h);
                 thread::spawn(move || {
-                    for i in 0..500u64 {
-                        let v = t * 500 + i + 1;
+                    for i in 0..1000u64 {
+                        let v = i * 8 + t + 1;
                         assert!(h.set(v, v * 10));
                     }
                 })
@@ -182,7 +152,7 @@ mod tests {
         for t in ts {
             t.join().unwrap();
         }
-        for v in 1..=4000u64 {
+        for v in 1..=8000u64 {
             assert_eq!(h.get(v), Some(v * 10));
         }
     }
@@ -190,9 +160,22 @@ mod tests {
     #[test]
     fn chunk_boundaries() {
         let h: ConcurrentHistory<u64> = ConcurrentHistory::new();
-        for v in [1u64, 1024, 1025, 2048, 2049] {
+        // The bucket edges (1024 | 1025, 3072 | 3073, 7168 | 7169), and
+        // 2048 | 2049 inside the second bucket.
+        let edges = [1u64, 1024, 1025, 2048, 2049, 3072, 3073, 7168, 7169];
+        for v in edges {
             assert!(h.set(v, v));
             assert_eq!(h.get(v), Some(v));
         }
+        for v in edges {
+            assert_eq!(h.get(v), Some(v));
+            assert_eq!(h.get(v + 1).is_some(), edges.contains(&(v + 1)));
+        }
+        let mut seen = Vec::new();
+        h.for_each_up_to(u64::MAX, |v, _| seen.push(v));
+        assert_eq!(seen, edges);
+        // No slot past the last bucket: refused, never allocated.
+        assert!(!h.set(u64::MAX, 0));
+        assert_eq!(h.get(u64::MAX), None);
     }
 }

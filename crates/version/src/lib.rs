@@ -3,8 +3,7 @@
 //! The version manager's core logic, factored out of any service/transport
 //! so it can be tested (and stress-tested) directly:
 //!
-//! * [`history`] — append-only concurrent history of write records with
-//!   wait-capable slots;
+//! * [`history`] — append-only, lock-free history of write records;
 //! * [`publish`] — the lock-free publish window: out-of-order completions,
 //!   CAS-advanced watermark, global serializability of snapshots;
 //! * [`state`] — per-blob assignment state (the system's single, tiny

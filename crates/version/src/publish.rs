@@ -7,7 +7,6 @@
 //! fixed ring of atomic flags and advances the published watermark with
 //! CAS; no mutex is ever taken on this path.
 
-use blobseer_util::sync::SpinWait;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 const SLOT_EMPTY: u8 = 0;
@@ -98,16 +97,6 @@ impl PublishWindow {
             // watermark either way.
         }
     }
-
-    /// Spin until `v` is published (used by tests and by read-your-write
-    /// helpers). Bounded by overall system liveness: every assigned
-    /// version eventually completes.
-    pub fn wait_published(&self, v: u64) {
-        let mut spin = SpinWait::new();
-        while self.latest() < v {
-            spin.spin();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,20 +165,5 @@ mod tests {
         assert!(w.would_overflow(5));
         w.complete(1);
         assert!(!w.would_overflow(5));
-    }
-
-    #[test]
-    fn wait_published_returns_when_reached() {
-        let w = Arc::new(PublishWindow::new(16));
-        let w2 = Arc::clone(&w);
-        let h = thread::spawn(move || {
-            w2.wait_published(3);
-            w2.latest()
-        });
-        thread::sleep(std::time::Duration::from_millis(5));
-        w.complete(2);
-        w.complete(1);
-        w.complete(3);
-        assert!(h.join().unwrap() >= 3);
     }
 }

@@ -445,11 +445,6 @@ impl BlobState {
         Ok(self.window.complete(v))
     }
 
-    /// Block until version `v` is published (test/QoS helper).
-    pub fn wait_published(&self, v: Version) {
-        self.window.wait_published(v);
-    }
-
     /// Compute the GC plan discarding versions below `keep_from`
     /// (clamped to the published watermark; reachability as in
     /// `blobseer-meta`'s `ReferenceStore::gc`). Raises the GC floor so
