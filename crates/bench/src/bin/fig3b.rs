@@ -42,9 +42,12 @@ fn main() {
                     client.info(&mut ctx, blobseer_proto::BlobId(1)).unwrap()
                 };
                 let offset = (row as u64 * iters + i) * (16 * MB);
-                // Warm the connection set with a 1-page write so that
+                // Warm connections with a 1-page write so that
                 // connection setup (measured by fig3a's read side too)
-                // does not dominate the metadata phase under test.
+                // does not dominate the metadata phase under test. It
+                // warms only the nodes that write reached: the measured
+                // write's metadata frames lead its burst, so they pay
+                // first contact with every other storage node.
                 client
                     .write(
                         &mut ctx,

@@ -12,9 +12,18 @@
 //!   newest version it has seen published and sends `GET_LATEST` in the
 //!   same burst as its first metadata or page fetch, re-descending only
 //!   if the answer shows a newer version.
-//! * **WRITE**: provider-manager plan → parallel page puts → version +
-//!   border links from the version manager → metadata built **in
-//!   isolation** → batched metadata puts → completion report.
+//! * **WRITE**: provider-manager plan → version + border links from the
+//!   version manager → metadata built **in isolation**, its leaves
+//!   naming the planned replicas → **one burst** carrying the batched
+//!   metadata puts first and the parallel page puts after them →
+//!   completion report. Four dependent steps: the write waits for the
+//!   slower of its page upload and its metadata round, not for both.
+//!   The paper puts the pages first so that a failed write burns no
+//!   version; here a page that no replica acknowledged is re-placed
+//!   away from the providers that failed it, and its leaf re-put, before
+//!   the completion report, which keeps that guarantee for page
+//!   failures. [`WriteStats::metadata_ns`] still reports the metadata
+//!   round's own time, overlapped or not.
 //!
 //! The client charges its own per-node processing costs (deserialization,
 //! tree descent, buffer stitching) to the virtual clock — the paper notes
@@ -29,11 +38,13 @@ use blobseer_meta::shape::align_to_pages;
 use blobseer_meta::write::build_write_tree;
 use blobseer_proto::messages::{
     method, BlobInfo, CompleteWrite, CreateBlob, GcRequest, GetLatest, GetPage, PlanWrite,
-    PublishState, PutPage, RemovePage, RequestVersion, WriteTicket,
+    PublishState, PutPage, RemovePage, RequestVersion, WritePlan, WriteTicket,
 };
 use blobseer_proto::tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
 use blobseer_proto::{BlobError, BlobId, Geometry, NodeId, PageBuf, ProviderId, Segment, Version};
-use blobseer_rpc::{parse_response, Ctx, Frame, RetryPolicy, RpcClient, ShardRouter};
+use blobseer_rpc::{
+    parse_response, Ctx, Frame, RetryPolicy, RpcClient, ShardRouter, TransportResult,
+};
 use blobseer_simnet::ClientCosts;
 use blobseer_util::{lockmeter, ClockCache, FxHashMap};
 use parking_lot::RwLock;
@@ -49,32 +60,57 @@ use std::time::Duration;
 pub type MetaCache = ClockCache<NodeKey, Arc<NodeBody>>;
 
 /// Virtual-time breakdown of one WRITE (Figure 3(b)'s instrument).
+///
+/// The five stage fields partition the write's time, so they sum to
+/// [`WriteStats::total_ns`]. The page and metadata legs overlap in one
+/// burst, which is charged to the stage of the leg that finished last:
+/// on the paper's cell the pages take longer, so `pages_ns` holds the
+/// burst and `meta_ns` only the weave. `meta_leg_ns` holds the metadata
+/// leg's own duration whichever leg finished last.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WriteStats {
     /// Provider-manager plan round trip.
     pub plan_ns: u64,
-    /// Parallel page puts.
+    /// The page split, the burst when the page leg finished last, and
+    /// any page retry or re-placement rounds.
     pub pages_ns: u64,
     /// Version + border-link round trip.
     pub ticket_ns: u64,
-    /// Metadata build + batched DHT puts — the paper's "metadata write".
+    /// The metadata weave, the burst when the metadata leg finished
+    /// last, any leaf re-put, and the cache warm.
     pub meta_ns: u64,
     /// Completion report round trip.
     pub publish_ns: u64,
+    /// The metadata leg's own time, overlapped or not: the weave, its
+    /// `META_PUT_BATCH` frames' round in the burst (from the burst's
+    /// start to the last metadata reply), any leaf re-put and the cache
+    /// warm — the paper's "metadata write".
+    pub meta_leg_ns: u64,
     /// Tree nodes this write created.
     pub nodes_built: u64,
 }
 
 impl WriteStats {
-    /// The metadata share (ticket + build + store + publish) — what
-    /// Fig. 3(b) plots.
+    /// The metadata share (ticket + the metadata leg + publish) — what
+    /// Fig. 3(b) plots. It counts the metadata leg's own time even where
+    /// the page leg hid it, so it is not a share of `total_ns`.
     pub fn metadata_ns(&self) -> u64 {
-        self.ticket_ns + self.meta_ns + self.publish_ns
+        self.ticket_ns + self.meta_leg_ns + self.publish_ns
     }
 
     /// Total time.
     pub fn total_ns(&self) -> u64 {
         self.plan_ns + self.pages_ns + self.ticket_ns + self.meta_ns + self.publish_ns
+    }
+
+    /// Charge the virtual time since `mark` to one stage and move the
+    /// mark, returning the time charged: consecutive laps partition the
+    /// write's time.
+    fn lap(&mut self, ctx: &Ctx, mark: &mut u64, stage: fn(&mut WriteStats) -> &mut u64) -> u64 {
+        let ns = ctx.vt - *mark;
+        *stage(self) += ns;
+        *mark = ctx.vt;
+        ns
     }
 }
 
@@ -507,9 +543,30 @@ impl BlobClient {
         self.write_buf_stats_with(ctx, blob, offset, data, &WriteOptions::default())
     }
 
-    /// The full write pipeline: plan → page puts (idempotent, retried
-    /// under `opts`) → version ticket → metadata → publish (never
-    /// retried), with the per-phase breakdown.
+    /// The full write pipeline, with the per-phase breakdown, in four
+    /// dependent steps: plan → `REQUEST_VERSION` → one burst →
+    /// `COMPLETE_WRITE`.
+    ///
+    /// The version comes before the pages: the ticket is all the weave
+    /// needs besides the plan's placement, so the metadata is woven in
+    /// isolation with leaves naming the *planned* replicas, and one
+    /// fan-out carries the `META_PUT_BATCH` frames first and the page
+    /// puts after them. The write waits for the slower of its two legs,
+    /// not for both.
+    ///
+    /// The pages are the idempotent part (pages are immutable: re-putting
+    /// a key re-stores identical bytes). A page no replica acknowledged
+    /// is put again under the retry policy (`opts`, else the client
+    /// default); once the policy gives up, the page is re-planned away
+    /// from every provider that failed it (`PlanWrite::exclude`), put
+    /// there, and its leaf re-put naming where it now lives. A leaf that
+    /// lost some of its replicas is re-put naming the ones that acked.
+    /// All of it happens before `COMPLETE_WRITE`, so a failed page burns
+    /// no version, and no reader sees a leaf of this version before it is
+    /// published. The shared cache is warmed only once the publish
+    /// succeeded. The write still fails after its ticket, leaving its
+    /// version unpublished, if no provider will take a page or a tree
+    /// node reaches no metadata replica; `COMPLETE_WRITE` never retries.
     pub fn write_buf_stats_with(
         &self,
         ctx: &mut Ctx,
@@ -518,110 +575,21 @@ impl BlobClient {
         data: PageBuf,
         opts: &WriteOptions,
     ) -> Result<(Version, WriteStats), BlobError> {
-        let t0 = ctx.vt;
+        let mut mark = ctx.vt;
         let seg = Segment::new(offset, data.len() as u64);
         let (known, _) = self.entry(ctx, blob)?;
         let geom = known.geom;
         let range = geom.validate_aligned(&seg)?;
-        let n_pages = range.count();
+        let mut stats = WriteStats {
+            nodes_built: blobseer_meta::node_count_for_write(&geom, &seg),
+            ..WriteStats::default()
+        };
 
         // Step 1: provider-manager plan (write id + page placement).
-        let plan: blobseer_proto::messages::WritePlan = self.rpc.call(
-            ctx,
-            self.pm,
-            method::PLAN_WRITE,
-            &PlanWrite {
-                blob,
-                pages: n_pages,
-                replication: self.replication,
-            },
-        )?;
-        if plan.targets.len() as u64 != n_pages {
-            return Err(BlobError::Internal("write plan page count mismatch"));
-        }
-        let t_plan = ctx.vt;
+        let plan = self.plan(ctx, blob, range.count(), self.replication, Vec::new())?;
+        stats.lap(ctx, &mut mark, |s| &mut s.plan_ns);
 
-        // Step 2: parallel page puts — one call per (page, replica).
-        // Splitting the buffer into page-sized send buffers is O(1) per
-        // page (shared slices of the one write buffer), and every replica
-        // of a page shares the same allocation: the fan-out moves
-        // refcounts, not bytes.
-        //
-        // Page puts are the idempotent prefix of the pipeline (pages are
-        // immutable: re-putting a key re-stores identical bytes), so
-        // pages that collected zero acks — shed or unreachable replicas —
-        // are retried under the policy before the write gives up. The
-        // version-publish legs below never retry.
-        ctx.advance(self.costs.write_page_ns * n_pages);
-        let policy = opts.retry.unwrap_or(self.retry);
-        let t_retry0 = ctx.vt;
-        let mut ok_replicas: Vec<Vec<ProviderId>> = vec![Vec::new(); n_pages as usize];
-        let mut attempt = 0u32;
-        loop {
-            let mut calls: Vec<(NodeId, u16, PutPage)> = Vec::new();
-            let mut call_page: Vec<usize> = Vec::new();
-            for (i, page_idx) in range.iter().enumerate() {
-                if !ok_replicas[i].is_empty() {
-                    continue; // acked on a previous attempt
-                }
-                let key = PageKey {
-                    blob,
-                    write: plan.write,
-                    index: page_idx,
-                };
-                let start = i * geom.page_size as usize;
-                let page_data = data.slice(start..start + geom.page_size as usize);
-                for &target in &plan.targets[i] {
-                    calls.push((
-                        NodeId(target.0),
-                        method::PUT_PAGE,
-                        PutPage {
-                            key,
-                            data: page_data.clone(),
-                        },
-                    ));
-                    call_page.push(i);
-                }
-            }
-            let put_results = self.rpc.fan_out::<PutPage, ()>(ctx, &calls);
-
-            // A page is durable on the replicas that acknowledged;
-            // require at least one per page.
-            let mut last_err = None;
-            for (slot, res) in put_results.into_iter().enumerate() {
-                let page_i = call_page[slot];
-                match res {
-                    Ok(()) => ok_replicas[page_i].push(ProviderId(calls[slot].0 .0)),
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if ok_replicas.iter().all(|r| !r.is_empty()) {
-                break;
-            }
-            let err = last_err.unwrap_or(BlobError::Internal("page put failed"));
-            if self
-                .backoff(ctx, &policy, opts.deadline_ms, t_retry0, attempt, &err)
-                .is_none()
-            {
-                return Err(err);
-            }
-            attempt += 1;
-        }
-        let locs: Vec<PageLoc> = range
-            .iter()
-            .zip(ok_replicas)
-            .map(|(page_idx, replicas)| PageLoc {
-                key: PageKey {
-                    blob,
-                    write: plan.write,
-                    index: page_idx,
-                },
-                replicas,
-            })
-            .collect();
-        let t_pages = ctx.vt;
-
-        // Step 3: version number + precomputed border links.
+        // Step 2: version number + precomputed border links.
         let ticket: WriteTicket = self.rpc.call(
             ctx,
             self.vm_for(blob),
@@ -633,25 +601,112 @@ impl BlobClient {
                 size: seg.size,
             },
         )?;
-        let t_ticket = ctx.vt;
+        stats.lap(ctx, &mut mark, |s| &mut s.ticket_ns);
 
-        // Step 4: build metadata in complete isolation, then batched puts.
-        let nodes = build_write_tree(&geom, blob, &seg, &locs, &ticket)?;
+        // Step 3: split the buffer into page-sized send buffers — O(1)
+        // per page, shared slices of the one write buffer that every
+        // replica's put shares too — and weave the metadata in complete
+        // isolation, its leaves naming the planned replicas.
+        ctx.advance(self.costs.write_page_ns * range.count());
+        stats.lap(ctx, &mut mark, |s| &mut s.pages_ns);
+        let mut pages: Vec<PageLoc> = range
+            .iter()
+            .zip(plan.targets)
+            .map(|(index, replicas)| PageLoc {
+                key: PageKey {
+                    blob,
+                    write: plan.write,
+                    index,
+                },
+                replicas,
+            })
+            .collect();
+        let mut nodes = build_write_tree(&geom, blob, &seg, &pages, &ticket)?;
         ctx.advance(self.costs.build_node_ns * nodes.len() as u64);
-        self.dht.put_nodes(ctx, &nodes)?;
-        if let Some(cache) = &self.cache {
-            // Best effort: a writer never blocks on a contended cache
-            // shard just to pre-warm readers — a skipped insert costs at
-            // most one DHT fetch later.
-            for n in &nodes {
-                cache.try_insert(n.key, Arc::new(n.body.clone()));
-            }
-            ctx.advance(self.costs.cache_ns * nodes.len() as u64);
+        stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+
+        // Step 4: one burst, the metadata frames first, so the small
+        // batches leave ahead of the pages. The burst is charged to the
+        // leg that finished last; the metadata leg's own share is kept
+        // apart.
+        let (put, mut frames) = self.dht.put_frames(&nodes);
+        let n_meta = frames.len();
+        let (page_frames, page_of) = page_puts(&data, geom.page_size, &pages, |_| true);
+        frames.extend(page_frames);
+        let mut replies = self.rpc.fan_out_timed(ctx, frames);
+        let page_replies = replies.split_off(n_meta);
+        let meta_done = last_arrival(&replies, mark);
+        stats.meta_leg_ns += meta_done - mark;
+        if meta_done > last_arrival(&page_replies, mark) {
+            stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+        } else {
+            stats.lap(ctx, &mut mark, |s| &mut s.pages_ns);
         }
+        let untimed =
+            |replies: Vec<TransportResult>| replies.into_iter().map(|r| r.map(|(f, _)| f));
+        self.dht.finish_put(put, untimed(replies).collect())?;
 
-        let t_meta = ctx.vt;
+        // Every page needs one acknowledged replica before the publish.
+        let mut acked: Vec<Vec<ProviderId>> = vec![Vec::new(); pages.len()];
+        let mut last_err = absorb_puts(&page_of, untimed(page_replies), &mut acked);
+        let policy = opts.retry.unwrap_or(self.retry);
+        let t_retry0 = ctx.vt;
+        let mut excluded: Vec<ProviderId> = Vec::new();
+        let mut attempt = 0u32;
+        while acked.iter().any(Vec::is_empty) {
+            let err = last_err.unwrap_or(BlobError::Internal("page put failed"));
+            if self
+                .backoff(ctx, &policy, opts.deadline_ms, t_retry0, attempt, &err)
+                .is_some()
+            {
+                attempt += 1;
+            } else {
+                // The policy gave up on these placements: re-place the
+                // lost pages away from every provider that failed one.
+                let lost: Vec<usize> = (0..pages.len()).filter(|&i| acked[i].is_empty()).collect();
+                for &i in &lost {
+                    for p in &pages[i].replicas {
+                        if !excluded.contains(p) {
+                            excluded.push(*p);
+                        }
+                    }
+                }
+                let Ok(plan) = self.plan(
+                    ctx,
+                    blob,
+                    lost.len() as u64,
+                    self.replication,
+                    excluded.clone(),
+                ) else {
+                    return Err(err);
+                };
+                for (&i, targets) in lost.iter().zip(plan.targets) {
+                    pages[i].replicas = targets;
+                }
+            }
+            let (frames, page_of) =
+                page_puts(&data, geom.page_size, &pages, |i| acked[i].is_empty());
+            let replies = self.rpc.fan_out_frames(ctx, frames);
+            last_err = absorb_puts(&page_of, replies, &mut acked);
+        }
+        stats.lap(ctx, &mut mark, |s| &mut s.pages_ns);
 
-        // Step 5: report success; the version manager publishes in order.
+        // A leaf names the replicas that hold its page: re-put any whose
+        // replicas changed, before the version is visible.
+        let mut moved = Vec::new();
+        for node in &mut nodes {
+            if let NodeBody::Leaf { page } = &mut node.body {
+                let holders = &mut acked[(page.key.index - range.start) as usize];
+                if page.replicas != *holders {
+                    page.replicas = std::mem::take(holders);
+                    moved.push(node.clone());
+                }
+            }
+        }
+        self.dht.put_nodes(ctx, &moved)?;
+        stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+
+        // Report success; the version manager publishes in order.
         let publish: PublishState = self.rpc.call(
             ctx,
             self.vm_for(blob),
@@ -661,16 +716,46 @@ impl BlobClient {
                 version: ticket.version,
             },
         )?;
+        stats.lap(ctx, &mut mark, |s| &mut s.publish_ns);
         known.observe(publish.latest);
-        let stats = WriteStats {
-            plan_ns: t_plan - t0,
-            pages_ns: t_pages - t_plan,
-            ticket_ns: t_ticket - t_pages,
-            meta_ns: t_meta - t_ticket,
-            publish_ns: ctx.vt - t_meta,
-            nodes_built: blobseer_meta::node_count_for_write(&geom, &seg),
-        };
+        if let Some(cache) = &self.cache {
+            // Best effort: a writer never blocks on a contended cache
+            // shard just to pre-warm readers — a skipped insert costs at
+            // most one DHT fetch later.
+            ctx.advance(self.costs.cache_ns * nodes.len() as u64);
+            for n in nodes {
+                cache.try_insert(n.key, Arc::new(n.body));
+            }
+            stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+        }
         Ok((ticket.version, stats))
+    }
+
+    /// `PLAN_WRITE`: a write id and the placement of `pages` pages,
+    /// `replication` providers each, none of them in `exclude`.
+    fn plan(
+        &self,
+        ctx: &mut Ctx,
+        blob: BlobId,
+        pages: u64,
+        replication: u32,
+        exclude: Vec<ProviderId>,
+    ) -> Result<WritePlan, BlobError> {
+        let plan: WritePlan = self.rpc.call(
+            ctx,
+            self.pm,
+            method::PLAN_WRITE,
+            &PlanWrite {
+                blob,
+                pages,
+                replication,
+                exclude,
+            },
+        )?;
+        if plan.targets.len() as u64 != pages {
+            return Err(BlobError::Internal("write plan page count mismatch"));
+        }
+        Ok(plan)
     }
 
     /// `WRITE` for arbitrary segments: read-modify-write of the boundary
@@ -1228,7 +1313,7 @@ impl BlobClient {
     }
 
     /// Fan a hot page out onto one more provider: reserve placement via
-    /// the provider manager, store the already-fetched bytes there
+    /// the provider manager, away from the page's current holders, store the already-fetched bytes there
     /// (refcount, no copy), and re-put the metadata leaf with the
     /// extended replica list — the publisher/subscriber split: the
     /// original writer's primary publishes, promoted providers
@@ -1238,23 +1323,10 @@ impl BlobClient {
     /// state intact and the next threshold crossing tries again.
     fn promote_page(&self, ctx: &mut Ctx, leaf: NodeKey, loc: &PageLoc, data: &PageBuf) {
         let outcome = (|| -> Result<bool, BlobError> {
-            let plan: blobseer_proto::messages::WritePlan = self.rpc.call(
-                ctx,
-                self.pm,
-                method::PLAN_WRITE,
-                &PlanWrite {
-                    blob: loc.key.blob,
-                    pages: 1,
-                    replication: 1,
-                },
-            )?;
+            let plan = self.plan(ctx, loc.key.blob, 1, 1, loc.replicas.clone())?;
             let Some(&target) = plan.targets.first().and_then(|t| t.first()) else {
                 return Ok(false);
             };
-            if loc.replicas.contains(&target) {
-                // Placement chose an existing holder; skip this round.
-                return Ok(false);
-            }
             self.rpc.call::<PutPage, ()>(
                 ctx,
                 NodeId(target.0),
@@ -1350,4 +1422,57 @@ impl BlobClient {
         }
         Ok((removed_nodes, removed_pages))
     }
+}
+
+/// One round of page puts: a `PUT_PAGE` to every replica of every page
+/// `wanted` names, each carrying a shared slice of the write buffer (the
+/// fan-out moves refcounts, not bytes), and the (page, replica) each
+/// frame is for.
+#[allow(clippy::type_complexity)]
+fn page_puts(
+    data: &PageBuf,
+    page_size: u64,
+    pages: &[PageLoc],
+    wanted: impl Fn(usize) -> bool,
+) -> (Vec<(NodeId, Frame)>, Vec<(usize, ProviderId)>) {
+    let mut frames = Vec::new();
+    let mut page_of = Vec::new();
+    for (i, loc) in pages.iter().enumerate().filter(|&(i, _)| wanted(i)) {
+        let start = i * page_size as usize;
+        let put = PutPage {
+            key: loc.key,
+            data: data.slice(start..start + page_size as usize),
+        };
+        for &target in &loc.replicas {
+            frames.push((NodeId(target.0), Frame::from_msg(method::PUT_PAGE, &put)));
+            page_of.push((i, target));
+        }
+    }
+    (frames, page_of)
+}
+
+/// Record the replicas that acknowledged a round of [`page_puts`];
+/// returns the last failure, if any.
+fn absorb_puts(
+    page_of: &[(usize, ProviderId)],
+    replies: impl IntoIterator<Item = Result<Frame, BlobError>>,
+    acked: &mut [Vec<ProviderId>],
+) -> Option<BlobError> {
+    let mut last_err = None;
+    for (&(i, target), reply) in page_of.iter().zip(replies) {
+        match reply.and_then(|frame| parse_response::<()>(&frame)) {
+            Ok(()) => acked[i].push(target),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    last_err
+}
+
+/// When the last successful reply of a burst arrived; `since` if none
+/// did.
+fn last_arrival(replies: &[TransportResult], since: u64) -> u64 {
+    replies
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .fold(since, |last, (_, vt)| last.max(*vt))
 }

@@ -56,15 +56,17 @@ impl ReadOptions {
 /// Options for one WRITE.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WriteOptions {
-    /// Retry override for the **idempotent prefix** of the write
-    /// pipeline only — the parallel page puts (pages are immutable, so
-    /// re-putting a key re-stores identical bytes). The version-publish
+    /// Retry override for the **idempotent part** of the write pipeline
+    /// only — the parallel page puts (pages are immutable, so re-putting
+    /// a key re-stores identical bytes). When it gives up on a page, the
+    /// write re-places the page on other providers. The version-publish
     /// leg (`REQUEST_VERSION` / `COMPLETE_WRITE`) is not idempotent and
     /// never retries, whatever this is set to.
     pub retry: Option<RetryPolicy>,
     /// Admission deadline in milliseconds of virtual time for the page
-    /// puts; past it the write stops retrying sheds and fails with the
-    /// last typed error.
+    /// puts; past it the write stops retrying a page on its providers and
+    /// re-places it, failing with the last typed error only if no
+    /// provider will take it.
     pub deadline_ms: Option<u64>,
 }
 

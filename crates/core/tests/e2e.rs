@@ -5,6 +5,7 @@ use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_meta::ReferenceStore;
 use blobseer_proto::{BlobError, Segment};
 use blobseer_rpc::{AggregationPolicy, Ctx};
+use blobseer_simnet::ServiceCosts;
 use blobseer_util::rng::rng_for;
 use rand::Rng;
 
@@ -419,4 +420,37 @@ fn the_version_check_costs_no_round_trip_of_its_own() {
         "the descriptor is the check: {opened:?}"
     );
     assert_eq!(confirmed.latest_ns, 0, "{confirmed:?}");
+}
+
+#[test]
+fn pages_and_metadata_share_one_burst() {
+    // The paper's costed cell: a 1 MiB write of four 256 KiB pages.
+    const BIG: u64 = 256 << 10;
+    let d = Deployment::build(DeploymentConfig::grid5000(8));
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
+    let before = d.cluster.message_count();
+    let t0 = ctx.vt;
+    let (v, stats) = c
+        .write_with_stats(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
+        .unwrap();
+    assert_eq!(v, 1);
+    // The 20 messages of the pages-first protocol, and no more: the
+    // burst coalesces calls by destination *and* method, so a metadata
+    // batch never merges into a page batch bound for the same node.
+    assert_eq!(d.cluster.message_count() - before, 20);
+    // The five stages partition the write's virtual time.
+    assert_eq!(stats.total_ns(), ctx.vt - t0, "{stats:?}");
+    // The metadata share still holds the whole metadata store round ...
+    assert!(
+        stats.metadata_ns() >= ServiceCosts::grid5000().meta_store_ns,
+        "{stats:?}"
+    );
+    // ... which the page leg hid: the write is shorter than its page
+    // leg and its metadata back to back.
+    assert!(
+        stats.total_ns() < stats.pages_ns + stats.metadata_ns(),
+        "{stats:?}"
+    );
 }

@@ -11,8 +11,10 @@
 
 use blobseer_core::{BackendKind, Deployment, DeploymentConfig, TransportKind};
 use blobseer_meta::ReferenceStore;
-use blobseer_proto::Segment;
-use blobseer_rpc::Ctx;
+use blobseer_proto::messages::{method, MetaGetBatch, MetaGetBatchResp};
+use blobseer_proto::tree::{NodeBody, NodeKey};
+use blobseer_proto::{ProviderId, Segment};
+use blobseer_rpc::{Ctx, RpcClient};
 use blobseer_util::rng::rng_for;
 use rand::Rng;
 
@@ -134,6 +136,78 @@ fn page_replication_survives_provider_death() {
         assert_eq!(got, data, "after killing storage node {i}");
         d.revive_storage(i);
     }
+}
+
+#[test]
+fn a_page_failure_burns_no_version() {
+    // One storage node dies and the provider manager never hears of it,
+    // so plans keep placing pages there. Unreplicated pages, metadata
+    // on two replicas (the tree outlives the node), a shared cache.
+    let d = Deployment::build(
+        cfg(4)
+            .tune()
+            .replication(1)
+            .meta_replication(2)
+            .cache_nodes(4096)
+            .build(),
+    );
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
+    d.cluster.kill(d.storage_nodes[0]);
+    let dead = ProviderId(d.storage_nodes[0].0);
+
+    // 32 pages over 4 providers: some are planned onto the dead one. The
+    // write re-places them before it publishes, and takes version 1.
+    let data: Vec<u8> = (0..TOTAL).map(|i| (i % 241) as u8).collect();
+    assert_eq!(c.write(&mut ctx, info.blob, 0, &data).unwrap(), 1);
+    let (got, latest) = c.read(&mut ctx, info.blob, Some(1), seg(0, TOTAL)).unwrap();
+    assert_eq!(latest, 1);
+    assert!(got == data, "the write reads back byte-equal");
+
+    // No leaf of the write names the dead node: not on any live
+    // metadata replica, and not in the shared cache.
+    let leaves: Vec<NodeKey> = (0..PAGES)
+        .map(|i| NodeKey {
+            blob: info.blob,
+            version: 1,
+            offset: i * PAGE,
+            size: PAGE,
+        })
+        .collect();
+    let names_dead = |body: &NodeBody| match body {
+        NodeBody::Leaf { page } => page.replicas.contains(&dead),
+        NodeBody::Inner { .. } => panic!("a page-sized node is a leaf"),
+    };
+    let rpc = RpcClient::new(d.cluster.transport(), d.cluster.add_node());
+    let mut stored = 0;
+    for &node in &d.storage_nodes[1..] {
+        let resp: MetaGetBatchResp = rpc
+            .call(
+                &mut Ctx::start(),
+                node,
+                method::META_GET_BATCH,
+                &MetaGetBatch {
+                    keys: leaves.clone(),
+                },
+            )
+            .unwrap();
+        for leaf in resp.nodes.into_iter().flatten() {
+            assert!(!names_dead(&leaf.body), "DHT holds {leaf:?}");
+            stored += 1;
+        }
+    }
+    assert!(stored >= PAGES, "every leaf has a live metadata replica");
+    let cache = d.meta_cache.as_ref().expect("cache configured");
+    for key in &leaves {
+        let body = cache.get(key).expect("the writer warmed the cache");
+        assert!(!names_dead(&body), "the cache holds {body:?} at {key:?}");
+    }
+
+    // No version was burned: the next write publishes version 2.
+    let v2 = c.write(&mut ctx, info.blob, 0, &vec![7u8; PAGE as usize]);
+    assert_eq!(v2.unwrap(), 2);
+    assert_eq!(c.latest(&mut ctx, info.blob).unwrap(), 2);
 }
 
 #[test]

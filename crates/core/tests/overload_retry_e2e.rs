@@ -178,8 +178,9 @@ fn publish_legs_never_retry_even_with_a_policy_set() {
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
 
-    // Kill the version manager: the write sails through plan + page
-    // puts and dies at REQUEST_VERSION — the non-idempotent leg.
+    // Kill the version manager: the write sails through its plan and
+    // dies at REQUEST_VERSION — the non-idempotent leg — before any page
+    // moves.
     d.cluster.kill(d.vm_node);
     let t0 = Instant::now();
     let err = c

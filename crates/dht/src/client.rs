@@ -33,77 +33,94 @@ impl DhtClient {
 
     /// Store nodes on every replica. Succeeds if **every node** reached at
     /// least one replica; the error carries the first failure otherwise.
-    ///
-    /// With aggregation enabled (the default), all nodes bound for one
-    /// provider travel in a single `META_PUT_BATCH` message — the paper's
-    /// streamed-RPC optimization. With `AggregationPolicy::PerCall`, every
-    /// node is its own `META_PUT` message (the `ablate-agg` baseline).
+    /// The composition of [`DhtClient::put_frames`] and
+    /// [`DhtClient::finish_put`] over a burst of its own.
     pub fn put_nodes(&self, ctx: &mut Ctx, nodes: &[TreeNode]) -> Result<(), BlobError> {
         if nodes.is_empty() {
             return Ok(());
         }
-        if self.rpc.aggregation() == blobseer_rpc::AggregationPolicy::PerCall {
-            return self.put_nodes_per_item(ctx, nodes);
-        }
-        // (destination, node indices) for every replica of every node.
-        let mut assignments: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        for (i, n) in nodes.iter().enumerate() {
-            for dest in self.ring.replicas(n.key.routing_key()) {
-                match assignments.iter_mut().find(|(d, _)| *d == dest) {
-                    Some((_, idxs)) => idxs.push(i),
-                    None => assignments.push((dest, vec![i])),
-                }
-            }
-        }
-        let calls: Vec<(NodeId, u16, MetaPutBatch)> = assignments
-            .iter()
-            .map(|(dest, idxs)| {
-                (
-                    *dest,
-                    method::META_PUT_BATCH,
-                    MetaPutBatch {
-                        nodes: idxs.iter().map(|&i| nodes[i].clone()).collect(),
-                    },
-                )
-            })
-            .collect();
-        let results = self.rpc.fan_out::<MetaPutBatch, ()>(ctx, &calls);
-        // A node is stored iff at least one of its replica batches landed.
-        let mut stored = vec![false; nodes.len()];
-        let mut first_err = None;
-        for ((_, idxs), res) in assignments.iter().zip(results) {
-            match res {
-                Ok(()) => {
-                    for &i in idxs {
-                        stored[i] = true;
-                    }
-                }
-                Err(e) => first_err = Some(e),
-            }
-        }
-        if stored.iter().all(|&s| s) {
-            Ok(())
-        } else {
-            Err(first_err.unwrap_or(BlobError::Internal("metadata put failed")))
-        }
+        let (put, frames) = self.put_frames(nodes);
+        let replies = self.rpc.fan_out_frames(ctx, frames);
+        self.finish_put(put, replies)
     }
 
-    /// Unaggregated puts: one `META_PUT` call per (node, replica).
-    fn put_nodes_per_item(&self, ctx: &mut Ctx, nodes: &[TreeNode]) -> Result<(), BlobError> {
-        // Calls, and the number of them each node owns.
-        let mut calls: Vec<(NodeId, u16, MetaPut)> = Vec::new();
-        let mut replica_counts = Vec::with_capacity(nodes.len());
-        for n in nodes {
-            let dests = self.ring.replicas(n.key.routing_key());
-            replica_counts.push(dests.len());
-            calls.extend(
-                dests
-                    .into_iter()
-                    .map(|dest| (dest, method::META_PUT, MetaPut { node: n.clone() })),
-            );
+    /// A [`DhtClient::put_nodes`] as frames. The caller sends them — in a
+    /// burst of its own, if it likes — and hands their replies, in order,
+    /// to [`DhtClient::finish_put`].
+    ///
+    /// With aggregation enabled (the default), all nodes bound for one
+    /// provider travel in a single `META_PUT_BATCH` message — the paper's
+    /// streamed-RPC optimization. With `AggregationPolicy::PerCall`, every
+    /// (node, replica) is its own `META_PUT` message (the `ablate-agg`
+    /// baseline).
+    pub fn put_frames(&self, nodes: &[TreeNode]) -> (NodePut, Vec<(NodeId, Frame)>) {
+        if self.rpc.aggregation() == blobseer_rpc::AggregationPolicy::PerCall {
+            let mut frames = Vec::new();
+            let mut replica_counts = Vec::with_capacity(nodes.len());
+            for n in nodes {
+                let dests = self.ring.replicas(n.key.routing_key());
+                replica_counts.push(dests.len());
+                let put = Frame::from_msg(method::META_PUT, &MetaPut { node: n.clone() });
+                frames.extend(dests.into_iter().map(|dest| (dest, put.clone())));
+            }
+            return (NodePut(PutShape::PerItem(replica_counts)), frames);
         }
-        let results = self.rpc.fan_out::<MetaPut, ()>(ctx, &calls);
-        first_unstored(&results, &replica_counts).map_or(Ok(()), Err)
+        // (destination, node indices) for every replica of every node.
+        let mut groups = Groups::new();
+        for (i, n) in nodes.iter().enumerate() {
+            for dest in self.ring.replicas(n.key.routing_key()) {
+                match groups.iter_mut().find(|(d, _)| *d == dest) {
+                    Some((_, idxs)) => idxs.push(i),
+                    None => groups.push((dest, vec![i])),
+                }
+            }
+        }
+        let frames = groups
+            .iter()
+            .map(|(dest, idxs)| {
+                let batch = MetaPutBatch {
+                    nodes: idxs.iter().map(|&i| nodes[i].clone()).collect(),
+                };
+                (*dest, Frame::from_msg(method::META_PUT_BATCH, &batch))
+            })
+            .collect();
+        let put = PutShape::Batched {
+            nodes: nodes.len(),
+            groups,
+        };
+        (NodePut(put), frames)
+    }
+
+    /// Judge the replies to [`DhtClient::put_frames`]' frames: a node is
+    /// stored iff at least one of its replica puts landed.
+    pub fn finish_put(
+        &self,
+        put: NodePut,
+        replies: Vec<Result<Frame, BlobError>>,
+    ) -> Result<(), BlobError> {
+        let results: Vec<Result<(), BlobError>> = replies
+            .into_iter()
+            .map(|reply| reply.and_then(|frame| parse_response(&frame)))
+            .collect();
+        let unstored = match put.0 {
+            PutShape::PerItem(replica_counts) => first_unstored(&results, &replica_counts),
+            PutShape::Batched { nodes, groups } => {
+                let mut stored = vec![false; nodes];
+                let mut first_err = None;
+                for ((_, idxs), res) in groups.iter().zip(results) {
+                    match res {
+                        Ok(()) => idxs.iter().for_each(|&i| stored[i] = true),
+                        Err(e) => first_err = Some(e),
+                    }
+                }
+                if stored.iter().all(|&s| s) {
+                    None
+                } else {
+                    Some(first_err.unwrap_or(BlobError::Internal("metadata put failed")))
+                }
+            }
+        };
+        unstored.map_or(Ok(()), Err)
     }
 
     /// Fetch nodes by key, in key order (`None` = definitely missing on
@@ -234,7 +251,20 @@ pub struct NodeFetch {
     groups: Groups,
 }
 
-/// The key indices each message of one attempt carries, by destination.
+/// A [`DhtClient::put_nodes`] whose frames are in flight: which nodes
+/// each frame stores.
+pub struct NodePut(PutShape);
+
+enum PutShape {
+    /// One `META_PUT_BATCH` per destination: `nodes` nodes in all, and
+    /// the node indices each destination's batch carries.
+    Batched { nodes: usize, groups: Groups },
+    /// One `META_PUT` per (node, replica), each node's replicas back to
+    /// back: how many replicas each node has.
+    PerItem(Vec<usize>),
+}
+
+/// The node or key indices each message carries, by destination.
 type Groups = Vec<(NodeId, Vec<usize>)>;
 
 /// Fold one attempt's replies into `out`; returns the key indices still

@@ -20,7 +20,7 @@ pub mod node;
 pub mod ring;
 pub mod wal;
 
-pub use client::{DhtClient, NodeFetch};
+pub use client::{DhtClient, NodeFetch, NodePut};
 pub use node::DhtNodeService;
 pub use ring::Ring;
 pub use wal::{MetaBackend, VolatileMeta, WalMeta};

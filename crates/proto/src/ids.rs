@@ -63,8 +63,9 @@ id_newtype!(
 
 id_newtype!(
     /// Unique identifier of one WRITE operation, issued by the provider
-    /// manager *before* the version number exists (pages are written first;
-    /// the version is assigned afterwards by the version manager).
+    /// manager's plan *before* the version number exists: the plan is a
+    /// write's first step, and its pages are keyed by this id, not by
+    /// the version the version manager assigns afterwards.
     WriteId,
     u64
 );

@@ -162,7 +162,7 @@ pub struct Heartbeat {
 wire_struct!(Heartbeat { provider, stats });
 
 /// Ask the provider manager to plan a write of `pages` pages.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PlanWrite {
     /// Blob being written.
     pub blob: BlobId,
@@ -170,11 +170,16 @@ pub struct PlanWrite {
     pub pages: u64,
     /// Desired number of replicas per page (1 = no replication).
     pub replication: u32,
+    /// Providers the plan must not use: those a write's page puts just
+    /// failed on, when it re-places the pages; or a page's existing
+    /// holders, when a hot page fans out.
+    pub exclude: Vec<ProviderId>,
 }
 wire_struct!(PlanWrite {
     blob,
     pages,
-    replication
+    replication,
+    exclude
 });
 
 /// The provider manager's answer: a fresh write id and, for each page, the
@@ -582,6 +587,7 @@ mod tests {
             blob: BlobId(1),
             pages: 256,
             replication: 2,
+            exclude: vec![ProviderId(3), ProviderId(9)],
         });
         roundtrip(WritePlan {
             write: WriteId(77),

@@ -102,10 +102,13 @@ wire_struct!(PageLoc { key, replicas });
 
 /// Storage key of one written page.
 ///
-/// Pages are written *before* the write knows its version number (paper
-/// §III.B), so the key is `(blob, write_id, page_index)` with `write_id`
-/// issued by the provider manager; the version label is attached when the
-/// metadata is built.
+/// The key is `(blob, write_id, page_index)`, with `write_id` issued by
+/// the provider manager's plan; the version label lives only in the
+/// metadata. The paper stores pages *before* the write knows its version
+/// (§III.B). Here pages travel after the version is known, in the same
+/// burst as the metadata, but they are still keyed by write id: a page
+/// re-placed after a failed put keeps its key, and nothing about a page
+/// depends on the version it ends up in.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageKey {
     /// Owning blob.

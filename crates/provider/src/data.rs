@@ -828,12 +828,16 @@ mod tests {
         let ceiling = before.reserved_bytes();
 
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The compaction starts only once the observer has sampled, so a
+        // loaded host cannot schedule the observer after the window.
+        let sampled = Arc::new(std::sync::Barrier::new(2));
         let observer = {
             let p = Arc::clone(&p);
             let stop = Arc::clone(&stop);
+            let sampled = Arc::clone(&sampled);
             std::thread::spawn(move || {
                 let mut samples = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let s = p.stats();
                     assert!(
                         s.reserved_bytes() <= ceiling,
@@ -842,10 +846,17 @@ mod tests {
                         ceiling
                     );
                     samples += 1;
+                    if samples == 1 {
+                        sampled.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 samples
             })
         };
+        sampled.wait();
         let report = p.compact().unwrap().expect("mmap compacts");
         stop.store(true, Ordering::Relaxed);
         assert!(observer.join().unwrap() > 0, "observer sampled the window");

@@ -263,15 +263,26 @@ impl ProviderManagerService {
     /// the roster is an RCU snapshot and every capacity reservation is a
     /// CAS.
     pub fn plan_write(&self, pages: u64, replication: u32) -> Result<WritePlan, BlobError> {
+        self.plan_write_excluding(pages, replication, &[])
+    }
+
+    /// [`plan_write`](Self::plan_write) over the live providers not in
+    /// `exclude`: the only candidates `pick_power_of_two` samples from.
+    fn plan_write_excluding(
+        &self,
+        pages: u64,
+        replication: u32,
+        exclude: &[ProviderId],
+    ) -> Result<WritePlan, BlobError> {
         let write = WriteId(self.next_write.fetch_add(1, Ordering::Relaxed));
         let page_bytes = self.page_size_hint.load(Ordering::Relaxed);
         let roster = self.roster.load();
         let slots = &roster.slots;
         let alive: Vec<usize> = (0..slots.len())
-            .filter(|&i| slots[i].alive.load(Ordering::Relaxed))
+            .filter(|&i| slots[i].alive.load(Ordering::Relaxed) && !exclude.contains(&slots[i].id))
             .collect();
         if alive.is_empty() {
-            return Err(BlobError::Unreachable("no data providers registered"));
+            return Err(BlobError::Unreachable("no eligible data provider"));
         }
         let replication = (replication.max(1) as usize).min(alive.len());
         // Each page's targets encode as a length prefix plus one id per
@@ -417,7 +428,7 @@ impl Service for ProviderManagerService {
                 Ok(())
             }),
             method::PLAN_WRITE => respond(frame, |m: PlanWrite| {
-                self.plan_write(m.pages, m.replication)
+                self.plan_write_excluding(m.pages, m.replication, &m.exclude)
             }),
             method::LIST_PROVIDERS => respond(frame, |_: ()| Ok(self.provider_ids())),
             other => error_frame(other, BlobError::Internal("unknown manager method")),
@@ -607,6 +618,7 @@ mod tests {
                     blob: blobseer_proto::BlobId(1),
                     pages,
                     replication: 1,
+                    exclude: Vec::new(),
                 },
             );
             blobseer_rpc::parse_response::<WritePlan>(&m.handle(&mut ServerCtx::new(0), &frame))
@@ -616,6 +628,23 @@ mod tests {
             Err(BlobError::Internal("remote codec error"))
         ));
         assert_eq!(plan(4).unwrap().targets.len(), 4);
+    }
+
+    #[test]
+    fn plans_never_use_an_excluded_provider() {
+        let m = mgr();
+        let exclude = [ProviderId(0), ProviderId(2)];
+        for _ in 0..32 {
+            let plan = m.plan_write_excluding(8, 2, &exclude).unwrap();
+            for targets in &plan.targets {
+                assert_eq!(targets.len(), 2);
+                assert!(targets.iter().all(|t| !exclude.contains(t)), "{targets:?}");
+            }
+        }
+        // Nothing left to place on is an error, not a plan onto the
+        // excluded providers.
+        let all: Vec<ProviderId> = (0..4).map(ProviderId).collect();
+        assert!(m.plan_write_excluding(1, 1, &all).is_err());
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   frames, so one burst may mix methods and destinations — a read
 //!   sends its version check in the same burst as its first metadata or
 //!   page fetch. The typed `fan_out` is a thin wrapper over it.
-//! * When [`AggregationPolicy::Batch`] is active, fan-out calls to the
-//!   same destination are coalesced into a single batch frame — the
-//!   paper's optimization, togglable so the `ablate-agg` bench can
-//!   quantify it.
+//! * When [`AggregationPolicy::Batch`] is active, fan-out calls of one
+//!   method to one destination are coalesced into a single batch frame —
+//!   the paper's optimization, togglable so the `ablate-agg` bench can
+//!   quantify it. Calls of different methods travel apart, so a small
+//!   metadata batch never rides behind a page bound for the same node.
 //!
 //! # One path, two kinds of concurrency
 //!
@@ -41,7 +42,7 @@
 
 use crate::frame::Frame;
 use crate::service::parse_response;
-use crate::transport::{Ctx, Transport};
+use crate::transport::{Ctx, Transport, TransportResult};
 use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, NodeId};
 use std::sync::Arc;
@@ -131,27 +132,42 @@ impl RpcClient {
     /// input order. Timing as in [`RpcClient::fan_out`].
     ///
     /// With [`AggregationPolicy::Batch`], calls sharing a destination
-    /// travel in one message and their responses in one message back.
-    /// Every message of the fan-out goes to the transport in **one**
-    /// [`Transport::call_many`], so a transport with real wires has them
-    /// all in flight at once (see the module docs).
+    /// *and* a method travel in one message and their responses in one
+    /// message back. Every message of the fan-out goes to the transport
+    /// in **one** [`Transport::call_many`], so a transport with real
+    /// wires has them all in flight at once (see the module docs).
     pub fn fan_out_frames(
         &self,
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
     ) -> Vec<Result<Frame, BlobError>> {
+        self.fan_out_timed(ctx, calls)
+            .into_iter()
+            .map(|reply| reply.map(|(frame, _)| frame))
+            .collect()
+    }
+
+    /// [`RpcClient::fan_out_frames`], with each reply's virtual arrival
+    /// time: a caller whose burst carries independent legs learns when
+    /// each of them finished, not just the join.
+    pub fn fan_out_timed(
+        &self,
+        ctx: &mut Ctx,
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<TransportResult> {
         // Group: the calls each real message carries, in order of first
         // appearance. Without aggregation every call is its own.
         let batch = self.aggregation == AggregationPolicy::Batch;
         let mut results = Vec::with_capacity(calls.len());
-        let mut groups: Vec<(NodeId, Vec<usize>, Vec<Frame>)> = Vec::new();
+        let mut groups: Vec<(_, Vec<usize>, Vec<Frame>)> = Vec::new();
         for (i, (to, frame)) in calls.into_iter().enumerate() {
-            match groups.iter_mut().find(|(n, _, _)| batch && *n == to) {
+            let key = (to, frame.method);
+            match groups.iter_mut().find(|(k, _, _)| batch && *k == key) {
                 Some((_, idxs, frames)) => {
                     idxs.push(i);
                     frames.push(frame);
                 }
-                None => groups.push((to, vec![i], vec![frame])),
+                None => groups.push((key, vec![i], vec![frame])),
             }
         }
 
@@ -159,7 +175,7 @@ impl RpcClient {
         // frame. A batch that does not encode never reaches the transport.
         let mut frames = Vec::with_capacity(groups.len());
         let mut sent = Vec::with_capacity(groups.len());
-        for (to, idxs, group) in groups {
+        for ((to, _), idxs, group) in groups {
             let framed = match <[Frame; 1]>::try_from(group) {
                 Ok([frame]) => Ok(frame),
                 Err(group) => Frame::batch(group),
@@ -185,6 +201,9 @@ impl RpcClient {
                 Ok((resp, vt)) => {
                     ctx.vt = ctx.vt.max(vt);
                     scatter(resp, idxs.len())
+                        .into_iter()
+                        .map(|r| r.map(|frame| (frame, vt)))
+                        .collect()
                 }
                 Err(e) => fail_all(&e, idxs.len()),
             };
@@ -288,8 +307,9 @@ mod tests {
 
     #[test]
     fn one_burst_mixes_methods_and_destinations() {
-        // Method 7 travels beside method 1 to `a`: with aggregation both
-        // ride one batch message, and each reply comes back in call order.
+        // Method 7 travels beside method 1 to `a` in one burst: with
+        // aggregation each method rides its own message, and each reply
+        // comes back in call order.
         let (t, c, a, b) = setup();
         let rpc = RpcClient::new(Arc::clone(&t) as _, c);
         let calls = vec![
@@ -299,7 +319,11 @@ mod tests {
         ];
         let before = t.message_count();
         let replies = rpc.fan_out_frames(&mut Ctx::start(), calls);
-        assert_eq!(t.message_count() - before, 2, "one message per destination");
+        assert_eq!(
+            t.message_count() - before,
+            3,
+            "one message per destination and method"
+        );
         let got: Vec<(u16, u64)> = replies
             .iter()
             .map(|r| {
@@ -308,6 +332,42 @@ mod tests {
             })
             .collect();
         assert_eq!(got, vec![(1, 11), (1, 21), (7, 31)]);
+    }
+
+    #[test]
+    fn calls_coalesce_by_destination_and_method() {
+        // Records the method of every call it handles, in handling order.
+        struct Log(parking_lot::Mutex<Vec<u16>>);
+        impl Service for Log {
+            fn handle(&self, _ctx: &mut ServerCtx, frame: &Frame) -> Frame {
+                self.0.lock().push(frame.method);
+                respond(frame, |x: u64| Ok(x + 1))
+            }
+        }
+        let t = Arc::new(InProcTransport::new());
+        let c = t.add_node();
+        let a = t.add_node();
+        let log = Arc::new(Log(parking_lot::Mutex::new(Vec::new())));
+        t.bind(a, Arc::clone(&log) as _);
+        let rpc = RpcClient::new(Arc::clone(&t) as _, c);
+        // Two methods, interleaved, to one destination: the method-7
+        // calls (first in the burst) share one message, the method-1
+        // calls another, and the messages leave in call order.
+        let calls = vec![
+            (a, Frame::from_msg(7, &10u64)),
+            (a, Frame::from_msg(1, &20u64)),
+            (a, Frame::from_msg(7, &30u64)),
+            (a, Frame::from_msg(1, &40u64)),
+        ];
+        let before = t.message_count();
+        let replies = rpc.fan_out_frames(&mut Ctx::start(), calls);
+        assert_eq!(t.message_count() - before, 2, "one message per method");
+        assert_eq!(*log.0.lock(), vec![7, 7, 1, 1], "messages in call order");
+        let got: Vec<u64> = replies
+            .iter()
+            .map(|r| parse_response(r.as_ref().unwrap()).unwrap())
+            .collect();
+        assert_eq!(got, vec![11, 21, 31, 41], "replies in call order");
     }
 
     #[test]

@@ -138,6 +138,9 @@ pub struct VersionGrant {
 struct GrantCell {
     write: WriteId,
     seg: Segment,
+    /// The segment's border children, computed before the follower
+    /// queued: geometry needs no lock.
+    specs: Vec<Segment>,
     slot: Mutex<GrantSlot>,
     ready: Condvar,
 }
@@ -149,10 +152,11 @@ struct GrantSlot {
 }
 
 impl GrantCell {
-    fn new(write: WriteId, seg: Segment) -> Self {
+    fn new(write: WriteId, seg: Segment, specs: Vec<Segment>) -> Self {
         Self {
             write,
             seg,
+            specs,
             // lint: allow(unmetered-lock) — grant-protocol plumbing: a parked
             // follower's handoff slot; the one metered acquisition for the whole
             // grant is recorded by its leader (see lead_grants)
@@ -273,13 +277,17 @@ impl BlobState {
         seg: Segment,
     ) -> Result<VersionGrant, BlobError> {
         self.geom.validate_aligned(&seg)?;
+        // The border children are pure geometry: computed here, outside
+        // every lock, so the assignment critical section only reads and
+        // updates the version index.
+        let mut specs = border_specs(&self.geom, &seg);
         if !self.batched {
             // Per-op ablation: every writer pays its own acquisition —
             // the pre-PR-10 behaviour, kept as the measured ablation.
             blobseer_util::lockmeter::record_version_assign();
             let ticket = {
                 let mut st = self.assign.lock();
-                self.assign_locked(&mut st, &seg)?
+                self.assign_locked(&mut st, &seg, &specs)?
             };
             self.record_assignment(write, seg, ticket.version);
             return Ok(VersionGrant {
@@ -293,7 +301,7 @@ impl BlobState {
             // the assignment work is metered once per grant by the leader
             let mut q = self.grants.lock();
             if q.leading {
-                let cell = Arc::new(GrantCell::new(write, seg));
+                let cell = Arc::new(GrantCell::new(write, seg, std::mem::take(&mut specs)));
                 q.pending.push(Arc::clone(&cell));
                 Some(cell)
             } else {
@@ -322,7 +330,7 @@ impl BlobState {
                     group,
                 })
             }
-            None => self.lead_grants(write, seg),
+            None => self.lead_grants(write, seg, &specs),
         }
     }
 
@@ -332,7 +340,12 @@ impl BlobState {
     /// every queued writer (plus the leader's own request in the first
     /// round). Leadership is released only under the queue lock after an
     /// empty-queue check, so a parked cell can never be stranded.
-    fn lead_grants(&self, write: WriteId, seg: Segment) -> Result<VersionGrant, BlobError> {
+    fn lead_grants(
+        &self,
+        write: WriteId,
+        seg: Segment,
+        specs: &[Segment],
+    ) -> Result<VersionGrant, BlobError> {
         if !self.grant_window.is_zero() {
             std::thread::sleep(self.grant_window);
         }
@@ -358,10 +371,10 @@ impl BlobState {
             {
                 let mut st = self.assign.lock();
                 if serve_own {
-                    own = Some((self.assign_locked(&mut st, &seg), group));
+                    own = Some((self.assign_locked(&mut st, &seg, specs), group));
                 }
                 for cell in &batch {
-                    granted.push(self.assign_locked(&mut st, &cell.seg));
+                    granted.push(self.assign_locked(&mut st, &cell.seg, &cell.specs));
                 }
             }
             // Outside the assignment mutex: record history for every
@@ -393,8 +406,9 @@ impl BlobState {
         })
     }
 
-    /// The assignment critical section for one writer: `O(log n)`
-    /// interval-map queries, never across I/O.
+    /// The assignment critical section for one writer, whose border
+    /// children `specs` (`border_specs` of `seg`) were computed before the
+    /// lock: `O(log n)` interval-map queries, never across I/O.
     ///
     /// A full publish window — as many granted but unpublished versions
     /// as the window holds — refuses the grant as a typed
@@ -403,17 +417,19 @@ impl BlobState {
     /// stall: if that writer died between grant and publish, the window
     /// stays full until a cold restart (what a lease that aborts a dead
     /// grant would fix).
-    fn assign_locked(&self, st: &mut AssignState, seg: &Segment) -> Result<WriteTicket, BlobError> {
+    fn assign_locked(
+        &self,
+        st: &mut AssignState,
+        seg: &Segment,
+        specs: &[Segment],
+    ) -> Result<WriteTicket, BlobError> {
         let v = st.next_version;
         if self.window.would_overflow(v) {
             return Err(BlobError::Overload {
                 retry_after_hint: WINDOW_FULL_RETRY_HINT_MS,
             });
         }
-        let specs = border_specs(&self.geom, seg);
-        let links = borders_to_links(&specs, |child| {
-            st.index.range_max(child.offset, child.end())
-        });
+        let links = borders_to_links(specs, |child| st.index.range_max(child.offset, child.end()));
         st.index.assign(seg.offset, seg.end(), v);
         st.next_version += 1;
         Ok(WriteTicket {
