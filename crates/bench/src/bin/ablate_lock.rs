@@ -142,10 +142,11 @@ fn main() {
         &table,
     );
     println!(
-        "\nwhat to look for: under mixed load the lock-based stores show inflated worst-case \
-         latencies (readers stall behind multi-MB write holds; writers starve behind reader \
-         floods on the per-page store), while the versioned lock-free store keeps tail \
-         latencies near its uncontended values — and is the only one able to serve stable \
-         snapshots at all (its readers pin a version; the others read whatever mix is current)."
+        "\nwhat the table compares: the shipped versioned protocol (every op framed and sent \
+         over the simulated network, tree nodes fetched and stored through DHT hops) against \
+         two in-process maps behind a global or a per-page RwLock, which pay no frame or hop. \
+         It compares a protocol with a data structure, so it does not test the paper's \
+         lock-free claim; a like-for-like lock-based deployment is ROADMAP item 2. Only the \
+         versioned store serves stable snapshots (its readers pin a version)."
     );
 }

@@ -25,16 +25,22 @@
 //!   failures. [`WriteStats::metadata_ns`] still reports the metadata
 //!   round's own time, overlapped or not.
 //!
+//! The op surface is one method per buffer shape: `write` (borrowed
+//! slice), `write_with_stats` (the same, with the Figure 3(b) breakdown)
+//! and `write_buf` (a shared [`PageBuf`], the write pipeline itself);
+//! `read`, `read_with_stats`, `read_into` (a caller's buffer) and
+//! `read_buf` (a shared [`PageBuf`]), each one retry loop around one
+//! read engine. The version pin is a plain argument, and retry is the
+//! client's policy ([`BlobClient::with_retry_policy`]), never per call.
+//!
 //! The client charges its own per-node processing costs (deserialization,
 //! tree descent, buffer stitching) to the virtual clock — the paper notes
 //! "the main limiting factor is actually the performance of the client's
 //! processing power", and reproducing Figure 3(a) depends on it.
 
 use crate::heat::HeatTracker;
-use crate::options::{ReadOptions, WriteOptions};
 use blobseer_dht::{DhtClient, Ring};
 use blobseer_meta::read::{assemble_read, assemble_read_into, expand, root_key, Visit};
-use blobseer_meta::shape::align_to_pages;
 use blobseer_meta::write::build_write_tree;
 use blobseer_proto::messages::{
     method, BlobInfo, CompleteWrite, CreateBlob, GcRequest, GetLatest, GetPage, PlanWrite,
@@ -302,9 +308,9 @@ impl BlobClient {
         self.vms.route(blob.0)
     }
 
-    /// Set the client-wide default [`RetryPolicy`], applied to
-    /// idempotent operations when a call's options don't override it.
-    /// The default is [`RetryPolicy::none`] (fail fast).
+    /// Set the client's [`RetryPolicy`], applied to its idempotent
+    /// operations: whole reads and the page puts of a write. The default
+    /// is [`RetryPolicy::none`] (fail fast).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -325,27 +331,11 @@ impl BlobClient {
     /// Back off before retry `attempt`, spending the delay on both
     /// clocks: the virtual clock (so sim benches see queueing delay)
     /// and the wall clock (so TCP peers actually get air). Returns
-    /// `None` — ending the retry loop — once the policy or the caller's
-    /// `deadline_ms` budget (measured in virtual time since `t0`) is
-    /// exhausted, or the error is not retryable.
-    fn backoff(
-        &self,
-        ctx: &mut Ctx,
-        policy: &RetryPolicy,
-        deadline_ms: Option<u64>,
-        t0: u64,
-        attempt: u32,
-        err: &BlobError,
-    ) -> Option<()> {
-        let delay = policy.backoff_for(attempt, err)?;
-        let delay_ns = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(ms) = deadline_ms {
-            let budget_ns = ms.saturating_mul(1_000_000);
-            if (ctx.vt - t0).saturating_add(delay_ns) > budget_ns {
-                return None;
-            }
-        }
-        ctx.advance(delay_ns);
+    /// `None` — ending the retry loop — once the client's policy is
+    /// exhausted or the error is not retryable.
+    fn backoff(&self, ctx: &mut Ctx, attempt: u32, err: &BlobError) -> Option<()> {
+        let delay = self.retry.backoff_for(attempt, err)?;
+        ctx.advance(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
         if delay > Duration::ZERO {
             std::thread::sleep(delay);
         }
@@ -481,44 +471,6 @@ impl BlobClient {
         Ok(self.write_with_stats(ctx, blob, offset, data)?.0)
     }
 
-    /// Zero-copy `WRITE`: the caller's buffer is shared, never copied.
-    pub fn write_buf(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: PageBuf,
-    ) -> Result<Version, BlobError> {
-        Ok(self.write_buf_with_stats(ctx, blob, offset, data)?.0)
-    }
-
-    /// Canonical `WRITE` entry point: zero-copy buffer plus
-    /// [`WriteOptions`] (retry override for the idempotent page puts,
-    /// admission deadline). The other write methods are thin forwards.
-    pub fn write_buf_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: PageBuf,
-        opts: &WriteOptions,
-    ) -> Result<Version, BlobError> {
-        Ok(self.write_buf_stats_with(ctx, blob, offset, data, opts)?.0)
-    }
-
-    /// [`BlobClient::write_buf_with`] for a borrowed slice (one metered
-    /// copy into a shared [`PageBuf`], like [`BlobClient::write`]).
-    pub fn write_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: &[u8],
-        opts: &WriteOptions,
-    ) -> Result<Version, BlobError> {
-        self.write_buf_with(ctx, blob, offset, PageBuf::copy_from_slice(data), opts)
-    }
-
     /// [`BlobClient::write`] with per-phase virtual-time breakdown — the
     /// instrument behind Figure 3(b), which reports the *metadata* share
     /// of a write.
@@ -529,23 +481,14 @@ impl BlobClient {
         offset: u64,
         data: &[u8],
     ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_buf_with_stats(ctx, blob, offset, PageBuf::copy_from_slice(data))
+        self.write_buf(ctx, blob, offset, PageBuf::copy_from_slice(data))
     }
 
-    /// [`BlobClient::write_buf`] with per-phase breakdown.
-    pub fn write_buf_with_stats(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: PageBuf,
-    ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_buf_stats_with(ctx, blob, offset, data, &WriteOptions::default())
-    }
-
-    /// The full write pipeline, with the per-phase breakdown, in four
-    /// dependent steps: plan → `REQUEST_VERSION` → one burst →
-    /// `COMPLETE_WRITE`.
+    /// Zero-copy `WRITE`: the caller's buffer is shared, never copied.
+    /// Returns the version and the per-phase breakdown.
+    ///
+    /// The write runs in four dependent steps: plan → `REQUEST_VERSION`
+    /// → one burst → `COMPLETE_WRITE`.
     ///
     /// The version comes before the pages: the ticket is all the weave
     /// needs besides the plan's placement, so the metadata is woven in
@@ -556,24 +499,22 @@ impl BlobClient {
     ///
     /// The pages are the idempotent part (pages are immutable: re-putting
     /// a key re-stores identical bytes). A page no replica acknowledged
-    /// is put again under the retry policy (`opts`, else the client
-    /// default); once the policy gives up, the page is re-planned away
-    /// from every provider that failed it (`PlanWrite::exclude`), put
-    /// there, and its leaf re-put naming where it now lives. A leaf that
-    /// lost some of its replicas is re-put naming the ones that acked.
-    /// All of it happens before `COMPLETE_WRITE`, so a failed page burns
-    /// no version, and no reader sees a leaf of this version before it is
-    /// published. The shared cache is warmed only once the publish
+    /// is put again under the client's retry policy; once the policy
+    /// gives up, the page is re-planned away from every provider that
+    /// failed it (`PlanWrite::exclude`), put there, and its leaf re-put
+    /// naming where it now lives. A leaf that lost some of its replicas
+    /// is re-put naming the ones that acked. All of it happens before
+    /// `COMPLETE_WRITE`, so a failed page burns no version, and no reader
+    /// sees a leaf of this version before it is published. The shared cache is warmed only once the publish
     /// succeeded. The write still fails after its ticket, leaving its
     /// version unpublished, if no provider will take a page or a tree
     /// node reaches no metadata replica; `COMPLETE_WRITE` never retries.
-    pub fn write_buf_stats_with(
+    pub fn write_buf(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
         offset: u64,
         data: PageBuf,
-        opts: &WriteOptions,
     ) -> Result<(Version, WriteStats), BlobError> {
         let mut mark = ctx.vt;
         let seg = Segment::new(offset, data.len() as u64);
@@ -649,16 +590,11 @@ impl BlobClient {
         // Every page needs one acknowledged replica before the publish.
         let mut acked: Vec<Vec<ProviderId>> = vec![Vec::new(); pages.len()];
         let mut last_err = absorb_puts(&page_of, untimed(page_replies), &mut acked);
-        let policy = opts.retry.unwrap_or(self.retry);
-        let t_retry0 = ctx.vt;
         let mut excluded: Vec<ProviderId> = Vec::new();
         let mut attempt = 0u32;
         while acked.iter().any(Vec::is_empty) {
             let err = last_err.unwrap_or(BlobError::Internal("page put failed"));
-            if self
-                .backoff(ctx, &policy, opts.deadline_ms, t_retry0, attempt, &err)
-                .is_some()
-            {
+            if self.backoff(ctx, attempt, &err).is_some() {
                 attempt += 1;
             } else {
                 // The policy gave up on these placements: re-place the
@@ -758,31 +694,6 @@ impl BlobClient {
         Ok(plan)
     }
 
-    /// `WRITE` for arbitrary segments: read-modify-write of the boundary
-    /// pages against the latest published snapshot. Note the paper's model
-    /// only defines aligned segments (§II); this extension patches at page
-    /// granularity, so two *concurrent* unaligned writers touching the
-    /// same boundary page resolve last-writer-wins on that page.
-    pub fn write_unaligned(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<Version, BlobError> {
-        let seg = Segment::new(offset, data.len() as u64);
-        let geom = self.entry(ctx, blob)?.0.geom;
-        geom.validate_bounds(&seg)?;
-        let envelope = align_to_pages(&geom, &seg);
-        if envelope == seg {
-            return self.write(ctx, blob, offset, data);
-        }
-        let (mut buf, _latest) = self.read(ctx, blob, None, envelope)?;
-        let start = (seg.offset - envelope.offset) as usize;
-        buf[start..start + data.len()].copy_from_slice(data);
-        self.write(ctx, blob, envelope.offset, &buf)
-    }
-
     // ------------------------------------------------------------------
     // READ
     // ------------------------------------------------------------------
@@ -804,25 +715,25 @@ impl BlobClient {
         version: Option<Version>,
         seg: Segment,
     ) -> Result<(Vec<u8>, Version), BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_with(ctx, blob, seg, &opts)
+        let (data, latest, _) = self.read_with_stats(ctx, blob, version, seg)?;
+        Ok((data, latest))
     }
 
-    /// Canonical `READ` entry point: segment plus [`ReadOptions`]
-    /// (version pin, retry override, admission deadline). The other
-    /// read methods are thin forwards.
-    pub fn read_with(
+    /// [`BlobClient::read`] with a virtual-time breakdown — the instrument
+    /// behind Figure 3(a), which reports the *metadata* share of a read.
+    pub fn read_with_stats(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
+        version: Option<Version>,
         seg: Segment,
-        opts: &ReadOptions,
-    ) -> Result<(Vec<u8>, Version), BlobError> {
-        let (data, latest, _) = self.read_stats_with(ctx, blob, seg, opts)?;
-        Ok((data, latest))
+    ) -> Result<(Vec<u8>, Version, ReadStats), BlobError> {
+        let plan = self.read_plan_retrying(ctx, blob, version, seg)?;
+        let data = match plan.pieces {
+            None => vec![0u8; seg.size as usize],
+            Some((zeros, pages)) => assemble_read(&plan.geom, &seg, &zeros, &pages)?,
+        };
+        Ok((data, plan.latest, plan.stats))
     }
 
     /// Scatter-assembling `READ` into a caller-provided buffer of exactly
@@ -836,35 +747,16 @@ impl BlobClient {
         seg: Segment,
         out: &mut [u8],
     ) -> Result<Version, BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_into_with(ctx, blob, seg, out, &opts)
-    }
-
-    /// [`BlobClient::read_into`] with [`ReadOptions`].
-    pub fn read_into_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        seg: Segment,
-        out: &mut [u8],
-        opts: &ReadOptions,
-    ) -> Result<Version, BlobError> {
         if out.len() as u64 != seg.size {
             return Err(BlobError::BadSegment {
                 segment: seg,
                 reason: "buffer size mismatch",
             });
         }
-        let plan = self.read_plan_with(ctx, blob, seg, opts)?;
+        let plan = self.read_plan_retrying(ctx, blob, version, seg)?;
         match plan.pieces {
             None => out.fill(0),
-            Some((zeros, pages)) => {
-                let geom = plan.geom;
-                assemble_read_into(&geom, &seg, &zeros, &pages, out)?;
-            }
+            Some((zeros, pages)) => assemble_read_into(&plan.geom, &seg, &zeros, &pages, out)?,
         }
         Ok(plan.latest)
     }
@@ -881,22 +773,7 @@ impl BlobClient {
         version: Option<Version>,
         seg: Segment,
     ) -> Result<(PageBuf, Version), BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_buf_with(ctx, blob, seg, &opts)
-    }
-
-    /// [`BlobClient::read_buf`] with [`ReadOptions`].
-    pub fn read_buf_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        seg: Segment,
-        opts: &ReadOptions,
-    ) -> Result<(PageBuf, Version), BlobError> {
-        let plan = self.read_plan_with(ctx, blob, seg, opts)?;
+        let plan = self.read_plan_retrying(ctx, blob, version, seg)?;
         let geom = plan.geom;
         match plan.pieces {
             None => Ok((PageBuf::zeroed(seg.size as usize), plan.latest)),
@@ -918,68 +795,23 @@ impl BlobClient {
         }
     }
 
-    /// [`BlobClient::read`] with a virtual-time breakdown — the instrument
-    /// behind Figure 3(a), which reports the *metadata* share of a read.
-    pub fn read_with_stats(
+    /// [`BlobClient::read_plan`] under the retry loop: reads are
+    /// idempotent end to end, so a shed or unreachable attempt is
+    /// replayed whole under the client's retry policy until it succeeds
+    /// or the policy caps out.
+    fn read_plan_retrying(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
         version: Option<Version>,
         seg: Segment,
-    ) -> Result<(Vec<u8>, Version, ReadStats), BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_stats_with(ctx, blob, seg, &opts)
-    }
-
-    /// [`BlobClient::read_with_stats`] with [`ReadOptions`].
-    pub fn read_stats_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        seg: Segment,
-        opts: &ReadOptions,
-    ) -> Result<(Vec<u8>, Version, ReadStats), BlobError> {
-        let plan = self.read_plan_with(ctx, blob, seg, opts)?;
-        let stats = plan.stats;
-        let latest = plan.latest;
-        match plan.pieces {
-            None => Ok((vec![0u8; seg.size as usize], latest, stats)),
-            Some((zeros, pages)) => {
-                let geom = plan.geom;
-                let buf = assemble_read(&geom, &seg, &zeros, &pages)?;
-                Ok((buf, latest, stats))
-            }
-        }
-    }
-
-    /// [`BlobClient::read_plan`] under the retry loop: reads are
-    /// idempotent end to end, so a shed or unreachable attempt is
-    /// replayed whole under the effective policy (per-call override,
-    /// else the client default) until it succeeds, the policy caps out,
-    /// or the `deadline_ms` budget is spent.
-    fn read_plan_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        seg: Segment,
-        opts: &ReadOptions,
     ) -> Result<ReadPlan, BlobError> {
-        let policy = opts.retry.unwrap_or(self.retry);
-        let t0 = ctx.vt;
         let mut attempt = 0u32;
         loop {
-            match self.read_plan(ctx, blob, opts.version, seg) {
+            match self.read_plan(ctx, blob, version, seg) {
                 Ok(plan) => return Ok(plan),
                 Err(e) => {
-                    if self
-                        .backoff(ctx, &policy, opts.deadline_ms, t0, attempt, &e)
-                        .is_none()
-                    {
-                        return Err(e);
-                    }
+                    self.backoff(ctx, attempt, &e).ok_or(e)?;
                     attempt += 1;
                 }
             }

@@ -312,8 +312,7 @@ pub struct DeploymentConfig {
     /// Retry policy every spawned client starts with, applied only on
     /// idempotent paths (reads and page puts; the version-publish leg
     /// never retries). Defaults to [`RetryPolicy::none`] so fault tests
-    /// observe first errors undisturbed; per-call
-    /// [`crate::ReadOptions`]/[`crate::WriteOptions`] can override it.
+    /// observe first errors undisturbed.
     pub retry: RetryPolicy,
     /// Hot-page read fan-out: `Some` gives the deployment one shared
     /// [`HeatTracker`], and clients promote pages whose read count

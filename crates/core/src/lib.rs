@@ -81,7 +81,6 @@
 pub mod client;
 pub mod deployment;
 pub mod heat;
-pub mod options;
 pub mod vm_service;
 
 pub use blobseer_rpc::{AdmissionMode, AdmissionOptions, RetryPolicy, TcpOptions};
@@ -91,5 +90,4 @@ pub use deployment::{
     DeploymentConfigBuilder, LogOptions, StorageNodeService, TransportKind, MMAP_LOG_CAP,
 };
 pub use heat::{FanOutOptions, HeatTracker};
-pub use options::{ReadOptions, WriteOptions};
 pub use vm_service::VersionManagerService;

@@ -102,29 +102,6 @@ fn unpublished_version_read_fails() {
 }
 
 #[test]
-fn unaligned_write_read_modify_write() {
-    let d = Deployment::build(DeploymentConfig::functional(3));
-    let c = d.client();
-    let mut ctx = Ctx::start();
-    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
-    c.write(&mut ctx, info.blob, 0, &vec![7u8; (2 * PAGE) as usize])
-        .unwrap();
-    let v = c
-        .write_unaligned(&mut ctx, info.blob, 100, &[9u8; 50])
-        .unwrap();
-    assert_eq!(v, 2);
-    let (buf, _) = c
-        .read(&mut ctx, info.blob, Some(2), seg(0, 2 * PAGE))
-        .unwrap();
-    assert!(buf[..100].iter().all(|&b| b == 7));
-    assert!(buf[100..150].iter().all(|&b| b == 9));
-    assert!(buf[150..].iter().all(|&b| b == 7));
-    // v1 unchanged (snapshot isolation).
-    let (old, _) = c.read(&mut ctx, info.blob, Some(1), seg(0, PAGE)).unwrap();
-    assert!(old.iter().all(|&b| b == 7));
-}
-
-#[test]
 fn metadata_cache_hits_and_consistency() {
     let mut cfg = DeploymentConfig::functional(4);
     cfg.cache_nodes = 1 << 16;
@@ -368,6 +345,24 @@ fn rejects_misaligned_and_oversized_segments() {
         )
         .is_err());
     assert!(c.read(&mut ctx, info.blob, None, seg(TOTAL, 1)).is_err());
+    // A `read_into` buffer that is not `seg.size` long is refused before
+    // any message leaves.
+    let before = d.cluster.message_count();
+    let mut short = vec![0u8; (PAGE - 1) as usize];
+    let err = c
+        .read_into(&mut ctx, info.blob, None, seg(0, PAGE), &mut short)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            BlobError::BadSegment {
+                reason: "buffer size mismatch",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(d.cluster.message_count(), before);
     // Bad geometry at alloc.
     assert!(c.alloc(&mut ctx, 1000, 100).is_err());
 }

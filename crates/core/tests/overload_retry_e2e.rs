@@ -7,8 +7,8 @@
 //! * retry semantics — idempotent reads ride out an outage under a
 //!   [`RetryPolicy`]; the non-idempotent version-publish legs of a
 //!   write never retry, whatever policy is set;
-//! * [`ReadOptions`] behavior — version pins and the `deadline_ms`
-//!   retry budget;
+//! * version pins — a pinned read returns exactly that snapshot, and
+//!   an unpublished pin is a typed refusal;
 //! * the same contracts under a skewed workload (Zipf s = 1 page
 //!   popularity, 90/10 read-mostly) on the costed simulator: an
 //!   open-loop storm at 10× the cluster's unloaded rate is shed typed
@@ -17,7 +17,6 @@
 
 use blobseer_core::{
     AdmissionMode, AdmissionOptions, BlobClient, Deployment, DeploymentConfig, FanOutOptions,
-    ReadOptions, WriteOptions,
 };
 use blobseer_proto::{BlobError, BlobId, Segment};
 use blobseer_rpc::{Ctx, RetryPolicy};
@@ -142,22 +141,22 @@ fn idempotent_reads_retry_through_an_outage() {
     let err = c.read(&mut ctx, info.blob, None, seg(0, PAGE)).unwrap_err();
     assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
 
-    // Under a retry policy, the same read rides the outage out: a
+    // A client with a retry policy rides the same outage out: a
     // sibling thread revives the node while the client is backing off
     // (backoff sleeps real wall time, so the revival lands mid-retry).
+    let patient = d.client().with_retry_policy(RetryPolicy {
+        base_backoff: Duration::from_millis(20),
+        max_attempts: 10,
+        ..RetryPolicy::default()
+    });
     let sim = std::sync::Arc::clone(d.cluster.sim().expect("functional runs on sim"));
     let vm_node = d.vm_node;
     let reviver = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
         sim.revive(vm_node);
     });
-    let opts = ReadOptions::with_retry(RetryPolicy {
-        base_backoff: Duration::from_millis(20),
-        max_attempts: 10,
-        ..RetryPolicy::default()
-    });
-    let (got, latest) = c
-        .read_with(&mut ctx, info.blob, seg(0, PAGE), &opts)
+    let (got, latest) = patient
+        .read(&mut ctx, info.blob, None, seg(0, PAGE))
         .unwrap();
     reviver.join().unwrap();
     assert_eq!(latest, 1);
@@ -184,48 +183,12 @@ fn publish_legs_never_retry_even_with_a_policy_set() {
     d.cluster.kill(d.vm_node);
     let t0 = Instant::now();
     let err = c
-        .write_with(
-            &mut ctx,
-            info.blob,
-            0,
-            &vec![1u8; PAGE as usize],
-            &WriteOptions::with_retry(glacial()),
-        )
+        .write(&mut ctx, info.blob, 0, &vec![1u8; PAGE as usize])
         .unwrap_err();
     assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
     assert!(
         t0.elapsed() < Duration::from_secs(10),
         "publish legs must fail fast, not back off ({:?})",
-        t0.elapsed()
-    );
-}
-
-#[test]
-fn read_deadline_caps_the_retry_budget() {
-    let d = Deployment::build(DeploymentConfig::functional(2));
-    let c = d.client();
-    let mut ctx = Ctx::start();
-    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
-    c.write(&mut ctx, info.blob, 0, &vec![9u8; PAGE as usize])
-        .unwrap();
-    d.cluster.kill(d.vm_node);
-
-    // The policy alone would sleep a minute before its first retry;
-    // the 5 ms deadline refuses that backoff, so the call fails fast
-    // with the last typed error instead.
-    let opts = ReadOptions {
-        retry: Some(glacial()),
-        deadline_ms: Some(5),
-        ..ReadOptions::default()
-    };
-    let t0 = Instant::now();
-    let err = c
-        .read_with(&mut ctx, info.blob, seg(0, PAGE), &opts)
-        .unwrap_err();
-    assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
-    assert!(
-        t0.elapsed() < Duration::from_secs(10),
-        "deadline must bound the backoff ({:?})",
         t0.elapsed()
     );
 }
@@ -242,31 +205,17 @@ fn read_options_pin_versions_exactly() {
     c.write(&mut ctx, info.blob, 0, &v2).unwrap();
 
     // Pinned read returns the pinned snapshot, and reports the latest.
-    let (got, latest) = c
-        .read_with(
-            &mut ctx,
-            info.blob,
-            seg(0, PAGE),
-            &ReadOptions::at_version(1),
-        )
-        .unwrap();
+    let (got, latest) = c.read(&mut ctx, info.blob, Some(1), seg(0, PAGE)).unwrap();
     assert_eq!((got, latest), (v1, 2));
 
-    // Default options read the latest snapshot.
-    let (got, latest) = c
-        .read_with(&mut ctx, info.blob, seg(0, PAGE), &ReadOptions::default())
-        .unwrap();
+    // No pin reads the latest snapshot.
+    let (got, latest) = c.read(&mut ctx, info.blob, None, seg(0, PAGE)).unwrap();
     assert_eq!((got, latest), (v2, 2));
 
     // Pinning an unpublished version is a typed refusal, not a wait —
     // and it is not retryable, so a policy never spins on it.
     let err = c
-        .read_with(
-            &mut ctx,
-            info.blob,
-            seg(0, PAGE),
-            &ReadOptions::at_version(9),
-        )
+        .read(&mut ctx, info.blob, Some(9), seg(0, PAGE))
         .unwrap_err();
     assert!(
         matches!(

@@ -50,7 +50,7 @@ fn copies_are_counted_and_minimal() {
     // Zero-copy WRITE: the caller's PageBuf is shared, never copied.
     let buf = PageBuf::from_vec(vec![7u8; (2 * PAGE) as usize]);
     let before = copymeter::thread_snapshot();
-    let v2 = c
+    let (v2, _) = c
         .write_buf(&mut ctx, info.blob, 8 * PAGE, buf.clone())
         .unwrap();
     assert_eq!(before.bytes_since(), 0, "write_buf must copy nothing");

@@ -7,7 +7,7 @@
 //! `Overload` and `Unreachable` only), *how long* to back off (max of
 //! the exponential schedule and the server's hint, jittered downward so
 //! synchronized clients desynchronize), and *when to give up* (capped
-//! attempts, optional deadline).
+//! attempts).
 //!
 //! Retries are only safe on **idempotent** operations — reads, page
 //! fetches, and page puts (pages are immutable: re-putting the same key
@@ -17,8 +17,8 @@
 //! pin it.
 //!
 //! Time is injected: [`RetryPolicy::run_with`] takes the sleep function,
-//! so unit tests drive a deterministic virtual clock while production
-//! callers pass a real sleeper (see [`RetryPolicy::run`]).
+//! so unit tests drive a deterministic virtual clock while callers on a
+//! real network pass a real sleeper.
 
 use blobseer_proto::BlobError;
 use blobseer_util::rng::splitmix64;
@@ -124,18 +124,6 @@ impl RetryPolicy {
                 },
             }
         }
-    }
-
-    /// [`RetryPolicy::run_with`] using a real [`std::thread::sleep`].
-    pub fn run<T>(&self, op: impl FnMut(u32) -> Result<T, BlobError>) -> Result<T, BlobError> {
-        self.run_with(
-            |d| {
-                if d > Duration::ZERO {
-                    std::thread::sleep(d);
-                }
-            },
-            op,
-        )
     }
 }
 

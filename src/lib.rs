@@ -67,11 +67,11 @@
 //!
 //! Pages are immutable once written, so they travel the whole system as
 //! refcounted [`PageBuf`]s: `write` copies the caller's buffer exactly
-//! once (and [`BlobClient::write_buf`] not at all), replica fan-out and
-//! RPC batching share that one allocation, and reads copy each page
-//! exactly once into the result. `read_into` scatter-assembles into a
-//! caller-provided buffer; a single-page aligned
-//! [`BlobClient::read_buf`] is zero-copy end to end.
+//! once into the `PageBuf` that [`BlobClient::write_buf`] takes as is,
+//! replica fan-out and RPC batching share that one allocation, and reads
+//! copy each page exactly once into the result. `read_into`
+//! scatter-assembles into a caller-provided buffer; a single-page
+//! aligned [`BlobClient::read_buf`] is zero-copy end to end.
 //!
 //! ```
 //! use blobseer::{Ctx, Deployment, DeploymentConfig, PageBuf, Segment};
@@ -81,9 +81,11 @@
 //! let mut ctx = Ctx::start();
 //! let blob = client.alloc(&mut ctx, 1 << 20, 4096).unwrap().blob;
 //!
-//! // Zero-copy write: the buffer is shared, never duplicated.
+//! // Zero-copy write: the buffer is shared, never duplicated. The
+//! // write's breakdown comes back with the version.
 //! let buf = PageBuf::from_vec(vec![5u8; 8192]);
-//! let v = client.write_buf(&mut ctx, blob, 0, buf).unwrap();
+//! let (v, stats) = client.write_buf(&mut ctx, blob, 0, buf).unwrap();
+//! assert!(stats.nodes_built > 0);
 //!
 //! // Scatter-assembling read into a caller-owned buffer.
 //! let mut out = vec![0u8; 8192];
@@ -315,7 +317,7 @@ pub use blobseer_version as version;
 
 pub use blobseer_core::{
     AdmissionMode, AdmissionOptions, BackendKind, BlobClient, ClusterHandle, Deployment,
-    DeploymentConfig, FanOutOptions, ReadOptions, RetryPolicy, TransportKind, WriteOptions,
+    DeploymentConfig, FanOutOptions, RetryPolicy, TransportKind,
 };
 pub use blobseer_meta::ReferenceStore;
 pub use blobseer_proto::{BlobError, BlobId, Geometry, PageBuf, Segment, Version};
