@@ -1,6 +1,10 @@
 //! **Figure 3(b)** — Metadata overhead, single client: WRITES.
 //!
-//! Same sweep as Fig. 3(a) but measuring the metadata share of WRITEs.
+//! Same sweep as Fig. 3(a) but measuring the metadata share of WRITEs:
+//! `WriteStats::metadata_ns`, the metadata leg plus the publish. The
+//! leg holds the version ticket's round trip once — overlapped with the
+//! leaf weave that rides it, so the longer of the two — then the inner
+//! weave and the metadata puts, whether or not the page leg hid them.
 //!
 //! Expected shape: "using a larger number of metadata providers improves
 //! the cost of writing the overall metadata ... explained by our

@@ -13,11 +13,14 @@
 //!   same burst as its first metadata or page fetch, re-descending only
 //!   if the answer shows a newer version.
 //! * **WRITE**: provider-manager plan → version + border links from the
-//!   version manager → metadata built **in isolation**, its leaves
-//!   naming the planned replicas → **one burst** carrying the batched
-//!   metadata puts first and the parallel page puts after them →
-//!   completion report. Four dependent steps: the write waits for the
-//!   slower of its page upload and its metadata round, not for both.
+//!   version manager → **one burst** carrying the batched metadata puts
+//!   first and the parallel page puts after them → completion report.
+//!   The client's own work rides the first two round trips: the buffer
+//!   is copied and split into pages while the plan is in flight, and the
+//!   metadata — built **in isolation** — has its leaves, which name the
+//!   planned replicas, woven while the version request is; only the
+//!   inner nodes wait for the ticket's border links. The burst waits for
+//!   the slower of its page upload and its metadata round, not for both.
 //!   The paper puts the pages first so that a failed write burns no
 //!   version; here a page that no replica acknowledged is re-placed
 //!   away from the providers that failed it, and its leaf re-put, before
@@ -41,12 +44,13 @@
 use crate::heat::HeatTracker;
 use blobseer_dht::{DhtClient, Ring};
 use blobseer_meta::read::{assemble_read, assemble_read_into, expand, root_key, Visit};
-use blobseer_meta::write::build_write_tree;
+use blobseer_meta::write::{weave_inner, weave_leaves};
 use blobseer_proto::messages::{
     method, BlobInfo, CompleteWrite, CreateBlob, GcRequest, GetLatest, GetPage, PlanWrite,
     PublishState, PutPage, RemovePage, RequestVersion, WritePlan, WriteTicket,
 };
 use blobseer_proto::tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
+use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, BlobId, Geometry, NodeId, PageBuf, ProviderId, Segment, Version};
 use blobseer_rpc::{
     parse_response, Ctx, Frame, RetryPolicy, RpcClient, ShardRouter, TransportResult,
@@ -68,40 +72,52 @@ pub type MetaCache = ClockCache<NodeKey, Arc<NodeBody>>;
 /// Virtual-time breakdown of one WRITE (Figure 3(b)'s instrument).
 ///
 /// The five stage fields partition the write's time, so they sum to
-/// [`WriteStats::total_ns`]. The page and metadata legs overlap in one
-/// burst, which is charged to the stage of the leg that finished last:
-/// on the paper's cell the pages take longer, so `pages_ns` holds the
-/// burst and `meta_ns` only the weave. `meta_leg_ns` holds the metadata
-/// leg's own duration whichever leg finished last.
+/// [`WriteStats::total_ns`]. Where two pieces of work run side by side —
+/// a round trip and the client CPU that rides it, or the page and
+/// metadata legs of the burst — the span goes to the stage whose work
+/// finished last. On the paper's cell the buffer copy outlasts the plan
+/// and the leaf weave outlasts the ticket, so `plan_ns` and `ticket_ns`
+/// are 0; the pages take longer than the metadata, so `pages_ns` holds
+/// the burst. `meta_leg_ns` holds the metadata leg's own duration
+/// whichever leg finished last.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WriteStats {
-    /// Provider-manager plan round trip.
+    /// Provider-manager plan round trip, when it outlasted the buffer
+    /// copy and split that ride it.
     pub plan_ns: u64,
-    /// The page split, the burst when the page leg finished last, and
+    /// The buffer copy and page split (the plan round trip included when
+    /// it finished first), the burst when the page leg finished last, and
     /// any page retry or re-placement rounds.
     pub pages_ns: u64,
-    /// Version + border-link round trip.
+    /// Version + border-link round trip, when it outlasted the leaf weave
+    /// that rides it.
     pub ticket_ns: u64,
-    /// The metadata weave, the burst when the metadata leg finished
+    /// The leaf weave (the ticket round trip included when it finished
+    /// first), the inner weave, the burst when the metadata leg finished
     /// last, any leaf re-put, and the cache warm.
     pub meta_ns: u64,
     /// Completion report round trip.
     pub publish_ns: u64,
-    /// The metadata leg's own time, overlapped or not: the weave, its
-    /// `META_PUT_BATCH` frames' round in the burst (from the burst's
-    /// start to the last metadata reply), any leaf re-put and the cache
-    /// warm — the paper's "metadata write".
+    /// The metadata leg's own time, overlapped or not: the ticket round
+    /// trip with the leaf weave that rides it (the longer of the two),
+    /// the inner weave, its `META_PUT_BATCH` frames' round in the burst
+    /// (from the burst's start to the last metadata reply), any leaf
+    /// re-put and the cache warm — the paper's "metadata write".
     pub meta_leg_ns: u64,
     /// Tree nodes this write created.
     pub nodes_built: u64,
 }
 
+/// Which [`WriteStats`] stage a span is charged to.
+type Stage = fn(&mut WriteStats) -> &mut u64;
+
 impl WriteStats {
-    /// The metadata share (ticket + the metadata leg + publish) — what
-    /// Fig. 3(b) plots. It counts the metadata leg's own time even where
-    /// the page leg hid it, so it is not a share of `total_ns`.
+    /// The metadata share (the metadata leg, ticket included, + publish)
+    /// — what Fig. 3(b) plots. It counts the ticket once, inside the
+    /// leg, and counts the leg's own time even where the page leg hid
+    /// it, so it is not a share of `total_ns`.
     pub fn metadata_ns(&self) -> u64 {
-        self.ticket_ns + self.meta_leg_ns + self.publish_ns
+        self.meta_leg_ns + self.publish_ns
     }
 
     /// Total time.
@@ -112,11 +128,19 @@ impl WriteStats {
     /// Charge the virtual time since `mark` to one stage and move the
     /// mark, returning the time charged: consecutive laps partition the
     /// write's time.
-    fn lap(&mut self, ctx: &Ctx, mark: &mut u64, stage: fn(&mut WriteStats) -> &mut u64) -> u64 {
+    fn lap(&mut self, ctx: &Ctx, mark: &mut u64, stage: Stage) -> u64 {
         let ns = ctx.vt - *mark;
         *stage(self) += ns;
         *mark = ctx.vt;
         ns
+    }
+
+    /// [`WriteStats::lap`] over a span in which two pieces of work ran
+    /// side by side, each given as (when it finished, its stage): the
+    /// span goes to the one that finished last, `b` on a tie.
+    fn lap_to_last(&mut self, ctx: &Ctx, mark: &mut u64, a: (u64, Stage), b: (u64, Stage)) -> u64 {
+        let stage = if a.0 > b.0 { a.1 } else { b.1 };
+        self.lap(ctx, mark, stage)
     }
 }
 
@@ -457,10 +481,12 @@ impl BlobClient {
     /// `WRITE(id, buffer, offset, size)` for page-aligned segments.
     /// Returns the snapshot version this write produced (`vw`).
     ///
-    /// The buffer is copied **once** into a shared [`PageBuf`]; page
-    /// splitting, replica fan-out, framing and batching all share that
-    /// single allocation. Callers that already hold a `PageBuf` should
-    /// use [`BlobClient::write_buf`], which performs zero copies.
+    /// The buffer is copied **once** into a shared [`PageBuf`], while the
+    /// plan request is in flight; page splitting, replica fan-out,
+    /// framing and batching all share that single allocation. A segment
+    /// the blob's geometry refuses is refused before that copy. Callers
+    /// that already hold a `PageBuf` should use [`BlobClient::write_buf`],
+    /// which performs zero copies.
     pub fn write(
         &self,
         ctx: &mut Ctx,
@@ -481,21 +507,23 @@ impl BlobClient {
         offset: u64,
         data: &[u8],
     ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_buf(ctx, blob, offset, PageBuf::copy_from_slice(data))
+        self.write_data(ctx, blob, offset, data.len() as u64, || {
+            PageBuf::copy_from_slice(data)
+        })
     }
 
     /// Zero-copy `WRITE`: the caller's buffer is shared, never copied.
     /// Returns the version and the per-phase breakdown.
     ///
-    /// The write runs in four dependent steps: plan → `REQUEST_VERSION`
-    /// → one burst → `COMPLETE_WRITE`.
-    ///
-    /// The version comes before the pages: the ticket is all the weave
-    /// needs besides the plan's placement, so the metadata is woven in
-    /// isolation with leaves naming the *planned* replicas, and one
-    /// fan-out carries the `META_PUT_BATCH` frames first and the page
-    /// puts after them. The write waits for the slower of its two legs,
-    /// not for both.
+    /// The write is four round trips — plan, `REQUEST_VERSION`, one
+    /// burst, `COMPLETE_WRITE` — and the client's own work rides the
+    /// first two instead of waiting for them: the buffer is split into
+    /// page-sized send buffers (and a borrowed one copied, once) while
+    /// the plan is in flight, and the tree's leaves, which need only the
+    /// plan's placement, are woven while the version request is. Only
+    /// the inner nodes wait for the ticket. The burst carries the
+    /// `META_PUT_BATCH` frames first and the page puts after them, so the
+    /// write waits for the slower of its two legs, not for both.
     ///
     /// The pages are the idempotent part (pages are immutable: re-putting
     /// a key re-stores identical bytes). A page no replica acknowledged
@@ -505,10 +533,11 @@ impl BlobClient {
     /// naming where it now lives. A leaf that lost some of its replicas
     /// is re-put naming the ones that acked. All of it happens before
     /// `COMPLETE_WRITE`, so a failed page burns no version, and no reader
-    /// sees a leaf of this version before it is published. The shared cache is warmed only once the publish
-    /// succeeded. The write still fails after its ticket, leaving its
-    /// version unpublished, if no provider will take a page or a tree
-    /// node reaches no metadata replica; `COMPLETE_WRITE` never retries.
+    /// sees a leaf of this version before it is published. The shared
+    /// cache is warmed only once the publish succeeded. The write still
+    /// fails after its ticket, leaving its version unpublished, if no
+    /// provider will take a page or a tree node reaches no metadata
+    /// replica; `COMPLETE_WRITE` never retries.
     pub fn write_buf(
         &self,
         ctx: &mut Ctx,
@@ -516,8 +545,24 @@ impl BlobClient {
         offset: u64,
         data: PageBuf,
     ) -> Result<(Version, WriteStats), BlobError> {
+        self.write_data(ctx, blob, offset, data.len() as u64, || data.clone())
+    }
+
+    /// The write pipeline behind every `write*` method (see
+    /// [`BlobClient::write_buf`]), for `len` bytes at `offset`. `to_buf`
+    /// hands them over as the one buffer every page put slices — a copy
+    /// of a borrowed slice, a refcount of a shared one — and is called
+    /// once, after the segment is validated.
+    fn write_data(
+        &self,
+        ctx: &mut Ctx,
+        blob: BlobId,
+        offset: u64,
+        len: u64,
+        to_buf: impl Fn() -> PageBuf,
+    ) -> Result<(Version, WriteStats), BlobError> {
         let mut mark = ctx.vt;
-        let seg = Segment::new(offset, data.len() as u64);
+        let seg = Segment::new(offset, len);
         let (known, _) = self.entry(ctx, blob)?;
         let geom = known.geom;
         let range = geom.validate_aligned(&seg)?;
@@ -526,30 +571,34 @@ impl BlobClient {
             ..WriteStats::default()
         };
 
-        // Step 1: provider-manager plan (write id + page placement).
-        let plan = self.plan(ctx, blob, range.count(), self.replication, Vec::new())?;
-        stats.lap(ctx, &mut mark, |s| &mut s.plan_ns);
-
-        // Step 2: version number + precomputed border links.
-        let ticket: WriteTicket = self.rpc.call(
+        // Step 1: the provider-manager plan (write id + page placement).
+        // While it travels, a borrowed buffer is copied into the one
+        // shared write buffer, and its split into page-sized send buffers
+        // is charged — O(1) per page, shared slices that every replica's
+        // put shares too.
+        let (plan, (data, split)) = self.plan(
             ctx,
-            self.vm_for(blob),
-            method::REQUEST_VERSION,
-            &RequestVersion {
-                blob,
-                write: plan.write,
-                offset: seg.offset,
-                size: seg.size,
+            blob,
+            range.count(),
+            self.replication,
+            Vec::new(),
+            |c| {
+                c.advance(self.costs.write_page_ns * range.count());
+                (to_buf(), c.vt)
             },
-        )?;
-        stats.lap(ctx, &mut mark, |s| &mut s.ticket_ns);
+        );
+        let (plan, planned) = plan?;
+        stats.lap_to_last(
+            ctx,
+            &mut mark,
+            (planned, |s| &mut s.plan_ns),
+            (split, |s| &mut s.pages_ns),
+        );
 
-        // Step 3: split the buffer into page-sized send buffers — O(1)
-        // per page, shared slices of the one write buffer that every
-        // replica's put shares too — and weave the metadata in complete
-        // isolation, its leaves naming the planned replicas.
-        ctx.advance(self.costs.write_page_ns * range.count());
-        stats.lap(ctx, &mut mark, |s| &mut s.pages_ns);
+        // Step 2: the version number + precomputed border links. While
+        // they travel, the leaves are woven, naming the planned replicas;
+        // the inner nodes wait for the ticket's links. The metadata is
+        // woven in complete isolation either way.
         let mut pages: Vec<PageLoc> = range
             .iter()
             .zip(plan.targets)
@@ -562,11 +611,34 @@ impl BlobClient {
                 replicas,
             })
             .collect();
-        let mut nodes = build_write_tree(&geom, blob, &seg, &pages, &ticket)?;
-        ctx.advance(self.costs.build_node_ns * nodes.len() as u64);
+        let request = RequestVersion {
+            blob,
+            write: plan.write,
+            offset: seg.offset,
+            size: seg.size,
+        };
+        let (ticket, (leaves, woven)) = self.call_with(
+            ctx,
+            self.vm_for(blob),
+            method::REQUEST_VERSION,
+            &request,
+            |c| {
+                c.advance(self.costs.build_node_ns * pages.len() as u64);
+                (weave_leaves(&geom, blob, &seg, &pages), c.vt)
+            },
+        );
+        let (ticket, granted): (WriteTicket, u64) = ticket?;
+        stats.meta_leg_ns += stats.lap_to_last(
+            ctx,
+            &mut mark,
+            (granted, |s| &mut s.ticket_ns),
+            (woven, |s| &mut s.meta_ns),
+        );
+        let mut nodes = weave_inner(&geom, &seg, leaves?, &ticket)?;
+        ctx.advance(self.costs.build_node_ns * (nodes.len() - pages.len()) as u64);
         stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
 
-        // Step 4: one burst, the metadata frames first, so the small
+        // Step 3: one burst, the metadata frames first, so the small
         // batches leave ahead of the pages. The burst is charged to the
         // leg that finished last; the metadata leg's own share is kept
         // apart.
@@ -574,15 +646,17 @@ impl BlobClient {
         let n_meta = frames.len();
         let (page_frames, page_of) = page_puts(&data, geom.page_size, &pages, |_| true);
         frames.extend(page_frames);
-        let mut replies = self.rpc.fan_out_timed(ctx, frames);
+        let (mut replies, ()) = self.rpc.fan_out_with(ctx, frames, |_| ());
         let page_replies = replies.split_off(n_meta);
         let meta_done = last_arrival(&replies, mark);
+        let pages_done = last_arrival(&page_replies, mark);
         stats.meta_leg_ns += meta_done - mark;
-        if meta_done > last_arrival(&page_replies, mark) {
-            stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
-        } else {
-            stats.lap(ctx, &mut mark, |s| &mut s.pages_ns);
-        }
+        stats.lap_to_last(
+            ctx,
+            &mut mark,
+            (meta_done, |s| &mut s.meta_ns),
+            (pages_done, |s| &mut s.pages_ns),
+        );
         let untimed =
             |replies: Vec<TransportResult>| replies.into_iter().map(|r| r.map(|(f, _)| f));
         self.dht.finish_put(put, untimed(replies).collect())?;
@@ -607,12 +681,13 @@ impl BlobClient {
                         }
                     }
                 }
-                let Ok(plan) = self.plan(
+                let (Ok((plan, _)), ()) = self.plan(
                     ctx,
                     blob,
                     lost.len() as u64,
                     self.replication,
                     excluded.clone(),
+                    |_| (),
                 ) else {
                     return Err(err);
                 };
@@ -668,30 +743,52 @@ impl BlobClient {
     }
 
     /// `PLAN_WRITE`: a write id and the placement of `pages` pages,
-    /// `replication` providers each, none of them in `exclude`.
-    fn plan(
+    /// `replication` providers each, none of them in `exclude`, with
+    /// `work` riding the round trip. Returns the plan and when it
+    /// arrived, and what `work` returned.
+    fn plan<T>(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
         pages: u64,
         replication: u32,
         exclude: Vec<ProviderId>,
-    ) -> Result<WritePlan, BlobError> {
-        let plan: WritePlan = self.rpc.call(
-            ctx,
-            self.pm,
-            method::PLAN_WRITE,
-            &PlanWrite {
-                blob,
-                pages,
-                replication,
-                exclude,
-            },
-        )?;
-        if plan.targets.len() as u64 != pages {
-            return Err(BlobError::Internal("write plan page count mismatch"));
-        }
-        Ok(plan)
+        work: impl FnMut(&mut Ctx) -> T,
+    ) -> (Result<(WritePlan, u64), BlobError>, T) {
+        let request = PlanWrite {
+            blob,
+            pages,
+            replication,
+            exclude,
+        };
+        let (reply, worked) = self.call_with(ctx, self.pm, method::PLAN_WRITE, &request, work);
+        let reply = reply.and_then(|(plan, at): (WritePlan, u64)| {
+            if plan.targets.len() as u64 != pages {
+                return Err(BlobError::Internal("write plan page count mismatch"));
+            }
+            Ok((plan, at))
+        });
+        (reply, worked)
+    }
+
+    /// One call with `work` riding its round trip (see
+    /// [`RpcClient::fan_out_with`]): the typed reply and when it arrived,
+    /// and what `work` returned.
+    fn call_with<Req: Wire, Resp: Wire, T>(
+        &self,
+        ctx: &mut Ctx,
+        to: NodeId,
+        method: u16,
+        request: &Req,
+        work: impl FnMut(&mut Ctx) -> T,
+    ) -> (Result<(Resp, u64), BlobError>, T) {
+        let call = vec![(to, Frame::from_msg(method, request))];
+        let (mut replies, worked) = self.rpc.fan_out_with(ctx, call, work);
+        let reply = replies
+            .pop()
+            .unwrap_or(Err(BlobError::Internal("transport dropped a reply")))
+            .and_then(|(frame, at)| Ok((parse_response(&frame)?, at)));
+        (reply, worked)
     }
 
     // ------------------------------------------------------------------
@@ -1155,7 +1252,8 @@ impl BlobClient {
     /// state intact and the next threshold crossing tries again.
     fn promote_page(&self, ctx: &mut Ctx, leaf: NodeKey, loc: &PageLoc, data: &PageBuf) {
         let outcome = (|| -> Result<bool, BlobError> {
-            let plan = self.plan(ctx, loc.key.blob, 1, 1, loc.replicas.clone())?;
+            let (plan, ()) = self.plan(ctx, loc.key.blob, 1, 1, loc.replicas.clone(), |_| ());
+            let plan = plan?.0;
             let Some(&target) = plan.targets.first().and_then(|t| t.first()) else {
                 return Ok(false);
             };

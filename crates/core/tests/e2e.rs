@@ -6,6 +6,7 @@ use blobseer_meta::ReferenceStore;
 use blobseer_proto::{BlobError, Segment};
 use blobseer_rpc::{AggregationPolicy, Ctx};
 use blobseer_simnet::ServiceCosts;
+use blobseer_util::copymeter;
 use blobseer_util::rng::rng_for;
 use rand::Rng;
 
@@ -332,18 +333,22 @@ fn rejects_misaligned_and_oversized_segments() {
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
-    assert!(c
-        .write(&mut ctx, info.blob, 10, &vec![0u8; PAGE as usize])
-        .is_err());
-    assert!(c.write(&mut ctx, info.blob, 0, &[0u8; 100]).is_err());
-    assert!(c
-        .write(
-            &mut ctx,
-            info.blob,
-            TOTAL - PAGE,
-            &vec![0u8; (2 * PAGE) as usize]
-        )
-        .is_err());
+    // A refused write copies nothing and sends nothing: the segment is
+    // checked before the caller's buffer is touched.
+    let misaligned = vec![0u8; PAGE as usize];
+    let oversized = vec![0u8; (2 * PAGE) as usize];
+    let refused: [(u64, &[u8]); 3] = [
+        (10, &misaligned),
+        (0, &[0u8; 100]),
+        (TOTAL - PAGE, &oversized),
+    ];
+    for (offset, data) in refused {
+        let copies = copymeter::thread_snapshot();
+        let before = d.cluster.message_count();
+        assert!(c.write(&mut ctx, info.blob, offset, data).is_err());
+        assert_eq!(copies.bytes_since(), 0, "write at {offset} copied");
+        assert_eq!(d.cluster.message_count(), before, "write at {offset} sent");
+    }
     assert!(c.read(&mut ctx, info.blob, None, seg(TOTAL, 1)).is_err());
     // A `read_into` buffer that is not `seg.size` long is refused before
     // any message leaves.
@@ -437,6 +442,9 @@ fn pages_and_metadata_share_one_burst() {
     assert_eq!(d.cluster.message_count() - before, 20);
     // The five stages partition the write's virtual time.
     assert_eq!(stats.total_ns(), ctx.vt - t0, "{stats:?}");
+    // The client's CPU hides both control round trips: the buffer copy
+    // outlasts the plan, the leaf weave outlasts the ticket.
+    assert_eq!((stats.plan_ns, stats.ticket_ns), (0, 0), "{stats:?}");
     // The metadata share still holds the whole metadata store round ...
     assert!(
         stats.metadata_ns() >= ServiceCosts::grid5000().meta_store_ns,

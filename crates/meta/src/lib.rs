@@ -21,9 +21,13 @@
 //! * [`shape`] — interval arithmetic: which tree intervals intersect a
 //!   segment, expected node counts, alignment helpers.
 //! * [`mod@write`] — what a WRITE must build: the new node set, the
-//!   missing children of its border nodes, and [`write::build_write_tree`] which assembles the final
+//!   missing children of its border nodes, and [`write::build_write_tree`]
+//!   which assembles the final
 //!   [`TreeNode`](blobseer_proto::tree::TreeNode) batch from a
-//!   [`WriteTicket`](blobseer_proto::messages::WriteTicket).
+//!   [`WriteTicket`](blobseer_proto::messages::WriteTicket) — in two
+//!   phases, the leaves from the page locators alone
+//!   ([`write::weave_leaves`]) and the inner nodes once the ticket is in
+//!   ([`write::weave_inner`]).
 //! * [`read`] — the step function of the READ traversal
 //!   ([`read::expand`]), which the client drives level by level with
 //!   batched metadata fetches.

@@ -50,7 +50,8 @@ pub fn border_specs(geom: &Geometry, seg: &Segment) -> Vec<Segment> {
     out
 }
 
-/// Build the complete batch of new tree nodes for a write.
+/// Build the complete batch of new tree nodes for a write: the leaf
+/// phase ([`weave_leaves`]) then the inner phase ([`weave_inner`]).
 ///
 /// * `pages` — the page locators, one per written page in ascending page
 ///   order (produced from the provider manager's
@@ -69,27 +70,38 @@ pub fn build_write_tree(
     pages: &[PageLoc],
     ticket: &WriteTicket,
 ) -> Result<Vec<TreeNode>, BlobError> {
-    let v = ticket.version;
+    weave_inner(geom, seg, weave_leaves(geom, blob, seg, pages)?, ticket)
+}
+
+/// A write's new nodes before its ticket, in pre-order: the leaves are
+/// woven; every key's version and the inner nodes' child versions wait
+/// for the ticket.
+pub struct LeafWeave {
+    nodes: Vec<TreeNode>,
+}
+
+/// The leaf phase of the weave. A leaf names its page's replicas and
+/// nothing else, so this needs only the page locators: a writer runs it
+/// while its version request is in flight.
+pub fn weave_leaves(
+    geom: &Geometry,
+    blob: BlobId,
+    seg: &Segment,
+    pages: &[PageLoc],
+) -> Result<LeafWeave, BlobError> {
     let first_page = geom.page_of(seg.offset);
     let expected_pages = geom.pages_touching(seg).count();
     if pages.len() as u64 != expected_pages {
         return Err(BlobError::Internal("page locator count mismatch"));
     }
-
-    let links: FxHashMap<(u64, u64), Version> = ticket
-        .borders
-        .iter()
-        .map(|b| ((b.offset, b.size), b.version))
-        .collect();
-
+    // What an inner node holds until the inner phase links its children.
+    let unlinked = ChildVersions::new(&[0, 0]).ok_or(BlobError::Internal("unlinked node"))?;
     let intervals = write_intervals(geom, seg);
     let mut nodes = Vec::with_capacity(intervals.len());
-    // One scratch buffer for every inner node's child versions.
-    let mut versions = Vec::with_capacity(Geometry::ARITY as usize);
     for iv in intervals {
         let key = NodeKey {
             blob,
-            version: v,
+            version: 0,
             offset: iv.offset,
             size: iv.size,
         };
@@ -99,22 +111,49 @@ pub fn build_write_tree(
                 page: pages[idx as usize].clone(),
             }
         } else {
-            versions.clear();
-            for child in children(geom, iv) {
-                versions.push(if child.intersects(seg) {
-                    v
-                } else {
-                    *links
-                        .get(&(child.offset, child.size))
-                        .ok_or(BlobError::Internal("missing border link"))?
-                });
-            }
-            NodeBody::Inner {
-                children: ChildVersions::new(&versions)
-                    .ok_or(BlobError::Internal("inner node fan-out out of range"))?,
-            }
+            NodeBody::Inner { children: unlinked }
         };
         nodes.push(TreeNode { key, body });
+    }
+    Ok(LeafWeave { nodes })
+}
+
+/// The inner phase of the weave, in place: the ticket's version on every
+/// key, and each inner node's child versions — the ticket's version
+/// where the write covers the child, its border link where it does not.
+pub fn weave_inner(
+    geom: &Geometry,
+    seg: &Segment,
+    leaves: LeafWeave,
+    ticket: &WriteTicket,
+) -> Result<Vec<TreeNode>, BlobError> {
+    let v = ticket.version;
+    let links: FxHashMap<(u64, u64), Version> = ticket
+        .borders
+        .iter()
+        .map(|b| ((b.offset, b.size), b.version))
+        .collect();
+
+    let mut nodes = leaves.nodes;
+    // One scratch buffer for every inner node's child versions.
+    let mut versions = Vec::with_capacity(Geometry::ARITY as usize);
+    for node in &mut nodes {
+        node.key.version = v;
+        let NodeBody::Inner { children: linked } = &mut node.body else {
+            continue;
+        };
+        versions.clear();
+        for child in children(geom, Segment::new(node.key.offset, node.key.size)) {
+            versions.push(if child.intersects(seg) {
+                v
+            } else {
+                *links
+                    .get(&(child.offset, child.size))
+                    .ok_or(BlobError::Internal("missing border link"))?
+            });
+        }
+        *linked = ChildVersions::new(&versions)
+            .ok_or(BlobError::Internal("inner node fan-out out of range"))?;
     }
     Ok(nodes)
 }

@@ -13,6 +13,10 @@
 //!   frames, so one burst may mix methods and destinations — a read
 //!   sends its version check in the same burst as its first metadata or
 //!   page fetch. The typed `fan_out` is a thin wrapper over it.
+//! * [`RpcClient::fan_out_with`] is the one fan-out underneath both: it
+//!   also runs the caller's own CPU work while the burst is in flight —
+//!   a write copies its buffer while its plan request travels — and
+//!   reports when each reply arrived.
 //! * When [`AggregationPolicy::Batch`] is active, fan-out calls of one
 //!   method to one destination are coalesced into a single batch frame —
 //!   the paper's optimization, togglable so the `ablate-agg` bench can
@@ -21,20 +25,22 @@
 //!
 //! # One path, two kinds of concurrency
 //!
-//! A fan-out is group → frame → [`Transport::call_many`] → scatter: one
-//! frame per real message (a lone call as itself, several as one batch),
-//! all handed to the transport at once. What "at once" means is the
-//! transport's business:
+//! A fan-out is group → frame → [`Transport::call_many_with`] → scatter:
+//! one frame per real message (a lone call as itself, several as one
+//! batch), all handed to the transport at once with the caller's work.
+//! What "at once" means is the transport's business:
 //!
 //! * **Virtual** on the simulator and [`crate::InProcTransport`]: they
-//!   keep `call_many`'s default, the serial loop over `call`. Every call
-//!   starts at the same virtual time and the join is a `max`, so the cost
-//!   model sees a parallel fan-out while the host runs the handlers one
-//!   after another, deterministically.
+//!   keep the defaults, the serial loop over `call` and then the work.
+//!   Every call starts at the same virtual time, the work runs on a copy
+//!   of the clock from that same time, and the join is a `max`, so the
+//!   cost model sees a parallel fan-out beside the client's CPU while
+//!   the host runs the handlers one after another, deterministically.
 //! * **Real** on [`crate::TcpTransport`]: every frame is registered and
-//!   written before the first response is awaited, so the servers work at
-//!   the same time and a fan-out costs about its slowest call, not the
-//!   sum. Pipelined, not threaded — see the [`tcp`](crate::tcp) docs.
+//!   written, then the work runs, before the first response is awaited,
+//!   so the servers work at the same time as each other and as the
+//!   client, and a fan-out costs about its slowest call, not the sum.
+//!   Pipelined, not threaded — see the [`tcp`](crate::tcp) docs.
 //!
 //! Failure stays per message on both: one destination's error reaches
 //! exactly the calls that travelled in its message, whatever methods
@@ -134,27 +140,39 @@ impl RpcClient {
     /// With [`AggregationPolicy::Batch`], calls sharing a destination
     /// *and* a method travel in one message and their responses in one
     /// message back. Every message of the fan-out goes to the transport
-    /// in **one** [`Transport::call_many`], so a transport with real
+    /// in **one** [`Transport::call_many_with`], so a transport with real
     /// wires has them all in flight at once (see the module docs).
     pub fn fan_out_frames(
         &self,
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
     ) -> Vec<Result<Frame, BlobError>> {
-        self.fan_out_timed(ctx, calls)
+        self.fan_out_with(ctx, calls, |_| ())
+            .0
             .into_iter()
             .map(|reply| reply.map(|(frame, _)| frame))
             .collect()
     }
 
-    /// [`RpcClient::fan_out_frames`], with each reply's virtual arrival
+    /// [`RpcClient::fan_out_frames`] with the caller's own `work` run
+    /// while the burst is in flight, and each reply's virtual arrival
     /// time: a caller whose burst carries independent legs learns when
     /// each of them finished, not just the join.
-    pub fn fan_out_timed(
+    ///
+    /// Every call starts at `ctx.vt`. `work` runs once, on the calling
+    /// thread, after the burst is sent and before it is awaited (see
+    /// [`Transport::call_many_with`]), on a copy of the clock from the
+    /// same start, so its charges overlap the round trips instead of
+    /// following them. Afterwards `ctx.vt` is the later of the last reply
+    /// and the work's end. `work` needs nothing from the replies; its
+    /// result comes back beside them. A transport that did not run it
+    /// (none here) leaves it to run after the burst.
+    pub fn fan_out_with<T>(
         &self,
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
-    ) -> Vec<TransportResult> {
+        mut work: impl FnMut(&mut Ctx) -> T,
+    ) -> (Vec<TransportResult>, T) {
         // Group: the calls each real message carries, in order of first
         // appearance. Without aggregation every call is its own.
         let batch = self.aggregation == AggregationPolicy::Batch;
@@ -192,9 +210,17 @@ impl RpcClient {
             }
         }
 
-        // Scatter: each reply back onto its message's call indices.
+        // Send, work, wait; then scatter each reply back onto its
+        // message's call indices.
+        let mut worker = *ctx;
+        let mut worked = None;
+        let mut run = || worked = Some(work(&mut worker));
+        let replies = self
+            .transport
+            .call_many_with(self.from, ctx.vt, frames, &mut run);
+        let worked = worked.unwrap_or_else(|| work(&mut worker));
+        ctx.join(worker);
         let short = || Err(BlobError::Internal("transport dropped a reply"));
-        let replies = self.transport.call_many(self.from, ctx.vt, frames);
         let replies = replies.into_iter().chain(std::iter::repeat_with(short));
         for (idxs, reply) in sent.into_iter().zip(replies) {
             let per_call = match reply {
@@ -211,7 +237,7 @@ impl RpcClient {
         }
         // The groups partition the calls, so this is input order.
         results.sort_unstable_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
+        (results.into_iter().map(|(_, r)| r).collect(), worked)
     }
 }
 

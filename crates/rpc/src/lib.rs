@@ -6,7 +6,8 @@
 //! **call aggregation** — the original system's custom optimization that
 //! "delays RPC calls to a single machine and streams all of them in a
 //! single real RPC call". A fan-out reaches the transport as one
-//! [`Transport::call_many`]: concurrent in virtual time on the simulator
+//! [`Transport::call_many_with`], which also runs the caller's own work
+//! while the calls are out: concurrent in virtual time on the simulator
 //! (the serial default, joined with `max`), concurrent on the wire over
 //! tcp (pipelined on the multiplexed sockets — see [`client`]).
 //!

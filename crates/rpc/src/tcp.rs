@@ -57,17 +57,19 @@
 //! A call is three steps: **register** a completion slot under a fresh
 //! correlation id, **gather-write** the frame, then **read or park** —
 //! wait on the connection until the slot is filled, as its reader or
-//! behind it. [`Transport::call_many`] — what `RpcClient::fan_out` hands
-//! a whole fan-out to — runs the first two steps for every frame and
-//! only then the third, slot by slot in input order, so every call of a
-//! fan-out is on the wire before the caller waits for the first
-//! response. Whoever holds a connection's read role fills its slots in
-//! whatever order the server answers — the burst's own later slots
-//! included, which it simply finds filled when it reaches them; and
-//! while it reads one connection, the replies on the others wait in
-//! their sockets. No thread is spawned per client or per fan-out, no
-//! frame is copied, and `call` is the same code with one frame. The
-//! rules:
+//! behind it. [`Transport::call_many`] — what `RpcClient::fan_out`
+//! hands a whole fan-out to — runs the first two steps for every frame
+//! and only then the third, slot by slot in input order, so every call
+//! of a fan-out is on the wire before the caller waits for the first
+//! response. [`Transport::call_many_with`] is the same burst with the
+//! caller's own work run between the second step and the third, so that
+//! work rides the round trip (`call_many` is it with no work). Whoever
+//! holds a connection's read role fills its slots in whatever order the
+//! server answers — the burst's own later slots included, which it
+//! simply finds filled when it reaches them; and while it reads one
+//! connection, the replies on the others wait in their sockets. No
+//! thread is spawned per client or per fan-out, no frame is copied, and
+//! `call` is the same code with one frame. The rules:
 //!
 //! * **Faults stay per call.** A frame that cannot be sent (codec
 //!   refusal, dead or shedding destination, reset mid-write) fails its
@@ -166,7 +168,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -564,16 +566,28 @@ impl Transport for TcpTransport {
         self.complete(sent)
     }
 
-    /// Pipelined: every frame is registered and written before the first
-    /// response is awaited, so the calls are served concurrently. No
+    /// [`Transport::call_many_with`] with no work: the one burst path.
+    fn call_many(
+        &self,
+        from: NodeId,
+        vt: u64,
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<TransportResult> {
+        self.call_many_with(from, vt, calls, &mut || {})
+    }
+
+    /// Pipelined: every frame is registered and written, then `work`
+    /// runs, then each response is awaited, so the calls are served
+    /// concurrently with each other and with the caller's work. No
     /// thread is spawned — whoever reads a connection fills its slots in
     /// whatever order responses arrive, and a slot this burst reaches
     /// later is simply found filled.
-    fn call_many(
+    fn call_many_with(
         &self,
         _from: NodeId,
         vt: u64,
         calls: Vec<(NodeId, Frame)>,
+        work: &mut dyn FnMut(),
     ) -> Vec<TransportResult> {
         // One pass under the pool lock: a usable pooled connection per
         // distinct destination. Destinations left without one dial as
@@ -594,7 +608,12 @@ impl Transport for TcpTransport {
             .into_iter()
             .map(|(to, frame)| self.submit(&mut burst, to, vt, &frame))
             .collect();
-        sent.into_iter().map(|sent| self.complete(sent?)).collect()
+        // A slot nobody awaits stays registered, its connection counted
+        // busy, until another caller happens to read its reply: every
+        // one is awaited before a panic in `work` goes on up.
+        let worked = catch_unwind(AssertUnwindSafe(work));
+        let replies = sent.into_iter().map(|sent| self.complete(sent?)).collect();
+        worked.map_or_else(|panic| resume_unwind(panic), |()| replies)
     }
 }
 

@@ -70,6 +70,29 @@ pub trait Transport: Send + Sync {
             .map(|(to, frame)| self.call(from, to, vt, frame))
             .collect()
     }
+
+    /// [`Transport::call_many`] with the caller's `work` run once between
+    /// sending the burst and waiting for it, on the calling thread. The
+    /// work sees nothing of the replies; it is CPU the caller would
+    /// otherwise spend before or after the burst.
+    ///
+    /// The default is `call_many` followed by `work()`: the virtual clock
+    /// models the overlap itself, so the simulator, [`InProcTransport`]
+    /// and any decorator that wraps only `call` keep it. A transport with
+    /// real wires overrides it to put every frame in flight, run `work`,
+    /// then wait — and must await every call it sent even if `work`
+    /// panics.
+    fn call_many_with(
+        &self,
+        from: NodeId,
+        vt: u64,
+        calls: Vec<(NodeId, Frame)>,
+        work: &mut dyn FnMut(),
+    ) -> Vec<TransportResult> {
+        let replies = self.call_many(from, vt, calls);
+        work();
+        replies
+    }
 }
 
 /// Result of a transport call.
