@@ -21,9 +21,9 @@ fn main() {
         "20 providers (s)",
         "40 providers (s)",
     ]);
-    let mut rows: Vec<Vec<String>> = fig3ab_segments()
+    let mut rows: Rows = fig3ab_segments()
         .iter()
-        .map(|s| vec![format!("{} KiB", s / KB)])
+        .map(|s| (format!("{} KiB", s / KB), Vec::new()))
         .collect();
 
     for &providers in &fig3ab_providers() {
@@ -59,17 +59,24 @@ fn main() {
                     .unwrap();
                 stats.push(rstats.metadata_ns() as f64);
             }
-            rows[row].push(secs(stats.mean() as u64));
+            rows[row].1.push(shown(&secs(stats.mean() as u64)));
         }
     }
 
-    for row in rows {
-        table.row(&row);
+    for (label, values) in &rows {
+        let mut cells = vec![label.clone()];
+        cells.extend(values.iter().map(|v| format!("{v:.4}")));
+        table.row(&cells);
     }
     emit(
         "fig3a",
         "Fig. 3(a): metadata overhead, single client — reads",
         &table,
     );
-    println!("shape checks: rising with segment size; flat-to-slightly-rising with provider count");
+    check_shape("rising with segment size", &rows, rises_from);
+    check_shape(
+        "flat-to-slightly-rising with provider count (never faster with more)",
+        &rows,
+        |_, row| row.windows(2).all(|w| w[1] >= w[0]),
+    );
 }

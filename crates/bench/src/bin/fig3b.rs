@@ -4,7 +4,9 @@
 //! `WriteStats::metadata_ns`, the metadata leg plus the publish. The
 //! leg holds the version ticket's round trip once — overlapped with the
 //! leaf weave that rides it, so the longer of the two — then the inner
-//! weave and the metadata puts, whether or not the page leg hid them.
+//! weave and the metadata puts, whether or not the page leg hid them;
+//! the puts may queue on the client's NIC behind the lead page that
+//! left with the version request.
 //!
 //! Expected shape: "using a larger number of metadata providers improves
 //! the cost of writing the overall metadata ... explained by our
@@ -24,9 +26,9 @@ fn main() {
         "20 providers (s)",
         "40 providers (s)",
     ]);
-    let mut rows: Vec<Vec<String>> = fig3ab_segments()
+    let mut rows: Rows = fig3ab_segments()
         .iter()
-        .map(|s| vec![format!("{} KiB", s / KB)])
+        .map(|s| (format!("{} KiB", s / KB), Vec::new()))
         .collect();
 
     for &providers in &fig3ab_providers() {
@@ -65,17 +67,24 @@ fn main() {
                     .unwrap();
                 stats.push(wstats.metadata_ns() as f64);
             }
-            rows[row].push(secs(stats.mean() as u64));
+            rows[row].1.push(shown(&secs(stats.mean() as u64)));
         }
     }
 
-    for row in rows {
-        table.row(&row);
+    for (label, values) in &rows {
+        let mut cells = vec![label.clone()];
+        cells.extend(values.iter().map(|v| format!("{v:.4}")));
+        table.row(&cells);
     }
     emit(
         "fig3b",
         "Fig. 3(b): metadata overhead, single client — writes",
         &table,
     );
-    println!("shape checks: rising with segment size; improving with provider count");
+    check_shape("rising with segment size", &rows, rises_from);
+    check_shape(
+        "improving with provider count (faster at each step up)",
+        &rows,
+        |_, row| row.windows(2).all(|w| w[1] < w[0]),
+    );
 }

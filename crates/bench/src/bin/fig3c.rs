@@ -104,16 +104,17 @@ fn main() {
         "Write (MB/s)",
         "Read cached (MB/s)",
     ]);
+    let mut rows = Rows::new();
     for &n in &client_counts() {
         let read = run_mode(Mode::Read, n);
         let write = run_mode(Mode::Write, n);
         let cached = run_mode(Mode::ReadCached, n);
-        table.row(&[
-            n.to_string(),
-            format!("{read:.1}"),
-            format!("{write:.1}"),
-            format!("{cached:.1}"),
-        ]);
+        let cells = [read, write, cached].map(|v| format!("{v:.1}"));
+        table.row(&[&[n.to_string()], &cells[..]].concat());
+        rows.push((
+            format!("clients={n}"),
+            cells.iter().map(|c| shown(c)).collect(),
+        ));
         println!(
             "clients={n}: read {read:.1} MB/s, write {write:.1} MB/s, cached {cached:.1} MB/s"
         );
@@ -123,5 +124,21 @@ fn main() {
         "Fig. 3(c): average bandwidth per client under concurrency",
         &table,
     );
-    println!("shape checks: gentle decline with client count; Read > Write; cached Read > Read");
+    check_shape(
+        "decline with client count (no column rises)",
+        &rows,
+        |above, row| above.is_none_or(|a| a.iter().zip(row).all(|(a, r)| r <= a)),
+    );
+    let (first, last) = (&rows[0].1, &rows[rows.len() - 1].1);
+    let drop = |c: usize| 100.0 * (1.0 - last[c] / first[c]);
+    println!(
+        "  per-client drop from {} to {}: read {:.0} %, write {:.0} %, cached {:.0} %",
+        rows[0].0,
+        rows[rows.len() - 1].0,
+        drop(0),
+        drop(1),
+        drop(2)
+    );
+    check_shape("Read > Write", &rows, |_, row| row[0] > row[1]);
+    check_shape("cached Read > Read", &rows, |_, row| row[2] > row[0]);
 }

@@ -44,6 +44,42 @@ pub fn emit(name: &str, title: &str, table: &Table) {
     }
 }
 
+/// A sweep's rows as printed: each row's label, and each column's value
+/// read back from its printed cell, so a shape check judges exactly what
+/// the table shows.
+pub type Rows = Vec<(String, Vec<f64>)>;
+
+/// The value a printed table cell shows (NaN, which holds no shape, if
+/// it shows none).
+pub fn shown(cell: &str) -> f64 {
+    cell.trim().parse().unwrap_or(f64::NAN)
+}
+
+/// Print whether this run's `rows` hold `shape`, naming the rows that
+/// do not. `holds(above, row)` judges one row, given the row above it
+/// (`None` for the first). It only reports: a binary exits 0 either way.
+pub fn check_shape(shape: &str, rows: &Rows, holds: impl Fn(Option<&[f64]>, &[f64]) -> bool) {
+    let mut above = None;
+    let mut failing = Vec::new();
+    for (label, row) in rows {
+        if !holds(above, row) {
+            failing.push(label.as_str());
+        }
+        above = Some(row.as_slice());
+    }
+    if failing.is_empty() {
+        println!("shape check: {shape}: holds");
+    } else {
+        println!("shape check: {shape}: fails at {}", failing.join(", "));
+    }
+}
+
+/// Every column of `row` is above the same column of the row above (a
+/// first row holds).
+pub fn rises_from(above: Option<&[f64]>, row: &[f64]) -> bool {
+    above.is_none_or(|above| above.iter().zip(row).all(|(a, r)| r > a))
+}
+
 /// Format virtual nanoseconds as seconds with 4 decimals (the paper's
 /// figures are in seconds).
 pub fn secs(ns: u64) -> String {
@@ -111,6 +147,16 @@ mod tests {
             assert!(s.end() <= region);
             assert!(seen.insert(s.offset), "offset reused too early");
         }
+    }
+
+    #[test]
+    fn shape_checks_read_the_printed_cells() {
+        assert_eq!(shown(" 0.0049"), 0.0049);
+        assert!(shown("n/a").is_nan());
+        assert!(rises_from(None, &[1.0]));
+        assert!(rises_from(Some(&[1.0, 2.0]), &[1.5, 2.5]));
+        assert!(!rises_from(Some(&[1.0, 2.0]), &[1.5, 2.0]));
+        assert!(!rises_from(Some(&[1.0]), &[f64::NAN]));
     }
 
     #[test]

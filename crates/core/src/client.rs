@@ -13,20 +13,23 @@
 //!   same burst as its first metadata or page fetch, re-descending only
 //!   if the answer shows a newer version.
 //! * **WRITE**: provider-manager plan → version + border links from the
-//!   version manager → **one burst** carrying the batched metadata puts
-//!   first and the parallel page puts after them → completion report.
-//!   The client's own work rides the first two round trips: the buffer
-//!   is copied and split into pages while the plan is in flight, and the
+//!   version manager, with the first page put riding the same burst →
+//!   the batched metadata puts and the other page puts → completion
+//!   report. The client's own work rides the round trips: the buffer is
+//!   copied and split into pages while the plan is in flight, and the
 //!   metadata — built **in isolation** — has its leaves, which name the
-//!   planned replicas, woven while the version request is; only the
-//!   inner nodes wait for the ticket's border links. The burst waits for
-//!   the slower of its page upload and its metadata round, not for both.
-//!   The paper puts the pages first so that a failed write burns no
-//!   version; here a page that no replica acknowledged is re-placed
-//!   away from the providers that failed it, and its leaf re-put, before
-//!   the completion report, which keeps that guarantee for page
-//!   failures. [`WriteStats::metadata_ns`] still reports the metadata
-//!   round's own time, overlapped or not.
+//!   planned replicas, woven while the version request and the lead
+//!   page are; only the inner nodes wait for the ticket's border links,
+//!   and the metadata frames leave the moment they are woven, first in
+//!   a burst sent while the lead page may still be uploading. The write
+//!   waits for the slower of its page upload and its metadata round,
+//!   not for both. The paper puts the pages first so that a failed
+//!   write burns no version; here a page that no replica acknowledged
+//!   is re-placed away from the providers that failed it, and its leaf
+//!   re-put, before the completion report, which keeps that guarantee
+//!   for page failures, and a write whose version request fails takes
+//!   its lead page back. [`WriteStats::metadata_ns`] still reports the
+//!   metadata round's own time, overlapped or not.
 //!
 //! The op surface is one method per buffer shape: `write` (borrowed
 //! slice), `write_with_stats` (the same, with the Figure 3(b) breakdown)
@@ -50,7 +53,6 @@ use blobseer_proto::messages::{
     PublishState, PutPage, RemovePage, RequestVersion, WritePlan, WriteTicket,
 };
 use blobseer_proto::tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
-use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, BlobId, Geometry, NodeId, PageBuf, ProviderId, Segment, Version};
 use blobseer_rpc::{
     parse_response, Ctx, Frame, RetryPolicy, RpcClient, ShardRouter, TransportResult,
@@ -74,35 +76,39 @@ pub type MetaCache = ClockCache<NodeKey, Arc<NodeBody>>;
 /// The five stage fields partition the write's time, so they sum to
 /// [`WriteStats::total_ns`]. Where two pieces of work run side by side —
 /// a round trip and the client CPU that rides it, or the page and
-/// metadata legs of the burst — the span goes to the stage whose work
-/// finished last. On the paper's cell the buffer copy outlasts the plan
-/// and the leaf weave outlasts the ticket, so `plan_ns` and `ticket_ns`
-/// are 0; the pages take longer than the metadata, so `pages_ns` holds
-/// the burst. `meta_leg_ns` holds the metadata leg's own duration
-/// whichever leg finished last.
+/// metadata legs — the span goes to the stage whose work finished last.
+/// On the paper's cell the buffer copy outlasts the plan and the leaf
+/// weave outlasts the ticket, so `plan_ns` and `ticket_ns` are 0; the
+/// pages take longer than the metadata, so `pages_ns` holds the upload.
+/// `meta_leg_ns` holds the metadata leg's own duration whichever leg
+/// finished last.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WriteStats {
     /// Provider-manager plan round trip, when it outlasted the buffer
     /// copy and split that ride it.
     pub plan_ns: u64,
     /// The buffer copy and page split (the plan round trip included when
-    /// it finished first), the burst when the page leg finished last, and
-    /// any page retry or re-placement rounds.
+    /// it finished first); from the metadata frames' send on, the page
+    /// leg — the lead put that left with the version request and the
+    /// other puts — when it finished last; and any page retry or
+    /// re-placement rounds.
     pub pages_ns: u64,
     /// Version + border-link round trip, when it outlasted the leaf weave
     /// that rides it.
     pub ticket_ns: u64,
     /// The leaf weave (the ticket round trip included when it finished
-    /// first), the inner weave, the burst when the metadata leg finished
-    /// last, any leaf re-put, and the cache warm.
+    /// first), the inner weave, the span from the metadata frames' send
+    /// when the metadata leg finished last, any leaf re-put, and the
+    /// cache warm.
     pub meta_ns: u64,
     /// Completion report round trip.
     pub publish_ns: u64,
-    /// The metadata leg's own time, overlapped or not: the ticket round
-    /// trip with the leaf weave that rides it (the longer of the two),
-    /// the inner weave, its `META_PUT_BATCH` frames' round in the burst
-    /// (from the burst's start to the last metadata reply), any leaf
-    /// re-put and the cache warm — the paper's "metadata write".
+    /// The metadata leg's own time, overlapped or not: from the version
+    /// request's send to the last `META_PUT_BATCH` reply — the ticket
+    /// round trip with the leaf weave that rides it (the longer of the
+    /// two), the inner weave, the metadata frames' round, which may queue
+    /// on the client's NIC behind the lead page — then any leaf re-put
+    /// and the cache warm: the paper's "metadata write".
     pub meta_leg_ns: u64,
     /// Tree nodes this write created.
     pub nodes_built: u64,
@@ -125,22 +131,22 @@ impl WriteStats {
         self.plan_ns + self.pages_ns + self.ticket_ns + self.meta_ns + self.publish_ns
     }
 
-    /// Charge the virtual time since `mark` to one stage and move the
-    /// mark, returning the time charged: consecutive laps partition the
-    /// write's time.
-    fn lap(&mut self, ctx: &Ctx, mark: &mut u64, stage: Stage) -> u64 {
-        let ns = ctx.vt - *mark;
+    /// Charge the virtual time from `mark` to `at` to one stage and move
+    /// the mark, returning the time charged: consecutive laps partition
+    /// the write's time.
+    fn lap(&mut self, at: u64, mark: &mut u64, stage: Stage) -> u64 {
+        let ns = at - *mark;
         *stage(self) += ns;
-        *mark = ctx.vt;
+        *mark = at;
         ns
     }
 
     /// [`WriteStats::lap`] over a span in which two pieces of work ran
     /// side by side, each given as (when it finished, its stage): the
     /// span goes to the one that finished last, `b` on a tie.
-    fn lap_to_last(&mut self, ctx: &Ctx, mark: &mut u64, a: (u64, Stage), b: (u64, Stage)) -> u64 {
+    fn lap_to_last(&mut self, at: u64, mark: &mut u64, a: (u64, Stage), b: (u64, Stage)) -> u64 {
         let stage = if a.0 > b.0 { a.1 } else { b.1 };
-        self.lap(ctx, mark, stage)
+        self.lap(at, mark, stage)
     }
 }
 
@@ -515,15 +521,21 @@ impl BlobClient {
     /// Zero-copy `WRITE`: the caller's buffer is shared, never copied.
     /// Returns the version and the per-phase breakdown.
     ///
-    /// The write is four round trips — plan, `REQUEST_VERSION`, one
-    /// burst, `COMPLETE_WRITE` — and the client's own work rides the
-    /// first two instead of waiting for them: the buffer is split into
-    /// page-sized send buffers (and a borrowed one copied, once) while
-    /// the plan is in flight, and the tree's leaves, which need only the
-    /// plan's placement, are woven while the version request is. Only
-    /// the inner nodes wait for the ticket. The burst carries the
-    /// `META_PUT_BATCH` frames first and the page puts after them, so the
-    /// write waits for the slower of its two legs, not for both.
+    /// The write is four rounds — plan; `REQUEST_VERSION` with the lead
+    /// page put; the metadata frames and the other page puts; then
+    /// `COMPLETE_WRITE` — and the client's own work rides them instead of
+    /// waiting for them: the buffer is split into page-sized send buffers
+    /// (and a borrowed one copied, once) while the plan is in flight, and
+    /// the tree's leaves, which need only the plan's placement, are woven
+    /// while the version request is. The lead is the first destination,
+    /// in plan order, that receives exactly one put: its bytes are on the
+    /// wire while the ticket returns and the tree is woven. Once the
+    /// inner nodes have the ticket's links, the third round leaves — from
+    /// inside the second, whose lead put may still be uploading — with
+    /// the `META_PUT_BATCH` frames first, so the write waits for the
+    /// slower of its two legs, not for both. With no lead (every
+    /// destination takes several puts) the ticket travels alone and all
+    /// pages go in the third round.
     ///
     /// The pages are the idempotent part (pages are immutable: re-putting
     /// a key re-stores identical bytes). A page no replica acknowledged
@@ -537,7 +549,9 @@ impl BlobClient {
     /// cache is warmed only once the publish succeeded. The write still
     /// fails after its ticket, leaving its version unpublished, if no
     /// provider will take a page or a tree node reaches no metadata
-    /// replica; `COMPLETE_WRITE` never retries.
+    /// replica; `COMPLETE_WRITE` never retries. A write whose version
+    /// request fails removes its acknowledged lead page (best effort)
+    /// before it returns the error, so it leaves no page behind.
     pub fn write_buf(
         &self,
         ctx: &mut Ctx,
@@ -589,16 +603,18 @@ impl BlobClient {
         );
         let (plan, planned) = plan?;
         stats.lap_to_last(
-            ctx,
+            ctx.vt,
             &mut mark,
             (planned, |s| &mut s.plan_ns),
             (split, |s| &mut s.pages_ns),
         );
 
-        // Step 2: the version number + precomputed border links. While
-        // they travel, the leaves are woven, naming the planned replicas;
-        // the inner nodes wait for the ticket's links. The metadata is
-        // woven in complete isolation either way.
+        // Step 2: every page put. The lead — the first destination, in
+        // plan order, that receives exactly one put — travels with the
+        // request for the version number + precomputed border links, so
+        // page bytes are on the wire while the ticket returns. A lead of
+        // more pages would hold the metadata frames behind its bytes on
+        // the client's NIC; with no lead the ticket travels alone.
         let mut pages: Vec<PageLoc> = range
             .iter()
             .zip(plan.targets)
@@ -611,59 +627,100 @@ impl BlobClient {
                 replicas,
             })
             .collect();
+        let (mut page_frames, mut page_of) = page_puts(&data, geom.page_size, &pages, |_| true);
         let request = RequestVersion {
             blob,
             write: plan.write,
             offset: seg.offset,
             size: seg.size,
         };
-        let (ticket, (leaves, woven)) = self.call_with(
-            ctx,
+        let mut first = vec![(
             self.vm_for(blob),
-            method::REQUEST_VERSION,
-            &request,
-            |c| {
-                c.advance(self.costs.build_node_ns * pages.len() as u64);
-                (weave_leaves(&geom, blob, &seg, &pages), c.vt)
-            },
-        );
-        let (ticket, granted): (WriteTicket, u64) = ticket?;
+            Frame::from_msg(method::REQUEST_VERSION, &request),
+        )];
+        let alone =
+            |(to, _): &(NodeId, Frame)| page_frames.iter().filter(|(d, _)| d == to).count() == 1;
+        if let Some(at) = page_frames.iter().position(alone) {
+            first.push(page_frames.remove(at));
+            page_of[..=at].rotate_right(1);
+        }
+        let n_lead = first.len() - 1;
+
+        // Step 3: while the first burst travels, the leaves are woven,
+        // naming the planned replicas; the inner nodes wait for the
+        // ticket's links, and then one burst leaves carrying the metadata
+        // frames first, so the small batches go ahead of the other pages.
+        // The metadata is woven in complete isolation either way.
+        let (mut first_replies, built) = self.rpc.fan_out_with(ctx, first, |c, replies| {
+            c.advance(self.costs.build_node_ns * pages.len() as u64);
+            let leaves = weave_leaves(&geom, blob, &seg, &pages);
+            let woven = c.vt;
+            let (ticket, granted): (WriteTicket, u64) = match replies.wait(c, 0) {
+                Ok((frame, at)) => (parse_response(frame)?, *at),
+                Err(e) => return Err(e.clone()),
+            };
+            let nodes = weave_inner(&geom, &seg, leaves?, &ticket)?;
+            c.advance(self.costs.build_node_ns * (nodes.len() - pages.len()) as u64);
+            let inner = c.vt;
+            let (put, mut frames) = self.dht.put_frames(&nodes);
+            let n_meta = frames.len();
+            frames.append(&mut page_frames);
+            let (mut meta_replies, ()) = self.rpc.fan_out_with(c, frames, |_, _| ());
+            let page_replies = meta_replies.split_off(n_meta);
+            let times = (granted, woven, inner);
+            Ok((ticket, nodes, put, meta_replies, page_replies, times))
+        });
+        let untimed =
+            |replies: Vec<TransportResult>| replies.into_iter().map(|r| r.map(|(f, _)| f));
+        let lead_replies = first_replies.split_off(1);
+        let lead_done = last_arrival(&lead_replies, 0);
+        let mut acked: Vec<Vec<ProviderId>> = vec![Vec::new(); pages.len()];
+        let lead_err = absorb_puts(&page_of[..n_lead], untimed(lead_replies), &mut acked);
+        let (ticket, mut nodes, put, meta_replies, page_replies, times) = match built {
+            Ok(built) => built,
+            Err(e) => {
+                // No version, or no tree for it: take the lead page back,
+                // best effort, so the failed write leaves no page behind.
+                let removals: Vec<(NodeId, u16, RemovePage)> = page_of[..n_lead]
+                    .iter()
+                    .filter(|(i, p)| acked[*i].contains(p))
+                    .map(|&(i, p)| {
+                        (
+                            NodeId(p.0),
+                            method::REMOVE_PAGE,
+                            RemovePage { key: pages[i].key },
+                        )
+                    })
+                    .collect();
+                self.rpc.fan_out::<RemovePage, bool>(ctx, &removals);
+                return Err(e);
+            }
+        };
+        let (granted, woven, inner) = times;
         stats.meta_leg_ns += stats.lap_to_last(
-            ctx,
+            granted.max(woven),
             &mut mark,
             (granted, |s| &mut s.ticket_ns),
             (woven, |s| &mut s.meta_ns),
         );
-        let mut nodes = weave_inner(&geom, &seg, leaves?, &ticket)?;
-        ctx.advance(self.costs.build_node_ns * (nodes.len() - pages.len()) as u64);
-        stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+        stats.meta_leg_ns += stats.lap(inner, &mut mark, |s| &mut s.meta_ns);
 
-        // Step 3: one burst, the metadata frames first, so the small
-        // batches leave ahead of the pages. The burst is charged to the
-        // leg that finished last; the metadata leg's own share is kept
-        // apart.
-        let (put, mut frames) = self.dht.put_frames(&nodes);
-        let n_meta = frames.len();
-        let (page_frames, page_of) = page_puts(&data, geom.page_size, &pages, |_| true);
-        frames.extend(page_frames);
-        let (mut replies, ()) = self.rpc.fan_out_with(ctx, frames, |_| ());
-        let page_replies = replies.split_off(n_meta);
-        let meta_done = last_arrival(&replies, mark);
-        let pages_done = last_arrival(&page_replies, mark);
+        // The rest is charged to the leg that finished last, the lead's
+        // page leg included; the metadata leg's own share is kept apart.
+        let meta_done = last_arrival(&meta_replies, mark);
+        let pages_done = last_arrival(&page_replies, mark).max(lead_done);
         stats.meta_leg_ns += meta_done - mark;
         stats.lap_to_last(
-            ctx,
+            ctx.vt,
             &mut mark,
             (meta_done, |s| &mut s.meta_ns),
             (pages_done, |s| &mut s.pages_ns),
         );
-        let untimed =
-            |replies: Vec<TransportResult>| replies.into_iter().map(|r| r.map(|(f, _)| f));
-        self.dht.finish_put(put, untimed(replies).collect())?;
+        self.dht.finish_put(put, untimed(meta_replies).collect())?;
 
         // Every page needs one acknowledged replica before the publish.
-        let mut acked: Vec<Vec<ProviderId>> = vec![Vec::new(); pages.len()];
-        let mut last_err = absorb_puts(&page_of, untimed(page_replies), &mut acked);
+        let mut last_err =
+            absorb_puts(&page_of[n_lead..], untimed(page_replies), &mut acked).or(lead_err);
         let mut excluded: Vec<ProviderId> = Vec::new();
         let mut attempt = 0u32;
         while acked.iter().any(Vec::is_empty) {
@@ -700,7 +757,7 @@ impl BlobClient {
             let replies = self.rpc.fan_out_frames(ctx, frames);
             last_err = absorb_puts(&page_of, replies, &mut acked);
         }
-        stats.lap(ctx, &mut mark, |s| &mut s.pages_ns);
+        stats.lap(ctx.vt, &mut mark, |s| &mut s.pages_ns);
 
         // A leaf names the replicas that hold its page: re-put any whose
         // replicas changed, before the version is visible.
@@ -715,7 +772,7 @@ impl BlobClient {
             }
         }
         self.dht.put_nodes(ctx, &moved)?;
-        stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+        stats.meta_leg_ns += stats.lap(ctx.vt, &mut mark, |s| &mut s.meta_ns);
 
         // Report success; the version manager publishes in order.
         let publish: PublishState = self.rpc.call(
@@ -727,7 +784,7 @@ impl BlobClient {
                 version: ticket.version,
             },
         )?;
-        stats.lap(ctx, &mut mark, |s| &mut s.publish_ns);
+        stats.lap(ctx.vt, &mut mark, |s| &mut s.publish_ns);
         known.observe(publish.latest);
         if let Some(cache) = &self.cache {
             // Best effort: a writer never blocks on a contended cache
@@ -737,7 +794,7 @@ impl BlobClient {
             for n in nodes {
                 cache.try_insert(n.key, Arc::new(n.body));
             }
-            stats.meta_leg_ns += stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+            stats.meta_leg_ns += stats.lap(ctx.vt, &mut mark, |s| &mut s.meta_ns);
         }
         Ok((ticket.version, stats))
     }
@@ -753,7 +810,7 @@ impl BlobClient {
         pages: u64,
         replication: u32,
         exclude: Vec<ProviderId>,
-        work: impl FnMut(&mut Ctx) -> T,
+        mut work: impl FnMut(&mut Ctx) -> T,
     ) -> (Result<(WritePlan, u64), BlobError>, T) {
         let request = PlanWrite {
             blob,
@@ -761,33 +818,18 @@ impl BlobClient {
             replication,
             exclude,
         };
-        let (reply, worked) = self.call_with(ctx, self.pm, method::PLAN_WRITE, &request, work);
-        let reply = reply.and_then(|(plan, at): (WritePlan, u64)| {
-            if plan.targets.len() as u64 != pages {
-                return Err(BlobError::Internal("write plan page count mismatch"));
-            }
-            Ok((plan, at))
-        });
-        (reply, worked)
-    }
-
-    /// One call with `work` riding its round trip (see
-    /// [`RpcClient::fan_out_with`]): the typed reply and when it arrived,
-    /// and what `work` returned.
-    fn call_with<Req: Wire, Resp: Wire, T>(
-        &self,
-        ctx: &mut Ctx,
-        to: NodeId,
-        method: u16,
-        request: &Req,
-        work: impl FnMut(&mut Ctx) -> T,
-    ) -> (Result<(Resp, u64), BlobError>, T) {
-        let call = vec![(to, Frame::from_msg(method, request))];
-        let (mut replies, worked) = self.rpc.fan_out_with(ctx, call, work);
+        let call = vec![(self.pm, Frame::from_msg(method::PLAN_WRITE, &request))];
+        let (mut replies, worked) = self.rpc.fan_out_with(ctx, call, |c, _| work(c));
         let reply = replies
             .pop()
             .unwrap_or(Err(BlobError::Internal("transport dropped a reply")))
-            .and_then(|(frame, at)| Ok((parse_response(&frame)?, at)));
+            .and_then(|(frame, at)| {
+                let plan: WritePlan = parse_response(&frame)?;
+                if plan.targets.len() as u64 != pages {
+                    return Err(BlobError::Internal("write plan page count mismatch"));
+                }
+                Ok((plan, at))
+            });
         (reply, worked)
     }
 

@@ -422,11 +422,11 @@ fn the_version_check_costs_no_round_trip_of_its_own() {
     assert_eq!(confirmed.latest_ns, 0, "{confirmed:?}");
 }
 
-#[test]
-fn pages_and_metadata_share_one_burst() {
-    // The paper's costed cell: a 1 MiB write of four 256 KiB pages.
+/// One 1 MiB write of four 256 KiB pages on a fresh `grid5000(providers)`
+/// cell: its stats, its virtual time and the messages it sent.
+fn paper_write(providers: usize) -> (blobseer_core::client::WriteStats, u64, u64) {
     const BIG: u64 = 256 << 10;
-    let d = Deployment::build(DeploymentConfig::grid5000(8));
+    let d = Deployment::build(DeploymentConfig::grid5000(providers));
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
@@ -436,12 +436,19 @@ fn pages_and_metadata_share_one_burst() {
         .write_with_stats(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
         .unwrap();
     assert_eq!(v, 1);
+    (stats, ctx.vt - t0, d.cluster.message_count() - before)
+}
+
+#[test]
+fn pages_and_metadata_share_one_burst() {
+    // The paper's costed cell.
+    let (stats, took, messages) = paper_write(8);
     // The 20 messages of the pages-first protocol, and no more: the
     // burst coalesces calls by destination *and* method, so a metadata
     // batch never merges into a page batch bound for the same node.
-    assert_eq!(d.cluster.message_count() - before, 20);
+    assert_eq!(messages, 20);
     // The five stages partition the write's virtual time.
-    assert_eq!(stats.total_ns(), ctx.vt - t0, "{stats:?}");
+    assert_eq!(stats.total_ns(), took, "{stats:?}");
     // The client's CPU hides both control round trips: the buffer copy
     // outlasts the plan, the leaf weave outlasts the ticket.
     assert_eq!((stats.plan_ns, stats.ticket_ns), (0, 0), "{stats:?}");
@@ -456,4 +463,36 @@ fn pages_and_metadata_share_one_burst() {
         stats.total_ns() < stats.pages_ns + stats.metadata_ns(),
         "{stats:?}"
     );
+    // The lead page put leaves with the version request, so the upload
+    // starts before the ticket returns: at least 0.5 ms off the same
+    // write when every page waited for the ticket and the whole weave
+    // (12,399,302 ns on this cell).
+    const PAGES_AFTER_THE_TICKET_NS: u64 = 12_399_302;
+    assert!(
+        took + 500_000 <= PAGES_AFTER_THE_TICKET_NS,
+        "{took} ns, {stats:?}"
+    );
+    // One provider takes all four puts, so no destination receives
+    // exactly one: there is no lead, the ticket travels alone, and the
+    // write keeps that schedule's time to the nanosecond.
+    const ONE_PROVIDER_NS: u64 = 15_344_229;
+    assert_eq!(paper_write(1).1, ONE_PROVIDER_NS);
+}
+
+#[test]
+fn a_write_whose_ticket_fails_stores_nothing() {
+    // The lead page is acknowledged while the version request fails:
+    // the write takes the page back before it returns the error.
+    const BIG: u64 = 256 << 10;
+    let d = Deployment::build(DeploymentConfig::grid5000(8));
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
+    let pages = d.total_pages();
+    d.cluster.kill(d.vm_node);
+    let err = c
+        .write(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
+        .unwrap_err();
+    assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
+    assert_eq!(d.total_pages(), pages, "no page is left behind");
 }

@@ -16,7 +16,11 @@
 //! * [`RpcClient::fan_out_with`] is the one fan-out underneath both: it
 //!   also runs the caller's own CPU work while the burst is in flight —
 //!   a write copies its buffer while its plan request travels — and
-//!   reports when each reply arrived.
+//!   reports when each reply arrived. The work may wait for some of the
+//!   burst's replies ([`Replies::wait`]) and start another burst from
+//!   there: a write weaves its tree and sends its metadata once its
+//!   version arrives, while the first page put of the same burst is
+//!   still uploading.
 //! * When [`AggregationPolicy::Batch`] is active, fan-out calls of one
 //!   method to one destination are coalesced into a single batch frame —
 //!   the paper's optimization, togglable so the `ablate-agg` bench can
@@ -33,13 +37,16 @@
 //! * **Virtual** on the simulator and [`crate::InProcTransport`]: they
 //!   keep the defaults, the serial loop over `call` and then the work.
 //!   Every call starts at the same virtual time, the work runs on a copy
-//!   of the clock from that same time, and the join is a `max`, so the
-//!   cost model sees a parallel fan-out beside the client's CPU while
-//!   the host runs the handlers one after another, deterministically.
+//!   of the clock from that same time — a reply it waits for is already
+//!   there, and moves the work's clock to its arrival — and the join is
+//!   a `max`, so the cost model sees a parallel fan-out beside the
+//!   client's CPU while the host runs the handlers one after another,
+//!   deterministically.
 //! * **Real** on [`crate::TcpTransport`]: every frame is registered and
 //!   written, then the work runs, before the first response is awaited,
 //!   so the servers work at the same time as each other and as the
-//!   client, and a fan-out costs about its slowest call, not the sum.
+//!   client, and a fan-out costs about its slowest call, not the sum. A
+//!   reply the work waits for is read then; the rest after the work.
 //!   Pipelined, not threaded — see the [`tcp`](crate::tcp) docs.
 //!
 //! Failure stays per message on both: one destination's error reaches
@@ -48,7 +55,7 @@
 
 use crate::frame::Frame;
 use crate::service::parse_response;
-use crate::transport::{Ctx, Transport, TransportResult};
+use crate::transport::{Ctx, Pending, Transport, TransportResult};
 use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, NodeId};
 use std::sync::Arc;
@@ -147,7 +154,7 @@ impl RpcClient {
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
     ) -> Vec<Result<Frame, BlobError>> {
-        self.fan_out_with(ctx, calls, |_| ())
+        self.fan_out_with(ctx, calls, |_, _| ())
             .0
             .into_iter()
             .map(|reply| reply.map(|(frame, _)| frame))
@@ -160,23 +167,26 @@ impl RpcClient {
     /// each of them finished, not just the join.
     ///
     /// Every call starts at `ctx.vt`. `work` runs once, on the calling
-    /// thread, after the burst is sent and before it is awaited (see
-    /// [`Transport::call_many_with`]), on a copy of the clock from the
-    /// same start, so its charges overlap the round trips instead of
-    /// following them. Afterwards `ctx.vt` is the later of the last reply
-    /// and the work's end. `work` needs nothing from the replies; its
-    /// result comes back beside them. A transport that did not run it
-    /// (none here) leaves it to run after the burst.
+    /// thread, after the burst is sent and before the rest of it is
+    /// awaited (see [`Transport::call_many_with`]), on a copy of the clock
+    /// from the same start, so its charges overlap the round trips
+    /// instead of following them. Through its [`Replies`] it may wait for
+    /// some calls — on tcp that blocks until the reply is read, on the
+    /// simulator the reply is already there — and raise its clock to
+    /// their arrival, and it may start another fan-out from there.
+    /// Afterwards `ctx.vt` is the later of the last reply and the work's
+    /// end. A transport that did not run the work (none here) leaves it
+    /// to run after the burst.
     pub fn fan_out_with<T>(
         &self,
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
-        mut work: impl FnMut(&mut Ctx) -> T,
+        mut work: impl FnMut(&mut Ctx, &mut Replies<'_, '_>) -> T,
     ) -> (Vec<TransportResult>, T) {
         // Group: the calls each real message carries, in order of first
         // appearance. Without aggregation every call is its own.
         let batch = self.aggregation == AggregationPolicy::Batch;
-        let mut results = Vec::with_capacity(calls.len());
+        let mut results: Vec<Option<TransportResult>> = calls.iter().map(|_| None).collect();
         let mut groups: Vec<(_, Vec<usize>, Vec<Frame>)> = Vec::new();
         for (i, (to, frame)) in calls.into_iter().enumerate() {
             let key = (to, frame.method);
@@ -203,41 +213,96 @@ impl RpcClient {
                     frames.push((to, frame));
                     sent.push(idxs);
                 }
-                Err(e) => {
-                    let refused = fail_all(&BlobError::Codec(e), idxs.len());
-                    results.extend(idxs.into_iter().zip(refused));
-                }
+                Err(e) => place(&mut results, &idxs, Err(BlobError::Codec(e))),
             }
         }
 
-        // Send, work, wait; then scatter each reply back onto its
-        // message's call indices.
+        // Send, work (waiting for what it asks for), wait for the rest;
+        // then scatter each reply back onto its message's call indices.
         let mut worker = *ctx;
+        let mut run = |pending: &mut Pending<'_>| {
+            let results = &mut results;
+            work(
+                &mut worker,
+                &mut Replies {
+                    pending,
+                    sent: &sent,
+                    results,
+                },
+            )
+        };
         let mut worked = None;
-        let mut run = || worked = Some(work(&mut worker));
-        let replies = self
-            .transport
-            .call_many_with(self.from, ctx.vt, frames, &mut run);
-        let worked = worked.unwrap_or_else(|| work(&mut worker));
+        let mut replies =
+            self.transport
+                .call_many_with(self.from, ctx.vt, frames, &mut |pending| {
+                    worked = Some(run(pending));
+                });
+        let worked = match worked {
+            Some(worked) => worked,
+            None => {
+                let mut pending = Pending::ready(replies);
+                let worked = run(&mut pending);
+                replies = pending.finish();
+                worked
+            }
+        };
         ctx.join(worker);
         let short = || Err(BlobError::Internal("transport dropped a reply"));
         let replies = replies.into_iter().chain(std::iter::repeat_with(short));
-        for (idxs, reply) in sent.into_iter().zip(replies) {
-            let per_call = match reply {
-                Ok((resp, vt)) => {
-                    ctx.vt = ctx.vt.max(vt);
-                    scatter(resp, idxs.len())
-                        .into_iter()
-                        .map(|r| r.map(|frame| (frame, vt)))
-                        .collect()
-                }
-                Err(e) => fail_all(&e, idxs.len()),
-            };
-            results.extend(idxs.into_iter().zip(per_call));
+        for (idxs, reply) in sent.iter().zip(replies) {
+            if let Ok((_, vt)) = &reply {
+                ctx.vt = ctx.vt.max(*vt);
+            }
+            place(&mut results, idxs, reply);
         }
-        // The groups partition the calls, so this is input order.
-        results.sort_unstable_by_key(|(i, _)| *i);
-        (results.into_iter().map(|(_, r)| r).collect(), worked)
+        let results = results.into_iter().map(|r| r.unwrap_or_else(short));
+        (results.collect(), worked)
+    }
+}
+
+/// A fan-out's replies as its work sees them while the burst is in
+/// flight (see [`RpcClient::fan_out_with`]), by call index in input
+/// order.
+pub struct Replies<'r, 'p> {
+    pending: &'r mut Pending<'p>,
+    /// The call indices each message carries, by message.
+    sent: &'r [Vec<usize>],
+    results: &'r mut [Option<TransportResult>],
+}
+
+impl Replies<'_, '_> {
+    /// Call `i`'s reply and its arrival time (`i` below the fan-out's
+    /// call count). Waits for the message that carries it if it is still
+    /// in flight, splits that message's reply onto its calls, and raises
+    /// `ctx` to the reply's arrival.
+    pub fn wait(&mut self, ctx: &mut Ctx, i: usize) -> &TransportResult {
+        if self.results[i].is_none() {
+            if let Some(m) = self.sent.iter().position(|idxs| idxs.contains(&i)) {
+                let reply = self.pending.wait(m).clone();
+                place(self.results, &self.sent[m], reply);
+            }
+        }
+        let reply = self.results[i]
+            .get_or_insert_with(|| Err(BlobError::Internal("transport dropped a reply")));
+        if let Ok((_, vt)) = reply {
+            ctx.vt = ctx.vt.max(*vt);
+        }
+        reply
+    }
+}
+
+/// Scatter the reply to a message onto the calls it carried, `idxs`,
+/// leaving any call that already has its reply as it is.
+fn place(results: &mut [Option<TransportResult>], idxs: &[usize], reply: TransportResult) {
+    let per_call = match reply {
+        Ok((resp, vt)) => scatter(resp, idxs.len())
+            .into_iter()
+            .map(|r| r.map(|frame| (frame, vt)))
+            .collect(),
+        Err(e) => fail_all(&e, idxs.len()),
+    };
+    for (&i, reply) in idxs.iter().zip(per_call) {
+        results[i].get_or_insert(reply);
     }
 }
 

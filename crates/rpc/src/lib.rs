@@ -45,7 +45,7 @@ pub use admission::{
     AdmissionControlled, AdmissionGate, AdmissionMode, AdmissionOptions, AdmissionStats,
     OwnedPermit,
 };
-pub use client::{AggregationPolicy, RpcClient};
+pub use client::{AggregationPolicy, Replies, RpcClient};
 pub use frame::{Frame, FRAME_HEADER_BYTES, MAX_FRAME_BODY, METHOD_BATCH};
 pub use retry::RetryPolicy;
 pub use route::ShardRouter;
@@ -56,4 +56,4 @@ pub use tcp::{
     encode_wire_frame, read_wire_frame, TcpOptions, TcpTransport, CTRL_CORR, CTRL_SHED,
     MAX_WIRE_FRAME, SHED_RETRY_HINT_MS,
 };
-pub use transport::{Ctx, InProcTransport, Transport, TransportResult};
+pub use transport::{Ctx, InProcTransport, Pending, Transport, TransportResult};

@@ -63,7 +63,10 @@
 //! of a fan-out is on the wire before the caller waits for the first
 //! response. [`Transport::call_many_with`] is the same burst with the
 //! caller's own work run between the second step and the third, so that
-//! work rides the round trip (`call_many` is it with no work). Whoever
+//! work rides the round trip (`call_many` is it with no work); a slot
+//! the work waits for runs its third step then, the others after the
+//! work, and a burst the work starts dials or picks its own
+//! connections, since this one's are busy until read. Whoever
 //! holds a connection's read role fills its slots in whatever order the
 //! server answers — the burst's own later slots included, which it
 //! simply finds filled when it reaches them; and while it reads one
@@ -173,7 +176,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::transport::{Transport, TransportResult};
+use crate::transport::{Pending, Transport, TransportResult};
 
 mod mux;
 mod reactor;
@@ -573,21 +576,24 @@ impl Transport for TcpTransport {
         vt: u64,
         calls: Vec<(NodeId, Frame)>,
     ) -> Vec<TransportResult> {
-        self.call_many_with(from, vt, calls, &mut || {})
+        self.call_many_with(from, vt, calls, &mut |_| {})
     }
 
     /// Pipelined: every frame is registered and written, then `work`
     /// runs, then each response is awaited, so the calls are served
-    /// concurrently with each other and with the caller's work. No
-    /// thread is spawned — whoever reads a connection fills its slots in
-    /// whatever order responses arrive, and a slot this burst reaches
-    /// later is simply found filled.
+    /// concurrently with each other and with the caller's work. A reply
+    /// the work waits for is completed on demand; the rest after the
+    /// work. No thread is spawned — whoever reads a connection fills its
+    /// slots in whatever order responses arrive, and a slot this burst
+    /// reaches later is simply found filled. A burst the work starts
+    /// picks connections of its own: this burst's are busy until their
+    /// replies are read.
     fn call_many_with(
         &self,
         _from: NodeId,
         vt: u64,
         calls: Vec<(NodeId, Frame)>,
-        work: &mut dyn FnMut(),
+        work: &mut dyn FnMut(&mut Pending<'_>),
     ) -> Vec<TransportResult> {
         // One pass under the pool lock: a usable pooled connection per
         // distinct destination. Destinations left without one dial as
@@ -604,15 +610,21 @@ impl Transport for TcpTransport {
         burst.retain(|(_, conn)| conn.checkout());
         // A frame that fails to go out costs only its own call: every
         // slot submitted before and after it is still awaited below.
-        let sent: Vec<Result<InFlight, BlobError>> = calls
+        let mut sent: Vec<Option<Result<InFlight, BlobError>>> = calls
             .into_iter()
-            .map(|(to, frame)| self.submit(&mut burst, to, vt, &frame))
+            .map(|(to, frame)| Some(self.submit(&mut burst, to, vt, &frame)))
             .collect();
+        let n = sent.len();
+        let mut complete = |i: usize| match sent.get_mut(i).and_then(Option::take) {
+            Some(sent) => self.complete(sent?),
+            None => Err(BlobError::Internal("reply completed twice")),
+        };
+        let mut pending = Pending::new(n, &mut complete);
         // A slot nobody awaits stays registered, its connection counted
         // busy, until another caller happens to read its reply: every
         // one is awaited before a panic in `work` goes on up.
-        let worked = catch_unwind(AssertUnwindSafe(work));
-        let replies = sent.into_iter().map(|sent| self.complete(sent?)).collect();
+        let worked = catch_unwind(AssertUnwindSafe(|| work(&mut pending)));
+        let replies = pending.finish();
         worked.map_or_else(|panic| resume_unwind(panic), |()| replies)
     }
 }

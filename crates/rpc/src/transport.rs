@@ -73,25 +73,75 @@ pub trait Transport: Send + Sync {
 
     /// [`Transport::call_many`] with the caller's `work` run once between
     /// sending the burst and waiting for it, on the calling thread. The
-    /// work sees nothing of the replies; it is CPU the caller would
-    /// otherwise spend before or after the burst.
+    /// work gets the burst's [`Pending`] replies: [`Pending::wait`] yields
+    /// message `i`'s reply, so the work may act on part of its burst —
+    /// even start another — while the rest is still out.
     ///
-    /// The default is `call_many` followed by `work()`: the virtual clock
-    /// models the overlap itself, so the simulator, [`InProcTransport`]
-    /// and any decorator that wraps only `call` keep it. A transport with
-    /// real wires overrides it to put every frame in flight, run `work`,
-    /// then wait — and must await every call it sent even if `work`
-    /// panics.
+    /// The default is `call_many` followed by the work over the replies
+    /// it already holds: the virtual clock models the overlap itself, so
+    /// the simulator, [`InProcTransport`] and any decorator that wraps
+    /// only `call` keep it. A transport with real wires overrides it to
+    /// put every frame in flight, run `work` (completing a message the
+    /// moment `wait` asks for it), then wait for the rest — and must
+    /// await every call it sent even if `work` panics.
     fn call_many_with(
         &self,
         from: NodeId,
         vt: u64,
         calls: Vec<(NodeId, Frame)>,
-        work: &mut dyn FnMut(),
+        work: &mut dyn FnMut(&mut Pending<'_>),
     ) -> Vec<TransportResult> {
-        let replies = self.call_many(from, vt, calls);
-        work();
-        replies
+        let mut pending = Pending::ready(self.call_many(from, vt, calls));
+        work(&mut pending);
+        pending.finish()
+    }
+}
+
+/// The replies of a burst whose caller's work is running (see
+/// [`Transport::call_many_with`]), one per message, in input order.
+pub struct Pending<'a> {
+    replies: Vec<Option<TransportResult>>,
+    /// Waits for message `i`'s reply; called at most once per message.
+    /// `None` when every reply is already held.
+    complete: Option<&'a mut dyn FnMut(usize) -> TransportResult>,
+}
+
+impl Pending<'static> {
+    /// A burst whose replies are all in hand.
+    pub(crate) fn ready(replies: Vec<TransportResult>) -> Self {
+        Self {
+            replies: replies.into_iter().map(Some).collect(),
+            complete: None,
+        }
+    }
+}
+
+impl<'a> Pending<'a> {
+    /// A burst of `n` messages still in flight, whose replies `complete`
+    /// waits for.
+    pub(crate) fn new(n: usize, complete: &'a mut dyn FnMut(usize) -> TransportResult) -> Self {
+        Self {
+            replies: (0..n).map(|_| None).collect(),
+            complete: Some(complete),
+        }
+    }
+
+    /// Message `i`'s reply (`i` below the burst's message count),
+    /// waiting for it if it is still in flight.
+    pub fn wait(&mut self, i: usize) -> &TransportResult {
+        let complete = &mut self.complete;
+        self.replies[i].get_or_insert_with(|| match complete {
+            Some(complete) => complete(i),
+            None => Err(BlobError::Internal("transport dropped a reply")),
+        })
+    }
+
+    /// Every reply in input order, waiting for those not yet asked for.
+    pub(crate) fn finish(mut self) -> Vec<TransportResult> {
+        for i in 0..self.replies.len() {
+            self.wait(i);
+        }
+        self.replies.into_iter().flatten().collect()
     }
 }
 
