@@ -6,12 +6,16 @@
 //! Protocol fidelity (§III.B):
 //! * **READ**: a level-by-level descent of the segment tree with
 //!   *batched, parallel* metadata fetches, then *parallel* page downloads
-//!   — no lock anywhere, no interaction with any writer. The one question
-//!   for the version manager, the latest version, costs no round trip of
-//!   its own: published trees never change, so the read descends the
-//!   newest version it has seen published and sends `GET_LATEST` in the
-//!   same burst as its first metadata or page fetch, re-descending only
-//!   if the answer shows a newer version.
+//!   — no lock anywhere, no interaction with any writer. The leaf level
+//!   and the pages share one burst: the page fetches of each leaf
+//!   message leave the moment the client has decoded it, as late frames
+//!   of the burst that fetched the leaves, so the first pages are on the
+//!   wire while later leaves are still arriving. The one question for
+//!   the version manager, the latest version, costs no round trip of its
+//!   own: published trees never change, so the read descends the newest
+//!   version it has seen published and sends `GET_LATEST` in the same
+//!   burst as its first metadata or page fetch, re-descending only if
+//!   the answer shows a newer version.
 //! * **WRITE**: provider-manager plan → version + border links from the
 //!   version manager, with the first page put riding the same burst →
 //!   the batched metadata puts and the other page puts → completion
@@ -20,8 +24,8 @@
 //!   metadata — built **in isolation** — has its leaves, which name the
 //!   planned replicas, woven while the version request and the lead
 //!   page are; only the inner nodes wait for the ticket's border links,
-//!   and the metadata frames leave the moment they are woven, first in
-//!   a burst sent while the lead page may still be uploading. The write
+//!   and the metadata frames leave the moment they are woven, first
+//!   among the late frames that join the lead page's burst. The write
 //!   waits for the slower of its page upload and its metadata round,
 //!   not for both. The paper puts the pages first so that a failed
 //!   write burns no version; here a page that no replica acknowledged
@@ -53,9 +57,10 @@ use blobseer_proto::messages::{
     PublishState, PutPage, RemovePage, RequestVersion, WritePlan, WriteTicket,
 };
 use blobseer_proto::tree::{NodeBody, NodeKey, PageKey, PageLoc, TreeNode};
+use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, BlobId, Geometry, NodeId, PageBuf, ProviderId, Segment, Version};
 use blobseer_rpc::{
-    parse_response, Ctx, Frame, RetryPolicy, RpcClient, ShardRouter, TransportResult,
+    parse_response, Ctx, Frame, Replies, RetryPolicy, RpcClient, ShardRouter, TransportResult,
 };
 use blobseer_simnet::ClientCosts;
 use blobseer_util::{lockmeter, ClockCache, FxHashMap};
@@ -156,6 +161,9 @@ impl WriteStats {
 /// the same burst as the read's first metadata or page fetch, and a
 /// burst is charged to the stage of the work it carried: a read whose
 /// frontier floor was already the latest version has `latest_ns == 0`.
+/// The leaf burst carries both the leaves and the pages, so it is split
+/// where the last leaf was decoded: the descent before, the pages
+/// after.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReadStats {
     /// The version check, when it cost time of its own: a blob
@@ -163,9 +171,12 @@ pub struct ReadStats {
     /// to ride with (no floor yet, a pinned version above the floor, a
     /// version-0 or all-zero range).
     pub latest_ns: u64,
-    /// Tree descent with batched metadata fetches — what Fig. 3(a) plots.
+    /// Tree descent with batched metadata fetches — what Fig. 3(a)
+    /// plots: up to the last leaf decoded, plus any replica rounds for
+    /// leaves missing on their primary.
     pub meta_ns: u64,
-    /// Parallel page downloads + buffer assembly.
+    /// Parallel page downloads + buffer assembly: from the last leaf
+    /// decoded on, whichever pages had already left with earlier leaves.
     pub data_ns: u64,
     /// Tree nodes visited in the version the read returned.
     pub nodes_visited: u64,
@@ -185,13 +196,6 @@ impl ReadStats {
     pub fn total_ns(&self) -> u64 {
         self.latest_ns + self.meta_ns + self.data_ns
     }
-
-    /// Charge the virtual time since `mark` to one stage and move the
-    /// mark: consecutive laps partition the read's time.
-    fn lap(&mut self, ctx: &Ctx, mark: &mut u64, stage: fn(&mut ReadStats) -> &mut u64) {
-        *stage(self) += ctx.vt - *mark;
-        *mark = ctx.vt;
-    }
 }
 
 /// The resolved pieces of one READ, ready for assembly. `pieces` is
@@ -206,8 +210,29 @@ struct ReadPlan {
     pieces: Option<(Vec<Segment>, Vec<(PageLoc, Segment, PageBuf)>)>,
 }
 
-/// The reply frames of one burst, in call order.
-type Replies = Vec<Result<Frame, BlobError>>;
+/// A leaf a READ resolved: the page it names, the bytes of the read
+/// that page serves, and the replica the page's fetch starts at.
+#[derive(Clone)]
+struct LeafPage {
+    loc: PageLoc,
+    range: Segment,
+    start: usize,
+}
+
+impl LeafPage {
+    /// The page's `GET_PAGE`, to the replica its fetch starts at.
+    /// Well-formed leaves always carry at least one replica; a malformed
+    /// one routes to an impossible node and surfaces as `MissingPage`
+    /// through the normal failover path.
+    fn get(&self) -> (NodeId, Frame) {
+        let first = self.loc.replicas.get(self.start).copied();
+        let to = NodeId(first.unwrap_or(ProviderId(u32::MAX)).0);
+        (
+            to,
+            Frame::from_msg(method::GET_PAGE, &GetPage { key: self.loc.key }),
+        )
+    }
+}
 
 /// A read's version check.
 enum Check {
@@ -232,9 +257,18 @@ struct ReadState {
     /// key, so the newer tree reuses any it names.
     spare: FxHashMap<PageKey, PageBuf>,
     stats: ReadStats,
+    /// Where the stats' last lap ended.
+    mark: u64,
 }
 
 impl ReadState {
+    /// Charge the virtual time from the mark to `at` to one stage and
+    /// move the mark there: consecutive laps partition the read's time.
+    fn lap(&mut self, at: u64, stage: fn(&mut ReadStats) -> &mut u64) {
+        *stage(&mut self.stats) += at - self.mark;
+        self.mark = at;
+    }
+
     /// Judge the descended target against `latest`: a pinned version
     /// above it is not published; a `read(None)` whose floor was not the
     /// latest version moves to it. Returns whether the target moved.
@@ -530,9 +564,9 @@ impl BlobClient {
     /// while the version request is. The lead is the first destination,
     /// in plan order, that receives exactly one put: its bytes are on the
     /// wire while the ticket returns and the tree is woven. Once the
-    /// inner nodes have the ticket's links, the third round leaves — from
-    /// inside the second, whose lead put may still be uploading — with
-    /// the `META_PUT_BATCH` frames first, so the write waits for the
+    /// inner nodes have the ticket's links, the third round leaves — as
+    /// late frames of the second, whose lead put may still be uploading —
+    /// with the `META_PUT_BATCH` frames first, so the write waits for the
     /// slower of its two legs, not for both. With no lead (every
     /// destination takes several puts) the ticket travels alone and all
     /// pages go in the third round.
@@ -648,9 +682,10 @@ impl BlobClient {
 
         // Step 3: while the first burst travels, the leaves are woven,
         // naming the planned replicas; the inner nodes wait for the
-        // ticket's links, and then one burst leaves carrying the metadata
-        // frames first, so the small batches go ahead of the other pages.
-        // The metadata is woven in complete isolation either way.
+        // ticket's links, and then the metadata frames and the other page
+        // puts join that burst as late frames, metadata first, so the
+        // small batches go ahead of the other pages. The metadata is
+        // woven in complete isolation either way.
         let (mut first_replies, built) = self.rpc.fan_out_with(ctx, first, |c, replies| {
             c.advance(self.costs.build_node_ns * pages.len() as u64);
             let leaves = weave_leaves(&geom, blob, &seg, &pages);
@@ -665,19 +700,23 @@ impl BlobClient {
             let (put, mut frames) = self.dht.put_frames(&nodes);
             let n_meta = frames.len();
             frames.append(&mut page_frames);
-            let (mut meta_replies, ()) = self.rpc.fan_out_with(c, frames, |_, _| ());
-            let page_replies = meta_replies.split_off(n_meta);
+            replies.send(c, frames);
             let times = (granted, woven, inner);
-            Ok((ticket, nodes, put, meta_replies, page_replies, times))
+            Ok((ticket, nodes, put, n_meta, times))
         });
         let untimed =
             |replies: Vec<TransportResult>| replies.into_iter().map(|r| r.map(|(f, _)| f));
+        // The late frames' replies follow the burst's own, one per call.
+        let mut meta_replies = first_replies.split_off(1 + n_lead);
         let lead_replies = first_replies.split_off(1);
         let lead_done = last_arrival(&lead_replies, 0);
         let mut acked: Vec<Vec<ProviderId>> = vec![Vec::new(); pages.len()];
         let lead_err = absorb_puts(&page_of[..n_lead], untimed(lead_replies), &mut acked);
         let (ticket, mut nodes, put, meta_replies, page_replies, times) = match built {
-            Ok(built) => built,
+            Ok((ticket, nodes, put, n_meta, times)) => {
+                let page_replies = meta_replies.split_off(n_meta);
+                (ticket, nodes, put, meta_replies, page_replies, times)
+            }
             Err(e) => {
                 // No version, or no tree for it: take the lead page back,
                 // best effort, so the failed write leaves no page behind.
@@ -958,20 +997,21 @@ impl BlobClient {
     }
 
     /// The shared READ engine: version resolution, cached level-by-level
-    /// tree descent, parallel page fetches. Returns the pieces for the
+    /// tree descent, and the leaf burst, in which each leaf batch's page
+    /// fetches leave the moment it is decoded. Returns the pieces for the
     /// caller to assemble (`None` pieces = version-0 all-zero read).
     ///
     /// The version check costs no round trip of its own. A read that had
     /// to fetch the blob descriptor already holds a fresh `latest`.
     /// Otherwise it descends a *target* — `v` if pinned, else the
     /// client's frontier floor — and sends `GET_LATEST` last in the burst
-    /// of its first fetch: the first tree level that misses the cache, or
-    /// else the pages. If `latest` shows the floor was behind, the read
-    /// descends `latest`'s tree instead, reusing any burst page the new
-    /// tree still names and dropping everything else the burst brought,
-    /// errors included. The target is always a version known to be
-    /// published when its fetches leave — the floor is one by definition
-    /// — so nothing a burst fetched raced its writer.
+    /// of its first fetch: the first inner tree level that misses the
+    /// cache, or else the leaf burst. If `latest` shows the floor was
+    /// behind, the read descends `latest`'s tree instead, reusing any
+    /// burst page the new tree still names and dropping everything else
+    /// the burst brought, errors included. The target is always a version
+    /// known to be published when its fetches leave — the floor is one by
+    /// definition — so nothing a burst fetched raced its writer.
     fn read_plan(
         &self,
         ctx: &mut Ctx,
@@ -979,7 +1019,7 @@ impl BlobClient {
         version: Option<Version>,
         seg: Segment,
     ) -> Result<ReadPlan, BlobError> {
-        let mut mark = ctx.vt;
+        let mark = ctx.vt;
         let (known, fresh) = self.entry(ctx, blob)?;
         let geom = known.geom;
         geom.validate_bounds(&seg)?;
@@ -1000,33 +1040,25 @@ impl BlobClient {
             },
             spare: FxHashMap::default(),
             stats: ReadStats::default(),
+            mark,
         };
         if let Some(latest) = fresh {
             st.settle(latest)?;
         } else if target > floor {
             // A pinned version above the floor may not exist yet, so no
             // fetch can ride with the check: it goes first, alone.
-            self.burst(ctx, &mut st, Vec::new())?;
+            self.burst(ctx, &mut st, Vec::new(), |_, _| ())?;
         }
-        st.stats.lap(ctx, &mut mark, |s| &mut s.latest_ns);
+        st.lap(ctx.vt, |s| &mut s.latest_ns);
 
         // A pass per target: a second one only if the check moved it.
         let pieces = loop {
             let descent = self.descend(ctx, &mut st)?;
-            st.stats.lap(ctx, &mut mark, |s| &mut s.meta_ns);
+            st.lap(ctx.vt, |s| &mut s.meta_ns);
             let Some((zeros, leaves)) = descent else {
                 continue;
             };
-            let pages = self.fetch_pages(ctx, &mut st, &leaves)?;
-            if leaves.is_empty() {
-                // Nothing to fetch: the burst was the version check alone.
-                st.stats.lap(ctx, &mut mark, |s| &mut s.latest_ns);
-            }
-            if let Some(pages) = &pages {
-                ctx.advance(self.costs.page_ns * pages.len() as u64);
-            }
-            st.stats.lap(ctx, &mut mark, |s| &mut s.data_ns);
-            if let Some(pages) = pages {
+            if let Some(pages) = self.fetch_leaves(ctx, &mut st, &leaves)? {
                 break (st.target > 0).then_some((zeros, pages));
             }
         };
@@ -1044,45 +1076,47 @@ impl BlobClient {
         })
     }
 
-    /// Send one burst of fetches. If the read still owes its version
-    /// check, `GET_LATEST` goes last in it, and its answer may move the
-    /// read's target. Returns the fetches' replies, in order, and
-    /// whether the target moved.
-    fn burst(
+    /// Send one burst of fetches with `work` riding it (see
+    /// [`RpcClient::fan_out_with`]). If the read still owes its version
+    /// check, `GET_LATEST` goes last among the burst's own frames, and its
+    /// answer may move the read's target. Returns every reply by call
+    /// index — the work's late frames after the burst's own, the check's
+    /// slot emptied — what the work returned, and whether the target
+    /// moved.
+    fn burst<T>(
         &self,
         ctx: &mut Ctx,
         st: &mut ReadState,
         mut frames: Vec<(NodeId, Frame)>,
-    ) -> Result<(Replies, bool), BlobError> {
+        work: impl FnMut(&mut Ctx, &mut Replies<'_, '_>) -> T,
+    ) -> Result<(Vec<TransportResult>, T, bool), BlobError> {
         let Check::Owed { vm, known } = &st.check else {
-            if frames.is_empty() {
-                return Ok((Vec::new(), false));
-            }
-            return Ok((self.rpc.fan_out_frames(ctx, frames), false));
+            let (replies, worked) = self.rpc.fan_out_with(ctx, frames, work);
+            return Ok((replies, worked, false));
         };
+        let at = frames.len();
         let check = Frame::from_msg(method::GET_LATEST, &GetLatest { blob: st.blob });
         frames.push((*vm, check));
-        let mut replies = self.rpc.fan_out_frames(ctx, frames);
-        let latest: Version = replies
-            .pop()
-            .unwrap_or(Err(BlobError::Internal("transport dropped a reply")))
-            .and_then(|reply| parse_response(&reply))?;
+        let (mut replies, worked) = self.rpc.fan_out_with(ctx, frames, work);
+        let latest: Version = take_reply(&mut replies, at)?;
         known.observe(latest);
         st.check = Check::Answered(latest);
         let moved = st.settle(latest)?;
-        Ok((replies, moved))
+        Ok((replies, worked, moved))
     }
 
-    /// Descend `st.target`'s tree level by level, through the cache, with
-    /// batched parallel metadata fetches; cache hits and misses alike
-    /// hand out refcounted bodies, never deep clones. Returns the zero
-    /// ranges and the leaves, or `None` if the check moved the target.
+    /// Descend `st.target`'s tree level by level down to the level above
+    /// its leaves, through the cache, with batched parallel metadata
+    /// fetches; cache hits and misses alike hand out refcounted bodies,
+    /// never deep clones. Returns the zero ranges and the leaves' keys —
+    /// the tree is aligned, so a level holds leaves only or none — or
+    /// `None` if the check moved the target.
     #[allow(clippy::type_complexity)]
     fn descend(
         &self,
         ctx: &mut Ctx,
         st: &mut ReadState,
-    ) -> Result<Option<(Vec<Segment>, Vec<(NodeKey, PageLoc, Segment)>)>, BlobError> {
+    ) -> Result<Option<(Vec<Segment>, Vec<NodeKey>)>, BlobError> {
         let (geom, blob, seg) = (st.geom, st.blob, st.seg);
         st.stats.nodes_visited = 0;
         let mut level = if st.target == 0 {
@@ -1091,8 +1125,7 @@ impl BlobClient {
             vec![root_key(&geom, blob, st.target)]
         };
         let mut zeros: Vec<Segment> = Vec::new();
-        let mut leaves: Vec<(NodeKey, PageLoc, Segment)> = Vec::new();
-        while !level.is_empty() {
+        while level.first().is_some_and(|key| key.size > geom.page_size) {
             let mut bodies: Vec<Option<Arc<NodeBody>>> = vec![None; level.len()];
             let mut missing_idx = Vec::new();
             if let Some(cache) = &self.cache {
@@ -1108,13 +1141,17 @@ impl BlobClient {
             }
             if !missing_idx.is_empty() {
                 let keys: Vec<NodeKey> = missing_idx.iter().map(|&i| level[i]).collect();
-                let (fetch, frames) = self.dht.fetch_frames(&keys);
-                let (replies, moved) = self.burst(ctx, st, frames)?;
+                let (mut fetch, frames) = self.dht.fetch_frames(&keys);
+                let n = frames.len();
+                let (replies, (), moved) = self.burst(ctx, st, frames, |_, _| ())?;
                 if moved {
                     st.stats.refetched += keys.len() as u64;
                     return Ok(None);
                 }
-                let fetched = self.dht.finish_fetch(ctx, fetch, replies)?;
+                for (m, reply) in replies.iter().enumerate().take(n) {
+                    fetch.absorb(m, reply.as_ref().map(|(frame, _)| frame));
+                }
+                let fetched = self.dht.finish_fetch(ctx, fetch)?;
                 for (&i, node) in missing_idx.iter().zip(fetched) {
                     let node = node.ok_or(BlobError::MissingMetadata {
                         blob,
@@ -1139,19 +1176,36 @@ impl BlobClient {
                     match visit {
                         Visit::Descend(k) => next.push(k),
                         Visit::Zeros(z) => zeros.push(z),
-                        Visit::Page { page, blob_range } => leaves.push((*key, page, blob_range)),
+                        Visit::Page { .. } => {
+                            return Err(BlobError::Internal("page above the leaf level"))
+                        }
                     }
                 }
             }
             level = next;
         }
-        Ok(Some((zeros, leaves)))
+        Ok(Some((zeros, level)))
     }
 
-    /// Fetch every leaf's page — in the read's first burst, with the
-    /// version check, when the descent needed no metadata fetch; `None`
-    /// if that check moved the target. A page a dropped burst already
-    /// brought is reused, not fetched again.
+    /// The leaf burst: fetch the leaves `keys` and their pages in one
+    /// burst, whose pages leave as their leaves are decoded. Returns each
+    /// leaf's page with the bytes of the read it serves, in leaf order,
+    /// or `None` if the check moved the target.
+    ///
+    /// The burst carries a `META_GET_BATCH` per metadata provider for the
+    /// leaves the cache lacks, a `GET_PAGE` for every cached leaf and, if
+    /// still owed, `GET_LATEST` last. While it is out, the read waits for
+    /// each leaf message in turn, decodes it (`read_node_ns` per node)
+    /// and sends that message's `GET_PAGE`s at once, as late frames of
+    /// the same burst, one per provider: the first leaves' pages are on
+    /// the wire while later leaves are still arriving and being decoded.
+    /// The descent's stage ends at the last leaf decoded.
+    ///
+    /// After the burst: leaves missing on their primary go through the
+    /// metadata replica rounds, then one more burst fetches their pages.
+    /// A page a dropped burst already brought is reused, not fetched
+    /// again. If the check moved the target, the burst's nodes are
+    /// dropped and its pages kept as spare for the newer tree.
     ///
     /// Single-replica pages go to their primary; multi-replica
     /// (fanned-out or replicated) pages rotate the starting replica
@@ -1165,80 +1219,180 @@ impl BlobClient {
     /// enabled); a page crossing the promotion threshold is fanned out
     /// onto one more provider right here, best-effort.
     #[allow(clippy::type_complexity)]
-    fn fetch_pages(
+    fn fetch_leaves(
         &self,
         ctx: &mut Ctx,
         st: &mut ReadState,
-        leaves: &[(NodeKey, PageLoc, Segment)],
+        keys: &[NodeKey],
     ) -> Result<Option<Vec<(PageLoc, Segment, PageBuf)>>, BlobError> {
-        let mut replies: Vec<Option<Result<PageBuf, BlobError>>> = leaves
-            .iter()
-            .map(|(_, loc, _)| st.spare.remove(&loc.key).map(Ok))
-            .collect();
-        let starts: Vec<usize> = leaves
-            .iter()
-            .map(|(_, loc, _)| {
-                if loc.replicas.len() > 1 {
-                    (self.rr.fetch_add(1, Ordering::Relaxed) % loc.replicas.len() as u64) as usize
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let wanted: Vec<usize> = (0..leaves.len())
-            .filter(|&i| replies[i].is_none())
-            .collect();
-        let frames: Vec<(NodeId, Frame)> = wanted
-            .iter()
-            .map(|&i| {
-                let loc = &leaves[i].1;
-                // Well-formed leaves always carry at least one replica; a
-                // malformed one routes to an impossible node and surfaces
-                // as MissingPage through the normal failover path.
-                let first = loc
-                    .replicas
-                    .get(starts[i])
-                    .copied()
-                    .unwrap_or(ProviderId(u32::MAX));
-                let get = GetPage { key: loc.key };
-                (NodeId(first.0), Frame::from_msg(method::GET_PAGE, &get))
-            })
-            .collect();
-        let (fetched, moved) = self.burst(ctx, st, frames)?;
-        let fetched = wanted
-            .into_iter()
-            .zip(fetched)
-            .map(|(i, reply)| (i, reply.and_then(|frame| parse_response::<PageBuf>(&frame))));
-        if moved {
-            // Keep what the newer tree may name again; the rest is waste.
-            for (i, page) in fetched {
-                match page {
-                    Ok(page) => {
-                        st.spare.insert(leaves[i].1.key, page);
-                    }
-                    Err(_) => st.stats.refetched += 1,
-                }
-            }
-            return Ok(None);
+        if keys.is_empty() {
+            // Nothing to fetch: the burst, if any, is the version check
+            // alone.
+            let (_, (), moved) = self.burst(ctx, st, Vec::new(), |_, _| ())?;
+            st.lap(ctx.vt, |s| &mut s.latest_ns);
+            return Ok((!moved).then(Vec::new));
         }
-        for (i, page) in fetched {
-            replies[i] = Some(page);
+        let (geom, seg) = (st.geom, st.seg);
+        st.stats.nodes_visited += keys.len() as u64;
+        let mut leaves: Vec<Option<LeafPage>> = vec![None; keys.len()];
+        let mut missing = Vec::new();
+        match &self.cache {
+            Some(cache) => {
+                for (i, key) in keys.iter().enumerate() {
+                    match cache.get(key) {
+                        Some(body) => leaves[i] = Some(self.leaf_page(&geom, &seg, key, &body)?),
+                        None => missing.push(i),
+                    }
+                }
+                ctx.advance(self.costs.cache_ns * keys.len() as u64);
+            }
+            None => missing = (0..keys.len()).collect(),
         }
 
-        let mut out = Vec::with_capacity(leaves.len());
-        for (((leaf_key, loc, range), reply), start) in leaves.iter().zip(replies).zip(starts) {
-            let data = match reply.unwrap_or(Err(BlobError::Internal("page not fetched"))) {
-                Ok(data) => data,
-                Err(first_err) => self.page_failover(ctx, loc, start, first_err)?,
-            };
-            if let Some(heat) = &self.heat {
-                if heat.record_read(loc.key) && loc.replicas.len() < heat.options().max_replicas {
-                    self.promote_page(ctx, *leaf_key, loc, &data);
+        // The burst: the leaf fetches, then the cached leaves' pages.
+        // `calls` pairs each page fetch's leaf with its call index.
+        let mut spare = std::mem::take(&mut st.spare);
+        let wanted = |leaf: &LeafPage| !spare.contains_key(&leaf.loc.key);
+        let missing_keys: Vec<NodeKey> = missing.iter().map(|&i| keys[i]).collect();
+        let (mut fetch, mut frames) = self.dht.fetch_frames(&missing_keys);
+        let n_meta = frames.len();
+        let cached: Vec<usize> = (0..keys.len())
+            .filter(|&i| leaves[i].as_ref().is_some_and(wanted))
+            .collect();
+        frames.extend(
+            cached
+                .iter()
+                .filter_map(|&i| leaves[i].as_ref().map(LeafPage::get)),
+        );
+        let mut calls: Vec<(usize, usize)> = cached.into_iter().zip(n_meta..).collect();
+        let mut decoded = ctx.vt;
+        let (mut replies, worked, moved) = self.burst(ctx, st, frames, |c, replies| {
+            for m in 0..n_meta {
+                let reply = replies.wait(c, m).as_ref().map(|(frame, _)| frame);
+                let resolved = fetch.absorb(m, reply);
+                c.advance(self.costs.read_node_ns * resolved.len() as u64);
+                decoded = c.vt;
+                let mut sent = Vec::with_capacity(resolved.len());
+                let mut gets = Vec::with_capacity(resolved.len());
+                for j in resolved {
+                    let (i, node) = (missing[j], fetch.node(j));
+                    let node = node.ok_or(BlobError::Internal("resolved leaf absent"))?;
+                    let leaf = self.leaf_page(&geom, &seg, &keys[i], &node.body)?;
+                    if wanted(&leaf) {
+                        sent.push(i);
+                        gets.push(leaf.get());
+                    }
+                    leaves[i] = Some(leaf);
+                }
+                calls.extend(sent.into_iter().zip(replies.send(c, gets)));
+            }
+            Ok::<(), BlobError>(())
+        })?;
+        st.lap(decoded, |s| &mut s.meta_ns);
+        st.lap(ctx.vt, |s| &mut s.data_ns);
+        if moved {
+            // Keep what the newer tree may name again; the rest is waste.
+            st.stats.refetched += missing.len() as u64;
+            for (i, call) in calls {
+                match (take_reply(&mut replies, call), &leaves[i]) {
+                    (Ok(page), Some(leaf)) => {
+                        spare.insert(leaf.loc.key, page);
+                    }
+                    _ => st.stats.refetched += 1,
                 }
             }
-            out.push((loc.clone(), *range, data));
+            st.spare = spare;
+            return Ok(None);
         }
+        worked?;
+
+        // Leaves missing on their primary: the replica rounds, then one
+        // more burst for their pages.
+        let mut late = Vec::new();
+        for (j, node) in self.dht.finish_fetch(ctx, fetch)?.into_iter().enumerate() {
+            let i = missing[j];
+            let node = node.ok_or(BlobError::MissingMetadata {
+                blob: st.blob,
+                version: keys[i].version,
+            })?;
+            if leaves[i].is_none() {
+                leaves[i] = Some(self.leaf_page(&geom, &seg, &keys[i], &node.body)?);
+                late.push(i);
+            }
+            if let Some(cache) = &self.cache {
+                cache.insert(node.key, Arc::new(node.body));
+            }
+        }
+        if !late.is_empty() {
+            ctx.advance(self.costs.read_node_ns * late.len() as u64);
+            st.lap(ctx.vt, |s| &mut s.meta_ns);
+            late.retain(|&i| {
+                let leaf = leaves[i].as_ref();
+                leaf.is_some_and(|leaf| !spare.contains_key(&leaf.loc.key))
+            });
+            let gets = late
+                .iter()
+                .filter_map(|&i| leaves[i].as_ref().map(LeafPage::get));
+            let (more, ()) = self.rpc.fan_out_with(ctx, gets.collect(), |_, _| ());
+            calls.extend(late.into_iter().zip(replies.len()..));
+            replies.extend(more);
+        }
+
+        let mut got: Vec<Option<Result<PageBuf, BlobError>>> = vec![None; keys.len()];
+        for (i, call) in calls {
+            got[i] = Some(take_reply(&mut replies, call));
+        }
+        let mut out = Vec::with_capacity(keys.len());
+        for ((leaf_key, leaf), got) in keys.iter().zip(leaves).zip(got) {
+            let leaf = leaf.ok_or(BlobError::Internal("leaf not resolved"))?;
+            let data = match got {
+                Some(Ok(data)) => data,
+                Some(Err(first_err)) => {
+                    self.page_failover(ctx, &leaf.loc, leaf.start, first_err)?
+                }
+                None => spare
+                    .remove(&leaf.loc.key)
+                    .ok_or(BlobError::Internal("page not fetched"))?,
+            };
+            if let Some(heat) = &self.heat {
+                if heat.record_read(leaf.loc.key)
+                    && leaf.loc.replicas.len() < heat.options().max_replicas
+                {
+                    self.promote_page(ctx, *leaf_key, &leaf.loc, &data);
+                }
+            }
+            out.push((leaf.loc, leaf.range, data));
+        }
+        st.spare = spare;
+        ctx.advance(self.costs.page_ns * out.len() as u64);
+        st.lap(ctx.vt, |s| &mut s.data_ns);
         Ok(Some(out))
+    }
+
+    /// The page the leaf `key` names and the bytes of the read it
+    /// serves, and the replica its fetch starts at: round-robin over a
+    /// multi-replica page's holders, so a hot page's read load spreads.
+    fn leaf_page(
+        &self,
+        geom: &Geometry,
+        seg: &Segment,
+        key: &NodeKey,
+        body: &NodeBody,
+    ) -> Result<LeafPage, BlobError> {
+        let Some(Visit::Page { page, blob_range }) = expand(geom, key, body, seg)?.pop() else {
+            return Err(BlobError::Internal("leaf level node is not a leaf"));
+        };
+        let holders = page.replicas.len() as u64;
+        let start = if holders > 1 {
+            (self.rr.fetch_add(1, Ordering::Relaxed) % holders) as usize
+        } else {
+            0
+        };
+        Ok(LeafPage {
+            loc: page,
+            range: blob_range,
+            start,
+        })
     }
 
     /// A page whose first replica failed with `first_err`: try the
@@ -1438,6 +1592,15 @@ fn absorb_puts(
         }
     }
     last_err
+}
+
+/// Take call `i`'s reply out of a burst's replies, parsed.
+fn take_reply<T: Wire>(replies: &mut [TransportResult], i: usize) -> Result<T, BlobError> {
+    let reply = match replies.get_mut(i) {
+        Some(reply) => std::mem::replace(reply, Err(BlobError::Internal("reply taken twice"))),
+        None => Err(BlobError::Internal("transport dropped a reply")),
+    };
+    reply.and_then(|(frame, _)| parse_response(&frame))
 }
 
 /// When the last successful reply of a burst arrived; `since` if none

@@ -219,3 +219,37 @@ fn shared_metadata_cache_works_over_tcp() {
     assert_eq!(m1, m0, "shared cache is pre-warmed by the writer");
     assert_eq!(r, data);
 }
+
+#[test]
+fn a_burst_sends_on_the_connections_it_holds() {
+    // A write's metadata frames and page puts leave from inside its
+    // version-request burst, and a read's page fetches from inside its
+    // leaf burst, as late frames on the connections that burst holds:
+    // one client doing one thing at a time never dials a second
+    // connection to any storage node.
+    const MIB: u64 = 1 << 20;
+    let d = Deployment::build(DeploymentConfig::functional_tcp(8));
+    let tcp = d.cluster.tcp().unwrap();
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, 64 * MIB, 256 << 10).unwrap();
+    for i in 0..32u64 {
+        let data = vec![i as u8; MIB as usize];
+        c.write(&mut ctx, info.blob, i * MIB, &data).unwrap();
+    }
+    for i in 0..32u64 {
+        let (got, _) = c
+            .read(&mut ctx, info.blob, None, seg(i * MIB + MIB / 2, MIB))
+            .unwrap();
+        assert!(got[..(MIB / 2) as usize].iter().all(|&b| b == i as u8));
+        // Past the last segment lies unwritten space: zeros.
+        let next = if i == 31 { 0 } else { i as u8 + 1 };
+        assert!(got[(MIB / 2) as usize..].iter().all(|&b| b == next));
+    }
+    let pools: Vec<usize> = d
+        .storage_nodes
+        .iter()
+        .map(|&node| tcp.pooled_connections(node))
+        .collect();
+    assert_eq!(pools, vec![1; 8], "connections per storage node");
+}

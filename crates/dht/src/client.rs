@@ -134,45 +134,56 @@ impl DhtClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let (fetch, frames) = self.fetch_frames(keys);
-        let replies = self.rpc.fan_out_frames(ctx, frames);
-        self.finish_fetch(ctx, fetch, replies)
+        let (mut fetch, frames) = self.fetch_frames(keys);
+        for (m, reply) in self.rpc.fan_out_frames(ctx, frames).iter().enumerate() {
+            fetch.absorb(m, reply.as_ref());
+        }
+        self.finish_fetch(ctx, fetch)
     }
 
     /// The first attempt of a [`DhtClient::get_nodes`] as frames: one
     /// `META_GET_BATCH` per primary replica. The caller sends them — in a
-    /// burst of its own, if it likes — and hands their replies, in order,
-    /// to [`DhtClient::finish_fetch`].
+    /// burst of its own, if it likes — hands each reply to
+    /// [`NodeFetch::absorb`] as it arrives, and then the fetch to
+    /// [`DhtClient::finish_fetch`].
     pub fn fetch_frames(&self, keys: &[NodeKey]) -> (NodeFetch, Vec<(NodeId, Frame)>) {
         let pending: Vec<usize> = (0..keys.len()).collect();
         let (groups, frames) = self.attempt(keys, &pending, 0);
         let fetch = NodeFetch {
             keys: keys.to_vec(),
             groups,
+            out: vec![None; keys.len()],
+            unresolved: Vec::new(),
+            last_err: None,
         };
         (fetch, frames)
     }
 
-    /// Absorb the replies to [`DhtClient::fetch_frames`]' frames, then
-    /// fail over: keys missing or unreachable on one replica are asked of
-    /// the next, until every replica has been tried.
+    /// Fail over what the first attempt left unresolved: keys missing or
+    /// unreachable on one replica are asked of the next, until every
+    /// replica has been tried. Returns every node, in key order.
     pub fn finish_fetch(
         &self,
         ctx: &mut Ctx,
         fetch: NodeFetch,
-        replies: Vec<Result<Frame, BlobError>>,
     ) -> Result<Vec<Option<TreeNode>>, BlobError> {
-        let NodeFetch { keys, groups } = fetch;
-        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
-        let mut last_err = None;
-        let mut pending = absorb(&groups, replies, &mut out, &mut last_err);
+        let NodeFetch {
+            keys,
+            mut out,
+            unresolved: mut pending,
+            mut last_err,
+            ..
+        } = fetch;
         for attempt in 1..self.ring.replication() {
             if pending.is_empty() {
                 break;
             }
             let (groups, frames) = self.attempt(&keys, &pending, attempt);
             let replies = self.rpc.fan_out_frames(ctx, frames);
-            pending = absorb(&groups, replies, &mut out, &mut last_err);
+            pending.clear();
+            for ((_, idxs), reply) in groups.iter().zip(&replies) {
+                absorb(idxs, reply.as_ref(), &mut out, &mut pending, &mut last_err);
+            }
         }
         // Keys still pending after the last replica stay None when they
         // are simply absent — callers distinguish absence from transport
@@ -245,10 +256,35 @@ impl DhtClient {
 }
 
 /// A [`DhtClient::get_nodes`] whose first attempt is in flight: the
-/// keys, and which of them each first-attempt frame carries.
+/// keys, which of them each first-attempt message carries, and what the
+/// replies absorbed so far resolved.
 pub struct NodeFetch {
     keys: Vec<NodeKey>,
     groups: Groups,
+    out: Vec<Option<TreeNode>>,
+    /// Key indices a reply left unresolved, for the next replica.
+    unresolved: Vec<usize>,
+    last_err: Option<BlobError>,
+}
+
+impl NodeFetch {
+    /// Absorb the reply to first-attempt message `m` (each message
+    /// once, in any order): returns the key indices it resolved, whose
+    /// nodes [`NodeFetch::node`] holds. A key the message did not
+    /// resolve — missing on that replica, or the message failed — is left
+    /// for [`DhtClient::finish_fetch`] to ask the next replica.
+    pub fn absorb(&mut self, m: usize, reply: Result<&Frame, &BlobError>) -> Vec<usize> {
+        let Some((_, idxs)) = self.groups.get(m) else {
+            return Vec::new();
+        };
+        let (out, unresolved, last_err) = (&mut self.out, &mut self.unresolved, &mut self.last_err);
+        absorb(idxs, reply, out, unresolved, last_err)
+    }
+
+    /// Key `i`'s node, once an absorbed reply resolved it.
+    pub fn node(&self, i: usize) -> Option<&TreeNode> {
+        self.out.get(i).and_then(Option::as_ref)
+    }
 }
 
 /// A [`DhtClient::put_nodes`] whose frames are in flight: which nodes
@@ -267,37 +303,43 @@ enum PutShape {
 /// The node or key indices each message carries, by destination.
 type Groups = Vec<(NodeId, Vec<usize>)>;
 
-/// Fold one attempt's replies into `out`; returns the key indices still
-/// unresolved (missing on that replica, or its message failed).
+/// Fold the reply to one message, which carried the keys `idxs`, into
+/// `out`: returns the key indices it resolved, and appends those it did
+/// not (missing on that replica, or the message failed) to `unresolved`.
 fn absorb(
-    groups: &[(NodeId, Vec<usize>)],
-    replies: Vec<Result<Frame, BlobError>>,
+    idxs: &[usize],
+    reply: Result<&Frame, &BlobError>,
     out: &mut [Option<TreeNode>],
+    unresolved: &mut Vec<usize>,
     last_err: &mut Option<BlobError>,
 ) -> Vec<usize> {
-    let mut unresolved = Vec::new();
-    for ((_, idxs), reply) in groups.iter().zip(replies) {
-        match reply.and_then(|frame| parse_response::<MetaGetBatchResp>(&frame)) {
-            Ok(resp) if resp.nodes.len() == idxs.len() => {
-                for (&i, node) in idxs.iter().zip(resp.nodes) {
-                    match node {
-                        Some(n) => out[i] = Some(n),
-                        // Missing on this replica: retry next.
-                        None => unresolved.push(i),
+    let mut resolved = Vec::with_capacity(idxs.len());
+    match reply
+        .map_err(BlobError::clone)
+        .and_then(parse_response::<MetaGetBatchResp>)
+    {
+        Ok(resp) if resp.nodes.len() == idxs.len() => {
+            for (&i, node) in idxs.iter().zip(resp.nodes) {
+                match node {
+                    Some(n) => {
+                        out[i] = Some(n);
+                        resolved.push(i);
                     }
+                    // Missing on this replica: retry next.
+                    None => unresolved.push(i),
                 }
             }
-            Ok(_) => {
-                *last_err = Some(BlobError::Internal("malformed batch get response"));
-                unresolved.extend_from_slice(idxs);
-            }
-            Err(e) => {
-                *last_err = Some(e);
-                unresolved.extend_from_slice(idxs);
-            }
+        }
+        Ok(_) => {
+            *last_err = Some(BlobError::Internal("malformed batch get response"));
+            unresolved.extend_from_slice(idxs);
+        }
+        Err(e) => {
+            *last_err = Some(e);
+            unresolved.extend_from_slice(idxs);
         }
     }
-    unresolved
+    resolved
 }
 
 /// Per-item put attribution: `results` holds each node's replica puts

@@ -6,7 +6,9 @@
 //! traversal is an interactive loop: this module provides the pure step
 //! function [`expand`], and the client drives it level by level with
 //! batched metadata fetches (one parallel round trip per tree level, as in
-//! the paper).
+//! the paper). The leaf level's round trip also carries the page fetches:
+//! the client expands each leaf message as it arrives and sends its pages
+//! from inside that same burst.
 
 use crate::shape::touched_children;
 use blobseer_proto::tree::{NodeBody, NodeKey, PageLoc};

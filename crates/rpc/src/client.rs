@@ -17,10 +17,12 @@
 //!   also runs the caller's own CPU work while the burst is in flight —
 //!   a write copies its buffer while its plan request travels — and
 //!   reports when each reply arrived. The work may wait for some of the
-//!   burst's replies ([`Replies::wait`]) and start another burst from
-//!   there: a write weaves its tree and sends its metadata once its
-//!   version arrives, while the first page put of the same burst is
-//!   still uploading.
+//!   burst's replies ([`Replies::wait`]) and add **late frames** to the
+//!   burst in flight ([`Replies::send`]), leaving at the work's clock —
+//!   the one way to send from inside a burst: a write weaves its tree
+//!   and sends its metadata once its version arrives, while the first
+//!   page put of the same burst is still uploading, and a read sends
+//!   each leaf message's page fetches the moment it has decoded it.
 //! * When [`AggregationPolicy::Batch`] is active, fan-out calls of one
 //!   method to one destination are coalesced into a single batch frame —
 //!   the paper's optimization, togglable so the `ablate-agg` bench can
@@ -38,16 +40,19 @@
 //!   keep the defaults, the serial loop over `call` and then the work.
 //!   Every call starts at the same virtual time, the work runs on a copy
 //!   of the clock from that same time — a reply it waits for is already
-//!   there, and moves the work's clock to its arrival — and the join is
-//!   a `max`, so the cost model sees a parallel fan-out beside the
-//!   client's CPU while the host runs the handlers one after another,
-//!   deterministically.
+//!   there, and moves the work's clock to its arrival; a late frame is
+//!   one more `call`, starting at the work's clock — and the join is a
+//!   `max` over every reply and the work, so the cost model sees a
+//!   parallel fan-out beside the client's CPU while the host runs the
+//!   handlers one after another, deterministically.
 //! * **Real** on [`crate::TcpTransport`]: every frame is registered and
 //!   written, then the work runs, before the first response is awaited,
 //!   so the servers work at the same time as each other and as the
 //!   client, and a fan-out costs about its slowest call, not the sum. A
-//!   reply the work waits for is read then; the rest after the work.
-//!   Pipelined, not threaded — see the [`tcp`](crate::tcp) docs.
+//!   reply the work waits for is read then; the rest after the work. A
+//!   late frame is written the moment the work sends it, on the
+//!   connection the burst holds for its destination. Pipelined, not
+//!   threaded — see the [`tcp`](crate::tcp) docs.
 //!
 //! Failure stays per message on both: one destination's error reaches
 //! exactly the calls that travelled in its message, whatever methods
@@ -55,9 +60,10 @@
 
 use crate::frame::Frame;
 use crate::service::parse_response;
-use crate::transport::{Ctx, Pending, Transport, TransportResult};
+use crate::transport::{Calls, Ctx, Pending, Transport, TransportResult};
 use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, NodeId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Whether fan-out calls to one destination are coalesced.
@@ -173,61 +179,35 @@ impl RpcClient {
     /// instead of following them. Through its [`Replies`] it may wait for
     /// some calls — on tcp that blocks until the reply is read, on the
     /// simulator the reply is already there — and raise its clock to
-    /// their arrival, and it may start another fan-out from there.
-    /// Afterwards `ctx.vt` is the later of the last reply and the work's
-    /// end. A transport that did not run the work (none here) leaves it
-    /// to run after the burst.
+    /// their arrival, and it may add late frames to the burst from there
+    /// ([`Replies::send`]). The replies come back by call index: the
+    /// initial calls in input order, then each send's. Afterwards
+    /// `ctx.vt` is the latest of every reply, late ones included, and the
+    /// work's end. A transport that did not run the work (none here)
+    /// leaves it to run after the burst.
     pub fn fan_out_with<T>(
         &self,
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
         mut work: impl FnMut(&mut Ctx, &mut Replies<'_, '_>) -> T,
     ) -> (Vec<TransportResult>, T) {
-        // Group: the calls each real message carries, in order of first
-        // appearance. Without aggregation every call is its own.
         let batch = self.aggregation == AggregationPolicy::Batch;
-        let mut results: Vec<Option<TransportResult>> = calls.iter().map(|_| None).collect();
-        let mut groups: Vec<(_, Vec<usize>, Vec<Frame>)> = Vec::new();
-        for (i, (to, frame)) in calls.into_iter().enumerate() {
-            let key = (to, frame.method);
-            match groups.iter_mut().find(|(k, _, _)| batch && *k == key) {
-                Some((_, idxs, frames)) => {
-                    idxs.push(i);
-                    frames.push(frame);
-                }
-                None => groups.push((key, vec![i], vec![frame])),
-            }
-        }
+        let mut results = Vec::new();
+        let (frames, mut sent): (Vec<_>, Vec<_>) =
+            group(batch, calls, &mut results).into_iter().unzip();
 
-        // Frame: a lone call travels as itself, several as one batch
-        // frame. A batch that does not encode never reaches the transport.
-        let mut frames = Vec::with_capacity(groups.len());
-        let mut sent = Vec::with_capacity(groups.len());
-        for ((to, _), idxs, group) in groups {
-            let framed = match <[Frame; 1]>::try_from(group) {
-                Ok([frame]) => Ok(frame),
-                Err(group) => Frame::batch(group),
-            };
-            match framed {
-                Ok(frame) => {
-                    frames.push((to, frame));
-                    sent.push(idxs);
-                }
-                Err(e) => place(&mut results, &idxs, Err(BlobError::Codec(e))),
-            }
-        }
-
-        // Send, work (waiting for what it asks for), wait for the rest;
-        // then scatter each reply back onto its message's call indices.
+        // Send, work (waiting for what it asks for, sending what it
+        // sends), wait for the rest; then scatter each reply back onto
+        // its message's call indices.
         let mut worker = *ctx;
         let mut run = |pending: &mut Pending<'_>| {
-            let results = &mut results;
             work(
                 &mut worker,
                 &mut Replies {
                     pending,
-                    sent: &sent,
-                    results,
+                    batch,
+                    sent: &mut sent,
+                    results: &mut results,
                 },
             )
         };
@@ -240,7 +220,11 @@ impl RpcClient {
         let worked = match worked {
             Some(worked) => worked,
             None => {
-                let mut pending = Pending::ready(replies);
+                let mut calls = Calls {
+                    transport: self.transport.as_ref(),
+                    from: self.from,
+                };
+                let mut pending = Pending::ready(replies, &mut calls);
                 let worked = run(&mut pending);
                 replies = pending.finish();
                 worked
@@ -260,21 +244,61 @@ impl RpcClient {
     }
 }
 
+/// Group → frame: append `calls` to a fan-out whose call results are
+/// `results`, and return the messages that carry them, each with its
+/// call indices. Calls sharing a destination and a method travel in one
+/// message when `batch`, in order of first appearance; a lone call
+/// travels as itself, several as one batch frame, and a batch that does
+/// not encode never reaches the transport: its calls fail here.
+fn group(
+    batch: bool,
+    calls: Vec<(NodeId, Frame)>,
+    results: &mut Vec<Option<TransportResult>>,
+) -> Vec<((NodeId, Frame), Vec<usize>)> {
+    let first = results.len();
+    results.extend(calls.iter().map(|_| None));
+    let mut groups: Vec<(_, Vec<usize>, Vec<Frame>)> = Vec::new();
+    for (i, (to, frame)) in (first..).zip(calls) {
+        let key = (to, frame.method);
+        match groups.iter_mut().find(|(k, _, _)| batch && *k == key) {
+            Some((_, idxs, frames)) => {
+                idxs.push(i);
+                frames.push(frame);
+            }
+            None => groups.push((key, vec![i], vec![frame])),
+        }
+    }
+    let mut messages = Vec::with_capacity(groups.len());
+    for ((to, _), idxs, group) in groups {
+        let framed = match <[Frame; 1]>::try_from(group) {
+            Ok([frame]) => Ok(frame),
+            Err(group) => Frame::batch(group),
+        };
+        match framed {
+            Ok(frame) => messages.push(((to, frame), idxs)),
+            Err(e) => place(results, &idxs, Err(BlobError::Codec(e))),
+        }
+    }
+    messages
+}
+
 /// A fan-out's replies as its work sees them while the burst is in
-/// flight (see [`RpcClient::fan_out_with`]), by call index in input
-/// order.
+/// flight (see [`RpcClient::fan_out_with`]), by call index: the burst's
+/// calls in input order, then the calls of each [`Replies::send`].
 pub struct Replies<'r, 'p> {
     pending: &'r mut Pending<'p>,
+    /// Whether calls of one send coalesce by destination and method.
+    batch: bool,
     /// The call indices each message carries, by message.
-    sent: &'r [Vec<usize>],
-    results: &'r mut [Option<TransportResult>],
+    sent: &'r mut Vec<Vec<usize>>,
+    results: &'r mut Vec<Option<TransportResult>>,
 }
 
 impl Replies<'_, '_> {
     /// Call `i`'s reply and its arrival time (`i` below the fan-out's
-    /// call count). Waits for the message that carries it if it is still
-    /// in flight, splits that message's reply onto its calls, and raises
-    /// `ctx` to the reply's arrival.
+    /// call count, sent calls included). Waits for the message that
+    /// carries it if it is still in flight, splits that message's reply
+    /// onto its calls, and raises `ctx` to the reply's arrival.
     pub fn wait(&mut self, ctx: &mut Ctx, i: usize) -> &TransportResult {
         if self.results[i].is_none() {
             if let Some(m) = self.sent.iter().position(|idxs| idxs.contains(&i)) {
@@ -288,6 +312,24 @@ impl Replies<'_, '_> {
             ctx.vt = ctx.vt.max(*vt);
         }
         reply
+    }
+
+    /// Add `calls` to the burst in flight as late frames, leaving at
+    /// `ctx`'s time: on tcp they are written now, on the connections the
+    /// burst holds; on the simulator their clock starts at the work's,
+    /// not the burst's. The calls of one send coalesce by destination
+    /// and method exactly as a fan-out's do, never with another send's
+    /// or the burst's own. Returns their call indices, in input order,
+    /// after every earlier call's; the fan-out returns their replies
+    /// after its initial calls', and the join covers them.
+    pub fn send(&mut self, ctx: &Ctx, calls: Vec<(NodeId, Frame)>) -> Range<usize> {
+        let first = self.results.len();
+        for ((to, frame), idxs) in group(self.batch, calls, self.results) {
+            let m = self.pending.send(to, ctx.vt, frame);
+            debug_assert_eq!(m, self.sent.len(), "messages and their calls line up");
+            self.sent.push(idxs);
+        }
+        first..self.results.len()
     }
 }
 

@@ -7,9 +7,11 @@
 //! "delays RPC calls to a single machine and streams all of them in a
 //! single real RPC call". A fan-out reaches the transport as one
 //! [`Transport::call_many_with`], which also runs the caller's own work
-//! while the calls are out: concurrent in virtual time on the simulator
-//! (the serial default, joined with `max`), concurrent on the wire over
-//! tcp (pipelined on the multiplexed sockets — see [`client`]).
+//! while the calls are out — work that may add late frames to the burst
+//! in flight ([`Pending::send`], [`Replies::send`]), the one way to send
+//! from inside a burst: concurrent in virtual time on the simulator (the
+//! serial default, joined with `max`), concurrent on the wire over tcp
+//! (pipelined on the multiplexed sockets — see [`client`]).
 //!
 //! Virtual time: every call carries the caller's clock ([`Ctx`]) and every
 //! handler runs under a [`ServerCtx`] through which it charges processing

@@ -65,8 +65,12 @@
 //! caller's own work run between the second step and the third, so that
 //! work rides the round trip (`call_many` is it with no work); a slot
 //! the work waits for runs its third step then, the others after the
-//! work, and a burst the work starts dials or picks its own
-//! connections, since this one's are busy until read. Whoever
+//! work. A **late frame** the work sends ([`Pending::send`]) runs the
+//! first two steps at once, on the connections the burst holds, and its
+//! third with the rest: it pipelines behind the burst's own calls
+//! instead of dialing beside them, which a burst started from inside
+//! the work would have to, since this one's connections are busy until
+//! read. Whoever
 //! holds a connection's read role fills its slots in whatever order the
 //! server answers — the burst's own later slots included, which it
 //! simply finds filled when it reaches them; and while it reads one
@@ -75,9 +79,10 @@
 //! `call` is the same code with one frame. The rules:
 //!
 //! * **Faults stay per call.** A frame that cannot be sent (codec
-//!   refusal, dead or shedding destination, reset mid-write) fails its
-//!   own call; every slot submitted before and after it is still
-//!   awaited, so nothing is stranded and nothing hangs. A connection
+//!   refusal, dead or shedding destination, reset mid-write), late or
+//!   not, fails its own call; every slot submitted before and after it
+//!   is still awaited — even when the work panics — so nothing is
+//!   stranded and nothing hangs. A connection
 //!   error still fails every call in flight *on that connection* — with
 //!   its typed error, `Overload` hint included.
 //! * **What a burst does to the pool.** Connections are picked for the
@@ -85,9 +90,11 @@
 //!   destination, by the single-call rule (least-loaded live connection
 //!   if it is idle or the pool is at its cap; otherwise dial, outside
 //!   the lock). The burst then *holds* that connection: its further
-//!   calls to the same destination pipeline on it, up to
-//!   [`TcpOptions::max_conn_inflight`] deep, instead of reading their
-//!   own earlier calls as "busy" and dialing a socket each. A 16-call
+//!   calls to the same destination, late frames included, pipeline on
+//!   it, up to [`TcpOptions::max_conn_inflight`] deep, instead of reading
+//!   their own earlier calls as "busy" and dialing a socket each. A late
+//!   frame to a destination the burst does not hold yet takes one by the
+//!   same rule, and the burst holds it from then on. A 16-call
 //!   unaggregated burst to one node uses one connection; two client
 //!   threads bursting at one node use two.
 //! * **Order.** Frames to one destination leave in input order on one
@@ -176,7 +183,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::transport::{Pending, Transport, TransportResult};
+use crate::transport::{Flight, Pending, Transport, TransportResult};
 
 mod mux;
 mod reactor;
@@ -583,11 +590,12 @@ impl Transport for TcpTransport {
     /// runs, then each response is awaited, so the calls are served
     /// concurrently with each other and with the caller's work. A reply
     /// the work waits for is completed on demand; the rest after the
-    /// work. No thread is spawned — whoever reads a connection fills its
-    /// slots in whatever order responses arrive, and a slot this burst
-    /// reaches later is simply found filled. A burst the work starts
-    /// picks connections of its own: this burst's are busy until their
-    /// replies are read.
+    /// work. A late frame the work sends is registered and written at
+    /// once, on the connection the burst holds for its destination (or
+    /// one the pool rule gives, which the burst then holds), and awaited
+    /// with the rest. No thread is spawned — whoever reads a connection
+    /// fills its slots in whatever order responses arrive, and a slot
+    /// this burst reaches later is simply found filled.
     fn call_many_with(
         &self,
         _from: NodeId,
@@ -608,24 +616,46 @@ impl Transport for TcpTransport {
             }
         }
         burst.retain(|(_, conn)| conn.checkout());
-        // A frame that fails to go out costs only its own call: every
-        // slot submitted before and after it is still awaited below.
-        let mut sent: Vec<Option<Result<InFlight, BlobError>>> = calls
-            .into_iter()
-            .map(|(to, frame)| Some(self.submit(&mut burst, to, vt, &frame)))
-            .collect();
-        let n = sent.len();
-        let mut complete = |i: usize| match sent.get_mut(i).and_then(Option::take) {
-            Some(sent) => self.complete(sent?),
-            None => Err(BlobError::Internal("reply completed twice")),
+        let mut flight = Flying {
+            transport: self,
+            burst,
+            sent: Vec::with_capacity(calls.len()),
         };
-        let mut pending = Pending::new(n, &mut complete);
+        for (to, frame) in calls {
+            flight.send(to, vt, frame);
+        }
+        let mut pending = Pending::new(flight.sent.len(), &mut flight);
         // A slot nobody awaits stays registered, its connection counted
         // busy, until another caller happens to read its reply: every
-        // one is awaited before a panic in `work` goes on up.
+        // one, late frames included, is awaited before a panic in `work`
+        // goes on up.
         let worked = catch_unwind(AssertUnwindSafe(|| work(&mut pending)));
         let replies = pending.finish();
         worked.map_or_else(|panic| resume_unwind(panic), |()| replies)
+    }
+}
+
+/// A burst on the wire: the connections it holds and its calls, by
+/// message. A frame that fails to go out costs only its own call: every
+/// slot submitted before and after it is still awaited.
+struct Flying<'t> {
+    transport: &'t TcpTransport,
+    burst: Burst,
+    sent: Vec<Option<Result<InFlight, BlobError>>>,
+}
+
+impl Flight for Flying<'_> {
+    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> Option<TransportResult> {
+        let sent = self.transport.submit(&mut self.burst, to, vt, &frame);
+        self.sent.push(Some(sent));
+        None
+    }
+
+    fn complete(&mut self, i: usize) -> TransportResult {
+        match self.sent.get_mut(i).and_then(Option::take) {
+            Some(sent) => self.transport.complete(sent?),
+            None => Err(BlobError::Internal("reply completed twice")),
+        }
     }
 }
 

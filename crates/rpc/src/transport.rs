@@ -74,16 +74,19 @@ pub trait Transport: Send + Sync {
     /// [`Transport::call_many`] with the caller's `work` run once between
     /// sending the burst and waiting for it, on the calling thread. The
     /// work gets the burst's [`Pending`] replies: [`Pending::wait`] yields
-    /// message `i`'s reply, so the work may act on part of its burst —
-    /// even start another — while the rest is still out.
+    /// message `i`'s reply, so the work may act on part of its burst, and
+    /// [`Pending::send`] adds a **late frame** to the burst in flight —
+    /// the one way to send from inside a burst.
     ///
     /// The default is `call_many` followed by the work over the replies
-    /// it already holds: the virtual clock models the overlap itself, so
-    /// the simulator, [`InProcTransport`] and any decorator that wraps
+    /// it already holds, a late frame going through [`Transport::call`]
+    /// at the work's clock: the virtual clock models the overlap itself,
+    /// so the simulator, [`InProcTransport`] and any decorator that wraps
     /// only `call` keep it. A transport with real wires overrides it to
     /// put every frame in flight, run `work` (completing a message the
-    /// moment `wait` asks for it), then wait for the rest — and must
-    /// await every call it sent even if `work` panics.
+    /// moment `wait` asks for it, and putting a late frame on the wire
+    /// the moment it is sent), then wait for the rest — and must await
+    /// every call it sent, late frames included, even if `work` panics.
     fn call_many_with(
         &self,
         from: NodeId,
@@ -91,52 +94,90 @@ pub trait Transport: Send + Sync {
         calls: Vec<(NodeId, Frame)>,
         work: &mut dyn FnMut(&mut Pending<'_>),
     ) -> Vec<TransportResult> {
-        let mut pending = Pending::ready(self.call_many(from, vt, calls));
+        let replies = self.call_many(from, vt, calls);
+        let mut calls = Calls {
+            transport: self,
+            from,
+        };
+        let mut pending = Pending::ready(replies, &mut calls);
         work(&mut pending);
         pending.finish()
     }
 }
 
-/// The replies of a burst whose caller's work is running (see
-/// [`Transport::call_many_with`]), one per message, in input order.
-pub struct Pending<'a> {
-    replies: Vec<Option<TransportResult>>,
-    /// Waits for message `i`'s reply; called at most once per message.
-    /// `None` when every reply is already held.
-    complete: Option<&'a mut dyn FnMut(usize) -> TransportResult>,
+/// A burst in flight, as its [`Pending`] drives it: a transport's side
+/// of [`Pending::send`] and [`Pending::wait`].
+pub(crate) trait Flight {
+    /// Put a late frame to `to` on the wire at virtual time `vt`: its
+    /// reply, if the transport already has it, or `None` while it is in
+    /// flight.
+    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> Option<TransportResult>;
+
+    /// Wait for the reply to message `i`, one that was sent in flight;
+    /// asked at most once per message.
+    fn complete(&mut self, i: usize) -> TransportResult;
 }
 
-impl Pending<'static> {
-    /// A burst whose replies are all in hand.
-    pub(crate) fn ready(replies: Vec<TransportResult>) -> Self {
-        Self {
-            replies: replies.into_iter().map(Some).collect(),
-            complete: None,
-        }
+/// A burst whose replies are all in hand: a late frame goes through
+/// [`Transport::call`], so its reply is in hand too.
+pub(crate) struct Calls<'t, T: ?Sized> {
+    pub transport: &'t T,
+    pub from: NodeId,
+}
+
+impl<T: Transport + ?Sized> Flight for Calls<'_, T> {
+    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> Option<TransportResult> {
+        Some(self.transport.call(self.from, to, vt, frame))
     }
+
+    fn complete(&mut self, _: usize) -> TransportResult {
+        Err(BlobError::Internal("transport dropped a reply"))
+    }
+}
+
+/// The replies of a burst whose caller's work is running (see
+/// [`Transport::call_many_with`]), one per message: the burst's own in
+/// input order, then the work's late frames in the order it sent them.
+pub struct Pending<'a> {
+    replies: Vec<Option<TransportResult>>,
+    flight: &'a mut dyn Flight,
 }
 
 impl<'a> Pending<'a> {
-    /// A burst of `n` messages still in flight, whose replies `complete`
-    /// waits for.
-    pub(crate) fn new(n: usize, complete: &'a mut dyn FnMut(usize) -> TransportResult) -> Self {
+    /// A burst whose replies are all in hand.
+    pub(crate) fn ready(replies: Vec<TransportResult>, flight: &'a mut dyn Flight) -> Self {
         Self {
-            replies: (0..n).map(|_| None).collect(),
-            complete: Some(complete),
+            replies: replies.into_iter().map(Some).collect(),
+            flight,
         }
     }
 
-    /// Message `i`'s reply (`i` below the burst's message count),
-    /// waiting for it if it is still in flight.
-    pub fn wait(&mut self, i: usize) -> &TransportResult {
-        let complete = &mut self.complete;
-        self.replies[i].get_or_insert_with(|| match complete {
-            Some(complete) => complete(i),
-            None => Err(BlobError::Internal("transport dropped a reply")),
-        })
+    /// A burst of `n` messages still in flight.
+    pub(crate) fn new(n: usize, flight: &'a mut dyn Flight) -> Self {
+        Self {
+            replies: (0..n).map(|_| None).collect(),
+            flight,
+        }
     }
 
-    /// Every reply in input order, waiting for those not yet asked for.
+    /// Send a **late frame**: `frame` to `to`, leaving at virtual time
+    /// `vt` — the work's clock, not the burst's start — as one more
+    /// message of this burst, awaited with the rest. Returns its message
+    /// index, after every message sent before it.
+    pub fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> usize {
+        let reply = self.flight.send(to, vt, frame);
+        self.replies.push(reply);
+        self.replies.len() - 1
+    }
+
+    /// Message `i`'s reply (`i` below the burst's message count, late
+    /// frames included), waiting for it if it is still in flight.
+    pub fn wait(&mut self, i: usize) -> &TransportResult {
+        let flight = &mut self.flight;
+        self.replies[i].get_or_insert_with(|| flight.complete(i))
+    }
+
+    /// Every reply in message order, waiting for those not yet asked for.
     pub(crate) fn finish(mut self) -> Vec<TransportResult> {
         for i in 0..self.replies.len() {
             self.wait(i);

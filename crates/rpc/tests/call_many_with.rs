@@ -9,8 +9,8 @@
 
 use blobseer_proto::{BlobError, NodeId};
 use blobseer_rpc::{
-    encode_wire_frame, ok_frame, read_wire_frame, respond, Ctx, Frame, RpcClient, ServerCtx,
-    Service, TcpOptions, TcpTransport,
+    encode_wire_frame, ok_frame, read_wire_frame, respond, Ctx, Frame, InProcTransport, RpcClient,
+    ServerCtx, Service, TcpOptions, TcpTransport,
 };
 use blobseer_simnet::SimCluster;
 use std::io::{Read, Write};
@@ -359,6 +359,229 @@ fn a_destination_resetting_under_a_nested_burst_is_a_typed_error() {
         replies[1].as_ref().err()
     );
     for node in [echo[0], dest, trigger] {
+        assert_eq!(t.inflight_calls(node), 0);
+    }
+    assert_eq!(t.pooled_connections(dest), 0, "the dead connection is gone");
+    let r: u64 = rpc.call(&mut Ctx::start(), dest, 1, &9u64).unwrap();
+    assert_eq!(r, 9, "the next call dials afresh");
+    peer.join().unwrap();
+}
+
+/// A costed cluster of a client and `n` echo servers, every connection
+/// dialled long before any test's `start`, so no send queues behind
+/// another's connection setup.
+fn dialled_cluster(n: usize) -> (RpcClient, Vec<NodeId>) {
+    let c = Arc::new(SimCluster::grid5000());
+    let client = c.add_node();
+    let servers: Vec<NodeId> = (0..n)
+        .map(|_| {
+            let s = c.add_node();
+            c.bind(
+                s,
+                Arc::new(Echo {
+                    nap: Duration::ZERO,
+                }),
+            );
+            s
+        })
+        .collect();
+    let rpc = RpcClient::new(c as _, client);
+    for &s in &servers {
+        rpc.fan_out_with(
+            &mut Ctx::start(),
+            vec![(s, Frame::from_msg(1, &0u64))],
+            |_, _| (),
+        );
+    }
+    (rpc, servers)
+}
+
+#[test]
+fn sim_late_frame_leaves_at_the_work_clock() {
+    // Servers a and b take the burst; c takes a late frame the work
+    // sends once its clock reaches `start + work`, without waiting for
+    // anything first.
+    let start = 10_000_000;
+    let work = 700_000;
+    let call = |to: NodeId, x: u64| vec![(to, Frame::from_msg(1, &x))];
+    // c's round trip alone, from an idle client.
+    let (rpc, s) = dialled_cluster(3);
+    let (alone, ()) = rpc.fan_out_with(&mut Ctx::at(start), call(s[2], 3), |_, _| ());
+    let trip = alone[0].as_ref().unwrap().1 - start;
+
+    let (rpc, s) = dialled_cluster(3);
+    let mut ctx = Ctx::at(start);
+    let mut burst = call(s[0], 1);
+    burst.extend(call(s[1], 2));
+    let (replies, (late, sent_at)) = rpc.fan_out_with(&mut ctx, burst, |c, replies| {
+        c.advance(work);
+        let late = replies.send(c, call(s[2], 3));
+        assert_eq!(late, 2..3, "late calls follow the burst's");
+        assert_eq!(c.vt, start + work, "sending does not move the clock");
+        let (_, at) = replies.wait(c, late.start).as_ref().unwrap();
+        assert_eq!(c.vt, *at, "waiting moves it to the reply");
+        c.advance(work);
+        (late.start, *at - trip)
+    });
+    assert_eq!(
+        sent_at,
+        start + work,
+        "the late frame left at the work's clock"
+    );
+    let got: Vec<u64> = replies
+        .iter()
+        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
+        .collect();
+    assert_eq!(
+        got,
+        vec![1, 2, 3],
+        "late replies come back after the burst's"
+    );
+    let last_reply = replies.iter().map(|r| r.as_ref().unwrap().1).max().unwrap();
+    let work_end = replies[late].as_ref().unwrap().1 + work;
+    assert_eq!(ctx.vt, last_reply.max(work_end));
+    assert_eq!(ctx.vt, work_end, "here the work ends last");
+
+    // When the late reply ends last, the join waits for it.
+    let (rpc, s) = dialled_cluster(3);
+    let mut ctx = Ctx::at(start);
+    let (replies, ()) = rpc.fan_out_with(&mut ctx, call(s[0], 1), |c, replies| {
+        c.advance(work);
+        replies.send(c, call(s[2], 3));
+    });
+    assert_eq!(ctx.vt, replies[1].as_ref().unwrap().1);
+    assert_eq!(ctx.vt, start + work + trip);
+}
+
+#[test]
+fn one_send_is_one_message_and_sends_never_merge() {
+    // Every call goes to one node, by one method: the burst's two calls
+    // share a message, each send's two calls share one of their own,
+    // and nothing merges across the burst and the sends.
+    let t = Arc::new(InProcTransport::new());
+    let client = t.add_node();
+    let server = t.add_node();
+    t.bind(
+        server,
+        Arc::new(Echo {
+            nap: Duration::ZERO,
+        }),
+    );
+    let rpc = RpcClient::new(Arc::clone(&t) as _, client);
+    let calls = |xs: [u64; 2]| -> Vec<(NodeId, Frame)> {
+        xs.iter().map(|x| (server, Frame::from_msg(1, x))).collect()
+    };
+    let before = t.message_count();
+    let (replies, sends) = rpc.fan_out_with(&mut Ctx::start(), calls([1, 2]), |c, replies| {
+        (
+            replies.send(c, calls([3, 4])),
+            replies.send(c, calls([5, 6])),
+        )
+    });
+    assert_eq!(t.message_count() - before, 3, "one message per send");
+    assert_eq!(sends, (2..4, 4..6));
+    let got: Vec<u64> = replies
+        .iter()
+        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
+        .collect();
+    assert_eq!(got, vec![1, 2, 3, 4, 5, 6], "replies in call order");
+}
+
+#[test]
+fn tcp_late_frames_ride_the_burst_connections() {
+    // Call 0 is in flight on the burst's connection to servers[0] when
+    // the work sends a late frame there: it pipelines on that connection
+    // instead of dialing beside it. A late frame to servers[1], which
+    // the burst does not hold, takes the idle pooled connection.
+    let (t, rpc, servers) = napping_echoes(&[NAP, Duration::ZERO]);
+    let (replies, late) = rpc.fan_out_with(
+        &mut Ctx::start(),
+        vec![(servers[0], Frame::from_msg(1, &1u64))],
+        |c, replies| {
+            let late = replies.send(
+                c,
+                vec![
+                    (servers[0], Frame::from_msg(1, &2u64)),
+                    (servers[1], Frame::from_msg(7, &3u64)),
+                ],
+            );
+            assert_eq!(
+                t.inflight_calls(servers[0]),
+                2,
+                "both on the held connection"
+            );
+            late
+        },
+    );
+    assert_eq!(late, 1..3);
+    let got: Vec<u64> = replies
+        .iter()
+        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
+        .collect();
+    assert_eq!(got, vec![1, 2, 3]);
+    for &server in &servers {
+        assert_eq!(t.pooled_connections(server), 1, "no connection dialled");
+        assert_eq!(t.inflight_calls(server), 0);
+    }
+}
+
+#[test]
+fn a_work_panicking_after_a_late_send_strands_no_slot() {
+    // The work sends a late frame to a server 20 ms away and panics: the
+    // panic reaches the caller only after that late call was awaited.
+    let (t, rpc, servers) = napping_echoes(&[Duration::ZERO, NAP]);
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        rpc.fan_out_with(
+            &mut Ctx::start(),
+            vec![(servers[0], Frame::from_msg(1, &1u64))],
+            |c, replies| {
+                replies.send(c, vec![(servers[1], Frame::from_msg(1, &2u64))]);
+                panic!("work failed")
+            },
+        )
+    }));
+    assert!(panicked.is_err(), "the work's panic reaches the caller");
+    for &server in &servers {
+        assert_eq!(t.inflight_calls(server), 0);
+        assert_eq!(t.pooled_connections(server), 1, "the connection survives");
+        let r: u64 = rpc.call(&mut Ctx::start(), server, 1, &3u64).unwrap();
+        assert_eq!(r, 3);
+    }
+}
+
+#[test]
+fn a_destination_resetting_under_a_late_frame_fails_that_call_alone() {
+    // The work sends late frames to the resetting peer and to an echo;
+    // the peer drops the connection with the late request half read.
+    let (t, rpc, echo) = napping_echoes(&[Duration::ZERO]);
+    let (go_tx, go) = mpsc::channel();
+    let (addr, reset, peer) = resetting_peer(go);
+    let dest = t.register_remote(addr);
+    let (replies, ()) = rpc.fan_out_with(
+        &mut Ctx::start(),
+        vec![(echo[0], Frame::from_msg(1, &1u64))],
+        |c, replies| {
+            replies.send(
+                c,
+                vec![
+                    (dest, Frame::from_msg(1, &2u64)),
+                    (echo[0], Frame::from_msg(7, &3u64)),
+                ],
+            );
+            go_tx.send(()).unwrap();
+            reset.recv().unwrap();
+            // Loopback delivers the reset within the kernel, not within
+            // the peer's syscall: give it a moment.
+            std::thread::sleep(Duration::from_millis(20));
+        },
+    );
+    assert!(replies[0].is_ok() && replies[2].is_ok(), "{replies:?}");
+    assert!(
+        matches!(replies[1], Err(BlobError::Unreachable(_))),
+        "{:?}",
+        replies[1].as_ref().err()
+    );
+    for node in [echo[0], dest] {
         assert_eq!(t.inflight_calls(node), 0);
     }
     assert_eq!(t.pooled_connections(dest), 0, "the dead connection is gone");
