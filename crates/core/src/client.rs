@@ -19,21 +19,24 @@
 //! * **WRITE**: provider-manager plan → version + border links from the
 //!   version manager, with the first page put riding the same burst →
 //!   the batched metadata puts and the other page puts → completion
-//!   report. The client's own work rides the round trips: the buffer is
-//!   copied and split into pages while the plan is in flight, and the
-//!   metadata — built **in isolation** — has its leaves, which name the
-//!   planned replicas, woven while the version request and the lead
-//!   page are; only the inner nodes wait for the ticket's border links,
-//!   and the metadata frames leave the moment they are woven, first
-//!   among the late frames that join the lead page's burst. The write
-//!   waits for the slower of its page upload and its metadata round,
-//!   not for both. The paper puts the pages first so that a failed
-//!   write burns no version; here a page that no replica acknowledged
-//!   is re-placed away from the providers that failed it, and its leaf
-//!   re-put, before the completion report, which keeps that guarantee
-//!   for page failures, and a write whose version request fails takes
-//!   its lead page back. [`WriteStats::metadata_ns`] still reports the
-//!   metadata round's own time, overlapped or not.
+//!   report. Each page is copied into its own send buffer just before
+//!   its put leaves: page 0 while the plan is in flight, the lead's the
+//!   moment the plan lands if the lead is another page, the rest once
+//!   the metadata frames have left. The client's other work rides the
+//!   round trips too: the metadata — built **in isolation** — has its
+//!   leaves, which name the planned replicas, woven while the version
+//!   request and the lead page are; only the inner nodes wait for the
+//!   ticket's border links, and the metadata frames leave the moment
+//!   they are woven, first among the late frames that join the lead
+//!   page's burst. The write waits for the slower of its page upload
+//!   and its metadata round, not for both. The paper puts the pages
+//!   first so that a failed write burns no version; here a page that no
+//!   replica acknowledged is re-placed away from the providers that
+//!   failed it, and its leaf re-put, before the completion report, which
+//!   keeps that guarantee for page failures, and a write whose version
+//!   request fails takes its lead page back.
+//!   [`WriteStats::metadata_ns`] still reports the metadata round's own
+//!   time, overlapped or not.
 //!
 //! The op surface is one method per buffer shape: `write` (borrowed
 //! slice), `write_with_stats` (the same, with the Figure 3(b) breakdown)
@@ -65,6 +68,7 @@ use blobseer_rpc::{
 use blobseer_simnet::ClientCosts;
 use blobseer_util::{lockmeter, ClockCache, FxHashMap};
 use parking_lot::RwLock;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,18 +86,21 @@ pub type MetaCache = ClockCache<NodeKey, Arc<NodeBody>>;
 /// [`WriteStats::total_ns`]. Where two pieces of work run side by side —
 /// a round trip and the client CPU that rides it, or the page and
 /// metadata legs — the span goes to the stage whose work finished last.
-/// On the paper's cell the buffer copy outlasts the plan and the leaf
-/// weave outlasts the ticket, so `plan_ns` and `ticket_ns` are 0; the
-/// pages take longer than the metadata, so `pages_ns` holds the upload.
+/// On the paper's cell the plan outlasts page 0's copy, the only work
+/// that may ride it (no page leaves before its placement), so `plan_ns`
+/// holds the plan round trip; the leaf weave outlasts the ticket, so
+/// `ticket_ns` is 0; the pages take longer than the metadata, so
+/// `pages_ns` holds the upload.
 /// `meta_leg_ns` holds the metadata leg's own duration whichever leg
 /// finished last.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WriteStats {
-    /// Provider-manager plan round trip, when it outlasted the buffer
-    /// copy and split that ride it.
+    /// Provider-manager plan round trip, when it outlasted page 0's
+    /// copy, which rides it.
     pub plan_ns: u64,
-    /// The buffer copy and page split (the plan round trip included when
-    /// it finished first); from the metadata frames' send on, the page
+    /// Page 0's copy (the plan round trip included when it finished
+    /// first) and the lead page's, when the lead is another page; from
+    /// the metadata frames' send on, the other pages' copies and the page
     /// leg — the lead put that left with the version request and the
     /// other puts — when it finished last; and any page retry or
     /// re-placement rounds.
@@ -521,12 +528,12 @@ impl BlobClient {
     /// `WRITE(id, buffer, offset, size)` for page-aligned segments.
     /// Returns the snapshot version this write produced (`vw`).
     ///
-    /// The buffer is copied **once** into a shared [`PageBuf`], while the
-    /// plan request is in flight; page splitting, replica fan-out,
-    /// framing and batching all share that single allocation. A segment
-    /// the blob's geometry refuses is refused before that copy. Callers
-    /// that already hold a `PageBuf` should use [`BlobClient::write_buf`],
-    /// which performs zero copies.
+    /// Each page is copied **once**, into its own [`PageBuf`], just
+    /// before its put leaves (see [`BlobClient::write_buf`]); every
+    /// replica's put shares that buffer. A segment the blob's geometry
+    /// refuses is refused before any copy. Callers that already hold a
+    /// `PageBuf` should use [`BlobClient::write_buf`], which performs
+    /// zero copies.
     pub fn write(
         &self,
         ctx: &mut Ctx,
@@ -547,8 +554,8 @@ impl BlobClient {
         offset: u64,
         data: &[u8],
     ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_data(ctx, blob, offset, data.len() as u64, || {
-            PageBuf::copy_from_slice(data)
+        self.write_data(ctx, blob, offset, data.len() as u64, |r| {
+            PageBuf::copy_from_slice(&data[r])
         })
     }
 
@@ -558,18 +565,18 @@ impl BlobClient {
     /// The write is four rounds — plan; `REQUEST_VERSION` with the lead
     /// page put; the metadata frames and the other page puts; then
     /// `COMPLETE_WRITE` — and the client's own work rides them instead of
-    /// waiting for them: the buffer is split into page-sized send buffers
-    /// (and a borrowed one copied, once) while the plan is in flight, and
-    /// the tree's leaves, which need only the plan's placement, are woven
-    /// while the version request is. The lead is the first destination,
-    /// in plan order, that receives exactly one put: its bytes are on the
-    /// wire while the ticket returns and the tree is woven. Once the
-    /// inner nodes have the ticket's links, the third round leaves — as
-    /// late frames of the second, whose lead put may still be uploading —
-    /// with the `META_PUT_BATCH` frames first, so the write waits for the
-    /// slower of its two legs, not for both. With no lead (every
-    /// destination takes several puts) the ticket travels alone and all
-    /// pages go in the third round.
+    /// waiting for them. Each page's send buffer (a slice here, a copy
+    /// for a borrowed buffer) is made just before its put leaves: page 0
+    /// while the plan is in flight, the others once the metadata frames
+    /// have left. The lead is the first destination, in plan order, that
+    /// receives exactly one put — or, when none does, page 0's first
+    /// replica, split out of its destination's batch: its bytes are on
+    /// the wire while the ticket returns and the tree's leaves, which
+    /// need only the plan's placement, are woven. Once the inner nodes
+    /// have the ticket's links, the third round leaves — as late frames
+    /// of the second, whose lead put may still be uploading — with the
+    /// `META_PUT_BATCH` frames first, so the write waits for the slower
+    /// of its two legs, not for both.
     ///
     /// The pages are the idempotent part (pages are immutable: re-putting
     /// a key re-stores identical bytes). A page no replica acknowledged
@@ -585,7 +592,8 @@ impl BlobClient {
     /// provider will take a page or a tree node reaches no metadata
     /// replica; `COMPLETE_WRITE` never retries. A write whose version
     /// request fails removes its acknowledged lead page (best effort)
-    /// before it returns the error, so it leaves no page behind.
+    /// before it returns the error, so it leaves no page behind, and has
+    /// made no page buffer but page 0's and the lead's.
     pub fn write_buf(
         &self,
         ctx: &mut Ctx,
@@ -593,21 +601,23 @@ impl BlobClient {
         offset: u64,
         data: PageBuf,
     ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_data(ctx, blob, offset, data.len() as u64, || data.clone())
+        self.write_data(ctx, blob, offset, data.len() as u64, |r| data.slice(r))
     }
 
     /// The write pipeline behind every `write*` method (see
-    /// [`BlobClient::write_buf`]), for `len` bytes at `offset`. `to_buf`
-    /// hands them over as the one buffer every page put slices — a copy
-    /// of a borrowed slice, a refcount of a shared one — and is called
-    /// once, after the segment is validated.
+    /// [`BlobClient::write_buf`]), for `len` bytes at `offset`. `page`
+    /// hands over the bytes at a range of them as one page's send
+    /// buffer, which every replica's put shares — a copy of a borrowed
+    /// slice, a slice of a shared one — and is called once per page,
+    /// after the segment is validated, just before that page's put is
+    /// framed; `write_page_ns` is charged with each call.
     fn write_data(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
         offset: u64,
         len: u64,
-        to_buf: impl Fn() -> PageBuf,
+        page: impl Fn(Range<usize>) -> PageBuf,
     ) -> Result<(Version, WriteStats), BlobError> {
         let mut mark = ctx.vt;
         let seg = Segment::new(offset, len);
@@ -618,37 +628,37 @@ impl BlobClient {
             nodes_built: blobseer_meta::node_count_for_write(&geom, &seg),
             ..WriteStats::default()
         };
+        let size = geom.page_size as usize;
+        let make = |c: &mut Ctx, i: usize| {
+            c.advance(self.costs.write_page_ns);
+            page(i * size..(i + 1) * size)
+        };
 
         // Step 1: the provider-manager plan (write id + page placement).
-        // While it travels, a borrowed buffer is copied into the one
-        // shared write buffer, and its split into page-sized send buffers
-        // is charged — O(1) per page, shared slices that every replica's
-        // put shares too.
-        let (plan, (data, split)) = self.plan(
+        // While it travels, page 0 — the lead, unless the plan finds
+        // another — gets its send buffer.
+        let (plan, (first_buf, made)) = self.plan(
             ctx,
             blob,
             range.count(),
             self.replication,
             Vec::new(),
-            |c| {
-                c.advance(self.costs.write_page_ns * range.count());
-                (to_buf(), c.vt)
-            },
+            |c| (make(c, 0), c.vt),
         );
         let (plan, planned) = plan?;
         stats.lap_to_last(
             ctx.vt,
             &mut mark,
             (planned, |s| &mut s.plan_ns),
-            (split, |s| &mut s.pages_ns),
+            (made, |s| &mut s.pages_ns),
         );
 
-        // Step 2: every page put. The lead — the first destination, in
-        // plan order, that receives exactly one put — travels with the
-        // request for the version number + precomputed border links, so
-        // page bytes are on the wire while the ticket returns. A lead of
-        // more pages would hold the metadata frames behind its bytes on
-        // the client's NIC; with no lead the ticket travels alone.
+        // Step 2: the lead put — the first destination, in plan order,
+        // that receives exactly one put, else page 0's first replica —
+        // travels with the request for the version number + precomputed
+        // border links, so page bytes are on the wire while the ticket
+        // returns. A lead of more pages would hold the metadata frames
+        // behind its bytes on the client's NIC.
         let mut pages: Vec<PageLoc> = range
             .iter()
             .zip(plan.targets)
@@ -661,31 +671,42 @@ impl BlobClient {
                 replicas,
             })
             .collect();
-        let (mut page_frames, mut page_of) = page_puts(&data, geom.page_size, &pages, |_| true);
+        let puts_to = |p: &ProviderId| pages.iter().filter(|l| l.replicas.contains(p)).count();
+        let lead = pages
+            .iter()
+            .enumerate()
+            .flat_map(|(i, l)| l.replicas.iter().map(move |p| (i, *p)))
+            .find(|(_, p)| puts_to(p) == 1)
+            .unwrap_or((0, pages[0].replicas[0]));
+        let mut held: Vec<Option<PageBuf>> = vec![None; pages.len()];
+        held[0] = Some(first_buf);
+        let put = PutPage {
+            key: pages[lead.0].key,
+            data: held[lead.0]
+                .get_or_insert_with(|| make(ctx, lead.0))
+                .clone(),
+        };
+        stats.lap(ctx.vt, &mut mark, |s| &mut s.pages_ns);
         let request = RequestVersion {
             blob,
             write: plan.write,
             offset: seg.offset,
             size: seg.size,
         };
-        let mut first = vec![(
-            self.vm_for(blob),
-            Frame::from_msg(method::REQUEST_VERSION, &request),
-        )];
-        let alone =
-            |(to, _): &(NodeId, Frame)| page_frames.iter().filter(|(d, _)| d == to).count() == 1;
-        if let Some(at) = page_frames.iter().position(alone) {
-            first.push(page_frames.remove(at));
-            page_of[..=at].rotate_right(1);
-        }
-        let n_lead = first.len() - 1;
+        let first = vec![
+            (
+                self.vm_for(blob),
+                Frame::from_msg(method::REQUEST_VERSION, &request),
+            ),
+            (NodeId(lead.1 .0), Frame::from_msg(method::PUT_PAGE, &put)),
+        ];
 
         // Step 3: while the first burst travels, the leaves are woven,
         // naming the planned replicas; the inner nodes wait for the
-        // ticket's links, and then the metadata frames and the other page
-        // puts join that burst as late frames, metadata first, so the
-        // small batches go ahead of the other pages. The metadata is
-        // woven in complete isolation either way.
+        // ticket's links, and then the metadata frames join that burst as
+        // late frames, and after them the other pages, each copied just
+        // before: the small batches go ahead of the other pages. The
+        // metadata is woven in complete isolation either way.
         let (mut first_replies, built) = self.rpc.fan_out_with(ctx, first, |c, replies| {
             c.advance(self.costs.build_node_ns * pages.len() as u64);
             let leaves = weave_leaves(&geom, blob, &seg, &pages);
@@ -697,41 +718,43 @@ impl BlobClient {
             let nodes = weave_inner(&geom, &seg, leaves?, &ticket)?;
             c.advance(self.costs.build_node_ns * (nodes.len() - pages.len()) as u64);
             let inner = c.vt;
-            let (put, mut frames) = self.dht.put_frames(&nodes);
+            let (put, frames) = self.dht.put_frames(&nodes);
             let n_meta = frames.len();
-            frames.append(&mut page_frames);
+            replies.send(c, frames);
+            let bufs: Vec<PageBuf> = std::mem::take(&mut held)
+                .into_iter()
+                .enumerate()
+                .map(|(i, buf)| buf.unwrap_or_else(|| make(c, i)))
+                .collect();
+            let (frames, page_of) = page_puts(&bufs, &pages, |i, p| (i, p) != lead);
             replies.send(c, frames);
             let times = (granted, woven, inner);
-            Ok((ticket, nodes, put, n_meta, times))
+            Ok((ticket, nodes, put, n_meta, (bufs, page_of), times))
         });
         let untimed =
             |replies: Vec<TransportResult>| replies.into_iter().map(|r| r.map(|(f, _)| f));
         // The late frames' replies follow the burst's own, one per call.
-        let mut meta_replies = first_replies.split_off(1 + n_lead);
+        let mut meta_replies = first_replies.split_off(2);
         let lead_replies = first_replies.split_off(1);
         let lead_done = last_arrival(&lead_replies, 0);
         let mut acked: Vec<Vec<ProviderId>> = vec![Vec::new(); pages.len()];
-        let lead_err = absorb_puts(&page_of[..n_lead], untimed(lead_replies), &mut acked);
-        let (ticket, mut nodes, put, meta_replies, page_replies, times) = match built {
-            Ok((ticket, nodes, put, n_meta, times)) => {
+        let lead_err = absorb_puts(&[lead], untimed(lead_replies), &mut acked);
+        let (ticket, mut nodes, put, meta_replies, page_replies, puts, times) = match built {
+            Ok((ticket, nodes, put, n_meta, puts, times)) => {
                 let page_replies = meta_replies.split_off(n_meta);
-                (ticket, nodes, put, meta_replies, page_replies, times)
+                (ticket, nodes, put, meta_replies, page_replies, puts, times)
             }
             Err(e) => {
                 // No version, or no tree for it: take the lead page back,
                 // best effort, so the failed write leaves no page behind.
-                let removals: Vec<(NodeId, u16, RemovePage)> = page_of[..n_lead]
-                    .iter()
-                    .filter(|(i, p)| acked[*i].contains(p))
-                    .map(|&(i, p)| {
-                        (
-                            NodeId(p.0),
-                            method::REMOVE_PAGE,
-                            RemovePage { key: pages[i].key },
-                        )
-                    })
-                    .collect();
-                self.rpc.fan_out::<RemovePage, bool>(ctx, &removals);
+                if acked[lead.0].contains(&lead.1) {
+                    let removal = RemovePage {
+                        key: pages[lead.0].key,
+                    };
+                    let _: Result<bool, _> =
+                        self.rpc
+                            .call(ctx, NodeId(lead.1 .0), method::REMOVE_PAGE, &removal);
+                }
                 return Err(e);
             }
         };
@@ -758,8 +781,8 @@ impl BlobClient {
         self.dht.finish_put(put, untimed(meta_replies).collect())?;
 
         // Every page needs one acknowledged replica before the publish.
-        let mut last_err =
-            absorb_puts(&page_of[n_lead..], untimed(page_replies), &mut acked).or(lead_err);
+        let (bufs, page_of) = puts;
+        let mut last_err = absorb_puts(&page_of, untimed(page_replies), &mut acked).or(lead_err);
         let mut excluded: Vec<ProviderId> = Vec::new();
         let mut attempt = 0u32;
         while acked.iter().any(Vec::is_empty) {
@@ -791,8 +814,7 @@ impl BlobClient {
                     pages[i].replicas = targets;
                 }
             }
-            let (frames, page_of) =
-                page_puts(&data, geom.page_size, &pages, |i| acked[i].is_empty());
+            let (frames, page_of) = page_puts(&bufs, &pages, |i, _| acked[i].is_empty());
             let replies = self.rpc.fan_out_frames(ctx, frames);
             last_err = absorb_puts(&page_of, replies, &mut acked);
         }
@@ -866,6 +888,9 @@ impl BlobClient {
                 let plan: WritePlan = parse_response(&frame)?;
                 if plan.targets.len() as u64 != pages {
                     return Err(BlobError::Internal("write plan page count mismatch"));
+                }
+                if plan.targets.iter().any(Vec::is_empty) {
+                    return Err(BlobError::Internal("write plan leaves a page unplaced"));
                 }
                 Ok((plan, at))
             });
@@ -1551,25 +1576,23 @@ impl BlobClient {
 }
 
 /// One round of page puts: a `PUT_PAGE` to every replica of every page
-/// `wanted` names, each carrying a shared slice of the write buffer (the
-/// fan-out moves refcounts, not bytes), and the (page, replica) each
-/// frame is for.
+/// that `wanted` names (by page and replica), each carrying that page's
+/// send buffer from `bufs` (the fan-out moves refcounts, not bytes), and
+/// the (page, replica) each frame is for.
 #[allow(clippy::type_complexity)]
 fn page_puts(
-    data: &PageBuf,
-    page_size: u64,
+    bufs: &[PageBuf],
     pages: &[PageLoc],
-    wanted: impl Fn(usize) -> bool,
+    wanted: impl Fn(usize, ProviderId) -> bool,
 ) -> (Vec<(NodeId, Frame)>, Vec<(usize, ProviderId)>) {
     let mut frames = Vec::new();
     let mut page_of = Vec::new();
-    for (i, loc) in pages.iter().enumerate().filter(|&(i, _)| wanted(i)) {
-        let start = i * page_size as usize;
+    for (i, (loc, data)) in pages.iter().zip(bufs).enumerate() {
         let put = PutPage {
             key: loc.key,
-            data: data.slice(start..start + page_size as usize),
+            data: data.clone(),
         };
-        for &target in &loc.replicas {
+        for &target in loc.replicas.iter().filter(|&&p| wanted(i, p)) {
             frames.push((NodeId(target.0), Frame::from_msg(method::PUT_PAGE, &put)));
             page_of.push((i, target));
         }

@@ -422,36 +422,41 @@ fn the_version_check_costs_no_round_trip_of_its_own() {
     assert_eq!(confirmed.latest_ns, 0, "{confirmed:?}");
 }
 
-/// One 1 MiB write of four 256 KiB pages on a fresh `grid5000(providers)`
-/// cell: its stats, its virtual time and the messages it sent.
-fn paper_write(providers: usize) -> (blobseer_core::client::WriteStats, u64, u64) {
-    const BIG: u64 = 256 << 10;
+/// One write of `pages` pages of `page` bytes at the start of a 4 MiB
+/// blob on a fresh `grid5000(providers)` cell: its stats, its virtual
+/// time and the messages it sent.
+fn paper_write(
+    providers: usize,
+    pages: u64,
+    page: u64,
+) -> (blobseer_core::client::WriteStats, u64, u64) {
     let d = Deployment::build(DeploymentConfig::grid5000(providers));
     let c = d.client();
     let mut ctx = Ctx::start();
-    let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
+    let info = c.alloc(&mut ctx, 4 << 20, page).unwrap();
     let before = d.cluster.message_count();
     let t0 = ctx.vt;
     let (v, stats) = c
-        .write_with_stats(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
+        .write_with_stats(&mut ctx, info.blob, 0, &vec![5u8; (pages * page) as usize])
         .unwrap();
     assert_eq!(v, 1);
+    assert_eq!(stats.total_ns(), ctx.vt - t0, "{stats:?}");
     (stats, ctx.vt - t0, d.cluster.message_count() - before)
 }
 
 #[test]
 fn pages_and_metadata_share_one_burst() {
-    // The paper's costed cell.
-    let (stats, took, messages) = paper_write(8);
+    // The paper's costed cell: 1 MiB in four 256 KiB pages.
+    let (stats, took, messages) = paper_write(8, 4, 256 << 10);
     // The 20 messages of the pages-first protocol, and no more: the
     // burst coalesces calls by destination *and* method, so a metadata
     // batch never merges into a page batch bound for the same node.
     assert_eq!(messages, 20);
-    // The five stages partition the write's virtual time.
-    assert_eq!(stats.total_ns(), took, "{stats:?}");
-    // The client's CPU hides both control round trips: the buffer copy
-    // outlasts the plan, the leaf weave outlasts the ticket.
-    assert_eq!((stats.plan_ns, stats.ticket_ns), (0, 0), "{stats:?}");
+    // A page cannot leave before its placement, so only page 0's copy
+    // rides the plan, which outlasts it; the lead put (page 0 here)
+    // leaves the moment the plan lands, and the leaf weave outlasts the
+    // ticket.
+    assert_eq!((stats.plan_ns, stats.ticket_ns), (492_136, 0), "{stats:?}");
     // The metadata share still holds the whole metadata store round ...
     assert!(
         stats.metadata_ns() >= ServiceCosts::grid5000().meta_store_ns,
@@ -466,35 +471,77 @@ fn pages_and_metadata_share_one_burst() {
     // The lead page put leaves with the version request, so the upload
     // starts before the ticket returns: at least 0.5 ms off the same
     // write when every page waited for the ticket and the whole weave
-    // (12,399,302 ns on this cell).
+    // (12,399,302 ns on this cell). Each page is copied just before its
+    // put, so the lead no longer waits for the other three copies:
+    // 107,864 ns off the write that copied every page under the plan
+    // (11,472,899 ns).
     const PAGES_AFTER_THE_TICKET_NS: u64 = 12_399_302;
     assert!(
         took + 500_000 <= PAGES_AFTER_THE_TICKET_NS,
         "{took} ns, {stats:?}"
     );
+    assert_eq!(took, 11_365_035, "{stats:?}");
     // One provider takes all four puts, so no destination receives
-    // exactly one: there is no lead, the ticket travels alone, and the
-    // write keeps that schedule's time to the nanosecond.
-    const ONE_PROVIDER_NS: u64 = 15_344_229;
-    assert_eq!(paper_write(1).1, ONE_PROVIDER_NS);
+    // exactly one: the lead is page 0, split out of that provider's
+    // batch. Two more messages than the ticket travelling alone, and
+    // 2.7 ms faster (15,344,229 ns in 10 messages).
+    let (stats, took, messages) = paper_write(1, 4, 256 << 10);
+    assert_eq!((took, messages), (12_622_844, 12), "{stats:?}");
+}
+
+#[test]
+fn every_write_has_a_lead() {
+    // Each cell as (providers, pages, page size, virtual ns, messages);
+    // the comment gives the write that copied every page under the plan
+    // and let the ticket travel alone when no destination took exactly
+    // one put.
+    let cells = [
+        // No destination takes exactly one put: page 0 is split out of
+        // its batch for two more messages (13,287,296 ns, 14).
+        (2, 4, 256 << 10, 11_685_021, 16),
+        // Sixteen small pages (15,256,002 ns, 34).
+        (8, 16, 64 << 10, 13_916_683, 34),
+        // One page: copied under the plan and the lead either way, so
+        // its schedule is kept to the nanosecond (8,583,307 ns, 14).
+        (8, 1, 64 << 10, 8_583_307, 14),
+        // The lead is page 1, copied once the plan lands. On this fresh
+        // cell the plan (492,136 ns) and that copy (150,000) outlast the
+        // four copies that rode the plan before (600,000), so this write
+        // is 42,136 ns slower (11,472,899 ns, 18).
+        (3, 4, 256 << 10, 11_515_035, 18),
+    ];
+    for (providers, pages, page, ns, messages) in cells {
+        let (stats, took, sent) = paper_write(providers, pages, page);
+        assert_eq!(
+            (took, sent),
+            (ns, messages),
+            "{providers} providers, {pages} × {page} B: {stats:?}"
+        );
+    }
 }
 
 #[test]
 fn a_write_whose_ticket_fails_stores_nothing() {
     // The lead page is acknowledged while the version request fails:
-    // the write takes the page back before it returns the error.
+    // the write takes the page back before it returns the error. Only
+    // the lead's page was copied: the others wait for the ticket. On one
+    // provider the lead was split out of that provider's batch.
     const BIG: u64 = 256 << 10;
-    let d = Deployment::build(DeploymentConfig::grid5000(8));
-    let c = d.client();
-    let mut ctx = Ctx::start();
-    let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
-    let pages = d.total_pages();
-    d.cluster.kill(d.vm_node);
-    let err = c
-        .write(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
-        .unwrap_err();
-    assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
-    assert_eq!(d.total_pages(), pages, "no page is left behind");
+    for providers in [8, 1] {
+        let d = Deployment::build(DeploymentConfig::grid5000(providers));
+        let c = d.client();
+        let mut ctx = Ctx::start();
+        let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
+        let pages = d.total_pages();
+        d.cluster.kill(d.vm_node);
+        let copies = copymeter::thread_snapshot();
+        let err = c
+            .write(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
+            .unwrap_err();
+        assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
+        assert_eq!(copies.bytes_since(), BIG, "{providers} providers");
+        assert_eq!(d.total_pages(), pages, "no page is left behind");
+    }
 }
 
 /// On a fresh `grid5000(providers)` cell, a 16-page blob of 256 KiB

@@ -15,13 +15,14 @@
 //!   page fetch. The typed `fan_out` is a thin wrapper over it.
 //! * [`RpcClient::fan_out_with`] is the one fan-out underneath both: it
 //!   also runs the caller's own CPU work while the burst is in flight —
-//!   a write copies its buffer while its plan request travels — and
+//!   a write copies its first page while its plan request travels — and
 //!   reports when each reply arrived. The work may wait for some of the
 //!   burst's replies ([`Replies::wait`]) and add **late frames** to the
 //!   burst in flight ([`Replies::send`]), leaving at the work's clock —
 //!   the one way to send from inside a burst: a write weaves its tree
-//!   and sends its metadata once its version arrives, while the first
-//!   page put of the same burst is still uploading, and a read sends
+//!   and sends its metadata once its version arrives, then copies and
+//!   sends its other pages, while the first page put of the same burst
+//!   is still uploading, and a read sends
 //!   each leaf message's page fetches the moment it has decoded it.
 //! * When [`AggregationPolicy::Batch`] is active, fan-out calls of one
 //!   method to one destination are coalesced into a single batch frame —
