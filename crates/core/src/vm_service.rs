@@ -219,7 +219,7 @@ impl Service for VersionManagerService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_proto::messages::{BlobInfo, BorderLink, WriteTicket};
+    use blobseer_proto::messages::{BlobInfo, WriteTicket};
     use blobseer_proto::WriteId;
     use blobseer_rpc::parse_response;
 
@@ -300,7 +300,7 @@ mod tests {
         // First write: the 4-page root misses pages 0, 2 and 3, and each
         // links to version 0.
         assert_eq!(ticket.borders.len(), 3);
-        assert!(ticket.borders.iter().all(|b: &BorderLink| b.version == 0));
+        assert!(ticket.borders.iter().all(|&b| b == 0));
 
         let resp = s.handle(
             &mut ctx,

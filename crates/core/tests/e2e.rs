@@ -502,8 +502,10 @@ fn every_write_has_a_lead() {
         // Sixteen small pages (15,256,002 ns, 34).
         (8, 16, 64 << 10, 13_916_683, 34),
         // One page: copied under the plan and the lead either way, so
-        // its schedule is kept to the nanosecond (8,583,307 ns, 14).
-        (8, 1, 64 << 10, 8_583_307, 14),
+        // its schedule is kept to the nanosecond. On this 64-page blob
+        // the 32-way tree's ticket names 32 link versions of 8 B, where
+        // the 16-way tree's named 16 links of 24 B: 8,583,307 ns then.
+        (8, 1, 64 << 10, 8_581_329, 14),
         // The lead is page 1, copied once the plan lands. On this fresh
         // cell the plan (492,136 ns) and that copy (150,000) outlast the
         // four copies that rode the plan before (600,000), so this write

@@ -18,12 +18,15 @@
 //!   replaying puts in order is idempotent — a double put (replica
 //!   repair, retried write) re-inserts the same body.
 //!
-//!   The node encoding is part of this format. Inner bodies are 16-way
-//!   (wire tag 2: fan-out, then one version per child); the binary
-//!   tree's `{left, right}` body (tag 0) is refused. So a metadata
-//!   journal written before the 16-way tree does **not** reopen: its
-//!   first committed inner node is a [`BlobError::Recovery`], and no
-//!   node of it is served — never a binary node read as a 16-way one.
+//!   The node encoding is part of this format. Inner bodies are 32-way
+//!   (wire tag 3: fan-out, then one version per child). The binary
+//!   tree's `{left, right}` body (tag 0) and the 16-way tree's body
+//!   (tag 2, laid out as tag 3 but over other child intervals) are
+//!   refused. So a metadata journal written before the 32-way tree does
+//!   **not** reopen: its first committed inner node is a
+//!   [`BlobError::Recovery`], the journal is left byte-identical, and no
+//!   node of it is served — never a binary or 16-way node read as a
+//!   32-way one.
 //! * **remove** (`BSMTDEL2`): payload is the wire-encoded [`NodeKey`]
 //!   (GC executing a plan).
 //! * group-commit markers / tombstones as defined by the engine.
@@ -97,6 +100,9 @@ impl MetaBackend for VolatileMeta {
 }
 
 /// One replayed metadata mutation, in append order.
+// A put holds its node inline, as the index does (`NodeBody`'s child
+// versions are an inline array): boxing it would allocate per record.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum MetaOp {
     /// Re-insert a tree node.
@@ -226,9 +232,21 @@ mod tests {
                 size: 4096,
             },
             body: NodeBody::Inner {
-                children: ChildVersions::new(&[v; 16]).unwrap(),
+                children: ChildVersions::new(&[v; 32]).unwrap(),
             },
         }
+    }
+
+    /// A put payload of `node(v, offset)`'s key over a 16-way inner body,
+    /// exactly as the 16-way tree journaled it: key, tag 2, fan-out 16,
+    /// sixteen versions.
+    fn sixteen_way_put(v: u64, offset: u64) -> Vec<u8> {
+        let mut payload = node(v, offset).key.to_wire();
+        payload.extend_from_slice(&[2, 16]);
+        for _ in 0..16 {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        payload
     }
 
     #[test]
@@ -313,13 +331,36 @@ mod tests {
     }
 
     #[test]
+    fn sixteen_way_journal_does_not_reopen() {
+        // A committed put of a 16-way inner node: the record is intact,
+        // but its body's tag is refused, never read as a 32-way node.
+        let dir = tmp_dir("sixteen");
+        write_committed_put(&dir, &sixteen_way_put(1, 0));
+        let path = dir.join("meta.g0.log");
+        let image = std::fs::read(&path).unwrap();
+        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, BlobError::Recovery { offset: 0, .. }),
+            "got {err:?}"
+        );
+        let svc = crate::node::DhtNodeService::open_durable(
+            &dir,
+            RecordLogOptions::default(),
+            blobseer_simnet::ServiceCosts::zero(),
+        );
+        assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
+        assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_in_a_retired_format_is_refused_untouched() {
-        // The journal the previous format leaves after one committed put
-        // of `node(1, 0)`: a `BSMTPUT1` record whose check word the
-        // single-chain digest computed, then its marker.
+        // The journal the retired digest leaves after one committed put
+        // of a 16-way `node(1, 0)`: a `BSMTPUT1` record whose check word
+        // the single-chain digest computed, then its marker.
         let dir = tmp_dir("retired");
         std::fs::create_dir_all(&dir).unwrap();
-        let payload = node(1, 0).to_wire();
+        let payload = sixteen_way_put(1, 0);
         assert_eq!(payload.len(), 162);
         let mut image: Vec<u8> = [
             0x4253_4d54_5055_5431u64,

@@ -5,12 +5,13 @@
 //! deterministic computation over intervals, so the whole core of the
 //! paper's contribution is property-testable in isolation.
 //!
-//! The tree, per blob version, is a 16-way segment tree over the blob's
+//! The tree, per blob version, is a 32-way segment tree over the blob's
 //! byte space: the root covers `[0, total_size)`, levels are sized from
-//! the leaves up (a node of `page · 16^j` bytes has 16 children of
-//! `page · 16^(j−1)`, so only the root's fan-out varies), and leaves
-//! cover exactly one page. The paper's tree is the k = 2 case of the same
-//! algorithm; [`blobseer_proto::tree`] says why we run k = 16. A node is
+//! the leaves up (a node of `page · 32^j` bytes has 32 children of
+//! `page · 32^(j−1)`, so only the root's fan-out varies, from 2 to 32),
+//! and leaves cover exactly one page. The paper's tree is the k = 2 case
+//! of the same algorithm; [`blobseer_proto::tree`] says why we run
+//! k = 32 (and not 16 or 64). A node is
 //! identified by `(blob, version, offset, size)`
 //! ([`blobseer_proto::NodeKey`]) and inner nodes store the *versions* of
 //! their children — weaving a new version's partial tree into history is
@@ -27,7 +28,8 @@
 //!   [`WriteTicket`](blobseer_proto::messages::WriteTicket) — in two
 //!   phases, the leaves from the page locators alone
 //!   ([`write::weave_leaves`]) and the inner nodes once the ticket is in
-//!   ([`write::weave_inner`]).
+//!   ([`write::weave_inner`]). The ticket names one version per missing
+//!   child, in [`write::border_specs`] order, and no intervals.
 //! * [`read`] — the step function of the READ traversal
 //!   ([`read::expand`]), which the client drives level by level with
 //!   batched metadata fetches.

@@ -284,22 +284,22 @@ mod tests {
     }
 
     #[test]
-    fn expand_walks_sixteen_children() {
-        // 64 pages: root of 4 over 16-page nodes.
-        let g = Geometry::new(64 * 1024, 1024).unwrap();
+    fn expand_walks_thirty_two_children() {
+        // 128 pages: root of 4 over 32-page nodes.
+        let g = Geometry::new(128 * 1024, 1024).unwrap();
         let node = NodeKey {
             blob: BlobId(1),
             version: 7,
-            offset: 16 * 1024,
-            size: 16 * 1024,
+            offset: 32 * 1024,
+            size: 32 * 1024,
         };
-        let versions: Vec<Version> = (0..16).map(|i| i % 3).collect();
+        let versions: Vec<Version> = (0..32).map(|i| i % 3).collect();
         let visits = expand(&g, &node, &inner(&versions), &node.segment()).unwrap();
-        assert_eq!(visits.len(), 16);
+        assert_eq!(visits.len(), 32);
         for (i, visit) in (0u64..).zip(&visits) {
             match (versions[i as usize], visit) {
-                (0, Visit::Zeros(z)) => assert_eq!(*z, Segment::new((16 + i) * 1024, 1024)),
-                (v, Visit::Descend(k)) => assert_eq!(*k, leaf_key(v, 16 + i)),
+                (0, Visit::Zeros(z)) => assert_eq!(*z, Segment::new((32 + i) * 1024, 1024)),
+                (v, Visit::Descend(k)) => assert_eq!(*k, leaf_key(v, 32 + i)),
                 other => panic!("child {i}: {other:?}"),
             }
         }
@@ -352,10 +352,10 @@ mod tests {
         };
         assert!(expand(&g, &key, &inner(&[1, 1]), &g.full_segment()).is_err());
         // A fan-out that does not fit the interval: the 4-page root
-        // claiming 2 or 16 children.
+        // claiming 2 or 32 children.
         let root = root_key(&g, BlobId(1), 1);
         assert!(expand(&g, &root, &inner(&[1, 1]), &g.full_segment()).is_err());
-        assert!(expand(&g, &root, &inner(&[1; 16]), &g.full_segment()).is_err());
+        assert!(expand(&g, &root, &inner(&[1; 32]), &g.full_segment()).is_err());
         // Node that does not intersect the read at all.
         let key = NodeKey {
             blob: BlobId(1),

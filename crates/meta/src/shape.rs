@@ -126,7 +126,7 @@ mod tests {
         assert!(is_tree_interval(&g, 3072, 1024));
         assert!(
             !is_tree_interval(&g, 0, 2048),
-            "the binary tree's half is no 16-way level"
+            "the binary tree's half is no 32-way level"
         );
         assert!(!is_tree_interval(&g, 1024, 2048), "offset not size-aligned");
         assert!(!is_tree_interval(&g, 0, 512), "smaller than a page");
@@ -136,30 +136,30 @@ mod tests {
         );
         assert!(!is_tree_interval(&g, 4096, 1024), "out of bounds");
         assert!(!is_tree_interval(&g, u64::MAX - 1023, 1024), "wraps");
-        // 2^10 pages: levels are 1, 16, 256 pages and the 1,024-page root.
+        // 2^10 pages: levels are 1, 32 pages and the 1,024-page root.
         let g = Geometry::new(1 << 20, 1024).unwrap();
-        for pages in [1u64, 16, 256, 1024] {
+        for pages in [1u64, 32, 1024] {
             assert!(is_tree_interval(&g, 0, pages * 1024), "{pages} pages");
         }
-        for pages in [2u64, 4, 8, 32, 64, 128, 512] {
+        for pages in [2u64, 4, 8, 16, 64, 128, 256, 512] {
             assert!(!is_tree_interval(&g, 0, pages * 1024), "{pages} pages");
         }
     }
 
     #[test]
-    fn children_split_sixteen_ways_below_the_root() {
-        let g = Geometry::new(1 << 20, 1024).unwrap();
+    fn children_split_thirty_two_ways_below_the_root() {
+        let g = Geometry::new(1 << 22, 1024).unwrap();
         let root: Vec<Segment> = children(&g, g.full_segment()).collect();
-        assert_eq!(root.len(), 4, "1,024 pages: the root has 4 children");
-        assert_eq!(root[3], Segment::new(3 << 18, 1 << 18));
+        assert_eq!(root.len(), 4, "4,096 pages: the root has 4 children");
+        assert_eq!(root[3], Segment::new(3 << 20, 1 << 20));
         let mid: Vec<Segment> = children(&g, root[1]).collect();
-        assert_eq!(mid.len(), 16);
+        assert_eq!(mid.len(), 32);
         assert!(mid.iter().all(|c| is_tree_interval(&g, c.offset, c.size)));
         assert_eq!(children(&g, Segment::new(0, 1024)).count(), 0, "leaf");
         // The touched run is found by division.
-        let seg = Segment::new((1 << 18) + 5 * 16384 + 7, 2 * 16384);
-        assert_eq!(touched_children(root[1], 16384, &seg), 5..8);
-        assert_eq!(touched_children(g.full_segment(), 1 << 18, &seg), 1..2);
+        let seg = Segment::new((1 << 20) + 5 * 32768 + 7, 2 * 32768);
+        assert_eq!(touched_children(root[1], 32768, &seg), 5..8);
+        assert_eq!(touched_children(g.full_segment(), 1 << 20, &seg), 1..2);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn write_intervals_figure2_example_read_set() {
         // Paper Figure 2(a): "the set of nodes explored for segment [1,2]
-        // is (0,4),(0,2),(2,2),(1,1),(2,1)" — in pages. On the 16-way
+        // is (0,4),(0,2),(2,2),(1,1),(2,1)" — in pages. On the 32-way
         // tree the two halves disappear: (0,4),(1,1),(2,1).
         let g = geom_4_pages();
         let ivs = write_intervals(&g, &Segment::new(1024, 2048));
@@ -205,21 +205,21 @@ mod tests {
     }
 
     #[test]
-    fn one_page_write_on_a_million_pages_touches_six_nodes() {
-        // 2^20 pages: 5 sixteen-way levels below the root.
+    fn one_page_write_on_a_million_pages_touches_five_nodes() {
+        // 2^20 pages: 4 thirty-two-way levels below the root.
         let g = Geometry::new(1 << 30, 1024).unwrap();
-        assert_eq!(g.tree_height(), 5);
+        assert_eq!(g.tree_height(), 4);
         let seg = Segment::new(12345 * 1024, 1024);
-        assert_eq!(write_intervals(&g, &seg).len(), 6);
-        assert_eq!(node_count_for_write(&g, &seg), 6);
+        assert_eq!(write_intervals(&g, &seg).len(), 5);
+        assert_eq!(node_count_for_write(&g, &seg), 5);
     }
 
     #[test]
     fn node_count_matches_enumeration() {
         for g in [
-            Geometry::new(1 << 20, 4096).unwrap(), // 256 pages: root of 16
-            Geometry::new(1 << 22, 4096).unwrap(), // 1,024 pages: root of 4
-            Geometry::new(1 << 23, 4096).unwrap(), // 2,048 pages: root of 8
+            Geometry::new(1 << 20, 4096).unwrap(), // 256 pages: root of 8
+            Geometry::new(1 << 22, 4096).unwrap(), // 1,024 pages: root of 32
+            Geometry::new(1 << 23, 4096).unwrap(), // 2,048 pages: root of 2
         ] {
             for (off, len) in [
                 (0u64, 4096u64),
@@ -248,11 +248,11 @@ mod tests {
     #[test]
     fn node_count_paper_scale() {
         // 1 TB blob, 64 KB pages, 16 MB aligned write: 256 leaves under
-        // 16 full 16-leaf nodes under one 256-leaf node, plus one node on
-        // each of the 4 levels above it (the root included).
+        // 8 full 32-leaf nodes under one 1,024-leaf node, plus one node on
+        // each of the 3 levels above it (the root included).
         let g = Geometry::new(1 << 40, 1 << 16).unwrap();
         let seg = Segment::new(0, 16 << 20);
-        assert_eq!(node_count_for_write(&g, &seg), 256 + 16 + 1 + 4);
+        assert_eq!(node_count_for_write(&g, &seg), 256 + 8 + 1 + 3);
     }
 
     #[test]

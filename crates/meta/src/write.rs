@@ -5,23 +5,26 @@
 //! every tree interval intersecting `seg`. Children of those nodes that
 //! *also* intersect `seg` are version-`v` nodes created by the same write;
 //! children that do not are the **missing children of border nodes** and
-//! must link to the newest older version that wrote them — the
-//! [`BorderLink`]s precomputed by the version manager, which is what lets
-//! concurrent writers weave in complete isolation.
+//! must link to the newest older version that wrote them — the border
+//! links precomputed by the version manager, which is what lets
+//! concurrent writers weave in complete isolation. Both sides enumerate
+//! those children with [`border_specs`], so a ticket carries only their
+//! versions, in that order.
 //!
 //! In the paper's binary tree a border node misses exactly one half. In
-//! the 16-way tree it misses every child outside the write's contiguous
-//! run of touched children — up to 15 — and each gets its own link.
+//! the 32-way tree it misses every child outside the write's contiguous
+//! run of touched children — up to 31 — and each gets its own link.
 
 use crate::shape::{children, touched_children, write_intervals};
-use blobseer_proto::messages::{BorderLink, WriteTicket};
+use blobseer_proto::messages::WriteTicket;
 use blobseer_proto::tree::{ChildVersions, NodeBody, NodeKey, PageLoc, TreeNode};
 use blobseer_proto::{BlobError, BlobId, Geometry, Segment, Version};
 use blobseer_util::FxHashMap;
 
 /// Enumerate every missing child of every border node of a write of
 /// `seg` — the intervals the new tree must link to older versions — in
-/// `O(tree_height · ARITY)`.
+/// `O(tree_height · ARITY)`. The order is part of the protocol: a
+/// [`WriteTicket`] carries one version per interval, in this order.
 ///
 /// Walks only partially-covered intervals: a fully-covered subtree cannot
 /// contain border nodes, and an untouched subtree is not created at all.
@@ -59,10 +62,9 @@ pub fn border_specs(geom: &Geometry, seg: &Segment) -> Vec<Segment> {
 /// * `ticket` — the version manager's answer carrying the assigned version
 ///   and the border links.
 ///
-/// Returns the nodes in pre-order (root first). Fails if the ticket's
-/// border links do not cover every missing child of `seg`'s border
-/// nodes — that would mean the version manager and client disagree on
-/// geometry.
+/// Returns the nodes in pre-order (root first). Fails if the ticket does
+/// not carry one border link per missing child of `seg`'s border nodes —
+/// that would mean the version manager and client disagree on geometry.
 pub fn build_write_tree(
     geom: &Geometry,
     blob: BlobId,
@@ -75,14 +77,16 @@ pub fn build_write_tree(
 
 /// A write's new nodes before its ticket, in pre-order: the leaves are
 /// woven; every key's version and the inner nodes' child versions wait
-/// for the ticket.
+/// for the ticket, whose border links pair with `specs`.
 pub struct LeafWeave {
     nodes: Vec<TreeNode>,
+    specs: Vec<Segment>,
 }
 
 /// The leaf phase of the weave. A leaf names its page's replicas and
 /// nothing else, so this needs only the page locators: a writer runs it
-/// while its version request is in flight.
+/// while its version request is in flight, and enumerates the border
+/// children the ticket's links will name then too.
 pub fn weave_leaves(
     geom: &Geometry,
     blob: BlobId,
@@ -115,12 +119,17 @@ pub fn weave_leaves(
         };
         nodes.push(TreeNode { key, body });
     }
-    Ok(LeafWeave { nodes })
+    Ok(LeafWeave {
+        nodes,
+        specs: border_specs(geom, seg),
+    })
 }
 
 /// The inner phase of the weave, in place: the ticket's version on every
 /// key, and each inner node's child versions — the ticket's version
 /// where the write covers the child, its border link where it does not.
+/// The ticket's links pair, in order, with the border children the leaf
+/// phase enumerated; a ticket with another count is refused.
 pub fn weave_inner(
     geom: &Geometry,
     seg: &Segment,
@@ -128,10 +137,14 @@ pub fn weave_inner(
     ticket: &WriteTicket,
 ) -> Result<Vec<TreeNode>, BlobError> {
     let v = ticket.version;
-    let links: FxHashMap<(u64, u64), Version> = ticket
-        .borders
+    if ticket.borders.len() != leaves.specs.len() {
+        return Err(BlobError::Internal("border link count mismatch"));
+    }
+    let links: FxHashMap<(u64, u64), Version> = leaves
+        .specs
         .iter()
-        .map(|b| ((b.offset, b.size), b.version))
+        .zip(&ticket.borders)
+        .map(|(child, &version)| ((child.offset, child.size), version))
         .collect();
 
     let mut nodes = leaves.nodes;
@@ -159,20 +172,17 @@ pub fn weave_inner(
 }
 
 /// Convert border specs plus a `latest intersecting writer` oracle into
-/// wire [`BorderLink`]s. The oracle is the version manager's version index
-/// (`IntervalMap::range_max`); `None` means nothing wrote the interval yet,
-/// which links to the implicit all-zero version 0.
+/// a ticket's border links, one version per spec in spec order. The
+/// oracle is the version manager's version index
+/// (`IntervalMap::range_max`); `None` means nothing wrote the interval
+/// yet, which links to the implicit all-zero version 0.
 pub fn borders_to_links(
     specs: &[Segment],
     mut latest_writer: impl FnMut(Segment) -> Option<Version>,
-) -> Vec<BorderLink> {
+) -> Vec<Version> {
     specs
         .iter()
-        .map(|&child| BorderLink {
-            offset: child.offset,
-            size: child.size,
-            version: latest_writer(child).unwrap_or(0),
-        })
+        .map(|&child| latest_writer(child).unwrap_or(0))
         .collect()
 }
 
@@ -182,7 +192,7 @@ mod tests {
     use blobseer_proto::tree::PageKey;
     use blobseer_proto::{ProviderId, WriteId};
 
-    /// The paper's Figure 2 blob: 4 pages of 1 KiB — on the 16-way tree,
+    /// The paper's Figure 2 blob: 4 pages of 1 KiB — on the 32-way tree,
     /// one root over 4 leaves.
     fn geom_4_pages() -> Geometry {
         Geometry::new(4096, 1024).unwrap()
@@ -227,15 +237,15 @@ mod tests {
 
     #[test]
     fn border_specs_straddling_write() {
-        // 256 pages of 1 KiB: root over 16 sixteen-page nodes. Pages
-        // 14..18 straddle nodes 0 and 1: each is a border node, and the
-        // root misses the 14 nodes the write does not touch.
-        let g = Geometry::new(256 * 1024, 1024).unwrap();
-        let mut specs = border_specs(&g, &Segment::new(14 * 1024, 4 * 1024));
+        // 1,024 pages of 1 KiB: root over 32 thirty-two-page nodes.
+        // Pages 30..34 straddle nodes 0 and 1: each is a border node, and
+        // the root misses the 30 nodes the write does not touch.
+        let g = Geometry::new(1024 * 1024, 1024).unwrap();
+        let mut specs = border_specs(&g, &Segment::new(30 * 1024, 4 * 1024));
         specs.sort_by_key(|s| s.offset);
-        let mut expected: Vec<Segment> = (0..14).map(pages).collect();
-        expected.extend((18..32).map(pages));
-        expected.extend((2..16).map(|i| Segment::new(i * 16 * 1024, 16 * 1024)));
+        let mut expected: Vec<Segment> = (0..30).map(pages).collect();
+        expected.extend((34..64).map(pages));
+        expected.extend((2..32).map(|i| Segment::new(i * 32 * 1024, 32 * 1024)));
         expected.sort_by_key(|s| s.offset);
         assert_eq!(specs, expected);
     }
@@ -307,13 +317,13 @@ mod tests {
 
     #[test]
     fn first_write_links_to_zero_version() {
-        // Writing page 0 of a fresh 32-page blob (root of 2 over 16-page
+        // Writing page 0 of a fresh 64-page blob (root of 2 over 32-page
         // nodes): every missing child links to the implicit version 0.
-        let g = Geometry::new(32 * 1024, 1024).unwrap();
+        let g = Geometry::new(64 * 1024, 1024).unwrap();
         let seg = pages(0);
         let links = borders_to_links(&border_specs(&g, &seg), |_child| None);
-        assert_eq!(links.len(), 1 + 15);
-        assert!(links.iter().all(|l| l.version == 0));
+        assert_eq!(links.len(), 1 + 31);
+        assert!(links.iter().all(|&l| l == 0));
         let t = WriteTicket {
             version: 1,
             borders: links,
@@ -321,7 +331,7 @@ mod tests {
         let nodes = build_write_tree(&g, BlobId(1), &seg, &[loc(0)], &t).unwrap();
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[0].body, inner(&[1, 0]));
-        let mut mid = [0; 16];
+        let mut mid = [0; 32];
         mid[0] = 1;
         assert_eq!(nodes[1].body, inner(&mid));
     }
@@ -340,18 +350,20 @@ mod tests {
     #[test]
     fn build_rejects_missing_border_link() {
         let g = geom_4_pages();
-        // Write page 1 but hand a ticket missing page 3's link.
-        let mut links = borders_to_links(&border_specs(&g, &pages(1)), |_| Some(1));
-        links.retain(|l| l.offset != 3072);
-        let t = WriteTicket {
-            version: 2,
-            borders: links,
-        };
-        let err = build_write_tree(&g, BlobId(1), &pages(1), &[loc(1)], &t);
-        assert!(matches!(
-            err,
-            Err(BlobError::Internal("missing border link"))
-        ));
+        // Write page 1 but hand a ticket missing page 3's link, or with
+        // one link too many: the links no longer pair with the specs.
+        let links = borders_to_links(&border_specs(&g, &pages(1)), |_| Some(1));
+        for borders in [links[..2].to_vec(), [&links[..], &[1]].concat()] {
+            let t = WriteTicket {
+                version: 2,
+                borders,
+            };
+            let err = build_write_tree(&g, BlobId(1), &pages(1), &[loc(1)], &t);
+            assert!(matches!(
+                err,
+                Err(BlobError::Internal("border link count mismatch"))
+            ));
+        }
     }
 
     #[test]

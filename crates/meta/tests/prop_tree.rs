@@ -4,9 +4,9 @@
 //! the same version v and same offset and size will yield the same
 //! substring ... obtained by successively applying the first v patches to
 //! the initial string" (global serializability, §II) — checked over random
-//! write sequences, on every root shape the 16-way tree has: a leaf root
-//! (1 page) and roots of fan-out 2, 4, 8 and 16 over 1–4 levels
-//! (2^1 … 2^9 pages). The geometry is a generated input.
+//! write sequences, on every root shape the 32-way tree has: a leaf root
+//! (1 page) and roots of fan-out 2, 4, 8, 16 and 32 with one or two
+//! inner levels (2^1 … 2^10 pages). The geometry is a generated input.
 
 use blobseer_meta::read::{assemble_read, expand, root_key, Visit};
 use blobseer_meta::write::{border_specs, borders_to_links, build_write_tree};
@@ -19,9 +19,9 @@ use proptest::prelude::*;
 
 const PAGE: u64 = 64;
 
-/// One blob of `2^k` pages, `k` in `0..=9`.
+/// One blob of `2^k` pages, `k` in `0..=10`.
 fn geometry_strategy() -> impl Strategy<Value = Geometry> {
-    (0u32..10).prop_map(|k| Geometry::new(PAGE << k, PAGE).unwrap())
+    (0u32..=10).prop_map(|k| Geometry::new(PAGE << k, PAGE).unwrap())
 }
 
 /// Raw draws, mapped onto a segment of the generated geometry in the
@@ -184,7 +184,7 @@ proptest! {
         // links point at versions still in flight; the writes then land
         // in a random order. Whenever the published frontier advances,
         // every version up to it must read exactly as the flat model —
-        // the 16-way generalization of the version manager's
+        // the 32-way generalization of the version manager's
         // `border_links_see_in_flight_writes`.
         let blob = BlobId(1);
         let mut model = FlatModel::new(&geom);
@@ -271,10 +271,10 @@ fn read_tree(
 
 #[test]
 fn generated_geometries_cover_every_root_shape() {
-    // The strategy's domain: a leaf root and roots of fan-out 2, 4, 8
-    // and 16, over 1 to 4 levels.
+    // The strategy's domain: a leaf root and roots of fan-out 2, 4, 8,
+    // 16 and 32, over 1 or 2 levels above the leaves.
     let mut shapes = std::collections::BTreeSet::new();
-    for k in 0..10u32 {
+    for k in 0..=10u32 {
         let g = Geometry::new(PAGE << k, PAGE).unwrap();
         let fanout = if k == 0 {
             1
@@ -287,7 +287,9 @@ fn generated_geometries_cover_every_root_shape() {
     let levels: std::collections::BTreeSet<u32> = shapes.iter().map(|s| s.1).collect();
     assert_eq!(
         fanouts.into_iter().collect::<Vec<_>>(),
-        vec![1, 2, 4, 8, 16]
+        vec![1, 2, 4, 8, 16, 32]
     );
-    assert_eq!(levels.into_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+    assert_eq!(levels.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+    // Both inner levels take every fan-out: 2^1 … 2^5 and 2^6 … 2^10.
+    assert_eq!(shapes.len(), 11);
 }

@@ -146,16 +146,17 @@ impl Geometry {
 
     /// Fan-out of the metadata tree: a node of `page · ARITY^j` bytes has
     /// `ARITY` children of `page · ARITY^(j−1)` (see [`crate::tree`] for
-    /// why 16 rather than the paper's 2). Only the root's fan-out varies
-    /// with the page count. A constant, not a knob.
-    pub const ARITY: u64 = 16;
+    /// why 32 rather than the paper's 2). Only the root's fan-out varies
+    /// with the page count. A measured constant, not a knob.
+    pub const ARITY: u64 = 32;
 
     /// `log2(ARITY)`: how many binary levels one tree level spans.
     const ARITY_BITS: u32 = Self::ARITY.trailing_zeros();
 
     /// Height of the metadata tree: the number of [`ARITY`](Self::ARITY)-way
-    /// levels below the root, `⌈log16(page_count)⌉` (0 for a one-page
-    /// blob, whose root is its only leaf; 6 for the paper's 1 TB × 64 KB).
+    /// levels below the root, `⌈log32(page_count)⌉` (0 for a one-page
+    /// blob, whose root is its only leaf; 2 for the 1,024-page canonical
+    /// blob, 3 at 16-way; 5 for the paper's 1 TB × 64 KB, 6 at 16-way).
     pub fn tree_height(&self) -> u32 {
         self.page_count()
             .trailing_zeros()
@@ -285,7 +286,7 @@ mod tests {
     fn page_math() {
         let g = Geometry::new(1 << 20, 64 * KB).unwrap(); // 16 pages
         assert_eq!(g.page_count(), 16);
-        assert_eq!(g.tree_height(), 1, "one 16-way level: root over 16 leaves");
+        assert_eq!(g.tree_height(), 1, "one 32-way level: root over 16 leaves");
         assert_eq!(g.page_of(0), 0);
         assert_eq!(g.page_of(64 * KB - 1), 0);
         assert_eq!(g.page_of(64 * KB), 1);
@@ -357,31 +358,31 @@ mod tests {
 
     #[test]
     fn child_sizes_grow_from_the_leaves() {
-        // 1,024 pages (sim_paper): 256 · 4 → the root has 4 children.
+        // 1,024 pages (sim_paper): 32 · 32 → the root has 32 children.
         let g = Geometry::new(256 << 20, 256 * KB).unwrap();
-        assert_eq!(g.tree_height(), 3);
-        assert_eq!(g.child_size(256 << 20), 64 << 20);
-        assert_eq!(g.child_size(64 << 20), 4 << 20);
-        assert_eq!(g.child_size(4 << 20), 256 * KB);
+        assert_eq!(g.tree_height(), 2);
+        assert_eq!(g.child_size(256 << 20), 8 << 20);
+        assert_eq!(g.child_size(8 << 20), 256 * KB);
         assert_eq!(g.child_size(256 * KB), 256 * KB, "a leaf has no children");
-        // Every root fan-out from 2 to 16 over 2..=16 pages.
-        for pages_log2 in 1..=4u32 {
+        // Every root fan-out from 2 to 32 over 2..=32 pages.
+        for pages_log2 in 1..=5u32 {
             let g = Geometry::new(KB << pages_log2, KB).unwrap();
             assert_eq!(g.tree_height(), 1);
             assert_eq!(g.total_size / g.child_size(g.total_size), 1 << pages_log2);
         }
-        // 32 pages: root of 2 over 16-leaf nodes.
-        let g = Geometry::new(32 * KB, KB).unwrap();
-        assert_eq!((g.tree_height(), g.child_size(32 * KB)), (2, 16 * KB));
+        // 64 pages: root of 2 over 32-leaf nodes.
+        let g = Geometry::new(64 * KB, KB).unwrap();
+        assert_eq!((g.tree_height(), g.child_size(64 * KB)), (2, 32 * KB));
     }
 
     #[test]
     fn paper_scale_geometry() {
         // The paper's headline configuration: 1 TB blob, 64 KB pages —
-        // 24 binary levels, 6 sixteen-way ones.
+        // 24 binary levels, 5 thirty-two-way ones (a root of 16).
         let g = Geometry::new(1 << 40, 64 * KB).unwrap();
         assert_eq!(g.page_count(), 1 << 24);
-        assert_eq!(g.tree_height(), 6);
+        assert_eq!(g.tree_height(), 5);
+        assert_eq!(g.child_size(1 << 40), 1 << 36);
         let r = g.pages_touching(&Segment::new(123 * 64 * KB, 16 * 1024 * KB));
         assert_eq!(r.count(), 256, "16 MiB segment = 256 pages");
     }

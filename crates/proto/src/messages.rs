@@ -327,24 +327,6 @@ impl RequestVersion {
     }
 }
 
-/// One precomputed border link (paper §IV.C): the child interval
-/// `(offset, size)` of a border node that the write does not cover, and
-/// the older version the new tree links there (0 = never written).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BorderLink {
-    /// Missing child interval offset.
-    pub offset: u64,
-    /// Missing child interval size.
-    pub size: u64,
-    /// Version of the node the border node links at that child.
-    pub version: Version,
-}
-wire_struct!(BorderLink {
-    offset,
-    size,
-    version
-});
-
 /// The version manager's answer to [`RequestVersion`]: the assigned
 /// version and every border link the writer needs to weave its subtree in
 /// complete isolation from concurrent writers.
@@ -352,8 +334,14 @@ wire_struct!(BorderLink {
 pub struct WriteTicket {
     /// Version assigned to this write.
     pub version: Version,
-    /// Precomputed links for all border nodes.
-    pub borders: Vec<BorderLink>,
+    /// The precomputed border links (paper §IV.C): for each missing
+    /// child of the write's border nodes, the older version the new tree
+    /// links there (0 = never written). One per interval of
+    /// `blobseer_meta::write::border_specs` of the written segment, in
+    /// its order: the writer computes the same intervals from the same
+    /// geometry, so only the versions travel — as an inner node stores
+    /// its children's versions and not their intervals.
+    pub borders: Vec<Version>,
 }
 wire_struct!(WriteTicket { version, borders });
 
@@ -639,18 +627,7 @@ mod tests {
         });
         roundtrip(WriteTicket {
             version: 12,
-            borders: vec![
-                BorderLink {
-                    offset: 1 << 20,
-                    size: 1 << 20,
-                    version: 3,
-                },
-                BorderLink {
-                    offset: 0,
-                    size: 1 << 16,
-                    version: 0,
-                },
-            ],
+            borders: vec![3, 0],
         });
         roundtrip(CompleteWrite {
             blob: BlobId(9),

@@ -7,18 +7,29 @@
 //! written** — the property that makes lock-free concurrent sharing and
 //! unbounded client-side caching sound.
 //!
-//! ## Sixteen children, not two
+//! ## Thirty-two children, not two
 //!
 //! The paper's tree is binary (arity k = 2): a node of size `s` has two
 //! children of `s / 2`. Ours runs the same algorithm with
-//! [`Geometry::ARITY`] = 16. Levels are sized from the leaves up — a node
-//! of `page · 16^j` bytes has 16 children of `page · 16^(j−1)` — so every
+//! [`Geometry::ARITY`] = 32. Levels are sized from the leaves up — a node
+//! of `page · 32^j` bytes has 32 children of `page · 32^(j−1)` — so every
 //! interval is still a size-aligned power of two, and only the root's
-//! fan-out (2 to 16) depends on the page count. The reason is depth: a
+//! fan-out (2 to 32) depends on the page count. The reason is depth: a
 //! read pays one dependent, batched round trip per level, and a write
 //! builds one node per level on each border. For the paper's own 1 TB
-//! blob of 64 KB pages the height falls from 24 to 6
-//! ([`Geometry::tree_height`]). Everything else is the paper's scheme.
+//! blob of 64 KB pages the height falls from 24 to 5
+//! ([`Geometry::tree_height`]); the 1,024-page canonical blob has 2
+//! levels above its leaves. Everything else is the paper's scheme.
+//!
+//! Why 32 and not 16 or 64: each step trades depth for width. From 16 to
+//! 32 the canonical blob loses a level (3 → 2), and with it one
+//! dependent round trip of every read (`sim_paper` `read_p50_ms`
+//! 11.959 → 11.580 ms), while a write's inner nodes only grow. A 64-way
+//! tree, measured on the same cell, reads no faster (11.581 ms: 1,024
+//! pages need 2 levels either way), its version ticket outlasts the leaf
+//! weave (`write_ticket_vt_us` 0 → 324.4), `write_p50_ms` rises 2.7 µs,
+//! and on `finegrain_mix` the metadata journal's bytes per write rise
+//! 67 % (17 % at 32).
 //!
 //! Inner nodes store the *versions* of their children (the child
 //! intervals are implied by the geometry), which is exactly how
@@ -126,7 +137,9 @@ const ARITY: usize = Geometry::ARITY as usize;
 
 /// The child versions of an inner node, in offset order, held inline: a
 /// fixed array of [`Geometry::ARITY`] slots plus the fan-out in use
-/// (2 to 16 — only a root has fewer than 16).
+/// (2 to 32 — only a root has fewer than 32). The array sets the size
+/// of every [`NodeBody`], a leaf's included: at most 8·(ARITY + 2) =
+/// 272 B in the DHT's maps and the client cache (144 B at 16-way).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct ChildVersions {
     fanout: u8,
@@ -144,7 +157,7 @@ impl ChildVersions {
             *slot = v;
         }
         Some(Self {
-            // Bounded by `ARITY` (16) just above.
+            // Bounded by `ARITY` (32) just above.
             fanout: versions.len() as u8,
             versions: slots,
         })
@@ -168,6 +181,9 @@ impl fmt::Debug for ChildVersions {
 }
 
 /// Body of a metadata tree node.
+// The inner variant's child versions are inline on purpose (see
+// `ChildVersions`): boxing them would cost a heap allocation per node.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum NodeBody {
     /// Non-leaf: the versions of its children. A version of 0 denotes
@@ -186,11 +202,12 @@ pub enum NodeBody {
 
 /// Wire tag of a leaf body.
 const TAG_LEAF: u8 = 1;
-/// Wire tag of a 16-way inner body: fan-out byte, then one `u64` version
-/// per child. Tag 0 was the binary tree's `{left, right}` body; its
-/// intervals differ from this tree's, so it is refused rather than read
-/// as a two-child node (see `blobseer_dht::wal`).
-const TAG_INNER: u8 = 2;
+/// Wire tag of a 32-way inner body: fan-out byte, then one `u64` version
+/// per child. Tag 0 was the binary tree's `{left, right}` body and tag 2
+/// the 16-way tree's (same layout as this one). Their child intervals
+/// differ from this tree's, so both are refused rather than read as
+/// 32-way nodes (see `blobseer_dht::wal`).
+const TAG_INNER: u8 = 3;
 
 impl Wire for NodeBody {
     fn encode(&self, out: &mut WireBuf) {
@@ -276,18 +293,20 @@ mod tests {
     }
 
     #[test]
-    fn child_keys_split_interval_sixteen_ways() {
-        // 1,024 pages of 1 KiB: root of 4 children × 256 KiB, then 16s.
-        let g = Geometry::new(1 << 20, 1024).unwrap();
-        let root = key(5, 0, 1 << 20);
+    fn child_keys_split_interval_thirty_two_ways() {
+        // 4,096 pages of 1 KiB: root of 4 children × 1 MiB, then 32s.
+        let g = Geometry::new(1 << 22, 1024).unwrap();
+        let root = key(5, 0, 1 << 22);
         let c3 = root.child(&g, 3, 2);
-        assert_eq!((c3.offset, c3.size, c3.version), (3 << 18, 1 << 18, 2));
-        let g15 = c3.child(&g, 15, 5);
+        assert_eq!((c3.offset, c3.size, c3.version), (3 << 20, 1 << 20, 2));
+        let g31 = c3.child(&g, 31, 5);
         assert_eq!(
-            (g15.offset, g15.size),
-            ((3 << 18) + 15 * (1 << 14), 1 << 14)
+            (g31.offset, g31.size),
+            ((3 << 20) + 31 * (1 << 15), 1 << 15)
         );
-        assert_eq!(g15.segment(), Segment::new(g15.offset, 1 << 14));
+        assert_eq!(g31.segment(), Segment::new(g31.offset, 1 << 15));
+        let leaf = g31.child(&g, 31, 5);
+        assert_eq!((leaf.offset, leaf.size), (g31.offset + 31 * 1024, 1024));
     }
 
     #[test]
@@ -300,6 +319,7 @@ mod tests {
         assert_eq!(format!("{c:?}"), "[4, 0, 2]");
         // A body is a fixed-size value: no per-node heap allocation.
         assert!(std::mem::size_of::<NodeBody>() <= 8 * (ARITY + 2));
+        assert_eq!(8 * (ARITY + 2), 272);
     }
 
     #[test]
@@ -365,10 +385,30 @@ mod tests {
     }
 
     #[test]
-    fn inner_fanout_outside_two_to_sixteen_rejected() {
-        for fanout in [0u8, 1, 17, 255] {
+    fn sixteen_way_inner_body_is_a_codec_error() {
+        // The 16-way encoding: tag 2, fan-out, one version per child —
+        // the layout of this tree's body under another tag. Its child
+        // intervals are not this tree's, so it never decodes.
+        for fanout in [16u8, 4] {
+            let mut bytes = vec![2u8, fanout];
+            for _ in 0..fanout {
+                bytes.extend_from_slice(&7u64.to_le_bytes());
+            }
+            assert_eq!(
+                NodeBody::from_wire(&bytes),
+                Err(CodecError::BadTag {
+                    tag: 2,
+                    ty: "NodeBody"
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn inner_fanout_outside_two_to_thirty_two_rejected() {
+        for fanout in [0u8, 1, 33, 255] {
             let mut bytes = vec![TAG_INNER, fanout];
-            bytes.extend_from_slice(&[0; 8 * 17]);
+            bytes.extend_from_slice(&[0; 8 * 33]);
             let err = NodeBody::from_wire(&bytes).unwrap_err();
             assert!(matches!(err, CodecError::BadTag { tag, .. } if tag == fanout));
         }
