@@ -6,23 +6,26 @@
 //! Protocol fidelity (§III.B):
 //! * **READ**: a level-by-level descent of the segment tree with
 //!   *batched, parallel* metadata fetches, then *parallel* page downloads
-//!   — no lock anywhere, no interaction with any writer. The leaf level
-//!   and the pages share one burst: the page fetches of each leaf
-//!   message leave the moment the client has decoded it, as late frames
-//!   of the burst that fetched the leaves, so the first pages are on the
-//!   wire while later leaves are still arriving. The one question for
+//!   — no lock anywhere, no interaction with any writer. Each step waits
+//!   only for the reply it consumes: every metadata message is decoded
+//!   inside its burst the moment it lands; the leaf level and the pages
+//!   share one burst, each leaf's page fetch leaving as a late frame of
+//!   it the moment that leaf is decoded, so the first pages are on the
+//!   wire while later leaves are still arriving; and each page is
+//!   stitched into the read's buffer the moment its reply lands, so only
+//!   the last page's stitch follows the last byte. The one question for
 //!   the version manager, the latest version, costs no round trip of its
 //!   own: published trees never change, so the read descends the newest
 //!   version it has seen published and sends `GET_LATEST` in the same
 //!   burst as its first metadata or page fetch, re-descending only if
-//!   the answer shows a newer version.
+//!   the answer shows a newer version; no page is stitched before that
+//!   answer is in.
 //! * **WRITE**: provider-manager plan → version + border links from the
 //!   version manager, with the first page put riding the same burst →
 //!   the batched metadata puts and the other page puts → completion
 //!   report. Each page is copied into its own send buffer just before
-//!   its put leaves: page 0 while the plan is in flight, the lead's the
-//!   moment the plan lands if the lead is another page, the rest once
-//!   the metadata frames have left. The client's other work rides the
+//!   its put leaves: page 0, the lead, while the plan is in flight, the
+//!   rest once the metadata frames have left. The client's other work rides the
 //!   round trips too: the metadata — built **in isolation** — has its
 //!   leaves, which name the planned replicas, woven while the version
 //!   request and the lead page are; only the inner nodes wait for the
@@ -53,7 +56,7 @@
 
 use crate::heat::HeatTracker;
 use blobseer_dht::{DhtClient, Ring};
-use blobseer_meta::read::{assemble_read, assemble_read_into, expand, root_key, Visit};
+use blobseer_meta::read::{expand, root_key, stitch_page, zero_gaps, Visit};
 use blobseer_meta::write::{weave_inner, weave_leaves};
 use blobseer_proto::messages::{
     method, BlobInfo, CompleteWrite, CreateBlob, GcRequest, GetLatest, GetPage, PlanWrite,
@@ -99,8 +102,7 @@ pub struct WriteStats {
     /// copy, which rides it.
     pub plan_ns: u64,
     /// Page 0's copy (the plan round trip included when it finished
-    /// first) and the lead page's, when the lead is another page; from
-    /// the metadata frames' send on, the other pages' copies and the page
+    /// first); from the metadata frames' send on, the other pages' copies and the page
     /// leg — the lead put that left with the version request and the
     /// other puts — when it finished last; and any page retry or
     /// re-placement rounds.
@@ -169,8 +171,8 @@ impl WriteStats {
 /// burst is charged to the stage of the work it carried: a read whose
 /// frontier floor was already the latest version has `latest_ns == 0`.
 /// The leaf burst carries both the leaves and the pages, so it is split
-/// where the last leaf was decoded: the descent before, the pages
-/// after.
+/// where the last leaf was decoded: the descent before, the pages —
+/// downloads and stitches — after.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReadStats {
     /// The version check, when it cost time of its own: a blob
@@ -179,11 +181,15 @@ pub struct ReadStats {
     /// version-0 or all-zero range).
     pub latest_ns: u64,
     /// Tree descent with batched metadata fetches — what Fig. 3(a)
-    /// plots: up to the last leaf decoded, plus any replica rounds for
-    /// leaves missing on their primary.
+    /// plots: each level up to its last node decoded (or its last reply,
+    /// the version check's included, if that came later), the leaf level
+    /// up to its last leaf decoded, plus any replica rounds for leaves
+    /// missing on their primary.
     pub meta_ns: u64,
-    /// Parallel page downloads + buffer assembly: from the last leaf
-    /// decoded on, whichever pages had already left with earlier leaves.
+    /// Parallel page downloads, each page stitched into the result as it
+    /// lands: from the last leaf decoded to the last page's stitch, one
+    /// `page_ns` after that page's arrival when it arrives last,
+    /// whichever pages had already left with earlier leaves.
     pub data_ns: u64,
     /// Tree nodes visited in the version the read returned.
     pub nodes_visited: u64,
@@ -205,16 +211,83 @@ impl ReadStats {
     }
 }
 
-/// The resolved pieces of one READ, ready for assembly. `pieces` is
-/// `None` for a version-0 (all-zero) read; otherwise it holds the zero
-/// ranges and the fetched pages (shared buffers) with their clipped
-/// blob ranges.
-struct ReadPlan {
+/// Where a READ's bytes go, as its caller asked.
+enum Out<'a> {
+    /// The caller's buffer, exactly `seg.size` bytes (`read_into`).
+    Caller(&'a mut [u8]),
+    /// A buffer of the read's own (`read`, `read_with_stats`, and a
+    /// `read_buf` of anything but one whole page), zero-allocated once
+    /// the segment is validated.
+    Owned(Vec<u8>),
+    /// A `read_buf`, until the segment shows whether it is one whole
+    /// aligned page: then the fetched buffer itself, never copied.
+    Page(Option<PageBuf>),
+}
+
+/// One attempt's landing of its pages in the read's [`Out`]: each page
+/// is stitched into place the moment its reply is in hand, `page_ns`
+/// charged with the copy, and the gap pass zeroes what no page covered.
+struct Dest<'o, 'a> {
+    out: &'o mut Out<'a>,
     geom: Geometry,
-    latest: Version,
-    stats: ReadStats,
-    #[allow(clippy::type_complexity)]
-    pieces: Option<(Vec<Segment>, Vec<(PageLoc, Segment, PageBuf)>)>,
+    seg: Segment,
+    page_ns: u64,
+    /// The blob ranges this attempt landed, for the gap pass.
+    covered: Vec<Segment>,
+}
+
+impl<'o, 'a> Dest<'o, 'a> {
+    /// Ready `out` for an attempt at the validated `seg`: a `read_buf`
+    /// keeps its page only if `seg` is exactly one aligned page, and a
+    /// buffer of the read's own is allocated on the first attempt.
+    fn new(out: &'o mut Out<'a>, geom: Geometry, seg: Segment, page_ns: u64) -> Self {
+        let size = seg.size as usize;
+        let whole = seg.size == geom.page_size && seg.offset.is_multiple_of(geom.page_size);
+        match out {
+            Out::Page(page) if whole => *page = None,
+            Out::Page(_) => *out = Out::Owned(vec![0; size]),
+            Out::Owned(buf) if buf.len() != size => *buf = vec![0; size],
+            Out::Owned(_) | Out::Caller(_) => {}
+        }
+        Self {
+            out,
+            geom,
+            seg,
+            page_ns,
+            covered: Vec::new(),
+        }
+    }
+
+    /// Land one fetched page, which serves the read's bytes `range`, on
+    /// `c`'s clock: copy that share into the buffer, or keep a whole
+    /// page's buffer itself.
+    fn land(&mut self, c: &mut Ctx, range: &Segment, data: &PageBuf) -> Result<(), BlobError> {
+        c.advance(self.page_ns);
+        match &mut *self.out {
+            Out::Caller(buf) => stitch_page(&self.geom, &self.seg, range, data, buf)?,
+            Out::Owned(buf) => stitch_page(&self.geom, &self.seg, range, data, buf)?,
+            Out::Page(page) => {
+                if *range != self.seg {
+                    return Err(BlobError::Internal("page range outside read"));
+                }
+                if data.len() as u64 != self.geom.page_size {
+                    return Err(BlobError::Internal("short page"));
+                }
+                *page = Some(data.clone());
+            }
+        }
+        self.covered.push(*range);
+        Ok(())
+    }
+
+    /// The gap pass: zero every byte no landed page covered.
+    fn finish(self) {
+        match self.out {
+            Out::Caller(buf) => zero_gaps(&self.seg, &self.covered, buf),
+            Out::Owned(buf) => zero_gaps(&self.seg, &self.covered, buf),
+            Out::Page(_) => {}
+        }
+    }
 }
 
 /// A leaf a READ resolved: the page it names, the bytes of the read
@@ -243,8 +316,8 @@ impl LeafPage {
 
 /// A read's version check.
 enum Check {
-    /// Still owed: `GET_LATEST` rides the read's next fetch, last in its
-    /// burst, and its answer raises the blob's floor.
+    /// Still owed: `GET_LATEST` rides the read's next fetch, and its
+    /// answer raises the blob's floor.
     Owed { vm: NodeId, known: Arc<KnownBlob> },
     /// The latest published version, as this read observed it.
     Answered(Version),
@@ -280,14 +353,25 @@ impl ReadState {
     /// above it is not published; a `read(None)` whose floor was not the
     /// latest version moves to it. Returns whether the target moved.
     fn settle(&mut self, latest: Version) -> Result<bool, BlobError> {
-        match self.version {
-            Some(v) if v > latest => Err(BlobError::VersionNotPublished {
-                requested: v,
-                latest,
-            }),
-            Some(_) => Ok(false),
-            None => Ok(std::mem::replace(&mut self.target, latest) != latest),
+        let moved = moves(self.version, self.target, latest)?;
+        if moved {
+            self.target = latest;
         }
+        Ok(moved)
+    }
+}
+
+/// Whether `latest` moves a read of `version` (`None`: the latest)
+/// that is descending `target`'s tree; a pinned version above `latest`
+/// is not published.
+fn moves(version: Option<Version>, target: Version, latest: Version) -> Result<bool, BlobError> {
+    match version {
+        Some(v) if v > latest => Err(BlobError::VersionNotPublished {
+            requested: v,
+            latest,
+        }),
+        Some(_) => Ok(false),
+        None => Ok(target != latest),
     }
 }
 
@@ -568,15 +652,15 @@ impl BlobClient {
     /// waiting for them. Each page's send buffer (a slice here, a copy
     /// for a borrowed buffer) is made just before its put leaves: page 0
     /// while the plan is in flight, the others once the metadata frames
-    /// have left. The lead is the first destination, in plan order, that
-    /// receives exactly one put — or, when none does, page 0's first
-    /// replica, split out of its destination's batch: its bytes are on
-    /// the wire while the ticket returns and the tree's leaves, which
-    /// need only the plan's placement, are woven. Once the inner nodes
-    /// have the ticket's links, the third round leaves — as late frames
-    /// of the second, whose lead put may still be uploading — with the
-    /// `META_PUT_BATCH` frames first, so the write waits for the slower
-    /// of its two legs, not for both.
+    /// have left. The lead is page 0's put to its first replica, split
+    /// out of that destination's batch when it takes more puts: its
+    /// bytes, copied under the plan, leave the moment the plan lands and
+    /// are on the wire while the ticket returns and the tree's leaves,
+    /// which need only the plan's placement, are woven. Once the inner
+    /// nodes have the ticket's links, the third round leaves — as late
+    /// frames of the second, whose lead put may still be uploading —
+    /// with the `META_PUT_BATCH` frames first, so the write waits for
+    /// the slower of its two legs, not for both.
     ///
     /// The pages are the idempotent part (pages are immutable: re-putting
     /// a key re-stores identical bytes). A page no replica acknowledged
@@ -593,7 +677,7 @@ impl BlobClient {
     /// replica; `COMPLETE_WRITE` never retries. A write whose version
     /// request fails removes its acknowledged lead page (best effort)
     /// before it returns the error, so it leaves no page behind, and has
-    /// made no page buffer but page 0's and the lead's.
+    /// made no page buffer but the lead's, page 0.
     pub fn write_buf(
         &self,
         ctx: &mut Ctx,
@@ -635,8 +719,7 @@ impl BlobClient {
         };
 
         // Step 1: the provider-manager plan (write id + page placement).
-        // While it travels, page 0 — the lead, unless the plan finds
-        // another — gets its send buffer.
+        // While it travels, page 0 — the lead — gets its send buffer.
         let (plan, (first_buf, made)) = self.plan(
             ctx,
             blob,
@@ -653,12 +736,12 @@ impl BlobClient {
             (made, |s| &mut s.pages_ns),
         );
 
-        // Step 2: the lead put — the first destination, in plan order,
-        // that receives exactly one put, else page 0's first replica —
-        // travels with the request for the version number + precomputed
-        // border links, so page bytes are on the wire while the ticket
-        // returns. A lead of more pages would hold the metadata frames
-        // behind its bytes on the client's NIC.
+        // Step 2: the lead put — page 0 to its first replica, split out
+        // of that destination's batch if it takes more puts — travels
+        // with the request for the version number + precomputed border
+        // links, so page bytes are on the wire while the ticket returns.
+        // A lead of more pages would hold the metadata frames behind its
+        // bytes on the client's NIC.
         let mut pages: Vec<PageLoc> = range
             .iter()
             .zip(plan.targets)
@@ -671,22 +754,13 @@ impl BlobClient {
                 replicas,
             })
             .collect();
-        let puts_to = |p: &ProviderId| pages.iter().filter(|l| l.replicas.contains(p)).count();
-        let lead = pages
-            .iter()
-            .enumerate()
-            .flat_map(|(i, l)| l.replicas.iter().map(move |p| (i, *p)))
-            .find(|(_, p)| puts_to(p) == 1)
-            .unwrap_or((0, pages[0].replicas[0]));
+        let lead = (0, pages[0].replicas[0]);
+        let put = PutPage {
+            key: pages[0].key,
+            data: first_buf.clone(),
+        };
         let mut held: Vec<Option<PageBuf>> = vec![None; pages.len()];
         held[0] = Some(first_buf);
-        let put = PutPage {
-            key: pages[lead.0].key,
-            data: held[lead.0]
-                .get_or_insert_with(|| make(ctx, lead.0))
-                .clone(),
-        };
-        stats.lap(ctx.vt, &mut mark, |s| &mut s.pages_ns);
         let request = RequestVersion {
             blob,
             write: plan.write,
@@ -910,7 +984,8 @@ impl BlobClient {
     ///
     /// Returns the bytes and `vr`, the latest published version observed
     /// (`vr >= v` always holds). Each page is copied exactly once, from
-    /// the (shared) fetched buffer into the result.
+    /// the (shared) fetched buffer into the result, the moment its reply
+    /// lands.
     pub fn read(
         &self,
         ctx: &mut Ctx,
@@ -931,17 +1006,19 @@ impl BlobClient {
         version: Option<Version>,
         seg: Segment,
     ) -> Result<(Vec<u8>, Version, ReadStats), BlobError> {
-        let plan = self.read_plan_retrying(ctx, blob, version, seg)?;
-        let data = match plan.pieces {
-            None => vec![0u8; seg.size as usize],
-            Some((zeros, pages)) => assemble_read(&plan.geom, &seg, &zeros, &pages)?,
-        };
-        Ok((data, plan.latest, plan.stats))
+        let mut out = Out::Owned(Vec::new());
+        let (latest, stats) = self.read_retrying(ctx, blob, version, seg, &mut out)?;
+        match out {
+            Out::Owned(data) => Ok((data, latest, stats)),
+            Out::Caller(_) | Out::Page(_) => Err(BlobError::Internal("read landed elsewhere")),
+        }
     }
 
     /// Scatter-assembling `READ` into a caller-provided buffer of exactly
     /// `seg.size` bytes: each page is copied exactly once, directly into
-    /// `out`; no intermediate result buffer exists.
+    /// `out`, the moment its reply lands; no intermediate result buffer
+    /// exists. A read that fails leaves `out` all zero, whatever pages
+    /// it had already copied.
     pub fn read_into(
         &self,
         ctx: &mut Ctx,
@@ -956,12 +1033,11 @@ impl BlobClient {
                 reason: "buffer size mismatch",
             });
         }
-        let plan = self.read_plan_retrying(ctx, blob, version, seg)?;
-        match plan.pieces {
-            None => out.fill(0),
-            Some((zeros, pages)) => assemble_read_into(&plan.geom, &seg, &zeros, &pages, out)?,
+        let read = self.read_retrying(ctx, blob, version, seg, &mut Out::Caller(out));
+        if read.is_err() {
+            out.fill(0);
         }
-        Ok(plan.latest)
+        Ok(read?.0)
     }
 
     /// Zero-copy `READ` of a single-page-aligned segment: returns the
@@ -976,43 +1052,35 @@ impl BlobClient {
         version: Option<Version>,
         seg: Segment,
     ) -> Result<(PageBuf, Version), BlobError> {
-        let plan = self.read_plan_retrying(ctx, blob, version, seg)?;
-        let geom = plan.geom;
-        match plan.pieces {
-            None => Ok((PageBuf::zeroed(seg.size as usize), plan.latest)),
-            Some((zeros, pages)) => {
-                // Fast path: the read is exactly one whole page.
-                if zeros.is_empty()
-                    && pages.len() == 1
-                    && seg.size == geom.page_size
-                    && seg.offset.is_multiple_of(geom.page_size)
-                {
-                    let (_, blob_range, data) = &pages[0];
-                    if *blob_range == seg && data.len() as u64 == geom.page_size {
-                        return Ok((data.clone(), plan.latest));
-                    }
-                }
-                let buf = assemble_read(&geom, &seg, &zeros, &pages)?;
-                Ok((PageBuf::from_vec(buf), plan.latest))
-            }
+        let mut out = Out::Page(None);
+        let (latest, _) = self.read_retrying(ctx, blob, version, seg, &mut out)?;
+        match out {
+            Out::Page(page) => Ok((
+                page.unwrap_or_else(|| PageBuf::zeroed(seg.size as usize)),
+                latest,
+            )),
+            Out::Owned(data) => Ok((PageBuf::from_vec(data), latest)),
+            Out::Caller(_) => Err(BlobError::Internal("read landed elsewhere")),
         }
     }
 
-    /// [`BlobClient::read_plan`] under the retry loop: reads are
+    /// [`BlobClient::read_once`] under the retry loop: reads are
     /// idempotent end to end, so a shed or unreachable attempt is
     /// replayed whole under the client's retry policy until it succeeds
-    /// or the policy caps out.
-    fn read_plan_retrying(
+    /// or the policy caps out. A later attempt overwrites or zeroes
+    /// whatever an earlier one landed in `out`.
+    fn read_retrying(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
         version: Option<Version>,
         seg: Segment,
-    ) -> Result<ReadPlan, BlobError> {
+        out: &mut Out<'_>,
+    ) -> Result<(Version, ReadStats), BlobError> {
         let mut attempt = 0u32;
         loop {
-            match self.read_plan(ctx, blob, version, seg) {
-                Ok(plan) => return Ok(plan),
+            match self.read_once(ctx, blob, version, seg, out) {
+                Ok(read) => return Ok(read),
                 Err(e) => {
                     self.backoff(ctx, attempt, &e).ok_or(e)?;
                     attempt += 1;
@@ -1022,32 +1090,38 @@ impl BlobClient {
     }
 
     /// The shared READ engine: version resolution, cached level-by-level
-    /// tree descent, and the leaf burst, in which each leaf batch's page
-    /// fetches leave the moment it is decoded. Returns the pieces for the
-    /// caller to assemble (`None` pieces = version-0 all-zero read).
+    /// tree descent, and the leaf burst, in which each leaf's page fetch
+    /// leaves the moment the leaf is decoded and each page lands in
+    /// `out` the moment its reply does. Returns the latest published
+    /// version observed and the read's stats; a version-0 read lands
+    /// nothing, and the gap pass zeroes it all.
     ///
     /// The version check costs no round trip of its own. A read that had
     /// to fetch the blob descriptor already holds a fresh `latest`.
     /// Otherwise it descends a *target* — `v` if pinned, else the
-    /// client's frontier floor — and sends `GET_LATEST` last in the burst
-    /// of its first fetch: the first inner tree level that misses the
-    /// cache, or else the leaf burst. If `latest` shows the floor was
-    /// behind, the read descends `latest`'s tree instead, reusing any
-    /// burst page the new tree still names and dropping everything else
-    /// the burst brought, errors included. The target is always a version
-    /// known to be published when its fetches leave — the floor is one by
-    /// definition — so nothing a burst fetched raced its writer.
-    fn read_plan(
+    /// client's frontier floor — and sends `GET_LATEST` in the burst of
+    /// its first fetch: last in the first inner tree level that misses
+    /// the cache, whose decode does not need the answer, or else first
+    /// in the leaf burst, whose every stitch does. If `latest` shows the
+    /// floor was behind, the read descends `latest`'s tree instead,
+    /// reusing any burst page the new tree still names and dropping
+    /// everything else the burst brought, errors included; no page lands
+    /// before the check has answered. The target is always a version
+    /// known to be published when its fetches leave — the floor is one
+    /// by definition — so nothing a burst fetched raced its writer.
+    fn read_once(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
         version: Option<Version>,
         seg: Segment,
-    ) -> Result<ReadPlan, BlobError> {
+        out: &mut Out<'_>,
+    ) -> Result<(Version, ReadStats), BlobError> {
         let mark = ctx.vt;
         let (known, fresh) = self.entry(ctx, blob)?;
         let geom = known.geom;
         geom.validate_bounds(&seg)?;
+        let mut dest = Dest::new(out, geom, seg, self.costs.page_ns);
         let floor = fresh.unwrap_or_else(|| known.floor.load(Ordering::Relaxed));
         let target = version.unwrap_or(floor);
         let mut st = ReadState {
@@ -1072,56 +1146,55 @@ impl BlobClient {
         } else if target > floor {
             // A pinned version above the floor may not exist yet, so no
             // fetch can ride with the check: it goes first, alone.
-            self.burst(ctx, &mut st, Vec::new(), |_, _| ())?;
+            self.burst(ctx, &mut st, Vec::new(), false, |_, _| ())?;
         }
         st.lap(ctx.vt, |s| &mut s.latest_ns);
 
         // A pass per target: a second one only if the check moved it.
-        let pieces = loop {
+        loop {
             let descent = self.descend(ctx, &mut st)?;
             st.lap(ctx.vt, |s| &mut s.meta_ns);
-            let Some((zeros, leaves)) = descent else {
+            let Some(leaves) = descent else {
                 continue;
             };
-            if let Some(pages) = self.fetch_leaves(ctx, &mut st, &leaves)? {
-                break (st.target > 0).then_some((zeros, pages));
+            if !self.fetch_leaves(ctx, &mut st, &leaves, &mut dest)? {
+                break;
             }
-        };
+        }
+        dest.finish();
         st.stats.refetched += st.spare.len() as u64;
         let Check::Answered(latest) = st.check else {
             return Err(BlobError::Internal(
                 "read finished without its version check",
             ));
         };
-        Ok(ReadPlan {
-            geom,
-            latest,
-            stats: st.stats,
-            pieces,
-        })
+        Ok((latest, st.stats))
     }
 
     /// Send one burst of fetches with `work` riding it (see
     /// [`RpcClient::fan_out_with`]). If the read still owes its version
-    /// check, `GET_LATEST` goes last among the burst's own frames, and its
-    /// answer may move the read's target. Returns every reply by call
-    /// index — the work's late frames after the burst's own, the check's
-    /// slot emptied — what the work returned, and whether the target
-    /// moved.
+    /// check, `GET_LATEST` rides along, and its answer may move the
+    /// read's target: first among the burst's own frames if `check_first`
+    /// — the work needs the answer before it can use what it waits for —
+    /// else last, behind the fetches it must not delay. Returns every
+    /// reply by call index — the work's late frames after the burst's
+    /// own, the check's slot emptied — what the work returned, and
+    /// whether the target moved.
     fn burst<T>(
         &self,
         ctx: &mut Ctx,
         st: &mut ReadState,
         mut frames: Vec<(NodeId, Frame)>,
+        check_first: bool,
         work: impl FnMut(&mut Ctx, &mut Replies<'_, '_>) -> T,
     ) -> Result<(Vec<TransportResult>, T, bool), BlobError> {
         let Check::Owed { vm, known } = &st.check else {
             let (replies, worked) = self.rpc.fan_out_with(ctx, frames, work);
             return Ok((replies, worked, false));
         };
-        let at = frames.len();
+        let at = if check_first { 0 } else { frames.len() };
         let check = Frame::from_msg(method::GET_LATEST, &GetLatest { blob: st.blob });
-        frames.push((*vm, check));
+        frames.insert(at, (*vm, check));
         let (mut replies, worked) = self.rpc.fan_out_with(ctx, frames, work);
         let latest: Version = take_reply(&mut replies, at)?;
         known.observe(latest);
@@ -1133,15 +1206,18 @@ impl BlobClient {
     /// Descend `st.target`'s tree level by level down to the level above
     /// its leaves, through the cache, with batched parallel metadata
     /// fetches; cache hits and misses alike hand out refcounted bodies,
-    /// never deep clones. Returns the zero ranges and the leaves' keys —
-    /// the tree is aligned, so a level holds leaves only or none — or
-    /// `None` if the check moved the target.
-    #[allow(clippy::type_complexity)]
+    /// never deep clones. Each metadata message is decoded
+    /// (`read_node_ns` per node) inside its burst, the moment it lands,
+    /// so a level's decode overlaps the rest of its burst — the version
+    /// check riding it included. Returns the leaves' keys — the tree is
+    /// aligned, so a level holds leaves only or none, and the zero
+    /// subtrees it skips are left to the gap pass — or `None` if the
+    /// check moved the target.
     fn descend(
         &self,
         ctx: &mut Ctx,
         st: &mut ReadState,
-    ) -> Result<Option<(Vec<Segment>, Vec<NodeKey>)>, BlobError> {
+    ) -> Result<Option<Vec<NodeKey>>, BlobError> {
         let (geom, blob, seg) = (st.geom, st.blob, st.seg);
         st.stats.nodes_visited = 0;
         let mut level = if st.target == 0 {
@@ -1149,7 +1225,6 @@ impl BlobClient {
         } else {
             vec![root_key(&geom, blob, st.target)]
         };
-        let mut zeros: Vec<Segment> = Vec::new();
         while level.first().is_some_and(|key| key.size > geom.page_size) {
             let mut bodies: Vec<Option<Arc<NodeBody>>> = vec![None; level.len()];
             let mut missing_idx = Vec::new();
@@ -1168,15 +1243,23 @@ impl BlobClient {
                 let keys: Vec<NodeKey> = missing_idx.iter().map(|&i| level[i]).collect();
                 let (mut fetch, frames) = self.dht.fetch_frames(&keys);
                 let n = frames.len();
-                let (replies, (), moved) = self.burst(ctx, st, frames, |_, _| ())?;
+                let (_, decoded, moved) = self.burst(ctx, st, frames, false, |c, replies| {
+                    let mut decoded = 0;
+                    for m in 0..n {
+                        let reply = replies.wait(c, m).as_ref().map(|(frame, _)| frame);
+                        let resolved = fetch.absorb(m, reply).len();
+                        c.advance(self.costs.read_node_ns * resolved as u64);
+                        decoded += resolved;
+                    }
+                    decoded
+                })?;
                 if moved {
                     st.stats.refetched += keys.len() as u64;
                     return Ok(None);
                 }
-                for (m, reply) in replies.iter().enumerate().take(n) {
-                    fetch.absorb(m, reply.as_ref().map(|(frame, _)| frame));
-                }
                 let fetched = self.dht.finish_fetch(ctx, fetch)?;
+                // Nodes only a replica round resolved are decoded now.
+                ctx.advance(self.costs.read_node_ns * (keys.len() - decoded) as u64);
                 for (&i, node) in missing_idx.iter().zip(fetched) {
                     let node = node.ok_or(BlobError::MissingMetadata {
                         blob,
@@ -1188,8 +1271,6 @@ impl BlobClient {
                     }
                     bodies[i] = Some(body);
                 }
-                // Client-side processing of freshly fetched nodes.
-                ctx.advance(self.costs.read_node_ns * missing_idx.len() as u64);
             }
             let mut next = Vec::new();
             st.stats.nodes_visited += level.len() as u64;
@@ -1200,7 +1281,7 @@ impl BlobClient {
                 for visit in expand(&geom, key, &body, &seg)? {
                     match visit {
                         Visit::Descend(k) => next.push(k),
-                        Visit::Zeros(z) => zeros.push(z),
+                        Visit::Zeros(_) => {}
                         Visit::Page { .. } => {
                             return Err(BlobError::Internal("page above the leaf level"))
                         }
@@ -1209,28 +1290,35 @@ impl BlobClient {
             }
             level = next;
         }
-        Ok(Some((zeros, level)))
+        Ok(Some(level))
     }
 
     /// The leaf burst: fetch the leaves `keys` and their pages in one
-    /// burst, whose pages leave as their leaves are decoded. Returns each
-    /// leaf's page with the bytes of the read it serves, in leaf order,
-    /// or `None` if the check moved the target.
+    /// burst, whose pages leave as their leaves are decoded and land in
+    /// `dest` as their replies do. Returns whether the check moved the
+    /// target; a read that did not move has landed every page.
     ///
-    /// The burst carries a `META_GET_BATCH` per metadata provider for the
-    /// leaves the cache lacks, a `GET_PAGE` for every cached leaf and, if
-    /// still owed, `GET_LATEST` last. While it is out, the read waits for
-    /// each leaf message in turn, decodes it (`read_node_ns` per node)
-    /// and sends that message's `GET_PAGE`s at once, as late frames of
-    /// the same burst, one per provider: the first leaves' pages are on
-    /// the wire while later leaves are still arriving and being decoded.
-    /// The descent's stage ends at the last leaf decoded.
+    /// The burst carries, if still owed, `GET_LATEST` first, then a
+    /// `META_GET_BATCH` per metadata provider for the leaves the cache
+    /// lacks and a `GET_PAGE` for every cached leaf — known at the
+    /// start, so they coalesce by provider. While it is out, the read
+    /// waits for each leaf message in turn and decodes it leaf by leaf
+    /// (`read_node_ns` each), sending each leaf's `GET_PAGE` as a late
+    /// frame of its own the moment that leaf is decoded: the first pages
+    /// are on the wire while later leaves are still being decoded or
+    /// arriving. The descent's stage ends at the last leaf decoded.
+    /// Then, once the check (if it rode along) has answered and not
+    /// moved the target, the read waits for each page reply in call
+    /// order and stitches it into place at once, `page_ns` charged
+    /// there: only the last page's stitch follows the last byte.
     ///
     /// After the burst: leaves missing on their primary go through the
-    /// metadata replica rounds, then one more burst fetches their pages.
-    /// A page a dropped burst already brought is reused, not fetched
-    /// again. If the check moved the target, the burst's nodes are
-    /// dropped and its pages kept as spare for the newer tree.
+    /// metadata replica rounds, then one more burst fetches and lands
+    /// their pages; pages that failed on their first replica fail over,
+    /// and pages a dropped burst already brought are reused, each landing
+    /// as it is in hand. If the check moved the target, nothing landed:
+    /// the burst's nodes are dropped and its pages kept as spare for the
+    /// newer tree.
     ///
     /// Single-replica pages go to their primary; multi-replica
     /// (fanned-out or replicated) pages rotate the starting replica
@@ -1243,19 +1331,19 @@ impl BlobClient {
     /// Successful fetches feed the shared [`HeatTracker`] (when
     /// enabled); a page crossing the promotion threshold is fanned out
     /// onto one more provider right here, best-effort.
-    #[allow(clippy::type_complexity)]
     fn fetch_leaves(
         &self,
         ctx: &mut Ctx,
         st: &mut ReadState,
         keys: &[NodeKey],
-    ) -> Result<Option<Vec<(PageLoc, Segment, PageBuf)>>, BlobError> {
+        dest: &mut Dest<'_, '_>,
+    ) -> Result<bool, BlobError> {
         if keys.is_empty() {
             // Nothing to fetch: the burst, if any, is the version check
             // alone.
-            let (_, (), moved) = self.burst(ctx, st, Vec::new(), |_, _| ())?;
+            let (_, (), moved) = self.burst(ctx, st, Vec::new(), false, |_, _| ())?;
             st.lap(ctx.vt, |s| &mut s.latest_ns);
-            return Ok((!moved).then(Vec::new));
+            return Ok(moved);
         }
         let (geom, seg) = (st.geom, st.seg);
         st.stats.nodes_visited += keys.len() as u64;
@@ -1274,8 +1362,11 @@ impl BlobClient {
             None => missing = (0..keys.len()).collect(),
         }
 
-        // The burst: the leaf fetches, then the cached leaves' pages.
-        // `calls` pairs each page fetch's leaf with its call index.
+        // The burst: the check if owed — every stitch needs its answer,
+        // so it leads instead of queueing behind the pages — then the
+        // leaf fetches, then the cached leaves' pages. `calls` pairs each
+        // page fetch's leaf with its call index, and `got` holds each
+        // leaf's page once its reply is in hand.
         let mut spare = std::mem::take(&mut st.spare);
         let wanted = |leaf: &LeafPage| !spare.contains_key(&leaf.loc.key);
         let missing_keys: Vec<NodeKey> = missing.iter().map(|&i| keys[i]).collect();
@@ -1289,29 +1380,40 @@ impl BlobClient {
                 .iter()
                 .filter_map(|&i| leaves[i].as_ref().map(LeafPage::get)),
         );
-        let mut calls: Vec<(usize, usize)> = cached.into_iter().zip(n_meta..).collect();
+        let owed = matches!(st.check, Check::Owed { .. });
+        let first = usize::from(owed);
+        let mut calls: Vec<(usize, usize)> = cached.into_iter().zip(first + n_meta..).collect();
+        let (version, target) = (st.version, st.target);
+        let mut got: Vec<Option<Result<PageBuf, BlobError>>> = vec![None; keys.len()];
         let mut decoded = ctx.vt;
-        let (mut replies, worked, moved) = self.burst(ctx, st, frames, |c, replies| {
+        let (mut replies, worked, moved) = self.burst(ctx, st, frames, true, |c, replies| {
             for m in 0..n_meta {
-                let reply = replies.wait(c, m).as_ref().map(|(frame, _)| frame);
-                let resolved = fetch.absorb(m, reply);
-                c.advance(self.costs.read_node_ns * resolved.len() as u64);
-                decoded = c.vt;
-                let mut sent = Vec::with_capacity(resolved.len());
-                let mut gets = Vec::with_capacity(resolved.len());
-                for j in resolved {
+                let reply = replies.wait(c, first + m).as_ref().map(|(frame, _)| frame);
+                for j in fetch.absorb(m, reply) {
+                    c.advance(self.costs.read_node_ns);
                     let (i, node) = (missing[j], fetch.node(j));
                     let node = node.ok_or(BlobError::Internal("resolved leaf absent"))?;
                     let leaf = self.leaf_page(&geom, &seg, &keys[i], &node.body)?;
                     if wanted(&leaf) {
-                        sent.push(i);
-                        gets.push(leaf.get());
+                        let sent = replies.send(c, vec![leaf.get()]);
+                        calls.push((i, sent.start));
                     }
                     leaves[i] = Some(leaf);
                 }
-                calls.extend(sent.into_iter().zip(replies.send(c, gets)));
+                decoded = c.vt;
             }
-            Ok::<(), BlobError>(())
+            // No page lands before the check has answered: if it moves
+            // the target, the pages belong to a dropped tree.
+            if owed {
+                let latest = match replies.wait(c, 0) {
+                    Ok((frame, _)) => parse_response::<Version>(frame).ok(),
+                    Err(_) => None,
+                };
+                if !latest.is_some_and(|l| matches!(moves(version, target, l), Ok(false))) {
+                    return Ok(());
+                }
+            }
+            land_pages(c, replies, &calls, &leaves, dest, &mut got)
         })?;
         st.lap(decoded, |s| &mut s.meta_ns);
         st.lap(ctx.vt, |s| &mut s.data_ns);
@@ -1327,12 +1429,12 @@ impl BlobClient {
                 }
             }
             st.spare = spare;
-            return Ok(None);
+            return Ok(true);
         }
         worked?;
 
         // Leaves missing on their primary: the replica rounds, then one
-        // more burst for their pages.
+        // more burst for their pages, each landing as it arrives.
         let mut late = Vec::new();
         for (j, node) in self.dht.finish_fetch(ctx, fetch)?.into_iter().enumerate() {
             let i = missing[j];
@@ -1357,27 +1459,35 @@ impl BlobClient {
             });
             let gets = late
                 .iter()
-                .filter_map(|&i| leaves[i].as_ref().map(LeafPage::get));
-            let (more, ()) = self.rpc.fan_out_with(ctx, gets.collect(), |_, _| ());
-            calls.extend(late.into_iter().zip(replies.len()..));
-            replies.extend(more);
+                .filter_map(|&i| leaves[i].as_ref().map(LeafPage::get))
+                .collect();
+            let calls: Vec<(usize, usize)> = late.into_iter().zip(0..).collect();
+            let (_, landed) = self.rpc.fan_out_with(ctx, gets, |c, replies| {
+                land_pages(c, replies, &calls, &leaves, dest, &mut got)
+            });
+            landed?;
         }
 
-        let mut got: Vec<Option<Result<PageBuf, BlobError>>> = vec![None; keys.len()];
-        for (i, call) in calls {
-            got[i] = Some(take_reply(&mut replies, call));
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        for ((leaf_key, leaf), got) in keys.iter().zip(leaves).zip(got) {
-            let leaf = leaf.ok_or(BlobError::Internal("leaf not resolved"))?;
+        // The pages still to land: those whose first replica failed, and
+        // those a dropped burst brought.
+        for ((leaf_key, leaf), got) in keys.iter().zip(&leaves).zip(got) {
+            let leaf = leaf
+                .as_ref()
+                .ok_or(BlobError::Internal("leaf not resolved"))?;
             let data = match got {
                 Some(Ok(data)) => data,
                 Some(Err(first_err)) => {
-                    self.page_failover(ctx, &leaf.loc, leaf.start, first_err)?
+                    let data = self.page_failover(ctx, &leaf.loc, leaf.start, first_err)?;
+                    dest.land(ctx, &leaf.range, &data)?;
+                    data
                 }
-                None => spare
-                    .remove(&leaf.loc.key)
-                    .ok_or(BlobError::Internal("page not fetched"))?,
+                None => {
+                    let data = spare
+                        .remove(&leaf.loc.key)
+                        .ok_or(BlobError::Internal("page not fetched"))?;
+                    dest.land(ctx, &leaf.range, &data)?;
+                    data
+                }
             };
             if let Some(heat) = &self.heat {
                 if heat.record_read(leaf.loc.key)
@@ -1386,12 +1496,10 @@ impl BlobClient {
                     self.promote_page(ctx, *leaf_key, &leaf.loc, &data);
                 }
             }
-            out.push((leaf.loc, leaf.range, data));
         }
         st.spare = spare;
-        ctx.advance(self.costs.page_ns * out.len() as u64);
         st.lap(ctx.vt, |s| &mut s.data_ns);
-        Ok(Some(out))
+        Ok(false)
     }
 
     /// The page the leaf `key` names and the bytes of the read it
@@ -1624,6 +1732,31 @@ fn take_reply<T: Wire>(replies: &mut [TransportResult], i: usize) -> Result<T, B
         None => Err(BlobError::Internal("transport dropped a reply")),
     };
     reply.and_then(|(frame, _)| parse_response(&frame))
+}
+
+/// Wait for each page reply of `calls` — (leaf, call index) pairs — in
+/// call order and land it in `dest` the moment it is in hand, on the
+/// burst work's clock. Each leaf's reply, page or error, goes to `got`;
+/// a failed one lands after the burst, through the failover.
+fn land_pages(
+    c: &mut Ctx,
+    replies: &mut Replies<'_, '_>,
+    calls: &[(usize, usize)],
+    leaves: &[Option<LeafPage>],
+    dest: &mut Dest<'_, '_>,
+    got: &mut [Option<Result<PageBuf, BlobError>>],
+) -> Result<(), BlobError> {
+    for &(i, call) in calls {
+        let page = match replies.wait(c, call) {
+            Ok((frame, _)) => parse_response::<PageBuf>(frame),
+            Err(e) => Err(e.clone()),
+        };
+        if let (Ok(data), Some(leaf)) = (&page, &leaves[i]) {
+            dest.land(c, &leaf.range, data)?;
+        }
+        got[i] = Some(page);
+    }
+    Ok(())
 }
 
 /// When the last successful reply of a burst arrived; `since` if none

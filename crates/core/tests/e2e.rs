@@ -1,14 +1,18 @@
 //! End-to-end functional tests of the full distributed stack (zero-cost
 //! transport: logic identical to the costed runs, instant).
 
-use blobseer_core::{Deployment, DeploymentConfig};
+use blobseer_core::{BlobClient, Deployment, DeploymentConfig};
 use blobseer_meta::ReferenceStore;
-use blobseer_proto::{BlobError, Segment};
-use blobseer_rpc::{AggregationPolicy, Ctx};
+use blobseer_proto::messages::method;
+use blobseer_proto::tree::{NodeBody, NodeKey};
+use blobseer_proto::{BlobError, NodeId, Segment};
+use blobseer_rpc::{AggregationPolicy, Ctx, Frame, RpcClient, Transport, TransportResult};
 use blobseer_simnet::ServiceCosts;
 use blobseer_util::copymeter;
 use blobseer_util::rng::rng_for;
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const PAGE: u64 = 1024;
 const PAGES: u64 = 32;
@@ -491,26 +495,27 @@ fn pages_and_metadata_share_one_burst() {
 
 #[test]
 fn every_write_has_a_lead() {
-    // Each cell as (providers, pages, page size, virtual ns, messages);
-    // the comment gives the write that copied every page under the plan
-    // and let the ticket travel alone when no destination took exactly
-    // one put.
+    // Each cell as (providers, pages, page size, virtual ns, messages).
+    // The lead is always page 0, copied under the plan, so no page copy
+    // waits for the plan to land; page 0's destination may take other
+    // puts, and then the lead is split out of its batch for two more
+    // messages. The comments give the write whose lead was the first
+    // destination taking exactly one put, when there was one.
     let cells = [
-        // No destination takes exactly one put: page 0 is split out of
-        // its batch for two more messages (13,287,296 ns, 14).
+        // No destination takes exactly one put: page 0 was already the
+        // lead, split out of its batch.
         (2, 4, 256 << 10, 11_685_021, 16),
-        // Sixteen small pages (15,256,002 ns, 34).
-        (8, 16, 64 << 10, 13_916_683, 34),
+        // Sixteen small pages: the lead was a later page, copied once
+        // the plan landed (13,916,683 ns, 34).
+        (8, 16, 64 << 10, 13_786_104, 36),
         // One page: copied under the plan and the lead either way, so
         // its schedule is kept to the nanosecond. On this 64-page blob
         // the 32-way tree's ticket names 32 link versions of 8 B, where
         // the 16-way tree's named 16 links of 24 B: 8,583,307 ns then.
         (8, 1, 64 << 10, 8_581_329, 14),
-        // The lead is page 1, copied once the plan lands. On this fresh
-        // cell the plan (492,136 ns) and that copy (150,000) outlast the
-        // four copies that rode the plan before (600,000), so this write
-        // is 42,136 ns slower (11,472,899 ns, 18).
-        (3, 4, 256 << 10, 11_515_035, 18),
+        // The lead was page 1, whose copy (150,000 ns) followed the
+        // plan: 150,000 ns slower, two messages fewer (11,515,035 ns, 18).
+        (3, 4, 256 << 10, 11_365_035, 20),
     ];
     for (providers, pages, page, ns, messages) in cells {
         let (stats, took, sent) = paper_write(providers, pages, page);
@@ -584,28 +589,177 @@ fn paper_read(providers: usize, first_page: u64) -> (blobseer_core::client::Read
 #[test]
 fn each_leaf_batch_sends_its_pages_as_it_is_decoded() {
     // Four pages from page 2 straddle the two writes, so their leaves
-    // come back in several metadata messages. Each message's pages leave
-    // the moment it is decoded, not once the whole leaf level is: at
-    // least 0.3 ms off the read that waited for every leaf first
-    // (11,583,158 ns on this cell), for the same 20 messages.
-    const LEAVES_FIRST_NS: u64 = 11_583_158;
+    // come back in several metadata messages. Each leaf's page leaves
+    // the moment it is decoded, the root is decoded while `GET_LATEST`
+    // is still returning, and each page is stitched as it lands: 30,000
+    // ns (the check's wait) and three of the four stitches (75,000) off
+    // the read that decoded each level after its whole burst and
+    // stitched every page after the last (11,192,696 ns), and 0.4 ms off
+    // the one that also waited for every leaf first (11,583,158 ns), for
+    // the same 20 messages.
     let (stats, took, messages) = paper_read(8, 2);
-    assert!(took + 300_000 <= LEAVES_FIRST_NS, "{took} ns, {stats:?}");
-    assert_eq!(messages, 20);
+    assert_eq!((took, messages), (11_087_666, 20), "{stats:?}");
     // The stages still partition the read, and the read still visits
     // the root and its four leaves.
     assert_eq!(stats.total_ns(), took, "{stats:?}");
     assert_eq!(stats.nodes_visited, 5, "{stats:?}");
     assert_eq!((stats.latest_ns, stats.refetched), (0, 0), "{stats:?}");
+    // From page 0 the first write's leaves share a message: decoding it
+    // leaf by leaf sends the first page one leaf's decode (100,000 ns)
+    // sooner (11,353,921 ns when the message's pages left together).
     let (stats, took, messages) = paper_read(8, 0);
-    assert_eq!(messages, 18);
+    assert_eq!((took, messages), (11_148_891, 18), "{stats:?}");
     assert_eq!(stats.total_ns(), took, "{stats:?}");
     assert_eq!(stats.nodes_visited, 5, "{stats:?}");
-    // One provider holds every leaf: one leaf message, nothing to
-    // pipeline, and the read keeps the leaves-first time to the
-    // nanosecond.
-    const ONE_PROVIDER_NS: u64 = 15_121_925;
-    let (stats, took, _) = paper_read(1, 2);
-    assert_eq!(took, ONE_PROVIDER_NS, "{stats:?}");
+    // One provider holds every leaf: one leaf message, whose four leaves
+    // each send their own `GET_PAGE` as they are decoded. Four replies of
+    // 256 KiB pipeline where one 1 MiB batch reply was serialized whole
+    // before it left and deserialized whole after it landed
+    // (15,121,925 ns in 8 messages), for six more messages.
+    let (stats, took, messages) = paper_read(1, 2);
+    assert_eq!((took, messages), (11_271_344, 14), "{stats:?}");
     assert_eq!(stats.total_ns(), took, "{stats:?}");
+}
+
+/// Forwards every call, noting when the last `GET_PAGE` reply arrived.
+struct PageArrivals {
+    inner: Arc<dyn Transport>,
+    last: AtomicU64,
+}
+
+impl Transport for PageArrivals {
+    fn call(&self, from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
+        let page = frame.method == method::GET_PAGE;
+        let reply = self.inner.call(from, to, vt, frame);
+        if let (true, Ok((_, at))) = (page, &reply) {
+            self.last.fetch_max(*at, Ordering::Relaxed);
+        }
+        reply
+    }
+}
+
+#[test]
+fn a_read_ends_one_stitch_after_its_last_page_lands() {
+    // The paper's cell, cache off: 4 × 256 KiB pages over 8 providers.
+    // Every page is stitched the moment its reply lands, so the read
+    // ends exactly one `page_ns` after the last page's arrival.
+    const BIG: u64 = 256 << 10;
+    let d = Deployment::build(DeploymentConfig::grid5000(8));
+    let arrivals = Arc::new(PageArrivals {
+        inner: d.cluster.transport(),
+        last: AtomicU64::new(0),
+    });
+    let rpc = RpcClient::new(Arc::clone(&arrivals) as _, d.cluster.add_node())
+        .with_aggregation(d.config.aggregation);
+    let costs = d.config.client_costs;
+    let reader = BlobClient::new(
+        rpc,
+        d.vm_node,
+        d.pm_node,
+        Arc::clone(&d.ring),
+        costs,
+        None,
+        d.config.replication,
+    );
+    let mut ctx = Ctx::start();
+    let info = reader.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
+    let data: Vec<u8> = (0..4 * BIG).map(|i| (i % 253) as u8).collect();
+    reader.write(&mut ctx, info.blob, 0, &data).unwrap();
+    let t0 = ctx.vt;
+    let (got, _, stats) = reader
+        .read_with_stats(&mut ctx, info.blob, None, seg(0, 4 * BIG))
+        .unwrap();
+    assert!(got == data);
+    let last = arrivals.last.load(Ordering::Relaxed);
+    assert!(last > t0, "the read fetched its pages");
+    assert_eq!(ctx.vt, last + costs.page_ns, "{stats:?}");
+    assert_eq!(t0 + stats.total_ns(), ctx.vt, "{stats:?}");
+}
+
+#[test]
+fn a_failed_read_into_leaves_nothing_stitched_behind() {
+    // Cached metadata, so the leaf burst asks for every page at once;
+    // the provider of the last page is dead, so the earlier pages land
+    // before the read fails on that one's every replica.
+    let mut cfg = DeploymentConfig::functional(4);
+    cfg.cache_nodes = 1 << 12;
+    let d = Deployment::build(cfg);
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
+    c.write(&mut ctx, info.blob, 0, &vec![7u8; (4 * PAGE) as usize])
+        .unwrap();
+    let cache = d.meta_cache.as_ref().unwrap();
+    let last_leaf = NodeKey {
+        blob: info.blob,
+        version: 1,
+        offset: 3 * PAGE,
+        size: PAGE,
+    };
+    let Some(body) = cache.get(&last_leaf) else {
+        panic!("the write warmed the cache");
+    };
+    let NodeBody::Leaf { page } = &*body else {
+        panic!("a leaf: {body:?}");
+    };
+    let holder = page.replicas[0];
+    let i = d
+        .storage_nodes
+        .iter()
+        .position(|n| n.0 == holder.0)
+        .unwrap();
+    d.kill_storage(i);
+
+    let mut out = vec![0xAAu8; (4 * PAGE) as usize];
+    let copies = copymeter::thread_snapshot();
+    let err = c
+        .read_into(&mut ctx, info.blob, None, seg(0, 4 * PAGE), &mut out)
+        .unwrap_err();
+    assert!(matches!(err, BlobError::MissingPage { .. }), "{err:?}");
+    let stitched = copies.bytes_since();
+    assert!(stitched > 0 && stitched < 4 * PAGE, "{stitched} B stitched");
+    assert!(out.iter().all(|&b| b == 0), "nothing stitched is left");
+}
+
+#[test]
+fn a_moved_frontier_stitches_only_the_newer_version() {
+    // The reader's floor is behind: its descent hits the cache, so the
+    // version check rides the leaf burst, and its answer moves the
+    // target. The pages that burst brought are not stitched: the newer
+    // tree's are, each once, reused or fetched again.
+    let mut cfg = DeploymentConfig::grid5000(4);
+    cfg.cache_nodes = 1 << 12;
+    let d = Deployment::build(cfg);
+    let (reader, writer) = (d.client(), d.client());
+    let mut ctx = Ctx::start();
+    let blob = writer.alloc(&mut ctx, TOTAL, PAGE).unwrap().blob;
+    let size = 8 * PAGE;
+    let mut want: Vec<u8> = (0..size).map(|i| (i % 241) as u8).collect();
+    writer.write(&mut ctx, blob, 0, &want).unwrap();
+    reader.read(&mut ctx, blob, None, seg(0, size)).unwrap();
+    // Twice, each time after a newer write: once into a buffer of the
+    // read's own, once into a caller's buffer full of stale bytes.
+    for (v, byte) in [(2, 3u8), (3, 4)] {
+        let newer = vec![byte; (2 * PAGE) as usize];
+        writer.write(&mut ctx, blob, 5 * PAGE, &newer).unwrap();
+        want[(5 * PAGE) as usize..(7 * PAGE) as usize].copy_from_slice(&newer);
+        let copies = copymeter::thread_snapshot();
+        let got = if v == 2 {
+            let (got, vr, stats) = reader
+                .read_with_stats(&mut ctx, blob, None, seg(0, size))
+                .unwrap();
+            assert_eq!(vr, v);
+            assert_eq!((stats.latest_ns, stats.refetched), (0, 2), "{stats:?}");
+            got
+        } else {
+            let mut out = vec![0xAAu8; size as usize];
+            let vr = reader
+                .read_into(&mut ctx, blob, None, seg(0, size), &mut out)
+                .unwrap();
+            assert_eq!(vr, v);
+            out
+        };
+        assert!(got == want, "version {v}'s bytes");
+        assert_eq!(copies.bytes_since(), size, "each page stitched once");
+    }
 }

@@ -100,9 +100,6 @@ impl MetaBackend for VolatileMeta {
 }
 
 /// One replayed metadata mutation, in append order.
-// A put holds its node inline, as the index does (`NodeBody`'s child
-// versions are an inline array): boxing it would allocate per record.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum MetaOp {
     /// Re-insert a tree node.

@@ -29,7 +29,7 @@
 //! ## `unmetered-copy`
 //! Data-path crates (`proto`, `rpc`, `provider`, `meta`, `pagebuf`,
 //! `recordlog`) may not copy payload bytes outside the metered entry
-//! points (`PageBuf::copy_from_slice`, `assemble_read_into`,
+//! points (`PageBuf::copy_from_slice`, `stitch_page`,
 //! `ByteChain::to_vec`). Fixed-width header fields
 //! (`…to_le_bytes()` on the same line) are recognized as non-payload.
 //!

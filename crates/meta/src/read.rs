@@ -7,8 +7,10 @@
 //! function [`expand`], and the client drives it level by level with
 //! batched metadata fetches (one parallel round trip per tree level, as in
 //! the paper). The leaf level's round trip also carries the page fetches:
-//! the client expands each leaf message as it arrives and sends its pages
-//! from inside that same burst.
+//! the client expands each leaf as it arrives and sends its page from
+//! inside that same burst, then [stitches](stitch_page) each page into the
+//! read's buffer the moment its reply lands; [`zero_gaps`] zeroes what no
+//! page covered.
 
 use crate::shape::touched_children;
 use blobseer_proto::tree::{NodeBody, NodeKey, PageLoc};
@@ -77,7 +79,7 @@ pub fn expand(
                 return Err(BlobError::Internal("inner node at page interval"));
             }
             let size = geom.child_size(iv.size);
-            if children.fanout() as u64 != iv.size / size {
+            if children.as_slice().len() as u64 != iv.size / size {
                 return Err(BlobError::Internal(
                     "inner node fan-out does not fit its interval",
                 ));
@@ -103,96 +105,85 @@ pub fn expand(
     }
 }
 
-/// Assemble a read buffer from leaf hits and zero ranges.
-///
-/// This is the **single** copy of page bytes on the read path: each
-/// fetched page (shared, refcounted) is copied exactly once into a
-/// buffer covering exactly `read_seg`.
+/// Assemble a read buffer from leaf hits and zero ranges: each page
+/// (shared, refcounted) is [stitched](stitch_page) once into a buffer
+/// covering exactly `read_seg`, whose other bytes are zero.
 pub fn assemble_read(
     geom: &Geometry,
     read_seg: &Segment,
     zeros: &[Segment],
     pages: &[(PageLoc, Segment, PageBuf)],
 ) -> Result<Vec<u8>, BlobError> {
+    // The zero ranges are what no page covers; only their containment
+    // is checked.
+    if !zeros.iter().all(|z| read_seg.contains(z)) {
+        return Err(BlobError::Internal("zero range outside read"));
+    }
     // vec![0; n] zero-allocates lazily; no extra fill pass needed.
     let mut buf = vec![0u8; read_seg.size as usize];
-    assemble_pieces(geom, read_seg, zeros, pages, &mut buf)?;
+    for (_, blob_range, data) in pages {
+        stitch_page(geom, read_seg, blob_range, data, &mut buf)?;
+    }
     Ok(buf)
 }
 
-/// Scatter-assemble a read directly into a caller-provided buffer of
-/// exactly `read_seg.size` bytes. Every byte no page covers — an
-/// explicit zero range, or a hole left by metadata that does not tile
-/// the segment — reads as zero, never as the buffer's previous
-/// contents. Only those gaps are zeroed, after the page copies, so each
-/// output byte is written once.
-pub fn assemble_read_into(
+/// Copy one fetched page's share of a read into place: the bytes
+/// `blob_range` of the blob, taken from `page` at their offset within
+/// it, into `buf`, which covers `read_seg`. This is the **single** copy
+/// of page bytes on the read path; the client makes it the moment the
+/// page's reply lands. A range outside the read or across a page
+/// boundary, or a page shorter than the geometry's, is refused before
+/// any byte moves.
+pub fn stitch_page(
     geom: &Geometry,
     read_seg: &Segment,
-    zeros: &[Segment],
-    pages: &[(PageLoc, Segment, PageBuf)],
+    blob_range: &Segment,
+    page: &[u8],
     buf: &mut [u8],
 ) -> Result<(), BlobError> {
     if buf.len() as u64 != read_seg.size {
         return Err(BlobError::Internal("assembly buffer size mismatch"));
     }
-    if let Err(e) = assemble_pieces(geom, read_seg, zeros, pages, buf) {
-        // A piece failed validation part-way: leave nothing stale behind.
-        buf.fill(0);
-        return Err(e);
+    if !read_seg.contains(blob_range)
+        || blob_range.offset % geom.page_size + blob_range.size > geom.page_size
+    {
+        return Err(BlobError::Internal("page range outside read"));
     }
-    // Corrupt metadata validates containment, not coverage, so the
-    // page ranges may overlap or leave holes: zero whatever lies between
-    // them in offset order.
-    let mut covered: Vec<(usize, usize)> = pages
+    if page.len() as u64 != geom.page_size {
+        return Err(BlobError::Internal("short page"));
+    }
+    let in_page = (blob_range.offset % geom.page_size) as usize;
+    let dst = (blob_range.offset - read_seg.offset) as usize;
+    let len = blob_range.size as usize;
+    buf[dst..dst + len].copy_from_slice(&page[in_page..in_page + len]);
+    copymeter::record_copy(len);
+    Ok(())
+}
+
+/// The gap pass after the stitches: zero every byte of `buf` (which
+/// covers `read_seg`) that none of the `covered` blob ranges — the
+/// pages stitched into it, each inside the read — covers, whatever the
+/// buffer held: an explicit zero range, a hole left by metadata that
+/// does not tile the segment, or a stale byte of an attempt that failed.
+/// Metadata validates containment, not coverage, so the ranges may
+/// overlap or leave holes, in any order.
+pub fn zero_gaps(read_seg: &Segment, covered: &[Segment], buf: &mut [u8]) {
+    let mut spans: Vec<(usize, usize)> = covered
         .iter()
-        .map(|(_, r, _)| {
+        .map(|r| {
             let start = (r.offset - read_seg.offset) as usize;
             (start, start + r.size as usize)
         })
         .collect();
-    covered.sort_unstable();
+    spans.sort_unstable();
     let mut at = 0;
-    for (start, end) in covered {
+    for (start, end) in spans {
         if start > at {
             buf[at..start].fill(0);
         }
         at = at.max(end);
     }
     buf[at..].fill(0);
-    Ok(())
-}
-
-/// Shared assembly core: validate every piece and copy each page into
-/// place. Bytes no page covers are left as they were.
-fn assemble_pieces(
-    geom: &Geometry,
-    read_seg: &Segment,
-    zeros: &[Segment],
-    pages: &[(PageLoc, Segment, PageBuf)],
-    buf: &mut [u8],
-) -> Result<(), BlobError> {
-    // Zero ranges are validated here; the callers zero them (a fresh
-    // zeroed allocation, or the gap pass of `assemble_read_into`).
-    for z in zeros {
-        if !read_seg.contains(z) {
-            return Err(BlobError::Internal("zero range outside read"));
-        }
-    }
-    for (_loc, blob_range, data) in pages {
-        if !read_seg.contains(blob_range) {
-            return Err(BlobError::Internal("page range outside read"));
-        }
-        if data.len() as u64 != geom.page_size {
-            return Err(BlobError::Internal("short page"));
-        }
-        let in_page = (blob_range.offset % geom.page_size) as usize;
-        let dst = (blob_range.offset - read_seg.offset) as usize;
-        let len = blob_range.size as usize;
-        buf[dst..dst + len].copy_from_slice(&data[in_page..in_page + len]);
-        copymeter::record_copy(len);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -398,31 +389,37 @@ mod tests {
     }
 
     #[test]
-    fn assemble_into_zeroes_exactly_what_no_page_covers() {
+    fn stitches_and_the_gap_pass_zero_exactly_what_no_page_covers() {
         let g = geom();
         // [512, 3584): an explicit zero range, part of page 1, a hole no
-        // piece covers, then the head of page 3 — listed out of order.
+        // piece covers, then the head of page 3 — landing out of order.
         let read = Segment::new(512, 3072);
         let pattern = |seed: u8| PageBuf::from_vec((0..1024).map(|i| seed ^ i as u8).collect());
         let (page1, page3) = (pattern(0x11), pattern(0x33));
-        let pieces = [
-            (loc(3), Segment::new(3072, 512), page3.clone()),
-            (loc(1), Segment::new(1024, 776), page1.clone()),
+        let landed = [
+            (Segment::new(3072, 512), page3.clone()),
+            (Segment::new(1024, 776), page1.clone()),
         ];
         let mut buf = vec![0xAAu8; 3072];
         let before = copymeter::thread_snapshot();
-        assemble_read_into(&g, &read, &[Segment::new(512, 512)], &pieces, &mut buf).unwrap();
+        for (range, page) in &landed {
+            stitch_page(&g, &read, range, page, &mut buf).unwrap();
+        }
         assert_eq!(before.bytes_since(), 776 + 512, "page bytes only");
+        let covered: Vec<Segment> = landed.iter().map(|(r, _)| *r).collect();
+        zero_gaps(&read, &covered, &mut buf);
         assert!(buf[..512].iter().all(|&b| b == 0), "explicit zero range");
         assert_eq!(&buf[512..1288], &page1[..776]);
         assert!(buf[1288..2560].iter().all(|&b| b == 0), "uncovered hole");
         assert_eq!(&buf[2560..], &page3[..512]);
 
-        // A piece that fails validation leaves no stale byte behind.
+        // A range outside the read or a short page moves no byte.
         let mut buf = vec![0xAAu8; 3072];
-        let outside = [(loc(4), Segment::new(4000, 96), page1)];
-        assert!(assemble_read_into(&g, &read, &[], &outside, &mut buf).is_err());
-        assert!(buf.iter().all(|&b| b == 0));
+        let outside = Segment::new(4000, 96);
+        assert!(stitch_page(&g, &read, &outside, &page1, &mut buf).is_err());
+        let short = PageBuf::from_vec(vec![1u8; 10]);
+        assert!(stitch_page(&g, &read, &Segment::new(1024, 10), &short, &mut buf).is_err());
+        assert!(buf.iter().all(|&b| b == 0xAA));
     }
 
     #[test]

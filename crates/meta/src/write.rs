@@ -115,7 +115,9 @@ pub fn weave_leaves(
                 page: pages[idx as usize].clone(),
             }
         } else {
-            NodeBody::Inner { children: unlinked }
+            NodeBody::Inner {
+                children: unlinked.clone(),
+            }
         };
         nodes.push(TreeNode { key, body });
     }

@@ -36,8 +36,9 @@
 //! "weaving" works: a border node of version `v` simply records an older
 //! version number for each child interval that `v` did not rewrite.
 //! Version 0 names the implicit all-zero subtree. The child versions sit
-//! inline in the body ([`ChildVersions`]: a fixed array plus its
-//! fan-out), so a node is never a heap allocation of its own.
+//! behind one shared allocation ([`ChildVersions`]), so a body is small
+//! whatever its kind — a leaf, most of the tree, carries no child slots
+//! — and cloning an inner body bumps a refcount.
 
 use crate::error::CodecError;
 use crate::geometry::{Geometry, Segment};
@@ -45,6 +46,7 @@ use crate::ids::{BlobId, ProviderId, Version, WriteId};
 use crate::wire::{Reader, Wire, WireBuf};
 use crate::{wire_newtype, wire_struct};
 use std::fmt;
+use std::sync::Arc;
 
 wire_newtype!(BlobId);
 wire_newtype!(crate::ids::NodeId);
@@ -132,45 +134,28 @@ pub struct PageKey {
 
 wire_struct!(PageKey { blob, write, index });
 
-/// Slots in a [`ChildVersions`]: the tree's arity.
+/// The most children an inner node has: the tree's arity.
 const ARITY: usize = Geometry::ARITY as usize;
 
-/// The child versions of an inner node, in offset order, held inline: a
-/// fixed array of [`Geometry::ARITY`] slots plus the fan-out in use
-/// (2 to 32 — only a root has fewer than 32). The array sets the size
-/// of every [`NodeBody`], a leaf's included: at most 8·(ARITY + 2) =
-/// 272 B in the DHT's maps and the client cache (144 B at 16-way).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct ChildVersions {
-    fanout: u8,
-    versions: [Version; ARITY],
-}
+/// The child versions of an inner node, in offset order: 2 to 32 of
+/// them (only a root has fewer than 32), the fan-out being their count.
+/// They live in one shared allocation, so a [`NodeBody`] is the size of
+/// a leaf's [`PageLoc`] at most, in the DHT's maps and the client cache
+/// alike, and a clone is a refcount bump.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ChildVersions(Arc<[Version]>);
 
 impl ChildVersions {
     /// The versions of `2..=ARITY` children; `None` for any other count.
     pub fn new(versions: &[Version]) -> Option<Self> {
-        if !(2..=ARITY).contains(&versions.len()) {
-            return None;
-        }
-        let mut slots = [0; ARITY];
-        for (slot, &v) in slots.iter_mut().zip(versions) {
-            *slot = v;
-        }
-        Some(Self {
-            // Bounded by `ARITY` (32) just above.
-            fanout: versions.len() as u8,
-            versions: slots,
-        })
+        (2..=ARITY)
+            .contains(&versions.len())
+            .then(|| Self(Arc::from(versions)))
     }
 
-    /// The child versions in use, child 0 first.
+    /// The child versions, child 0 first.
     pub fn as_slice(&self) -> &[Version] {
-        &self.versions[..usize::from(self.fanout)]
-    }
-
-    /// Number of children.
-    pub fn fanout(&self) -> usize {
-        usize::from(self.fanout)
+        &self.0
     }
 }
 
@@ -181,9 +166,6 @@ impl fmt::Debug for ChildVersions {
 }
 
 /// Body of a metadata tree node.
-// The inner variant's child versions are inline on purpose (see
-// `ChildVersions`): boxing them would cost a heap allocation per node.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum NodeBody {
     /// Non-leaf: the versions of its children. A version of 0 denotes
@@ -213,9 +195,11 @@ impl Wire for NodeBody {
     fn encode(&self, out: &mut WireBuf) {
         match self {
             NodeBody::Inner { children } => {
+                let versions = children.as_slice();
                 out.push(TAG_INNER);
-                out.push(children.fanout);
-                for v in children.as_slice() {
+                // At most `ARITY` (32): `ChildVersions::new` bounds it.
+                out.push(versions.len() as u8);
+                for v in versions {
                     v.encode(out);
                 }
             }
@@ -237,11 +221,12 @@ impl Wire for NodeBody {
                     });
                 }
                 let mut versions = [0; ARITY];
-                for slot in &mut versions[..usize::from(fanout)] {
+                let versions = &mut versions[..usize::from(fanout)];
+                for slot in versions.iter_mut() {
                     *slot = Version::decode(r)?;
                 }
                 Ok(NodeBody::Inner {
-                    children: ChildVersions { fanout, versions },
+                    children: ChildVersions(Arc::from(&*versions)),
                 })
             }
             TAG_LEAF => Ok(NodeBody::Leaf {
@@ -256,7 +241,7 @@ impl Wire for NodeBody {
 
     fn wire_hint(&self) -> usize {
         match self {
-            NodeBody::Inner { children } => 2 + 8 * children.fanout(),
+            NodeBody::Inner { children } => 2 + 8 * children.as_slice().len(),
             NodeBody::Leaf { page } => 1 + page.wire_hint(),
         }
     }
@@ -310,16 +295,26 @@ mod tests {
     }
 
     #[test]
-    fn child_versions_are_inline_and_bounded() {
+    fn child_versions_are_shared_and_bounded() {
         assert!(ChildVersions::new(&[]).is_none());
         assert!(ChildVersions::new(&[1]).is_none());
         assert!(ChildVersions::new(&[1; ARITY + 1]).is_none());
         let c = ChildVersions::new(&[4, 0, 2]).unwrap();
-        assert_eq!((c.fanout(), c.as_slice()), (3, &[4, 0, 2][..]));
+        assert_eq!(c.as_slice(), &[4, 0, 2][..]);
         assert_eq!(format!("{c:?}"), "[4, 0, 2]");
-        // A body is a fixed-size value: no per-node heap allocation.
-        assert!(std::mem::size_of::<NodeBody>() <= 8 * (ARITY + 2));
-        assert_eq!(8 * (ARITY + 2), 272);
+        // A body carries a leaf's locator at most, whatever its kind: the
+        // child versions are not inline, so a leaf pays for none.
+        let bound = std::mem::size_of::<PageLoc>() + 8;
+        assert!(std::mem::size_of::<NodeBody>() <= bound);
+        assert!(std::mem::size_of::<TreeNode>() <= std::mem::size_of::<NodeKey>() + bound);
+        // An inner body's clone shares its versions.
+        let body = inner(&[9; ARITY]);
+        let copy = body.clone();
+        let (NodeBody::Inner { children: a }, NodeBody::Inner { children: b }) = (&body, &copy)
+        else {
+            unreachable!()
+        };
+        assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
     }
 
     #[test]
