@@ -38,7 +38,7 @@ use crate::heat::{FanOutOptions, HeatTracker};
 use crate::vm_service::VersionManagerService;
 use blobseer_dht::{DhtNodeService, Ring};
 use blobseer_proto::messages::ProviderStats;
-use blobseer_proto::{NodeId, ProviderId};
+use blobseer_proto::{BlobError, NodeId, ProviderId};
 use blobseer_provider::{DataProviderService, ProviderManagerService};
 use blobseer_rpc::{
     dispatch_frame, AdmissionControlled, AdmissionGate, AdmissionOptions, AggregationPolicy, Frame,
@@ -139,7 +139,7 @@ impl Service for StorageNodeService {
             }
             _ => blobseer_rpc::error_frame(
                 frame.method,
-                blobseer_proto::BlobError::Internal("method not served by storage node"),
+                BlobError::Internal("method not served by storage node"),
             ),
         }
     }
@@ -304,7 +304,7 @@ pub struct DeploymentConfig {
     pub log: LogOptions,
     /// Bounded per-storage-node admission: `Some` wraps every storage
     /// node's dispatch in an [`AdmissionGate`] (`max_inflight` permits,
-    /// `max_queue` waiters, typed [`blobseer_proto::BlobError::Overload`]
+    /// `max_queue` waiters, typed [`BlobError::Overload`]
     /// past either bound — never an unbounded buffer, never a hang).
     /// `None` (the default) serves every frame immediately, the
     /// pre-PR 9 behavior.
@@ -646,9 +646,10 @@ pub struct Deployment {
 
 impl Deployment {
     /// Build the paper's topology on a fresh cluster of the configured
-    /// transport kind.
+    /// transport kind. Panics if a durable directory cannot be created or
+    /// replayed: a deployment that cannot start has nothing to serve.
     pub fn build(config: DeploymentConfig) -> Self {
-        Self::build_inner(config, None)
+        Self::started(Self::try_build(config, None))
     }
 
     /// [`Deployment::build`], but every durable directory lives under
@@ -656,17 +657,28 @@ impl Deployment {
     /// Building twice on the same root is a whole-cluster cold restart
     /// across processes: the second build replays every page log,
     /// metadata journal and version journal found there. Mmap backend
-    /// only.
+    /// only. Panics as [`Deployment::build`] does.
     pub fn build_at(config: DeploymentConfig, root: &Path) -> Self {
         assert_eq!(
             config.backend,
             BackendKind::Mmap,
             "an explicit durable root needs the persistent backend"
         );
-        Self::build_inner(config, Some(root.to_path_buf()))
+        Self::started(Self::try_build(config, Some(root.to_path_buf())))
     }
 
-    fn build_inner(config: DeploymentConfig, root_override: Option<PathBuf>) -> Self {
+    /// The one startup failure that panics: a deployment whose durable
+    /// state does not open.
+    fn started(built: Result<Self, BlobError>) -> Self {
+        // lint: allow(panic-on-serving-path) — deployment construction at
+        // startup; failing fast beats serving with no durable state
+        built.expect("build deployment")
+    }
+
+    fn try_build(
+        config: DeploymentConfig,
+        root_override: Option<PathBuf>,
+    ) -> Result<Self, BlobError> {
         assert!(config.providers >= 1, "need at least one storage node");
         assert!(
             config.version_shards >= 1,
@@ -705,9 +717,11 @@ impl Deployment {
             })),
         };
         if let Some(root) = &data_root {
-            // lint: allow(panic-on-serving-path) — deployment construction at
-            // startup; failing fast beats serving with no data root
-            std::fs::create_dir_all(root).expect("create deployment data root");
+            std::fs::create_dir_all(root).map_err(|_| BlobError::Recovery {
+                file: root.display().to_string(),
+                offset: 0,
+                detail: "create deployment data root",
+            })?;
         }
 
         // The version-manager shards: durable (journaled + replayed)
@@ -717,7 +731,7 @@ impl Deployment {
         let mut vms = Vec::with_capacity(config.version_shards);
         let mut registries = Vec::with_capacity(config.version_shards);
         for (s, node) in vm_nodes.iter().enumerate() {
-            let (svc, reg) = build_version_service(&config, data_root.as_deref(), s);
+            let (svc, reg) = build_version_service(&config, data_root.as_deref(), s)?;
             cluster.bind(*node, Arc::clone(&svc) as Arc<dyn Service>);
             vms.push(svc);
             registries.push(reg);
@@ -738,8 +752,8 @@ impl Deployment {
         let mut gates = Vec::new();
         for i in 0..config.providers {
             let node = cluster.add_node();
-            let data = build_data_service(&config, data_root.as_deref(), i);
-            let meta = build_meta_service(&config, data_root.as_deref(), i);
+            let data = build_data_service(&config, data_root.as_deref(), i)?;
+            let meta = build_meta_service(&config, data_root.as_deref(), i)?;
             let svc = Arc::new(StorageNodeService::new(data, meta));
             // With admission configured, the bound service is the gated
             // wrapper around the same `Arc` the white-box handle keeps:
@@ -800,7 +814,7 @@ impl Deployment {
         // root) is a cold restart: the manager's soft write-id counter
         // must move past every id the replayed state still references.
         d.advance_write_floor();
-        d
+        Ok(d)
     }
 
     /// Raise the provider manager's write-id allocator past every write
@@ -876,10 +890,15 @@ impl Deployment {
     /// from the same directory and re-serves every acknowledged page;
     /// with the memory backend a restart is a cold, empty provider —
     /// exactly the data-loss the persistent backend exists to prevent.
-    pub fn restart_storage(&self, i: usize) {
-        let data = build_data_service(&self.config, self.data_root.as_deref(), i);
+    ///
+    /// A page log that does not open or replay (a retired format, a
+    /// corrupt committed record) is a typed [`BlobError::Recovery`], and
+    /// the node is left as the caller left it: a killed node stays down.
+    pub fn restart_storage(&self, i: usize) -> Result<(), BlobError> {
+        let data = build_data_service(&self.config, self.data_root.as_deref(), i)?;
         self.storage[i].replace_data(data);
         self.revive_storage(i);
+        Ok(())
     }
 
     /// Whole-cluster **cold restart**: kill every node kind — data
@@ -903,14 +922,19 @@ impl Deployment {
     /// control**: there is nothing durable to replay, so the cluster
     /// comes back *empty* — every previously acknowledged byte is gone.
     /// The restart itself still succeeds cleanly and subsequent reads
-    /// fail with typed errors ([`blobseer_proto::BlobError::UnknownBlob`]),
+    /// fail with typed errors ([`BlobError::UnknownBlob`]),
     /// never a hang or a panic; `crates/core/tests/matrix_e2e.rs`
     /// asserts exactly that. This is the data-loss mode the durable
     /// backend exists to prevent.
     ///
     /// Restarting twice is identical to restarting once (replay is
     /// idempotent — the version journal checkpoints on open).
-    pub fn restart_cluster(&mut self) -> Result<(), blobseer_proto::BlobError> {
+    ///
+    /// A journal or page log that does not open or replay is a typed
+    /// error ([`BlobError::Recovery`] for a retired format or a corrupt
+    /// committed record), and a failed restart **leaves the cluster
+    /// down**: every node stays killed until a restart succeeds.
+    pub fn restart_cluster(&mut self) -> Result<(), BlobError> {
         // Kill everything first: a cold restart has no surviving node.
         for node in &self.vm_nodes {
             self.cluster.kill(*node);
@@ -922,22 +946,14 @@ impl Deployment {
 
         // Reopen + replay each service from its durable directory (or
         // fresh and empty on the volatile backend).
+        let root = self.data_root.as_deref();
         for (i, svc) in self.storage.iter().enumerate() {
-            svc.replace_data(build_data_service(
-                &self.config,
-                self.data_root.as_deref(),
-                i,
-            ));
-            svc.replace_meta(build_meta_service(
-                &self.config,
-                self.data_root.as_deref(),
-                i,
-            ));
+            svc.replace_data(build_data_service(&self.config, root, i)?);
+            svc.replace_meta(build_meta_service(&self.config, root, i)?);
         }
         // Replay every shard's journal into a fresh registry/log pair.
         for (s, svc) in self.vms.iter().enumerate() {
-            let (registry, vlog) =
-                reopen_version_state(&self.config, self.data_root.as_deref(), s)?;
+            let (registry, vlog) = reopen_version_state(&self.config, root, s)?;
             svc.replace(Arc::clone(&registry), vlog);
             self.registries[s] = registry;
         }
@@ -993,10 +1009,7 @@ impl Deployment {
     /// a fresh generation and reclaim the dead bytes (removed pages,
     /// superseded re-puts). `Ok(None)` on the memory backend — nothing
     /// to compact, its removes free eagerly.
-    pub fn compact_storage(
-        &self,
-        i: usize,
-    ) -> Result<Option<CompactReport>, blobseer_proto::BlobError> {
+    pub fn compact_storage(&self, i: usize) -> Result<Option<CompactReport>, BlobError> {
         self.storage[i].data().compact()
     }
 
@@ -1074,19 +1087,16 @@ fn build_meta_service(
     config: &DeploymentConfig,
     data_root: Option<&Path>,
     i: usize,
-) -> Arc<DhtNodeService> {
-    match data_root {
-        None => Arc::new(DhtNodeService::new(config.service_costs)),
-        Some(root) => Arc::new(
-            DhtNodeService::open_durable(
-                &meta_dir(root, i),
-                record_log_options(config),
-                config.service_costs,
-            )
-            // lint: allow(panic-on-serving-path) — deployment construction at startup
-            .expect("open metadata journal"),
-        ),
-    }
+) -> Result<Arc<DhtNodeService>, BlobError> {
+    let meta = match data_root {
+        None => DhtNodeService::new(config.service_costs),
+        Some(root) => DhtNodeService::open_durable(
+            &meta_dir(root, i),
+            record_log_options(config),
+            config.service_costs,
+        )?,
+    };
+    Ok(Arc::new(meta))
 }
 
 /// Replay (or freshly create) version-manager shard `s`'s durable state.
@@ -1094,7 +1104,7 @@ fn reopen_version_state(
     config: &DeploymentConfig,
     data_root: Option<&Path>,
     s: usize,
-) -> Result<(Arc<VersionRegistry>, Option<Arc<VersionLog>>), blobseer_proto::BlobError> {
+) -> Result<(Arc<VersionRegistry>, Option<Arc<VersionLog>>), BlobError> {
     let reg_config = registry_config(config, s);
     match data_root {
         None => Ok((Arc::new(VersionRegistry::with_config(reg_config)), None)),
@@ -1114,22 +1124,10 @@ fn build_version_service(
     config: &DeploymentConfig,
     data_root: Option<&Path>,
     s: usize,
-) -> (Arc<VersionManagerService>, Arc<VersionRegistry>) {
-    let opened = reopen_version_state(config, data_root, s);
-    // lint: allow(panic-on-serving-path) — deployment construction at startup
-    let (registry, vlog) = opened.expect("open version journal");
-    let vm = match vlog {
-        None => Arc::new(VersionManagerService::new(
-            Arc::clone(&registry),
-            config.service_costs,
-        )),
-        Some(log) => Arc::new(VersionManagerService::with_log(
-            Arc::clone(&registry),
-            log,
-            config.service_costs,
-        )),
-    };
-    (vm, registry)
+) -> Result<(Arc<VersionManagerService>, Arc<VersionRegistry>), BlobError> {
+    let (registry, log) = reopen_version_state(config, data_root, s)?;
+    let vm = VersionManagerService::new(Arc::clone(&registry), log, config.service_costs);
+    Ok((Arc::new(vm), registry))
 }
 
 /// Build storage node `i`'s data-provider service for the configured
@@ -1139,28 +1137,22 @@ fn build_data_service(
     config: &DeploymentConfig,
     data_root: Option<&Path>,
     i: usize,
-) -> Arc<DataProviderService> {
-    match config.backend {
-        BackendKind::Memory => Arc::new(DataProviderService::new(
-            config.provider_capacity,
-            config.service_costs,
-        )),
-        BackendKind::Mmap => {
-            // lint: allow(panic-on-serving-path) — config invariant: the mmap
-            // backend always carries a data root (set in DeploymentConfig)
-            let dir = provider_dir(data_root.expect("mmap backend has a data root"), i);
-            Arc::new(
-                DataProviderService::open_mmap_with(
-                    &dir,
-                    config.effective_capacity(),
-                    config.log,
-                    config.service_costs,
-                )
-                // lint: allow(panic-on-serving-path) — deployment construction at startup
-                .expect("open mmap provider backend"),
-            )
+) -> Result<Arc<DataProviderService>, BlobError> {
+    let data = match (config.backend, data_root) {
+        (BackendKind::Memory, _) => {
+            DataProviderService::new(config.provider_capacity, config.service_costs)
         }
-    }
+        (BackendKind::Mmap, Some(root)) => DataProviderService::open_mmap_with(
+            &provider_dir(root, i),
+            config.effective_capacity(),
+            config.log,
+            config.service_costs,
+        )?,
+        (BackendKind::Mmap, None) => {
+            return Err(BlobError::Internal("mmap backend without a data root"))
+        }
+    };
+    Ok(Arc::new(data))
 }
 
 impl Drop for Deployment {

@@ -20,20 +20,22 @@
 //!
 //! ## Durability (PR 7)
 //!
-//! When built [`with_log`](VersionManagerService::with_log), the service
-//! journals through a [`blobseer_version::VersionLog`] **write-ahead**:
-//! `CREATE_BLOB` logs the blob before its id is acknowledged, and
-//! `COMPLETE_WRITE` logs the publication *before* the version becomes
-//! observable in the publish window — so a reader that ever saw
-//! `latest >= v` is guaranteed to see `v` again after a cold restart.
-//! The registry/log pair is swappable
-//! ([`VersionManagerService::replace`]) so a cluster restart can replay
-//! into fresh state without rebinding the RPC endpoint. Log appends are
-//! positioned writes coordinated by the engine's group-commit machinery
-//! — durability plumbing, not data-plane serialization, so the
-//! steady-state lock budget (one `VersionAssign` lock per WRITE, zero
-//! serializing locks) is unchanged; `core/tests/mmap_zero_copy.rs`
-//! holds it to that with every journal on.
+//! When built with a [`blobseer_version::VersionLog`], the service
+//! journals **write-ahead**: `CREATE_BLOB` logs the blob before its id
+//! is acknowledged, and `COMPLETE_WRITE` logs the publication *before*
+//! the version becomes observable in the publish window — so a reader
+//! that ever saw `latest >= v` is guaranteed to see `v` again after a
+//! cold restart. The registry and its journal form one **incarnation**,
+//! swapped whole ([`VersionManagerService::replace`]) so a cluster
+//! restart can replay into fresh state without rebinding the RPC
+//! endpoint; each request reads the incarnation once and is served
+//! entirely from it, so a publish accepted by one registry is never
+//! journaled into the next one's log. Log appends are positioned writes
+//! coordinated by the engine's group-commit machinery — durability
+//! plumbing, not data-plane serialization, so the steady-state lock
+//! budget (one `VersionAssign` lock per WRITE, zero serializing locks)
+//! is unchanged; `core/tests/mmap_zero_copy.rs` holds it to that with
+//! every journal on.
 
 use blobseer_proto::messages::{
     method, CompleteWrite, CreateBlob, GcRequest, GetLatest, PublishState, RequestVersion,
@@ -47,76 +49,55 @@ use std::sync::Arc;
 
 /// RPC facade over the version registry.
 pub struct VersionManagerService {
-    /// Swap-read only: taken shared per request, exclusively only by
-    /// [`replace`](Self::replace) during a cluster restart. Not a
+    /// The current incarnation. Read once per request, shared; written
+    /// only by [`replace`](Self::replace) during a cluster restart. Not a
     /// steady-state serialization point.
-    registry: RwLock<Arc<VersionRegistry>>,
-    log: RwLock<Option<Arc<VersionLog>>>,
+    current: RwLock<Arc<Incarnation>>,
     costs: ServiceCosts,
 }
 
-impl VersionManagerService {
-    /// Wrap a registry (volatile: no journal, the pre-PR-7 behaviour).
-    pub fn new(registry: Arc<VersionRegistry>, costs: ServiceCosts) -> Self {
-        Self {
-            // lint: allow(unmetered-lock) — incarnation pointers, swapped only at cluster restart
-            registry: RwLock::new(registry),
-            // lint: allow(unmetered-lock) — incarnation pointer, swapped only at cluster restart
-            log: RwLock::new(None),
-            costs,
-        }
-    }
+/// One incarnation of the version manager's state: a registry and, when
+/// durable, the journal it writes ahead to.
+struct Incarnation {
+    registry: Arc<VersionRegistry>,
+    log: Option<Arc<VersionLog>>,
+}
 
-    /// Wrap a registry with a write-ahead journal: creations and
-    /// publications are logged before they are acknowledged.
-    pub fn with_log(
+impl VersionManagerService {
+    /// Wrap a registry, with a write-ahead journal (creations and
+    /// publications are logged before they are acknowledged) or without
+    /// one (volatile).
+    pub fn new(
         registry: Arc<VersionRegistry>,
-        log: Arc<VersionLog>,
+        log: Option<Arc<VersionLog>>,
         costs: ServiceCosts,
     ) -> Self {
         Self {
-            // lint: allow(unmetered-lock) — incarnation pointers, swapped only at cluster restart
-            registry: RwLock::new(registry),
             // lint: allow(unmetered-lock) — incarnation pointer, swapped only at cluster restart
-            log: RwLock::new(Some(log)),
+            current: RwLock::new(Arc::new(Incarnation { registry, log })),
             costs,
         }
     }
 
-    /// The underlying registry (shared with tests/recovery tooling).
-    pub fn registry(&self) -> Arc<VersionRegistry> {
+    /// The incarnation serving a request.
+    fn current(&self) -> Arc<Incarnation> {
         // lint: allow(unmetered-lock) — uncontended Arc swap read; the registry's own
         // VersionAssign mutex is the metered serialization point
-        Arc::clone(&self.registry.read())
-    }
-
-    /// The current journal, if durable.
-    fn log(&self) -> Option<Arc<VersionLog>> {
-        // lint: allow(unmetered-lock) — uncontended Arc swap read; journal appends are
-        // kernel writes, not control-plane locks
-        self.log.read().clone()
-    }
-
-    /// True when creations/publications are journaled.
-    pub fn is_durable(&self) -> bool {
-        // lint: allow(unmetered-lock) — introspection accessor off the serving path
-        self.log.read().is_some()
+        Arc::clone(&self.current.read())
     }
 
     /// Journal size in bytes (0 when volatile).
     pub fn log_bytes(&self) -> u64 {
-        // lint: allow(unmetered-lock) — introspection accessor off the serving path
-        self.log.read().as_ref().map_or(0, |l| l.log_bytes())
+        self.current().log.as_ref().map_or(0, |l| l.log_bytes())
     }
 
     /// Swap in a freshly replayed registry/journal pair (cluster
-    /// restart). In-flight requests against the old registry finish
-    /// against the old state; new requests see the replayed one.
+    /// restart). Requests already holding the old incarnation finish
+    /// against it, journal included; new requests see the replayed one.
     pub fn replace(&self, registry: Arc<VersionRegistry>, log: Option<Arc<VersionLog>>) {
-        // lint: allow(unmetered-lock) — restart-only swaps, never on a serving path
-        *self.log.write() = log;
+        let next = Arc::new(Incarnation { registry, log });
         // lint: allow(unmetered-lock) — restart-only swap, never on a serving path
-        *self.registry.write() = registry;
+        *self.current.write() = next;
     }
 }
 
@@ -133,16 +114,17 @@ impl Service for VersionManagerService {
     }
 
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
+        let Incarnation { registry, log } = &*self.current();
         match frame.method {
             method::CREATE_BLOB => {
                 ctx.charge(self.costs.manager_query_ns);
                 respond(frame, |m: CreateBlob| {
                     let geom = Geometry::new(m.total_size, m.page_size)?;
-                    let state = self.registry().create_blob(geom);
+                    let state = registry.create_blob(geom);
                     // Write-ahead: the id escapes only through this ack,
                     // so journaling before returning makes the creation
                     // recoverable the moment any client learns of it.
-                    if let Some(log) = self.log() {
+                    if let Some(log) = log {
                         log.record_create(state.blob, &state.geom)?;
                     }
                     Ok(state.info())
@@ -150,15 +132,11 @@ impl Service for VersionManagerService {
             }
             method::GET_BLOB => {
                 ctx.charge(self.costs.manager_query_ns);
-                respond(frame, |m: GetLatest| {
-                    Ok(self.registry().get(m.blob)?.info())
-                })
+                respond(frame, |m: GetLatest| Ok(registry.get(m.blob)?.info()))
             }
             method::GET_LATEST => {
                 ctx.charge(self.costs.manager_query_ns);
-                respond(frame, |m: GetLatest| {
-                    Ok(self.registry().get(m.blob)?.latest())
-                })
+                respond(frame, |m: GetLatest| Ok(registry.get(m.blob)?.latest()))
             }
             method::REQUEST_VERSION => {
                 // Charged after the grant resolves: the leader pays
@@ -167,7 +145,7 @@ impl Service for VersionManagerService {
                 // mirrors the lock meter exactly.
                 let costs = self.costs;
                 respond(frame, |m: RequestVersion| {
-                    let state = self.registry().get(m.blob)?;
+                    let state = registry.get(m.blob)?;
                     let grant = state.request_version_grant(m.write, m.segment())?;
                     ctx.charge(costs.version_assign_ns * u64::from(grant.acquired));
                     Ok(grant.ticket)
@@ -176,7 +154,7 @@ impl Service for VersionManagerService {
             method::COMPLETE_WRITE => {
                 ctx.charge(self.costs.manager_query_ns);
                 respond(frame, |m: CompleteWrite| {
-                    let state = self.registry().get(m.blob)?;
+                    let state = registry.get(m.blob)?;
                     // Write-ahead: journal the publication before the
                     // version can become observable. A crash after the
                     // append but before `complete_write` leaves a
@@ -186,7 +164,7 @@ impl Service for VersionManagerService {
                     // lost. Already-completed versions skip the journal
                     // so duplicate completions stay errors without
                     // bloating the log.
-                    if let Some(log) = self.log() {
+                    if let Some(log) = log {
                         let rec = state
                             .record(m.version)
                             .ok_or(BlobError::Internal("completion for unassigned version"))?;
@@ -207,7 +185,7 @@ impl Service for VersionManagerService {
             method::GC_PLAN => {
                 ctx.charge(self.costs.version_assign_ns);
                 respond(frame, |m: GcRequest| {
-                    let state = self.registry().get(m.blob)?;
+                    let state = registry.get(m.blob)?;
                     Ok(state.gc_plan(m.keep_from))
                 })
             }
@@ -224,7 +202,11 @@ mod tests {
     use blobseer_rpc::parse_response;
 
     fn svc() -> VersionManagerService {
-        VersionManagerService::new(Arc::new(VersionRegistry::default()), ServiceCosts::zero())
+        VersionManagerService::new(
+            Arc::new(VersionRegistry::default()),
+            None,
+            ServiceCosts::zero(),
+        )
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! a cold, empty provider.
 
 use blobseer_core::{BackendKind, Deployment, DeploymentConfig, TransportKind};
-use blobseer_proto::Segment;
+use blobseer_proto::{BlobError, BlobId, Segment};
 use blobseer_rpc::Ctx;
 
 const PAGE: u64 = 1024;
@@ -66,7 +66,7 @@ fn crash_recovery_scenario(transport: TransportKind) {
 
     // Restart: a fresh provider process on the same directory replays
     // its page log and re-registers.
-    d.restart_storage(0);
+    d.restart_storage(0).unwrap();
     let restarted = d.storage[0].data();
     assert_eq!(
         restarted.page_count(),
@@ -126,7 +126,7 @@ fn memory_provider_restart_is_data_loss() {
         .unwrap();
     assert!(d.storage[0].data().page_count() > 0);
     d.kill_storage(0);
-    d.restart_storage(0);
+    d.restart_storage(0).unwrap();
     assert_eq!(
         d.storage[0].data().page_count(),
         0,
@@ -148,7 +148,7 @@ fn mmap_restart_preserves_capacity_accounting() {
         .unwrap();
     let mapped_before = d.storage[0].data().stats().mapped_bytes;
     d.kill_storage(0);
-    d.restart_storage(0);
+    d.restart_storage(0).unwrap();
     let stats = d.storage[0].data().stats();
     assert_eq!(
         stats.mapped_bytes, mapped_before,
@@ -162,4 +162,71 @@ fn mmap_restart_preserves_capacity_accounting() {
         .projection(blobseer_proto::ProviderId(d.storage_nodes[0].0))
         .unwrap();
     assert_eq!(p.reported, stats.mapped_bytes);
+}
+
+/// Overwrite the first record magic of every log file in `dir` with
+/// `magic`, a retired record format: the file now reads as a log an
+/// earlier build wrote.
+fn retire_logs(dir: &std::path::Path, magic: u64) {
+    use std::io::{Seek, SeekFrom, Write};
+    let mut patched = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let is_log = path.extension().is_some_and(|e| e == "log");
+        if is_log && std::fs::metadata(&path).unwrap().len() >= 48 {
+            let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.seek(SeekFrom::Start(0)).unwrap();
+            file.write_all(&magic.to_le_bytes()).unwrap();
+            patched += 1;
+        }
+    }
+    assert!(
+        patched > 0,
+        "{}: no log with a record to retire",
+        dir.display()
+    );
+}
+
+/// A durable cluster whose every storage node holds pages and tree
+/// nodes.
+fn written_mmap_cluster() -> Deployment {
+    let d = Deployment::build(DeploymentConfig::functional_mmap(2));
+    let c = d.client();
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
+    c.write(&mut ctx, info.blob, 0, &vec![5u8; TOTAL as usize])
+        .unwrap();
+    d
+}
+
+#[test]
+fn a_cluster_restart_over_a_retired_metadata_journal_is_a_typed_error() {
+    // meta-0's journal now opens as one written in the retired
+    // `BSMTPUT1` format: the restart refuses it with a typed error and
+    // leaves the cluster down instead of panicking.
+    let mut d = written_mmap_cluster();
+    retire_logs(&d.meta_dir(0).unwrap(), 0x4253_4d54_5055_5431);
+    let restarted = d.restart_cluster();
+    assert!(
+        matches!(restarted, Err(BlobError::Recovery { .. })),
+        "{restarted:?}"
+    );
+    let c = d.client();
+    let down = c.info(&mut Ctx::start(), BlobId(0));
+    assert!(matches!(down, Err(BlobError::Unreachable(_))), "{down:?}");
+}
+
+#[test]
+fn a_provider_restart_over_a_retired_page_log_is_a_typed_error() {
+    // provider-0's page log now opens as one written in the retired
+    // `BSPGLOG2` format: the restart refuses it with a typed error, and
+    // the killed provider stays down.
+    let d = written_mmap_cluster();
+    d.kill_storage(0);
+    retire_logs(&d.backend_dir(0).unwrap(), 0x4253_5047_4c4f_4732);
+    let restarted = d.restart_storage(0);
+    assert!(
+        matches!(restarted, Err(BlobError::Recovery { .. })),
+        "{restarted:?}"
+    );
 }

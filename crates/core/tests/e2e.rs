@@ -532,10 +532,17 @@ fn a_write_whose_ticket_fails_stores_nothing() {
     // The lead page is acknowledged while the version request fails:
     // the write takes the page back before it returns the error. Only
     // the lead's page was copied: the others wait for the ticket. On one
-    // provider the lead was split out of that provider's batch.
+    // provider the lead was split out of that provider's batch. Over
+    // tcp the failed ticket ends the write's burst with its lead put in
+    // flight, and no call slot is left behind.
     const BIG: u64 = 256 << 10;
-    for providers in [8, 1] {
-        let d = Deployment::build(DeploymentConfig::grid5000(providers));
+    let cells = [
+        ("8 providers", DeploymentConfig::grid5000(8)),
+        ("1 provider", DeploymentConfig::grid5000(1)),
+        ("tcp", DeploymentConfig::functional_tcp(4)),
+    ];
+    for (cell, config) in cells {
+        let d = Deployment::build(config);
         let c = d.client();
         let mut ctx = Ctx::start();
         let info = c.alloc(&mut ctx, 16 * BIG, BIG).unwrap();
@@ -545,9 +552,14 @@ fn a_write_whose_ticket_fails_stores_nothing() {
         let err = c
             .write(&mut ctx, info.blob, 0, &vec![5u8; (4 * BIG) as usize])
             .unwrap_err();
-        assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
-        assert_eq!(copies.bytes_since(), BIG, "{providers} providers");
-        assert_eq!(d.total_pages(), pages, "no page is left behind");
+        assert!(matches!(err, BlobError::Unreachable(_)), "{cell}: {err:?}");
+        assert_eq!(copies.bytes_since(), BIG, "{cell}");
+        assert_eq!(d.total_pages(), pages, "{cell}: no page is left behind");
+        if let Some(tcp) = d.cluster.tcp() {
+            for &node in &d.storage_nodes {
+                assert_eq!(tcp.inflight_calls(node), 0, "{cell}: {node:?}");
+            }
+        }
     }
 }
 

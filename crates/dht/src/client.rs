@@ -16,7 +16,7 @@ use blobseer_proto::messages::{
 };
 use blobseer_proto::tree::{NodeKey, TreeNode};
 use blobseer_proto::{BlobError, NodeId};
-use blobseer_rpc::{parse_response, Ctx, Frame, RpcClient};
+use blobseer_rpc::{Ctx, Frame, RpcClient};
 use std::sync::Arc;
 
 /// A replicated, batching DHT client.
@@ -40,7 +40,7 @@ impl DhtClient {
             return Ok(());
         }
         let (put, frames) = self.put_frames(nodes);
-        let replies = self.rpc.fan_out_frames(ctx, frames);
+        let replies = self.rpc.call_all(ctx, frames);
         self.finish_put(put, replies)
     }
 
@@ -96,12 +96,8 @@ impl DhtClient {
     pub fn finish_put(
         &self,
         put: NodePut,
-        replies: Vec<Result<Frame, BlobError>>,
+        results: Vec<Result<(), BlobError>>,
     ) -> Result<(), BlobError> {
-        let results: Vec<Result<(), BlobError>> = replies
-            .into_iter()
-            .map(|reply| reply.and_then(|frame| parse_response(&frame)))
-            .collect();
         let unstored = match put.0 {
             PutShape::PerItem(replica_counts) => first_unstored(&results, &replica_counts),
             PutShape::Batched { nodes, groups } => {
@@ -135,8 +131,8 @@ impl DhtClient {
             return Ok(Vec::new());
         }
         let (mut fetch, frames) = self.fetch_frames(keys);
-        for (m, reply) in self.rpc.fan_out_frames(ctx, frames).iter().enumerate() {
-            fetch.absorb(m, reply.as_ref());
+        for (m, reply) in self.rpc.call_all(ctx, frames).into_iter().enumerate() {
+            fetch.absorb(m, reply);
         }
         self.finish_fetch(ctx, fetch)
     }
@@ -179,10 +175,10 @@ impl DhtClient {
                 break;
             }
             let (groups, frames) = self.attempt(&keys, &pending, attempt);
-            let replies = self.rpc.fan_out_frames(ctx, frames);
+            let replies = self.rpc.call_all(ctx, frames);
             pending.clear();
-            for ((_, idxs), reply) in groups.iter().zip(&replies) {
-                absorb(idxs, reply.as_ref(), &mut out, &mut pending, &mut last_err);
+            for ((_, idxs), reply) in groups.iter().zip(replies) {
+                absorb(idxs, reply, &mut out, &mut pending, &mut last_err);
             }
         }
         // Keys still pending after the last replica stay None when they
@@ -243,12 +239,15 @@ impl DhtClient {
                 }
             }
         }
-        let calls: Vec<(NodeId, u16, MetaRemoveBatch)> = groups
+        let calls = groups
             .into_iter()
-            .map(|(dest, keys)| (dest, method::META_REMOVE_BATCH, MetaRemoveBatch { keys }))
+            .map(|(dest, keys)| {
+                let batch = MetaRemoveBatch { keys };
+                (dest, Frame::from_msg(method::META_REMOVE_BATCH, &batch))
+            })
             .collect();
         self.rpc
-            .fan_out::<MetaRemoveBatch, u64>(ctx, &calls)
+            .call_all::<u64>(ctx, calls)
             .into_iter()
             .filter_map(|r| r.ok())
             .sum()
@@ -273,7 +272,7 @@ impl NodeFetch {
     /// nodes [`NodeFetch::node`] holds. A key the message did not
     /// resolve — missing on that replica, or the message failed — is left
     /// for [`DhtClient::finish_fetch`] to ask the next replica.
-    pub fn absorb(&mut self, m: usize, reply: Result<&Frame, &BlobError>) -> Vec<usize> {
+    pub fn absorb(&mut self, m: usize, reply: Result<MetaGetBatchResp, BlobError>) -> Vec<usize> {
         let Some((_, idxs)) = self.groups.get(m) else {
             return Vec::new();
         };
@@ -308,16 +307,13 @@ type Groups = Vec<(NodeId, Vec<usize>)>;
 /// not (missing on that replica, or the message failed) to `unresolved`.
 fn absorb(
     idxs: &[usize],
-    reply: Result<&Frame, &BlobError>,
+    reply: Result<MetaGetBatchResp, BlobError>,
     out: &mut [Option<TreeNode>],
     unresolved: &mut Vec<usize>,
     last_err: &mut Option<BlobError>,
 ) -> Vec<usize> {
     let mut resolved = Vec::with_capacity(idxs.len());
-    match reply
-        .map_err(BlobError::clone)
-        .and_then(parse_response::<MetaGetBatchResp>)
-    {
+    match reply {
         Ok(resp) if resp.nodes.len() == idxs.len() => {
             for (&i, node) in idxs.iter().zip(resp.nodes) {
                 match node {

@@ -1,59 +1,56 @@
-//! Client-side RPC: typed calls, parallel fan-out, and per-destination
-//! aggregation.
+//! Client-side RPC: typed calls, bursts of parallel calls, and
+//! per-destination aggregation.
 //!
 //! The original system "allows a single client to perform a large number
 //! of concurrent RPCs" and its custom framework "delays RPC calls to a
 //! single machine and streams all of them in a single real RPC call"
 //! (§V.A). Both are first-class here:
 //!
-//! * [`RpcClient::fan_out`] issues many calls that all *start* at the
-//!   caller's current virtual time; the caller's clock then advances to
-//!   the latest response arrival (a parallel join).
-//! * [`RpcClient::fan_out_frames`] is the same fan-out over ready-made
-//!   frames, so one burst may mix methods and destinations — a read
-//!   sends its version check in the same burst as its first metadata or
-//!   page fetch. The typed `fan_out` is a thin wrapper over it.
-//! * [`RpcClient::fan_out_with`] is the one fan-out underneath both: it
-//!   also runs the caller's own CPU work while the burst is in flight —
-//!   a write copies its first page while its plan request travels — and
-//!   reports when each reply arrived. The work may wait for some of the
-//!   burst's replies ([`Replies::wait`]) and add **late frames** to the
-//!   burst in flight ([`Replies::send`]), leaving at the work's clock —
-//!   the one way to send from inside a burst: a write weaves its tree
-//!   and sends its metadata once its version arrives, then copies and
-//!   sends its other pages, while the first page put of the same burst
-//!   is still uploading, and a read sends
-//!   each leaf message's page fetches the moment it has decoded it.
-//! * When [`AggregationPolicy::Batch`] is active, fan-out calls of one
-//!   method to one destination are coalesced into a single batch frame —
-//!   the paper's optimization, togglable so the `ablate-agg` bench can
-//!   quantify it. Calls of different methods travel apart, so a small
-//!   metadata batch never rides behind a page bound for the same node.
+//! * [`RpcClient::call`] is one call; the caller's clock moves to its
+//!   reply.
+//! * [`RpcClient::burst`] opens a [`Burst`]: a value the caller holds
+//!   while its calls are out and writes its op around as straight-line
+//!   code. [`Burst::send`] puts calls on the wire, leaving at the
+//!   caller's clock, and returns one typed [`Slot`] per call;
+//!   [`Burst::wait`] yields one slot's reply and raises the clock it is
+//!   given to that reply's arrival; [`Burst::finish`] joins the rest. The
+//!   caller's own work between those steps rides the round trips: a
+//!   write copies its first page while its plan request travels, weaves
+//!   its leaves while its version request does, and sends its metadata
+//!   and other pages — **late frames**, sent after its clock moved — while
+//!   its first page put is still uploading; a read sends each leaf's page
+//!   fetch the moment it has decoded that leaf.
+//! * When [`AggregationPolicy::Batch`] is active, the calls of one send
+//!   that share a method and a destination are coalesced into a single
+//!   batch frame — the paper's optimization, togglable so the
+//!   `ablate-agg` bench can quantify it. Calls of different methods
+//!   travel apart, so a small metadata batch never rides behind a page
+//!   bound for the same node, and calls of different sends never merge.
 //!
 //! # One path, two kinds of concurrency
 //!
-//! A fan-out is group → frame → [`Transport::call_many_with`] → scatter:
-//! one frame per real message (a lone call as itself, several as one
-//! batch), all handed to the transport at once with the caller's work.
-//! What "at once" means is the transport's business:
+//! A send is group → frame → [`Flight::send`], a wait is
+//! [`Flight::wait`] → scatter: one frame per real message (a lone call as
+//! itself, several as one batch), each reply split back onto the calls
+//! its message carried. What "on the wire" means is the transport's
+//! business ([`Transport::flight`]):
 //!
 //! * **Virtual** on the simulator and [`crate::InProcTransport`]: they
-//!   keep the defaults, the serial loop over `call` and then the work.
-//!   Every call starts at the same virtual time, the work runs on a copy
-//!   of the clock from that same time — a reply it waits for is already
-//!   there, and moves the work's clock to its arrival; a late frame is
-//!   one more `call`, starting at the work's clock — and the join is a
-//!   `max` over every reply and the work, so the cost model sees a
-//!   parallel fan-out beside the client's CPU while the host runs the
+//!   keep the default flight, a [`Transport::call`] per message at the
+//!   moment it is sent. Each message starts at the clock it was sent at;
+//!   the caller's clock moves only by its own work and by the replies it
+//!   waits for — already there, with their arrival times — and the join
+//!   is a `max` over every reply and the work, so the cost model sees a
+//!   parallel burst beside the client's CPU while the host runs the
 //!   handlers one after another, deterministically.
-//! * **Real** on [`crate::TcpTransport`]: every frame is registered and
-//!   written, then the work runs, before the first response is awaited,
-//!   so the servers work at the same time as each other and as the
-//!   client, and a fan-out costs about its slowest call, not the sum. A
-//!   reply the work waits for is read then; the rest after the work. A
-//!   late frame is written the moment the work sends it, on the
-//!   connection the burst holds for its destination. Pipelined, not
-//!   threaded — see the [`tcp`](crate::tcp) docs.
+//! * **Real** on [`crate::TcpTransport`]: a message is registered and
+//!   written when it is sent and read when it is waited for, so the
+//!   servers work at the same time as each other and as the client, and
+//!   a burst costs about its slowest call, not the sum. A late frame
+//!   rides the connection the burst holds for its destination. Dropping
+//!   a burst — an early `?` return, a panic — awaits every message still
+//!   open, so no call slot is stranded. Pipelined, not threaded — see the
+//!   [`tcp`](crate::tcp) docs.
 //!
 //! Failure stays per message on both: one destination's error reaches
 //! exactly the calls that travelled in its message, whatever methods
@@ -61,18 +58,19 @@
 
 use crate::frame::Frame;
 use crate::service::parse_response;
-use crate::transport::{Calls, Ctx, Pending, Transport, TransportResult};
+use crate::transport::{Ctx, Flight, Transport};
 use blobseer_proto::wire::Wire;
 use blobseer_proto::{BlobError, NodeId};
-use std::ops::Range;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Whether fan-out calls to one destination are coalesced.
+/// Whether the calls of one send to one destination are coalesced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AggregationPolicy {
     /// One real message per logical call.
     PerCall,
-    /// One real message per destination per fan-out (the paper's design).
+    /// One real message per destination and method per send (the
+    /// paper's design).
     #[default]
     Batch,
 }
@@ -128,224 +126,192 @@ impl RpcClient {
         parse_response(&resp)
     }
 
-    /// Parallel fan-out: every call starts at `ctx.vt`; afterwards
-    /// `ctx.vt` is the maximum response arrival (the join). Responses are
-    /// returned in input order. The typed face of
-    /// [`RpcClient::fan_out_frames`].
-    pub fn fan_out<Req: Wire, Resp: Wire>(
-        &self,
-        ctx: &mut Ctx,
-        calls: &[(NodeId, u16, Req)],
-    ) -> Vec<Result<Resp, BlobError>> {
-        let frames = calls
-            .iter()
-            .map(|(to, method, req)| (*to, Frame::from_msg(*method, req)))
-            .collect();
-        self.fan_out_frames(ctx, frames)
-            .into_iter()
-            .map(|reply| reply.and_then(|frame| parse_response(&frame)))
-            .collect()
+    /// Open an empty [`Burst`]; its sends go out on this client's
+    /// transport, from its node, under its aggregation policy.
+    pub fn burst(&self) -> Burst<'_> {
+        Burst {
+            flight: self.transport.flight(self.from),
+            batch: self.aggregation == AggregationPolicy::Batch,
+            messages: Vec::new(),
+            calls: Vec::new(),
+            latest: 0,
+        }
     }
 
-    /// Parallel fan-out of ready-made request frames, of any methods and
-    /// to any destinations; one reply frame (or error) per call, in
-    /// input order. Timing as in [`RpcClient::fan_out`].
-    ///
-    /// With [`AggregationPolicy::Batch`], calls sharing a destination
-    /// *and* a method travel in one message and their responses in one
-    /// message back. Every message of the fan-out goes to the transport
-    /// in **one** [`Transport::call_many_with`], so a transport with real
-    /// wires has them all in flight at once (see the module docs).
-    pub fn fan_out_frames(
+    /// Send `calls` as one burst and wait for every reply: each parsed as
+    /// `T`, in call order; `ctx` ends at the latest arrival.
+    pub fn call_all<T: Wire>(
         &self,
         ctx: &mut Ctx,
         calls: Vec<(NodeId, Frame)>,
-    ) -> Vec<Result<Frame, BlobError>> {
-        self.fan_out_with(ctx, calls, |_, _| ())
-            .0
-            .into_iter()
-            .map(|reply| reply.map(|(frame, _)| frame))
-            .collect()
+    ) -> Vec<Result<T, BlobError>> {
+        let mut burst = self.burst();
+        let slots = burst.send(ctx, calls);
+        let replies = burst.wait_all(ctx, slots);
+        burst.finish(ctx);
+        replies
+    }
+}
+
+/// One call of a [`Burst`]: its reply, parsed as `T`, is claimed once,
+/// by [`Burst::wait`].
+#[must_use = "a slot's reply is claimed by `Burst::wait`"]
+pub struct Slot<T> {
+    call: usize,
+    reply: PhantomData<fn() -> T>,
+}
+
+/// A burst of calls in flight, as a value (see the module docs): sent a
+/// send at a time, waited for a slot at a time, and joined by
+/// [`Burst::finish`]. Dropped before it is finished, it awaits every
+/// message still open on transports with real wires, and joins no clock.
+pub struct Burst<'t> {
+    flight: Box<dyn Flight + 't>,
+    /// Whether the calls of one send coalesce by destination and method.
+    batch: bool,
+    /// The calls each message carries, by message, until its reply is
+    /// in.
+    messages: Vec<Option<Vec<usize>>>,
+    /// Each call's reply, by call.
+    calls: Vec<Reply>,
+    /// The latest arrival of any message reply in hand.
+    latest: u64,
+}
+
+/// A call's reply as its burst holds it.
+enum Reply {
+    /// On the wire, in message `m`.
+    Flying(usize),
+    /// In hand, with its message's arrival (`None` if the message
+    /// failed).
+    Landed(Result<Frame, BlobError>, Option<u64>),
+    /// Claimed by [`Burst::wait`].
+    Taken,
+}
+
+impl Burst<'_> {
+    /// Send `calls`, leaving at `ctx`'s time — late frames, when the
+    /// caller's clock has moved since the burst's first send: on tcp
+    /// they are written now, on the connections the burst holds; on the
+    /// simulator their clock starts at the caller's. The calls of one
+    /// send coalesce by destination and method (with
+    /// [`AggregationPolicy::Batch`]), in order of first appearance, never
+    /// with another send's. Returns one slot per call, in input order.
+    pub fn send<T: Wire>(&mut self, ctx: &Ctx, calls: Vec<(NodeId, Frame)>) -> Vec<Slot<T>> {
+        let first = self.calls.len();
+        let mut groups: Vec<(_, Vec<usize>, Vec<Frame>)> = Vec::new();
+        for (i, (to, frame)) in (first..).zip(calls) {
+            // Held until its message is put on the wire below.
+            self.calls.push(Reply::Taken);
+            let key = (to, frame.method);
+            match groups.iter_mut().find(|(k, _, _)| self.batch && *k == key) {
+                Some((_, idxs, frames)) => {
+                    idxs.push(i);
+                    frames.push(frame);
+                }
+                None => groups.push((key, vec![i], vec![frame])),
+            }
+        }
+        for ((to, _), idxs, group) in groups {
+            // A lone call travels as itself, several as one batch frame;
+            // a batch that does not encode never reaches the transport.
+            let framed = match <[Frame; 1]>::try_from(group) {
+                Ok([frame]) => Ok(frame),
+                Err(group) => Frame::batch(group),
+            };
+            match framed {
+                Ok(frame) => self.put(ctx, to, frame, idxs),
+                Err(e) => {
+                    let e = BlobError::Codec(e);
+                    for i in idxs {
+                        self.calls[i] = Reply::Landed(Err(e.clone()), None);
+                    }
+                }
+            }
+        }
+        (first..self.calls.len()).map(Slot::new).collect()
     }
 
-    /// [`RpcClient::fan_out_frames`] with the caller's own `work` run
-    /// while the burst is in flight, and each reply's virtual arrival
-    /// time: a caller whose burst carries independent legs learns when
-    /// each of them finished, not just the join.
-    ///
-    /// Every call starts at `ctx.vt`. `work` runs once, on the calling
-    /// thread, after the burst is sent and before the rest of it is
-    /// awaited (see [`Transport::call_many_with`]), on a copy of the clock
-    /// from the same start, so its charges overlap the round trips
-    /// instead of following them. Through its [`Replies`] it may wait for
-    /// some calls — on tcp that blocks until the reply is read, on the
-    /// simulator the reply is already there — and raise its clock to
-    /// their arrival, and it may add late frames to the burst from there
-    /// ([`Replies::send`]). The replies come back by call index: the
-    /// initial calls in input order, then each send's. Afterwards
-    /// `ctx.vt` is the latest of every reply, late ones included, and the
-    /// work's end. A transport that did not run the work (none here)
-    /// leaves it to run after the burst.
-    pub fn fan_out_with<T>(
-        &self,
+    /// Send one call, as a message of its own (see [`Burst::send`]).
+    pub fn call<T: Wire>(&mut self, ctx: &Ctx, (to, frame): (NodeId, Frame)) -> Slot<T> {
+        let call = self.calls.len();
+        self.calls.push(Reply::Taken);
+        self.put(ctx, to, frame, vec![call]);
+        Slot::new(call)
+    }
+
+    /// The reply of `slot`'s call, parsed: waits for the message that
+    /// carries it if that is still in flight, and raises `ctx` to the
+    /// message's arrival.
+    pub fn wait<T: Wire>(&mut self, ctx: &mut Ctx, slot: Slot<T>) -> Result<T, BlobError> {
+        if let Some(&Reply::Flying(m)) = self.calls.get(slot.call) {
+            self.land(m);
+        }
+        let reply = self.calls.get_mut(slot.call);
+        let Some(Reply::Landed(reply, arrival)) = reply.map(|r| std::mem::replace(r, Reply::Taken))
+        else {
+            return Err(BlobError::Internal("transport dropped a reply"));
+        };
+        if let Some(at) = arrival {
+            ctx.vt = ctx.vt.max(at);
+        }
+        reply.and_then(|frame| parse_response(&frame))
+    }
+
+    /// [`Burst::wait`] for each of `slots`, in turn: their replies, in
+    /// slot order.
+    pub fn wait_all<T: Wire>(
+        &mut self,
         ctx: &mut Ctx,
-        calls: Vec<(NodeId, Frame)>,
-        mut work: impl FnMut(&mut Ctx, &mut Replies<'_, '_>) -> T,
-    ) -> (Vec<TransportResult>, T) {
-        let batch = self.aggregation == AggregationPolicy::Batch;
-        let mut results = Vec::new();
-        let (frames, mut sent): (Vec<_>, Vec<_>) =
-            group(batch, calls, &mut results).into_iter().unzip();
+        slots: Vec<Slot<T>>,
+    ) -> Vec<Result<T, BlobError>> {
+        slots.into_iter().map(|slot| self.wait(ctx, slot)).collect()
+    }
 
-        // Send, work (waiting for what it asks for, sending what it
-        // sends), wait for the rest; then scatter each reply back onto
-        // its message's call indices.
-        let mut worker = *ctx;
-        let mut run = |pending: &mut Pending<'_>| {
-            work(
-                &mut worker,
-                &mut Replies {
-                    pending,
-                    batch,
-                    sent: &mut sent,
-                    results: &mut results,
-                },
-            )
+    /// Wait for every message still in flight and raise `ctx` to the
+    /// latest arrival of any reply this burst received: the join.
+    /// Replies no slot claimed are dropped.
+    pub fn finish(mut self, ctx: &mut Ctx) {
+        for m in 0..self.messages.len() {
+            self.land(m);
+        }
+        ctx.vt = ctx.vt.max(self.latest);
+    }
+
+    /// Put one message, carrying the calls `idxs`, on the wire.
+    fn put(&mut self, ctx: &Ctx, to: NodeId, frame: Frame, idxs: Vec<usize>) {
+        self.flight.send(to, ctx.vt, frame);
+        for &i in &idxs {
+            self.calls[i] = Reply::Flying(self.messages.len());
+        }
+        self.messages.push(Some(idxs));
+    }
+
+    /// Wait for message `m`, unless it is already in, and scatter its
+    /// reply onto the calls it carried.
+    fn land(&mut self, m: usize) {
+        let Some(idxs) = self.messages.get_mut(m).and_then(Option::take) else {
+            return;
         };
-        let mut worked = None;
-        let mut replies =
-            self.transport
-                .call_many_with(self.from, ctx.vt, frames, &mut |pending| {
-                    worked = Some(run(pending));
-                });
-        let worked = match worked {
-            Some(worked) => worked,
-            None => {
-                let mut calls = Calls {
-                    transport: self.transport.as_ref(),
-                    from: self.from,
-                };
-                let mut pending = Pending::ready(replies, &mut calls);
-                let worked = run(&mut pending);
-                replies = pending.finish();
-                worked
+        let (per_call, arrival) = match self.flight.wait(m) {
+            Ok((resp, vt)) => {
+                self.latest = self.latest.max(vt);
+                (scatter(resp, idxs.len()), Some(vt))
             }
+            Err(e) => (fail_all(&e, idxs.len()), None),
         };
-        ctx.join(worker);
-        let short = || Err(BlobError::Internal("transport dropped a reply"));
-        let replies = replies.into_iter().chain(std::iter::repeat_with(short));
-        for (idxs, reply) in sent.iter().zip(replies) {
-            if let Ok((_, vt)) = &reply {
-                ctx.vt = ctx.vt.max(*vt);
-            }
-            place(&mut results, idxs, reply);
+        for (i, reply) in idxs.into_iter().zip(per_call) {
+            self.calls[i] = Reply::Landed(reply, arrival);
         }
-        let results = results.into_iter().map(|r| r.unwrap_or_else(short));
-        (results.collect(), worked)
     }
 }
 
-/// Group → frame: append `calls` to a fan-out whose call results are
-/// `results`, and return the messages that carry them, each with its
-/// call indices. Calls sharing a destination and a method travel in one
-/// message when `batch`, in order of first appearance; a lone call
-/// travels as itself, several as one batch frame, and a batch that does
-/// not encode never reaches the transport: its calls fail here.
-fn group(
-    batch: bool,
-    calls: Vec<(NodeId, Frame)>,
-    results: &mut Vec<Option<TransportResult>>,
-) -> Vec<((NodeId, Frame), Vec<usize>)> {
-    let first = results.len();
-    results.extend(calls.iter().map(|_| None));
-    let mut groups: Vec<(_, Vec<usize>, Vec<Frame>)> = Vec::new();
-    for (i, (to, frame)) in (first..).zip(calls) {
-        let key = (to, frame.method);
-        match groups.iter_mut().find(|(k, _, _)| batch && *k == key) {
-            Some((_, idxs, frames)) => {
-                idxs.push(i);
-                frames.push(frame);
-            }
-            None => groups.push((key, vec![i], vec![frame])),
+impl<T> Slot<T> {
+    fn new(call: usize) -> Self {
+        Self {
+            call,
+            reply: PhantomData,
         }
-    }
-    let mut messages = Vec::with_capacity(groups.len());
-    for ((to, _), idxs, group) in groups {
-        let framed = match <[Frame; 1]>::try_from(group) {
-            Ok([frame]) => Ok(frame),
-            Err(group) => Frame::batch(group),
-        };
-        match framed {
-            Ok(frame) => messages.push(((to, frame), idxs)),
-            Err(e) => place(results, &idxs, Err(BlobError::Codec(e))),
-        }
-    }
-    messages
-}
-
-/// A fan-out's replies as its work sees them while the burst is in
-/// flight (see [`RpcClient::fan_out_with`]), by call index: the burst's
-/// calls in input order, then the calls of each [`Replies::send`].
-pub struct Replies<'r, 'p> {
-    pending: &'r mut Pending<'p>,
-    /// Whether calls of one send coalesce by destination and method.
-    batch: bool,
-    /// The call indices each message carries, by message.
-    sent: &'r mut Vec<Vec<usize>>,
-    results: &'r mut Vec<Option<TransportResult>>,
-}
-
-impl Replies<'_, '_> {
-    /// Call `i`'s reply and its arrival time (`i` below the fan-out's
-    /// call count, sent calls included). Waits for the message that
-    /// carries it if it is still in flight, splits that message's reply
-    /// onto its calls, and raises `ctx` to the reply's arrival.
-    pub fn wait(&mut self, ctx: &mut Ctx, i: usize) -> &TransportResult {
-        if self.results[i].is_none() {
-            if let Some(m) = self.sent.iter().position(|idxs| idxs.contains(&i)) {
-                let reply = self.pending.wait(m).clone();
-                place(self.results, &self.sent[m], reply);
-            }
-        }
-        let reply = self.results[i]
-            .get_or_insert_with(|| Err(BlobError::Internal("transport dropped a reply")));
-        if let Ok((_, vt)) = reply {
-            ctx.vt = ctx.vt.max(*vt);
-        }
-        reply
-    }
-
-    /// Add `calls` to the burst in flight as late frames, leaving at
-    /// `ctx`'s time: on tcp they are written now, on the connections the
-    /// burst holds; on the simulator their clock starts at the work's,
-    /// not the burst's. The calls of one send coalesce by destination
-    /// and method exactly as a fan-out's do, never with another send's
-    /// or the burst's own. Returns their call indices, in input order,
-    /// after every earlier call's; the fan-out returns their replies
-    /// after its initial calls', and the join covers them.
-    pub fn send(&mut self, ctx: &Ctx, calls: Vec<(NodeId, Frame)>) -> Range<usize> {
-        let first = self.results.len();
-        for ((to, frame), idxs) in group(self.batch, calls, self.results) {
-            let m = self.pending.send(to, ctx.vt, frame);
-            debug_assert_eq!(m, self.sent.len(), "messages and their calls line up");
-            self.sent.push(idxs);
-        }
-        first..self.results.len()
-    }
-}
-
-/// Scatter the reply to a message onto the calls it carried, `idxs`,
-/// leaving any call that already has its reply as it is.
-fn place(results: &mut [Option<TransportResult>], idxs: &[usize], reply: TransportResult) {
-    let per_call = match reply {
-        Ok((resp, vt)) => scatter(resp, idxs.len())
-            .into_iter()
-            .map(|r| r.map(|frame| (frame, vt)))
-            .collect(),
-        Err(e) => fail_all(&e, idxs.len()),
-    };
-    for (&i, reply) in idxs.iter().zip(per_call) {
-        results[i].get_or_insert(reply);
     }
 }
 
@@ -385,6 +351,13 @@ mod tests {
         }
     }
 
+    fn frames(calls: &[(NodeId, u16, u64)]) -> Vec<(NodeId, Frame)> {
+        calls
+            .iter()
+            .map(|(to, method, x)| (*to, Frame::from_msg(*method, x)))
+            .collect()
+    }
+
     fn setup() -> (Arc<InProcTransport>, NodeId, NodeId, NodeId) {
         let t = Arc::new(InProcTransport::new());
         let client = t.add_node();
@@ -413,7 +386,7 @@ mod tests {
             let calls: Vec<(NodeId, u16, u64)> = (0..10)
                 .map(|i| (if i % 2 == 0 { a } else { b }, 1, i as u64))
                 .collect();
-            let resps = rpc.fan_out::<u64, u64>(&mut ctx, &calls);
+            let resps = rpc.call_all::<u64>(&mut ctx, frames(&calls));
             for (i, r) in resps.iter().enumerate() {
                 assert_eq!(*r.as_ref().unwrap(), i as u64 + 1, "policy {policy:?}");
             }
@@ -430,12 +403,12 @@ mod tests {
         let rpc =
             RpcClient::new(Arc::clone(&t) as _, c).with_aggregation(AggregationPolicy::PerCall);
         let before = t.message_count();
-        rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+        rpc.call_all::<u64>(&mut Ctx::start(), frames(&calls));
         assert_eq!(t.message_count() - before, 8);
 
         let rpc = RpcClient::new(Arc::clone(&t) as _, c).with_aggregation(AggregationPolicy::Batch);
         let before = t.message_count();
-        rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+        rpc.call_all::<u64>(&mut Ctx::start(), frames(&calls));
         assert_eq!(t.message_count() - before, 2, "one message per destination");
     }
 
@@ -452,20 +425,14 @@ mod tests {
             (a, Frame::from_msg(7, &30u64)),
         ];
         let before = t.message_count();
-        let replies = rpc.fan_out_frames(&mut Ctx::start(), calls);
+        let replies = rpc.call_all::<u64>(&mut Ctx::start(), calls);
         assert_eq!(
             t.message_count() - before,
             3,
             "one message per destination and method"
         );
-        let got: Vec<(u16, u64)> = replies
-            .iter()
-            .map(|r| {
-                let f = r.as_ref().unwrap();
-                (f.method, parse_response(f).unwrap())
-            })
-            .collect();
-        assert_eq!(got, vec![(1, 11), (1, 21), (7, 31)]);
+        let got: Vec<u64> = replies.into_iter().map(Result::unwrap).collect();
+        assert_eq!(got, vec![11, 21, 31]);
     }
 
     #[test]
@@ -494,13 +461,10 @@ mod tests {
             (a, Frame::from_msg(1, &40u64)),
         ];
         let before = t.message_count();
-        let replies = rpc.fan_out_frames(&mut Ctx::start(), calls);
+        let replies = rpc.call_all::<u64>(&mut Ctx::start(), calls);
         assert_eq!(t.message_count() - before, 2, "one message per method");
         assert_eq!(*log.0.lock(), vec![7, 7, 1, 1], "messages in call order");
-        let got: Vec<u64> = replies
-            .iter()
-            .map(|r| parse_response(r.as_ref().unwrap()).unwrap())
-            .collect();
+        let got: Vec<u64> = replies.into_iter().map(Result::unwrap).collect();
         assert_eq!(got, vec![11, 21, 31, 41], "replies in call order");
     }
 
@@ -530,8 +494,7 @@ mod tests {
         let s = t.add_node();
         t.bind(s, Arc::new(Huge));
         let rpc = RpcClient::new(t, c).with_aggregation(AggregationPolicy::Batch);
-        let calls: Vec<(NodeId, u16, u64)> = vec![(s, 1, 1), (s, 1, 2)];
-        let resps = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+        let resps = rpc.call_all::<u64>(&mut Ctx::start(), frames(&[(s, 1, 1), (s, 1, 2)]));
         for r in &resps {
             let err = r.as_ref().unwrap_err();
             assert!(

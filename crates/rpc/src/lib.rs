@@ -2,15 +2,16 @@
 //!
 //! The lightweight RPC framework of the system (paper §V.A): typed
 //! request/response calls over a pluggable [`Transport`], massive
-//! client-side parallelism via [`RpcClient::fan_out`], and per-destination
-//! **call aggregation** — the original system's custom optimization that
+//! client-side parallelism via [`Burst`], and per-destination **call
+//! aggregation** — the original system's custom optimization that
 //! "delays RPC calls to a single machine and streams all of them in a
-//! single real RPC call". A fan-out reaches the transport as one
-//! [`Transport::call_many_with`], which also runs the caller's own work
-//! while the calls are out — work that may add late frames to the burst
-//! in flight ([`Pending::send`], [`Replies::send`]), the one way to send
-//! from inside a burst: concurrent in virtual time on the simulator (the
-//! serial default, joined with `max`), concurrent on the wire over tcp
+//! single real RPC call". A burst is a value the caller holds while its
+//! calls are out ([`RpcClient::burst`]): it sends calls, late frames
+//! included, at the caller's clock ([`Burst::send`]), yields each reply
+//! through a typed [`Slot`] ([`Burst::wait`]) and joins the rest
+//! ([`Burst::finish`]), so the caller's own work runs between them:
+//! concurrent in virtual time on the simulator (a `call` per message at
+//! send time, joined with `max`), concurrent on the wire over tcp
 //! (pipelined on the multiplexed sockets — see [`client`]).
 //!
 //! Virtual time: every call carries the caller's clock ([`Ctx`]) and every
@@ -47,7 +48,7 @@ pub use admission::{
     AdmissionControlled, AdmissionGate, AdmissionMode, AdmissionOptions, AdmissionStats,
     OwnedPermit,
 };
-pub use client::{AggregationPolicy, Replies, RpcClient};
+pub use client::{AggregationPolicy, Burst, RpcClient, Slot};
 pub use frame::{Frame, FRAME_HEADER_BYTES, MAX_FRAME_BODY, METHOD_BATCH};
 pub use retry::RetryPolicy;
 pub use route::ShardRouter;
@@ -58,4 +59,4 @@ pub use tcp::{
     encode_wire_frame, read_wire_frame, TcpOptions, TcpTransport, CTRL_CORR, CTRL_SHED,
     MAX_WIRE_FRAME, SHED_RETRY_HINT_MS,
 };
-pub use transport::{Ctx, InProcTransport, Pending, Transport, TransportResult};
+pub use transport::{Ctx, Flight, InProcTransport, Transport, TransportResult};

@@ -39,7 +39,7 @@
 //!   connection's other waiters so that one of them takes over. A caller
 //!   that finds the role taken parks on its slot. So any number of calls
 //!   share a socket concurrently — other threads' calls and, within one
-//!   fan-out, the caller's own (below) — and the usual call, alone on
+//!   burst, the caller's own (below) — and the usual call, alone on
 //!   its connection, is woken exactly once, by its own reply. A
 //!   connection error fails *every* call in flight on it with the same
 //!   typed error, never a hang.
@@ -52,54 +52,46 @@
 //!   holds the reactor to a fixed thread count and a bound on resident
 //!   bytes per connection.
 //!
-//! # Fan-out is pipelined, not threaded
+//! # A burst is pipelined, not threaded
 //!
 //! A call is three steps: **register** a completion slot under a fresh
 //! correlation id, **gather-write** the frame, then **read or park** —
 //! wait on the connection until the slot is filled, as its reader or
-//! behind it. [`Transport::call_many`] — what `RpcClient::fan_out`
-//! hands a whole fan-out to — runs the first two steps for every frame
-//! and only then the third, slot by slot in input order, so every call
-//! of a fan-out is on the wire before the caller waits for the first
-//! response. [`Transport::call_many_with`] is the same burst with the
-//! caller's own work run between the second step and the third, so that
-//! work rides the round trip (`call_many` is it with no work); a slot
-//! the work waits for runs its third step then, the others after the
-//! work. A **late frame** the work sends ([`Pending::send`]) runs the
-//! first two steps at once, on the connections the burst holds, and its
-//! third with the rest: it pipelines behind the burst's own calls
-//! instead of dialing beside them, which a burst started from inside
-//! the work would have to, since this one's connections are busy until
-//! read. Whoever
-//! holds a connection's read role fills its slots in whatever order the
-//! server answers — the burst's own later slots included, which it
-//! simply finds filled when it reaches them; and while it reads one
-//! connection, the replies on the others wait in their sockets. No
-//! thread is spawned per client or per fan-out, no frame is copied, and
+//! behind it. A [`Burst`](crate::Burst) splits them: each message runs
+//! the first two the moment it is sent ([`Transport::flight`]) and the
+//! third only when the caller waits for it, so every call a burst has
+//! sent is on the wire while the caller works or waits for the first
+//! response. A **late frame** — sent after the caller's clock moved —
+//! is no different: it pipelines on the connections the burst holds
+//! instead of dialing beside them, which a second burst opened beside
+//! this one would have to, since these connections are busy until read.
+//! Whoever holds a connection's read role fills its slots in whatever
+//! order the server answers — the burst's own later slots included,
+//! which it simply finds filled when it reaches them; and while it reads
+//! one connection, the replies on the others wait in their sockets. No
+//! thread is spawned per client or per burst, no frame is copied, and
 //! `call` is the same code with one frame. The rules:
 //!
 //! * **Faults stay per call.** A frame that cannot be sent (codec
 //!   refusal, dead or shedding destination, reset mid-write), late or
 //!   not, fails its own call; every slot submitted before and after it
-//!   is still awaited — even when the work panics — so nothing is
-//!   stranded and nothing hangs. A connection
-//!   error still fails every call in flight *on that connection* — with
-//!   its typed error, `Overload` hint included.
-//! * **What a burst does to the pool.** Connections are picked for the
-//!   whole burst in one pass under the pool lock, one per distinct
-//!   destination, by the single-call rule (least-loaded live connection
-//!   if it is idle or the pool is at its cap; otherwise dial, outside
-//!   the lock). The burst then *holds* that connection: its further
-//!   calls to the same destination, late frames included, pipeline on
-//!   it, up to [`TcpOptions::max_conn_inflight`] deep, instead of reading
-//!   their own earlier calls as "busy" and dialing a socket each. A late
-//!   frame to a destination the burst does not hold yet takes one by the
-//!   same rule, and the burst holds it from then on. A 16-call
+//!   is still awaited — when the burst is dropped unfinished, by an
+//!   early return or a panic, too — so nothing is stranded and nothing
+//!   hangs. A connection error still fails every call in flight *on that
+//!   connection* — with its typed error, `Overload` hint included.
+//! * **What a burst does to the pool.** A burst's first message to a
+//!   destination picks its connection by the single-call rule
+//!   (least-loaded live connection if it is idle or the pool is at its
+//!   cap; otherwise dial, outside the pool lock). The burst then *holds*
+//!   that connection: its further calls to the same destination, late
+//!   frames included, pipeline on it, up to
+//!   [`TcpOptions::max_conn_inflight`] deep, instead of reading their own
+//!   earlier calls as "busy" and dialing a socket each. A 16-call
 //!   unaggregated burst to one node uses one connection; two client
 //!   threads bursting at one node use two.
-//! * **Order.** Frames to one destination leave in input order on one
-//!   connection; responses may complete in any order and are returned in
-//!   input order.
+//! * **Order.** Frames to one destination leave in send order on one
+//!   connection; responses may complete in any order, each into its own
+//!   slot.
 //!
 //! # Wire envelope (v2)
 //!
@@ -178,12 +170,12 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::transport::{Flight, Pending, Transport, TransportResult};
+use crate::transport::{Flight, Transport, TransportResult};
 
 mod mux;
 mod reactor;
@@ -445,7 +437,7 @@ impl TcpTransport {
     }
 
     /// Calls registered and not yet resolved on the pooled connections to
-    /// `node` (white-box metric: fault tests assert a fan-out leaves no
+    /// `node` (white-box metric: fault tests assert a burst leaves no
     /// slot behind on the connections that survive it).
     pub fn inflight_calls(&self, node: NodeId) -> usize {
         let map = self.mux.lock();
@@ -490,7 +482,7 @@ impl TcpTransport {
     /// holds).
     fn burst_conn(
         &self,
-        burst: &mut Burst,
+        burst: &mut Conns,
         to: NodeId,
         addr: SocketAddr,
     ) -> Result<Arc<MuxConn>, BlobError> {
@@ -509,7 +501,7 @@ impl TcpTransport {
     /// connection to `to`, then gather-write the frame. Does not wait.
     fn submit(
         &self,
-        burst: &mut Burst,
+        burst: &mut Conns,
         to: NodeId,
         vt: u64,
         frame: &Frame,
@@ -568,93 +560,59 @@ struct InFlight {
 
 /// The connections one burst holds, by destination: its own calls
 /// pipeline on them instead of counting as "busy" under the pool rule.
-type Burst = Vec<(NodeId, Arc<MuxConn>)>;
+type Conns = Vec<(NodeId, Arc<MuxConn>)>;
 
 impl Transport for TcpTransport {
     fn call(&self, _from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
-        let sent = self.submit(&mut Burst::new(), to, vt, &frame)?;
+        let sent = self.submit(&mut Conns::new(), to, vt, &frame)?;
         self.complete(sent)
     }
 
-    /// [`Transport::call_many_with`] with no work: the one burst path.
-    fn call_many(
-        &self,
-        from: NodeId,
-        vt: u64,
-        calls: Vec<(NodeId, Frame)>,
-    ) -> Vec<TransportResult> {
-        self.call_many_with(from, vt, calls, &mut |_| {})
-    }
-
-    /// Pipelined: every frame is registered and written, then `work`
-    /// runs, then each response is awaited, so the calls are served
-    /// concurrently with each other and with the caller's work. A reply
-    /// the work waits for is completed on demand; the rest after the
-    /// work. A late frame the work sends is registered and written at
-    /// once, on the connection the burst holds for its destination (or
-    /// one the pool rule gives, which the burst then holds), and awaited
-    /// with the rest. No thread is spawned — whoever reads a connection
-    /// fills its slots in whatever order responses arrive, and a slot
-    /// this burst reaches later is simply found filled.
-    fn call_many_with(
-        &self,
-        _from: NodeId,
-        vt: u64,
-        calls: Vec<(NodeId, Frame)>,
-        work: &mut dyn FnMut(&mut Pending<'_>),
-    ) -> Vec<TransportResult> {
-        // One pass under the pool lock: a usable pooled connection per
-        // distinct destination. Destinations left without one dial as
-        // their first frame is submitted.
-        let mut burst = Burst::new();
-        {
-            let mut map = self.mux.lock();
-            for (to, _) in &calls {
-                if !burst.iter().any(|(dest, _)| dest == to) {
-                    burst.extend(self.pooled(&mut map, *to).map(|conn| (*to, conn)));
-                }
-            }
-        }
-        burst.retain(|(_, conn)| conn.checkout());
-        let mut flight = Flying {
+    /// Pipelined: each message is registered and written when it is
+    /// sent, on the connection the burst holds for its destination (or
+    /// one the pool rule gives, which the burst then holds), and its
+    /// response is awaited when it is waited for. No thread is spawned —
+    /// whoever reads a connection fills its slots in whatever order
+    /// responses arrive, and a slot this burst waits for later is simply
+    /// found filled.
+    fn flight(&self, _from: NodeId) -> Box<dyn Flight + '_> {
+        Box::new(Flying {
             transport: self,
-            burst,
-            sent: Vec::with_capacity(calls.len()),
-        };
-        for (to, frame) in calls {
-            flight.send(to, vt, frame);
-        }
-        let mut pending = Pending::new(flight.sent.len(), &mut flight);
-        // A slot nobody awaits stays registered, its connection counted
-        // busy, until another caller happens to read its reply: every
-        // one, late frames included, is awaited before a panic in `work`
-        // goes on up.
-        let worked = catch_unwind(AssertUnwindSafe(|| work(&mut pending)));
-        let replies = pending.finish();
-        worked.map_or_else(|panic| resume_unwind(panic), |()| replies)
+            conns: Conns::new(),
+            sent: Vec::new(),
+        })
     }
 }
 
-/// A burst on the wire: the connections it holds and its calls, by
-/// message. A frame that fails to go out costs only its own call: every
-/// slot submitted before and after it is still awaited.
+/// A burst on the wire: the connections it holds and its messages. A
+/// frame that fails to go out costs only its own message; dropping the
+/// burst awaits every message still open, so none is left registered —
+/// its connection counted busy — until another caller happens to read
+/// its reply.
 struct Flying<'t> {
     transport: &'t TcpTransport,
-    burst: Burst,
+    conns: Conns,
     sent: Vec<Option<Result<InFlight, BlobError>>>,
 }
 
 impl Flight for Flying<'_> {
-    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> Option<TransportResult> {
-        let sent = self.transport.submit(&mut self.burst, to, vt, &frame);
+    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) {
+        let sent = self.transport.submit(&mut self.conns, to, vt, &frame);
         self.sent.push(Some(sent));
-        None
     }
 
-    fn complete(&mut self, i: usize) -> TransportResult {
-        match self.sent.get_mut(i).and_then(Option::take) {
+    fn wait(&mut self, m: usize) -> TransportResult {
+        match self.sent.get_mut(m).and_then(Option::take) {
             Some(sent) => self.transport.complete(sent?),
             None => Err(BlobError::Internal("reply completed twice")),
+        }
+    }
+}
+
+impl Drop for Flying<'_> {
+    fn drop(&mut self) {
+        for sent in self.sent.iter_mut().filter_map(Option::take).flatten() {
+            let _ = self.transport.complete(sent);
         }
     }
 }
@@ -948,9 +906,9 @@ mod tests {
     fn batch_travels_as_one_message_per_destination() {
         let (t, c, s) = setup();
         let rpc = RpcClient::new(Arc::clone(&t) as _, c);
-        let calls: Vec<(NodeId, u16, u64)> = (0..8).map(|i| (s, 1, i as u64)).collect();
+        let calls = (0..8u64).map(|i| (s, Frame::from_msg(1, &i))).collect();
         let before = t.message_count();
-        let resps = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+        let resps = rpc.call_all::<u64>(&mut Ctx::start(), calls);
         for (i, r) in resps.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i as u64 + 1);
         }

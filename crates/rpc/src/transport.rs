@@ -5,6 +5,14 @@
 //! `blobseer-simnet` provides the cluster transport with NIC/CPU/latency
 //! modelling; [`InProcTransport`] here is the trivial implementation used
 //! by unit tests and by embedded (single-process) deployments.
+//!
+//! A burst of calls ([`crate::Burst`]) reaches the transport as a
+//! [`Flight`]: its messages go out one by one, each when the caller sends
+//! it, and come back when the caller waits for them. The default flight
+//! is [`Transport::call`] at send time, so a transport or decorator that
+//! implements only `call` carries bursts unedited; a transport with real
+//! wires overrides [`Transport::flight`] to keep many messages on the
+//! wire at once.
 
 use crate::frame::Frame;
 use crate::service::{dispatch_frame, ServerCtx, Service};
@@ -14,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Client-side virtual-time context. Threads one logical caller's clock
-/// through its sequence of RPCs; parallel fan-outs join with `max`.
+/// through its sequence of RPCs; the calls of a burst join with `max`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Ctx {
     /// Current virtual time (ns since simulation start).
@@ -50,139 +58,56 @@ pub trait Transport: Send + Sync {
     /// returns the response frame and its arrival time back at `from`.
     fn call(&self, from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult;
 
-    /// Deliver every frame of one fan-out, each starting at virtual time
-    /// `vt`; results come back in input order, one per call, and one
-    /// call's failure never fails another.
+    /// The transport's side of one burst sent from `from`.
     ///
-    /// The default is the serial loop over [`Transport::call`]: right for
-    /// transports whose concurrency lives in the virtual clock (the
-    /// simulator, [`InProcTransport`]) and for decorators that only wrap
-    /// `call`. A transport with real wires overrides it to put every
-    /// frame in flight before it waits for the first response.
-    fn call_many(
-        &self,
-        from: NodeId,
-        vt: u64,
-        calls: Vec<(NodeId, Frame)>,
-    ) -> Vec<TransportResult> {
-        calls
-            .into_iter()
-            .map(|(to, frame)| self.call(from, to, vt, frame))
-            .collect()
-    }
-
-    /// [`Transport::call_many`] with the caller's `work` run once between
-    /// sending the burst and waiting for it, on the calling thread. The
-    /// work gets the burst's [`Pending`] replies: [`Pending::wait`] yields
-    /// message `i`'s reply, so the work may act on part of its burst, and
-    /// [`Pending::send`] adds a **late frame** to the burst in flight —
-    /// the one way to send from inside a burst.
-    ///
-    /// The default is `call_many` followed by the work over the replies
-    /// it already holds, a late frame going through [`Transport::call`]
-    /// at the work's clock: the virtual clock models the overlap itself,
-    /// so the simulator, [`InProcTransport`] and any decorator that wraps
-    /// only `call` keep it. A transport with real wires overrides it to
-    /// put every frame in flight, run `work` (completing a message the
-    /// moment `wait` asks for it, and putting a late frame on the wire
-    /// the moment it is sent), then wait for the rest — and must await
-    /// every call it sent, late frames included, even if `work` panics.
-    fn call_many_with(
-        &self,
-        from: NodeId,
-        vt: u64,
-        calls: Vec<(NodeId, Frame)>,
-        work: &mut dyn FnMut(&mut Pending<'_>),
-    ) -> Vec<TransportResult> {
-        let replies = self.call_many(from, vt, calls);
-        let mut calls = Calls {
+    /// The default sends each message through [`Transport::call`] the
+    /// moment it is sent, and hands its reply over when it is waited
+    /// for: right for transports whose concurrency lives in the virtual
+    /// clock (the simulator, [`InProcTransport`]) — every message starts
+    /// at the clock it was sent at and the caller joins with `max` — and
+    /// for decorators that only wrap `call`. A transport with real wires
+    /// overrides it to put each message on the wire at send time and read
+    /// its reply at wait time; such a flight must await every message it
+    /// sent when it is dropped, so a burst abandoned by an early return or
+    /// a panic strands nothing.
+    fn flight(&self, from: NodeId) -> Box<dyn Flight + '_> {
+        Box::new(Serial {
             transport: self,
             from,
-        };
-        let mut pending = Pending::ready(replies, &mut calls);
-        work(&mut pending);
-        pending.finish()
+            replies: Vec::new(),
+        })
     }
 }
 
-/// A burst in flight, as its [`Pending`] drives it: a transport's side
-/// of [`Pending::send`] and [`Pending::wait`].
-pub(crate) trait Flight {
-    /// Put a late frame to `to` on the wire at virtual time `vt`: its
-    /// reply, if the transport already has it, or `None` while it is in
-    /// flight.
-    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> Option<TransportResult>;
+/// One burst's messages as a transport carries them (see
+/// [`Transport::flight`]), numbered in the order they were sent.
+pub trait Flight {
+    /// Send `frame` to `to`, leaving at virtual time `vt`, as the burst's
+    /// next message.
+    fn send(&mut self, to: NodeId, vt: u64, frame: Frame);
 
-    /// Wait for the reply to message `i`, one that was sent in flight;
+    /// The reply to message `m`, waiting for it if it is still in flight;
     /// asked at most once per message.
-    fn complete(&mut self, i: usize) -> TransportResult;
+    fn wait(&mut self, m: usize) -> TransportResult;
 }
 
-/// A burst whose replies are all in hand: a late frame goes through
-/// [`Transport::call`], so its reply is in hand too.
-pub(crate) struct Calls<'t, T: ?Sized> {
-    pub transport: &'t T,
-    pub from: NodeId,
-}
-
-impl<T: Transport + ?Sized> Flight for Calls<'_, T> {
-    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> Option<TransportResult> {
-        Some(self.transport.call(self.from, to, vt, frame))
-    }
-
-    fn complete(&mut self, _: usize) -> TransportResult {
-        Err(BlobError::Internal("transport dropped a reply"))
-    }
-}
-
-/// The replies of a burst whose caller's work is running (see
-/// [`Transport::call_many_with`]), one per message: the burst's own in
-/// input order, then the work's late frames in the order it sent them.
-pub struct Pending<'a> {
+/// The default flight: each message is a [`Transport::call`] at send
+/// time, its reply held until it is waited for.
+struct Serial<'t, T: ?Sized> {
+    transport: &'t T,
+    from: NodeId,
     replies: Vec<Option<TransportResult>>,
-    flight: &'a mut dyn Flight,
 }
 
-impl<'a> Pending<'a> {
-    /// A burst whose replies are all in hand.
-    pub(crate) fn ready(replies: Vec<TransportResult>, flight: &'a mut dyn Flight) -> Self {
-        Self {
-            replies: replies.into_iter().map(Some).collect(),
-            flight,
-        }
+impl<T: Transport + ?Sized> Flight for Serial<'_, T> {
+    fn send(&mut self, to: NodeId, vt: u64, frame: Frame) {
+        let reply = self.transport.call(self.from, to, vt, frame);
+        self.replies.push(Some(reply));
     }
 
-    /// A burst of `n` messages still in flight.
-    pub(crate) fn new(n: usize, flight: &'a mut dyn Flight) -> Self {
-        Self {
-            replies: (0..n).map(|_| None).collect(),
-            flight,
-        }
-    }
-
-    /// Send a **late frame**: `frame` to `to`, leaving at virtual time
-    /// `vt` — the work's clock, not the burst's start — as one more
-    /// message of this burst, awaited with the rest. Returns its message
-    /// index, after every message sent before it.
-    pub fn send(&mut self, to: NodeId, vt: u64, frame: Frame) -> usize {
-        let reply = self.flight.send(to, vt, frame);
-        self.replies.push(reply);
-        self.replies.len() - 1
-    }
-
-    /// Message `i`'s reply (`i` below the burst's message count, late
-    /// frames included), waiting for it if it is still in flight.
-    pub fn wait(&mut self, i: usize) -> &TransportResult {
-        let flight = &mut self.flight;
-        self.replies[i].get_or_insert_with(|| flight.complete(i))
-    }
-
-    /// Every reply in message order, waiting for those not yet asked for.
-    pub(crate) fn finish(mut self) -> Vec<TransportResult> {
-        for i in 0..self.replies.len() {
-            self.wait(i);
-        }
-        self.replies.into_iter().flatten().collect()
+    fn wait(&mut self, m: usize) -> TransportResult {
+        let reply = self.replies.get_mut(m).and_then(Option::take);
+        reply.unwrap_or(Err(BlobError::Internal("reply completed twice")))
     }
 }
 

@@ -1,11 +1,12 @@
-//! The caller's own work rides a burst's round trips
-//! (`Transport::call_many_with`, `RpcClient::fan_out_with`): on tcp it
-//! runs in wall-clock time while the calls are on the wire, and waiting
-//! for one call does not wait for the rest; on the simulator the work's
-//! clock moves to a reply it waits for, a burst it starts leaves from
-//! there, and the caller ends at the latest of every reply and the work;
-//! and no failure while the work runs — its own panic, or a destination
-//! resetting, even under a nested burst — strands a call slot.
+//! A burst is a value (`RpcClient::burst`): the caller's own work
+//! between its sends and its waits rides the round trips. On tcp that
+//! work runs in wall-clock time while the calls are on the wire, and
+//! waiting for one call does not wait for the rest; on the simulator the
+//! caller's clock moves to a reply it waits for, a burst it opens leaves
+//! from there, and `finish` ends at the latest of every reply and the
+//! work; and no failure while a burst is open — a panic, an early
+//! return, or a destination resetting, even under a nested burst —
+//! strands a call slot: dropping the burst awaits what it sent.
 
 use blobseer_proto::{BlobError, NodeId};
 use blobseer_rpc::{
@@ -103,15 +104,13 @@ fn tcp_work_overlaps_the_round_trip() {
     let best = (0..3)
         .map(|i| {
             let started = Instant::now();
-            let (replies, ()) = rpc.fan_out_with(
-                &mut Ctx::start(),
-                vec![(servers[0], Frame::from_msg(1, &i))],
-                |_, _| std::thread::sleep(NAP),
-            );
-            let took = started.elapsed();
-            let (frame, _) = replies[0].as_ref().unwrap();
-            assert_eq!(blobseer_rpc::parse_response::<u64>(frame).unwrap(), i);
-            took
+            let mut ctx = Ctx::start();
+            let mut burst = rpc.burst();
+            let slot = burst.call::<u64>(&ctx, (servers[0], Frame::from_msg(1, &i)));
+            std::thread::sleep(NAP);
+            assert_eq!(burst.wait(&mut ctx, slot).unwrap(), i);
+            burst.finish(&mut ctx);
+            started.elapsed()
         })
         .min()
         .unwrap();
@@ -133,22 +132,19 @@ fn tcp_work_waits_for_one_call_not_the_burst() {
         (servers[0], Frame::from_msg(1, &10u64)),
         (servers[1], Frame::from_msg(1, &11u64)),
     ];
-    let (replies, waited) = rpc.fan_out_with(&mut Ctx::start(), calls, |c, replies| {
-        let (frame, _) = replies.wait(c, 0).as_ref().unwrap();
-        assert_eq!(blobseer_rpc::parse_response::<u64>(frame).unwrap(), 10);
-        started.elapsed()
-    });
+    let mut ctx = Ctx::start();
+    let mut burst = rpc.burst();
+    let mut slots = burst.send::<u64>(&ctx, calls).into_iter();
+    assert_eq!(burst.wait(&mut ctx, slots.next().unwrap()).unwrap(), 10);
+    let waited = started.elapsed();
+    assert_eq!(burst.wait(&mut ctx, slots.next().unwrap()).unwrap(), 11);
+    burst.finish(&mut ctx);
     let took = started.elapsed();
     assert!(
         waited < Duration::from_millis(20),
         "wait(0) took {waited:?}"
     );
     assert!(took < Duration::from_millis(60), "the burst took {took:?}");
-    let got: Vec<u64> = replies
-        .iter()
-        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
-        .collect();
-    assert_eq!(got, vec![10, 11]);
     assert_eq!(
         t.inflight_calls(servers[0]) + t.inflight_calls(servers[1]),
         0
@@ -174,117 +170,140 @@ fn sim_clock_ends_at_the_later_of_reply_and_work() {
     };
     let start = 1_000_000;
     let (rpc, server) = cluster();
-    let (replies, ()) = rpc.fan_out_with(
-        &mut Ctx::at(start),
-        vec![(server, Frame::from_msg(1, &7u64))],
-        |_, _| (),
-    );
-    let arrival = replies[0].as_ref().unwrap().1;
+    let mut alone = Ctx::at(start);
+    rpc.call_all::<u64>(&mut alone, vec![(server, Frame::from_msg(1, &7u64))]);
+    let arrival = alone.vt;
     let trip = arrival - start;
     assert!(trip > 0);
 
     for work in [trip / 2, trip, 2 * trip] {
         let (rpc, server) = cluster();
         let mut ctx = Ctx::at(start);
-        let (replies, worked) = rpc.fan_out_with(
-            &mut ctx,
-            vec![(server, Frame::from_msg(1, &7u64))],
-            |c, _| {
-                assert_eq!(c.vt, start, "the work starts with the burst");
-                c.advance(work);
-                c.vt
-            },
-        );
-        assert_eq!(worked, start + work);
+        let mut burst = rpc.burst();
+        let slot = burst.call::<u64>(&ctx, (server, Frame::from_msg(1, &7u64)));
+        ctx.advance(work);
+        let mut reply = Ctx::at(start);
+        assert_eq!(burst.wait(&mut reply, slot).unwrap(), 7);
         assert_eq!(
-            replies[0].as_ref().unwrap().1,
-            arrival,
+            reply.vt, arrival,
             "work {work}: the reply does not wait for the work"
         );
+        burst.finish(&mut ctx);
         assert_eq!(ctx.vt, arrival.max(start + work), "work {work}");
     }
 }
 
 #[test]
 fn sim_work_waits_to_a_reply_and_nests_a_burst_there() {
-    // Servers a and b take the first burst; c takes the one the work
-    // starts once it has a's reply. Each case runs on a fresh cluster
-    // whose connections were dialled long before `start`, so no send
-    // queues behind another's connection setup.
+    // Servers a and b take the first burst; c takes the one opened once
+    // the caller has a's reply. Each case runs on a fresh cluster whose
+    // connections were dialled long before `start`, so no send queues
+    // behind another's connection setup.
     let start = 10_000_000;
     let call = |to: NodeId, x: u64| vec![(to, Frame::from_msg(1, &x))];
-    let cluster = || {
-        let c = Arc::new(SimCluster::grid5000());
-        let client = c.add_node();
-        let servers: Vec<NodeId> = (0..3)
-            .map(|_| {
-                let s = c.add_node();
-                c.bind(
-                    s,
-                    Arc::new(Echo {
-                        nap: Duration::ZERO,
-                    }),
-                );
-                s
-            })
-            .collect();
-        let rpc = RpcClient::new(c as _, client);
-        for &s in &servers {
-            rpc.fan_out_with(&mut Ctx::start(), call(s, 0), |_, _| ());
-        }
-        (rpc, servers)
-    };
     // c's round trip alone, from an idle client.
-    let (rpc, s) = cluster();
-    let (alone, ()) = rpc.fan_out_with(&mut Ctx::at(start), call(s[2], 3), |_, _| ());
-    let trip = alone[0].as_ref().unwrap().1 - start;
+    let (rpc, s) = dialled_cluster(3);
+    let mut alone = Ctx::at(start);
+    rpc.call_all::<u64>(&mut alone, call(s[2], 3));
+    let trip = alone.vt - start;
 
-    let (rpc, s) = cluster();
+    let (rpc, s) = dialled_cluster(3);
     let mut ctx = Ctx::at(start);
-    let mut burst = call(s[0], 1);
-    burst.extend(call(s[1], 2));
+    let mut burst = rpc.burst();
+    let mut calls = call(s[0], 1);
+    calls.extend(call(s[1], 2));
+    let mut slots = burst.send::<u64>(&ctx, calls).into_iter();
+    let (a, b) = (slots.next().unwrap(), slots.next().unwrap());
+    assert_eq!(burst.wait(&mut ctx, a).unwrap(), 1);
+    let waited = ctx.vt;
+    assert!(
+        waited > start,
+        "wait moves the clock to the reply's arrival"
+    );
+    let mut b_arrived = Ctx::at(start);
+    assert_eq!(burst.wait(&mut b_arrived, b).unwrap(), 2);
+    rpc.call_all::<u64>(&mut ctx, call(s[2], 3));
+    let nested = ctx.vt;
     let work = 500_000;
-    let (replies, (waited, nested)) = rpc.fan_out_with(&mut ctx, burst, |c, replies| {
-        assert_eq!(c.vt, start, "the work starts with the burst");
-        let (_, at) = replies.wait(c, 0).as_ref().unwrap();
-        assert_eq!(c.vt, *at, "wait(0) moves the clock to reply 0's arrival");
-        let waited = c.vt;
-        let (nested, ()) = rpc.fan_out_with(c, call(s[2], 3), |_, _| ());
-        let nested = nested[0].as_ref().unwrap().1;
-        assert_eq!(c.vt, nested);
-        c.advance(work);
-        (waited, nested)
-    });
-    assert_eq!(replies[0].as_ref().unwrap().1, waited);
-    assert_eq!(nested, waited + trip, "the nested burst leaves at reply 0");
-    let last_reply = replies.iter().map(|r| r.as_ref().unwrap().1).max().unwrap();
-    assert_eq!(ctx.vt, last_reply.max(nested + work));
+    ctx.advance(work);
+    burst.finish(&mut ctx);
+    assert_eq!(nested, waited + trip, "the nested burst leaves at reply a");
+    assert_eq!(ctx.vt, b_arrived.vt.max(nested + work));
     assert_eq!(ctx.vt, nested + work, "here the work ends last");
 }
 
 #[test]
 fn a_panicking_work_strands_no_slot() {
-    // The work has call 0's reply and panics while call 1's is still
-    // 20 ms away: the panic reaches the caller only after call 1 was
-    // awaited, so nothing is left registered on either connection, and
-    // both serve the next call.
+    // The caller has call 0's reply and panics while call 1's is still
+    // 20 ms away: unwinding drops the burst, which awaits call 1 before
+    // the panic reaches the caller, so nothing is left registered on
+    // either connection, and both serve the next call.
     let (t, rpc, servers) = napping_echoes(&[Duration::ZERO, NAP]);
     let calls = servers
         .iter()
         .map(|&s| (s, Frame::from_msg(1, &1u64)))
         .collect();
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        rpc.fan_out_with(&mut Ctx::start(), calls, |c, replies| {
-            assert!(replies.wait(c, 0).is_ok());
-            panic!("work failed")
-        })
+        let mut ctx = Ctx::start();
+        let mut burst = rpc.burst();
+        let mut slots = burst.send::<u64>(&ctx, calls).into_iter();
+        assert!(burst.wait(&mut ctx, slots.next().unwrap()).is_ok());
+        panic!("work failed")
     }));
-    assert!(panicked.is_err(), "the work's panic reaches the caller");
+    assert!(panicked.is_err(), "the panic reaches the caller");
     for &server in &servers {
         assert_eq!(t.inflight_calls(server), 0);
         assert_eq!(t.pooled_connections(server), 1, "the connection survives");
         let r: u64 = rpc.call(&mut Ctx::start(), server, 1, &2u64).unwrap();
         assert_eq!(r, 2);
+    }
+}
+
+#[test]
+fn a_burst_dropped_by_an_early_return_strands_no_slot() {
+    // An op sends a call, then late frames to a server 20 ms away, and
+    // returns early with `?` on the first reply before it waits for the
+    // late ones: dropping the burst awaits them, so no slot stays
+    // registered and no connection is dialled or lost.
+    let (t, rpc, servers) = napping_echoes(&[Duration::ZERO, NAP]);
+    let pooled: Vec<usize> = servers.iter().map(|&s| t.pooled_connections(s)).collect();
+    let refuse = |x: u64| match x {
+        0 => Ok(x),
+        _ => Err(BlobError::Internal("the op refused its first reply")),
+    };
+    let op = || -> Result<u64, BlobError> {
+        let mut ctx = Ctx::start();
+        let mut burst = rpc.burst();
+        let first = burst.call::<u64>(&ctx, (servers[0], Frame::from_msg(1, &1u64)));
+        ctx.advance(1_000);
+        let late = burst.send::<u64>(
+            &ctx,
+            vec![
+                (servers[1], Frame::from_msg(1, &2u64)),
+                (servers[1], Frame::from_msg(7, &3u64)),
+            ],
+        );
+        assert_eq!(t.inflight_calls(servers[1]), 2, "both on the wire");
+        let mut sum = refuse(burst.wait(&mut ctx, first)?)?;
+        for slot in late {
+            sum += burst.wait(&mut ctx, slot)?;
+        }
+        burst.finish(&mut ctx);
+        Ok(sum)
+    };
+    assert_eq!(
+        op(),
+        Err(BlobError::Internal("the op refused its first reply"))
+    );
+    for (&server, &before) in servers.iter().zip(&pooled) {
+        assert_eq!(t.inflight_calls(server), 0, "nothing stranded");
+        assert_eq!(
+            t.pooled_connections(server),
+            before,
+            "the pool is as it was"
+        );
+        let r: u64 = rpc.call(&mut Ctx::start(), server, 1, &4u64).unwrap();
+        assert_eq!(r, 4);
     }
 }
 
@@ -300,21 +319,16 @@ fn a_destination_resetting_while_work_runs_is_a_typed_error() {
     let client = t.add_node();
     let dest = t.register_remote(addr);
     let rpc = RpcClient::new(Arc::clone(&t) as _, client);
-    let (replies, ()) = rpc.fan_out_with(
-        &mut Ctx::start(),
-        vec![(dest, Frame::from_msg(1, &1u64))],
-        |_, _| {
-            reset.recv().unwrap();
-            // Loopback delivers the reset within the kernel, not within
-            // the peer's syscall: give it a moment.
-            std::thread::sleep(Duration::from_millis(20));
-        },
-    );
-    assert!(
-        matches!(replies[0], Err(BlobError::Unreachable(_))),
-        "{:?}",
-        replies[0].as_ref().err()
-    );
+    let mut ctx = Ctx::start();
+    let mut burst = rpc.burst();
+    let slot = burst.call::<u64>(&ctx, (dest, Frame::from_msg(1, &1u64)));
+    reset.recv().unwrap();
+    // Loopback delivers the reset within the kernel, not within the
+    // peer's syscall: give it a moment.
+    std::thread::sleep(Duration::from_millis(20));
+    let reply = burst.wait(&mut ctx, slot);
+    burst.finish(&mut ctx);
+    assert!(matches!(reply, Err(BlobError::Unreachable(_))), "{reply:?}");
     assert_eq!(t.inflight_calls(dest), 0);
     assert_eq!(t.pooled_connections(dest), 0, "the dead connection is gone");
     let r: u64 = rpc.call(&mut Ctx::start(), dest, 1, &9u64).unwrap();
@@ -324,10 +338,10 @@ fn a_destination_resetting_while_work_runs_is_a_typed_error() {
 
 #[test]
 fn a_destination_resetting_under_a_nested_burst_is_a_typed_error() {
-    // The work waits for call 0, then waits on a burst of its own whose
+    // The caller waits for call 0, then waits on a burst of its own whose
     // handler has call 1's destination reset the connection: the reset
     // lands while nobody reads that connection, and is found when the
-    // outer burst awaits call 1 after the work.
+    // outer burst awaits call 1.
     let (t, rpc, echo) = napping_echoes(&[Duration::ZERO]);
     let (go_tx, go) = mpsc::channel();
     let (addr, reset, peer) = resetting_peer(go);
@@ -343,21 +357,16 @@ fn a_destination_resetting_under_a_nested_burst_is_a_typed_error() {
         (echo[0], Frame::from_msg(1, &1u64)),
         (dest, Frame::from_msg(1, &2u64)),
     ];
-    let (replies, nested) = rpc.fan_out_with(&mut Ctx::start(), calls, |c, replies| {
-        assert!(replies.wait(c, 0).is_ok());
-        let (nested, ()) =
-            rpc.fan_out_with(c, vec![(trigger, Frame::from_msg(1, &3u64))], |_, _| ());
-        reset.recv().unwrap();
-        nested
-    });
-    let r: u64 = blobseer_rpc::parse_response(&nested[0].as_ref().unwrap().0).unwrap();
-    assert_eq!(r, 3, "the nested burst completes");
-    assert!(replies[0].is_ok());
-    assert!(
-        matches!(replies[1], Err(BlobError::Unreachable(_))),
-        "{:?}",
-        replies[1].as_ref().err()
-    );
+    let mut ctx = Ctx::start();
+    let mut burst = rpc.burst();
+    let mut slots = burst.send::<u64>(&ctx, calls).into_iter();
+    assert!(burst.wait(&mut ctx, slots.next().unwrap()).is_ok());
+    let nested = rpc.call_all::<u64>(&mut ctx, vec![(trigger, Frame::from_msg(1, &3u64))]);
+    reset.recv().unwrap();
+    assert_eq!(nested, vec![Ok(3)], "the nested burst completes");
+    let reply = burst.wait(&mut ctx, slots.next().unwrap());
+    burst.finish(&mut ctx);
+    assert!(matches!(reply, Err(BlobError::Unreachable(_))), "{reply:?}");
     for node in [echo[0], dest, trigger] {
         assert_eq!(t.inflight_calls(node), 0);
     }
@@ -387,77 +396,68 @@ fn dialled_cluster(n: usize) -> (RpcClient, Vec<NodeId>) {
         .collect();
     let rpc = RpcClient::new(c as _, client);
     for &s in &servers {
-        rpc.fan_out_with(
-            &mut Ctx::start(),
-            vec![(s, Frame::from_msg(1, &0u64))],
-            |_, _| (),
-        );
+        rpc.call_all::<u64>(&mut Ctx::start(), vec![(s, Frame::from_msg(1, &0u64))]);
     }
     (rpc, servers)
 }
 
 #[test]
 fn sim_late_frame_leaves_at_the_work_clock() {
-    // Servers a and b take the burst; c takes a late frame the work
-    // sends once its clock reaches `start + work`, without waiting for
-    // anything first.
+    // Servers a and b take the burst's first send; c takes a late frame
+    // sent once the caller's clock reaches `start + work`, without
+    // waiting for anything first.
     let start = 10_000_000;
     let work = 700_000;
     let call = |to: NodeId, x: u64| vec![(to, Frame::from_msg(1, &x))];
     // c's round trip alone, from an idle client.
     let (rpc, s) = dialled_cluster(3);
-    let (alone, ()) = rpc.fan_out_with(&mut Ctx::at(start), call(s[2], 3), |_, _| ());
-    let trip = alone[0].as_ref().unwrap().1 - start;
+    let mut alone = Ctx::at(start);
+    rpc.call_all::<u64>(&mut alone, call(s[2], 3));
+    let trip = alone.vt - start;
 
     let (rpc, s) = dialled_cluster(3);
     let mut ctx = Ctx::at(start);
-    let mut burst = call(s[0], 1);
-    burst.extend(call(s[1], 2));
-    let (replies, (late, sent_at)) = rpc.fan_out_with(&mut ctx, burst, |c, replies| {
-        c.advance(work);
-        let late = replies.send(c, call(s[2], 3));
-        assert_eq!(late, 2..3, "late calls follow the burst's");
-        assert_eq!(c.vt, start + work, "sending does not move the clock");
-        let (_, at) = replies.wait(c, late.start).as_ref().unwrap();
-        assert_eq!(c.vt, *at, "waiting moves it to the reply");
-        c.advance(work);
-        (late.start, *at - trip)
-    });
+    let mut burst = rpc.burst();
+    let mut calls = call(s[0], 1);
+    calls.extend(call(s[1], 2));
+    let first = burst.send::<u64>(&ctx, calls);
+    ctx.advance(work);
+    let late = burst.send::<u64>(&ctx, call(s[2], 3));
+    assert_eq!(ctx.vt, start + work, "sending does not move the clock");
+    let late_reply = late.into_iter().map(|slot| burst.wait(&mut ctx, slot));
+    assert_eq!(late_reply.collect::<Vec<_>>(), vec![Ok(3)]);
+    let late_arrival = ctx.vt;
     assert_eq!(
-        sent_at,
+        late_arrival - trip,
         start + work,
-        "the late frame left at the work's clock"
+        "the late frame left at the caller's clock"
     );
-    let got: Vec<u64> = replies
-        .iter()
-        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
+    ctx.advance(work);
+    let mut first_arrival = Ctx::at(start);
+    let got: Vec<_> = first
+        .into_iter()
+        .map(|slot| burst.wait(&mut first_arrival, slot))
         .collect();
-    assert_eq!(
-        got,
-        vec![1, 2, 3],
-        "late replies come back after the burst's"
-    );
-    let last_reply = replies.iter().map(|r| r.as_ref().unwrap().1).max().unwrap();
-    let work_end = replies[late].as_ref().unwrap().1 + work;
-    assert_eq!(ctx.vt, last_reply.max(work_end));
-    assert_eq!(ctx.vt, work_end, "here the work ends last");
+    assert_eq!(got, vec![Ok(1), Ok(2)]);
+    burst.finish(&mut ctx);
+    assert_eq!(ctx.vt, first_arrival.vt.max(late_arrival + work));
+    assert_eq!(ctx.vt, late_arrival + work, "here the work ends last");
 
     // When the late reply ends last, the join waits for it.
     let (rpc, s) = dialled_cluster(3);
     let mut ctx = Ctx::at(start);
-    let (replies, ()) = rpc.fan_out_with(&mut ctx, call(s[0], 1), |c, replies| {
-        c.advance(work);
-        replies.send(c, call(s[2], 3));
-    });
-    assert_eq!(ctx.vt, replies[1].as_ref().unwrap().1);
+    let mut burst = rpc.burst();
+    let _ = burst.send::<u64>(&ctx, call(s[0], 1));
+    ctx.advance(work);
+    let _ = burst.send::<u64>(&ctx, call(s[2], 3));
+    burst.finish(&mut ctx);
     assert_eq!(ctx.vt, start + work + trip);
 }
 
 #[test]
 fn one_send_is_one_message_and_sends_never_merge() {
-    // Every call goes to one node, by one method: the burst's two calls
-    // share a message, each send's two calls share one of their own,
-    // and nothing merges across the burst and the sends.
+    // Every call goes to one node, by one method: each send's two calls
+    // share a message, and nothing merges across sends.
     let t = Arc::new(InProcTransport::new());
     let client = t.add_node();
     let server = t.add_node();
@@ -472,52 +472,47 @@ fn one_send_is_one_message_and_sends_never_merge() {
         xs.iter().map(|x| (server, Frame::from_msg(1, x))).collect()
     };
     let before = t.message_count();
-    let (replies, sends) = rpc.fan_out_with(&mut Ctx::start(), calls([1, 2]), |c, replies| {
-        (
-            replies.send(c, calls([3, 4])),
-            replies.send(c, calls([5, 6])),
-        )
-    });
+    let mut ctx = Ctx::start();
+    let mut burst = rpc.burst();
+    let mut slots = burst.send::<u64>(&ctx, calls([1, 2]));
+    slots.extend(burst.send(&ctx, calls([3, 4])));
+    slots.extend(burst.send(&ctx, calls([5, 6])));
     assert_eq!(t.message_count() - before, 3, "one message per send");
-    assert_eq!(sends, (2..4, 4..6));
-    let got: Vec<u64> = replies
-        .iter()
-        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
+    let got: Vec<u64> = slots
+        .into_iter()
+        .map(|slot| burst.wait(&mut ctx, slot).unwrap())
         .collect();
-    assert_eq!(got, vec![1, 2, 3, 4, 5, 6], "replies in call order");
+    burst.finish(&mut ctx);
+    assert_eq!(got, vec![1, 2, 3, 4, 5, 6], "each slot gets its own reply");
 }
 
 #[test]
 fn tcp_late_frames_ride_the_burst_connections() {
     // Call 0 is in flight on the burst's connection to servers[0] when
-    // the work sends a late frame there: it pipelines on that connection
+    // a late frame is sent there: it pipelines on that connection
     // instead of dialing beside it. A late frame to servers[1], which
     // the burst does not hold, takes the idle pooled connection.
     let (t, rpc, servers) = napping_echoes(&[NAP, Duration::ZERO]);
-    let (replies, late) = rpc.fan_out_with(
-        &mut Ctx::start(),
-        vec![(servers[0], Frame::from_msg(1, &1u64))],
-        |c, replies| {
-            let late = replies.send(
-                c,
-                vec![
-                    (servers[0], Frame::from_msg(1, &2u64)),
-                    (servers[1], Frame::from_msg(7, &3u64)),
-                ],
-            );
-            assert_eq!(
-                t.inflight_calls(servers[0]),
-                2,
-                "both on the held connection"
-            );
-            late
-        },
+    let mut ctx = Ctx::start();
+    let mut burst = rpc.burst();
+    let mut slots = vec![burst.call::<u64>(&ctx, (servers[0], Frame::from_msg(1, &1u64)))];
+    slots.extend(burst.send(
+        &ctx,
+        vec![
+            (servers[0], Frame::from_msg(1, &2u64)),
+            (servers[1], Frame::from_msg(7, &3u64)),
+        ],
+    ));
+    assert_eq!(
+        t.inflight_calls(servers[0]),
+        2,
+        "both on the held connection"
     );
-    assert_eq!(late, 1..3);
-    let got: Vec<u64> = replies
-        .iter()
-        .map(|r| blobseer_rpc::parse_response(&r.as_ref().unwrap().0).unwrap())
+    let got: Vec<u64> = slots
+        .into_iter()
+        .map(|slot| burst.wait(&mut ctx, slot).unwrap())
         .collect();
+    burst.finish(&mut ctx);
     assert_eq!(got, vec![1, 2, 3]);
     for &server in &servers {
         assert_eq!(t.pooled_connections(server), 1, "no connection dialled");
@@ -527,20 +522,19 @@ fn tcp_late_frames_ride_the_burst_connections() {
 
 #[test]
 fn a_work_panicking_after_a_late_send_strands_no_slot() {
-    // The work sends a late frame to a server 20 ms away and panics: the
-    // panic reaches the caller only after that late call was awaited.
+    // A late frame to a server 20 ms away, then a panic: unwinding drops
+    // the burst, which awaits that late call before the panic reaches
+    // the caller.
     let (t, rpc, servers) = napping_echoes(&[Duration::ZERO, NAP]);
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        rpc.fan_out_with(
-            &mut Ctx::start(),
-            vec![(servers[0], Frame::from_msg(1, &1u64))],
-            |c, replies| {
-                replies.send(c, vec![(servers[1], Frame::from_msg(1, &2u64))]);
-                panic!("work failed")
-            },
-        )
+        let mut ctx = Ctx::start();
+        let mut burst = rpc.burst();
+        let _ = burst.call::<u64>(&ctx, (servers[0], Frame::from_msg(1, &1u64)));
+        ctx.advance(1_000);
+        let _ = burst.call::<u64>(&ctx, (servers[1], Frame::from_msg(1, &2u64)));
+        panic!("work failed")
     }));
-    assert!(panicked.is_err(), "the work's panic reaches the caller");
+    assert!(panicked.is_err(), "the panic reaches the caller");
     for &server in &servers {
         assert_eq!(t.inflight_calls(server), 0);
         assert_eq!(t.pooled_connections(server), 1, "the connection survives");
@@ -551,35 +545,37 @@ fn a_work_panicking_after_a_late_send_strands_no_slot() {
 
 #[test]
 fn a_destination_resetting_under_a_late_frame_fails_that_call_alone() {
-    // The work sends late frames to the resetting peer and to an echo;
-    // the peer drops the connection with the late request half read.
+    // Late frames to the resetting peer and to an echo; the peer drops
+    // the connection with the late request half read.
     let (t, rpc, echo) = napping_echoes(&[Duration::ZERO]);
     let (go_tx, go) = mpsc::channel();
     let (addr, reset, peer) = resetting_peer(go);
     let dest = t.register_remote(addr);
-    let (replies, ()) = rpc.fan_out_with(
-        &mut Ctx::start(),
-        vec![(echo[0], Frame::from_msg(1, &1u64))],
-        |c, replies| {
-            replies.send(
-                c,
-                vec![
-                    (dest, Frame::from_msg(1, &2u64)),
-                    (echo[0], Frame::from_msg(7, &3u64)),
-                ],
-            );
-            go_tx.send(()).unwrap();
-            reset.recv().unwrap();
-            // Loopback delivers the reset within the kernel, not within
-            // the peer's syscall: give it a moment.
-            std::thread::sleep(Duration::from_millis(20));
-        },
-    );
+    let mut ctx = Ctx::start();
+    let mut burst = rpc.burst();
+    let mut slots = vec![burst.call::<u64>(&ctx, (echo[0], Frame::from_msg(1, &1u64)))];
+    slots.extend(burst.send(
+        &ctx,
+        vec![
+            (dest, Frame::from_msg(1, &2u64)),
+            (echo[0], Frame::from_msg(7, &3u64)),
+        ],
+    ));
+    go_tx.send(()).unwrap();
+    reset.recv().unwrap();
+    // Loopback delivers the reset within the kernel, not within the
+    // peer's syscall: give it a moment.
+    std::thread::sleep(Duration::from_millis(20));
+    let replies: Vec<_> = slots
+        .into_iter()
+        .map(|slot| burst.wait(&mut ctx, slot))
+        .collect();
+    burst.finish(&mut ctx);
     assert!(replies[0].is_ok() && replies[2].is_ok(), "{replies:?}");
     assert!(
         matches!(replies[1], Err(BlobError::Unreachable(_))),
         "{:?}",
-        replies[1].as_ref().err()
+        replies[1]
     );
     for node in [echo[0], dest] {
         assert_eq!(t.inflight_calls(node), 0);

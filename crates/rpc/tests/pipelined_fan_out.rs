@@ -1,7 +1,8 @@
-//! Fan-out is pipelined, not threaded: on tcp every call of a fan-out is
+//! A burst is pipelined, not threaded: on tcp every call of a burst is
 //! on the wire before the first response is awaited, so the calls overlap
-//! in **wall-clock** time; on the virtual-clock transports the fan-out is
-//! still the serial loop it always was, to the last tick and message.
+//! in **wall-clock** time; on the virtual-clock transports a burst is
+//! still the serial loop a fan-out always was, to the last tick and
+//! message.
 
 use blobseer_proto::NodeId;
 use blobseer_rpc::{
@@ -12,6 +13,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const NAP: Duration = Duration::from_millis(20);
+
+/// Typed calls as the frames a burst sends.
+fn frames(calls: &[(NodeId, u16, u64)]) -> Vec<(NodeId, Frame)> {
+    calls
+        .iter()
+        .map(|(to, method, x)| (*to, Frame::from_msg(*method, x)))
+        .collect()
+}
 
 /// Echo whose handler holds its dispatch thread for `nap` and charges the
 /// virtual clock 1000 ns per call.
@@ -42,14 +51,14 @@ fn a_tcp_fan_out_of_eight_takes_about_one_call_not_eight() {
         .collect();
     let rpc = RpcClient::new(Arc::clone(&t) as _, client);
     // Warm: dial every connection outside the timed fan-out.
-    rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+    rpc.call_all::<u64>(&mut Ctx::start(), frames(&calls));
 
     let started = Instant::now();
     let _: u64 = rpc.call(&mut Ctx::start(), calls[0].0, 1, &0u64).unwrap();
     let one = started.elapsed();
 
     let started = Instant::now();
-    let results = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+    let results = rpc.call_all::<u64>(&mut Ctx::start(), frames(&calls));
     let eight = started.elapsed();
     for ((_, _, x), r) in calls.iter().zip(&results) {
         assert_eq!(r.as_ref().unwrap(), x);
@@ -71,7 +80,7 @@ fn a_per_call_burst_to_one_node_pipelines_on_one_connection() {
         RpcClient::new(Arc::clone(&t) as _, client).with_aggregation(AggregationPolicy::PerCall);
     let calls: Vec<(NodeId, u16, u64)> = (0..16u64).map(|i| (server, 1, i)).collect();
     let before = t.message_count();
-    let results = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+    let results = rpc.call_all::<u64>(&mut Ctx::start(), frames(&calls));
     for ((_, _, x), r) in calls.iter().zip(&results) {
         assert_eq!(r.as_ref().unwrap(), x);
     }
@@ -106,8 +115,8 @@ fn an_in_process_fan_out_is_still_the_serial_loop() {
         (0..6u64).map(|i| (servers[i as usize % 3], 1, i)).collect()
     };
 
-    // What `fan_out` did before `call_many` existed: one `call` per
-    // message, each starting at the caller's clock, joined with `max`.
+    // One `call` per message, each starting at the caller's clock,
+    // joined with `max`.
     let (t, client, servers) = build();
     let start = 500;
     let mut want_vt = start;
@@ -124,7 +133,7 @@ fn an_in_process_fan_out_is_still_the_serial_loop() {
     let rpc =
         RpcClient::new(Arc::clone(&t) as _, client).with_aggregation(AggregationPolicy::PerCall);
     let mut ctx = Ctx::at(start);
-    let results = rpc.fan_out::<u64, u64>(&mut ctx, &calls_over(&servers));
+    let results = rpc.call_all::<u64>(&mut ctx, frames(&calls_over(&servers)));
     assert!(results.iter().all(Result::is_ok));
     assert_eq!((ctx.vt, t.message_count()), (want_vt, want_messages));
 
@@ -132,7 +141,7 @@ fn an_in_process_fan_out_is_still_the_serial_loop() {
     let (t, client, servers) = build();
     let rpc = RpcClient::new(Arc::clone(&t) as _, client);
     let mut ctx = Ctx::at(start);
-    let results = rpc.fan_out::<u64, u64>(&mut ctx, &calls_over(&servers));
+    let results = rpc.call_all::<u64>(&mut ctx, frames(&calls_over(&servers)));
     assert!(results.iter().all(Result::is_ok));
     assert_eq!((ctx.vt, t.message_count()), (2500, 3));
 }

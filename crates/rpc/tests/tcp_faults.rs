@@ -27,6 +27,18 @@ fn transport() -> Arc<TcpTransport> {
     }))
 }
 
+/// One unaggregated burst of `calls` from `client`, every reply awaited:
+/// one `u64` reply (or error) per call, in call order.
+fn burst_of(
+    t: &Arc<TcpTransport>,
+    client: blobseer_proto::NodeId,
+    calls: Vec<(blobseer_proto::NodeId, Frame)>,
+) -> Vec<Result<u64, BlobError>> {
+    RpcClient::new(Arc::clone(t) as _, client)
+        .with_aggregation(blobseer_rpc::AggregationPolicy::PerCall)
+        .call_all(&mut Ctx::start(), calls)
+}
+
 /// Bind a loopback port, return its address, and close the listener so
 /// connects are refused.
 fn refused_addr() -> SocketAddr {
@@ -668,9 +680,9 @@ fn a_free_read_role_never_strands_a_parked_waiter() {
 
     let t_burst = Arc::clone(&t);
     let burst = std::thread::spawn(move || {
-        t_burst.call_many(
+        burst_of(
+            &t_burst,
             client,
-            0,
             vec![
                 (other, Frame::from_msg(1, &400u64)),
                 (shared, Frame::from_msg(1, &300u64)),
@@ -690,10 +702,7 @@ fn a_free_read_role_never_strands_a_parked_waiter() {
         third_elapsed < Duration::from_millis(300),
         "a parked waiter next to a free read role ({third_elapsed:?})"
     );
-    for (want, r) in [400u64, 300].iter().zip(burst.join().unwrap()) {
-        let (frame, _) = r.unwrap();
-        assert_eq!(blobseer_rpc::parse_response::<u64>(&frame).unwrap(), *want);
-    }
+    assert_eq!(burst.join().unwrap(), vec![Ok(400), Ok(300)]);
     assert_eq!(t.pooled_connections(shared), 1);
     assert_eq!(t.inflight_calls(shared), 0);
 }
@@ -755,14 +764,10 @@ fn a_burst_of_64_is_read_by_its_own_caller_in_input_order() {
     let calls = (0..64u64)
         .map(|i| (server, Frame::from_msg(1, &i)))
         .collect();
-    let results = t.call_many(client, 0, calls);
+    let results = burst_of(&t, client, calls);
     assert_eq!(results.len(), 64);
     for (i, r) in results.into_iter().enumerate() {
-        let (frame, _) = r.unwrap();
-        assert_eq!(
-            blobseer_rpc::parse_response::<u64>(&frame).unwrap(),
-            i as u64
-        );
+        assert_eq!(r.unwrap(), i as u64);
     }
     assert_eq!(t.pooled_connections(server), 1);
     assert_eq!(t.inflight_calls(server), 0);
@@ -888,11 +893,15 @@ fn fan_out_with_a_killed_node_fails_only_that_destination() {
         t.kill(dead);
         let rpc = RpcClient::new(Arc::clone(&t) as _, client).with_aggregation(policy);
         // Two calls per node, destinations interleaved.
-        let calls: Vec<_> = (0..8u64).map(|i| (servers[i as usize % 4], 1, i)).collect();
+        let calls: Vec<_> = (0..8u64).map(|i| (servers[i as usize % 4], i)).collect();
+        let frames = calls
+            .iter()
+            .map(|(to, x)| (*to, Frame::from_msg(1, x)))
+            .collect();
         let start = Instant::now();
-        let results = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+        let results = rpc.call_all::<u64>(&mut Ctx::start(), frames);
         assert!(start.elapsed() < Duration::from_secs(3), "nothing hangs");
-        for ((to, _, x), r) in calls.iter().zip(&results) {
+        for ((to, x), r) in calls.iter().zip(&results) {
             if *to == dead {
                 assert!(
                     matches!(r, Err(BlobError::Unreachable(_))),
@@ -920,9 +929,9 @@ fn fan_out_with_a_peer_resetting_mid_frame_fails_only_that_call() {
     let big = PageBuf::from_vec(vec![0x5A; 16 << 20]);
     // The doomed frame goes out second: one frame is already on the wire
     // when its send fails, two more follow it.
-    let results = t.call_many(
+    let results = burst_of(
+        &t,
         client,
-        0,
         vec![
             (servers[0], Frame::from_msg(1, &10u64)),
             (evil, Frame::from_msg(1, &big)),
@@ -936,8 +945,7 @@ fn fan_out_with_a_peer_resetting_mid_frame_fails_only_that_call() {
         results[1].as_ref().err()
     );
     for (i, want) in [(0usize, 10u64), (2, 11), (3, 12)] {
-        let (frame, _) = results[i].as_ref().unwrap();
-        assert_eq!(blobseer_rpc::parse_response::<u64>(frame).unwrap(), want);
+        assert_eq!(results[i], Ok(want));
     }
     assert_eq!(t.pooled_connections(evil), 0);
     assert_no_slot_left(&t, &servers);
@@ -965,9 +973,9 @@ fn fan_out_with_a_shedding_node_keeps_its_typed_overload() {
     let t = transport();
     let (client, servers) = four_echoes(&t);
     let shed = t.register_remote(addr);
-    let results = t.call_many(
+    let results = burst_of(
+        &t,
         client,
-        0,
         vec![
             (servers[0], Frame::from_msg(1, &10u64)),
             (shed, Frame::from_msg(1, &1u64)),
@@ -1008,9 +1016,9 @@ fn fan_out_send_side_codec_error_does_not_strand_frames_already_sent() {
     }
     let t = transport();
     let (client, servers) = four_echoes(&t);
-    let results = t.call_many(
+    let results = burst_of(
+        &t,
         client,
-        0,
         vec![
             (servers[0], Frame::from_msg(1, &10u64)),
             (servers[1], Frame { method: 1, body }),
@@ -1023,8 +1031,7 @@ fn fan_out_send_side_codec_error_does_not_strand_frames_already_sent() {
         results[1].as_ref().err()
     );
     for (i, want) in [(0usize, 10u64), (2, 12)] {
-        let (frame, _) = results[i].as_ref().unwrap();
-        assert_eq!(blobseer_rpc::parse_response::<u64>(frame).unwrap(), want);
+        assert_eq!(results[i], Ok(want));
     }
     assert_eq!(
         t.pooled_connections(servers[1]),

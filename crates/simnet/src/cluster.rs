@@ -290,8 +290,13 @@ mod tests {
         // (asserted by fig3a's provider sweep), not the one under test.
         let (c, client, servers) = cluster_with_echo(8);
         let rpc = RpcClient::new(Arc::clone(&c) as _, client);
-        let warm: Vec<(NodeId, u16, u64)> = servers.iter().map(|s| (*s, 1, 1u64)).collect();
-        rpc.fan_out::<u64, u64>(&mut Ctx::start(), &warm);
+        let warm = || -> Vec<(NodeId, Frame)> {
+            servers
+                .iter()
+                .map(|s| (*s, Frame::from_msg(1, &1u64)))
+                .collect()
+        };
+        rpc.call_all::<u64>(&mut Ctx::start(), warm());
 
         // One warm call's duration, measured from a quiet start time well
         // past any residual resource occupancy.
@@ -303,7 +308,7 @@ mod tests {
         // Eight warm parallel calls to eight distinct servers.
         let quiet2 = 2_000_000_000;
         let mut eight = Ctx::at(quiet2);
-        let rs = rpc.fan_out::<u64, u64>(&mut eight, &warm);
+        let rs = rpc.call_all::<u64>(&mut eight, warm());
         assert!(rs.iter().all(|r| r.is_ok()));
         let eight_cost = eight.vt - quiet2;
 
@@ -318,10 +323,10 @@ mod tests {
 
     #[test]
     fn fan_out_is_the_serial_loop_on_the_virtual_clock() {
-        // The cluster keeps `Transport::call_many`'s default, so a fan-out
-        // must cost exactly what one `call` per message cost before that
-        // method existed: same join time, same message count — cold
-        // connections, repeated destinations and all.
+        // The cluster keeps `Transport::flight`'s default, so a burst
+        // must cost exactly what one `call` per message costs: same join
+        // time, same message count — cold connections, repeated
+        // destinations and all.
         let calls_over = |servers: &[NodeId]| -> Vec<(NodeId, u16, u64)> {
             (0..12u64)
                 .map(|i| (servers[i as usize % 4], 1, i))
@@ -338,7 +343,11 @@ mod tests {
         let rpc = RpcClient::new(Arc::clone(&c2) as _, client2)
             .with_aggregation(blobseer_rpc::AggregationPolicy::PerCall);
         let mut ctx = Ctx::start();
-        let rs = rpc.fan_out::<u64, u64>(&mut ctx, &calls_over(&servers2));
+        let frames = calls_over(&servers2)
+            .into_iter()
+            .map(|(to, method, x)| (to, Frame::from_msg(method, &x)))
+            .collect();
+        let rs = rpc.call_all::<u64>(&mut ctx, frames);
         assert!(rs.iter().all(|r| r.is_ok()));
         assert_eq!(ctx.vt, want_vt);
         assert_eq!(c2.message_count(), c.message_count());

@@ -183,7 +183,7 @@
 //!
 //! // Restart it on the same directory: the log replays and the
 //! // provider re-serves everything it ever acknowledged.
-//! cluster.restart_storage(0);
+//! cluster.restart_storage(0).unwrap();
 //! assert_eq!(cluster.config.backend, BackendKind::Mmap);
 //! let (data, _) = client.read(&mut ctx, blob, Some(v), Segment::new(0, 8192)).unwrap();
 //! assert!(data.iter().all(|&b| b == 7));
@@ -223,7 +223,7 @@
 //! // The survivor reads back intact — also after a restart on the
 //! // compacted generation.
 //! cluster.kill_storage(0);
-//! cluster.restart_storage(0);
+//! cluster.restart_storage(0).unwrap();
 //! let (data, _) = client.read(&mut ctx, blob, Some(latest), Segment::new(0, 16384)).unwrap();
 //! assert!(data.iter().all(|&b| b == 3));
 //! ```
