@@ -298,9 +298,10 @@ pub struct DeploymentConfig {
     /// [`MMAP_LOG_CAP`], and the provider registers the clamped value
     /// so the manager's reservations match what the log can hold.
     pub backend: BackendKind,
-    /// Page-log tuning for the `Mmap` backend: the fsync-on-commit
+    /// Log tuning for the `Mmap` backend: the fsync-on-commit
     /// durability knob, the group-commit window, and the dead-bytes
-    /// thresholds that trigger online compaction. Ignored by `Memory`.
+    /// thresholds that trigger online compaction of the page log and
+    /// the metadata journal. Ignored by `Memory`.
     pub log: LogOptions,
     /// Bounded per-storage-node admission: `Some` wraps every storage
     /// node's dispatch in an [`AdmissionGate`] (`max_inflight` permits,
@@ -1005,12 +1006,19 @@ impl Deployment {
         self.data_root.as_deref().map(|r| version_shard_dir(r, s))
     }
 
-    /// Compact storage node `i`'s page log: rewrite the live pages into
-    /// a fresh generation and reclaim the dead bytes (removed pages,
-    /// superseded re-puts). `Ok(None)` on the memory backend — nothing
-    /// to compact, its removes free eagerly.
+    /// Compact storage node `i`'s two logs, the page log and then the
+    /// metadata journal: each is rewritten as a fresh generation holding
+    /// its live records, reclaiming the dead bytes — removed pages and
+    /// superseded re-puts; the tree nodes `gc` removed, their remove
+    /// records, and superseded puts. Returns the page log's report;
+    /// `Ok(None)` on the memory backend — nothing to compact, its
+    /// removes free eagerly and nothing is journaled. The journal's
+    /// rewrite shows in its `log_bytes`.
     pub fn compact_storage(&self, i: usize) -> Result<Option<CompactReport>, BlobError> {
-        self.storage[i].data().compact()
+        let node = &self.storage[i];
+        let report = node.data().compact()?;
+        node.meta().compact()?;
+        Ok(report)
     }
 
     /// Send a heartbeat for storage node `i` with its true current usage
@@ -1071,8 +1079,9 @@ fn registry_config(config: &DeploymentConfig, s: usize) -> RegistryConfig {
 }
 
 /// The control-plane journals inherit the page log's durability knobs
-/// (fsync-on-commit, group-commit window); compaction thresholds do not
-/// apply — both journals checkpoint/rewrite on their own schedule.
+/// (fsync-on-commit, group-commit window). The metadata journal also
+/// compacts on the page log's thresholds ([`LogOptions::trigger`]); the
+/// version journal checkpoints at open.
 fn record_log_options(config: &DeploymentConfig) -> RecordLogOptions {
     RecordLogOptions {
         fsync_on_commit: config.log.fsync_on_commit,
@@ -1093,6 +1102,7 @@ fn build_meta_service(
         Some(root) => DhtNodeService::open_durable(
             &meta_dir(root, i),
             record_log_options(config),
+            config.log.trigger(),
             config.service_costs,
         )?,
     };

@@ -12,7 +12,7 @@ use blobseer_rpc::{AdmissionControlled, AdmissionGate, AdmissionOptions, Service
 use std::sync::Arc;
 
 /// Every method constant, and whether its handler cannot block.
-const TABLE: [(u16, bool); 19] = [
+const TABLE: [(u16, bool); 18] = [
     // Data provider: a get is an index probe and a refcount; puts and
     // removes append, commit and pass the maintenance gate.
     (method::PUT_PAGE, false),
@@ -25,9 +25,8 @@ const TABLE: [(u16, bool); 19] = [
     (method::PLAN_WRITE, true),
     (method::LIST_PROVIDERS, false),
     // Metadata provider: gets probe the in-memory store; the rest is
-    // write-ahead.
+    // write-ahead and may compact the journal.
     (method::META_PUT, false),
-    (method::META_GET, true),
     (method::META_PUT_BATCH, false),
     (method::META_GET_BATCH, true),
     (method::META_REMOVE_BATCH, false),

@@ -7,9 +7,10 @@
 //! * [`ring`] — consistent hashing with virtual nodes: uniform dispersal
 //!   of tree nodes over metadata providers, fixed when the deployment is
 //!   built;
-//! * [`node`] — the per-node storage service (single + batched
-//!   put/get/remove of immutable tree nodes, with BambooDHT-calibrated
-//!   processing costs);
+//! * [`node`] — the per-node storage service (single and batched puts,
+//!   batched gets and removes of immutable tree nodes, with
+//!   BambooDHT-calibrated processing costs), journaled and compacted by
+//!   [`wal`] on a durable node;
 //! * [`client`] — replicated, batching client-side access with failover.
 
 #![deny(unsafe_code)]
@@ -23,4 +24,4 @@ pub mod wal;
 pub use client::{DhtClient, NodeFetch, NodePut};
 pub use node::DhtNodeService;
 pub use ring::Ring;
-pub use wal::{MetaBackend, VolatileMeta, WalMeta};
+pub use wal::WalMeta;

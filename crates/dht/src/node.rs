@@ -1,37 +1,35 @@
 //! The metadata-provider service: one DHT node.
 //!
 //! Stores immutable tree nodes keyed by [`NodeKey`]. Handles single and
-//! batched puts/gets/removes; batch handling is what the RPC aggregation
-//! optimization (paper §V.A) talks to. Processing costs per node are
-//! charged through [`ServerCtx`] using [`ServiceCosts`], calibrated to
-//! BambooDHT-era behaviour.
+//! batched puts, batched gets and batched removes; batch handling is
+//! what the RPC aggregation optimization (paper §V.A) talks to.
+//! Processing costs per node are charged through [`ServerCtx`] using
+//! [`ServiceCosts`], calibrated to BambooDHT-era behaviour.
 //!
 //! ## Durability
 //!
-//! Since PR 7 the node has a `StorageBackend`-style durability seam
-//! ([`crate::wal::MetaBackend`]): [`DhtNodeService::new`] keeps the
-//! classic volatile node, [`DhtNodeService::open_durable`] journals
-//! every put/remove through the shared record-then-commit log engine
-//! *before* applying or acknowledging it, and replays the journal into
-//! the serving index at open. The log format (put / remove records,
-//! batched puts under one group-commit marker) and the crash model
-//! (`SIGKILL` at any offset surfaces exactly the committed prefix,
-//! committed-but-undecodable bytes are a typed
-//! [`BlobError::Recovery`], never a panic) are documented in
-//! [`crate::wal`]. Serving reads never touches the journal — the
-//! steady-state read path is identical in both modes, and the journal's
-//! commit machinery is durability plumbing outside the lockmeter, so
-//! the zero-serialization discipline is unchanged.
+//! [`DhtNodeService::new`] keeps the classic volatile node;
+//! [`DhtNodeService::open_durable`] journals every put/remove through
+//! the shared record-then-commit log engine *before* applying or
+//! acknowledging it ([`WalMeta`]), replays the journal into the serving
+//! index at open, and compacts it — on request
+//! ([`DhtNodeService::compact`]) and online, when a remove or a
+//! superseding put leaves enough dead bytes. The log format, the space
+//! accounting and the crash model are documented in [`crate::wal`].
+//! Serving reads never touches the journal — the steady-state read
+//! path is identical in both modes, and the journal's commit machinery
+//! is durability plumbing outside the lockmeter, so the
+//! zero-serialization discipline is unchanged.
 
-use crate::wal::{MetaBackend, MetaOp, VolatileMeta, WalMeta};
+use crate::wal::{NodeIndex, WalMeta};
 use blobseer_proto::messages::{
-    method, MetaGet, MetaGetBatch, MetaGetBatchResp, MetaPut, MetaPutBatch, MetaRemoveBatch,
+    method, MetaGetBatch, MetaGetBatchResp, MetaPut, MetaPutBatch, MetaRemoveBatch,
 };
-use blobseer_proto::tree::{NodeBody, NodeKey, TreeNode};
+use blobseer_proto::tree::{NodeKey, TreeNode};
 use blobseer_proto::BlobError;
 use blobseer_rpc::{error_frame, respond, Frame, ServerCtx, Service};
 use blobseer_simnet::ServiceCosts;
-use blobseer_util::recordlog::RecordLogOptions;
+use blobseer_util::recordlog::{CompactReport, CompactTrigger, RecordLogOptions};
 use blobseer_util::ShardedMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,8 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Metadata store of one DHT node (volatile or journal-backed — see
 /// the module docs).
 pub struct DhtNodeService {
-    store: ShardedMap<NodeKey, NodeBody>,
-    backend: Box<dyn MetaBackend>,
+    store: NodeIndex,
+    journal: Option<WalMeta>,
     costs: ServiceCosts,
     puts: AtomicU64,
     gets: AtomicU64,
@@ -51,7 +49,7 @@ impl DhtNodeService {
     pub fn new(costs: ServiceCosts) -> Self {
         Self {
             store: ShardedMap::with_shards(64),
-            backend: Box::new(VolatileMeta),
+            journal: None,
             costs,
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
@@ -59,30 +57,20 @@ impl DhtNodeService {
     }
 
     /// Open (or create) a journal-backed node under `dir`: the meta
-    /// log is replayed into the serving index, and every subsequent
-    /// put/remove is journaled before it is acknowledged.
+    /// log is replayed into the serving index, every subsequent
+    /// put/remove is journaled before it is acknowledged, and dead
+    /// journal bytes past `trigger` compact online.
     pub fn open_durable(
         dir: &Path,
         opts: RecordLogOptions,
+        trigger: CompactTrigger,
         costs: ServiceCosts,
     ) -> Result<Self, BlobError> {
-        let (wal, ops) = WalMeta::open(dir, opts)?;
         let store = ShardedMap::with_shards(64);
-        for op in ops {
-            match op {
-                // Insert replaces: replaying puts in order gives
-                // last-record-wins, matching live idempotent puts.
-                MetaOp::Put(node) => {
-                    store.insert(node.key, node.body);
-                }
-                MetaOp::Remove(key) => {
-                    store.remove(&key);
-                }
-            }
-        }
+        let journal = WalMeta::open(dir, opts, trigger, &store)?;
         Ok(Self {
             store,
-            backend: Box::new(wal),
+            journal: Some(journal),
             costs,
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
@@ -91,12 +79,40 @@ impl DhtNodeService {
 
     /// True when puts/removes are journaled (outlive the process).
     pub fn is_durable(&self) -> bool {
-        self.backend.is_durable()
+        self.journal.is_some()
     }
 
     /// Journal size in bytes (0 for a volatile node).
     pub fn log_bytes(&self) -> u64 {
-        self.backend.log_bytes()
+        self.journal.as_ref().map_or(0, WalMeta::log_bytes)
+    }
+
+    /// Journal bytes of the nodes stored (0 for a volatile node).
+    pub fn live_bytes(&self) -> u64 {
+        self.journal.as_ref().map_or(0, WalMeta::live_bytes)
+    }
+
+    /// Journal bytes a compaction would reclaim (0 for a volatile
+    /// node).
+    pub fn dead_bytes(&self) -> u64 {
+        self.journal.as_ref().map_or(0, WalMeta::dead_bytes)
+    }
+
+    /// Journal rewrites completed, on request or online (0 for a
+    /// volatile node).
+    pub fn compactions(&self) -> u64 {
+        self.journal.as_ref().map_or(0, WalMeta::compactions)
+    }
+
+    /// Rewrite the journal as the live index, reclaiming its dead
+    /// bytes. `Ok(None)` when there is nothing to reclaim — always on a
+    /// volatile node. Online: gets never wait, puts and removes only
+    /// for the catch-up and the swap.
+    pub fn compact(&self) -> Result<Option<CompactReport>, BlobError> {
+        match &self.journal {
+            None => Ok(None),
+            Some(journal) => journal.compact(&self.store),
+        }
     }
 
     /// Number of stored tree nodes.
@@ -122,26 +138,42 @@ impl DhtNodeService {
         self.store.contains_key(key)
     }
 
-    /// Write-ahead: journal first, apply and acknowledge after — an
-    /// acknowledged put is recoverable by replay.
-    fn put(&self, node: TreeNode) -> Result<(), BlobError> {
-        self.backend.persist_puts(std::slice::from_ref(&node))?;
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        // Tree nodes are immutable: double-put (replica repair, retried
-        // writes) is idempotent.
-        self.store.insert(node.key, node.body);
+    /// Store a batch. Durable: write-ahead, the whole batch under one
+    /// commit marker (the durability analogue of paying one RPC latency
+    /// per batch). Tree nodes are immutable: a double put (replica
+    /// repair, retried writes) is idempotent.
+    fn put_batch(&self, nodes: Vec<TreeNode>) -> Result<(), BlobError> {
+        self.puts.fetch_add(nodes.len() as u64, Ordering::Relaxed);
+        match &self.journal {
+            None => {
+                for node in nodes {
+                    self.store.insert(node.key, node.body);
+                }
+            }
+            Some(journal) => {
+                journal.put_batch(&self.store, nodes)?;
+                journal.maybe_compact(&self.store);
+            }
+        }
         Ok(())
     }
 
-    /// Batched write-ahead: the whole batch rides one commit marker
-    /// (the durability analogue of paying one RPC latency per batch).
-    fn put_batch(&self, nodes: Vec<TreeNode>) -> Result<(), BlobError> {
-        self.backend.persist_puts(&nodes)?;
-        for node in nodes {
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            self.store.insert(node.key, node.body);
+    /// Remove the nodes among `keys` this node holds (GC executing a
+    /// plan); returns how many it removed.
+    fn remove_batch(&self, keys: &[NodeKey]) -> Result<u64, BlobError> {
+        match &self.journal {
+            None => Ok(keys
+                .iter()
+                .filter(|k| self.store.remove(k).is_some())
+                .count() as u64),
+            Some(journal) => {
+                let removed = journal.remove_batch(&self.store, keys)?;
+                if removed > 0 {
+                    journal.maybe_compact(&self.store);
+                }
+                Ok(removed)
+            }
         }
-        Ok(())
     }
 
     fn get(&self, key: &NodeKey) -> Option<TreeNode> {
@@ -158,10 +190,10 @@ impl Service for DhtNodeService {
     }
 
     /// Gets probe the sharded in-memory store, journaled or not. Puts
-    /// and removes are write-ahead (a journal append and its commit);
-    /// they keep the pool.
+    /// and removes are write-ahead (a journal append and its commit)
+    /// and may compact the journal; they keep the pool.
     fn nonblocking(&self, method: u16) -> bool {
-        matches!(method, method::META_GET | method::META_GET_BATCH)
+        method == method::META_GET_BATCH
     }
 
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
@@ -169,16 +201,7 @@ impl Service for DhtNodeService {
             method::META_PUT => {
                 ctx.charge(self.costs.meta_store_cpu_ns);
                 ctx.charge_latency(self.costs.meta_store_ns);
-                respond(frame, |m: MetaPut| self.put(m.node))
-            }
-            method::META_GET => {
-                ctx.charge(self.costs.meta_fetch_ns);
-                respond(frame, |m: MetaGet| {
-                    self.get(&m.key).ok_or(BlobError::MissingMetadata {
-                        blob: m.key.blob,
-                        version: m.key.version,
-                    })
-                })
+                respond(frame, |m: MetaPut| self.put_batch(vec![m.node]))
             }
             method::META_PUT_BATCH => {
                 let mut n = 0u64;
@@ -208,14 +231,7 @@ impl Service for DhtNodeService {
                 let mut n = 0u64;
                 let resp = respond(frame, |m: MetaRemoveBatch| {
                     n = m.keys.len() as u64;
-                    self.backend.persist_removes(&m.keys)?;
-                    let mut removed = 0u64;
-                    for k in &m.keys {
-                        if self.store.remove(k).is_some() {
-                            removed += 1;
-                        }
-                    }
-                    Ok(removed)
+                    self.remove_batch(&m.keys)
                 });
                 ctx.charge(n.max(1) * self.costs.meta_fetch_ns);
                 resp
@@ -228,9 +244,10 @@ impl Service for DhtNodeService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_proto::tree::ChildVersions;
+    use blobseer_proto::tree::{ChildVersions, NodeBody};
     use blobseer_proto::BlobId;
     use blobseer_rpc::parse_response;
+    use std::path::PathBuf;
 
     fn node(v: u64, offset: u64) -> TreeNode {
         TreeNode {
@@ -246,6 +263,56 @@ mod tests {
         }
     }
 
+    fn tmp_dir() -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "dht-durable-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn durable(dir: &Path, trigger: CompactTrigger) -> DhtNodeService {
+        DhtNodeService::open_durable(dir, Default::default(), trigger, ServiceCosts::zero())
+            .unwrap()
+    }
+
+    /// A trigger that never fires: compaction only on request.
+    const NEVER: CompactTrigger = CompactTrigger {
+        dead_ratio: 0.0,
+        min_dead_bytes: 0,
+    };
+
+    fn put(svc: &DhtNodeService, nodes: Vec<TreeNode>) {
+        let mut ctx = ServerCtx::new(0);
+        let resp = svc.handle(
+            &mut ctx,
+            &Frame::from_msg(method::META_PUT_BATCH, &MetaPutBatch { nodes }),
+        );
+        parse_response::<()>(&resp).unwrap();
+    }
+
+    fn remove(svc: &DhtNodeService, keys: Vec<NodeKey>) -> u64 {
+        let mut ctx = ServerCtx::new(0);
+        let resp = svc.handle(
+            &mut ctx,
+            &Frame::from_msg(method::META_REMOVE_BATCH, &MetaRemoveBatch { keys }),
+        );
+        parse_response::<u64>(&resp).unwrap()
+    }
+
+    fn get(svc: &DhtNodeService, key: NodeKey) -> Option<TreeNode> {
+        let mut ctx = ServerCtx::new(0);
+        let resp = svc.handle(
+            &mut ctx,
+            &Frame::from_msg(method::META_GET_BATCH, &MetaGetBatch { keys: vec![key] }),
+        );
+        let mut got = parse_response::<MetaGetBatchResp>(&resp).unwrap();
+        got.nodes.pop().unwrap()
+    }
+
     #[test]
     fn put_get_single() {
         let svc = DhtNodeService::new(ServiceCosts::zero());
@@ -256,31 +323,8 @@ mod tests {
             &Frame::from_msg(method::META_PUT, &MetaPut { node: n.clone() }),
         );
         parse_response::<()>(&resp).unwrap();
-        let resp = svc.handle(
-            &mut ctx,
-            &Frame::from_msg(method::META_GET, &MetaGet { key: n.key }),
-        );
-        assert_eq!(parse_response::<TreeNode>(&resp).unwrap(), n);
+        assert_eq!(get(&svc, n.key), Some(n));
         assert_eq!(svc.len(), 1);
-    }
-
-    #[test]
-    fn get_missing_is_error() {
-        let svc = DhtNodeService::new(ServiceCosts::zero());
-        let mut ctx = ServerCtx::new(0);
-        let resp = svc.handle(
-            &mut ctx,
-            &Frame::from_msg(
-                method::META_GET,
-                &MetaGet {
-                    key: node(9, 0).key,
-                },
-            ),
-        );
-        assert!(matches!(
-            parse_response::<TreeNode>(&resp),
-            Err(BlobError::MissingMetadata { .. })
-        ));
     }
 
     #[test]
@@ -343,24 +387,9 @@ mod tests {
     #[test]
     fn remove_batch_counts() {
         let svc = DhtNodeService::new(ServiceCosts::zero());
-        let mut ctx = ServerCtx::new(0);
-        for i in 0..4 {
-            svc.handle(
-                &mut ctx,
-                &Frame::from_msg(
-                    method::META_PUT,
-                    &MetaPut {
-                        node: node(1, i * 4096),
-                    },
-                ),
-            );
-        }
+        put(&svc, (0..4).map(|i| node(1, i * 4096)).collect());
         let keys = vec![node(1, 0).key, node(1, 4096).key, node(9, 0).key];
-        let resp = svc.handle(
-            &mut ctx,
-            &Frame::from_msg(method::META_REMOVE_BATCH, &MetaRemoveBatch { keys }),
-        );
-        assert_eq!(parse_response::<u64>(&resp).unwrap(), 2);
+        assert_eq!(remove(&svc, keys), 2);
         assert_eq!(svc.len(), 2);
     }
 
@@ -381,59 +410,116 @@ mod tests {
 
     #[test]
     fn durable_node_replays_acknowledged_mutations() {
-        use std::sync::atomic::AtomicU64;
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "dht-durable-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_dir();
         {
-            let svc = DhtNodeService::open_durable(&dir, Default::default(), ServiceCosts::zero())
-                .unwrap();
+            let svc = durable(&dir, NEVER);
             assert!(svc.is_durable() && svc.is_empty());
-            let mut ctx = ServerCtx::new(0);
-            let nodes: Vec<TreeNode> = (0..4).map(|i| node(1, i * 4096)).collect();
-            let resp = svc.handle(
-                &mut ctx,
-                &Frame::from_msg(method::META_PUT_BATCH, &MetaPutBatch { nodes }),
-            );
-            parse_response::<()>(&resp).unwrap();
-            let resp = svc.handle(
-                &mut ctx,
-                &Frame::from_msg(
-                    method::META_REMOVE_BATCH,
-                    &MetaRemoveBatch {
-                        keys: vec![node(1, 0).key],
-                    },
-                ),
-            );
-            assert_eq!(parse_response::<u64>(&resp).unwrap(), 1);
+            put(&svc, (0..4).map(|i| node(1, i * 4096)).collect());
+            assert_eq!(remove(&svc, vec![node(1, 0).key]), 1);
             assert!(svc.log_bytes() > 0);
         }
         // A fresh node on the same dir re-serves every acknowledged put
         // minus the acknowledged remove.
-        let svc =
-            DhtNodeService::open_durable(&dir, Default::default(), ServiceCosts::zero()).unwrap();
+        let svc = durable(&dir, NEVER);
         assert_eq!(svc.len(), 3);
         assert!(!svc.contains(&node(1, 0).key));
         assert!(svc.contains(&node(1, 4096).key));
-        let mut ctx = ServerCtx::new(0);
-        let resp = svc.handle(
-            &mut ctx,
-            &Frame::from_msg(
-                method::META_GET,
-                &MetaGet {
-                    key: node(1, 8192).key,
-                },
-            ),
-        );
         assert_eq!(
-            parse_response::<TreeNode>(&resp).unwrap(),
-            node(1, 8192),
+            get(&svc, node(1, 8192).key),
+            Some(node(1, 8192)),
             "replayed node is byte-identical"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_remove_of_a_node_not_held_journals_nothing() {
+        let dir = tmp_dir();
+        let svc = durable(&dir, NEVER);
+        put(&svc, vec![node(1, 0)]);
+        let (bytes, dead) = (svc.log_bytes(), svc.dead_bytes());
+        assert_eq!(remove(&svc, vec![node(2, 0).key, node(3, 0).key]), 0);
+        assert_eq!((svc.log_bytes(), svc.dead_bytes()), (bytes, dead));
+        // A held key among absent ones journals exactly its own record.
+        assert_eq!(remove(&svc, vec![node(2, 0).key, node(1, 0).key]), 1);
+        let record = crate::wal::remove_record_bytes(&node(1, 0).key);
+        assert_eq!(
+            svc.log_bytes(),
+            bytes + record + 48,
+            "one record, one marker"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_keeps_exactly_the_live_index_and_replays_the_same_counts() {
+        let dir = tmp_dir();
+        let svc = durable(&dir, NEVER);
+        assert_eq!(svc.compact().unwrap(), None, "nothing dead, nothing to do");
+        put(&svc, (0..8).map(|i| node(1, i * 4096)).collect());
+        put(&svc, vec![node(1, 0)]); // a double put supersedes a record
+        assert_eq!(
+            remove(&svc, (4..8).map(|i| node(1, i * 4096).key).collect()),
+            4
+        );
+        let live = svc.live_bytes();
+        let dead = svc.dead_bytes();
+        let record = crate::wal::put_record_bytes(&node(1, 0).key, &node(1, 0).body);
+        assert_eq!(live, 4 * record);
+        assert_eq!(
+            dead,
+            5 * record + 4 * crate::wal::remove_record_bytes(&node(1, 0).key)
+        );
+        let report = svc.compact().unwrap().expect("dead bytes compact");
+        assert_eq!(report.generation, 1);
+        assert_eq!(report.new_log_bytes, live + 48, "live records, one marker");
+        assert_eq!(
+            report.old_log_bytes - report.new_log_bytes,
+            report.reclaimed_bytes
+        );
+        assert_eq!((svc.log_bytes(), svc.dead_bytes()), (live + 48, 0));
+        assert_eq!(svc.compactions(), 1);
+        // Appends continue in the new generation.
+        put(&svc, vec![node(2, 0)]);
+        drop(svc);
+        let svc = durable(&dir, NEVER);
+        assert_eq!(svc.len(), 5);
+        assert!((0..4).all(|i| get(&svc, node(1, i * 4096).key) == Some(node(1, i * 4096))));
+        assert!((4..8).all(|i| !svc.contains(&node(1, i * 4096).key)));
+        assert_eq!(
+            svc.live_bytes(),
+            live + record,
+            "replay counts what serving counted"
+        );
+        assert_eq!(svc.dead_bytes(), 0);
+        assert!(dir.join("meta.g1.log").exists() && !dir.join("meta.g0.log").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dead_bytes_past_the_trigger_compact_online() {
+        let dir = tmp_dir();
+        let record = crate::wal::put_record_bytes(&node(1, 0).key, &node(1, 0).body);
+        let trigger = CompactTrigger {
+            dead_ratio: 0.5,
+            min_dead_bytes: 5 * record,
+        };
+        let svc = durable(&dir, trigger);
+        put(&svc, (0..8).map(|i| node(1, i * 4096)).collect());
+        // Three removes leave fewer dead bytes than the floor.
+        assert_eq!(
+            remove(&svc, (0..3).map(|i| node(1, i * 4096).key).collect()),
+            3
+        );
+        assert_eq!(svc.compactions(), 0);
+        // Three more cross both thresholds: the remove compacts.
+        assert_eq!(
+            remove(&svc, (3..6).map(|i| node(1, i * 4096).key).collect()),
+            3
+        );
+        assert_eq!(svc.compactions(), 1);
+        assert_eq!(svc.dead_bytes(), 0);
+        assert_eq!(svc.log_bytes(), 2 * record + 48);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -441,7 +527,11 @@ mod tests {
     fn unknown_method_rejected() {
         let svc = DhtNodeService::new(ServiceCosts::zero());
         let mut ctx = ServerCtx::new(0);
-        let resp = svc.handle(&mut ctx, &Frame::from_msg(0x7777, &0u64));
-        assert!(parse_response::<u64>(&resp).is_err());
+        // 0x0302 was the single-node get: no product code sent it, and
+        // it is no longer served.
+        for m in [0x7777, 0x0302] {
+            let resp = svc.handle(&mut ctx, &Frame::from_msg(m, &0u64));
+            assert!(parse_response::<u64>(&resp).is_err());
+        }
     }
 }

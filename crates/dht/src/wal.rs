@@ -1,13 +1,13 @@
-//! The metadata provider's durability seam.
+//! The metadata provider's journal.
 //!
-//! Mirrors the data provider's `StorageBackend` split: the sharded
-//! in-memory index is the serving path either way; the backend behind
-//! it decides whether mutations outlive the process. [`VolatileMeta`]
-//! is the classic in-memory DHT node; [`WalMeta`] journals every put
-//! and remove through the shared record-then-commit engine
-//! ([`blobseer_util::recordlog`]) *before* the mutation is applied or
-//! acknowledged — write-ahead, group-committed, so "acknowledged means
-//! recoverable" holds for tree nodes exactly as it does for pages.
+//! The sharded in-memory index is the serving path either way; a
+//! durable DHT node ([`crate::DhtNodeService::open_durable`]) also
+//! journals every put and remove through the shared record-then-commit
+//! engine ([`blobseer_util::recordlog`]) *before* the mutation is
+//! applied or acknowledged — write-ahead, group-committed, so
+//! "acknowledged means recoverable" holds for tree nodes exactly as it
+//! does for pages. [`WalMeta`] is that journal; a volatile node has
+//! none.
 //!
 //! ## Log format
 //!
@@ -28,12 +28,39 @@
 //!   node of it is served — never a binary or 16-way node read as a
 //!   32-way one.
 //! * **remove** (`BSMTDEL2`): payload is the wire-encoded [`NodeKey`]
-//!   (GC executing a plan).
+//!   (GC executing a plan). Only a node the index holds is journaled
+//!   as removed: a remove of anything else writes nothing.
 //! * group-commit markers / tombstones as defined by the engine.
 //!
 //! A batched put (`META_PUT_BATCH`, the paper's aggregation
 //! optimization) appends all its records under **one** commit marker —
 //! the durability analogue of paying one RPC latency per batch.
+//!
+//! ## Generations and dead bytes
+//!
+//! The journal is append-only within a generation, so a record can
+//! outlive its purpose. Its **dead bytes** ([`WalMeta::dead_bytes`])
+//! are exactly the put records of nodes removed or superseded since,
+//! plus every remove record; its **live bytes**
+//! ([`WalMeta::live_bytes`]) are the put records of the nodes the index
+//! holds. Both are counted from what the index's own insert and remove
+//! return, on the serving path and identically during replay, so a
+//! reopened node starts from the same figures.
+//!
+//! [`WalMeta::compact`] rewrites the journal as the next generation
+//! `meta.g<N+1>.log`, exactly as the page log is compacted: the live
+//! index is snapshotted and staged under one marker while puts and
+//! removes continue; then, under the engine's generation gate (no
+//! journal append in flight), whatever changed since the snapshot is
+//! staged behind it — puts as put records, removals as remove records —
+//! under a second marker, and the generation is installed. So a
+//! compacted journal holds the live index plus what arrived since its
+//! last rewrite. It is made of the same records and markers as any
+//! other generation: a rewrite changes no format, and replays like one.
+//! Compaction runs on request, and online when a remove or a
+//! superseding put pushes dead bytes past the deployment's
+//! [`CompactTrigger`] — the rule the page log runs — on the thread that
+//! made them.
 //!
 //! ## Crash model
 //!
@@ -42,12 +69,27 @@
 //! dropped — those puts were never acknowledged. A *committed* record
 //! that fails to decode is a [`BlobError::Recovery`] with file + offset
 //! context, never a panic.
+//!
+//! A rewrite stages `meta.g<N+1>.log.tmp`, seals and fsyncs it, renames
+//! it into place, and unlinks `meta.g<N>.log`. A crash before the
+//! rename leaves a `.tmp` that never wins: the old generation replays,
+//! as if no rewrite had started. A crash after it leaves both
+//! generations, and the newest wins — it already holds every record the
+//! old one acknowledged, because the gate held appends off until the
+//! catch-up was sealed. Either way the debris is removed at the next
+//! open.
 
-use blobseer_proto::tree::{NodeKey, TreeNode};
+use blobseer_proto::tree::{NodeBody, NodeKey, TreeNode};
 use blobseer_proto::wire::Wire;
 use blobseer_proto::BlobError;
-use blobseer_util::recordlog::{LogError, OwnedRecord, Record, RecordLog, RecordLogOptions};
+use blobseer_util::recordlog::{
+    CompactReport, CompactTrigger, LogError, OwnedRecord, Record, RecordLog, RecordLogOptions,
+    REC_HEADER,
+};
+use blobseer_util::ShardedMap;
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Magic of a put record ("BSMTPUT2"): payload is a wire-encoded
 /// [`TreeNode`]. `BSMTPUT1` is the same record under the engine's
@@ -60,48 +102,21 @@ pub const META_PUT_MAGIC: u64 = 0x4253_4d54_5055_5432;
 /// [`NodeKey`]. `BSMTDEL1` is retired like `BSMTPUT1`.
 pub const META_REMOVE_MAGIC: u64 = 0x4253_4d54_4445_4c32;
 
-/// The durability seam of one DHT node (`StorageBackend`-style): the
-/// serving index stays in memory; implementations decide whether
-/// mutations are journaled before they are acknowledged.
-pub trait MetaBackend: Send + Sync {
-    /// Journal a batch of tree-node puts (one commit marker for the
-    /// whole batch). Must return before the puts are acknowledged.
-    fn persist_puts(&self, nodes: &[TreeNode]) -> Result<(), BlobError>;
+/// The serving index of one DHT node.
+pub type NodeIndex = ShardedMap<NodeKey, NodeBody>;
 
-    /// Journal a batch of removes (GC executing a plan).
-    fn persist_removes(&self, keys: &[NodeKey]) -> Result<(), BlobError>;
-
-    /// True when mutations survive the process (`WalMeta`).
-    fn is_durable(&self) -> bool;
-
-    /// Journal size in bytes (0 for the volatile backend).
-    fn log_bytes(&self) -> u64;
+/// Journal bytes of the put record of `key → body`: header, key, body.
+pub(crate) fn put_record_bytes(key: &NodeKey, body: &NodeBody) -> u64 {
+    REC_HEADER + (key.wire_hint() + body.wire_hint()) as u64
 }
 
-/// The classic in-memory metadata node: nothing outlives the process.
-pub struct VolatileMeta;
-
-impl MetaBackend for VolatileMeta {
-    fn persist_puts(&self, _nodes: &[TreeNode]) -> Result<(), BlobError> {
-        Ok(())
-    }
-
-    fn persist_removes(&self, _keys: &[NodeKey]) -> Result<(), BlobError> {
-        Ok(())
-    }
-
-    fn is_durable(&self) -> bool {
-        false
-    }
-
-    fn log_bytes(&self) -> u64 {
-        0
-    }
+/// Journal bytes of the remove record of `key`: header and key.
+pub(crate) fn remove_record_bytes(key: &NodeKey) -> u64 {
+    REC_HEADER + key.wire_hint() as u64
 }
 
-/// One replayed metadata mutation, in append order.
-#[derive(Debug)]
-pub enum MetaOp {
+/// One replayed metadata mutation.
+enum MetaOp {
     /// Re-insert a tree node.
     Put(TreeNode),
     /// Remove a tree node (GC replay).
@@ -118,85 +133,275 @@ fn log_err(path: &Path, e: LogError) -> BlobError {
     }
 }
 
-/// The write-ahead metadata journal.
+/// A record of kind `magic` (put or remove) carrying `payload`.
+fn record(magic: u64, payload: &[u8]) -> Record<'_> {
+    Record {
+        magic,
+        a: 0,
+        b: 0,
+        c: 0,
+        payload,
+    }
+}
+
+/// `payloads` as records of one kind.
+fn records(magic: u64, payloads: &[Vec<u8>]) -> Vec<Record<'_>> {
+    payloads.iter().map(|p| record(magic, p)).collect()
+}
+
+/// The write-ahead metadata journal of one DHT node, with its space
+/// accounting and compaction (see the module docs).
 #[derive(Debug)]
 pub struct WalMeta {
     log: RecordLog,
+    trigger: CompactTrigger,
+    /// Bytes of the put records of the nodes the index holds.
+    live: AtomicU64,
+    /// Bytes of records no replay needs: the put records of removed or
+    /// superseded nodes, and every remove record.
+    dead: AtomicU64,
+    /// After a failed compaction the trigger waits for this many dead
+    /// bytes (0: no back-off), so a persistent failure does not turn
+    /// every remove into a rewrite attempt.
+    retry_floor: AtomicU64,
+    /// An online compaction is running; the trigger does not queue
+    /// behind it.
+    compacting: AtomicBool,
+    /// Rewrites completed.
+    compactions: AtomicU64,
 }
 
 impl WalMeta {
-    /// Open (or create) the metadata journal under `dir` and replay it:
-    /// returns the backend plus every committed mutation in append
-    /// order, ready to be applied to an empty index.
-    pub fn open(dir: &Path, opts: RecordLogOptions) -> Result<(Self, Vec<MetaOp>), BlobError> {
+    /// Open (or create) the metadata journal under `dir` and replay it
+    /// into the empty `index`, counting live and dead bytes as it goes.
+    /// Dead bytes past `trigger` compact online.
+    pub fn open(
+        dir: &Path,
+        opts: RecordLogOptions,
+        trigger: CompactTrigger,
+        index: &NodeIndex,
+    ) -> Result<Self, BlobError> {
         let (log, records) = RecordLog::open(dir, "meta", opts).map_err(|e| log_err(dir, e))?;
-        let mut ops = Vec::with_capacity(records.len());
-        for rec in records {
-            ops.push(decode_op(&rec, &log)?);
+        let wal = Self {
+            log,
+            trigger,
+            live: AtomicU64::new(0),
+            dead: AtomicU64::new(0),
+            retry_floor: AtomicU64::new(0),
+            compacting: AtomicBool::new(false),
+            compactions: AtomicU64::new(0),
+        };
+        for rec in &records {
+            match wal.decode_op(rec)? {
+                // Insert replaces: replaying puts in order gives
+                // last-record-wins, matching live idempotent puts.
+                MetaOp::Put(node) => wal.insert(index, node),
+                MetaOp::Remove(key) => {
+                    wal.remove(index, &key);
+                }
+            }
         }
-        Ok((Self { log }, ops))
+        Ok(wal)
     }
-}
 
-/// Decode one committed record; failures carry file + offset.
-fn decode_op(rec: &OwnedRecord, log: &RecordLog) -> Result<MetaOp, BlobError> {
-    let recovery = |detail: &'static str| BlobError::Recovery {
-        file: log.path().display().to_string(),
-        offset: rec.offset,
-        detail,
-    };
-    match rec.magic {
-        META_PUT_MAGIC => Ok(MetaOp::Put(
-            TreeNode::from_wire(&rec.payload).map_err(|_| recovery("undecodable tree node"))?,
-        )),
-        META_REMOVE_MAGIC => Ok(MetaOp::Remove(
-            NodeKey::from_wire(&rec.payload).map_err(|_| recovery("undecodable node key"))?,
-        )),
-        _ => Err(recovery("unknown meta record magic")),
+    /// Decode one committed record; failures carry file + offset.
+    fn decode_op(&self, rec: &OwnedRecord) -> Result<MetaOp, BlobError> {
+        let recovery = |detail: &'static str| BlobError::Recovery {
+            file: self.log.path().display().to_string(),
+            offset: rec.offset,
+            detail,
+        };
+        match rec.magic {
+            META_PUT_MAGIC => Ok(MetaOp::Put(
+                TreeNode::from_wire(&rec.payload).map_err(|_| recovery("undecodable tree node"))?,
+            )),
+            META_REMOVE_MAGIC => Ok(MetaOp::Remove(
+                NodeKey::from_wire(&rec.payload).map_err(|_| recovery("undecodable node key"))?,
+            )),
+            _ => Err(recovery("unknown meta record magic")),
+        }
     }
-}
 
-impl MetaBackend for WalMeta {
-    fn persist_puts(&self, nodes: &[TreeNode]) -> Result<(), BlobError> {
-        let encoded: Vec<Vec<u8>> = nodes.iter().map(|n| n.to_wire()).collect();
-        let recs: Vec<Record<'_>> = encoded
-            .iter()
-            .map(|payload| Record {
-                magic: META_PUT_MAGIC,
-                a: 0,
-                b: 0,
-                c: 0,
-                payload,
-            })
-            .collect();
+    fn err(&self, e: LogError) -> BlobError {
+        log_err(&self.log.path(), e)
+    }
+
+    /// Insert `node` after its put record: that record is live, and the
+    /// one of the node it supersedes is dead.
+    fn insert(&self, index: &NodeIndex, node: TreeNode) {
+        let key = node.key;
+        self.live
+            .fetch_add(put_record_bytes(&key, &node.body), Ordering::Relaxed);
+        if let Some(old) = index.insert(key, node.body) {
+            self.bury(put_record_bytes(&key, &old));
+        }
+    }
+
+    /// Remove `key` after its remove record: the record is dead on
+    /// arrival, and so is the put record of the node it removes.
+    fn remove(&self, index: &NodeIndex, key: &NodeKey) -> bool {
+        self.dead
+            .fetch_add(remove_record_bytes(key), Ordering::Relaxed);
+        match index.remove(key) {
+            Some(old) => {
+                self.bury(put_record_bytes(key, &old));
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A live put record of `bytes` became dead.
+    fn bury(&self, bytes: u64) {
+        self.live.fetch_sub(bytes, Ordering::Relaxed);
+        self.dead.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Journal `nodes` under one commit marker, then insert them into
+    /// `index` — write-ahead: an acknowledged put is recoverable.
+    pub fn put_batch(&self, index: &NodeIndex, nodes: Vec<TreeNode>) -> Result<(), BlobError> {
+        let encoded: Vec<Vec<u8>> = nodes.iter().map(Wire::to_wire).collect();
         self.log
-            .append_batch(&recs)
-            .map_err(|e| log_err(self.log.path(), e))
-    }
-
-    fn persist_removes(&self, keys: &[NodeKey]) -> Result<(), BlobError> {
-        let encoded: Vec<Vec<u8>> = keys.iter().map(|k| k.to_wire()).collect();
-        let recs: Vec<Record<'_>> = encoded
-            .iter()
-            .map(|payload| Record {
-                magic: META_REMOVE_MAGIC,
-                a: 0,
-                b: 0,
-                c: 0,
-                payload,
+            .append_batch_then(&records(META_PUT_MAGIC, &encoded), || {
+                for node in nodes {
+                    self.insert(index, node);
+                }
             })
+            .map_err(|e| self.err(e))
+    }
+
+    /// Journal the removes of the nodes among `keys` that `index` holds
+    /// under one commit marker, then remove them; a key it does not
+    /// hold journals nothing. Returns how many nodes were removed.
+    pub fn remove_batch(&self, index: &NodeIndex, keys: &[NodeKey]) -> Result<u64, BlobError> {
+        let held: Vec<NodeKey> = keys
+            .iter()
+            .filter(|k| index.contains_key(k))
+            .copied()
             .collect();
+        if held.is_empty() {
+            return Ok(0);
+        }
+        let encoded: Vec<Vec<u8>> = held.iter().map(Wire::to_wire).collect();
         self.log
-            .append_batch(&recs)
-            .map_err(|e| log_err(self.log.path(), e))
+            .append_batch_then(&records(META_REMOVE_MAGIC, &encoded), || {
+                held.iter().filter(|k| self.remove(index, k)).count() as u64
+            })
+            .map_err(|e| self.err(e))
     }
 
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn log_bytes(&self) -> u64 {
+    /// Journal size in bytes.
+    pub fn log_bytes(&self) -> u64 {
         self.log.log_bytes()
+    }
+
+    /// Bytes of the put records of the nodes the index holds.
+    pub fn live_bytes(&self) -> u64 {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// Bytes a compaction would reclaim (see the module docs).
+    pub fn dead_bytes(&self) -> u64 {
+        self.dead.load(Ordering::Relaxed)
+    }
+
+    /// Rewrites this journal completed since it was opened.
+    pub fn compactions(&self) -> u64 {
+        self.compactions.load(Ordering::Relaxed)
+    }
+
+    /// The online trigger, run after a mutation: compact when dead
+    /// bytes crossed the trigger (and any back-off floor), unless a
+    /// compaction is already running. Best effort — a failure leaves
+    /// the current generation serving and backs the trigger off.
+    pub fn maybe_compact(&self, index: &NodeIndex) {
+        let dead = self.dead_bytes();
+        let trigger = CompactTrigger {
+            min_dead_bytes: self
+                .retry_floor
+                .load(Ordering::Relaxed)
+                .max(self.trigger.min_dead_bytes),
+            ..self.trigger
+        };
+        if !trigger.fires(dead, self.log_bytes()) || self.compacting.swap(true, Ordering::Acquire) {
+            return;
+        }
+        let _ = self.compact(index);
+        self.compacting.store(false, Ordering::Release);
+    }
+
+    /// Rewrite the journal as the live `index` plus whatever changed
+    /// while the snapshot was written (see the module docs). `Ok(None)`
+    /// when no byte is dead. Puts and removes wait only for the
+    /// catch-up and the install.
+    pub fn compact(&self, index: &NodeIndex) -> Result<Option<CompactReport>, BlobError> {
+        match self.rewrite(index) {
+            Ok(None) => Ok(None),
+            Ok(Some(report)) => {
+                self.retry_floor.store(0, Ordering::Relaxed);
+                self.compactions.fetch_add(1, Ordering::Relaxed);
+                Ok(Some(report))
+            }
+            Err(e) => {
+                let floor = self.dead_bytes().saturating_mul(2);
+                self.retry_floor.store(floor, Ordering::Relaxed);
+                Err(self.err(e))
+            }
+        }
+    }
+
+    /// [`compact`](Self::compact)'s two phases.
+    fn rewrite(&self, index: &NodeIndex) -> Result<Option<CompactReport>, LogError> {
+        if self.dead_bytes() == 0 {
+            return Ok(None);
+        }
+        let mut next = self.log.begin_rewrite()?;
+        // Phase 1, appends continue: stage the live index as it stands.
+        let snapshot: Vec<TreeNode> = index.fold(Vec::new(), |mut nodes, key, body| {
+            nodes.push(TreeNode {
+                key: *key,
+                body: body.clone(),
+            });
+            nodes
+        });
+        for node in &snapshot {
+            next.put(record(META_PUT_MAGIC, &node.to_wire()))?;
+        }
+        next.seal()?;
+        // Phase 2, under the gate: stage what changed since, and swap.
+        let (report, (dead_before, dead_after)) = next.install(|next| {
+            let mut staged: HashMap<NodeKey, &NodeBody> =
+                snapshot.iter().map(|n| (n.key, &n.body)).collect();
+            let mut dead_after = 0;
+            let changed = index.fold(Vec::new(), |mut changed, key, body| {
+                match staged.remove(key) {
+                    Some(was) if was == body => return changed,
+                    Some(was) => dead_after += put_record_bytes(key, was),
+                    None => {}
+                }
+                changed.push(TreeNode {
+                    key: *key,
+                    body: body.clone(),
+                });
+                changed
+            });
+            for node in &changed {
+                next.put(record(META_PUT_MAGIC, &node.to_wire()))?;
+            }
+            // Staged nodes the index no longer holds were removed
+            // during the snapshot: their put records open the new
+            // generation dead, behind a remove record each.
+            for (key, body) in &staged {
+                next.put(record(META_REMOVE_MAGIC, &key.to_wire()))?;
+                dead_after += put_record_bytes(key, body) + remove_record_bytes(key);
+            }
+            // Every mutation holds the gate's other side, so the count
+            // is still; what lands after the swap adds to it.
+            Ok((self.dead_bytes(), dead_after))
+        })?;
+        self.dead
+            .fetch_sub(dead_before.saturating_sub(dead_after), Ordering::Relaxed);
+        Ok(Some(report))
     }
 }
 
@@ -246,22 +451,67 @@ mod tests {
         payload
     }
 
+    fn open(dir: &Path) -> (WalMeta, NodeIndex) {
+        let index = NodeIndex::default();
+        let wal = WalMeta::open(
+            dir,
+            RecordLogOptions::default(),
+            CompactTrigger::default(),
+            &index,
+        )
+        .unwrap();
+        (wal, index)
+    }
+
     #[test]
     fn puts_and_removes_replay_in_order() {
         let dir = tmp_dir("order");
         {
-            let (wal, ops) = WalMeta::open(&dir, RecordLogOptions::default()).unwrap();
-            assert!(ops.is_empty());
-            wal.persist_puts(&[node(1, 0), node(1, 4096), node(2, 0)])
+            let (wal, index) = open(&dir);
+            assert!(index.is_empty());
+            wal.put_batch(&index, vec![node(1, 0), node(1, 4096), node(2, 0)])
                 .unwrap();
-            wal.persist_removes(&[node(1, 0).key]).unwrap();
-            assert!(wal.is_durable() && wal.log_bytes() > 0);
+            assert_eq!(wal.remove_batch(&index, &[node(1, 0).key]).unwrap(), 1);
+            assert!(wal.log_bytes() > 0);
         }
-        let (_, ops) = WalMeta::open(&dir, RecordLogOptions::default()).unwrap();
-        assert_eq!(ops.len(), 4);
-        assert!(matches!(&ops[0], MetaOp::Put(n) if n.key.version == 1));
-        assert!(matches!(&ops[3], MetaOp::Remove(k) if k.version == 1 && k.offset == 0));
+        let (wal, index) = open(&dir);
+        assert_eq!(index.len(), 2);
+        assert!(!index.contains_key(&node(1, 0).key));
+        assert_eq!(index.get_cloned(&node(2, 0).key), Some(node(2, 0).body));
+        // The remove came after its put: replay counts that put dead.
+        assert_eq!(
+            wal.dead_bytes(),
+            put_record_bytes(&node(1, 0).key, &node(1, 0).body)
+                + remove_record_bytes(&node(1, 0).key)
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_sizes_are_the_encoded_sizes() {
+        let leaf = TreeNode {
+            key: node(1, 0).key,
+            body: NodeBody::Leaf {
+                page: blobseer_proto::tree::PageLoc {
+                    key: blobseer_proto::tree::PageKey {
+                        blob: BlobId(1),
+                        write: blobseer_proto::WriteId(7),
+                        index: 3,
+                    },
+                    replicas: vec![blobseer_proto::ProviderId(1), blobseer_proto::ProviderId(2)],
+                },
+            },
+        };
+        for n in [node(1, 0), leaf] {
+            assert_eq!(
+                put_record_bytes(&n.key, &n.body),
+                REC_HEADER + n.to_wire().len() as u64
+            );
+        }
+        assert_eq!(
+            remove_record_bytes(&node(1, 0).key),
+            REC_HEADER + node(1, 0).key.to_wire().len() as u64
+        );
     }
 
     #[test]
@@ -271,7 +521,13 @@ mod tests {
         // a decodable TreeNode: replay must surface Recovery with the
         // offending offset, never panic.
         write_committed_put(&dir, b"not a tree node");
-        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        let err = WalMeta::open(
+            &dir,
+            RecordLogOptions::default(),
+            CompactTrigger::default(),
+            &NodeIndex::default(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, BlobError::Recovery { offset: 0, .. }),
             "got {err:?}"
@@ -309,7 +565,13 @@ mod tests {
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&1u64.to_le_bytes());
         write_committed_put(&dir, &payload);
-        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        let err = WalMeta::open(
+            &dir,
+            RecordLogOptions::default(),
+            CompactTrigger::default(),
+            &NodeIndex::default(),
+        )
+        .unwrap_err();
         match &err {
             BlobError::Recovery { file, offset, .. } => {
                 assert!(file.ends_with("meta.g0.log"), "{file}");
@@ -321,6 +583,7 @@ mod tests {
         let svc = crate::node::DhtNodeService::open_durable(
             &dir,
             RecordLogOptions::default(),
+            CompactTrigger::default(),
             blobseer_simnet::ServiceCosts::zero(),
         );
         assert!(matches!(svc, Err(BlobError::Recovery { .. })));
@@ -335,7 +598,13 @@ mod tests {
         write_committed_put(&dir, &sixteen_way_put(1, 0));
         let path = dir.join("meta.g0.log");
         let image = std::fs::read(&path).unwrap();
-        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        let err = WalMeta::open(
+            &dir,
+            RecordLogOptions::default(),
+            CompactTrigger::default(),
+            &NodeIndex::default(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, BlobError::Recovery { offset: 0, .. }),
             "got {err:?}"
@@ -343,6 +612,7 @@ mod tests {
         let svc = crate::node::DhtNodeService::open_durable(
             &dir,
             RecordLogOptions::default(),
+            CompactTrigger::default(),
             blobseer_simnet::ServiceCosts::zero(),
         );
         assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
@@ -381,7 +651,13 @@ mod tests {
         ));
         let path = dir.join("meta.g0.log");
         std::fs::write(&path, &image).unwrap();
-        let err = WalMeta::open(&dir, RecordLogOptions::default()).unwrap_err();
+        let err = WalMeta::open(
+            &dir,
+            RecordLogOptions::default(),
+            CompactTrigger::default(),
+            &NodeIndex::default(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, BlobError::Recovery { offset: 0, .. }),
             "got {err:?}"
@@ -390,19 +666,11 @@ mod tests {
         let svc = crate::node::DhtNodeService::open_durable(
             &dir,
             RecordLogOptions::default(),
+            CompactTrigger::default(),
             blobseer_simnet::ServiceCosts::zero(),
         );
         assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
         assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn volatile_backend_is_a_noop() {
-        let v = VolatileMeta;
-        v.persist_puts(&[node(1, 0)]).unwrap();
-        v.persist_removes(&[node(1, 0).key]).unwrap();
-        assert!(!v.is_durable());
-        assert_eq!(v.log_bytes(), 0);
     }
 }

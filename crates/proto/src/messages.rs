@@ -40,8 +40,6 @@ pub mod method {
 
     /// Metadata provider (DHT): store one tree node.
     pub const META_PUT: u16 = 0x0301;
-    /// Metadata provider (DHT): fetch one tree node.
-    pub const META_GET: u16 = 0x0302;
     /// Metadata provider (DHT): store a batch of tree nodes.
     pub const META_PUT_BATCH: u16 = 0x0303;
     /// Metadata provider (DHT): fetch a batch of tree nodes.
@@ -204,14 +202,6 @@ pub struct MetaPut {
     pub node: TreeNode,
 }
 wire_struct!(MetaPut { node });
-
-/// Fetch one tree node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MetaGet {
-    /// Node identity.
-    pub key: NodeKey,
-}
-wire_struct!(MetaGet { key });
 
 /// Store a batch of tree nodes (one aggregated RPC — paper §V.A).
 #[derive(Clone, PartialEq, Eq, Debug)]

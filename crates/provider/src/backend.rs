@@ -77,8 +77,10 @@
 
 use blobseer_proto::tree::PageKey;
 use blobseer_proto::{BlobError, BlobId, WriteId};
+pub use blobseer_util::recordlog::CompactReport;
 use blobseer_util::recordlog::{
-    self, Appender, GenerationWriter, LogError, Record, RecordLogOptions, ResumePoint, REC_HEADER,
+    self, Appender, CompactTrigger, GenerationWriter, LogError, Record, RecordLogOptions,
+    ResumePoint, REC_HEADER,
 };
 use blobseer_util::PageBuf;
 use parking_lot::RwLock;
@@ -136,28 +138,27 @@ pub struct LogOptions {
     pub compact_min_dead_bytes: u64,
 }
 
-impl Default for LogOptions {
-    fn default() -> Self {
-        Self {
-            fsync_on_commit: false,
-            group_commit_window: Duration::ZERO,
-            compact_dead_ratio: 0.5,
-            compact_min_dead_bytes: 64 * 1024,
+impl LogOptions {
+    /// The compaction thresholds as the engine's [`CompactTrigger`] —
+    /// the metadata journal compacts on the same rule.
+    pub fn trigger(&self) -> CompactTrigger {
+        CompactTrigger {
+            dead_ratio: self.compact_dead_ratio,
+            min_dead_bytes: self.compact_min_dead_bytes,
         }
     }
 }
 
-/// What one compaction accomplished.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompactReport {
-    /// The generation number compaction produced.
-    pub generation: u64,
-    /// Log bytes of the generation it replaced.
-    pub old_log_bytes: u64,
-    /// Log bytes of the fresh generation (live records + one marker).
-    pub new_log_bytes: u64,
-    /// Bytes the swap reclaimed (`old - new`).
-    pub reclaimed_bytes: u64,
+impl Default for LogOptions {
+    fn default() -> Self {
+        let trigger = CompactTrigger::default();
+        Self {
+            fsync_on_commit: false,
+            group_commit_window: Duration::ZERO,
+            compact_dead_ratio: trigger.dead_ratio,
+            compact_min_dead_bytes: trigger.min_dead_bytes,
+        }
+    }
 }
 
 /// A successful compaction: the fresh serving buffers for every live
@@ -592,13 +593,14 @@ impl StorageBackend for MmapBackend {
         // `compact_floor` backs the automatic trigger off after a
         // failed compaction: retry only once dead bytes have grown
         // past the floor, not on every subsequent remove.
-        let floor = self
-            .compact_floor
-            .load(Ordering::Relaxed)
-            .max(self.opts.compact_min_dead_bytes);
-        self.opts.compact_dead_ratio > 0.0
-            && dead >= floor
-            && dead as f64 >= self.opts.compact_dead_ratio * self.log_bytes() as f64
+        let trigger = CompactTrigger {
+            min_dead_bytes: self
+                .compact_floor
+                .load(Ordering::Relaxed)
+                .max(self.opts.compact_min_dead_bytes),
+            ..self.opts.trigger()
+        };
+        trigger.fires(dead, self.log_bytes())
     }
 
     fn compact_prepare(

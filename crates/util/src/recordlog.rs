@@ -39,8 +39,12 @@
 //! * [`RecordLog`] is the plain-file client for small control-plane
 //!   records (`meta.g<N>.log`, `version.g<N>.log`): an unbounded
 //!   [`Appender`], replay over the bytes of one `fs::read` with
-//!   payloads copied out, and [`RecordLog::rewrite`] as a one-step
-//!   [`GenerationWriter`] (the version journal's checkpoint-on-open).
+//!   payloads copied out, and a [`Rewrite`] over a [`GenerationWriter`]
+//!   in the page log's two steps behind a generation gate (the metadata
+//!   journal's compaction), or in one ([`RecordLog::rewrite`], the
+//!   version journal's checkpoint-on-open).
+//! * [`CompactTrigger`] is the one dead-bytes threshold both compacting
+//!   logs run, and [`CompactReport`] what a rewrite reclaimed.
 //!
 //! # The check word and the payload digest
 //!
@@ -79,7 +83,7 @@
 //! file as it was.
 
 use crate::rng::splitmix64;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -989,6 +993,53 @@ impl GenerationWriter {
 }
 
 // ---------------------------------------------------------------------------
+// Compaction
+// ---------------------------------------------------------------------------
+
+/// When a log's dead bytes — records no replay needs any more — are
+/// worth a rewrite: the one threshold rule of both logs that compact
+/// online (the provider's page log and the metadata journal).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CompactTrigger {
+    /// Dead bytes must reach this fraction of the log (`0` disables
+    /// the trigger; an explicit compaction still runs).
+    pub dead_ratio: f64,
+    /// …and at least this many bytes (so a small log does not churn).
+    pub min_dead_bytes: u64,
+}
+
+impl Default for CompactTrigger {
+    fn default() -> Self {
+        Self {
+            dead_ratio: 0.5,
+            min_dead_bytes: 64 * 1024,
+        }
+    }
+}
+
+impl CompactTrigger {
+    /// True when `dead` of a `log_bytes` log crosses both thresholds.
+    pub fn fires(&self, dead: u64, log_bytes: u64) -> bool {
+        self.dead_ratio > 0.0
+            && dead >= self.min_dead_bytes
+            && dead as f64 >= self.dead_ratio * log_bytes as f64
+    }
+}
+
+/// What one compaction accomplished.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CompactReport {
+    /// The generation number compaction produced.
+    pub generation: u64,
+    /// Log bytes of the generation it replaced.
+    pub old_log_bytes: u64,
+    /// Log bytes of the fresh generation (live records and markers).
+    pub new_log_bytes: u64,
+    /// Bytes the swap reclaimed (`old - new`).
+    pub reclaimed_bytes: u64,
+}
+
+// ---------------------------------------------------------------------------
 // The plain-file client
 // ---------------------------------------------------------------------------
 
@@ -1013,11 +1064,26 @@ pub struct OwnedRecord {
 /// A crash-consistent append-only record log on a plain file: an
 /// unbounded [`Appender`] over the newest `<base>.g<N>.log` under a
 /// directory, replayed once at [`RecordLog::open`], swapped for a
-/// compacted next generation by [`RecordLog::rewrite`].
+/// compacted next generation by a [`Rewrite`] ([`RecordLog::rewrite`]
+/// in one step).
+///
+/// Appends hold the read side of a generation gate through their
+/// commit (and through the caller's `apply`, see
+/// [`RecordLog::append_batch_then`]); a rewrite takes the write side
+/// only to catch up and install. The gate is durability plumbing, like
+/// the commit mutex: uncontended except during an install.
 #[derive(Debug)]
 pub struct RecordLog {
     dir: PathBuf,
     base: String,
+    gen: RwLock<Current>,
+    /// One rewrite at a time.
+    rewriting: Mutex<()>,
+}
+
+/// The generation appends go to.
+#[derive(Debug)]
+struct Current {
     number: u64,
     path: PathBuf,
     log: Appender,
@@ -1058,34 +1124,65 @@ impl RecordLog {
         let log = Self {
             dir: dir.to_path_buf(),
             base: base.to_string(),
-            number,
-            path,
-            log: Appender::new(file, u64::MAX, opts, at),
+            gen: RwLock::new(Current {
+                number,
+                path,
+                log: Appender::new(file, u64::MAX, opts, at),
+            }),
+            rewriting: Mutex::new(()),
         };
         Ok((log, visible))
     }
 
     /// Path of the current generation file (error context).
-    pub fn path(&self) -> &Path {
-        &self.path
+    pub fn path(&self) -> PathBuf {
+        self.gen.read().path.clone()
     }
 
     /// Current log size in bytes (reserved tail).
     pub fn log_bytes(&self) -> u64 {
-        self.log.log_bytes()
+        self.gen.read().log.log_bytes()
     }
 
     /// Append one record and block until a commit marker covers it.
     /// Concurrent callers group-commit: their record writes proceed in
     /// parallel and one leader's marker (and fsync) covers them all.
     pub fn append(&self, rec: Record<'_>) -> Result<(), LogError> {
-        self.log.append(rec).map(|_| ())
+        self.append_batch(std::slice::from_ref(&rec))
     }
 
     /// Append a batch of records contiguously and block until one
     /// commit marker covers them all.
     pub fn append_batch(&self, recs: &[Record<'_>]) -> Result<(), LogError> {
-        self.log.append_batch(recs).map(|_| ())
+        self.append_batch_then(recs, || ())
+    }
+
+    /// [`append_batch`](Self::append_batch), then run `apply` — the
+    /// caller's in-memory mutation — before a rewrite can install. A
+    /// rewrite's catch-up therefore sees every acknowledged record
+    /// applied: none is left behind in the generation it replaces.
+    /// `apply` runs only once the batch is committed.
+    pub fn append_batch_then<R>(
+        &self,
+        recs: &[Record<'_>],
+        apply: impl FnOnce() -> R,
+    ) -> Result<R, LogError> {
+        let gen = self.gen.read();
+        gen.log.append_batch(recs)?;
+        Ok(apply())
+    }
+
+    /// Start writing the next generation while appends continue; one
+    /// rewrite runs at a time (a second caller waits here).
+    pub fn begin_rewrite(&self) -> Result<Rewrite<'_>, LogError> {
+        let one = self.rewriting.lock();
+        let number = self.gen.read().number;
+        let next = GenerationWriter::create(&self.dir, &self.base, number + 1, u64::MAX)?;
+        Ok(Rewrite {
+            log: self,
+            _one: one,
+            next,
+        })
     }
 
     /// Rewrite the log as a fresh generation containing exactly `recs`
@@ -1094,14 +1191,78 @@ impl RecordLog {
     /// records beyond the last durable marker are physically dropped,
     /// so identifiers they mention can be reused.
     pub fn rewrite(&mut self, recs: &[Record<'_>]) -> Result<(), LogError> {
-        let mut next = GenerationWriter::create(&self.dir, &self.base, self.number + 1, u64::MAX)?;
+        let mut next = self.begin_rewrite()?;
         for r in recs {
             next.put(*r)?;
         }
         next.seal()?;
-        (self.log, self.path) = next.install(&self.log, &self.path)?;
-        self.number += 1;
-        Ok(())
+        next.install(|_| Ok(())).map(|_| ())
+    }
+}
+
+/// The next generation of a [`RecordLog`], staged while appends to the
+/// current one continue (see [`RecordLog::begin_rewrite`]): stage a
+/// snapshot with [`put`](Self::put), [`seal`](Self::seal) it, then
+/// [`install`](Self::install). Dropping it unfinished removes the
+/// staged file and leaves the log as it was.
+pub struct Rewrite<'a> {
+    log: &'a RecordLog,
+    _one: MutexGuard<'a, ()>,
+    next: GenerationWriter,
+}
+
+impl fmt::Debug for Rewrite<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rewrite")
+            .field("next", &self.next)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Rewrite<'_> {
+    /// Stage one record.
+    pub fn put(&mut self, rec: Record<'_>) -> Result<(), LogError> {
+        self.next.put(rec).map(|_| ())
+    }
+
+    /// Commit everything staged so far under a marker and fsync.
+    pub fn seal(&mut self) -> Result<(), LogError> {
+        self.next.seal()
+    }
+
+    /// The swap. Under the write side of the generation gate — no
+    /// append is in flight, none starts — run `catch_up`, which stages
+    /// what changed since the snapshot; seal it under a second marker
+    /// if it staged anything, and install the new generation
+    /// ([`GenerationWriter::install`]: a crash before the rename
+    /// recovers the old generation, after it the new one). Returns the
+    /// space accounting of the swap and what `catch_up` returned.
+    pub fn install<T>(
+        mut self,
+        catch_up: impl FnOnce(&mut Self) -> Result<T, LogError>,
+    ) -> Result<(CompactReport, T), LogError> {
+        let owner = self.log;
+        let mut cur = owner.gen.write();
+        let staged = self.next.log_bytes();
+        let out = catch_up(&mut self)?;
+        if self.next.log_bytes() > staged {
+            self.next.seal()?;
+        }
+        let old_log_bytes = cur.log.log_bytes();
+        let (log, path) = self.next.install(&cur.log, &cur.path)?;
+        let new_log_bytes = log.log_bytes();
+        *cur = Current {
+            number: cur.number + 1,
+            path,
+            log,
+        };
+        let report = CompactReport {
+            generation: cur.number,
+            old_log_bytes,
+            new_log_bytes,
+            reclaimed_bytes: old_log_bytes.saturating_sub(new_log_bytes),
+        };
+        Ok((report, out))
     }
 }
 

@@ -134,7 +134,7 @@ impl VersionLog {
                 c: geom.page_size,
                 payload: &[],
             })
-            .map_err(|e| log_err(self.log.path(), e))
+            .map_err(|e| log_err(&self.log.path(), e))
     }
 
     /// Journal a publication (write-ahead: call **before** the version
@@ -161,7 +161,7 @@ impl VersionLog {
                 c: write.0,
                 payload: &payload,
             })
-            .map_err(|e| log_err(self.log.path(), e))
+            .map_err(|e| log_err(&self.log.path(), e))
     }
 
     /// Journal size in bytes.
