@@ -201,19 +201,72 @@ fn written_mmap_cluster() -> Deployment {
 
 #[test]
 fn a_cluster_restart_over_a_retired_metadata_journal_is_a_typed_error() {
-    // meta-0's journal now opens as one written in the retired
-    // `BSMTPUT1` format: the restart refuses it with a typed error and
-    // leaves the cluster down instead of panicking.
-    let mut d = written_mmap_cluster();
-    retire_logs(&d.meta_dir(0).unwrap(), 0x4253_4d54_5055_5431);
-    let restarted = d.restart_cluster();
-    assert!(
-        matches!(restarted, Err(BlobError::Recovery { .. })),
-        "{restarted:?}"
-    );
+    // meta-0's journal now opens as one written in a retired format —
+    // `BSMTPUT1` (the single-chain digest) or `BSMTPUT2` (fixed-width
+    // tree nodes): the restart refuses it with a typed error and leaves
+    // the cluster down instead of panicking.
+    for magic in [0x4253_4d54_5055_5431, 0x4253_4d54_5055_5432] {
+        let mut d = written_mmap_cluster();
+        retire_logs(&d.meta_dir(0).unwrap(), magic);
+        let restarted = d.restart_cluster();
+        assert!(
+            matches!(restarted, Err(BlobError::Recovery { .. })),
+            "{restarted:?}"
+        );
+        let c = d.client();
+        let down = c.info(&mut Ctx::start(), BlobId(0));
+        assert!(matches!(down, Err(BlobError::Unreachable(_))), "{down:?}");
+    }
+}
+
+/// The files of the version journal's generations, with their sizes.
+fn version_logs(d: &Deployment) -> Vec<(String, u64)> {
+    let dir = d.version_shard_dir(0).unwrap();
+    let mut logs: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::metadata(&path).unwrap().len())
+        })
+        .collect();
+    logs.sort();
+    logs
+}
+
+#[test]
+fn a_fresh_deployment_does_not_checkpoint_its_empty_version_journal() {
+    // Nothing to collapse and no stale tail to drop: the fresh journal
+    // is opened as it is, with no snapshot generation written.
+    let mut d = Deployment::build(DeploymentConfig::functional_mmap(2));
+    assert_eq!(version_logs(&d), [("version.g0.log".to_string(), 0)]);
     let c = d.client();
-    let down = c.info(&mut Ctx::start(), BlobId(0));
-    assert!(matches!(down, Err(BlobError::Unreachable(_))), "{down:?}");
+    let mut ctx = Ctx::start();
+    let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
+    c.write(&mut ctx, info.blob, 0, &vec![7u8; TOTAL as usize])
+        .unwrap();
+    let journaled = version_logs(&d);
+    assert_eq!(journaled.len(), 1);
+    assert!(
+        journaled[0].1 > 0,
+        "the create and the publish are journaled"
+    );
+    // A journal that holds records still checkpoints: the restart
+    // collapses it into one snapshot generation, and a second restart
+    // leaves the same bytes.
+    d.restart_cluster().unwrap();
+    let once = version_logs(&d);
+    assert_eq!(once.len(), 1);
+    assert_eq!(once[0].0, "version.g1.log");
+    d.restart_cluster().unwrap();
+    let twice = version_logs(&d);
+    assert_eq!(twice[0].0, "version.g2.log");
+    assert_eq!(twice[0].1, once[0].1, "restarting twice equals once");
+    let (got, latest) = c
+        .read(&mut ctx, info.blob, None, Segment::new(0, TOTAL))
+        .unwrap();
+    assert_eq!(latest, 1);
+    assert!(got.iter().all(|&b| b == 7));
 }
 
 #[test]

@@ -5,7 +5,10 @@
 //! deterministic.
 
 use blobseer_core::{Deployment, DeploymentConfig, LogOptions};
-use blobseer_proto::{Geometry, Segment};
+use blobseer_meta::build_write_tree;
+use blobseer_proto::messages::WriteTicket;
+use blobseer_proto::tree::{PageKey, PageLoc, TreeNode};
+use blobseer_proto::{BlobId, Geometry, ProviderId, Segment, Version, Wire, WriteId};
 use blobseer_rpc::Ctx;
 use blobseer_util::recordlog::REC_HEADER;
 
@@ -61,6 +64,40 @@ fn a_gc_replanned_after_a_restart_journals_nothing() {
 const MIN_DEAD: u64 = 4 * 1024;
 const ROUNDS: u64 = 60;
 
+/// Version `v`'s tree of the soak's blob, node for node as the client
+/// builds it: a whole-blob write, so no border links; the `v`-th write,
+/// so write id `v` (the provider manager counts from 1); and one replica
+/// per page, on a provider whose id's varint is as wide as `replica`'s.
+fn soak_tree(geom: &Geometry, blob: BlobId, v: Version, replica: ProviderId) -> Vec<TreeNode> {
+    let pages: Vec<PageLoc> = (0..PAGES)
+        .map(|index| PageLoc {
+            key: PageKey {
+                blob,
+                write: WriteId(v),
+                index,
+            },
+            replicas: vec![replica],
+        })
+        .collect();
+    let ticket = WriteTicket {
+        version: v,
+        borders: vec![],
+    };
+    build_write_tree(geom, blob, &Segment::new(0, TOTAL), &pages, &ticket).unwrap()
+}
+
+/// Journal bytes of the put records of `tree`.
+fn put_bytes(tree: &[TreeNode]) -> u64 {
+    tree.iter().map(|n| REC_HEADER + n.wire_hint() as u64).sum()
+}
+
+/// Journal bytes of the remove records of `tree`'s keys.
+fn remove_bytes(tree: &[TreeNode]) -> u64 {
+    tree.iter()
+        .map(|n| REC_HEADER + n.key.wire_hint() as u64)
+        .sum()
+}
+
 #[test]
 fn overwrite_and_gc_rounds_keep_every_meta_journal_bounded() {
     let providers = 4;
@@ -78,25 +115,40 @@ fn overwrite_and_gc_rounds_keep_every_meta_journal_bounded() {
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
     let geom = Geometry::new(TOTAL, PAGE).unwrap();
+    // Varints grow with the value, so the widest id bounds every replica.
+    let widest = ProviderId(d.storage_nodes.iter().map(|n| n.0).max().unwrap());
+    let tree = |v| soak_tree(&geom, info.blob, v, widest);
 
-    // One round appends at most: the new version's tree as put records
-    // (a key of 32 bytes; a leaf body of one replica 37, an inner one at
-    // most 2 + 8 · 32), the old version's tree as remove records, and
-    // two commit markers per node (one put batch, one remove batch).
-    let nodes = blobseer_meta::node_count_for_write(&geom, &Segment::new(0, TOTAL));
-    let (leaf_put, inner_put) = (REC_HEADER + 32 + 37, REC_HEADER + 32 + 2 + 8 * 32);
-    let remove = REC_HEADER + 32;
-    let round = PAGES * (leaf_put + remove)
-        + (nodes - PAGES) * (inner_put + remove)
-        + 2 * REC_HEADER * providers as u64;
+    // Round r appends at most: version r's tree as put records, version
+    // r - 1's tree as remove records (gc(r) drops it), and two commit
+    // markers per node (one put batch, one remove batch). Exact record
+    // sizes, from the nodes' own encodings.
+    let round_bytes = |r: Version| {
+        let removed = if r > 1 { remove_bytes(&tree(r - 1)) } else { 0 };
+        put_bytes(&tree(r)) + removed + 2 * REC_HEADER * providers as u64
+    };
+    // The growth ceiling, fixed at round 1: however the nodes of a round
+    // spread over the DHT, no node holds more live records than the
+    // whole tree, so no journal within the trigger's slack exceeds the
+    // whole tree plus a round, twice over. Versions and write ids stay
+    // one-byte varints for every round, so later rounds' records are no
+    // larger than the widest round's.
+    let widest_round = round_bytes(ROUNDS);
+    let whole_tree = put_bytes(&tree(1));
+    let ceiling = whole_tree + widest_round + MIN_DEAD.max(whole_tree + widest_round);
 
     let mut peaks = Vec::new();
+    // Per node, what its journal holds beyond its live records right
+    // after each round in which it compacted.
+    let mut after_compaction: Vec<Vec<(Version, u64)>> = vec![Vec::new(); d.storage.len()];
     for r in 1..=ROUNDS {
+        let compacted: Vec<u64> = d.storage.iter().map(|s| s.meta().compactions()).collect();
+        let round = round_bytes(r);
         let fill = vec![r as u8; TOTAL as usize];
         let v = c.write(&mut ctx, info.blob, 0, &fill).unwrap();
         c.gc(&mut ctx, info.blob, v).unwrap();
         let mut peak = 0;
-        for s in &d.storage {
+        for (i, s) in d.storage.iter().enumerate() {
             let meta = s.meta();
             // Between compactions the dead bytes stay under the
             // trigger: under `MIN_DEAD`, or under half the journal —
@@ -112,24 +164,47 @@ fn overwrite_and_gc_rounds_keep_every_meta_journal_bounded() {
                 meta.log_bytes()
             );
             peak = peak.max(meta.log_bytes());
+            if meta.compactions() > compacted[i] {
+                after_compaction[i].push((r, meta.log_bytes() - live));
+            }
         }
+        // The nodes hold exactly version r's tree, record for record.
+        let live: u64 = d.storage.iter().map(|s| s.meta().live_bytes()).sum();
+        assert_eq!(live, put_bytes(&tree(r)), "round {r}: live records");
         peaks.push(peak);
     }
     let compactions: u64 = d.storage.iter().map(|s| s.meta().compactions()).sum();
     assert!(compactions > 0, "dead bytes compacted online");
-    // A plateau, not a slope: the late rounds peak no higher than the
-    // early ones.
-    let half = peaks.len() / 2;
-    let early = peaks[..half].iter().max().unwrap();
-    let late = peaks[half..].iter().max().unwrap();
-    assert!(late <= early, "journal peaks grew: {early} B then {late} B");
+    // A plateau, not a slope: the late rounds peak under the ceiling
+    // fixed at round 1. Which round's peak is highest depends on when
+    // each node's trigger fires (a sawtooth), so peaks are compared
+    // with the ceiling, not with each other.
+    let late = &peaks[peaks.len() / 2..];
+    let highest = late.iter().max().unwrap();
+    assert!(
+        *highest <= ceiling,
+        "journal peaks grew past the round-1 ceiling {ceiling} B: {late:?}"
+    );
+    // Nor can phase flip this: every node keeps compacting through the
+    // late rounds, and right after each compaction its journal is its
+    // live records under one commit marker, the same in every round.
+    for (i, rounds) in after_compaction.iter().enumerate() {
+        assert!(
+            rounds.iter().any(|&(r, _)| r > ROUNDS / 2),
+            "node {i} stopped compacting: {rounds:?}"
+        );
+        assert!(
+            rounds.iter().all(|&(_, extra)| extra == REC_HEADER),
+            "node {i} kept more than its live records through a compaction: {rounds:?}"
+        );
+    }
 
     let bounds: Vec<u64> = d
         .storage
         .iter()
         .map(|s| {
             let live = s.meta().live_bytes();
-            live + round + MIN_DEAD.max(live + round)
+            live + widest_round + MIN_DEAD.max(live + widest_round)
         })
         .collect();
     d.restart_cluster().unwrap();

@@ -464,11 +464,14 @@ mod tests {
         );
         let live = svc.live_bytes();
         let dead = svc.dead_bytes();
-        let record = crate::wal::put_record_bytes(&node(1, 0).key, &node(1, 0).body);
-        assert_eq!(live, 4 * record);
+        // Varint offsets: 0 takes one byte, 4 KiB two, 16 KiB on three.
+        let record =
+            |i: u64| crate::wal::put_record_bytes(&node(1, i * 4096).key, &node(1, 0).body);
+        let removal = |i: u64| crate::wal::remove_record_bytes(&node(1, i * 4096).key);
+        assert_eq!(live, (0..4).map(record).sum::<u64>());
         assert_eq!(
             dead,
-            5 * record + 4 * crate::wal::remove_record_bytes(&node(1, 0).key)
+            record(0) + (4..8).map(|i| record(i) + removal(i)).sum::<u64>()
         );
         let report = svc.compact().unwrap().expect("dead bytes compact");
         assert_eq!(report.generation, 1);
@@ -486,9 +489,10 @@ mod tests {
         assert_eq!(svc.len(), 5);
         assert!((0..4).all(|i| get(&svc, node(1, i * 4096).key) == Some(node(1, i * 4096))));
         assert!((4..8).all(|i| !svc.contains(&node(1, i * 4096).key)));
+        let added = crate::wal::put_record_bytes(&node(2, 0).key, &node(2, 0).body);
         assert_eq!(
             svc.live_bytes(),
-            live + record,
+            live + added,
             "replay counts what serving counted"
         );
         assert_eq!(svc.dead_bytes(), 0);
@@ -499,10 +503,11 @@ mod tests {
     #[test]
     fn dead_bytes_past_the_trigger_compact_online() {
         let dir = tmp_dir();
-        let record = crate::wal::put_record_bytes(&node(1, 0).key, &node(1, 0).body);
+        let record =
+            |i: u64| crate::wal::put_record_bytes(&node(1, i * 4096).key, &node(1, 0).body);
         let trigger = CompactTrigger {
             dead_ratio: 0.5,
-            min_dead_bytes: 5 * record,
+            min_dead_bytes: 5 * record(0),
         };
         let svc = durable(&dir, trigger);
         put(&svc, (0..8).map(|i| node(1, i * 4096)).collect());
@@ -519,7 +524,7 @@ mod tests {
         );
         assert_eq!(svc.compactions(), 1);
         assert_eq!(svc.dead_bytes(), 0);
-        assert_eq!(svc.log_bytes(), 2 * record + 48);
+        assert_eq!(svc.log_bytes(), record(6) + record(7) + 48);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,24 +13,38 @@
 //!
 //! One generation file `meta.g<N>.log` of 48-byte-header records:
 //!
-//! * **put** (`BSMTPUT2`): payload is the wire-encoded [`TreeNode`].
+//! * **put** (`BSMTPUT3`): payload is the wire-encoded [`TreeNode`].
 //!   Tree nodes are immutable and content-addressed by [`NodeKey`], so
 //!   replaying puts in order is idempotent — a double put (replica
 //!   repair, retried write) re-inserts the same body.
 //!
-//!   The node encoding is part of this format. Inner bodies are 32-way
-//!   (wire tag 3: fan-out, then one version per child). The binary
-//!   tree's `{left, right}` body (tag 0) and the 16-way tree's body
-//!   (tag 2, laid out as tag 3 but over other child intervals) are
-//!   refused. So a metadata journal written before the 32-way tree does
-//!   **not** reopen: its first committed inner node is a
-//!   [`BlobError::Recovery`], the journal is left byte-identical, and no
-//!   node of it is served — never a binary or 16-way node read as a
-//!   32-way one.
-//! * **remove** (`BSMTDEL2`): payload is the wire-encoded [`NodeKey`]
-//!   (GC executing a plan). Only a node the index holds is journaled
-//!   as removed: a remove of anything else writes nothing.
+//!   The node encoding is part of this format: every integer of the key
+//!   and body is a varint (see [`blobseer_proto::tree`]); a leaf body is
+//!   wire tag 4, a 32-way inner body tag 5 (fan-out, then one varint
+//!   version per child).
+//! * **remove** (`BSMTDEL3`): payload is the wire-encoded [`NodeKey`]
+//!   (GC executing a plan), four varints. Only a node the index holds
+//!   is journaled as removed: a remove of anything else writes nothing.
 //! * group-commit markers / tombstones as defined by the engine.
+//!
+//! ### Earlier formats
+//!
+//! A journal of an earlier format does **not** reopen. It is a
+//! [`BlobError::Recovery`], the file is left byte-identical, and no node
+//! of it is served — never an old node read as one of this tree's.
+//!
+//! * `BSMTPUT2`/`BSMTDEL2` wrote every integer of a node in fixed width:
+//!   a 32-byte key, a leaf body as tag 1 with a `u64` page key, a `u32`
+//!   replica count and `u32` ids, an inner body as tag 3 with one `u64`
+//!   per child. `BSMTPUT1`/`BSMTDEL1` were the same records under the
+//!   engine's retired single-chain payload digest. All four are in
+//!   [`blobseer_util::recordlog::RETIRED_MAGICS`], so the engine refuses
+//!   such a journal at open, before replay or any append.
+//! * Body tags 0 (the binary tree's `{left, right}`), 1 (the fixed-width
+//!   leaf), 2 (the 16-way tree's inner body, laid out as tag 3 over
+//!   other child intervals) and 3 (the fixed-width 32-way inner body)
+//!   decode as [`blobseer_proto::CodecError::BadTag`], so a record that
+//!   carries one under the current magics is refused at replay.
 //!
 //! A batched put (`META_PUT_BATCH`, the paper's aggregation
 //! optimization) appends all its records under **one** commit marker —
@@ -91,16 +105,17 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Magic of a put record ("BSMTPUT2"): payload is a wire-encoded
-/// [`TreeNode`]. `BSMTPUT1` is the same record under the engine's
-/// retired single-chain payload digest
-/// ([`blobseer_util::recordlog::RETIRED_MAGICS`]): a journal holding it
+/// Magic of a put record ("BSMTPUT3"): payload is a wire-encoded
+/// [`TreeNode`], varint integers. `BSMTPUT2` (fixed-width nodes) and
+/// `BSMTPUT1` (the engine's retired single-chain payload digest) are in
+/// [`blobseer_util::recordlog::RETIRED_MAGICS`]: a journal holding one
 /// is refused at open, untouched.
-pub const META_PUT_MAGIC: u64 = 0x4253_4d54_5055_5432;
+pub const META_PUT_MAGIC: u64 = 0x4253_4d54_5055_5433;
 
-/// Magic of a remove record ("BSMTDEL2"): payload is a wire-encoded
-/// [`NodeKey`]. `BSMTDEL1` is retired like `BSMTPUT1`.
-pub const META_REMOVE_MAGIC: u64 = 0x4253_4d54_4445_4c32;
+/// Magic of a remove record ("BSMTDEL3"): payload is a wire-encoded
+/// [`NodeKey`], four varints. `BSMTDEL2` and `BSMTDEL1` are retired
+/// like `BSMTPUT2` and `BSMTPUT1`.
+pub const META_REMOVE_MAGIC: u64 = 0x4253_4d54_4445_4c33;
 
 /// The serving index of one DHT node.
 pub type NodeIndex = ShardedMap<NodeKey, NodeBody>;
@@ -439,11 +454,19 @@ mod tests {
         }
     }
 
-    /// A put payload of `node(v, offset)`'s key over a 16-way inner body,
-    /// exactly as the 16-way tree journaled it: key, tag 2, fan-out 16,
-    /// sixteen versions.
+    /// `key` as the fixed-width formats wrote it: four `u64`s.
+    fn fixed_width_key(key: &NodeKey) -> Vec<u8> {
+        [key.blob.0, key.version, key.offset, key.size]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    }
+
+    /// A put payload of `node(v, offset)` over a 16-way inner body,
+    /// exactly as the 16-way tree journaled it: fixed-width key, tag 2,
+    /// fan-out 16, sixteen `u64` versions.
     fn sixteen_way_put(v: u64, offset: u64) -> Vec<u8> {
-        let mut payload = node(v, offset).key.to_wire();
+        let mut payload = fixed_width_key(&node(v, offset).key);
         payload.extend_from_slice(&[2, 16]);
         for _ in 0..16 {
             payload.extend_from_slice(&v.to_le_bytes());
@@ -538,10 +561,16 @@ mod tests {
     /// Commit one put record with `payload` at the head of a fresh
     /// `meta.g0.log` under `dir`.
     fn write_committed_put(dir: &Path, payload: &[u8]) {
+        write_committed(dir, META_PUT_MAGIC, payload);
+    }
+
+    /// Commit one record of kind `magic` with `payload`, under the
+    /// engine's current digest, at the head of a fresh `meta.g0.log`.
+    fn write_committed(dir: &Path, magic: u64, payload: &[u8]) {
         std::fs::create_dir_all(dir).unwrap();
         let file = std::fs::File::create(dir.join("meta.g0.log")).unwrap();
         let header = encode_header(
-            META_PUT_MAGIC,
+            magic,
             0,
             0,
             0,
@@ -555,18 +584,16 @@ mod tests {
         write_at(&file, &marker, marker_at).unwrap();
     }
 
-    #[test]
-    fn binary_tree_journal_does_not_reopen() {
-        // A committed put of a binary inner node, exactly as the
-        // pre-16-way tree journaled it: key, tag 0, left, right.
-        let dir = tmp_dir("binary");
-        let mut payload = node(1, 0).key.to_wire();
-        payload.push(0);
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        write_committed_put(&dir, &payload);
+    /// Open `dir` as a journal and as a durable node: both must refuse
+    /// `meta.g0.log` as `Recovery` at offset 0 naming `reported`, and
+    /// leave it as it was — nothing is served and nothing appended. A
+    /// record refused in replay names the generation file; a retired
+    /// magic, refused by the engine before replay, names the directory.
+    fn assert_refused_untouched(dir: &Path, reported: &Path) {
+        let path = dir.join("meta.g0.log");
+        let image = std::fs::read(&path).unwrap();
         let err = WalMeta::open(
-            &dir,
+            dir,
             RecordLogOptions::default(),
             CompactTrigger::default(),
             &NodeIndex::default(),
@@ -574,19 +601,90 @@ mod tests {
         .unwrap_err();
         match &err {
             BlobError::Recovery { file, offset, .. } => {
-                assert!(file.ends_with("meta.g0.log"), "{file}");
+                assert_eq!(Path::new(file), reported);
                 assert_eq!(*offset, 0);
             }
             other => panic!("expected Recovery, got {other:?}"),
         }
-        // The node service refuses to open on it: nothing is served.
         let svc = crate::node::DhtNodeService::open_durable(
-            &dir,
+            dir,
             RecordLogOptions::default(),
             CompactTrigger::default(),
             blobseer_simnet::ServiceCosts::zero(),
         );
-        assert!(matches!(svc, Err(BlobError::Recovery { .. })));
+        assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
+        assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
+    }
+
+    #[test]
+    fn fixed_width_journal_does_not_reopen() {
+        // The journal the fixed-width format leaves after one committed
+        // put of a 32-way inner node: a `BSMTPUT2` record of a 32-byte
+        // key, tag 3, fan-out 32 and 32 `u64` versions, then its marker.
+        let dir = tmp_dir("fixed");
+        let mut payload = fixed_width_key(&node(1, 0).key);
+        payload.extend_from_slice(&[3, 32]);
+        for _ in 0..32 {
+            payload.extend_from_slice(&1u64.to_le_bytes());
+        }
+        assert_eq!(payload.len(), 290);
+        write_committed(&dir, 0x4253_4d54_5055_5432, &payload);
+        assert_refused_untouched(&dir, &dir);
+        // So is a journal that opens with a fixed-width remove.
+        let dir2 = tmp_dir("fixed-del");
+        write_committed(
+            &dir2,
+            0x4253_4d54_4445_4c32,
+            &fixed_width_key(&node(1, 0).key),
+        );
+        assert_refused_untouched(&dir2, &dir2);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn fixed_width_bodies_under_the_current_magic_do_not_reopen() {
+        // A current key over the fixed-width bodies' tags — tag 1, a leaf
+        // of three u64 page-key fields, a u32 count and a u32 id; tag 3,
+        // an inner node of u64 versions — is a `BadTag`, so the record
+        // is a `Recovery`, never a node.
+        let key = node(1, 0).key.to_wire();
+        let mut leaf = vec![1u8];
+        for field in [1u64, 7, 3] {
+            leaf.extend_from_slice(&field.to_le_bytes());
+        }
+        leaf.extend_from_slice(&1u32.to_le_bytes());
+        leaf.extend_from_slice(&2u32.to_le_bytes());
+        let mut inner = vec![3u8, 2];
+        inner.extend_from_slice(&1u64.to_le_bytes());
+        inner.extend_from_slice(&1u64.to_le_bytes());
+        for (tag, body) in [(1u8, leaf), (3, inner)] {
+            let payload = [&key[..], &body].concat();
+            assert_eq!(
+                TreeNode::from_wire(&payload),
+                Err(blobseer_proto::CodecError::BadTag {
+                    tag,
+                    ty: "NodeBody"
+                })
+            );
+            let dir = tmp_dir("old-tag");
+            write_committed_put(&dir, &payload);
+            assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn binary_tree_journal_does_not_reopen() {
+        // A committed put of a binary inner node under this format's
+        // magic: key, tag 0, left, right.
+        let dir = tmp_dir("binary");
+        let mut payload = node(1, 0).key.to_wire();
+        payload.push(0);
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        write_committed_put(&dir, &payload);
+        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -595,28 +693,10 @@ mod tests {
         // A committed put of a 16-way inner node: the record is intact,
         // but its body's tag is refused, never read as a 32-way node.
         let dir = tmp_dir("sixteen");
-        write_committed_put(&dir, &sixteen_way_put(1, 0));
-        let path = dir.join("meta.g0.log");
-        let image = std::fs::read(&path).unwrap();
-        let err = WalMeta::open(
-            &dir,
-            RecordLogOptions::default(),
-            CompactTrigger::default(),
-            &NodeIndex::default(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, BlobError::Recovery { offset: 0, .. }),
-            "got {err:?}"
-        );
-        let svc = crate::node::DhtNodeService::open_durable(
-            &dir,
-            RecordLogOptions::default(),
-            CompactTrigger::default(),
-            blobseer_simnet::ServiceCosts::zero(),
-        );
-        assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
-        assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
+        let mut payload = node(1, 0).key.to_wire();
+        payload.extend_from_slice(&sixteen_way_put(1, 0)[32..]);
+        write_committed_put(&dir, &payload);
+        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -649,28 +729,8 @@ mod tests {
             0,
             0,
         ));
-        let path = dir.join("meta.g0.log");
-        std::fs::write(&path, &image).unwrap();
-        let err = WalMeta::open(
-            &dir,
-            RecordLogOptions::default(),
-            CompactTrigger::default(),
-            &NodeIndex::default(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, BlobError::Recovery { offset: 0, .. }),
-            "got {err:?}"
-        );
-        // Nor does the node service open on it; nothing was appended.
-        let svc = crate::node::DhtNodeService::open_durable(
-            &dir,
-            RecordLogOptions::default(),
-            CompactTrigger::default(),
-            blobseer_simnet::ServiceCosts::zero(),
-        );
-        assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
-        assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
+        std::fs::write(dir.join("meta.g0.log"), &image).unwrap();
+        assert_refused_untouched(&dir, &dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -181,6 +181,13 @@ pub enum CodecError {
         /// How many bytes were left over.
         remaining: usize,
     },
+    /// A varint was not the one canonical LEB128 encoding of a value
+    /// of its field's type ([`crate::wire::Reader::take_varint`]).
+    BadVarint {
+        /// What was wrong: `"overlong"`, `"longer than ten bytes"`,
+        /// `"overflows u64"`, or the narrower type it overflows.
+        reason: &'static str,
+    },
     /// A UTF-8 string field contained invalid UTF-8.
     BadUtf8,
     /// A multiplexed response carried a correlation id with no call
@@ -204,6 +211,7 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decode")
             }
+            CodecError::BadVarint { reason } => write!(f, "bad varint: {reason}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             CodecError::StrayCorrelation { corr } => {
                 write!(f, "response for unknown correlation id {corr}")

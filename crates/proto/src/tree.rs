@@ -39,11 +39,34 @@
 //! behind one shared allocation ([`ChildVersions`]), so a body is small
 //! whatever its kind — a leaf, most of the tree, carries no child slots
 //! — and cloning an inner body bumps a refcount.
+//!
+//! ## What a node costs on the wire
+//!
+//! Every integer of a node is a LEB128 varint
+//! ([`WireBuf::put_varint`]): 1 byte below 128, one more per further
+//! seven bits. A [`NodeKey`] is four of them (blob, version, offset,
+//! size); an inner body is a tag, a fan-out byte and one varint per
+//! child version; a leaf body is a tag and its [`PageLoc`] (page key
+//! blob, write id and index, replica count, provider ids). So a node
+//! costs what its numbers need, and [`Wire::wire_hint`] says exactly
+//! how much — the DHT's journal accounting sizes every record from it.
+//!
+//! Why varints: metadata is the standing cost of the paper's case,
+//! small writes to a huge blob, and its numbers are small. A version is
+//! a count of writes; most child versions are 0 (never written) or a few
+//! hundred at most; blob and provider ids and write ids are counters;
+//! offsets and sizes are page multiples, at most six bytes in a 1 TiB
+//! blob. In fixed width a key was 32 B, a 32-way inner body 2 + 8 · 32 B
+//! whatever it held, and a one-replica leaf body 33 B. Now a leaf of the
+//! canonical blob (1,024 pages of 256 KiB) costs 6–10 B of key and 6–8 B
+//! of body, and a 32-way inner body of versions below 16,384 costs
+//! 34–66 B. A `u64` field never costs more than 10 bytes, and each value
+//! has one encoding, so a re-encoded node is byte-identical.
 
 use crate::error::CodecError;
 use crate::geometry::{Geometry, Segment};
 use crate::ids::{BlobId, ProviderId, Version, WriteId};
-use crate::wire::{Reader, Wire, WireBuf};
+use crate::wire::{varint_len, Reader, Wire, WireBuf, MAX_LEN};
 use crate::{wire_newtype, wire_struct};
 use std::fmt;
 use std::sync::Arc;
@@ -67,12 +90,34 @@ pub struct NodeKey {
     pub size: u64,
 }
 
-wire_struct!(NodeKey {
-    blob,
-    version,
-    offset,
-    size
-});
+impl NodeKey {
+    /// The key's integers in wire order.
+    fn fields(&self) -> [u64; 4] {
+        [self.blob.0, self.version, self.offset, self.size]
+    }
+}
+
+/// Four varints: blob, version, offset, size.
+impl Wire for NodeKey {
+    fn encode(&self, out: &mut WireBuf) {
+        for field in self.fields() {
+            out.put_varint(field);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(NodeKey {
+            blob: BlobId(r.take_varint()?),
+            version: r.take_varint()?,
+            offset: r.take_varint()?,
+            size: r.take_varint()?,
+        })
+    }
+
+    fn wire_hint(&self) -> usize {
+        self.fields().into_iter().map(varint_len).sum()
+    }
+}
 
 impl NodeKey {
     /// The covered byte interval as a [`Segment`].
@@ -111,7 +156,71 @@ pub struct PageLoc {
     pub replicas: Vec<ProviderId>,
 }
 
-wire_struct!(PageLoc { key, replicas });
+impl PageLoc {
+    /// The page key's integers in wire order.
+    fn key_fields(&self) -> [u64; 3] {
+        [self.key.blob.0, self.key.write.0, self.key.index]
+    }
+}
+
+/// Varints: the page key's blob, write id and index, the replica count,
+/// then each replica's provider id.
+///
+/// Only a leaf body carries a `PageLoc`, and only here is a page key
+/// written as varints; a [`PageKey`] on its own keeps its fixed 24
+/// bytes. The split keeps every data-path frame — `PUT_PAGE`,
+/// `GET_PAGE`, `REMOVE_PAGE` and `GcPlan::dead_pages` — byte-identical,
+/// so the metadata's format moves no page frame and no figure pinned on
+/// a page leg. There a key rides beside a whole page and its bytes are
+/// noise (varint page keys would take `sim_paper`'s wire bytes per user
+/// byte from 1.000785 to 1.000710 at seed 1); in a leaf body the key is
+/// half the record.
+impl Wire for PageLoc {
+    fn encode(&self, out: &mut WireBuf) {
+        for field in self.key_fields() {
+            out.put_varint(field);
+        }
+        out.put_varint(self.replicas.len() as u64);
+        for id in &self.replicas {
+            out.put_varint(u64::from(id.0));
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let key = PageKey {
+            blob: BlobId(r.take_varint()?),
+            write: WriteId(r.take_varint()?),
+            index: r.take_varint()?,
+        };
+        let count = r.take_varint()?;
+        // The cap of every length prefix ([`crate::wire::decode_len`]).
+        let overflow = CodecError::LengthOverflow { declared: count };
+        if count > MAX_LEN {
+            return Err(overflow);
+        }
+        let count = usize::try_from(count).map_err(|_| overflow)?;
+        // Each replica takes at least one byte, so a hostile count
+        // allocates no more than the bytes that are really there.
+        let mut replicas = Vec::with_capacity(count.min(r.remaining()));
+        for _ in 0..count {
+            let id = u32::try_from(r.take_varint()?).map_err(|_| CodecError::BadVarint {
+                reason: "provider id overflows u32",
+            })?;
+            replicas.push(ProviderId(id));
+        }
+        Ok(PageLoc { key, replicas })
+    }
+
+    fn wire_hint(&self) -> usize {
+        let key: usize = self.key_fields().into_iter().map(varint_len).sum();
+        let ids: usize = self
+            .replicas
+            .iter()
+            .map(|id| varint_len(u64::from(id.0)))
+            .sum();
+        key + varint_len(self.replicas.len() as u64) + ids
+    }
+}
 
 /// Storage key of one written page.
 ///
@@ -122,6 +231,9 @@ wire_struct!(PageLoc { key, replicas });
 /// burst as the metadata, but they are still keyed by write id: a page
 /// re-placed after a failed put keeps its key, and nothing about a page
 /// depends on the version it ends up in.
+///
+/// On the wire it is three fixed `u64`s; a leaf body writes it as
+/// varints instead (see [`PageLoc`]'s encoding).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageKey {
     /// Owning blob.
@@ -182,14 +294,15 @@ pub enum NodeBody {
     },
 }
 
-/// Wire tag of a leaf body.
-const TAG_LEAF: u8 = 1;
-/// Wire tag of a 32-way inner body: fan-out byte, then one `u64` version
-/// per child. Tag 0 was the binary tree's `{left, right}` body and tag 2
-/// the 16-way tree's (same layout as this one). Their child intervals
-/// differ from this tree's, so both are refused rather than read as
-/// 32-way nodes (see `blobseer_dht::wal`).
-const TAG_INNER: u8 = 3;
+/// Wire tag of a leaf body: its [`PageLoc`], as varints. Tag 1 was the
+/// same locator in fixed width; it is refused.
+const TAG_LEAF: u8 = 4;
+/// Wire tag of a 32-way inner body: fan-out byte, then one varint
+/// version per child. Tag 3 was the same body with each version a fixed
+/// `u64`. Tag 0 was the binary tree's `{left, right}` body and tag 2 the
+/// 16-way tree's (laid out as tag 3). All of them are refused rather
+/// than read as this tree's nodes (see `blobseer_dht::wal`).
+const TAG_INNER: u8 = 5;
 
 impl Wire for NodeBody {
     fn encode(&self, out: &mut WireBuf) {
@@ -199,8 +312,8 @@ impl Wire for NodeBody {
                 out.push(TAG_INNER);
                 // At most `ARITY` (32): `ChildVersions::new` bounds it.
                 out.push(versions.len() as u8);
-                for v in versions {
-                    v.encode(out);
+                for &v in versions {
+                    out.put_varint(v);
                 }
             }
             NodeBody::Leaf { page } => {
@@ -223,7 +336,7 @@ impl Wire for NodeBody {
                 let mut versions = [0; ARITY];
                 let versions = &mut versions[..usize::from(fanout)];
                 for slot in versions.iter_mut() {
-                    *slot = Version::decode(r)?;
+                    *slot = r.take_varint()?;
                 }
                 Ok(NodeBody::Inner {
                     children: ChildVersions(Arc::from(&*versions)),
@@ -241,7 +354,14 @@ impl Wire for NodeBody {
 
     fn wire_hint(&self) -> usize {
         match self {
-            NodeBody::Inner { children } => 2 + 8 * children.as_slice().len(),
+            NodeBody::Inner { children } => {
+                2 + children
+                    .as_slice()
+                    .iter()
+                    .copied()
+                    .map(varint_len)
+                    .sum::<usize>()
+            }
             NodeBody::Leaf { page } => 1 + page.wire_hint(),
         }
     }
@@ -331,15 +451,29 @@ mod tests {
 
     #[test]
     fn node_roundtrips() {
-        for versions in [&[7, 3][..], &[7, 0, 3, 1], &[9; ARITY]] {
+        // Key (3, 7, 0, 65536): three one-byte varints and a three-byte
+        // size. Body: tag, fan-out, one byte per small version.
+        for (versions, body_bytes) in [(&[7, 3][..], 4), (&[7, 0, 3, 1], 6), (&[9; ARITY], 34)] {
             let node = TreeNode {
                 key: key(7, 0, 65536),
                 body: inner(versions),
             };
             let bytes = node.to_wire();
-            assert_eq!(bytes.len(), 32 + node.body.wire_hint());
+            assert_eq!(node.key.wire_hint(), 6);
+            assert_eq!(node.body.wire_hint(), body_bytes);
+            assert_eq!(bytes.len(), 6 + body_bytes);
+            assert_eq!(node.wire_hint(), bytes.len());
             assert_eq!(TreeNode::from_wire(&bytes).unwrap(), node);
         }
+        // A version of 2^63 takes all ten bytes, 0 takes one.
+        let wide = TreeNode {
+            key: key(1 << 63, 0, 65536),
+            body: inner(&[1 << 63, 0]),
+        };
+        assert_eq!(wide.key.wire_hint(), 15);
+        assert_eq!(wide.body.wire_hint(), 2 + 10 + 1);
+        assert_eq!(wide.to_wire().len(), wide.wire_hint());
+        assert_eq!(TreeNode::from_wire(&wide.to_wire()).unwrap(), wide);
 
         let leaf = TreeNode {
             key: key(7, 65536, 65536),
@@ -354,7 +488,49 @@ mod tests {
                 },
             },
         };
+        // Key 1 + 1 + 3 + 3 bytes; body: tag, page key 1 + 1 + 1, count 1,
+        // two one-byte ids.
+        assert_eq!(leaf.key.wire_hint(), 8);
+        assert_eq!(leaf.body.wire_hint(), 7);
+        assert_eq!(leaf.to_wire().len(), 15);
         assert_eq!(TreeNode::from_wire(&leaf.to_wire()).unwrap(), leaf);
+    }
+
+    #[test]
+    fn hostile_locators_are_codec_errors() {
+        // A replica count of 2^40: refused before any allocation.
+        let mut out = WireBuf::new();
+        out.push(TAG_LEAF);
+        for field in [3, 9, 1, 1u64 << 40] {
+            out.put_varint(field);
+        }
+        let bytes = out.finish().to_vec();
+        assert_eq!(
+            NodeBody::from_wire(&bytes),
+            Err(CodecError::LengthOverflow { declared: 1 << 40 })
+        );
+        // A count under the cap with too few ids is an EOF.
+        let mut out = WireBuf::new();
+        out.push(TAG_LEAF);
+        for field in [3, 9, 1, 1 << 20, 2] {
+            out.put_varint(field);
+        }
+        assert!(matches!(
+            NodeBody::from_wire(&out.finish().to_vec()),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        // A provider id past u32.
+        let mut out = WireBuf::new();
+        out.push(TAG_LEAF);
+        for field in [3, 9, 1, 1, 1 << 32] {
+            out.put_varint(field);
+        }
+        assert_eq!(
+            NodeBody::from_wire(&out.finish().to_vec()),
+            Err(CodecError::BadVarint {
+                reason: "provider id overflows u32"
+            })
+        );
     }
 
     #[test]

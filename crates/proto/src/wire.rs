@@ -5,6 +5,25 @@
 //! `u32` length prefixes, one tag byte for enums. Every message type in
 //! [`crate::messages`] implements [`Wire`].
 //!
+//! # Varints
+//!
+//! A metadata tree node ([`crate::tree`]) writes its integers as LEB128
+//! varints instead: seven bits per byte, least significant group first,
+//! the high bit set on every byte but the last. A value below 128 takes
+//! one byte, a `u64` at most ten ([`varint_len`] is exact).
+//! [`WireBuf::put_varint`] writes the shortest encoding, and
+//! [`Reader::take_varint`] accepts only that one, so every value has
+//! exactly one encoding. It refuses, as [`CodecError::BadVarint`]:
+//!
+//! * an **overlong** encoding — a last byte of 0 after another byte,
+//!   which a shorter encoding would have said;
+//! * an **11th byte** — a tenth byte with its continuation bit set;
+//! * a tenth byte whose bits **overflow `u64`** (anything above 1).
+//!
+//! A truncated varint is [`CodecError::UnexpectedEof`]. Nothing is ever
+//! allocated from a varint's value by this primitive; a caller that
+//! reads a count from one caps it as [`decode_len`] does.
+//!
 //! # Copy discipline
 //!
 //! Encoding appends to a [`WireBuf`] — an iovec-style builder that keeps
@@ -32,6 +51,17 @@ use blobseer_util::{copymeter, PageBuf};
 /// Sanity cap on any single length prefix (1 GiB) — prevents a corrupt
 /// length from causing an absurd allocation.
 pub const MAX_LEN: u64 = 1 << 30;
+
+/// The most bytes a LEB128 varint of a `u64` takes: ⌈64 / 7⌉.
+pub const MAX_VARINT_LEN: usize = 10;
+
+/// Bytes of the LEB128 varint of `v` ([`WireBuf::put_varint`]): 1 for
+/// 0 to 127, one more per further seven significant bits, 10 at most.
+#[inline]
+pub const fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros();
+    bits.div_ceil(7) as usize
+}
 
 /// Payloads at or above this size are attached to frames as shared
 /// segments; smaller ones are cheaper to copy into the contiguous tail
@@ -245,6 +275,17 @@ impl WireBuf {
         self.tail.extend_from_slice(s);
     }
 
+    /// Append `v` as a LEB128 varint: its shortest encoding,
+    /// [`varint_len`]`(v)` bytes, into the contiguous tail.
+    #[inline]
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.tail.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.tail.push(v as u8);
+    }
+
     /// Append a `u32` length prefix, **checked**: a length above
     /// [`MAX_LEN`] (which subsumes `u32` overflow — the seed's silent
     /// wrap for ≥ 4 GiB bodies) poisons the builder instead of encoding
@@ -413,46 +454,18 @@ impl<'a> Reader<'a> {
                 remaining: self.remaining(),
             });
         }
-        match &mut self.src {
-            Source::Slice(buf) => {
-                let s = &buf[self.pos..self.pos + n];
-                self.pos += n;
-                Ok(s)
-            }
-            Source::Buf(buf) => {
-                let s = &buf.as_slice()[self.pos..self.pos + n];
-                self.pos += n;
-                Ok(s)
-            }
-            Source::Chain { chain, chunk, off } => {
-                if n == 0 {
-                    return Ok(&[]);
-                }
-                // Copy the long-lived chain reference out of the cursor so
-                // the returned slice borrows `'a`, not this `&mut self`.
-                let chain: &'a ByteChain = chain;
-                // Skip to the chunk holding the next byte.
-                while *chunk < chain.segments().len() && *off >= chain.segments()[*chunk].len() {
-                    *chunk += 1;
-                    *off = 0;
-                }
-                let seg = &chain.segments()[*chunk];
-                let avail = seg.len() - *off;
-                if avail < n {
-                    // A fixed-width field straddling a segment boundary
-                    // means the bytes were not produced by this encoder;
-                    // refuse cleanly rather than stitching.
-                    return Err(CodecError::UnexpectedEof {
-                        needed: n,
-                        remaining: avail,
-                    });
-                }
-                let s = &seg.as_slice()[*off..*off + n];
-                *off += n;
-                self.pos += n;
-                Ok(s)
-            }
+        let run = self.segment_rest();
+        if run.len() < n {
+            // A fixed-width field straddling a chain's segment boundary
+            // means the bytes were not produced by this encoder; refuse
+            // cleanly rather than stitching.
+            return Err(CodecError::UnexpectedEof {
+                needed: n,
+                remaining: run.len(),
+            });
         }
+        self.advance(n);
+        Ok(&run[..n])
     }
 
     /// Consume exactly `n` payload bytes as a [`PageBuf`].
@@ -562,6 +575,72 @@ impl<'a> Reader<'a> {
                 self.pos += n;
                 Ok(out)
             }
+        }
+    }
+
+    /// Consume one LEB128 varint ([`WireBuf::put_varint`]), refusing
+    /// any encoding but the shortest and anything above `u64::MAX` (see
+    /// the module docs). Reads at most [`MAX_VARINT_LEN`] bytes.
+    ///
+    /// Like every fixed-width field, a varint lies within one segment of
+    /// a chain source: one that runs past its segment's end is an EOF.
+    pub fn take_varint(&mut self) -> Result<u64, CodecError> {
+        let run = self.segment_rest();
+        let mut value = 0u64;
+        for (i, &byte) in run.iter().take(MAX_VARINT_LEN).enumerate() {
+            // The tenth byte carries bit 63 alone and ends the varint.
+            if i == MAX_VARINT_LEN - 1 && byte > 1 {
+                return Err(CodecError::BadVarint {
+                    reason: if byte & 0x80 != 0 {
+                        "longer than ten bytes"
+                    } else {
+                        "overflows u64"
+                    },
+                });
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(CodecError::BadVarint { reason: "overlong" });
+                }
+                self.advance(i + 1);
+                return Ok(value);
+            }
+        }
+        // Every byte of the run continued the varint (at most nine do).
+        Err(CodecError::UnexpectedEof {
+            needed: run.len() + 1,
+            remaining: run.len(),
+        })
+    }
+
+    /// The unread bytes of the segment holding the next byte (all the
+    /// unread bytes of a slice or buffer source), borrowed from the
+    /// source; empty at the end.
+    fn segment_rest(&mut self) -> &'a [u8] {
+        match &mut self.src {
+            Source::Slice(buf) => &buf[self.pos..],
+            Source::Buf(buf) => &buf.as_slice()[self.pos..],
+            Source::Chain { chain, chunk, off } => {
+                let chain: &'a ByteChain = chain;
+                // Skip to the chunk holding the next byte.
+                while *chunk < chain.segments().len() && *off >= chain.segments()[*chunk].len() {
+                    *chunk += 1;
+                    *off = 0;
+                }
+                chain
+                    .segments()
+                    .get(*chunk)
+                    .map_or(&[], |seg| &seg.as_slice()[*off..])
+            }
+        }
+    }
+
+    /// Step over `n` bytes of the current segment, which holds them.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        if let Source::Chain { off, .. } = &mut self.src {
+            *off += n;
         }
     }
 
@@ -1065,6 +1144,66 @@ mod tests {
     fn try_to_chain_matches_to_chain_for_legal_values() {
         let v = vec![1u64, 2, 3];
         assert_eq!(v.try_to_chain().unwrap().to_vec(), v.to_chain().to_vec());
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_length() {
+        let mut values = vec![0, 1, 127, 128, 300, u64::MAX];
+        for bits in 1..64 {
+            values.extend([(1u64 << bits) - 1, 1 << bits]);
+        }
+        for v in values {
+            let mut out = WireBuf::new();
+            out.put_varint(v);
+            let bytes = out.finish().to_vec();
+            assert_eq!(bytes.len(), varint_len(v), "{v}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.take_varint(), Ok(v));
+            r.finish().unwrap();
+        }
+        assert_eq!(varint_len(u64::MAX), MAX_VARINT_LEN);
+    }
+
+    #[test]
+    fn non_canonical_varints_are_refused() {
+        let take = |bytes: &[u8]| Reader::new(bytes).take_varint();
+        let bad = |reason| Err(CodecError::BadVarint { reason });
+        // Overlong: 0 as two bytes, 1 as three, 127 as two.
+        assert_eq!(take(&[0x80, 0x00]), bad("overlong"));
+        assert_eq!(take(&[0x81, 0x80, 0x00]), bad("overlong"));
+        assert_eq!(take(&[0xff, 0x00]), bad("overlong"));
+        // Nine continuation bytes, then a tenth that carries more than
+        // bit 63 or continues.
+        let mut long = vec![0xff; 9];
+        long.push(0x01);
+        assert_eq!(take(&long), Ok(u64::MAX));
+        long[9] = 0x02;
+        assert_eq!(take(&long), bad("overflows u64"));
+        long[9] = 0x7f;
+        assert_eq!(take(&long), bad("overflows u64"));
+        long[9] = 0x81;
+        long.push(0x01);
+        assert_eq!(take(&long), bad("longer than ten bytes"));
+        long[9] = 0x80;
+        assert_eq!(take(&long), bad("longer than ten bytes"));
+        // Truncated: a continuation bit with nothing after it.
+        let eof = |needed, remaining| Err(CodecError::UnexpectedEof { needed, remaining });
+        assert_eq!(take(&[0x80]), eof(2, 1));
+        assert_eq!(take(&[]), eof(1, 0));
+        assert_eq!(take(&long[..9]), eof(10, 9));
+        // Within a chain, a varint never runs across segments.
+        let mut chain = ByteChain::new();
+        chain.push(PageBuf::from_vec(vec![0x81]));
+        chain.push(PageBuf::from_vec(vec![0x01, 0x05]));
+        let mut r = Reader::from_chain(&chain);
+        assert_eq!(r.take_varint(), eof(2, 1));
+        let mut chain = ByteChain::new();
+        chain.push(PageBuf::from_vec(vec![0x05]));
+        chain.push(PageBuf::from_vec(vec![0xac, 0x02]));
+        let mut r = Reader::from_chain(&chain);
+        assert_eq!(r.take_varint(), Ok(5));
+        assert_eq!(r.take_varint(), Ok(300));
+        r.finish().unwrap();
     }
 
     #[test]

@@ -7,8 +7,18 @@ use blobseer_proto::PageBuf;
 use blobseer_proto::{BlobId, ProviderId, Wire, WriteId};
 use proptest::prelude::*;
 
+/// A `u64` of any varint width: every bit length 0..=64 is as likely, so
+/// one-byte values and ten-byte ones both turn up.
+fn arb_varint() -> impl Strategy<Value = u64> {
+    (0u32..=64, any::<u64>()).prop_map(|(bits, v)| match bits {
+        0 => 0,
+        64 => v,
+        _ => v & ((1u64 << bits) - 1),
+    })
+}
+
 fn arb_node_key() -> impl Strategy<Value = NodeKey> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(b, v, o, s)| NodeKey {
+    (arb_varint(), arb_varint(), arb_varint(), arb_varint()).prop_map(|(b, v, o, s)| NodeKey {
         blob: BlobId(b),
         version: v,
         offset: o,
@@ -18,10 +28,10 @@ fn arb_node_key() -> impl Strategy<Value = NodeKey> {
 
 fn arb_page_loc() -> impl Strategy<Value = PageLoc> {
     (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        proptest::collection::vec(any::<u32>(), 0..4),
+        arb_varint(),
+        arb_varint(),
+        arb_varint(),
+        proptest::collection::vec(arb_varint().prop_map(|v| v as u32), 0..4),
     )
         .prop_map(|(b, w, i, reps)| PageLoc {
             key: PageKey {
@@ -37,7 +47,7 @@ fn arb_tree_node() -> impl Strategy<Value = TreeNode> {
     (
         arb_node_key(),
         prop_oneof![
-            proptest::collection::vec(any::<u64>(), 2..17).prop_map(|versions| NodeBody::Inner {
+            proptest::collection::vec(arb_varint(), 2..33).prop_map(|versions| NodeBody::Inner {
                 children: ChildVersions::new(&versions).unwrap(),
             }),
             arb_page_loc().prop_map(|page| NodeBody::Leaf { page }),
@@ -50,14 +60,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
+    fn node_keys_roundtrip_in_their_hinted_bytes(key in arb_node_key()) {
+        let bytes = key.to_wire();
+        prop_assert_eq!(bytes.len(), key.wire_hint());
+        prop_assert!((4..=40).contains(&bytes.len()));
+        prop_assert_eq!(NodeKey::from_wire(&bytes).unwrap(), key);
+    }
+
+    #[test]
     fn tree_nodes_roundtrip(node in arb_tree_node()) {
-        prop_assert_eq!(TreeNode::from_wire(&node.to_wire()).unwrap(), node);
+        let bytes = node.to_wire();
+        // Exact: the journal sizes every record from the hint.
+        prop_assert_eq!(bytes.len(), node.wire_hint());
+        prop_assert_eq!(bytes.len(), node.key.wire_hint() + node.body.wire_hint());
+        prop_assert_eq!(TreeNode::from_wire(&bytes).unwrap(), node.clone());
+        // Each value has one encoding: a decoded node re-encodes to the
+        // same bytes.
+        prop_assert_eq!(TreeNode::from_wire(&bytes).unwrap().to_wire(), bytes);
     }
 
     #[test]
     fn batches_roundtrip(nodes in proptest::collection::vec(arb_tree_node(), 0..20)) {
         let msg = MetaPutBatch { nodes };
-        prop_assert_eq!(MetaPutBatch::from_wire(&msg.to_wire()).unwrap(), msg);
+        let bytes = msg.to_wire();
+        prop_assert_eq!(bytes.len(), msg.wire_hint());
+        prop_assert_eq!(MetaPutBatch::from_wire(&bytes).unwrap(), msg);
     }
 
     #[test]

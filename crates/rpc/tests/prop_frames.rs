@@ -3,10 +3,95 @@
 //! (socket) representations, with payload sharing preserved on the
 //! chain path.
 
-use blobseer_proto::wire::{ByteChain, Wire, SHARE_THRESHOLD};
-use blobseer_proto::PageBuf;
+use blobseer_proto::messages::{method, MetaGetBatch, MetaPutBatch};
+use blobseer_proto::wire::{ByteChain, Wire, WireBuf, SHARE_THRESHOLD};
+use blobseer_proto::{CodecError, PageBuf};
 use blobseer_rpc::Frame;
 use proptest::prelude::*;
+
+/// Varint bytes: `values` in their canonical encoding.
+fn varints(values: &[u64]) -> Vec<u8> {
+    let mut out = WireBuf::new();
+    for &v in values {
+        out.put_varint(v);
+    }
+    out.finish().to_vec()
+}
+
+/// Tree-node encodings no encoder writes, each with the typed error it
+/// must decode to. A leaf body is tag 4 over varints; a node key is four
+/// varints, the first of which each varint case corrupts.
+fn hostile_nodes() -> Vec<(&'static str, Vec<u8>, CodecError)> {
+    let rest_of_key = varints(&[1, 0, 1024]);
+    let leaf = |tail: &[u8]| [&varints(&[3, 1, 0, 1024])[..], &[4], tail].concat();
+    let bad = |reason| CodecError::BadVarint { reason };
+    let mut eleven = vec![0xff; 9];
+    eleven.extend_from_slice(&[0x81, 0x01]);
+    let mut overflow = vec![0xff; 9];
+    overflow.push(0x02);
+    vec![
+        (
+            "overlong",
+            [&[0x83, 0x00][..], &rest_of_key].concat(),
+            bad("overlong"),
+        ),
+        (
+            "11 bytes",
+            [&eleven[..], &rest_of_key].concat(),
+            bad("longer than ten bytes"),
+        ),
+        (
+            "overflowing 10th byte",
+            [&overflow[..], &rest_of_key].concat(),
+            bad("overflows u64"),
+        ),
+        (
+            "truncated",
+            vec![0x83, 0x80],
+            // Both bytes continue the varint: it needs a third.
+            CodecError::UnexpectedEof {
+                needed: 3,
+                remaining: 2,
+            },
+        ),
+        (
+            "replica count 2^40",
+            leaf(&varints(&[3, 9, 1, 1 << 40])),
+            CodecError::LengthOverflow { declared: 1 << 40 },
+        ),
+    ]
+}
+
+#[test]
+fn hostile_varints_in_frames_are_typed_errors() {
+    for (case, node, want) in hostile_nodes() {
+        // A one-node `META_PUT_BATCH` (u32 count, then the node) and a
+        // one-key `META_GET_BATCH` (u32 count, then the key's bytes), as
+        // they would arrive on a socket, batched with a good frame.
+        let body = [&1u32.to_le_bytes()[..], &node].concat();
+        let put = Frame {
+            method: method::META_PUT_BATCH,
+            body: ByteChain::from(body.clone()),
+        };
+        let get = Frame {
+            method: method::META_GET_BATCH,
+            body: ByteChain::from(body),
+        };
+        let good = Frame::from_msg(method::META_PUT_BATCH, &MetaPutBatch { nodes: vec![] });
+        let flat = Frame::batch(vec![good, put, get]).unwrap().to_wire();
+        let frames = Frame::from_buf(&PageBuf::from_vec(flat))
+            .unwrap()
+            .unbatch()
+            .unwrap()
+            .unwrap();
+        assert_eq!(frames[0].parse::<MetaPutBatch>().unwrap().nodes, vec![]);
+        assert_eq!(frames[1].parse::<MetaPutBatch>(), Err(want), "{case}");
+        if case != "replica count 2^40" {
+            // The key alone is what corrupts the node.
+            assert_eq!(frames[2].parse::<MetaGetBatch>(), Err(want), "{case}");
+        }
+    }
+}
 
 fn arb_payload() -> impl Strategy<Value = PageBuf> {
     proptest::collection::vec(any::<u8>(), 0..4096).prop_map(PageBuf::from_vec)

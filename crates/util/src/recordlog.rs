@@ -76,8 +76,8 @@
 //! independent chains, so the digest runs at the multiplier's
 //! throughput rather than its latency.
 //!
-//! Payload-bearing magics a client used under an earlier digest are
-//! [`RETIRED_MAGICS`]. [`check_format`] — run by every client on the
+//! Payload-bearing magics a client used under an earlier digest or an
+//! earlier payload encoding are [`RETIRED_MAGICS`]. [`check_format`] — run by every client on the
 //! log file before it resumes, rewrites or appends — refuses a log
 //! whose head holds one as [`LogError::RetiredFormat`] and leaves the
 //! file as it was.
@@ -114,12 +114,16 @@ pub const COMMIT_MAGIC: u64 = 0x4253_5047_434d_5431;
 /// `BSVRSNAP` (all under the single-chain payload digest). Their check
 /// words no longer validate, so replay would end at their first record
 /// and the log would open empty; [`check_format`] refuses them instead.
-/// A client never reuses one.
-pub const RETIRED_MAGICS: [u64; 7] = [
+/// The metadata journal's `BSMTPUT2` / `BSMTDEL2` validate but carry
+/// fixed-width tree nodes, which the varint decoder would misread, so
+/// they are refused the same way. A client never reuses one.
+pub const RETIRED_MAGICS: [u64; 9] = [
     0x4253_5047_4c4f_4731, // BSPGLOG1
     0x4253_5047_4c4f_4732, // BSPGLOG2
     0x4253_4d54_5055_5431, // BSMTPUT1
     0x4253_4d54_4445_4c31, // BSMTDEL1
+    0x4253_4d54_5055_5432, // BSMTPUT2
+    0x4253_4d54_4445_4c32, // BSMTDEL2
     0x4253_5652_4352_4531, // BSVRCRE1
     0x4253_5652_5055_4231, // BSVRPUB1
     0x4253_5652_534e_4150, // BSVRSNAP
@@ -1079,6 +1083,8 @@ pub struct RecordLog {
     gen: RwLock<Current>,
     /// One rewrite at a time.
     rewriting: Mutex<()>,
+    /// Size of the generation file when `open` read it.
+    opened_bytes: u64,
 }
 
 /// The generation appends go to.
@@ -1130,6 +1136,7 @@ impl RecordLog {
                 log: Appender::new(file, u64::MAX, opts, at),
             }),
             rewriting: Mutex::new(()),
+            opened_bytes: buf.len() as u64,
         };
         Ok((log, visible))
     }
@@ -1142,6 +1149,13 @@ impl RecordLog {
     /// Current log size in bytes (reserved tail).
     pub fn log_bytes(&self) -> u64 {
         self.gen.read().log.log_bytes()
+    }
+
+    /// Bytes the generation file held when [`open`](Self::open) read it,
+    /// an uncommitted tail included: 0 only for a log that never held a
+    /// byte (a fresh one).
+    pub fn opened_bytes(&self) -> u64 {
+        self.opened_bytes
     }
 
     /// Append one record and block until a commit marker covers it.
@@ -1293,6 +1307,23 @@ mod tests {
             c: a * 3,
             payload,
         }
+    }
+
+    #[test]
+    fn opened_bytes_counts_a_tail_no_marker_covers() {
+        let dir = tmp_dir("opened");
+        let (log, _) = RecordLog::open(&dir, "test", RecordLogOptions::default()).unwrap();
+        assert_eq!(log.opened_bytes(), 0, "a fresh log");
+        drop(log);
+        // A record no marker covers: nothing replays and appends resume
+        // at 0, but the file held bytes.
+        let torn = Image::default().record(1, b"torn");
+        std::fs::write(dir.join("test.g0.log"), &torn.0).unwrap();
+        let (log, replayed) = RecordLog::open(&dir, "test", RecordLogOptions::default()).unwrap();
+        assert!(replayed.is_empty());
+        assert_eq!(log.log_bytes(), 0);
+        assert_eq!(log.opened_bytes(), torn.end());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,10 +34,13 @@
 //! like in-flight writes in a [`crate::recovery`] failover. Because a
 //! write-ahead publish may be committed yet never acknowledged, those
 //! dropped version numbers will be handed out again — which is why
-//! [`VersionLog::open`] always **checkpoints**: it rewrites the log to
-//! a single snapshot of the surfaced state, so stale publish records
-//! can never resurface under a reused version number, and replaying
-//! twice is identical to replaying once.
+//! [`VersionLog::open`] **checkpoints** a journal that holds anything:
+//! it rewrites the log to a single snapshot of the surfaced state, so
+//! stale publish records can never resurface under a reused version
+//! number, and replaying twice is identical to replaying once. An
+//! empty journal file — a fresh deployment — has no history to collapse
+//! and no stale tail to drop, so it is opened as it is: no snapshot is
+//! staged, and no `fdatasync`, rename or directory sync is paid.
 //!
 //! Committed-but-undecodable bytes are a typed
 //! [`BlobError::Recovery`] carrying file + offset, never a panic.
@@ -98,10 +101,10 @@ impl VersionLog {
 
     /// Open (or create) the journal under `dir`, replay it into a fresh
     /// [`VersionRegistry`] under `config` (one shard of a sharded
-    /// version manager replays only its own journal), then checkpoint:
-    /// the on-disk log is rewritten to a single snapshot of the surfaced
-    /// state (making replay idempotent and version-number reuse safe —
-    /// see module docs).
+    /// version manager replays only its own journal), then checkpoint
+    /// unless the journal file is empty: the on-disk log is rewritten to
+    /// a single snapshot of the surfaced state (making replay idempotent
+    /// and version-number reuse safe — see module docs).
     pub fn open_with(
         dir: &Path,
         opts: RecordLogOptions,
@@ -110,6 +113,10 @@ impl VersionLog {
         let (mut log, records) =
             RecordLog::open(dir, "version", opts).map_err(|e| log_err(dir, e))?;
         let registry = replay(&log, &records, config)?;
+        if log.opened_bytes() == 0 {
+            // A fresh journal: no history to collapse, no tail to drop.
+            return Ok((Self { log }, registry));
+        }
         // Checkpoint-on-open: collapse history to one snapshot record.
         let snap = snapshot(&registry);
         log.rewrite(&[Record {
