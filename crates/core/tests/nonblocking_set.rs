@@ -12,7 +12,7 @@ use blobseer_rpc::{AdmissionControlled, AdmissionGate, AdmissionOptions, Service
 use std::sync::Arc;
 
 /// Every method constant, and whether its handler cannot block.
-const TABLE: [(u16, bool); 18] = [
+const TABLE: [(u16, bool); 17] = [
     // Data provider: a get is an index probe and a refcount; puts and
     // removes append, commit and pass the maintenance gate.
     (method::PUT_PAGE, false),
@@ -23,7 +23,6 @@ const TABLE: [(u16, bool); 18] = [
     (method::REGISTER_PROVIDER, false),
     (method::HEARTBEAT, true),
     (method::PLAN_WRITE, true),
-    (method::LIST_PROVIDERS, false),
     // Metadata provider: gets probe the in-memory store; the rest is
     // write-ahead and may compact the journal.
     (method::META_PUT, false),

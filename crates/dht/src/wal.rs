@@ -196,7 +196,8 @@ impl WalMeta {
         trigger: CompactTrigger,
         index: &NodeIndex,
     ) -> Result<Self, BlobError> {
-        let (log, records) = RecordLog::open(dir, "meta", opts).map_err(|e| log_err(dir, e))?;
+        let (log, records) = RecordLog::open_reporting_file(dir, "meta", opts)
+            .map_err(|(e, file)| log_err(&file, e))?;
         let wal = Self {
             log,
             trigger,
@@ -629,7 +630,7 @@ mod tests {
         }
         assert_eq!(payload.len(), 290);
         write_committed(&dir, 0x4253_4d54_5055_5432, &payload);
-        assert_refused_untouched(&dir, &dir);
+        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
         // So is a journal that opens with a fixed-width remove.
         let dir2 = tmp_dir("fixed-del");
         write_committed(
@@ -637,7 +638,7 @@ mod tests {
             0x4253_4d54_4445_4c32,
             &fixed_width_key(&node(1, 0).key),
         );
-        assert_refused_untouched(&dir2, &dir2);
+        assert_refused_untouched(&dir2, &dir2.join("meta.g0.log"));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
     }
@@ -730,7 +731,7 @@ mod tests {
             0,
         ));
         std::fs::write(dir.join("meta.g0.log"), &image).unwrap();
-        assert_refused_untouched(&dir, &dir);
+        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,8 +35,6 @@ pub mod method {
     pub const HEARTBEAT: u16 = 0x0202;
     /// Provider manager: plan a write (issue write id + target providers).
     pub const PLAN_WRITE: u16 = 0x0203;
-    /// Provider manager: list registered providers.
-    pub const LIST_PROVIDERS: u16 = 0x0204;
 
     /// Metadata provider (DHT): store one tree node.
     pub const META_PUT: u16 = 0x0301;

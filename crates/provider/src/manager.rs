@@ -385,11 +385,6 @@ impl ProviderManagerService {
             }
         }
     }
-
-    /// Current provider ids (diagnostics).
-    pub fn provider_ids(&self) -> Vec<ProviderId> {
-        self.roster.load().slots.iter().map(|s| s.id).collect()
-    }
 }
 
 impl Roster {
@@ -410,8 +405,8 @@ impl Service for ProviderManagerService {
     }
 
     /// Planning is lock-free (roster snapshot, p2c, CAS reservation) and
-    /// a heartbeat is a handful of atomic stores. Registration and
-    /// listing republish or walk the roster; they keep the pool.
+    /// a heartbeat is a handful of atomic stores. Registration
+    /// republishes the roster; it keeps the pool.
     fn nonblocking(&self, method: u16) -> bool {
         matches!(method, method::PLAN_WRITE | method::HEARTBEAT)
     }
@@ -430,7 +425,6 @@ impl Service for ProviderManagerService {
             method::PLAN_WRITE => respond(frame, |m: PlanWrite| {
                 self.plan_write_excluding(m.pages, m.replication, &m.exclude)
             }),
-            method::LIST_PROVIDERS => respond(frame, |_: ()| Ok(self.provider_ids())),
             other => error_frame(other, BlobError::Internal("unknown manager method")),
         }
     }
@@ -628,6 +622,17 @@ mod tests {
             Err(BlobError::Internal("remote codec error"))
         ));
         assert_eq!(plan(4).unwrap().targets.len(), 4);
+    }
+
+    #[test]
+    fn the_retired_list_providers_id_is_an_unknown_method() {
+        // 0x0204 was `LIST_PROVIDERS`, served but never sent, and deleted.
+        let m = mgr();
+        let reply = m.handle(&mut ServerCtx::new(0), &Frame::from_msg(0x0204, &()));
+        assert!(matches!(
+            blobseer_rpc::parse_response::<()>(&reply),
+            Err(BlobError::Internal("unknown manager method"))
+        ));
     }
 
     #[test]

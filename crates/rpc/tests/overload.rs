@@ -28,6 +28,9 @@ struct Slow;
 
 const SERVICE_TIME: Duration = Duration::from_millis(3);
 
+/// How long an admitted request may wait for a permit.
+const QUEUE_WAIT: Duration = Duration::from_millis(6);
+
 impl Service for Slow {
     fn handle(&self, _ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         std::thread::sleep(SERVICE_TIME);
@@ -39,12 +42,39 @@ fn p99(samples: &mut Samples) -> f64 {
     samples.percentile(99.0).expect("non-empty samples")
 }
 
+/// One admitted request's latency, split into how late the generator
+/// fired it and how long it then spent inside `handle` (ms).
+#[derive(Clone, Copy)]
+struct Split {
+    latency: f64,
+    late: f64,
+    in_handle: f64,
+}
+
+/// The `n` slowest admitted requests, one line each, for a failure
+/// message: whether the generator (a host stall before the fire) or the
+/// gate (time inside `handle`) broke the bound.
+fn slowest(splits: &[Split], n: usize) -> String {
+    let mut by_latency = splits.to_vec();
+    by_latency.sort_by(|a, b| b.latency.total_cmp(&a.latency));
+    by_latency
+        .iter()
+        .take(n)
+        .map(|s| {
+            format!(
+                "\n  {:.2} ms = {:.2} ms late at fire + {:.2} ms in handle",
+                s.latency, s.late, s.in_handle
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn open_loop_overload_sheds_typed_and_bounds_admitted_p99() {
     let gate = Arc::new(AdmissionGate::new(AdmissionOptions {
         max_inflight: 2,
         max_queue: 4,
-        queue_wait: Duration::from_millis(6),
+        queue_wait: QUEUE_WAIT,
         ..AdmissionOptions::default()
     }));
     let svc = Arc::new(AdmissionControlled::new(Slow, Arc::clone(&gate)));
@@ -67,6 +97,7 @@ fn open_loop_overload_sheds_typed_and_bounds_admitted_p99() {
     let next = Arc::new(AtomicUsize::new(0));
     let shed = Arc::new(AtomicU64::new(0));
     let admitted = Arc::new(Mutex::new(Samples::new()));
+    let splits = Arc::new(Mutex::new(Vec::new()));
     let t0 = Instant::now();
     let started = Instant::now();
     let workers: Vec<_> = (0..16)
@@ -75,6 +106,7 @@ fn open_loop_overload_sheds_typed_and_bounds_admitted_p99() {
             let next = Arc::clone(&next);
             let shed = Arc::clone(&shed);
             let admitted = Arc::clone(&admitted);
+            let splits = Arc::clone(&splits);
             std::thread::spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= total {
@@ -87,13 +119,20 @@ fn open_loop_overload_sheds_typed_and_bounds_admitted_p99() {
                 if now < scheduled {
                     std::thread::sleep(scheduled - now);
                 }
+                let fired = t0.elapsed();
                 let mut ctx = ServerCtx::new(0);
                 let resp = svc.handle(&mut ctx, &Frame::from_msg(1, &(i as u64)));
-                let latency_ms = (t0.elapsed().saturating_sub(scheduled)).as_secs_f64() * 1e3;
+                let done = t0.elapsed();
+                let latency_ms = (done.saturating_sub(scheduled)).as_secs_f64() * 1e3;
                 match blobseer_rpc::parse_response::<u64>(&resp) {
                     Ok(echoed) => {
                         assert_eq!(echoed, i as u64);
                         admitted.lock().unwrap().push(latency_ms);
+                        splits.lock().unwrap().push(Split {
+                            latency: latency_ms,
+                            late: fired.saturating_sub(scheduled).as_secs_f64() * 1e3,
+                            in_handle: (done - fired).as_secs_f64() * 1e3,
+                        });
                     }
                     Err(BlobError::Overload { .. }) => {
                         shed.fetch_add(1, Ordering::Relaxed);
@@ -138,8 +177,13 @@ fn open_loop_overload_sheds_typed_and_bounds_admitted_p99() {
     // `queue_wait`, so its p99 stays within 5× of unloaded even at 10×
     // offered load. (An unbounded queue would diverge linearly with the
     // storm length.)
+    // On failure, the five slowest admitted requests say whether the
+    // generator fired late (a host stall) or the gate held them longer
+    // than its own worst case, `queue_wait` + `SERVICE_TIME`.
     assert!(
         admitted_p99 <= 5.0 * unloaded_p99,
-        "admitted p99 {admitted_p99:.2} ms must stay within 5× unloaded p99 {unloaded_p99:.2} ms"
+        "admitted p99 {admitted_p99:.2} ms must stay within 5× unloaded p99 {unloaded_p99:.2} ms \
+         (queue_wait {QUEUE_WAIT:?}, SERVICE_TIME {SERVICE_TIME:?}); the five slowest admitted:{}",
+        slowest(&splits.lock().unwrap(), 5)
     );
 }

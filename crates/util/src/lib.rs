@@ -44,6 +44,9 @@
 //! * [`clockcache`] — [`ClockCache`], a sharded concurrent CLOCK cache
 //!   whose hits are a shard read lock plus an atomic reference bit; the
 //!   substrate of the shared client metadata cache.
+//! * [`combine`] — [`combine::Combiner`], flat combining: the one
+//!   leader/follower mechanism, whose clients are the version
+//!   manager's grant queue and the record log's group commit.
 //! * [`fdlimit`] — raise the soft `RLIMIT_NOFILE` to the hard ceiling,
 //!   so the C10K transport tests can hold thousands of
 //!   sockets regardless of the environment's default `ulimit -n`.
@@ -57,6 +60,7 @@
 compile_error!("blobseer builds on unix only: its transport and storage use unix file descriptors");
 
 pub mod clockcache;
+pub mod combine;
 pub mod copymeter;
 pub mod fdlimit;
 pub mod fxhash;

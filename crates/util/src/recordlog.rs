@@ -17,8 +17,8 @@
 //! * [`Appender`] — the append/commit half, on a caller-supplied file
 //!   with a capacity bound: CAS-reserve a range (keeping headroom for
 //!   the marker), positioned writes, tombstone-or-poison on a failed
-//!   write, group commit (one leader seals everything completed so
-//!   far; followers wait on the durable-offset watermark).
+//!   write, group commit (a [`Combiner`] round: one leader seals one
+//!   marker covering every append queued in it).
 //!   [`Appender::append`] returns the payload's file offset.
 //! * [`replay`] — a pure function over `&[u8]` that visits the
 //!   committed records (header words + payload *range*) marker by
@@ -82,6 +82,7 @@
 //! whose head holds one as [`LogError::RetiredFormat`] and leaves the
 //! file as it was.
 
+use crate::combine::Combiner;
 use crate::rng::splitmix64;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::BTreeMap;
@@ -288,7 +289,9 @@ pub struct RecordLogOptions {
     /// the file with it).
     pub fsync_on_commit: bool,
     /// How long a group-commit leader lingers before sealing, so
-    /// concurrent appenders can join the same marker (and fsync).
+    /// concurrent appenders can join the same marker (and fsync): the
+    /// linger of the appender's [`Combiner`], whose one policy the
+    /// version manager's grant queue shares.
     pub group_commit_window: Duration,
 }
 
@@ -521,8 +524,6 @@ struct CommitState {
     completed: BTreeMap<u64, u64>,
     /// Sequence number the next marker carries.
     next_seq: u64,
-    /// A group-commit leader is in flight; followers wait for coverage.
-    committing: bool,
     /// No further commit may succeed.
     poisoned: bool,
 }
@@ -536,7 +537,9 @@ struct CommitState {
 ///   `header + payload` with positioned I/O — no lock, no user-space
 ///   copy — then blocks until a group-commit marker covers it: only
 ///   committed records are acknowledged, and only committed records
-///   replay.
+///   replay. Group commit is a [`Combiner`] round: an append no marker
+///   covers yet queues its end, and the round's leader seals one marker
+///   at the tail (and one optional fsync) for every end in the round.
 /// * A **failed write** unreserves its range if it is still the tail;
 ///   otherwise later appenders own bytes beyond it, so it is branded a
 ///   tombstone replay steps over — a hole there would truncate the
@@ -546,7 +549,8 @@ struct CommitState {
 ///
 /// The commit mutex/condvar is durability machinery on the ack path,
 /// not a control-plane serialization point; it is deliberately outside
-/// the lockmeter.
+/// the lockmeter. The condvar has one waiter at most: a round's leader
+/// waiting for the records below its marker slot to land.
 pub struct Appender {
     file: File,
     capacity: u64,
@@ -555,6 +559,8 @@ pub struct Appender {
     tail: AtomicU64,
     commit: Mutex<CommitState>,
     commit_cv: Condvar,
+    /// Group commit: the record ends awaiting a marker.
+    group: Combiner<u64, Result<(), LogError>>,
 }
 
 impl fmt::Debug for Appender {
@@ -578,6 +584,7 @@ impl Appender {
             tail: AtomicU64::new(0),
             commit: Mutex::new(CommitState::default()),
             commit_cv: Condvar::new(),
+            group: Combiner::new(opts.group_commit_window),
         };
         log.resume_at(at);
         log
@@ -672,7 +679,7 @@ impl Appender {
 
     /// Record that the reserved range `[start, end)` finished its
     /// write, advancing the contiguous frontier when the gap before it
-    /// closed, and wake anyone waiting on the frontier.
+    /// closed, and wake the leader if it waits on the frontier.
     fn complete(&self, start: u64, end: u64) {
         let mut st = self.commit.lock();
         if st.frontier == start {
@@ -687,54 +694,46 @@ impl Appender {
         } else {
             st.completed.insert(start, end);
         }
-        self.commit_cv.notify_all();
+        self.commit_cv.notify_one();
     }
 
     /// Group commit: block until a marker covering `my_end` is durable.
-    /// Exactly one leader at a time seals a marker; every append that
-    /// completed before the seal rides the same marker (and the same
-    /// optional fsync).
+    /// An append already covered returns at once; the others queue on
+    /// the combiner, and each round's leader seals one marker covering
+    /// every end in it (and the same optional fsync), unless an earlier
+    /// marker already covers them all.
     fn commit_covering(&self, my_end: u64) -> Result<(), LogError> {
-        loop {
-            {
-                let mut st = self.commit.lock();
-                loop {
-                    if st.durable >= my_end {
-                        return Ok(());
-                    }
-                    if st.poisoned {
-                        return Err(LogError::Poisoned);
-                    }
-                    if !st.committing {
-                        st.committing = true;
-                        break;
-                    }
-                    self.commit_cv.wait(&mut st);
-                }
-            }
-            let sealed = self.commit_lead();
-            let mut st = self.commit.lock();
-            st.committing = false;
-            self.commit_cv.notify_all();
-            match sealed {
-                // The marker slot is reserved at the tail, after this
-                // append's completed record, so one round always covers
-                // it — the loop is belt and braces.
-                Ok(()) if st.durable >= my_end => return Ok(()),
-                Ok(()) => continue,
-                Err(e) => return Err(e),
-            }
+        if self.covered(my_end)? {
+            return Ok(());
+        }
+        self.group.submit(my_end, |ends| {
+            let last = ends.rest.iter().fold(ends.own, |last, &end| last.max(end));
+            let sealed = match self.covered(last) {
+                Ok(false) => self.seal(),
+                // An earlier marker covers the whole round (no marker is
+                // added), or the log is poisoned.
+                covered => covered.map(drop),
+            };
+            ends.map(|_| sealed)
+        })
+    }
+
+    /// Whether a marker already covers `end`; a poisoned log covers
+    /// nothing more.
+    fn covered(&self, end: u64) -> Result<bool, LogError> {
+        let st = self.commit.lock();
+        match (st.durable >= end, st.poisoned) {
+            (true, _) => Ok(true),
+            (false, true) => Err(LogError::Poisoned),
+            (false, false) => Ok(false),
         }
     }
 
-    /// The leader's half of a group commit: optionally linger so
-    /// concurrent appends join the batch, reserve the marker slot at
-    /// the tail, wait for every record below it to finish writing,
-    /// seal, and (optionally) fsync.
-    fn commit_lead(&self) -> Result<(), LogError> {
-        if !self.opts.group_commit_window.is_zero() {
-            std::thread::sleep(self.opts.group_commit_window);
-        }
+    /// A round leader's seal: reserve the marker slot at the tail
+    /// (after every record its round's appends completed), wait for
+    /// every record below it to finish writing, seal, and (optionally)
+    /// fsync.
+    fn seal(&self) -> Result<(), LogError> {
         let marker_at = self
             .tail
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
@@ -1107,13 +1106,27 @@ impl RecordLog {
         base: &str,
         opts: RecordLogOptions,
     ) -> Result<(Self, Vec<OwnedRecord>), LogError> {
-        let number = newest_generation(dir, base)?;
-        let (file, path) = open_generation(dir, base, number)?;
-        check_format(&file)?;
+        Self::open_reporting_file(dir, base, opts).map_err(|(e, _)| e)
+    }
+
+    /// [`open`](Self::open), reporting with an error the file it
+    /// concerns: the generation file it opened for anything that failed
+    /// after (a retired format, a failed read), `dir` before a file was
+    /// opened.
+    pub fn open_reporting_file(
+        dir: &Path,
+        base: &str,
+        opts: RecordLogOptions,
+    ) -> Result<(Self, Vec<OwnedRecord>), (LogError, PathBuf)> {
+        let in_dir = |e| (e, dir.to_path_buf());
+        let number = newest_generation(dir, base).map_err(in_dir)?;
+        let (file, path) = open_generation(dir, base, number).map_err(in_dir)?;
+        let in_file = |e| (e, path.clone());
+        check_format(&file).map_err(in_file)?;
         if opts.fsync_on_commit {
-            sync_dir(dir, true)?;
+            sync_dir(dir, true).map_err(in_file)?;
         }
-        let buf = std::fs::read(&path).map_err(|_| LogError::Io("read log file"))?;
+        let buf = std::fs::read(&path).map_err(|_| in_file(LogError::Io("read log file")))?;
         let mut visible: Vec<OwnedRecord> = Vec::new();
         let at = replay(&buf, |r| {
             visible.push(OwnedRecord {

@@ -10,22 +10,24 @@
 //!
 //! ## The grant protocol (ticket batching)
 //!
-//! Since PR 10 that mutex is amortized with the same leader/follower
-//! discipline the record log's group commit proved: writers that arrive
-//! while an assignment is in progress park on a **grant queue** instead
-//! of contending, and the queue's *leader* — the one writer that found
-//! the queue idle — takes the assignment mutex once and hands a
-//! **contiguous run of versions** to itself plus everyone queued behind
-//! it. Followers ride the grant through a condvar and never touch the
-//! assignment mutex at all. Total order per blob is untouched: every
-//! ticket still comes out of the one `next_version` counter under the
-//! one mutex, in queue order; only *who pays for the acquisition*
-//! changes. An optional [`RegistryConfig::grant_window`] lets a leader
-//! linger (exactly like the record log's `group_commit_window`) so
-//! concurrent writers can join the grant deterministically.
+//! That mutex is amortized by the workspace's one combining primitive,
+//! [`Combiner`], the one the record log's group commit runs: writers
+//! that arrive while a grant is in progress park on the blob's **grant
+//! queue** instead of contending, and each round's *leader* — the
+//! writer that found the queue idle, or was handed its lead — takes the
+//! assignment mutex once and hands a **contiguous run of versions** to
+//! itself plus everyone queued behind it. Followers are woken with
+//! their tickets and never touch the assignment mutex at all. A leader
+//! serves one round, then hands the lead to the oldest writer still
+//! queued. Total order per blob is untouched: every ticket still comes
+//! out of the one `next_version` counter under the one mutex, in queue
+//! order; only *who pays for the acquisition* changes. An optional
+//! [`RegistryConfig::grant_window`] is the combiner's linger (the record
+//! log's `group_commit_window` is the other), so concurrent writers can
+//! join the grant deterministically.
 //!
 //! Lockmeter accounting rule: **a grant charges one `VersionAssign`
-//! acquisition for the whole group** — the leader records it, followers
+//! acquisition for the whole round** — its leader records it, followers
 //! record nothing — so under a hot-blob storm the steady-state
 //! `version_assign_locks_per_op` drops to `grants / ops ≈ 1/group`,
 //! strictly below 1.0 under contention and exactly 1.0 for a solo
@@ -39,8 +41,9 @@ use blobseer_meta::write_intervals;
 use blobseer_proto::messages::{BlobInfo, GcPlan, WriteTicket};
 use blobseer_proto::tree::PageKey;
 use blobseer_proto::{BlobError, BlobId, Geometry, Segment, Version, WriteId};
+use blobseer_util::combine::{Combiner, Round};
 use blobseer_util::{IntervalMap, ShardedMap};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,10 +73,11 @@ pub struct RegistryConfig {
     /// the assignment mutex itself, the pre-PR-10 behaviour.
     pub batched: bool,
     /// How long a grant leader lingers before assigning, so concurrent
-    /// writers can join its grant (the assignment-queue analogue of the
-    /// record log's `group_commit_window`). Zero (the default) still
-    /// batches naturally: whoever queued while the leader held the
-    /// assignment mutex rides the next drain.
+    /// writers can join its grant: the linger of the blob's
+    /// [`Combiner`], whose one policy the record log's group commit
+    /// (`group_commit_window`) shares. Zero (the default) still batches
+    /// naturally: whoever queued while a leader held the assignment
+    /// mutex rides the next round.
     pub grant_window: Duration,
     /// This registry's shard index, `< shards`.
     pub shard: u32,
@@ -125,57 +129,22 @@ struct AssignState {
 pub struct VersionGrant {
     /// The assigned version + precomputed border links.
     pub ticket: WriteTicket,
-    /// Assignment-mutex acquisitions *this call* performed: `0` for a
-    /// follower that rode a leader's grant, `>= 1` for the leader (one
-    /// per queue drain it served). Mirrors the lockmeter exactly.
+    /// Assignment-mutex acquisitions *this call* performed: `1` if it
+    /// led its round, `0` for a follower that rode a leader's grant.
+    /// Mirrors the lockmeter exactly.
     pub acquired: u32,
-    /// Size of the grant group this call's ticket was assigned in
+    /// Size of the grant round this call's ticket was assigned in
     /// (`1` for a leader-of-one, i.e. an uncontended request).
     pub group: u32,
 }
 
-/// One parked follower in the grant queue.
-struct GrantCell {
+/// One writer's request in a grant round.
+struct GrantRequest {
     write: WriteId,
     seg: Segment,
-    /// The segment's border children, computed before the follower
+    /// The segment's border children, computed before the request
     /// queued: geometry needs no lock.
     specs: Vec<Segment>,
-    slot: Mutex<GrantSlot>,
-    ready: Condvar,
-}
-
-/// Filled by the leader, consumed by the parked follower.
-struct GrantSlot {
-    done: Option<Result<WriteTicket, BlobError>>,
-    group: u32,
-}
-
-impl GrantCell {
-    fn new(write: WriteId, seg: Segment, specs: Vec<Segment>) -> Self {
-        Self {
-            write,
-            seg,
-            specs,
-            // lint: allow(unmetered-lock) — grant-protocol plumbing: a parked
-            // follower's handoff slot; the one metered acquisition for the whole
-            // grant is recorded by its leader (see lead_grants)
-            slot: Mutex::new(GrantSlot {
-                done: None,
-                group: 0,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-}
-
-/// The grant queue: writers that arrive while another writer is leading
-/// park here; the `leading` flag is the record log's `committing`
-/// discipline (cleared only under this lock after an empty-queue check,
-/// so a parked cell can never be stranded).
-struct GrantQueue {
-    pending: Vec<Arc<GrantCell>>,
-    leading: bool,
 }
 
 /// All version-manager state for one blob.
@@ -185,9 +154,8 @@ pub struct BlobState {
     /// The blob's geometry.
     pub geom: Geometry,
     assign: Mutex<AssignState>,
-    grants: Mutex<GrantQueue>,
+    grants: Combiner<GrantRequest, Result<VersionGrant, BlobError>>,
     batched: bool,
-    grant_window: Duration,
     window: PublishWindow,
     history: ConcurrentHistory<WriteRecord>,
     /// Lowest version whose metadata may still exist (raised by GC).
@@ -195,19 +163,9 @@ pub struct BlobState {
 }
 
 impl BlobState {
-    /// Fresh blob state with default grant batching (no grant window).
-    pub fn new(blob: BlobId, geom: Geometry, window: usize) -> Self {
-        Self::with_grants(blob, geom, window, true, Duration::ZERO)
-    }
-
-    /// Fresh blob state with explicit grant-protocol knobs.
-    pub fn with_grants(
-        blob: BlobId,
-        geom: Geometry,
-        window: usize,
-        batched: bool,
-        grant_window: Duration,
-    ) -> Self {
+    /// Fresh blob state under a registry's publish window and
+    /// grant-protocol knobs.
+    pub fn with_config(blob: BlobId, geom: Geometry, config: &RegistryConfig) -> Self {
         Self {
             blob,
             geom,
@@ -219,17 +177,9 @@ impl BlobState {
                 next_version: 1,
                 index: IntervalMap::new(),
             }),
-            // lint: allow(unmetered-lock) — grant-protocol plumbing, not a
-            // serialization point of the data model: held for queue push/take only,
-            // never across the assignment critical section or I/O; the assignment
-            // work itself is metered per grant via record_version_assign
-            grants: Mutex::new(GrantQueue {
-                pending: Vec::new(),
-                leading: false,
-            }),
-            batched,
-            grant_window,
-            window: PublishWindow::new(window),
+            grants: Combiner::new(config.grant_window),
+            batched: config.batched,
+            window: PublishWindow::new(config.window),
             history: ConcurrentHistory::new(),
             gc_floor: AtomicU64::new(1),
         }
@@ -280,7 +230,7 @@ impl BlobState {
         // The border children are pure geometry: computed here, outside
         // every lock, so the assignment critical section only reads and
         // updates the version index.
-        let mut specs = border_specs(&self.geom, &seg);
+        let specs = border_specs(&self.geom, &seg);
         if !self.batched {
             // Per-op ablation: every writer pays its own acquisition —
             // the pre-PR-10 behaviour, kept as the measured ablation.
@@ -296,114 +246,35 @@ impl BlobState {
                 group: 1,
             });
         }
-        let cell = {
-            // lint: allow(unmetered-lock) — grant-queue push/leader election only;
-            // the assignment work is metered once per grant by the leader
-            let mut q = self.grants.lock();
-            if q.leading {
-                let cell = Arc::new(GrantCell::new(write, seg, std::mem::take(&mut specs)));
-                q.pending.push(Arc::clone(&cell));
-                Some(cell)
-            } else {
-                q.leading = true;
-                None
-            }
-        };
-        match cell {
-            Some(cell) => {
-                // Follower: the leader assigns our version inside its
-                // grant and hands the ticket through the condvar. We
-                // never touch the assignment mutex.
-                // lint: allow(unmetered-lock) — parked follower's own handoff slot;
-                // the grant's one metered acquisition is the leader's
-                let mut slot = cell.slot.lock();
-                while slot.done.is_none() {
-                    cell.ready.wait(&mut slot);
-                }
-                let group = slot.group;
-                // lint: allow(panic-on-serving-path) — the wait loop above exits
-                // only once `done` is `Some`, so the take can never observe `None`
-                let ticket = slot.done.take().expect("slot filled before notify")?;
-                Ok(VersionGrant {
-                    ticket,
-                    acquired: 0,
-                    group,
-                })
-            }
-            None => self.lead_grants(write, seg, &specs),
-        }
+        let req = GrantRequest { write, seg, specs };
+        self.grants.submit(req, |round| self.grant_round(round))
     }
 
-    /// Grant leader: optionally linger so concurrent writers can join,
-    /// then drain the queue in rounds — **one metered assignment-mutex
-    /// acquisition per drain** grants a contiguous run of versions to
-    /// every queued writer (plus the leader's own request in the first
-    /// round). Leadership is released only under the queue lock after an
-    /// empty-queue check, so a parked cell can never be stranded.
-    fn lead_grants(
-        &self,
-        write: WriteId,
-        seg: Segment,
-        specs: &[Segment],
-    ) -> Result<VersionGrant, BlobError> {
-        if !self.grant_window.is_zero() {
-            std::thread::sleep(self.grant_window);
+    /// A grant leader's round: **one metered assignment-mutex
+    /// acquisition** grants a contiguous run of versions to the leader
+    /// and every follower queued behind it, in queue order; history is
+    /// recorded outside the mutex.
+    fn grant_round(&self, round: Round<GrantRequest>) -> Round<Result<VersionGrant, BlobError>> {
+        // The one VersionAssign charge for this whole grant round.
+        blobseer_util::lockmeter::record_version_assign();
+        let group = u32::try_from(round.size()).unwrap_or(u32::MAX);
+        let tickets = {
+            let mut st = self.assign.lock();
+            round.map(|r| (self.assign_locked(&mut st, &r.seg, &r.specs), r))
+        };
+        let mut grants = tickets.map(|(ticket, r)| {
+            let ticket = ticket?;
+            self.record_assignment(r.write, r.seg, ticket.version);
+            Ok(VersionGrant {
+                ticket,
+                acquired: 0,
+                group,
+            })
+        });
+        if let Ok(own) = &mut grants.own {
+            own.acquired = 1;
         }
-        let mut own: Option<(Result<WriteTicket, BlobError>, u32)> = None;
-        let mut acquired: u32 = 0;
-        loop {
-            let batch: Vec<Arc<GrantCell>> = {
-                // lint: allow(unmetered-lock) — grant-queue drain/leadership release
-                // only; the assignment below is metered once per drain
-                let mut q = self.grants.lock();
-                if own.is_some() && q.pending.is_empty() {
-                    q.leading = false;
-                    break;
-                }
-                std::mem::take(&mut q.pending)
-            };
-            let serve_own = own.is_none();
-            let group = u32::try_from(batch.len()).unwrap_or(u32::MAX) + u32::from(serve_own);
-            // The one VersionAssign charge for this whole grant group.
-            blobseer_util::lockmeter::record_version_assign();
-            acquired += 1;
-            let mut granted: Vec<Result<WriteTicket, BlobError>> = Vec::with_capacity(batch.len());
-            {
-                let mut st = self.assign.lock();
-                if serve_own {
-                    own = Some((self.assign_locked(&mut st, &seg, specs), group));
-                }
-                for cell in &batch {
-                    granted.push(self.assign_locked(&mut st, &cell.seg, &cell.specs));
-                }
-            }
-            // Outside the assignment mutex: record history for every
-            // granted ticket, then wake the followers.
-            if serve_own {
-                if let Some((Ok(t), _)) = &own {
-                    self.record_assignment(write, seg, t.version);
-                }
-            }
-            for (cell, result) in batch.iter().zip(granted) {
-                if let Ok(t) = &result {
-                    self.record_assignment(cell.write, cell.seg, t.version);
-                }
-                // lint: allow(unmetered-lock) — follower handoff slot fill + notify;
-                // the grant's one metered acquisition happened above
-                let mut slot = cell.slot.lock();
-                slot.group = group;
-                slot.done = Some(result);
-                cell.ready.notify_one();
-            }
-        }
-        // lint: allow(panic-on-serving-path) — the loop cannot break until `own`
-        // is `Some` (the first drain always serves the leader's own request)
-        let (result, group) = own.expect("leader served its own request");
-        Ok(VersionGrant {
-            ticket: result?,
-            acquired,
-            group,
-        })
+        grants
     }
 
     /// The assignment critical section for one writer, whose border
@@ -568,13 +439,7 @@ impl VersionRegistry {
     }
 
     fn fresh_state(&self, id: BlobId, geom: Geometry) -> Arc<BlobState> {
-        Arc::new(BlobState::with_grants(
-            id,
-            geom,
-            self.config.window,
-            self.config.batched,
-            self.config.grant_window,
-        ))
+        Arc::new(BlobState::with_config(id, geom, &self.config))
     }
 
     /// `ALLOC`: create a blob, returning its globally unique id. Shard

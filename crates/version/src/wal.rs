@@ -110,8 +110,8 @@ impl VersionLog {
         opts: RecordLogOptions,
         config: RegistryConfig,
     ) -> Result<(Self, VersionRegistry), BlobError> {
-        let (mut log, records) =
-            RecordLog::open(dir, "version", opts).map_err(|e| log_err(dir, e))?;
+        let (mut log, records) = RecordLog::open_reporting_file(dir, "version", opts)
+            .map_err(|(e, file)| log_err(&file, e))?;
         let registry = replay(&log, &records, config)?;
         if log.opened_bytes() == 0 {
             // A fresh journal: no history to collapse, no tail to drop.
@@ -126,7 +126,7 @@ impl VersionLog {
             c: 0,
             payload: &snap,
         }])
-        .map_err(|e| log_err(dir, e))?;
+        .map_err(|e| log_err(&log.path(), e))?;
         Ok((Self { log }, registry))
     }
 
@@ -770,6 +770,11 @@ mod tests {
             matches!(err, BlobError::Recovery { offset: 0, .. }),
             "got {err:?}"
         );
+        // The refusal names the generation file it refused.
+        let BlobError::Recovery { file, .. } = &err else {
+            unreachable!()
+        };
+        assert_eq!(Path::new(file), path);
         // Refused before the checkpoint: no generation 2 was written and
         // the old file is byte-identical.
         let names: Vec<_> = std::fs::read_dir(&dir)
