@@ -47,7 +47,6 @@ use blobseer_rpc::{
 use blobseer_simnet::{ClientCosts, CostModel, ServiceCosts, SimCluster};
 use blobseer_util::recordlog::RecordLogOptions;
 use blobseer_version::{RegistryConfig, VersionLog, VersionRegistry, DEFAULT_WINDOW};
-use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,60 +56,31 @@ pub use blobseer_provider::{BackendKind, CompactReport, LogOptions};
 /// One storage node's two co-located services (paper: "each hosting one
 /// data provider and one metadata provider"), routed by method namespace.
 ///
-/// Both halves are swappable behind locks so a *restart* can be
-/// modelled on a live node: the old service (and its in-memory index)
-/// is dropped, a fresh one — possibly replayed from a persistent
-/// backend — takes its slot, while the node identity and its listener
-/// survive. The data half swaps alone for a provider restart; a
-/// whole-cluster cold restart ([`Deployment::restart_cluster`]) swaps
-/// both.
-///
-/// Deliberately an `RwLock`, not [`blobseer_util::RcuCell`]: RCU
-/// reclaims by retention, so it would pin every dropped incarnation's
-/// whole page index for the cell's lifetime — the exact memory a
-/// restart must release. The per-frame read is uncontended (writes
-/// happen only at restart) and data-plane, hence outside the lockmeter
-/// like the sharded page store itself.
+/// A service keeps its two halves for life. A restart is a fresh
+/// `StorageNodeService` bound to the same node, as a restarted process
+/// listens at the same address: [`Deployment::restart_storage`] opens a
+/// fresh data provider beside the node's metadata provider, and
+/// [`Deployment::restart_cluster`] opens both halves afresh. A request
+/// dispatched before the bind finishes against the old service.
 pub struct StorageNodeService {
-    /// The data-provider half (current incarnation).
-    data: RwLock<Arc<DataProviderService>>,
-    /// The metadata-provider half (current incarnation).
-    meta: RwLock<Arc<DhtNodeService>>,
+    data: Arc<DataProviderService>,
+    meta: Arc<DhtNodeService>,
 }
 
 impl StorageNodeService {
     /// Compose a storage node from its two halves.
     pub fn new(data: Arc<DataProviderService>, meta: Arc<DhtNodeService>) -> Self {
-        Self {
-            // lint: allow(unmetered-lock) — incarnation pointers, written only at restart
-            data: RwLock::new(data),
-            // lint: allow(unmetered-lock) — incarnation pointer, written only at restart
-            meta: RwLock::new(meta),
-        }
+        Self { data, meta }
     }
 
-    /// The current data-provider incarnation (white-box accessor).
+    /// The data-provider half (white-box accessor).
     pub fn data(&self) -> Arc<DataProviderService> {
-        // lint: allow(unmetered-lock) — uncontended Arc swap read; restart seam, not control plane
-        Arc::clone(&self.data.read())
+        Arc::clone(&self.data)
     }
 
-    /// The current metadata-provider incarnation (white-box accessor).
+    /// The metadata-provider half (white-box accessor).
     pub fn meta(&self) -> Arc<DhtNodeService> {
-        // lint: allow(unmetered-lock) — uncontended Arc swap read; restart seam, not control plane
-        Arc::clone(&self.meta.read())
-    }
-
-    /// Swap in a fresh data-provider incarnation (provider restart).
-    fn replace_data(&self, data: Arc<DataProviderService>) {
-        // lint: allow(unmetered-lock) — restart-only swap, never on a serving path
-        *self.data.write() = data;
-    }
-
-    /// Swap in a fresh metadata-provider incarnation (cluster restart).
-    fn replace_meta(&self, meta: Arc<DhtNodeService>) {
-        // lint: allow(unmetered-lock) — restart-only swap, never on a serving path
-        *self.meta.write() = meta;
+        Arc::clone(&self.meta)
     }
 }
 
@@ -121,22 +91,16 @@ impl Service for StorageNodeService {
 
     fn nonblocking(&self, method: u16) -> bool {
         match method >> 8 {
-            0x01 => self.data().nonblocking(method),
-            0x03 => self.meta().nonblocking(method),
+            0x01 => self.data.nonblocking(method),
+            0x03 => self.meta.nonblocking(method),
             _ => false,
         }
     }
 
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
         match frame.method >> 8 {
-            0x01 => {
-                let data = self.data();
-                dispatch_frame(data.as_ref(), ctx, frame)
-            }
-            0x03 => {
-                let meta = self.meta();
-                dispatch_frame(meta.as_ref(), ctx, frame)
-            }
+            0x01 => dispatch_frame(self.data.as_ref(), ctx, frame),
+            0x03 => dispatch_frame(self.meta.as_ref(), ctx, frame),
             _ => blobseer_rpc::error_frame(
                 frame.method,
                 BlobError::Internal("method not served by storage node"),
@@ -198,7 +162,9 @@ impl ClusterHandle {
         }
     }
 
-    /// Bind a service to a node (for TCP: start its listener).
+    /// Bind a service to a node, replacing the one bound before (for
+    /// TCP, the first bind starts the node's listener). A call already
+    /// dispatched finishes against the service it found.
     pub fn bind(&self, node: NodeId, svc: Arc<dyn Service>) {
         match self {
             ClusterHandle::Sim(c) => c.bind(node, svc),
@@ -336,8 +302,9 @@ pub struct DeploymentConfig {
     pub version_batched: bool,
     /// How long a grant leader lingers so concurrent writers can join
     /// its grant (the assignment analogue of the record log's
-    /// `group_commit_window`). Zero still batches whatever queued
-    /// naturally during the previous drain.
+    /// `group_commit_window`). Zero still batches naturally: a leader
+    /// serves one round, and whoever queued while it held the
+    /// assignment mutex rides the next.
     pub version_grant_window: Duration,
 }
 
@@ -612,7 +579,8 @@ pub struct Deployment {
     /// Every shard's version registry, in residue order
     /// (`registries[0] == registry`).
     pub registries: Vec<Arc<VersionRegistry>>,
-    /// Storage node service handles (for white-box assertions).
+    /// The service bound to each storage node, in `storage_nodes` order
+    /// (for white-box assertions; a restart binds a fresh one).
     pub storage: Vec<Arc<StorageNodeService>>,
     /// Provider manager handle.
     pub manager: Arc<ProviderManagerService>,
@@ -628,8 +596,9 @@ pub struct Deployment {
     /// The read-heat tracker shared by every client of this deployment
     /// (`None` when `config.fan_out` is `None`).
     pub heat: Option<Arc<HeatTracker>>,
-    /// Shard 0's version manager handle (swappable internals, for
-    /// [`Deployment::restart_cluster`] and white-box assertions).
+    /// Shard 0's version manager, the service bound to `vm_node` (for
+    /// white-box assertions; [`Deployment::restart_cluster`] binds a
+    /// fresh one).
     pub vm: Arc<VersionManagerService>,
     /// Every shard's version manager handle, in residue order
     /// (`vms[0] == vm`).
@@ -753,31 +722,16 @@ impl Deployment {
         let mut gates = Vec::new();
         for i in 0..config.providers {
             let node = cluster.add_node();
-            let data = build_data_service(&config, data_root.as_deref(), i)?;
-            let meta = build_meta_service(&config, data_root.as_deref(), i)?;
-            let svc = Arc::new(StorageNodeService::new(data, meta));
-            // With admission configured, the bound service is the gated
-            // wrapper around the same `Arc` the white-box handle keeps:
-            // restarts still swap incarnations inside `svc`, and the
-            // gate sits at the dispatch layer on either transport.
-            match config.admission {
-                None => cluster.bind(node, svc.clone() as Arc<dyn Service>),
-                Some(opts) => {
-                    let gate = Arc::new(AdmissionGate::new(opts));
-                    cluster.bind(
-                        node,
-                        Arc::new(AdmissionControlled::new(svc.clone(), Arc::clone(&gate)))
-                            as Arc<dyn Service>,
-                    );
-                    gates.push(gate);
-                }
+            if let Some(opts) = config.admission {
+                gates.push(Arc::new(AdmissionGate::new(opts)));
             }
+            let svc = open_storage(&config, data_root.as_deref(), i)?;
+            storage.push(bind_storage(&cluster, node, gates.get(i), svc));
             // Register with the provider manager (in a real run this is an
             // RPC from the provider at startup; the registration content is
             // identical).
             manager.register(ProviderId(node.0), capacity);
             storage_nodes.push(node);
-            storage.push(svc);
         }
 
         let ring = Arc::new(Ring::new(
@@ -883,9 +837,10 @@ impl Deployment {
         );
     }
 
-    /// **Restart** storage node `i`'s data provider: the old incarnation
-    /// (and its in-memory serving index) is dropped, a fresh one opens
-    /// on the same backend state, the node is revived and re-registered.
+    /// **Restart** storage node `i`'s data provider: a fresh one opens on
+    /// the same backend state and is bound to the node beside the node's
+    /// metadata provider, the old one (and its in-memory serving index)
+    /// is dropped, and the node is revived and re-registered.
     ///
     /// With the mmap backend the fresh provider replays its page log
     /// from the same directory and re-serves every acknowledged page;
@@ -895,19 +850,22 @@ impl Deployment {
     /// A page log that does not open or replay (a retired format, a
     /// corrupt committed record) is a typed [`BlobError::Recovery`], and
     /// the node is left as the caller left it: a killed node stays down.
-    pub fn restart_storage(&self, i: usize) -> Result<(), BlobError> {
+    pub fn restart_storage(&mut self, i: usize) -> Result<(), BlobError> {
         let data = build_data_service(&self.config, self.data_root.as_deref(), i)?;
-        self.storage[i].replace_data(data);
+        let svc = StorageNodeService::new(data, self.storage[i].meta());
+        self.storage[i] =
+            bind_storage(&self.cluster, self.storage_nodes[i], self.gates.get(i), svc);
         self.revive_storage(i);
         Ok(())
     }
 
     /// Whole-cluster **cold restart**: kill every node kind — data
     /// providers, metadata providers, version manager, provider manager
-    /// — drop all their in-memory state, reopen each from its durable
-    /// directory, replay, and re-serve. Node identities, listeners and
-    /// client handles survive (services swap internally), so existing
-    /// clients keep working against the recovered cluster.
+    /// — reopen each storage node and version manager from its durable
+    /// directory as a fresh service, replay, bind it to the same node,
+    /// and re-serve; the old services and their in-memory state are
+    /// dropped. Node identities, listeners and client handles survive,
+    /// so existing clients keep working against the recovered cluster.
     ///
     /// On the mmap backend every acknowledged write is re-served
     /// byte-identical: page logs replay into the data providers, the
@@ -934,7 +892,9 @@ impl Deployment {
     /// A journal or page log that does not open or replay is a typed
     /// error ([`BlobError::Recovery`] for a retired format or a corrupt
     /// committed record), and a failed restart **leaves the cluster
-    /// down**: every node stays killed until a restart succeeds.
+    /// down**: every fresh service is opened before any is bound, so
+    /// every node keeps its old service and stays killed until a
+    /// restart succeeds.
     pub fn restart_cluster(&mut self) -> Result<(), BlobError> {
         // Kill everything first: a cold restart has no surviving node.
         for node in &self.vm_nodes {
@@ -946,21 +906,29 @@ impl Deployment {
         }
 
         // Reopen + replay each service from its durable directory (or
-        // fresh and empty on the volatile backend).
+        // fresh and empty on the volatile backend), every one before
+        // binding any.
         let root = self.data_root.as_deref();
-        for (i, svc) in self.storage.iter().enumerate() {
-            svc.replace_data(build_data_service(&self.config, root, i)?);
-            svc.replace_meta(build_meta_service(&self.config, root, i)?);
+        let storage = (0..self.storage_nodes.len())
+            .map(|i| open_storage(&self.config, root, i))
+            .collect::<Result<Vec<_>, _>>()?;
+        let vms = (0..self.vm_nodes.len())
+            .map(|s| build_version_service(&self.config, root, s))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (i, svc) in storage.into_iter().enumerate() {
+            self.storage[i] =
+                bind_storage(&self.cluster, self.storage_nodes[i], self.gates.get(i), svc);
         }
-        // Replay every shard's journal into a fresh registry/log pair.
-        for (s, svc) in self.vms.iter().enumerate() {
-            let (registry, vlog) = reopen_version_state(&self.config, root, s)?;
-            svc.replace(Arc::clone(&registry), vlog);
+        for (s, (vm, registry)) in vms.into_iter().enumerate() {
+            self.cluster
+                .bind(self.vm_nodes[s], Arc::clone(&vm) as Arc<dyn Service>);
+            self.vms[s] = vm;
             self.registries[s] = registry;
         }
+        self.vm = Arc::clone(&self.vms[0]);
         self.registry = Arc::clone(&self.registries[0]);
 
-        // The shared client-side cache belongs to the old incarnation:
+        // The shared client-side cache belongs to the old services:
         // on the volatile backend it could serve nodes the restarted
         // cluster no longer stores.
         self.meta_cache = (self.config.cache_nodes > 0)
@@ -1044,7 +1012,7 @@ impl Deployment {
 /// root — the **single** source of the naming scheme, shared by the
 /// builder, [`Deployment::restart_storage`] and
 /// [`Deployment::backend_dir`]: restart must reopen exactly the
-/// directory the original incarnation wrote.
+/// directory the original provider wrote.
 fn provider_dir(data_root: &Path, i: usize) -> PathBuf {
     data_root.join(format!("provider-{i}"))
 }
@@ -1109,35 +1077,59 @@ fn build_meta_service(
     Ok(Arc::new(meta))
 }
 
-/// Replay (or freshly create) version-manager shard `s`'s durable state.
-fn reopen_version_state(
+/// Build version-manager shard `s`'s service for the configured backend:
+/// its journal replayed into a fresh registry when the deployment has a
+/// durable root, a fresh volatile registry otherwise.
+fn build_version_service(
     config: &DeploymentConfig,
     data_root: Option<&Path>,
     s: usize,
-) -> Result<(Arc<VersionRegistry>, Option<Arc<VersionLog>>), BlobError> {
+) -> Result<(Arc<VersionManagerService>, Arc<VersionRegistry>), BlobError> {
     let reg_config = registry_config(config, s);
-    match data_root {
-        None => Ok((Arc::new(VersionRegistry::with_config(reg_config)), None)),
+    let (registry, log) = match data_root {
+        None => (VersionRegistry::with_config(reg_config), None),
         Some(root) => {
             let (vlog, registry) = VersionLog::open_with(
                 &version_shard_dir(root, s),
                 record_log_options(config),
                 reg_config,
             )?;
-            Ok((Arc::new(registry), Some(Arc::new(vlog))))
+            (registry, Some(Arc::new(vlog)))
         }
-    }
-}
-
-/// Build version-manager shard `s`'s service for the configured backend.
-fn build_version_service(
-    config: &DeploymentConfig,
-    data_root: Option<&Path>,
-    s: usize,
-) -> Result<(Arc<VersionManagerService>, Arc<VersionRegistry>), BlobError> {
-    let (registry, log) = reopen_version_state(config, data_root, s)?;
+    };
+    let registry = Arc::new(registry);
     let vm = VersionManagerService::new(Arc::clone(&registry), log, config.service_costs);
     Ok((Arc::new(vm), registry))
+}
+
+/// Open storage node `i`'s two halves for the configured backend.
+fn open_storage(
+    config: &DeploymentConfig,
+    data_root: Option<&Path>,
+    i: usize,
+) -> Result<StorageNodeService, BlobError> {
+    Ok(StorageNodeService::new(
+        build_data_service(config, data_root, i)?,
+        build_meta_service(config, data_root, i)?,
+    ))
+}
+
+/// Bind `svc` to storage node `node` — behind the node's admission gate
+/// when the deployment has one, which then sits at the dispatch layer on
+/// either transport — and return it as the node's white-box handle.
+fn bind_storage(
+    cluster: &ClusterHandle,
+    node: NodeId,
+    gate: Option<&Arc<AdmissionGate>>,
+    svc: StorageNodeService,
+) -> Arc<StorageNodeService> {
+    let svc = Arc::new(svc);
+    let bound: Arc<dyn Service> = match gate {
+        None => Arc::clone(&svc) as _,
+        Some(gate) => Arc::new(AdmissionControlled::new(Arc::clone(&svc), Arc::clone(gate))),
+    };
+    cluster.bind(node, bound);
+    svc
 }
 
 /// Build storage node `i`'s data-provider service for the configured

@@ -25,12 +25,12 @@
 //! is acknowledged, and `COMPLETE_WRITE` logs the publication *before*
 //! the version becomes observable in the publish window — so a reader
 //! that ever saw `latest >= v` is guaranteed to see `v` again after a
-//! cold restart. The registry and its journal form one **incarnation**,
-//! swapped whole ([`VersionManagerService::replace`]) so a cluster
-//! restart can replay into fresh state without rebinding the RPC
-//! endpoint; each request reads the incarnation once and is served
-//! entirely from it, so a publish accepted by one registry is never
-//! journaled into the next one's log. Log appends are positioned writes
+//! cold restart. A service owns one registry and the journal it writes
+//! ahead to, for its whole life: a cluster restart replays the journal
+//! into a fresh service and binds that to the same node. A request
+//! dispatched before the bind finishes against the old service, journal
+//! included, so a publish accepted by one registry is never journaled
+//! into the next one's log. Log appends are positioned writes
 //! coordinated by the engine's group-commit machinery — durability
 //! plumbing, not data-plane serialization, so the steady-state lock
 //! budget (one `VersionAssign` lock per WRITE, zero serializing locks)
@@ -44,23 +44,14 @@ use blobseer_proto::{BlobError, Geometry};
 use blobseer_rpc::{error_frame, respond, Frame, ServerCtx, Service};
 use blobseer_simnet::ServiceCosts;
 use blobseer_version::{VersionLog, VersionRegistry};
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// RPC facade over the version registry.
 pub struct VersionManagerService {
-    /// The current incarnation. Read once per request, shared; written
-    /// only by [`replace`](Self::replace) during a cluster restart. Not a
-    /// steady-state serialization point.
-    current: RwLock<Arc<Incarnation>>,
-    costs: ServiceCosts,
-}
-
-/// One incarnation of the version manager's state: a registry and, when
-/// durable, the journal it writes ahead to.
-struct Incarnation {
     registry: Arc<VersionRegistry>,
+    /// The write-ahead journal, when durable.
     log: Option<Arc<VersionLog>>,
+    costs: ServiceCosts,
 }
 
 impl VersionManagerService {
@@ -73,31 +64,15 @@ impl VersionManagerService {
         costs: ServiceCosts,
     ) -> Self {
         Self {
-            // lint: allow(unmetered-lock) — incarnation pointer, swapped only at cluster restart
-            current: RwLock::new(Arc::new(Incarnation { registry, log })),
+            registry,
+            log,
             costs,
         }
     }
 
-    /// The incarnation serving a request.
-    fn current(&self) -> Arc<Incarnation> {
-        // lint: allow(unmetered-lock) — uncontended Arc swap read; the registry's own
-        // VersionAssign mutex is the metered serialization point
-        Arc::clone(&self.current.read())
-    }
-
     /// Journal size in bytes (0 when volatile).
     pub fn log_bytes(&self) -> u64 {
-        self.current().log.as_ref().map_or(0, |l| l.log_bytes())
-    }
-
-    /// Swap in a freshly replayed registry/journal pair (cluster
-    /// restart). Requests already holding the old incarnation finish
-    /// against it, journal included; new requests see the replayed one.
-    pub fn replace(&self, registry: Arc<VersionRegistry>, log: Option<Arc<VersionLog>>) {
-        let next = Arc::new(Incarnation { registry, log });
-        // lint: allow(unmetered-lock) — restart-only swap, never on a serving path
-        *self.current.write() = next;
+        self.log.as_ref().map_or(0, |l| l.log_bytes())
     }
 }
 
@@ -114,7 +89,7 @@ impl Service for VersionManagerService {
     }
 
     fn handle(&self, ctx: &mut ServerCtx, frame: &Frame) -> Frame {
-        let Incarnation { registry, log } = &*self.current();
+        let (registry, log) = (&self.registry, &self.log);
         match frame.method {
             method::CREATE_BLOB => {
                 ctx.charge(self.costs.manager_query_ns);

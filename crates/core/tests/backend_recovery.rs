@@ -6,8 +6,10 @@
 //! a cold, empty provider.
 
 use blobseer_core::{BackendKind, Deployment, DeploymentConfig, TransportKind};
+use blobseer_proto::messages::method;
 use blobseer_proto::{BlobError, BlobId, Segment};
-use blobseer_rpc::Ctx;
+use blobseer_rpc::{Ctx, RpcClient};
+use std::sync::Arc;
 
 const PAGE: u64 = 1024;
 const PAGES: u64 = 32;
@@ -28,7 +30,7 @@ fn crash_recovery_scenario(transport: TransportKind) {
         .build();
     cfg.replication = 2;
     cfg.meta_replication = 2;
-    let d = Deployment::build(cfg);
+    let mut d = Deployment::build(cfg);
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
@@ -118,7 +120,7 @@ fn mmap_provider_crash_recovery_over_tcp() {
 fn memory_provider_restart_is_data_loss() {
     // The negative control the persistent backend exists for: restart a
     // RAM provider and its pages are gone; an unreplicated read fails.
-    let d = Deployment::build(DeploymentConfig::functional(2));
+    let mut d = Deployment::build(DeploymentConfig::functional(2));
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
@@ -140,7 +142,7 @@ fn memory_provider_restart_is_data_loss() {
 fn mmap_restart_preserves_capacity_accounting() {
     // After a restart the replayed provider's heartbeat must report the
     // log's true footprint, so the manager cannot over-assign it.
-    let d = Deployment::build(DeploymentConfig::functional_mmap(2));
+    let mut d = Deployment::build(DeploymentConfig::functional_mmap(2));
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
@@ -219,6 +221,42 @@ fn a_cluster_restart_over_a_retired_metadata_journal_is_a_typed_error() {
     }
 }
 
+#[test]
+fn a_failed_cluster_restart_binds_no_fresh_service() {
+    // The last storage node's metadata journal refuses: every fresh
+    // service is opened before any is bound, so even the first node
+    // keeps the data provider it had, and the cluster stays down.
+    let mut d = written_mmap_cluster();
+    let last = d.storage.len() - 1;
+    retire_logs(&d.meta_dir(last).unwrap(), 0x4253_4d54_5055_5432);
+    let data_0 = d.storage[0].data();
+    let restarted = d.restart_cluster();
+    assert!(
+        matches!(restarted, Err(BlobError::Recovery { .. })),
+        "{restarted:?}"
+    );
+    assert!(
+        Arc::ptr_eq(&data_0, &d.storage[0].data()),
+        "data-0 was replaced by a restart that failed"
+    );
+    let down = stats_of(&d, 0);
+    assert!(matches!(down, Err(BlobError::Unreachable(_))), "{down:?}");
+}
+
+/// Storage node `i`'s provider stats, asked over the transport.
+fn stats_of(
+    d: &Deployment,
+    i: usize,
+) -> Result<blobseer_proto::messages::ProviderStats, BlobError> {
+    let rpc = RpcClient::new(d.cluster.transport(), d.cluster.add_node());
+    rpc.call(
+        &mut Ctx::start(),
+        d.storage_nodes[i],
+        method::PROVIDER_STATS,
+        &(),
+    )
+}
+
 /// The files of the version journal's generations, with their sizes.
 fn version_logs(d: &Deployment) -> Vec<(String, u64)> {
     let dir = d.version_shard_dir(0).unwrap();
@@ -274,7 +312,7 @@ fn a_provider_restart_over_a_retired_page_log_is_a_typed_error() {
     // provider-0's page log now opens as one written in the retired
     // `BSPGLOG2` format: the restart refuses it with a typed error, and
     // the killed provider stays down.
-    let d = written_mmap_cluster();
+    let mut d = written_mmap_cluster();
     d.kill_storage(0);
     retire_logs(&d.backend_dir(0).unwrap(), 0x4253_5047_4c4f_4732);
     let restarted = d.restart_storage(0);
@@ -282,4 +320,6 @@ fn a_provider_restart_over_a_retired_page_log_is_a_typed_error() {
         matches!(restarted, Err(BlobError::Recovery { .. })),
         "{restarted:?}"
     );
+    let down = stats_of(&d, 0);
+    assert!(matches!(down, Err(BlobError::Unreachable(_))), "{down:?}");
 }

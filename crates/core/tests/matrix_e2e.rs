@@ -299,7 +299,7 @@ fn compaction_reclaims_dead_log_space() {
     // reclaim at least 90% of the dead bytes and hand back a smaller
     // generation.
     let (_, backend) = matrix_cell();
-    let d = Deployment::build(cfg(3));
+    let mut d = Deployment::build(cfg(3));
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();

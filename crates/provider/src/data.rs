@@ -93,14 +93,33 @@ impl DataProviderService {
     /// In-memory provider with `capacity` bytes of RAM (paper nodes:
     /// 4 GB).
     pub fn new(capacity: u64, costs: ServiceCosts) -> Self {
-        Self::with_backend(Arc::new(MemoryBackend::new(capacity)), costs)
+        Self::serving(Arc::new(MemoryBackend::new(capacity)), costs, false)
     }
 
     /// Provider over an explicit backend (empty index; persistent
     /// backends are replayed by [`DataProviderService::open_mmap`]).
-    /// Backends with something to compact get a maintenance thread.
-    pub fn with_backend(backend: Arc<dyn StorageBackend>, costs: ServiceCosts) -> Self {
+    /// Backends with something to compact get a maintenance thread; a
+    /// thread that cannot be spawned is a typed error.
+    pub fn with_backend(
+        backend: Arc<dyn StorageBackend>,
+        costs: ServiceCosts,
+    ) -> Result<Self, BlobError> {
         let has_thread = backend.kind() == BackendKind::Mmap;
+        let svc = Self::serving(backend, costs, has_thread);
+        if has_thread {
+            let inner = Arc::clone(&svc.inner);
+            let handle = std::thread::Builder::new()
+                .name("provider-maint".into())
+                .spawn(move || inner.maintenance_loop())
+                .map_err(|_| BlobError::Internal("spawn provider maintenance thread"))?;
+            *svc.maint_thread.lock() = Some(handle);
+        }
+        Ok(svc)
+    }
+
+    /// A provider with an empty index and no maintenance thread yet;
+    /// `has_thread` says whether one will run its compactions.
+    fn serving(backend: Arc<dyn StorageBackend>, costs: ServiceCosts, has_thread: bool) -> Self {
         let inner = Arc::new(Inner {
             store: ShardedMap::with_shards(64),
             bytes: AtomicU64::new(0),
@@ -116,17 +135,9 @@ impl DataProviderService {
             maint_cv: Condvar::new(),
             bg_compactions: AtomicU64::new(0),
         });
-        let maint_thread = has_thread.then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("provider-maint".into())
-                .spawn(move || inner.maintenance_loop())
-                // lint: allow(panic-on-serving-path) — service construction at startup
-                .expect("spawn provider maintenance thread")
-        });
         Self {
             inner,
-            maint_thread: Mutex::new(maint_thread),
+            maint_thread: Mutex::new(None),
         }
     }
 
@@ -150,7 +161,7 @@ impl DataProviderService {
         costs: ServiceCosts,
     ) -> Result<Self, BlobError> {
         let backend = Arc::new(MmapBackend::open_with(dir, capacity, opts)?);
-        let svc = Self::with_backend(backend.clone(), costs);
+        let svc = Self::with_backend(backend.clone(), costs)?;
         for (key, page) in backend.recover()? {
             let len = page.len() as u64;
             if let Some(old) = svc.inner.store.insert(key, page) {

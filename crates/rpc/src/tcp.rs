@@ -271,6 +271,9 @@ pub(crate) struct Shared {
 struct NodeSlot {
     addr: Option<SocketAddr>,
     alive: Arc<AtomicBool>,
+    /// This transport's reactor listens for the node (it was bound
+    /// here, not registered as a remote peer).
+    served: bool,
 }
 
 /// A real socket transport over loopback (or any reachable address via
@@ -322,33 +325,49 @@ impl TcpTransport {
         g.push(NodeSlot {
             addr: None,
             alive: Arc::new(AtomicBool::new(true)),
+            served: false,
         });
         // lint: allow(truncating-cast) — node registry is deployment-scale
         // (hundreds of slots), nowhere near u32::MAX
         NodeId(g.len() as u32 - 1)
     }
 
-    /// Bind a service to a node: starts a loopback listener served by
-    /// the transport's reactor, which the first bind starts. Panics if
-    /// the node is unknown or already bound, or if the listener or the
-    /// reactor cannot start.
+    /// Bind a service to a node, replacing the one bound before.
+    ///
+    /// The first bind of a node starts a loopback listener served by the
+    /// transport's reactor (which the first bind of all starts). A later
+    /// one is a restart at the same address: the listener, its port, the
+    /// node's liveness and every connection a client holds to it survive,
+    /// and each is re-pointed at `svc`. A call already dispatched
+    /// finishes against the service it found; every request read after
+    /// `bind` returns reaches `svc`.
+    ///
+    /// A re-bind waits for every event loop to take `svc`, so it must not
+    /// be called from a handler the reactor runs: on an event loop it
+    /// would wait for itself. Panics if the node is unknown or served by
+    /// a remote peer, or if the listener or the reactor cannot start.
     pub fn bind(&self, node: NodeId, svc: Arc<dyn Service>) {
+        // One bind at a time, so a re-bind cannot overtake the first
+        // bind's listener on its way to a loop.
+        let mut server = self.server.lock();
+        let start = || reactor::Reactor::start(&self.opts, Arc::clone(&self.shared));
+        // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
+        let reactor = server.get_or_insert_with(|| start().expect("start the reactor"));
+        let mut g = self.nodes.write();
+        // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
+        let slot = g.get_mut(node.0 as usize).expect("bind: node exists");
+        let alive = Arc::clone(&slot.alive);
+        if slot.served {
+            drop(g);
+            return reactor.rebind(&alive, svc);
+        }
+        assert!(slot.addr.is_none(), "bind: node is served by a remote peer");
         // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
         // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
-        let addr = listener.local_addr().expect("listener local addr");
-        let alive = {
-            let mut g = self.nodes.write();
-            // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
-            let slot = g.get_mut(node.0 as usize).expect("bind: node exists");
-            assert!(slot.addr.is_none(), "bind: node already has a service");
-            slot.addr = Some(addr);
-            Arc::clone(&slot.alive)
-        };
-        let start = || reactor::Reactor::start(&self.opts, Arc::clone(&self.shared));
-        let mut server = self.server.lock();
-        // lint: allow(panic-on-serving-path) — bind-time setup, documented to panic
-        let reactor = server.get_or_insert_with(|| start().expect("start the reactor"));
+        slot.addr = Some(listener.local_addr().expect("listener local addr"));
+        slot.served = true;
+        drop(g);
         reactor.add_listener(listener, svc, alive);
     }
 
@@ -359,6 +378,7 @@ impl TcpTransport {
         g.push(NodeSlot {
             addr: Some(addr),
             alive: Arc::new(AtomicBool::new(true)),
+            served: false,
         });
         // lint: allow(truncating-cast) — node registry is deployment-scale
         // (hundreds of slots), nowhere near u32::MAX
@@ -900,6 +920,80 @@ mod tests {
         t.revive(s);
         let r: u64 = rpc.call(&mut ctx, s, 1, &9u64).unwrap();
         assert_eq!(r, 10);
+    }
+
+    /// Answers every call with its tag. With a gate, a call to method
+    /// [`PARK`] meets the test at the gate on entering the handler and
+    /// waits there until the test meets it again.
+    struct Tagged {
+        tag: u64,
+        gate: Option<Arc<std::sync::Barrier>>,
+    }
+
+    const PARK: u16 = 2;
+
+    impl Service for Tagged {
+        fn handle(&self, _ctx: &mut ServerCtx, frame: &Frame) -> Frame {
+            if let (PARK, Some(gate)) = (frame.method, &self.gate) {
+                gate.wait();
+                gate.wait();
+            }
+            respond(frame, |_: u64| Ok(self.tag))
+        }
+    }
+
+    #[test]
+    fn a_second_bind_replaces_the_service_on_the_same_listener_and_connections() {
+        // One pooled connection at most: the parked call and the calls
+        // beside it share it, so a dial would show in the counts.
+        let t = Arc::new(TcpTransport::with_options(TcpOptions {
+            max_pooled_per_peer: 1,
+            ..TcpOptions::default()
+        }));
+        let client = t.add_node();
+        let server = t.add_node();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        t.bind(
+            server,
+            Arc::new(Tagged {
+                tag: 1,
+                gate: Some(Arc::clone(&gate)),
+            }),
+        );
+        let rpc = RpcClient::new(Arc::clone(&t) as _, client);
+        let ask = |method| rpc.call::<u64, u64>(&mut Ctx::start(), server, method, &0);
+        assert_eq!(ask(1).unwrap(), 1);
+        let wiring = |t: &TcpTransport| {
+            (
+                t.addr(server),
+                t.pooled_connections(server),
+                t.active_connections(),
+            )
+        };
+        let before = wiring(&t);
+        assert_eq!((before.1, before.2), (1, 1));
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| ask(PARK));
+            // Once the parked call is inside A's handler, re-bind on a
+            // thread of its own, so a re-bind that panics still lets A's
+            // call go.
+            gate.wait();
+            let to_b = s
+                .spawn(|| {
+                    t.bind(server, Arc::new(Tagged { tag: 2, gate: None }));
+                    ask(1)
+                })
+                .join();
+            gate.wait();
+            assert_eq!(parked.join().unwrap().unwrap(), 1, "A answers its own call");
+            assert_eq!(to_b.unwrap().unwrap(), 2, "the next call reaches B");
+        });
+        assert_eq!(ask(PARK).unwrap(), 2);
+        assert_eq!(
+            wiring(&t),
+            before,
+            "same port, and the pooled connection carried every call"
+        );
     }
 
     #[test]

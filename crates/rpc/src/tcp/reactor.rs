@@ -4,8 +4,8 @@
 //! Each loop owns a slab of nonblocking listeners and connections and
 //! blocks in [`Poller::wait`]. A connection's lifecycle never leaves
 //! its loop; the only cross-thread traffic is the command injector
-//! (listener registration from `bind`, completions from the dispatch
-//! pool) drained after each wakeup.
+//! (listener registration and re-binding from `bind`, completions from
+//! the dispatch pool) drained after each wakeup.
 //!
 //! Where a handler runs is decided per decoded frame, by its method:
 //! one the service declares [`Service::nonblocking`] (for a batch: all
@@ -65,7 +65,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,6 +78,14 @@ pub(crate) enum Cmd {
         listener: TcpListener,
         svc: Arc<dyn Service>,
         alive: Arc<AtomicBool>,
+    },
+    /// Serve the node whose liveness flag is `alive` with `svc`: its
+    /// listener and every connection that listener accepted. The loop
+    /// hands back on `done`.
+    Rebind {
+        alive: Arc<AtomicBool>,
+        svc: Arc<dyn Service>,
+        done: mpsc::Sender<()>,
     },
     Complete {
         token: usize,
@@ -165,6 +173,25 @@ impl Reactor {
             alive,
         });
         let _ = lp.poller.notify();
+    }
+
+    /// Re-point the listener that shares `alive`, and every connection
+    /// it accepted, at `svc`, on whichever loop owns them. Returns once
+    /// every loop has handed back.
+    pub(crate) fn rebind(&self, alive: &Arc<AtomicBool>, svc: Arc<dyn Service>) {
+        let (done, handed_back) = mpsc::channel();
+        for lp in &self.loops {
+            lp.injector.lock().push(Cmd::Rebind {
+                alive: Arc::clone(alive),
+                svc: Arc::clone(&svc),
+                done: done.clone(),
+            });
+            let _ = lp.poller.notify();
+        }
+        drop(done);
+        // Each loop answers, then drops its sender: this ends with the
+        // last one.
+        for () in handed_back {}
     }
 
     /// Join every loop and worker. The caller must have set the shared
@@ -388,6 +415,10 @@ fn run_loop(env: LoopEnv) {
                     svc,
                     alive,
                 } => add_listener_slot(&env, &mut slots, &mut free, listener, svc, alive),
+                Cmd::Rebind { alive, svc, done } => {
+                    rebind(&mut slots, &alive, &svc);
+                    let _ = done.send(());
+                }
                 Cmd::Complete {
                     token,
                     epoch,
@@ -475,6 +506,18 @@ fn add_listener_slot(
     if env.poller.add(fd, token, true, false).is_err() {
         slots[token] = Slot::Free;
         free.push(token);
+    }
+}
+
+/// Point the listener that shares `alive`, and every connection it
+/// accepted, at `svc`.
+fn rebind(slots: &mut [Slot], alive: &Arc<AtomicBool>, svc: &Arc<dyn Service>) {
+    for slot in slots {
+        match slot {
+            Slot::Listener(lst) if Arc::ptr_eq(&lst.alive, alive) => lst.svc = Arc::clone(svc),
+            Slot::Conn(conn) if Arc::ptr_eq(&conn.alive, alive) => conn.svc = Arc::clone(svc),
+            _ => {}
+        }
     }
 }
 

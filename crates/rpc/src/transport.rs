@@ -148,7 +148,8 @@ impl InProcTransport {
         NodeId(g.len() as u32 - 1)
     }
 
-    /// Bind a service to a node.
+    /// Bind a service to a node, replacing the one bound before. A call
+    /// already dispatched finishes against the service it found.
     pub fn bind(&self, node: NodeId, svc: Arc<dyn Service>) {
         self.services.write()[node.0 as usize] = Some(svc);
     }

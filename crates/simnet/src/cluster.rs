@@ -12,7 +12,7 @@
 use crate::cost::CostModel;
 use crate::node::SimNode;
 use blobseer_proto::{BlobError, NodeId};
-use blobseer_rpc::{dispatch_frame, Frame, ServerCtx, Transport, TransportResult};
+use blobseer_rpc::{dispatch_frame, Frame, ServerCtx, Service, Transport, TransportResult};
 use blobseer_util::{FxHashSet, ShardedMap};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// A simulated cluster of nodes on one site: one uniform latency between
 /// any two distinct nodes.
 pub struct SimCluster {
-    nodes: RwLock<Vec<Arc<SimNode>>>,
+    nodes: RwLock<Vec<Slot>>,
     cost: CostModel,
     /// (src, dst) pairs that already paid connection setup.
     connected: ShardedMap<(u32, u32), ()>,
@@ -29,6 +29,13 @@ pub struct SimCluster {
     messages: AtomicU64,
     /// Total payload bytes carried.
     bytes: AtomicU64,
+}
+
+/// One entry of the node table: the machine and the service bound to
+/// it, if any.
+struct Slot {
+    node: Arc<SimNode>,
+    service: Option<Arc<dyn Service>>,
 }
 
 impl SimCluster {
@@ -56,17 +63,22 @@ impl SimCluster {
     /// Add a node.
     pub fn add_node(&self) -> NodeId {
         let mut g = self.nodes.write();
-        g.push(Arc::new(SimNode::new()));
+        g.push(Slot {
+            node: Arc::new(SimNode::new()),
+            service: None,
+        });
         NodeId(g.len() as u32 - 1)
     }
 
-    /// Bind a service to a node. Panics if the node already has one.
-    pub fn bind(&self, node: NodeId, svc: Arc<dyn blobseer_rpc::Service>) {
-        let n = self.node(node).expect("bind: node exists");
-        n.service
-            .set(svc)
-            .ok()
-            .expect("bind: node already has a service");
+    /// Bind a service to a node, replacing the one bound before: a
+    /// restart is a fresh service at the same node. A call already
+    /// dispatched finishes against the service it found; the next one
+    /// reaches `svc`. Panics if the node is unknown.
+    pub fn bind(&self, node: NodeId, svc: Arc<dyn Service>) {
+        let mut g = self.nodes.write();
+        g.get_mut(node.0 as usize)
+            .expect("bind: node exists")
+            .service = Some(svc);
     }
 
     /// Kill a node: subsequent calls to it fail with `Unreachable`.
@@ -76,10 +88,10 @@ impl SimCluster {
         }
     }
 
-    /// Revive a previously killed node (its state is preserved — RAM
-    /// contents in the simulation survive, modelling a process restart
-    /// with intact memory image would be wrong, but services are free to
-    /// clear their stores on revival).
+    /// Revive a previously killed node. Its bound service is untouched,
+    /// in-memory state included: this models a node that was cut off and
+    /// comes back, not a process restart. A restart binds a fresh
+    /// service first ([`SimCluster::bind`]).
     pub fn revive(&self, node: NodeId) {
         if let Some(n) = self.node(node) {
             n.alive.store(true, Ordering::Release);
@@ -88,7 +100,8 @@ impl SimCluster {
 
     /// Node accessor.
     pub fn node(&self, id: NodeId) -> Option<Arc<SimNode>> {
-        self.nodes.read().get(id.0 as usize).cloned()
+        let g = self.nodes.read();
+        g.get(id.0 as usize).map(|slot| Arc::clone(&slot.node))
     }
 
     /// Number of nodes.
@@ -118,7 +131,7 @@ impl SimCluster {
     /// queue behind phantom traffic from its own past.
     pub fn horizon(&self) -> u64 {
         let g = self.nodes.read();
-        g.iter().map(|n| n.horizon()).max().unwrap_or(0)
+        g.iter().map(|slot| slot.node.horizon()).max().unwrap_or(0)
     }
 
     fn latency(&self, a: &SimNode, b: &SimNode) -> u64 {
@@ -146,23 +159,27 @@ impl SimCluster {
 
 impl Transport for SimCluster {
     fn call(&self, from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
-        let src = self
-            .node(from)
-            .ok_or(BlobError::Unreachable("unknown source node"))?;
-        let dst = self
-            .node(to)
-            .ok_or(BlobError::Unreachable("unknown destination node"))?;
+        let (src, dst, svc) = {
+            let g = self.nodes.read();
+            let src = g
+                .get(from.0 as usize)
+                .ok_or(BlobError::Unreachable("unknown source node"))?;
+            let dst = g
+                .get(to.0 as usize)
+                .ok_or(BlobError::Unreachable("unknown destination node"))?;
+            (
+                Arc::clone(&src.node),
+                Arc::clone(&dst.node),
+                dst.service.clone(),
+            )
+        };
         if !src.is_alive() {
             return Err(BlobError::Unreachable("source node is down"));
         }
         if !dst.is_alive() {
             return Err(BlobError::Unreachable("destination node is down"));
         }
-        let svc = dst
-            .service
-            .get()
-            .ok_or(BlobError::Unreachable("no service bound"))?
-            .clone();
+        let svc = svc.ok_or(BlobError::Unreachable("no service bound"))?;
 
         // First contact between this pair pays connection setup.
         let setup = if self.connected.insert((from.0, to.0), ()).is_none() {
@@ -367,6 +384,61 @@ mod tests {
         assert!(rpc
             .call::<u64, u64>(&mut Ctx::start(), servers[0], 1, &1)
             .is_ok());
+    }
+
+    /// Answers every call with its tag. With a gate, a call to method
+    /// [`PARK`] meets the test at the gate on entering the handler and
+    /// waits there until the test meets it again.
+    struct Tagged {
+        tag: u64,
+        gate: Option<Arc<std::sync::Barrier>>,
+    }
+
+    const PARK: u16 = 2;
+
+    impl Service for Tagged {
+        fn handle(&self, _ctx: &mut ServerCtx, frame: &Frame) -> Frame {
+            if let (PARK, Some(gate)) = (frame.method, &self.gate) {
+                gate.wait();
+                gate.wait();
+            }
+            respond(frame, |_: u64| Ok(self.tag))
+        }
+    }
+
+    #[test]
+    fn a_second_bind_replaces_the_service_and_a_dispatched_call_finishes_on_the_first() {
+        let c = Arc::new(SimCluster::new(CostModel::zero()));
+        let client = c.add_node();
+        let server = c.add_node();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        c.bind(
+            server,
+            Arc::new(Tagged {
+                tag: 1,
+                gate: Some(Arc::clone(&gate)),
+            }),
+        );
+        let rpc = RpcClient::new(Arc::clone(&c) as _, client);
+        let ask = |method| rpc.call::<u64, u64>(&mut Ctx::start(), server, method, &0);
+        assert_eq!(ask(1).unwrap(), 1);
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| ask(PARK));
+            // Once the parked call is inside A's handler, re-bind on a
+            // thread of its own, so a re-bind that panics still lets A's
+            // call go.
+            gate.wait();
+            let to_b = s
+                .spawn(|| {
+                    c.bind(server, Arc::new(Tagged { tag: 2, gate: None }));
+                    ask(1)
+                })
+                .join();
+            gate.wait();
+            assert_eq!(parked.join().unwrap().unwrap(), 1, "A answers its own call");
+            assert_eq!(to_b.unwrap().unwrap(), 2, "the next call reaches B");
+        });
+        assert_eq!(ask(PARK).unwrap(), 2);
     }
 
     #[test]

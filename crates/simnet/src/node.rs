@@ -10,11 +10,9 @@
 //! virtual future. Without it, per-client throughput collapses with the
 //! thread count — an artifact, not a result.
 
-use blobseer_rpc::Service;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Maximum busy intervals kept per calendar before old ones are folded
 /// into the floor (bounds memory on long benches).
@@ -147,8 +145,6 @@ pub struct SimNode {
     pub work: Calendar,
     /// Liveness flag (fault injection).
     pub alive: AtomicBool,
-    /// Bound service, if any.
-    pub service: OnceLock<Arc<dyn Service>>,
     /// Traffic counters.
     pub metrics: NodeMetrics,
 }
@@ -163,7 +159,6 @@ impl SimNode {
             cpu_recv: Calendar::new(),
             work: Calendar::new(),
             alive: AtomicBool::new(true),
-            service: OnceLock::new(),
             metrics: NodeMetrics::default(),
         }
     }
@@ -187,6 +182,7 @@ impl SimNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]

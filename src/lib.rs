@@ -170,7 +170,7 @@
 //! let mut cfg = DeploymentConfig::functional_mmap(4);
 //! cfg.replication = 2;
 //! cfg.meta_replication = 2;
-//! let cluster = Deployment::build(cfg);
+//! let mut cluster = Deployment::build(cfg);
 //! let client = cluster.client();
 //! let mut ctx = Ctx::start();
 //! let blob = client.alloc(&mut ctx, 1 << 20, 4096).unwrap().blob;
@@ -181,8 +181,9 @@
 //! let (data, _) = client.read(&mut ctx, blob, Some(v), Segment::new(0, 8192)).unwrap();
 //! assert!(data.iter().all(|&b| b == 7));
 //!
-//! // Restart it on the same directory: the log replays and the
-//! // provider re-serves everything it ever acknowledged.
+//! // Restart it on the same directory: a fresh provider replays the
+//! // log, is bound to the same node, and re-serves everything the
+//! // killed one ever acknowledged.
 //! cluster.restart_storage(0).unwrap();
 //! assert_eq!(cluster.config.backend, BackendKind::Mmap);
 //! let (data, _) = client.read(&mut ctx, blob, Some(v), Segment::new(0, 8192)).unwrap();
@@ -200,7 +201,7 @@
 //! ```
 //! use blobseer::{Ctx, Deployment, DeploymentConfig, Segment};
 //!
-//! let cluster = Deployment::build(DeploymentConfig::functional_mmap(2));
+//! let mut cluster = Deployment::build(DeploymentConfig::functional_mmap(2));
 //! let client = cluster.client();
 //! let mut ctx = Ctx::start();
 //! let blob = client.alloc(&mut ctx, 1 << 20, 4096).unwrap().blob;
@@ -239,8 +240,10 @@
 //! append/group-commit, replay and generation-install code). So the
 //! cluster doesn't just tolerate a provider crash; the *product can
 //! reboot*: [`Deployment::restart_cluster`] kills the version manager,
-//! the provider manager, and every storage node, replays every journal,
-//! and re-serves every acknowledged write byte-identical:
+//! the provider manager, and every storage node, replays every journal
+//! into fresh services bound to the same nodes, as restarted processes
+//! listen at the same addresses, and re-serves every acknowledged write
+//! byte-identical:
 //!
 //! ```
 //! use blobseer::{Ctx, Deployment, DeploymentConfig, Segment};
