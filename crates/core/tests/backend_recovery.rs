@@ -9,6 +9,7 @@ use blobseer_core::{BackendKind, Deployment, DeploymentConfig, TransportKind};
 use blobseer_proto::messages::method;
 use blobseer_proto::{BlobError, BlobId, Segment};
 use blobseer_rpc::{Ctx, RpcClient};
+use blobseer_util::recordlog::Format;
 use std::sync::Arc;
 
 const PAGE: u64 = 1024;
@@ -166,19 +167,18 @@ fn mmap_restart_preserves_capacity_accounting() {
     assert_eq!(p.reported, stats.mapped_bytes);
 }
 
-/// Overwrite the first record magic of every log file in `dir` with
-/// `magic`, a retired record format: the file now reads as a log an
-/// earlier build wrote.
-fn retire_logs(dir: &std::path::Path, magic: u64) {
+/// Overwrite the head of every log file in `dir` with `head`: the file
+/// now reads as a log another build wrote.
+fn patch_heads(dir: &std::path::Path, head: &[u8]) {
     use std::io::{Seek, SeekFrom, Write};
     let mut patched = 0;
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         let is_log = path.extension().is_some_and(|e| e == "log");
-        if is_log && std::fs::metadata(&path).unwrap().len() >= 48 {
+        if is_log && std::fs::metadata(&path).unwrap().len() >= head.len() as u64 {
             let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
             file.seek(SeekFrom::Start(0)).unwrap();
-            file.write_all(&magic.to_le_bytes()).unwrap();
+            file.write_all(head).unwrap();
             patched += 1;
         }
     }
@@ -187,6 +187,17 @@ fn retire_logs(dir: &std::path::Path, magic: u64) {
         "{}: no log with a record to retire",
         dir.display()
     );
+}
+
+/// The format header of the next format number of `format`'s client:
+/// the head a later (or an earlier) record format would write.
+fn next_format(format: Format) -> Vec<u8> {
+    Format {
+        number: format.number + 1,
+        ..format
+    }
+    .header()
+    .to_vec()
 }
 
 /// A durable cluster whose every storage node holds pages and tree
@@ -202,14 +213,18 @@ fn written_mmap_cluster() -> Deployment {
 }
 
 #[test]
-fn a_cluster_restart_over_a_retired_metadata_journal_is_a_typed_error() {
-    // meta-0's journal now opens as one written in a retired format —
-    // `BSMTPUT1` (the single-chain digest) or `BSMTPUT2` (fixed-width
-    // tree nodes): the restart refuses it with a typed error and leaves
-    // the cluster down instead of panicking.
-    for magic in [0x4253_4d54_5055_5431, 0x4253_4d54_5055_5432] {
+fn a_cluster_restart_over_a_metadata_journal_of_another_format_is_a_typed_error() {
+    // meta-0's journal now opens as one of another format number, or as
+    // one written before format headers (whose first record began with
+    // the magic `BSMTPUT3`): the restart refuses it with a typed error
+    // and leaves the cluster down instead of panicking.
+    let heads = [
+        next_format(blobseer_dht::wal::FORMAT),
+        0x4253_4d54_5055_5433u64.to_le_bytes().to_vec(),
+    ];
+    for head in heads {
         let mut d = written_mmap_cluster();
-        retire_logs(&d.meta_dir(0).unwrap(), magic);
+        patch_heads(&d.meta_dir(0).unwrap(), &head);
         let restarted = d.restart_cluster();
         assert!(
             matches!(restarted, Err(BlobError::Recovery { .. })),
@@ -228,7 +243,10 @@ fn a_failed_cluster_restart_binds_no_fresh_service() {
     // keeps the data provider it had, and the cluster stays down.
     let mut d = written_mmap_cluster();
     let last = d.storage.len() - 1;
-    retire_logs(&d.meta_dir(last).unwrap(), 0x4253_4d54_5055_5432);
+    patch_heads(
+        &d.meta_dir(last).unwrap(),
+        &next_format(blobseer_dht::wal::FORMAT),
+    );
     let data_0 = d.storage[0].data();
     let restarted = d.restart_cluster();
     assert!(
@@ -275,9 +293,11 @@ fn version_logs(d: &Deployment) -> Vec<(String, u64)> {
 #[test]
 fn a_fresh_deployment_does_not_checkpoint_its_empty_version_journal() {
     // Nothing to collapse and no stale tail to drop: the fresh journal
-    // is opened as it is, with no snapshot generation written.
+    // is opened as it is — its format header alone — with no snapshot
+    // generation written.
     let mut d = Deployment::build(DeploymentConfig::functional_mmap(2));
-    assert_eq!(version_logs(&d), [("version.g0.log".to_string(), 0)]);
+    let header = blobseer_version::wal::FORMAT.start().durable;
+    assert_eq!(version_logs(&d), [("version.g0.log".to_string(), header)]);
     let c = d.client();
     let mut ctx = Ctx::start();
     let info = c.alloc(&mut ctx, TOTAL, PAGE).unwrap();
@@ -286,7 +306,7 @@ fn a_fresh_deployment_does_not_checkpoint_its_empty_version_journal() {
     let journaled = version_logs(&d);
     assert_eq!(journaled.len(), 1);
     assert!(
-        journaled[0].1 > 0,
+        journaled[0].1 > header,
         "the create and the publish are journaled"
     );
     // A journal that holds records still checkpoints: the restart
@@ -308,13 +328,16 @@ fn a_fresh_deployment_does_not_checkpoint_its_empty_version_journal() {
 }
 
 #[test]
-fn a_provider_restart_over_a_retired_page_log_is_a_typed_error() {
-    // provider-0's page log now opens as one written in the retired
-    // `BSPGLOG2` format: the restart refuses it with a typed error, and
-    // the killed provider stays down.
+fn a_provider_restart_over_a_page_log_of_another_format_is_a_typed_error() {
+    // provider-0's page log now opens as one of the next format number:
+    // the restart refuses it with a typed error, and the killed provider
+    // stays down.
     let mut d = written_mmap_cluster();
     d.kill_storage(0);
-    retire_logs(&d.backend_dir(0).unwrap(), 0x4253_5047_4c4f_4732);
+    patch_heads(
+        &d.backend_dir(0).unwrap(),
+        &next_format(blobseer_provider::backend::FORMAT),
+    );
     let restarted = d.restart_storage(0);
     assert!(
         matches!(restarted, Err(BlobError::Recovery { .. })),

@@ -484,16 +484,22 @@ fn pages_and_metadata_share_one_burst() {
         took + 500_000 <= PAGES_AFTER_THE_TICKET_NS,
         "{took} ns, {stats:?}"
     );
-    assert_eq!(took, 11_365_035, "{stats:?}");
+    // Page keys travel as three varints (3 B here, 24 B fixed-width):
+    // the last page put is 21 B shorter on the write's dependent path,
+    // 262 ns at 12.51 ns/B (11,365,035 ns with fixed-width page keys).
+    assert_eq!(took, 11_364_773, "{stats:?}");
     // One provider takes all four puts, so no destination receives
     // exactly one: the lead is page 0, split out of that provider's
     // batch. Two more messages than the ticket travelling alone, and
     // 2.7 ms faster (15,344,229 ns in 10 messages).
     // Its five tree nodes travel as varints: the metadata batch is 343 B
     // shorter, and the page puts behind it on the client's NIC leave
-    // that much sooner (12,622,844 ns with fixed-width nodes).
+    // that much sooner (12,622,844 ns with fixed-width nodes). Its four
+    // page puts carry 84 B less of page keys: 882 ns, 714 of them at
+    // 8.51 ns/B on the client's NIC (12,619,925 ns with fixed-width page
+    // keys).
     let (stats, took, messages) = paper_write(1, 4, 256 << 10);
-    assert_eq!((took, messages), (12_619_925, 12), "{stats:?}");
+    assert_eq!((took, messages), (12_619_043, 12), "{stats:?}");
 }
 
 #[test]
@@ -506,20 +512,25 @@ fn every_write_has_a_lead() {
     // destination taking exactly one put, when there was one.
     let cells = [
         // No destination takes exactly one put: page 0 was already the
-        // lead, split out of its batch.
-        (2, 4, 256 << 10, 11_685_021, 16),
+        // lead, split out of its batch. (Each cell's page keys are 21 B
+        // shorter as varints; where a page leg ends the write, its last
+        // put takes 262 ns less: 11,685,021 ns with fixed-width keys.)
+        (2, 4, 256 << 10, 11_684_759, 16),
         // Sixteen small pages: the lead was a later page, copied once
-        // the plan landed (13,916,683 ns, 34).
-        (8, 16, 64 << 10, 13_786_104, 36),
+        // the plan landed (13,916,683 ns, 34). Sixteen page keys, 336 B
+        // less on the client's NIC: 13,786,104 ns with fixed-width keys.
+        (8, 16, 64 << 10, 13_783_258, 36),
         // One page: copied under the plan and the lead either way, so
         // its schedule is kept to the nanosecond. On this 64-page blob
         // the 32-way tree's ticket names 32 link versions of 8 B, where
         // the 16-way tree's named 16 links of 24 B: 8,583,307 ns then;
-        // 8,581,329 ns with fixed-width tree nodes.
+        // 8,581,329 ns with fixed-width tree nodes. Its metadata leg ends
+        // it, so varint page keys do not move it.
         (8, 1, 64 << 10, 8_580_089, 14),
         // The lead was page 1, whose copy (150,000 ns) followed the
         // plan: 150,000 ns slower, two messages fewer (11,515,035 ns, 18).
-        (3, 4, 256 << 10, 11_365_035, 20),
+        // 11,365,035 ns with fixed-width page keys.
+        (3, 4, 256 << 10, 11_364_773, 20),
     ];
     for (providers, pages, page, ns, messages) in cells {
         let (stats, took, sent) = paper_write(providers, pages, page);
@@ -614,9 +625,12 @@ fn each_leaf_batch_sends_its_pages_as_it_is_decoded() {
     // the one that also waited for every leaf first (11,583,158 ns), for
     // the same 20 messages.
     // Varint tree nodes shorten the root's and a leaf's round trips on
-    // the read's critical path (11,087,666 ns with fixed-width nodes).
+    // the read's critical path (11,087,666 ns with fixed-width nodes),
+    // and a varint page key the last `GET_PAGE` by 21 B: 263 ns at
+    // 12.51 ns/B (11,084,699 ns with fixed-width page keys). The same
+    // 263 ns comes off each read below.
     let (stats, took, messages) = paper_read(8, 2);
-    assert_eq!((took, messages), (11_084_699, 20), "{stats:?}");
+    assert_eq!((took, messages), (11_084_436, 20), "{stats:?}");
     // The stages still partition the read, and the read still visits
     // the root and its four leaves.
     assert_eq!(stats.total_ns(), took, "{stats:?}");
@@ -625,9 +639,10 @@ fn each_leaf_batch_sends_its_pages_as_it_is_decoded() {
     // From page 0 the first write's leaves share a message: decoding it
     // leaf by leaf sends the first page one leaf's decode (100,000 ns)
     // sooner (11,353,921 ns when the message's pages left together).
-    // (11,148,891 ns with fixed-width nodes.)
+    // (11,148,891 ns with fixed-width nodes; 11,144,937 ns with
+    // fixed-width page keys.)
     let (stats, took, messages) = paper_read(8, 0);
-    assert_eq!((took, messages), (11_144_937, 18), "{stats:?}");
+    assert_eq!((took, messages), (11_144_674, 18), "{stats:?}");
     assert_eq!(stats.total_ns(), took, "{stats:?}");
     assert_eq!(stats.nodes_visited, 5, "{stats:?}");
     // One provider holds every leaf: one leaf message, whose four leaves
@@ -635,9 +650,10 @@ fn each_leaf_batch_sends_its_pages_as_it_is_decoded() {
     // 256 KiB pipeline where one 1 MiB batch reply was serialized whole
     // before it left and deserialized whole after it landed
     // (15,121,925 ns in 8 messages), for six more messages.
-    // (11,271,344 ns with fixed-width nodes.)
+    // (11,271,344 ns with fixed-width nodes; 11,265,563 ns with
+    // fixed-width page keys.)
     let (stats, took, messages) = paper_read(1, 2);
-    assert_eq!((took, messages), (11_265_563, 14), "{stats:?}");
+    assert_eq!((took, messages), (11_265_300, 14), "{stats:?}");
     assert_eq!(stats.total_ns(), took, "{stats:?}");
 }
 

@@ -5,12 +5,13 @@
 //! deterministic.
 
 use blobseer_core::{Deployment, DeploymentConfig, LogOptions};
+use blobseer_dht::wal::FORMAT;
 use blobseer_meta::build_write_tree;
 use blobseer_proto::messages::WriteTicket;
 use blobseer_proto::tree::{PageKey, PageLoc, TreeNode};
 use blobseer_proto::{BlobId, Geometry, ProviderId, Segment, Version, Wire, WriteId};
 use blobseer_rpc::Ctx;
-use blobseer_util::recordlog::REC_HEADER;
+use blobseer_util::recordlog::footprint;
 
 const PAGE: u64 = 1024;
 const PAGES: u64 = 64;
@@ -86,16 +87,27 @@ fn soak_tree(geom: &Geometry, blob: BlobId, v: Version, replica: ProviderId) -> 
     build_write_tree(geom, blob, &Segment::new(0, TOTAL), &pages, &ticket).unwrap()
 }
 
+/// Journal bytes of a record over `len` payload bytes (the metadata
+/// journal's header fields are all 0).
+fn record_bytes(len: usize) -> u64 {
+    footprint(0, 0, 0, len as u64)
+}
+
 /// Journal bytes of the put records of `tree`.
 fn put_bytes(tree: &[TreeNode]) -> u64 {
-    tree.iter().map(|n| REC_HEADER + n.wire_hint() as u64).sum()
+    tree.iter().map(|n| record_bytes(n.wire_hint())).sum()
 }
 
 /// Journal bytes of the remove records of `tree`'s keys.
 fn remove_bytes(tree: &[TreeNode]) -> u64 {
-    tree.iter()
-        .map(|n| REC_HEADER + n.key.wire_hint() as u64)
-        .sum()
+    tree.iter().map(|n| record_bytes(n.key.wire_hint())).sum()
+}
+
+/// The widest commit marker the soak can write: a sequence number
+/// below 16,384 and a coverage offset below 2 MiB, far past any journal
+/// here.
+fn widest_marker() -> u64 {
+    footprint(1 << 14, 1 << 21, 0, 0)
 }
 
 #[test]
@@ -122,10 +134,10 @@ fn overwrite_and_gc_rounds_keep_every_meta_journal_bounded() {
     // Round r appends at most: version r's tree as put records, version
     // r - 1's tree as remove records (gc(r) drops it), and two commit
     // markers per node (one put batch, one remove batch). Exact record
-    // sizes, from the nodes' own encodings.
+    // sizes, from the nodes' own encodings; markers at their widest.
     let round_bytes = |r: Version| {
         let removed = if r > 1 { remove_bytes(&tree(r - 1)) } else { 0 };
-        put_bytes(&tree(r)) + removed + 2 * REC_HEADER * providers as u64
+        put_bytes(&tree(r)) + removed + 2 * widest_marker() * providers as u64
     };
     // The growth ceiling, fixed at round 1: however the nodes of a round
     // spread over the DHT, no node holds more live records than the
@@ -187,14 +199,17 @@ fn overwrite_and_gc_rounds_keep_every_meta_journal_bounded() {
     );
     // Nor can phase flip this: every node keeps compacting through the
     // late rounds, and right after each compaction its journal is its
-    // live records under one commit marker, the same in every round.
+    // format header and its live records under one commit marker, the
+    // same in every round.
+    let start = FORMAT.start().durable;
+    let sealed_overhead = start + footprint(0, start, 0, 0);
     for (i, rounds) in after_compaction.iter().enumerate() {
         assert!(
             rounds.iter().any(|&(r, _)| r > ROUNDS / 2),
             "node {i} stopped compacting: {rounds:?}"
         );
         assert!(
-            rounds.iter().all(|&(_, extra)| extra == REC_HEADER),
+            rounds.iter().all(|&(_, extra)| extra == sealed_overhead),
             "node {i} kept more than its live records through a compaction: {rounds:?}"
         );
     }

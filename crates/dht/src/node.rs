@@ -247,6 +247,7 @@ mod tests {
     use blobseer_proto::tree::{ChildVersions, NodeBody};
     use blobseer_proto::BlobId;
     use blobseer_rpc::parse_response;
+    use blobseer_util::recordlog;
     use std::path::PathBuf;
 
     fn node(v: u64, offset: u64) -> TreeNode {
@@ -277,6 +278,25 @@ mod tests {
     fn durable(dir: &Path, trigger: CompactTrigger) -> DhtNodeService {
         DhtNodeService::open_durable(dir, Default::default(), trigger, ServiceCosts::zero())
             .unwrap()
+    }
+
+    /// Bytes of a fresh journal generation holding `records` bytes of
+    /// records under one commit marker: format header, records, marker.
+    fn sealed(records: u64) -> u64 {
+        let start = crate::wal::FORMAT.start().durable;
+        start + records + recordlog::footprint(0, start, 0, 0)
+    }
+
+    /// Bytes of the committed records journal generation `n` under `dir`
+    /// holds, dead ones included: what a compaction can reclaim is the
+    /// difference between two generations'.
+    fn record_bytes(dir: &Path, n: u64) -> u64 {
+        let image = std::fs::read(dir.join(format!("meta.g{n}.log"))).unwrap();
+        let mut bytes = 0;
+        recordlog::replay(&image, |r| {
+            bytes += recordlog::footprint(r.a, r.b, r.c, r.payload.len() as u64);
+        });
+        bytes
     }
 
     /// A trigger that never fires: compaction only on request.
@@ -445,8 +465,8 @@ mod tests {
         let record = crate::wal::remove_record_bytes(&node(1, 0).key);
         assert_eq!(
             svc.log_bytes(),
-            bytes + record + 48,
-            "one record, one marker"
+            bytes + record + recordlog::footprint(1, bytes, 0, 0),
+            "one record, one marker (the second, covering from the first's end)"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -473,14 +493,22 @@ mod tests {
             dead,
             record(0) + (4..8).map(|i| record(i) + removal(i)).sum::<u64>()
         );
+        let old_records = record_bytes(&dir, 0);
         let report = svc.compact().unwrap().expect("dead bytes compact");
         assert_eq!(report.generation, 1);
-        assert_eq!(report.new_log_bytes, live + 48, "live records, one marker");
+        // The dead bytes counted are exactly the record bytes the
+        // compaction reclaimed (markers are the log's, not a record's).
+        assert_eq!(old_records - record_bytes(&dir, 1), dead);
+        assert_eq!(
+            report.new_log_bytes,
+            sealed(live),
+            "live records, one marker"
+        );
         assert_eq!(
             report.old_log_bytes - report.new_log_bytes,
             report.reclaimed_bytes
         );
-        assert_eq!((svc.log_bytes(), svc.dead_bytes()), (live + 48, 0));
+        assert_eq!((svc.log_bytes(), svc.dead_bytes()), (sealed(live), 0));
         assert_eq!(svc.compactions(), 1);
         // Appends continue in the new generation.
         put(&svc, vec![node(2, 0)]);
@@ -524,7 +552,7 @@ mod tests {
         );
         assert_eq!(svc.compactions(), 1);
         assert_eq!(svc.dead_bytes(), 0);
-        assert_eq!(svc.log_bytes(), record(6) + record(7) + 48);
+        assert_eq!(svc.log_bytes(), sealed(record(6) + record(7)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,9 +11,12 @@
 //!
 //! ## Log format
 //!
-//! One generation file `meta.g<N>.log` of 48-byte-header records:
+//! One generation file `meta.g<N>.log`, its format header naming the
+//! metadata journal's format number ([`FORMAT`]), then records whose
+//! header fields `a`, `b`, `c` are all 0 (13 B of header for a payload
+//! under 128 B):
 //!
-//! * **put** (`BSMTPUT3`): payload is the wire-encoded [`TreeNode`].
+//! * **put** ([`PUT_KIND`]): payload is the wire-encoded [`TreeNode`].
 //!   Tree nodes are immutable and content-addressed by [`NodeKey`], so
 //!   replaying puts in order is idempotent — a double put (replica
 //!   repair, retried write) re-inserts the same body.
@@ -22,7 +25,7 @@
 //!   and body is a varint (see [`blobseer_proto::tree`]); a leaf body is
 //!   wire tag 4, a 32-way inner body tag 5 (fan-out, then one varint
 //!   version per child).
-//! * **remove** (`BSMTDEL3`): payload is the wire-encoded [`NodeKey`]
+//! * **remove** ([`REMOVE_KIND`]): payload is the wire-encoded [`NodeKey`]
 //!   (GC executing a plan), four varints. Only a node the index holds
 //!   is journaled as removed: a remove of anything else writes nothing.
 //! * group-commit markers / tombstones as defined by the engine.
@@ -33,18 +36,17 @@
 //! [`BlobError::Recovery`], the file is left byte-identical, and no node
 //! of it is served — never an old node read as one of this tree's.
 //!
-//! * `BSMTPUT2`/`BSMTDEL2` wrote every integer of a node in fixed width:
-//!   a 32-byte key, a leaf body as tag 1 with a `u64` page key, a `u32`
-//!   replica count and `u32` ids, an inner body as tag 3 with one `u64`
-//!   per child. `BSMTPUT1`/`BSMTDEL1` were the same records under the
-//!   engine's retired single-chain payload digest. All four are in
-//!   [`blobseer_util::recordlog::RETIRED_MAGICS`], so the engine refuses
-//!   such a journal at open, before replay or any append.
+//! * Every journal written before format headers — 48-byte record
+//!   headers with the magics `BSMTPUT1`…`3` / `BSMTDEL1`…`3` — has
+//!   something other than [`FORMAT`]'s header at its head, so the engine
+//!   refuses it at open, before replay or any append. A change to what a
+//!   record holds raises [`FORMAT`]'s number, and older journals are
+//!   refused the same way.
 //! * Body tags 0 (the binary tree's `{left, right}`), 1 (the fixed-width
 //!   leaf), 2 (the 16-way tree's inner body, laid out as tag 3 over
 //!   other child intervals) and 3 (the fixed-width 32-way inner body)
 //!   decode as [`blobseer_proto::CodecError::BadTag`], so a record that
-//!   carries one under the current magics is refused at replay.
+//!   carries one is refused at replay.
 //!
 //! A batched put (`META_PUT_BATCH`, the paper's aggregation
 //! optimization) appends all its records under **one** commit marker —
@@ -97,37 +99,44 @@ use blobseer_proto::tree::{NodeBody, NodeKey, TreeNode};
 use blobseer_proto::wire::Wire;
 use blobseer_proto::BlobError;
 use blobseer_util::recordlog::{
-    CompactReport, CompactTrigger, LogError, OwnedRecord, Record, RecordLog, RecordLogOptions,
-    REC_HEADER,
+    self, Client, CompactReport, CompactTrigger, Format, LogError, OwnedRecord, Record, RecordLog,
+    RecordLogOptions, FIRST_CLIENT_KIND,
 };
 use blobseer_util::ShardedMap;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Magic of a put record ("BSMTPUT3"): payload is a wire-encoded
-/// [`TreeNode`], varint integers. `BSMTPUT2` (fixed-width nodes) and
-/// `BSMTPUT1` (the engine's retired single-chain payload digest) are in
-/// [`blobseer_util::recordlog::RETIRED_MAGICS`]: a journal holding one
-/// is refused at open, untouched.
-pub const META_PUT_MAGIC: u64 = 0x4253_4d54_5055_5433;
+/// The metadata journal's format: generation files `meta.g<N>.log`,
+/// format number 1 (varint tree nodes, wire tags 4 and 5).
+pub const FORMAT: Format = Format {
+    client: Client::Metadata,
+    number: 1,
+};
 
-/// Magic of a remove record ("BSMTDEL3"): payload is a wire-encoded
-/// [`NodeKey`], four varints. `BSMTDEL2` and `BSMTDEL1` are retired
-/// like `BSMTPUT2` and `BSMTPUT1`.
-pub const META_REMOVE_MAGIC: u64 = 0x4253_4d54_4445_4c33;
+/// Kind of a put record: payload is a wire-encoded [`TreeNode`].
+pub const PUT_KIND: u8 = FIRST_CLIENT_KIND;
+
+/// Kind of a remove record: payload is a wire-encoded [`NodeKey`],
+/// four varints.
+pub const REMOVE_KIND: u8 = FIRST_CLIENT_KIND + 1;
 
 /// The serving index of one DHT node.
 pub type NodeIndex = ShardedMap<NodeKey, NodeBody>;
 
+/// Journal bytes of a record over a `len`-byte payload.
+fn record_bytes(len: usize) -> u64 {
+    recordlog::footprint(0, 0, 0, len as u64)
+}
+
 /// Journal bytes of the put record of `key → body`: header, key, body.
 pub(crate) fn put_record_bytes(key: &NodeKey, body: &NodeBody) -> u64 {
-    REC_HEADER + (key.wire_hint() + body.wire_hint()) as u64
+    record_bytes(key.wire_hint() + body.wire_hint())
 }
 
 /// Journal bytes of the remove record of `key`: header and key.
 pub(crate) fn remove_record_bytes(key: &NodeKey) -> u64 {
-    REC_HEADER + key.wire_hint() as u64
+    record_bytes(key.wire_hint())
 }
 
 /// One replayed metadata mutation.
@@ -143,15 +152,15 @@ enum MetaOp {
 fn log_err(path: &Path, e: LogError) -> BlobError {
     BlobError::Recovery {
         file: path.display().to_string(),
-        offset: e.offset(),
+        offset: 0,
         detail: e.detail(),
     }
 }
 
-/// A record of kind `magic` (put or remove) carrying `payload`.
-fn record(magic: u64, payload: &[u8]) -> Record<'_> {
+/// A record of `kind` (put or remove) carrying `payload`.
+fn record(kind: u8, payload: &[u8]) -> Record<'_> {
     Record {
-        magic,
+        kind,
         a: 0,
         b: 0,
         c: 0,
@@ -160,8 +169,8 @@ fn record(magic: u64, payload: &[u8]) -> Record<'_> {
 }
 
 /// `payloads` as records of one kind.
-fn records(magic: u64, payloads: &[Vec<u8>]) -> Vec<Record<'_>> {
-    payloads.iter().map(|p| record(magic, p)).collect()
+fn records(kind: u8, payloads: &[Vec<u8>]) -> Vec<Record<'_>> {
+    payloads.iter().map(|p| record(kind, p)).collect()
 }
 
 /// The write-ahead metadata journal of one DHT node, with its space
@@ -196,8 +205,8 @@ impl WalMeta {
         trigger: CompactTrigger,
         index: &NodeIndex,
     ) -> Result<Self, BlobError> {
-        let (log, records) = RecordLog::open_reporting_file(dir, "meta", opts)
-            .map_err(|(e, file)| log_err(&file, e))?;
+        let (log, records) =
+            RecordLog::open(dir, FORMAT, opts).map_err(|(e, file)| log_err(&file, e))?;
         let wal = Self {
             log,
             trigger,
@@ -227,14 +236,14 @@ impl WalMeta {
             offset: rec.offset,
             detail,
         };
-        match rec.magic {
-            META_PUT_MAGIC => Ok(MetaOp::Put(
+        match rec.kind {
+            PUT_KIND => Ok(MetaOp::Put(
                 TreeNode::from_wire(&rec.payload).map_err(|_| recovery("undecodable tree node"))?,
             )),
-            META_REMOVE_MAGIC => Ok(MetaOp::Remove(
+            REMOVE_KIND => Ok(MetaOp::Remove(
                 NodeKey::from_wire(&rec.payload).map_err(|_| recovery("undecodable node key"))?,
             )),
-            _ => Err(recovery("unknown meta record magic")),
+            _ => Err(recovery("unknown meta record kind")),
         }
     }
 
@@ -278,7 +287,7 @@ impl WalMeta {
     pub fn put_batch(&self, index: &NodeIndex, nodes: Vec<TreeNode>) -> Result<(), BlobError> {
         let encoded: Vec<Vec<u8>> = nodes.iter().map(Wire::to_wire).collect();
         self.log
-            .append_batch_then(&records(META_PUT_MAGIC, &encoded), || {
+            .append_batch_then(&records(PUT_KIND, &encoded), || {
                 for node in nodes {
                     self.insert(index, node);
                 }
@@ -300,7 +309,7 @@ impl WalMeta {
         }
         let encoded: Vec<Vec<u8>> = held.iter().map(Wire::to_wire).collect();
         self.log
-            .append_batch_then(&records(META_REMOVE_MAGIC, &encoded), || {
+            .append_batch_then(&records(REMOVE_KIND, &encoded), || {
                 held.iter().filter(|k| self.remove(index, k)).count() as u64
             })
             .map_err(|e| self.err(e))
@@ -381,7 +390,7 @@ impl WalMeta {
             nodes
         });
         for node in &snapshot {
-            next.put(record(META_PUT_MAGIC, &node.to_wire()))?;
+            next.put(record(PUT_KIND, &node.to_wire()))?;
         }
         next.seal()?;
         // Phase 2, under the gate: stage what changed since, and swap.
@@ -402,13 +411,13 @@ impl WalMeta {
                 changed
             });
             for node in &changed {
-                next.put(record(META_PUT_MAGIC, &node.to_wire()))?;
+                next.put(record(PUT_KIND, &node.to_wire()))?;
             }
             // Staged nodes the index no longer holds were removed
             // during the snapshot: their put records open the new
             // generation dead, behind a remove record each.
             for (key, body) in &staged {
-                next.put(record(META_REMOVE_MAGIC, &key.to_wire()))?;
+                next.put(record(REMOVE_KIND, &key.to_wire()))?;
                 dead_after += put_record_bytes(key, body) + remove_record_bytes(key);
             }
             // Every mutation holds the gate's other side, so the count
@@ -426,7 +435,7 @@ mod tests {
     use super::*;
     use blobseer_proto::tree::{ChildVersions, NodeBody};
     use blobseer_proto::BlobId;
-    use blobseer_util::recordlog::{encode_header, payload_digest, write_at, REC_HEADER};
+    use blobseer_util::recordlog::{header, payload_digest, COMMIT_KIND};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -453,26 +462,6 @@ mod tests {
                 children: ChildVersions::new(&[v; 32]).unwrap(),
             },
         }
-    }
-
-    /// `key` as the fixed-width formats wrote it: four `u64`s.
-    fn fixed_width_key(key: &NodeKey) -> Vec<u8> {
-        [key.blob.0, key.version, key.offset, key.size]
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect()
-    }
-
-    /// A put payload of `node(v, offset)` over a 16-way inner body,
-    /// exactly as the 16-way tree journaled it: fixed-width key, tag 2,
-    /// fan-out 16, sixteen `u64` versions.
-    fn sixteen_way_put(v: u64, offset: u64) -> Vec<u8> {
-        let mut payload = fixed_width_key(&node(v, offset).key);
-        payload.extend_from_slice(&[2, 16]);
-        for _ in 0..16 {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        payload
     }
 
     fn open(dir: &Path) -> (WalMeta, NodeIndex) {
@@ -529,13 +518,21 @@ mod tests {
         for n in [node(1, 0), leaf] {
             assert_eq!(
                 put_record_bytes(&n.key, &n.body),
-                REC_HEADER + n.to_wire().len() as u64
+                recordlog::footprint(0, 0, 0, n.to_wire().len() as u64)
             );
         }
         assert_eq!(
             remove_record_bytes(&node(1, 0).key),
-            REC_HEADER + node(1, 0).key.to_wire().len() as u64
+            recordlog::footprint(0, 0, 0, node(1, 0).key.to_wire().len() as u64)
         );
+        // A 13 B header under 128 payload bytes, 14 B up to 16 KiB.
+        assert_eq!(record_bytes(127), 13 + 127);
+        assert_eq!(record_bytes(128), 14 + 128);
+    }
+
+    /// Where a journal's first record lands: after its format header.
+    fn start() -> u64 {
+        FORMAT.start().durable
     }
 
     #[test]
@@ -553,44 +550,31 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(err, BlobError::Recovery { offset: 0, .. }),
+            matches!(err, BlobError::Recovery { offset, .. } if offset == start()),
             "got {err:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Commit one put record with `payload` at the head of a fresh
-    /// `meta.g0.log` under `dir`.
+    /// Commit one put record with `payload` as the first record of a
+    /// fresh `meta.g0.log` under `dir`.
     fn write_committed_put(dir: &Path, payload: &[u8]) {
-        write_committed(dir, META_PUT_MAGIC, payload);
-    }
-
-    /// Commit one record of kind `magic` with `payload`, under the
-    /// engine's current digest, at the head of a fresh `meta.g0.log`.
-    fn write_committed(dir: &Path, magic: u64, payload: &[u8]) {
         std::fs::create_dir_all(dir).unwrap();
-        let file = std::fs::File::create(dir.join("meta.g0.log")).unwrap();
-        let header = encode_header(
-            magic,
-            0,
-            0,
-            0,
-            payload.len() as u64,
-            payload_digest(payload),
-        );
-        write_at(&file, &header, 0).unwrap();
-        write_at(&file, payload, REC_HEADER).unwrap();
-        let marker_at = REC_HEADER + payload.len() as u64;
-        let marker = encode_header(blobseer_util::recordlog::COMMIT_MAGIC, 0, 0, 0, 0, 0);
-        write_at(&file, &marker, marker_at).unwrap();
+        let len = payload.len() as u64;
+        let image = [
+            &FORMAT.header()[..],
+            &header(PUT_KIND, 0, 0, 0, len, payload_digest(payload)),
+            payload,
+            &header(COMMIT_KIND, 0, start(), 0, 0, 0),
+        ]
+        .concat();
+        std::fs::write(dir.join("meta.g0.log"), image).unwrap();
     }
 
     /// Open `dir` as a journal and as a durable node: both must refuse
-    /// `meta.g0.log` as `Recovery` at offset 0 naming `reported`, and
-    /// leave it as it was — nothing is served and nothing appended. A
-    /// record refused in replay names the generation file; a retired
-    /// magic, refused by the engine before replay, names the directory.
-    fn assert_refused_untouched(dir: &Path, reported: &Path) {
+    /// `meta.g0.log` as `Recovery` at `offset` naming that file, and
+    /// leave it as it was — nothing is served and nothing appended.
+    fn assert_refused_untouched(dir: &Path, offset: u64) {
         let path = dir.join("meta.g0.log");
         let image = std::fs::read(&path).unwrap();
         let err = WalMeta::open(
@@ -601,9 +585,11 @@ mod tests {
         )
         .unwrap_err();
         match &err {
-            BlobError::Recovery { file, offset, .. } => {
-                assert_eq!(Path::new(file), reported);
-                assert_eq!(*offset, 0);
+            BlobError::Recovery {
+                file, offset: at, ..
+            } => {
+                assert_eq!(Path::new(file), path);
+                assert_eq!(*at, offset);
             }
             other => panic!("expected Recovery, got {other:?}"),
         }
@@ -613,42 +599,42 @@ mod tests {
             CompactTrigger::default(),
             blobseer_simnet::ServiceCosts::zero(),
         );
-        assert!(matches!(svc, Err(BlobError::Recovery { offset: 0, .. })));
+        assert!(matches!(svc, Err(BlobError::Recovery { .. })));
         assert_eq!(std::fs::read(&path).unwrap(), image, "byte-identical");
+        assert_eq!(std::fs::read_dir(dir).unwrap().count(), 1, "nothing added");
     }
 
     #[test]
-    fn fixed_width_journal_does_not_reopen() {
-        // The journal the fixed-width format leaves after one committed
-        // put of a 32-way inner node: a `BSMTPUT2` record of a 32-byte
-        // key, tag 3, fan-out 32 and 32 `u64` versions, then its marker.
-        let dir = tmp_dir("fixed");
-        let mut payload = fixed_width_key(&node(1, 0).key);
-        payload.extend_from_slice(&[3, 32]);
-        for _ in 0..32 {
-            payload.extend_from_slice(&1u64.to_le_bytes());
-        }
-        assert_eq!(payload.len(), 290);
-        write_committed(&dir, 0x4253_4d54_5055_5432, &payload);
-        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
-        // So is a journal that opens with a fixed-width remove.
-        let dir2 = tmp_dir("fixed-del");
-        write_committed(
-            &dir2,
-            0x4253_4d54_4445_4c32,
-            &fixed_width_key(&node(1, 0).key),
+    fn journal_written_before_format_headers_is_refused_untouched() {
+        // The journal the 48-byte-header format leaves after one put of
+        // a leaf of blob 1, version 1, offset 0, size 4 KiB whose page
+        // key is (1, 1, 0) on provider 1: a `BSMTPUT3` record of that
+        // node's 11 varint bytes, then a `BSPGCMT1` marker, each header
+        // six words with the check word that format computed.
+        let mut image: Vec<u8> = [0x4253_4d54_5055_5433, 0, 0, 0, 11, 0xd62b_2bb1_6fbc_f12e]
+            .iter()
+            .flat_map(|w: &u64| w.to_le_bytes())
+            .collect();
+        image.extend_from_slice(&[1, 1, 0, 0x80, 0x20, 4, 1, 1, 0, 1, 1]);
+        image.extend(
+            [0x4253_5047_434d_5431u64, 0, 0, 0, 0, 0x4e2e_37c1_20c7_f245]
+                .iter()
+                .flat_map(|w| w.to_le_bytes()),
         );
-        assert_refused_untouched(&dir2, &dir2.join("meta.g0.log"));
+        assert_eq!(image.len(), 107);
+        let dir = tmp_dir("before-headers");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("meta.g0.log"), &image).unwrap();
+        assert_refused_untouched(&dir, 0);
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]
-    fn fixed_width_bodies_under_the_current_magic_do_not_reopen() {
+    fn fixed_width_bodies_do_not_reopen() {
         // A current key over the fixed-width bodies' tags — tag 1, a leaf
         // of three u64 page-key fields, a u32 count and a u32 id; tag 3,
         // an inner node of u64 versions — is a `BadTag`, so the record
-        // is a `Recovery`, never a node.
+        // is a `Recovery` at its offset, never a node.
         let key = node(1, 0).key.to_wire();
         let mut leaf = vec![1u8];
         for field in [1u64, 7, 3] {
@@ -670,68 +656,38 @@ mod tests {
             );
             let dir = tmp_dir("old-tag");
             write_committed_put(&dir, &payload);
-            assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
+            assert_refused_untouched(&dir, start());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
     fn binary_tree_journal_does_not_reopen() {
-        // A committed put of a binary inner node under this format's
-        // magic: key, tag 0, left, right.
+        // A committed put of a binary inner node: key, tag 0, left,
+        // right.
         let dir = tmp_dir("binary");
         let mut payload = node(1, 0).key.to_wire();
         payload.push(0);
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&1u64.to_le_bytes());
         write_committed_put(&dir, &payload);
-        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
+        assert_refused_untouched(&dir, start());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sixteen_way_journal_does_not_reopen() {
-        // A committed put of a 16-way inner node: the record is intact,
-        // but its body's tag is refused, never read as a 32-way node.
+        // A committed put of a 16-way inner node (tag 2, fan-out 16,
+        // sixteen u64 versions): the record is intact, but its body's tag
+        // is refused, never read as a 32-way node.
         let dir = tmp_dir("sixteen");
         let mut payload = node(1, 0).key.to_wire();
-        payload.extend_from_slice(&sixteen_way_put(1, 0)[32..]);
+        payload.extend_from_slice(&[2, 16]);
+        for _ in 0..16 {
+            payload.extend_from_slice(&1u64.to_le_bytes());
+        }
         write_committed_put(&dir, &payload);
-        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_in_a_retired_format_is_refused_untouched() {
-        // The journal the retired digest leaves after one committed put
-        // of a 16-way `node(1, 0)`: a `BSMTPUT1` record whose check word
-        // the single-chain digest computed, then its marker.
-        let dir = tmp_dir("retired");
-        std::fs::create_dir_all(&dir).unwrap();
-        let payload = sixteen_way_put(1, 0);
-        assert_eq!(payload.len(), 162);
-        let mut image: Vec<u8> = [
-            0x4253_4d54_5055_5431u64,
-            0,
-            0,
-            0,
-            162,
-            0x6598_839f_c33f_9f55,
-        ]
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .collect();
-        image.extend_from_slice(&payload);
-        image.extend_from_slice(&encode_header(
-            blobseer_util::recordlog::COMMIT_MAGIC,
-            0,
-            0,
-            0,
-            0,
-            0,
-        ));
-        std::fs::write(dir.join("meta.g0.log"), &image).unwrap();
-        assert_refused_untouched(&dir, &dir.join("meta.g0.log"));
+        assert_refused_untouched(&dir, start());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -66,8 +66,9 @@
 use crate::error::CodecError;
 use crate::geometry::{Geometry, Segment};
 use crate::ids::{BlobId, ProviderId, Version, WriteId};
-use crate::wire::{varint_len, Reader, Wire, WireBuf, MAX_LEN};
+use crate::wire::{Reader, Wire, WireBuf};
 use crate::{wire_newtype, wire_struct};
+use blobseer_util::varint;
 use std::fmt;
 use std::sync::Arc;
 
@@ -115,7 +116,7 @@ impl Wire for NodeKey {
     }
 
     fn wire_hint(&self) -> usize {
-        self.fields().into_iter().map(varint_len).sum()
+        self.fields().into_iter().map(varint::len).sum()
     }
 }
 
@@ -156,30 +157,11 @@ pub struct PageLoc {
     pub replicas: Vec<ProviderId>,
 }
 
-impl PageLoc {
-    /// The page key's integers in wire order.
-    fn key_fields(&self) -> [u64; 3] {
-        [self.key.blob.0, self.key.write.0, self.key.index]
-    }
-}
-
-/// Varints: the page key's blob, write id and index, the replica count,
-/// then each replica's provider id.
-///
-/// Only a leaf body carries a `PageLoc`, and only here is a page key
-/// written as varints; a [`PageKey`] on its own keeps its fixed 24
-/// bytes. The split keeps every data-path frame — `PUT_PAGE`,
-/// `GET_PAGE`, `REMOVE_PAGE` and `GcPlan::dead_pages` — byte-identical,
-/// so the metadata's format moves no page frame and no figure pinned on
-/// a page leg. There a key rides beside a whole page and its bytes are
-/// noise (varint page keys would take `sim_paper`'s wire bytes per user
-/// byte from 1.000785 to 1.000710 at seed 1); in a leaf body the key is
-/// half the record.
+/// Varints: the page key (see [`PageKey`]'s encoding), the replica
+/// count, then each replica's provider id.
 impl Wire for PageLoc {
     fn encode(&self, out: &mut WireBuf) {
-        for field in self.key_fields() {
-            out.put_varint(field);
-        }
+        self.key.encode(out);
         out.put_varint(self.replicas.len() as u64);
         for id in &self.replicas {
             out.put_varint(u64::from(id.0));
@@ -187,20 +169,8 @@ impl Wire for PageLoc {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let key = PageKey {
-            blob: BlobId(r.take_varint()?),
-            write: WriteId(r.take_varint()?),
-            index: r.take_varint()?,
-        };
-        let count = r.take_varint()?;
-        // The cap of every length prefix ([`crate::wire::decode_len`]).
-        let overflow = CodecError::LengthOverflow { declared: count };
-        if count > MAX_LEN {
-            return Err(overflow);
-        }
-        let count = usize::try_from(count).map_err(|_| overflow)?;
-        // Each replica takes at least one byte, so a hostile count
-        // allocates no more than the bytes that are really there.
+        let key = PageKey::decode(r)?;
+        let count = r.take_varint_count()?;
         let mut replicas = Vec::with_capacity(count.min(r.remaining()));
         for _ in 0..count {
             let id = u32::try_from(r.take_varint()?).map_err(|_| CodecError::BadVarint {
@@ -212,13 +182,12 @@ impl Wire for PageLoc {
     }
 
     fn wire_hint(&self) -> usize {
-        let key: usize = self.key_fields().into_iter().map(varint_len).sum();
         let ids: usize = self
             .replicas
             .iter()
-            .map(|id| varint_len(u64::from(id.0)))
+            .map(|id| varint::len(u64::from(id.0)))
             .sum();
-        key + varint_len(self.replicas.len() as u64) + ids
+        self.key.wire_hint() + varint::len(self.replicas.len() as u64) + ids
     }
 }
 
@@ -232,8 +201,9 @@ impl Wire for PageLoc {
 /// re-placed after a failed put keeps its key, and nothing about a page
 /// depends on the version it ends up in.
 ///
-/// On the wire it is three fixed `u64`s; a leaf body writes it as
-/// varints instead (see [`PageLoc`]'s encoding).
+/// On the wire it is three varints — blob, write id, index — in page
+/// frames (`PUT_PAGE`, `GET_PAGE`, `REMOVE_PAGE`, a gc plan's dead pages)
+/// and in a leaf's [`PageLoc`] alike.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageKey {
     /// Owning blob.
@@ -244,7 +214,28 @@ pub struct PageKey {
     pub index: u64,
 }
 
-wire_struct!(PageKey { blob, write, index });
+impl Wire for PageKey {
+    fn encode(&self, out: &mut WireBuf) {
+        out.put_varint(self.blob.0);
+        out.put_varint(self.write.0);
+        out.put_varint(self.index);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(PageKey {
+            blob: BlobId(r.take_varint()?),
+            write: WriteId(r.take_varint()?),
+            index: r.take_varint()?,
+        })
+    }
+
+    fn wire_hint(&self) -> usize {
+        [self.blob.0, self.write.0, self.index]
+            .into_iter()
+            .map(varint::len)
+            .sum()
+    }
+}
 
 /// The most children an inner node has: the tree's arity.
 const ARITY: usize = Geometry::ARITY as usize;
@@ -359,7 +350,7 @@ impl Wire for NodeBody {
                     .as_slice()
                     .iter()
                     .copied()
-                    .map(varint_len)
+                    .map(varint::len)
                     .sum::<usize>()
             }
             NodeBody::Leaf { page } => 1 + page.wire_hint(),

@@ -7,21 +7,13 @@
 //!
 //! # Varints
 //!
-//! A metadata tree node ([`crate::tree`]) writes its integers as LEB128
-//! varints instead: seven bits per byte, least significant group first,
-//! the high bit set on every byte but the last. A value below 128 takes
-//! one byte, a `u64` at most ten ([`varint_len`] is exact).
-//! [`WireBuf::put_varint`] writes the shortest encoding, and
-//! [`Reader::take_varint`] accepts only that one, so every value has
-//! exactly one encoding. It refuses, as [`CodecError::BadVarint`]:
-//!
-//! * an **overlong** encoding — a last byte of 0 after another byte,
-//!   which a shorter encoding would have said;
-//! * an **11th byte** — a tenth byte with its continuation bit set;
-//! * a tenth byte whose bits **overflow `u64`** (anything above 1).
-//!
-//! A truncated varint is [`CodecError::UnexpectedEof`]. Nothing is ever
-//! allocated from a varint's value by this primitive; a caller that
+//! Metadata tree nodes ([`crate::tree`]) and page keys write their
+//! integers as LEB128 varints instead, through the one codec the log
+//! record headers also use ([`blobseer_util::varint`]: seven bits per
+//! byte, shortest encoding only). [`WireBuf::put_varint`] writes it and
+//! [`Reader::take_varint`] refuses anything else — overlong, an 11th
+//! byte, a 10th byte above 1 — as [`CodecError::BadVarint`]; a
+//! truncated varint is [`CodecError::UnexpectedEof`]. A caller that
 //! reads a count from one caps it as [`decode_len`] does.
 //!
 //! # Copy discipline
@@ -46,22 +38,11 @@
 //! would carry, which is what drives the bandwidth cost model.
 
 use crate::error::CodecError;
-use blobseer_util::{copymeter, PageBuf};
+use blobseer_util::{copymeter, varint, PageBuf};
 
 /// Sanity cap on any single length prefix (1 GiB) — prevents a corrupt
 /// length from causing an absurd allocation.
 pub const MAX_LEN: u64 = 1 << 30;
-
-/// The most bytes a LEB128 varint of a `u64` takes: ⌈64 / 7⌉.
-pub const MAX_VARINT_LEN: usize = 10;
-
-/// Bytes of the LEB128 varint of `v` ([`WireBuf::put_varint`]): 1 for
-/// 0 to 127, one more per further seven significant bits, 10 at most.
-#[inline]
-pub const fn varint_len(v: u64) -> usize {
-    let bits = 64 - (v | 1).leading_zeros();
-    bits.div_ceil(7) as usize
-}
 
 /// Payloads at or above this size are attached to frames as shared
 /// segments; smaller ones are cheaper to copy into the contiguous tail
@@ -276,14 +257,10 @@ impl WireBuf {
     }
 
     /// Append `v` as a LEB128 varint: its shortest encoding,
-    /// [`varint_len`]`(v)` bytes, into the contiguous tail.
+    /// [`varint::len`]`(v)` bytes, into the contiguous tail.
     #[inline]
-    pub fn put_varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.tail.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.tail.push(v as u8);
+    pub fn put_varint(&mut self, v: u64) {
+        varint::put(&mut self.tail, v);
     }
 
     /// Append a `u32` length prefix, **checked**: a length above
@@ -580,38 +557,37 @@ impl<'a> Reader<'a> {
 
     /// Consume one LEB128 varint ([`WireBuf::put_varint`]), refusing
     /// any encoding but the shortest and anything above `u64::MAX` (see
-    /// the module docs). Reads at most [`MAX_VARINT_LEN`] bytes.
+    /// [`blobseer_util::varint`]).
     ///
     /// Like every fixed-width field, a varint lies within one segment of
     /// a chain source: one that runs past its segment's end is an EOF.
     pub fn take_varint(&mut self) -> Result<u64, CodecError> {
         let run = self.segment_rest();
-        let mut value = 0u64;
-        for (i, &byte) in run.iter().take(MAX_VARINT_LEN).enumerate() {
-            // The tenth byte carries bit 63 alone and ends the varint.
-            if i == MAX_VARINT_LEN - 1 && byte > 1 {
-                return Err(CodecError::BadVarint {
-                    reason: if byte & 0x80 != 0 {
-                        "longer than ten bytes"
-                    } else {
-                        "overflows u64"
-                    },
-                });
+        match varint::take(run) {
+            Ok((value, len)) => {
+                self.advance(len);
+                Ok(value)
             }
-            value |= u64::from(byte & 0x7f) << (7 * i);
-            if byte & 0x80 == 0 {
-                if byte == 0 && i > 0 {
-                    return Err(CodecError::BadVarint { reason: "overlong" });
-                }
-                self.advance(i + 1);
-                return Ok(value);
-            }
+            Err(varint::Refused::Bad(reason)) => Err(CodecError::BadVarint { reason }),
+            Err(varint::Refused::Eof) => Err(CodecError::UnexpectedEof {
+                needed: run.len() + 1,
+                remaining: run.len(),
+            }),
         }
-        // Every byte of the run continued the varint (at most nine do).
-        Err(CodecError::UnexpectedEof {
-            needed: run.len() + 1,
-            remaining: run.len(),
-        })
+    }
+
+    /// Consume a varint count of items that each take at least one
+    /// byte, refused above [`MAX_LEN`] like every length prefix
+    /// ([`decode_len`]). A caller reserves at most
+    /// `count.min(self.remaining())`, so a hostile count allocates no
+    /// more than the bytes that are really there.
+    pub fn take_varint_count(&mut self) -> Result<usize, CodecError> {
+        let count = self.take_varint()?;
+        let overflow = CodecError::LengthOverflow { declared: count };
+        if count > MAX_LEN {
+            return Err(overflow);
+        }
+        usize::try_from(count).map_err(|_| overflow)
     }
 
     /// The unread bytes of the segment holding the next byte (all the
@@ -1156,12 +1132,12 @@ mod tests {
             let mut out = WireBuf::new();
             out.put_varint(v);
             let bytes = out.finish().to_vec();
-            assert_eq!(bytes.len(), varint_len(v), "{v}");
+            assert_eq!(bytes.len(), varint::len(v), "{v}");
             let mut r = Reader::new(&bytes);
             assert_eq!(r.take_varint(), Ok(v));
             r.finish().unwrap();
         }
-        assert_eq!(varint_len(u64::MAX), MAX_VARINT_LEN);
+        assert_eq!(varint::len(u64::MAX), varint::MAX_LEN);
     }
 
     #[test]

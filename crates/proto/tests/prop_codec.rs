@@ -60,6 +60,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
+    fn page_keys_roundtrip_in_their_hinted_bytes(loc in arb_page_loc(), data in any::<u8>()) {
+        // One encoding, in a page frame and in a leaf's locator alike:
+        // three varints.
+        let key = loc.key;
+        let bytes = key.to_wire();
+        prop_assert_eq!(bytes.len(), key.wire_hint());
+        prop_assert!((3..=30).contains(&bytes.len()));
+        prop_assert_eq!(PageKey::from_wire(&bytes).unwrap(), key);
+        prop_assert_eq!(&loc.to_wire()[..bytes.len()], &bytes[..]);
+        prop_assert_eq!(&GetPage { key }.to_wire()[..], &bytes[..]);
+        let put = PutPage { key, data: PageBuf::from_vec(vec![data]) };
+        prop_assert_eq!(&put.to_wire()[..bytes.len()], &bytes[..]);
+        prop_assert_eq!(PutPage::from_wire(&put.to_wire()).unwrap(), put);
+    }
+
+    #[test]
     fn node_keys_roundtrip_in_their_hinted_bytes(key in arb_node_key()) {
         let bytes = key.to_wire();
         prop_assert_eq!(bytes.len(), key.wire_hint());

@@ -16,15 +16,17 @@
 //! # Log format and crash model
 //!
 //! The page log is a client of the record-then-commit engine in
-//! [`blobseer_util::recordlog`], which owns the on-disk format
-//! (48-byte headers, tombstones, sequenced commit markers), the
-//! reserve → write → group-commit append protocol, marker-by-marker
-//! replay, and the `<base>.g<N>.log` generation files — see its module
-//! docs. What this module adds:
+//! [`blobseer_util::recordlog`], which owns the on-disk format (the
+//! format header, compact varint record headers, tombstones, sequenced
+//! commit markers), the reserve → write → group-commit append protocol,
+//! marker-by-marker replay, and the `<base>.g<N>.log` generation files —
+//! see its module docs. What this module adds:
 //!
-//! * the **page record**: magic `BSPGLOG3`, header words `a/b/c` = the
-//!   page key (blob, write, index), payload = the page bytes (a log of
-//!   an earlier magic is refused at open, untouched);
+//! * the **page record**: its own kind, header fields `a/b/c` = the
+//!   page key (blob, write, index), payload = the page bytes. The log's
+//!   format header names the page log's format number ([`FORMAT`]); a
+//!   log of another number, or one written before format headers, is
+//!   refused at open, untouched;
 //! * the file is `pages.g<N>.log`, sparse pre-sized to the provider's
 //!   capacity and memory-mapped read-only exactly once, so the
 //!   engine's [`Appender`] is bounded by the mapping and an append's
@@ -79,8 +81,8 @@ use blobseer_proto::tree::PageKey;
 use blobseer_proto::{BlobError, BlobId, WriteId};
 pub use blobseer_util::recordlog::CompactReport;
 use blobseer_util::recordlog::{
-    self, Appender, CompactTrigger, GenerationWriter, LogError, Record, RecordLogOptions,
-    ResumePoint, REC_HEADER,
+    self, Appender, Client, CompactTrigger, Format, GenerationWriter, LogError, Record,
+    RecordLogOptions, FIRST_CLIENT_KIND,
 };
 use blobseer_util::PageBuf;
 use parking_lot::RwLock;
@@ -219,10 +221,10 @@ pub trait StorageBackend: Send + Sync {
         replaced: Option<u64>,
     ) -> Result<PageBuf, BlobError>;
 
-    /// Account the removal of a stored entry of `len` bytes (heap
-    /// backends free; the page log counts the record as dead bytes a
-    /// future compaction reclaims).
-    fn on_remove(&self, len: u64);
+    /// Account the removal of the stored entry of `key`, `len` bytes
+    /// (heap backends free; the page log counts its record as dead bytes
+    /// a future compaction reclaims).
+    fn on_remove(&self, key: &PageKey, len: u64);
 
     /// Current backing-byte footprint, split heap vs mapped.
     fn resident(&self) -> ResidentBytes;
@@ -346,7 +348,7 @@ impl StorageBackend for MemoryBackend {
         Ok(data.clone())
     }
 
-    fn on_remove(&self, len: u64) {
+    fn on_remove(&self, _key: &PageKey, len: u64) {
         let _ = self
             .heap
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -366,26 +368,35 @@ impl StorageBackend for MemoryBackend {
 // Mmap backend
 // ---------------------------------------------------------------------------
 
-/// Page-record magic ("BSPGLOG3": commit markers and the eight-lane
-/// payload digest). A page log written under an earlier magic —
-/// `BSPGLOG1`, before commit markers, or `BSPGLOG2`, under the
-/// single-chain digest — is refused at open as a typed
-/// [`BlobError::Recovery`] and left untouched
-/// ([`recordlog::RETIRED_MAGICS`]); it is never replayed as empty.
-const LOG_MAGIC: u64 = 0x4253_5047_4c4f_4733;
+/// The page log's format: generation files `pages.g<N>.log`, format
+/// number 1. A log whose head is anything but this header — one written
+/// before format headers (whose 48-byte page records began with the
+/// magic `BSPGLOG1`, `…2` or `…3`), or one of another number — is
+/// refused at open as a typed [`BlobError::Recovery`] and left
+/// untouched; it is never replayed as empty.
+pub const FORMAT: Format = Format {
+    client: Client::PageLog,
+    number: 1,
+};
 
-/// Generation files are `pages.g<N>.log`.
-const LOG_BASE: &str = "pages";
+/// Kind of a page record: `a`, `b`, `c` = blob, write id, page index.
+const PAGE_KIND: u8 = FIRST_CLIENT_KIND;
 
 /// The page record of `key → data`.
 fn page_record<'a>(key: &PageKey, data: &'a PageBuf) -> Record<'a> {
     Record {
-        magic: LOG_MAGIC,
+        kind: PAGE_KIND,
         a: key.blob.0,
         b: key.write.0,
         c: key.index,
         payload: data.as_slice(),
     }
+}
+
+/// Log bytes of the page record of `key` over `len` payload bytes: what
+/// a remove or a supersede leaves dead, and what a compaction reclaims.
+fn page_record_bytes(key: &PageKey, len: u64) -> u64 {
+    recordlog::footprint(key.blob.0, key.write.0, key.index, len)
 }
 
 /// Surface an engine error as the provider's typed error.
@@ -396,7 +407,7 @@ fn log_err(e: LogError) -> BlobError {
         LogError::WriteFailed { .. } => "provider page log write failed",
         LogError::Poisoned => "provider page log poisoned",
         LogError::CommitFailed => "provider page log commit failed",
-        LogError::RetiredFormat { .. } => "provider page log in a retired format",
+        LogError::WrongFormat => "provider page log in another format",
     })
 }
 
@@ -422,16 +433,17 @@ impl Generation {
         capacity: u64,
         opts: RecordLogOptions,
     ) -> Result<Self, BlobError> {
-        let (file, path) = recordlog::open_generation(dir, LOG_BASE, number).map_err(log_err)?;
+        let (file, path) =
+            recordlog::open_generation(dir, FORMAT.client.base(), number).map_err(log_err)?;
         let existing = file
             .metadata()
             .map_err(|_| BlobError::Internal("stat provider page log"))?
             .len();
-        // A retired format is refused before the file is extended,
-        // resumed or appended over.
-        recordlog::check_format(&file).map_err(|e| BlobError::Recovery {
+        // Another format is refused before the file is extended,
+        // resumed or appended over; a fresh file gets its header first.
+        recordlog::claim_format(&file, FORMAT).map_err(|e| BlobError::Recovery {
             file: path.display().to_string(),
-            offset: e.offset(),
+            offset: 0,
             detail: e.detail(),
         })?;
         let map_len = capacity.max(existing);
@@ -444,7 +456,7 @@ impl Generation {
             .map_err(|_| BlobError::Internal("map provider page log"))?;
         Ok(Self {
             number,
-            log: Appender::new(file, map.len() as u64, opts, ResumePoint::default()),
+            log: Appender::new(file, map.len() as u64, opts, FORMAT.start()),
             map,
             path,
             created_empty: existing == 0,
@@ -498,7 +510,7 @@ impl MmapBackend {
     /// that already holds records keeps them — call
     /// [`StorageBackend::recover`] to replay.
     pub fn open_with(dir: &Path, capacity: u64, opts: LogOptions) -> Result<Self, BlobError> {
-        let newest = recordlog::newest_generation(dir, LOG_BASE).map_err(log_err)?;
+        let newest = recordlog::newest_generation(dir, FORMAT.client.base()).map_err(log_err)?;
         let durability = RecordLogOptions {
             fsync_on_commit: opts.fsync_on_commit,
             group_commit_window: opts.group_commit_window,
@@ -571,10 +583,11 @@ impl StorageBackend for MmapBackend {
         Ok(gen.map.slice(s..s + data.len()))
     }
 
-    fn on_remove(&self, len: u64) {
+    fn on_remove(&self, key: &PageKey, len: u64) {
         // The record stays in the log but is now dead weight; the next
         // compaction reclaims it (header included).
-        self.dead.fetch_add(REC_HEADER + len, Ordering::Relaxed);
+        self.dead
+            .fetch_add(page_record_bytes(key, len), Ordering::Relaxed);
     }
 
     fn resident(&self) -> ResidentBytes {
@@ -640,20 +653,20 @@ impl StorageBackend for MmapBackend {
     /// A generation whose file was empty when it was opened, with
     /// nothing appended since, is not replayed and its mapping is not
     /// touched: it has nothing to surface and its appender already
-    /// starts at the beginning, while the first header read of the
+    /// starts after the format header, while the first header read of the
     /// sparse mapping would fault in a whole readahead window
     /// (`read_ahead_kb`) of zero-filled page cache. Every other
     /// generation — a restart, a compacted one — replays in full.
     fn recover(&self) -> Result<Vec<(PageKey, PageBuf)>, BlobError> {
         let gen = Arc::clone(&self.gen.read());
-        if gen.created_empty && gen.log.log_bytes() == 0 {
+        if gen.created_empty && gen.log.log_bytes() == FORMAT.start().durable {
             return Ok(Vec::new());
         }
         let mut visible = Vec::new();
         let resume = recordlog::replay(gen.map.as_slice(), |r| {
             // Only page records are this log's; a committed record of
             // any other kind serves nothing.
-            if r.magic == LOG_MAGIC {
+            if r.kind == PAGE_KIND {
                 let key = PageKey {
                     blob: BlobId(r.a),
                     write: WriteId(r.b),
@@ -684,7 +697,7 @@ impl MmapBackend {
         live: &[(PageKey, PageBuf)],
     ) -> Result<PreparedCompaction, LogError> {
         let next = old.number + 1;
-        let mut staged = GenerationWriter::create(&self.dir, LOG_BASE, next, self.capacity)?;
+        let mut staged = GenerationWriter::create(&self.dir, FORMAT, next, self.capacity)?;
         staged
             .file()
             .set_len(self.capacity)
@@ -792,7 +805,7 @@ impl MmapBackend {
             .iter()
             .zip(&ranges)
             .filter(|(&hit, _)| !hit)
-            .map(|(_, &(_, _, l))| REC_HEADER + l as u64)
+            .map(|(_, (key, _, l))| page_record_bytes(key, *l as u64))
             .sum();
 
         let (log, path) = staged.install(&old.log, &old.path).map_err(log_err)?;
@@ -829,11 +842,11 @@ mod tests {
     use super::*;
     use blobseer_util::copymeter;
     use blobseer_util::recordlog::{
-        encode_header, payload_digest, write_at, COMMIT_MAGIC, TOMBSTONE_MAGIC,
+        footprint, header, payload_digest, write_at, ResumePoint, COMMIT_KIND, TOMBSTONE_KIND,
     };
 
     fn gen_file_name(n: u64) -> String {
-        format!("{LOG_BASE}.g{n}.log")
+        format!("{}.g{n}.log", FORMAT.client.base())
     }
 
     /// White-box for crash tests: the raw file of generation 0.
@@ -859,9 +872,46 @@ mod tests {
         d
     }
 
+    /// Where a fresh log's first record lands: after its format header.
+    fn start() -> u64 {
+        FORMAT.start().durable
+    }
+
     /// A page record's on-disk footprint.
-    fn rec(len: u64) -> u64 {
-        REC_HEADER + len
+    fn rec(key: PageKey, len: u64) -> u64 {
+        page_record_bytes(&key, len)
+    }
+
+    /// A commit marker's on-disk footprint.
+    fn marker(seq: u64, covered_from: u64) -> u64 {
+        footprint(seq, covered_from, 0, 0)
+    }
+
+    /// Log bytes of a fresh log after records of these footprints were
+    /// appended one at a time, each sealed by its own marker.
+    fn sealed_one_by_one(records: &[u64]) -> u64 {
+        (0u64..).zip(records).fold(start(), |durable, (seq, r)| {
+            durable + r + marker(seq, durable)
+        })
+    }
+
+    /// Bytes of the committed page records generation `n` under `dir`
+    /// holds, dead ones included: what a compaction can reclaim is the
+    /// difference between two generations'.
+    fn record_bytes(dir: &Path, n: u64) -> u64 {
+        let image = std::fs::read(dir.join(gen_file_name(n))).unwrap();
+        let mut bytes = 0;
+        recordlog::replay(&image, |r| {
+            bytes += footprint(r.a, r.b, r.c, r.payload.len() as u64);
+        });
+        bytes
+    }
+
+    /// The header of a page record of `key` over `data`.
+    fn page_header(key: PageKey, data: &PageBuf) -> Vec<u8> {
+        let (a, b, c) = (key.blob.0, key.write.0, key.index);
+        let digest = payload_digest(data.as_slice());
+        header(PAGE_KIND, a, b, c, data.len() as u64, digest)
     }
 
     #[test]
@@ -875,7 +925,7 @@ mod tests {
         // the caller reports the actually freed entry via on_remove
         // (here: the index replacement frees the old 4096).
         b.ingest(&key(1, 0), &page, Some(4096)).unwrap();
-        b.on_remove(4096);
+        b.on_remove(&key(1, 0), 4096);
         assert_eq!(
             b.resident(),
             ResidentBytes {
@@ -883,7 +933,7 @@ mod tests {
                 mapped: 0
             }
         );
-        b.on_remove(4096);
+        b.on_remove(&key(1, 0), 4096);
         assert_eq!(b.resident().heap, 4096);
         assert_eq!(b.dead_bytes(), 0, "the heap frees eagerly");
         assert!(!b.wants_compaction());
@@ -901,9 +951,9 @@ mod tests {
         let page = PageBuf::from_vec(vec![7u8; 4096]);
         b.ingest(&key(1, 0), &page, None).unwrap(); // first put, inserts fresh
         b.ingest(&key(1, 0), &page, None).unwrap(); // racer probed None too
-        b.on_remove(4096); // second insert replaced the first entry
+        b.on_remove(&key(1, 0), 4096); // second insert replaced the first entry
         assert_eq!(b.resident().heap, 4096, "exactly one live entry");
-        b.on_remove(4096); // eventual remove of the key
+        b.on_remove(&key(1, 0), 4096); // eventual remove of the key
         assert_eq!(b.resident().heap, 0, "no phantom bytes remain");
     }
 
@@ -929,7 +979,8 @@ mod tests {
         assert_eq!(s0.mapping_generation(), Some(0));
         // Two records, each sealed by its own marker (single-threaded
         // appends commit one by one).
-        assert_eq!(b.resident().mapped, 2 * rec(4096) + 2 * REC_HEADER);
+        let two = [rec(key(1, 0), 4096), rec(key(1, 1), 4096)];
+        assert_eq!(b.resident().mapped, sealed_one_by_one(&two));
         assert_eq!(b.resident().heap, 0);
 
         // A fresh backend on the same directory replays both records.
@@ -945,10 +996,13 @@ mod tests {
         assert_eq!(recovered[1].1, p1);
         assert!(recovered.iter().all(|(_, p)| p.is_mapped()));
         // Appends resume after the replayed durable tail.
-        let replayed_tail = 2 * rec(4096) + 2 * REC_HEADER;
+        let replayed_tail = sealed_one_by_one(&two);
         assert_eq!(b2.log_bytes(), replayed_tail);
         b2.ingest(&key(2, 0), &p0, None).unwrap();
-        assert_eq!(b2.log_bytes(), replayed_tail + rec(4096) + REC_HEADER);
+        assert_eq!(
+            b2.log_bytes(),
+            replayed_tail + rec(key(2, 0), 4096) + marker(2, replayed_tail)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -967,9 +1021,10 @@ mod tests {
             b.ingest(&key(1, 0), &pa, None).unwrap();
             committed_end = b.log_bytes();
             // Handcraft a complete-but-uncommitted record at the tail.
-            let h = encode_header(LOG_MAGIC, 1, 7, 7, 512, payload_digest(pb.as_slice()));
+            let h = page_header(key(7, 7), &pb);
             write_at(&raw_log(&dir), &h, committed_end).unwrap();
-            write_at(&raw_log(&dir), pb.as_slice(), committed_end + REC_HEADER).unwrap();
+            let payload_at = committed_end + h.len() as u64;
+            write_at(&raw_log(&dir), pb.as_slice(), payload_at).unwrap();
         }
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b.recover().unwrap();
@@ -997,6 +1052,7 @@ mod tests {
         let dir = temp_dir("tombstone");
         let pa = PageBuf::from_vec(vec![1u8; 512]);
         let pc = PageBuf::from_vec(vec![3u8; 512]);
+        let sealed_end;
         {
             let b = MmapBackend::open(&dir, 1 << 16).unwrap();
             b.ingest(&key(1, 0), &pa, None).unwrap();
@@ -1006,16 +1062,17 @@ mod tests {
             // sealed by one marker: C's record, a tombstone over the
             // failed 512-byte range, then the marker covering both.
             let c_at = tail;
-            let ch = encode_header(LOG_MAGIC, 1, 2, 7, 512, payload_digest(pc.as_slice()));
+            let ch = page_header(key(2, 7), &pc);
             write_at(&f, &ch, c_at).unwrap();
-            write_at(&f, pc.as_slice(), c_at + REC_HEADER).unwrap();
-            let tomb_at = c_at + rec(512);
-            let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, 512, 0);
+            write_at(&f, pc.as_slice(), c_at + ch.len() as u64).unwrap();
+            let tomb_at = c_at + rec(key(2, 7), 512);
+            let tomb = header(TOMBSTONE_KIND, 0, 0, 0, 512, 0);
             write_at(&f, &tomb, tomb_at).unwrap();
-            let marker_at = tomb_at + rec(512);
+            let marker_at = tomb_at + tomb.len() as u64 + 512;
             // seq 1: the ingest above already sealed marker 0.
-            let marker = encode_header(COMMIT_MAGIC, 1, tail, 0, 0, 0);
+            let marker = header(COMMIT_KIND, 1, tail, 0, 0, 0);
             write_at(&f, &marker, marker_at).unwrap();
+            sealed_end = marker_at + marker.len() as u64;
         }
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b.recover().unwrap();
@@ -1025,10 +1082,7 @@ mod tests {
         assert_eq!(recovered[1].0, key(2, 7));
         assert_eq!(recovered[1].1, pc);
         // Appends resume after the second marker, not at the hole.
-        assert_eq!(
-            b.log_bytes(),
-            rec(512) + REC_HEADER + 2 * rec(512) + REC_HEADER
-        );
+        assert_eq!(b.log_bytes(), sealed_end);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1046,28 +1100,28 @@ mod tests {
             b.ingest(&key(1, 0), &pa, None).unwrap();
             let f = raw_log(&dir);
             let tail = b.log_bytes();
-            let bh = encode_header(LOG_MAGIC, 1, 9, 9, 512, payload_digest(pb.as_slice()));
+            let bh = page_header(key(9, 9), &pb);
             write_at(&f, &bh, tail).unwrap();
-            write_at(&f, pb.as_slice(), tail + REC_HEADER).unwrap();
+            write_at(&f, pb.as_slice(), tail + bh.len() as u64).unwrap();
             // A checksum-valid marker with seq 7 (expected: 1).
-            let marker = encode_header(COMMIT_MAGIC, 7, tail, 0, 0, 0);
-            write_at(&f, &marker, tail + rec(512)).unwrap();
+            let marker = header(COMMIT_KIND, 7, tail, 0, 0, 0);
+            write_at(&f, &marker, tail + rec(key(9, 9), 512)).unwrap();
         }
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b.recover().unwrap();
         assert_eq!(recovered.len(), 1, "out-of-sequence marker commits nothing");
         assert_eq!(recovered[0].0, key(1, 0));
-        assert_eq!(b.log_bytes(), rec(512) + REC_HEADER);
+        assert_eq!(b.log_bytes(), sealed_one_by_one(&[rec(key(1, 0), 512)]));
 
         // Same story for a marker with the right sequence number but
         // the wrong coverage offset.
         let f = raw_log(&dir);
         let tail = b.log_bytes();
-        let bh = encode_header(LOG_MAGIC, 1, 9, 9, 512, payload_digest(pb.as_slice()));
+        let bh = page_header(key(9, 9), &pb);
         write_at(&f, &bh, tail).unwrap();
-        write_at(&f, pb.as_slice(), tail + REC_HEADER).unwrap();
-        let marker = encode_header(COMMIT_MAGIC, 1, tail + 8, 0, 0, 0);
-        write_at(&f, &marker, tail + rec(512)).unwrap();
+        write_at(&f, pb.as_slice(), tail + bh.len() as u64).unwrap();
+        let marker = header(COMMIT_KIND, 1, tail + 8, 0, 0, 0);
+        write_at(&f, &marker, tail + rec(key(9, 9), 512)).unwrap();
         drop(f);
         drop(b);
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
@@ -1089,7 +1143,8 @@ mod tests {
             b.ingest(&key(1, 1), &PageBuf::from_vec(vec![2u8; 512]), None)
                 .unwrap();
             // Tear one payload byte of the second record.
-            let second_payload = rec(512) + REC_HEADER + REC_HEADER;
+            let second = sealed_one_by_one(&[rec(key(1, 0), 512)]);
+            let second_payload = second + rec(key(1, 1), 512) - 512;
             write_at(&raw_log(&dir), &[0xEE], second_payload + 100).unwrap();
         }
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
@@ -1102,8 +1157,9 @@ mod tests {
     #[test]
     fn failed_reservation_reserves_nothing() {
         let dir = temp_dir("rollback");
-        // Room for exactly one 512-byte record + its marker.
-        let b = MmapBackend::open(&dir, rec(512) + REC_HEADER).unwrap();
+        // Room for one 512-byte record and its marker, not for two.
+        let one = sealed_one_by_one(&[rec(key(1, 0), 512)]);
+        let b = MmapBackend::open(&dir, one + rec(key(1, 1), 512) - 1).unwrap();
         let page = PageBuf::from_vec(vec![1u8; 512]);
         b.ingest(&key(1, 0), &page, None).unwrap();
         let tail = b.log_bytes();
@@ -1120,9 +1176,12 @@ mod tests {
         let page = PageBuf::from_vec(vec![5u8; 512]);
         b.ingest(&key(1, 0), &page, None).unwrap();
         b.ingest(&key(1, 1), &page, None).unwrap();
-        // Flip a byte in the second record's header check word.
-        let second = rec(512) + REC_HEADER + 40;
-        write_at(&raw_log(&dir), &[0xFF], second).unwrap();
+        // Flip a byte in the second record's header check word (the
+        // header's last eight bytes).
+        let second = sealed_one_by_one(&[rec(key(1, 0), 512)]);
+        let check = second + rec(key(1, 1), 512) - 512 - 1;
+        let byte = std::fs::read(dir.join(gen_file_name(0))).unwrap()[check as usize];
+        write_at(&raw_log(&dir), &[!byte], check).unwrap();
         drop(b);
         let b2 = MmapBackend::open(&dir, 1 << 16).unwrap();
         let recovered = b2.recover().unwrap();
@@ -1134,8 +1193,10 @@ mod tests {
     #[test]
     fn mmap_backend_enforces_log_capacity_and_tracks_dead_bytes() {
         let dir = temp_dir("capacity");
-        // Room for two records, each with its own marker.
-        let b = MmapBackend::open(&dir, 2 * (rec(1024) + REC_HEADER)).unwrap();
+        // Room for two records, each with its own marker (of at most
+        // 16 bytes in a log this small), not for a third.
+        let r = rec(key(1, 0), 1024);
+        let b = MmapBackend::open(&dir, start() + 2 * (r + 16)).unwrap();
         let page = PageBuf::from_vec(vec![1u8; 1024]);
         b.ingest(&key(1, 0), &page, None).unwrap();
         b.ingest(&key(1, 1), &page, None).unwrap();
@@ -1143,10 +1204,10 @@ mod tests {
         assert!(err.is_err(), "log full");
         // Removes reclaim nothing immediately — the record becomes dead
         // bytes for compaction.
-        b.on_remove(1024);
+        b.on_remove(&key(1, 0), 1024);
         assert!(b.ingest(&key(1, 3), &page, None).is_err());
-        assert_eq!(b.resident().mapped, 2 * (rec(1024) + REC_HEADER));
-        assert_eq!(b.dead_bytes(), rec(1024));
+        assert_eq!(b.resident().mapped, sealed_one_by_one(&[r, r]));
+        assert_eq!(b.dead_bytes(), r);
         b.sync().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1178,9 +1239,11 @@ mod tests {
                     });
                 }
             });
-            let payload: u64 = pages.iter().map(|(_, p)| rec(p.len() as u64)).sum();
-            let markers = (b.log_bytes() - payload) / REC_HEADER;
-            assert!((1..=64).contains(&markers), "markers: {markers}");
+            let records: u64 = pages.iter().map(|(k, p)| rec(*k, p.len() as u64)).sum();
+            // Each marker here takes 13 to 15 bytes: one at least, one
+            // per append at most.
+            let markers = b.log_bytes() - start() - records;
+            assert!((13..=64 * 15).contains(&markers), "marker bytes: {markers}");
         }
         let b = MmapBackend::open(&dir, 1 << 20).unwrap();
         let recovered = b.recover().unwrap();
@@ -1219,7 +1282,7 @@ mod tests {
         let b = MmapBackend::open_with(&dir, 1 << 16, opts).unwrap();
         b.ingest(&key(1, 0), &PageBuf::from_vec(vec![4u8; 256]), None)
             .unwrap();
-        assert_eq!(b.log_bytes(), rec(256) + REC_HEADER);
+        assert_eq!(b.log_bytes(), sealed_one_by_one(&[rec(key(1, 0), 256)]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1237,12 +1300,15 @@ mod tests {
         // Drop the even-indexed half.
         let (dead, live): (Vec<_>, Vec<_>) =
             served.into_iter().partition(|(k, _)| k.index % 2 == 0);
-        for (_, p) in &dead {
-            b.on_remove(p.len() as u64);
+        for (k, p) in &dead {
+            b.on_remove(k, p.len() as u64);
         }
-        assert_eq!(b.dead_bytes(), 8 * rec(1024));
+        let dead_records: u64 = dead.iter().map(|(k, p)| rec(*k, p.len() as u64)).sum();
+        let live_records: u64 = live.iter().map(|(k, p)| rec(*k, p.len() as u64)).sum();
+        assert_eq!(b.dead_bytes(), dead_records);
         assert!(b.wants_compaction() || b.dead_bytes() < 64 * 1024);
         let old_bytes = b.log_bytes();
+        let old_records = record_bytes(&dir, 0);
         let old_mapping = b.gen.read().map.clone();
 
         // A reader holds a page from before the swap.
@@ -1252,15 +1318,17 @@ mod tests {
         let outcome = b.compact(&live).unwrap().expect("mmap compacts");
         assert_eq!(before.bytes_since(), 0, "compaction is a kernel rewrite");
         assert_eq!(outcome.report.old_log_bytes, old_bytes);
-        assert_eq!(outcome.report.new_log_bytes, 8 * rec(1024) + REC_HEADER);
+        assert_eq!(
+            outcome.report.new_log_bytes,
+            start() + live_records + marker(0, start())
+        );
         assert_eq!(
             outcome.report.reclaimed_bytes,
             old_bytes - outcome.report.new_log_bytes
         );
-        assert!(
-            outcome.report.reclaimed_bytes as f64 >= 0.9 * b.dead_bytes().max(8 * rec(1024)) as f64,
-            "at least the dead bytes come back"
-        );
+        // The dead bytes counted are exactly the record bytes the
+        // compaction reclaimed (markers are the log's, not a record's).
+        assert_eq!(old_records - record_bytes(&dir, 1), dead_records);
         assert_eq!(outcome.report.generation, 1);
         assert_eq!(b.generation(), 1);
         assert_eq!(b.dead_bytes(), 0, "dead bytes reset with the generation");
@@ -1337,12 +1405,12 @@ mod tests {
         let v_new = b
             .ingest(&reput, &PageBuf::from_vec(vec![9u8; 300]), Some(256))
             .unwrap();
-        b.on_remove(256); // the superseded `reput` record
+        b.on_remove(&reput, 256); // the superseded `reput` record
         let fresh = key(2, 0);
         let v_fresh = b
             .ingest(&fresh, &PageBuf::from_vec(vec![7u8; 128]), None)
             .unwrap();
-        b.on_remove(256); // `gone` removed outright
+        b.on_remove(&gone, 256); // `gone` removed outright
 
         // Phase 2 against the index as of *install* time.
         let current = vec![
@@ -1374,7 +1442,7 @@ mod tests {
 
         // The stale snapshot records (superseded `reput`, removed
         // `gone`) open the new generation already dead.
-        assert_eq!(b.dead_bytes(), 2 * rec(256));
+        assert_eq!(b.dead_bytes(), rec(reput, 256) + rec(gone, 256));
 
         // Crash + reopen: the catch-up batch replays after the
         // snapshot, so `reput` recovers its NEW bytes and `fresh`
@@ -1414,7 +1482,10 @@ mod tests {
         let live = vec![(k, v)];
         let prepared = b.compact_prepare(&live).unwrap().unwrap();
         let outcome = b.compact_install(prepared, &live).unwrap().unwrap();
-        assert_eq!(outcome.report.new_log_bytes, rec(512) + REC_HEADER);
+        assert_eq!(
+            outcome.report.new_log_bytes,
+            sealed_one_by_one(&[rec(k, 512)])
+        );
         assert_eq!(b.dead_bytes(), 0);
         drop(b);
         let b2 = MmapBackend::open(&dir, 1 << 20).unwrap();
@@ -1455,7 +1526,7 @@ mod tests {
             b.ingest(&key(1, 0), &PageBuf::from_vec(vec![1u8; 512]), None)
                 .unwrap();
             b.ingest(&key(1, 1), &live[0].1, None).unwrap();
-            b.on_remove(512);
+            b.on_remove(&key(1, 0), 512);
             b.compact(&live).unwrap().expect("compacts");
             // Re-create the old generation file as the crash would have
             // left it (compact unlinked it; put it back from a byte
@@ -1477,7 +1548,7 @@ mod tests {
         let dir = temp_dir("empty");
         let b = MmapBackend::open(&dir, 1 << 16).unwrap();
         assert!(b.recover().unwrap().is_empty());
-        assert_eq!(b.log_bytes(), 0);
+        assert_eq!(b.log_bytes(), start());
         assert_eq!(b.generation(), 0);
         assert_eq!(b.kind(), BackendKind::Mmap);
         assert_eq!(MemoryBackend::new(1).kind(), BackendKind::Memory);
@@ -1512,7 +1583,7 @@ mod tests {
             if counted {
                 assert_eq!(thread_majflt(), before, "opening an empty log faulted");
             }
-            assert_eq!(b.log_bytes(), 0);
+            assert_eq!(b.log_bytes(), start());
             let page = PageBuf::from_vec(vec![3u8; 512]);
             assert_eq!(b.ingest(&key(1, 0), &page, None).unwrap(), page);
             drop(b);
@@ -1523,49 +1594,106 @@ mod tests {
     }
 
     #[test]
-    fn page_log_in_a_retired_format_is_refused_untouched() {
-        // The file a provider of the previous format leaves after one
-        // committed 100-byte page of key (1, 1, 0): sparse pre-sized to
-        // 64 KiB, the record's check word as the single-chain digest
-        // computed it (a `BSPGLOG1` image reuses it — the magic alone
-        // is what is refused).
-        for (name, magic) in [
-            ("BSPGLOG1", 0x4253_5047_4c4f_4731u64),
-            ("BSPGLOG2", 0x4253_5047_4c4f_4732),
-        ] {
-            let dir = temp_dir(&format!("retired-{name}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let mut image = vec![0u8; 1 << 16];
-            for (i, w) in [magic, 1, 1, 0, 100, 0xec82_d3a5_0e6f_a637]
-                .into_iter()
-                .enumerate()
-            {
-                image[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
+    fn page_log_written_before_format_headers_is_refused_untouched() {
+        // The file the 48-byte-header format leaves after one committed
+        // 100-byte page of key (1, 1, 0), sparse pre-sized to 64 KiB: a
+        // `BSPGLOG3` record and a `BSPGCMT1` marker, header words and
+        // check words as that format wrote them.
+        let mut image = vec![0u8; 1 << 16];
+        let words = |at: usize, image: &mut [u8], words: [u64; 6]| {
+            for (i, w) in words.into_iter().enumerate() {
+                image[at + i * 8..at + i * 8 + 8].copy_from_slice(&w.to_le_bytes());
             }
-            image[48..148].copy_from_slice(&(0..100u8).collect::<Vec<_>>());
-            image[148..196].copy_from_slice(&encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0));
-            // Under the current digest the record does not validate, so
-            // a bare replay would open this log empty.
-            assert_eq!(
-                recordlog::replay(&image, |_| panic!("{name}: nothing replays")),
-                ResumePoint::default()
-            );
-            let path = dir.join(gen_file_name(0));
-            std::fs::write(&path, &image).unwrap();
-            match MmapBackend::open(&dir, 1 << 16) {
-                Err(BlobError::Recovery { file, offset, .. }) => {
-                    assert!(file.ends_with("pages.g0.log"), "{name}: {file}");
-                    assert_eq!(offset, 0, "{name}");
-                }
-                Err(other) => panic!("{name}: expected Recovery, got {other:?}"),
-                Ok(_) => panic!("{name}: a retired page log opened"),
+        };
+        words(
+            0,
+            &mut image,
+            [0x4253_5047_4c4f_4733, 1, 1, 0, 100, 0x070a_f395_66ed_3055],
+        );
+        image[48..148].copy_from_slice(&(0..100u8).collect::<Vec<_>>());
+        words(
+            148,
+            &mut image,
+            [0x4253_5047_434d_5431, 0, 0, 0, 0, 0x4e2e_37c1_20c7_f245],
+        );
+        // It has no format header, so a bare replay opens it empty.
+        assert_eq!(
+            recordlog::replay(&image, |_| panic!("nothing replays")),
+            ResumePoint::default()
+        );
+        let dir = temp_dir("before-headers");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(gen_file_name(0));
+        std::fs::write(&path, &image).unwrap();
+        match MmapBackend::open(&dir, 1 << 16) {
+            Err(BlobError::Recovery { file, offset, .. }) => {
+                assert!(file.ends_with("pages.g0.log"), "{file}");
+                assert_eq!(offset, 0);
             }
-            assert!(
-                std::fs::read(&path).unwrap() == image,
-                "{name}: the refused file is byte-identical"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+            Err(other) => panic!("expected Recovery, got {other:?}"),
+            Ok(_) => panic!("a page log without a format header opened"),
         }
+        assert!(
+            std::fs::read(&path).unwrap() == image,
+            "the refused file is byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dead_bytes_are_exactly_what_a_compaction_reclaims() {
+        // Keys whose varints take one to three bytes, pages of mixed
+        // lengths, removes, supersedes, and removes and re-puts landing
+        // between a compaction's two phases.
+        let dir = temp_dir("dead-exact");
+        let b = MmapBackend::open(&dir, 1 << 22).unwrap();
+        let key = |w: u64, i: u64| PageKey {
+            blob: BlobId(3),
+            write: WriteId(w),
+            index: i,
+        };
+        let page = |len: usize| PageBuf::from_vec(vec![7u8; len]);
+        let mut index: std::collections::HashMap<PageKey, PageBuf> = Default::default();
+        let put = |index: &mut std::collections::HashMap<PageKey, PageBuf>, k, len| {
+            let served = b.ingest(&k, &page(len), None).unwrap();
+            if let Some(old) = index.insert(k, served) {
+                b.on_remove(&k, old.len() as u64);
+            }
+        };
+        let remove = |index: &mut std::collections::HashMap<PageKey, PageBuf>, k| {
+            let old: PageBuf = index.remove(&k).unwrap();
+            b.on_remove(&k, old.len() as u64);
+        };
+        for (n, w) in [1u64, 200, 20_000].into_iter().enumerate() {
+            for i in [0u64, 5, 300, 70_000] {
+                put(&mut index, key(w, i), 100 + 37 * n + i as usize % 500);
+            }
+        }
+        put(&mut index, key(200, 5), 4096);
+        put(&mut index, key(1, 0), 3);
+        remove(&mut index, key(20_000, 300));
+        remove(&mut index, key(1, 70_000));
+        let snapshot: Vec<(PageKey, PageBuf)> = index.clone().into_iter().collect();
+        let prepared = b.compact_prepare(&snapshot).unwrap().unwrap();
+        // The window: a re-put and a remove of snapshot keys, and a new
+        // key.
+        put(&mut index, key(20_000, 5), 900);
+        remove(&mut index, key(200, 300));
+        put(&mut index, key(9, 9), 64);
+        let dead = b.dead_bytes();
+        let old = record_bytes(&dir, 0);
+        let current: Vec<(PageKey, PageBuf)> = index.clone().into_iter().collect();
+        let outcome = b.compact_install(prepared, &current).unwrap().unwrap();
+        // The window's dead records ride along into generation 1, and
+        // are all it carries as dead.
+        let carried = b.dead_bytes();
+        let new = record_bytes(&dir, 1);
+        assert_eq!(old - new, dead - carried);
+        assert!(carried > 0);
+        b.compact(&outcome.entries).unwrap().unwrap();
+        assert_eq!(new - record_bytes(&dir, 2), carried);
+        assert_eq!(b.dead_bytes(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// FNV-1a over the image: independent of the engine's own digest.
@@ -1577,7 +1705,7 @@ mod tests {
 
     #[test]
     fn golden_image_pins_the_page_log_format() {
-        // A fixed single-threaded history; the hashes below pin its
+        // A fixed single-threaded history; the pins below hold its
         // bytes (see the note on them for their last change). Any drift
         // in record, tombstone or marker bytes — or in what a
         // compaction writes — fails here.
@@ -1590,10 +1718,12 @@ mod tests {
         let old = b.ingest(&key(1, 1), &page(2, 257), None).unwrap();
         let gone = b.ingest(&key(2, 0), &page(3, 64), None).unwrap();
         let new = b.ingest(&key(1, 1), &page(4, 300), Some(257)).unwrap();
-        b.on_remove(old.len() as u64);
-        b.on_remove(gone.len() as u64);
+        b.on_remove(&key(1, 1), old.len() as u64);
+        b.on_remove(&key(2, 0), gone.len() as u64);
+        let image = std::fs::read(dir.join("pages.g0.log")).unwrap();
+        let g0 = &image[..b.log_bytes() as usize];
         assert_eq!(
-            fnv1a(&std::fs::read(dir.join("pages.g0.log")).unwrap()[..b.log_bytes() as usize]),
+            (g0.len(), fnv1a(g0)),
             GOLDEN_G0,
             "generation 0 image drifted"
         );
@@ -1603,22 +1733,23 @@ mod tests {
         b.ingest(&key(3, 0), &page(5, 33), None).unwrap();
         b.ingest(&key(3, 1), &page(6, 1), None).unwrap();
         let image = std::fs::read(dir.join("pages.g1.log")).unwrap();
+        let g1 = &image[..b.log_bytes() as usize];
         assert_eq!(
-            fnv1a(&image[..b.log_bytes() as usize]),
+            (g1.len(), fnv1a(g1)),
             GOLDEN_G1,
             "generation 1 image drifted"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    // Re-pinned for `BSPGLOG3` and the eight-lane digest (was
-    // 16761954313851723565 / 16653890185418770178). Byte diff of the
-    // old images against these: the same length (1,105 and 770 bytes,
-    // so `log_bytes()` and `space_amp` cannot move), and in each page
-    // record header only byte 0 (the magic's low byte, '2' → '3') and
-    // bytes 40..48 (the check word) differ — g0 records at 0, 196,
-    // 549, 709; g1 at 0, 148, 544, 673. Payloads and the commit
-    // markers at g0 148, 501, 661, 1057 and g1 496, 625, 722 are
-    // identical.
-    const GOLDEN_G0: u64 = 14504815563185757129;
-    const GOLDEN_G1: u64 = 7986801911345907384;
+    // Re-pinned for the format header and the compact record header
+    // (were 1,105 and 770 bytes, hashes 14504815563185757129 and
+    // 7986801911345907384). g0, 843 B: the 13 B format header; page
+    // records of 13 + 100, 14 + 257, 13 + 64 and 14 + 300 B (the header
+    // is 14 B where `len` takes two varint bytes); markers of 13 B, then
+    // 14 B once their coverage offset passes 127. g1, 541 B: format
+    // header, the two live records under one 13 B marker, then 13 + 33
+    // and 13 + 1 B records each under a 14 B marker. Payloads are the
+    // same bytes; every header shrank from 48 B.
+    const GOLDEN_G0: (usize, u64) = (843, 10887287398635697526);
+    const GOLDEN_G1: (usize, u64) = (541, 14546345349041530937);
 }

@@ -172,7 +172,7 @@ impl DataProviderService {
                 svc.inner
                     .bytes
                     .fetch_sub(old.len() as u64, Ordering::Relaxed);
-                backend.on_remove(old.len() as u64);
+                backend.on_remove(&key, old.len() as u64);
             }
             svc.inner.bytes.fetch_add(len, Ordering::Relaxed);
         }
@@ -402,7 +402,7 @@ impl Inner {
             // insert's own return value, not the earlier probe, so
             // racing puts of one key cannot drift the accounting.
             self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-            self.backend.on_remove(old.len() as u64);
+            self.backend.on_remove(&key, old.len() as u64);
         }
         self.bytes.fetch_add(len, Ordering::Relaxed);
         Ok(())
@@ -420,7 +420,7 @@ impl Inner {
             match self.store.remove(key) {
                 Some(old) => {
                     self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                    self.backend.on_remove(old.len() as u64);
+                    self.backend.on_remove(key, old.len() as u64);
                     true
                 }
                 None => false,

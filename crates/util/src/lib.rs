@@ -47,6 +47,8 @@
 //! * [`combine`] — [`combine::Combiner`], flat combining: the one
 //!   leader/follower mechanism, whose clients are the version
 //!   manager's grant queue and the record log's group commit.
+//! * [`varint`] — LEB128 varints, the one integer codec of the wire
+//!   format's tree nodes and page keys and of every log record header.
 //! * [`fdlimit`] — raise the soft `RLIMIT_NOFILE` to the hard ceiling,
 //!   so the C10K transport tests can hold thousands of
 //!   sockets regardless of the environment's default `ulimit -n`.
@@ -72,6 +74,7 @@ pub mod recordlog;
 pub mod rng;
 pub mod sharded;
 pub mod stats;
+pub mod varint;
 
 pub use clockcache::ClockCache;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

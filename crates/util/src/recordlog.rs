@@ -1,16 +1,16 @@
 //! The record-then-commit append-only log engine — the one copy of the
 //! crash protocol every durable component journals through.
 //!
-//! Every record is `48-byte header + payload`, the header six
-//! little-endian `u64`s (`magic, a, b, c, len, check`), and nothing is
-//! acknowledged until a **commit marker** covering it is on disk
-//! (optionally fsynced). Replay makes records visible marker by marker
-//! and stops at the first invalid or out-of-sequence record, so a torn
-//! tail can never surface un-acknowledged state. A log lives in a
-//! directory as `<base>.g<N>.log` **generation** files; a rewrite
-//! stages the next generation under a `.tmp` name, seals and fsyncs
-//! it, renames it, and unlinks the predecessor, so a crash at any
-//! point leaves exactly one winner.
+//! A log is a sequence of records, each a compact header and a payload
+//! (see "The format"), and nothing is acknowledged until a **commit
+//! marker** covering it is on disk (optionally fsynced). Replay makes
+//! records visible marker by marker and stops at the first invalid or
+//! out-of-sequence record, so a torn tail can never surface
+//! un-acknowledged state. A log lives in a directory as
+//! `<base>.g<N>.log` **generation** files; a rewrite stages the next
+//! generation under a `.tmp` name, seals and fsyncs it, renames it, and
+//! unlinks the predecessor, so a crash at any point leaves exactly one
+//! winner.
 //!
 //! # The three pieces
 //!
@@ -21,7 +21,7 @@
 //!   marker covering every append queued in it).
 //!   [`Appender::append`] returns the payload's file offset.
 //! * [`replay`] — a pure function over `&[u8]` that visits the
-//!   committed records (header words + payload *range*) marker by
+//!   committed records (header fields + payload *range*) marker by
 //!   marker and returns the [`ResumePoint`] appends continue from.
 //! * [`GenerationWriter`] — stages, seals and installs the next
 //!   generation file; [`newest_generation`] is the matching directory
@@ -46,11 +46,67 @@
 //! * [`CompactTrigger`] is the one dead-bytes threshold both compacting
 //!   logs run, and [`CompactReport`] what a rewrite reclaimed.
 //!
+//! # The format
+//!
+//! Every record — a client's, a commit marker, a tombstone, the file
+//! header — starts with one header:
+//!
+//! | bytes  | field                                        |
+//! |--------|----------------------------------------------|
+//! | 1      | kind                                         |
+//! | 1–10   | `a`, a varint                                |
+//! | 1–10   | `b`, a varint                                |
+//! | 1–10   | `c`, a varint                                |
+//! | 1–10   | `len`, a varint: the payload bytes that follow |
+//! | 8      | check word, little-endian                    |
+//!
+//! The varints are [`crate::varint`]'s LEB128 — shortest encoding
+//! only, the codec the wire format's tree nodes use — so a header of
+//! small numbers takes 13 B, and [`footprint`] says exactly what a
+//! record takes. Kinds 1–3 are the engine's:
+//!
+//! * 1, the **format header**: `a` names the client ([`Client`]) and
+//!   `b` its format number; no payload. Every generation file starts
+//!   with exactly one.
+//! * 2, a **commit marker**: `a` is its sequence number and `b` the
+//!   offset the previous marker sealed up to (the format header's end
+//!   for the first); no payload. It commits every record between that
+//!   offset and itself.
+//! * 3, a **tombstone**: a reserved range whose write failed while
+//!   later appenders had already reserved beyond it. Its `len` spans the
+//!   range (with `a` = 128 where a varint boundary would leave one byte
+//!   over), and replay steps over it instead of stopping, so the records
+//!   committed *after* the failure stay recoverable.
+//!
+//! Kinds from [`FIRST_CLIENT_KIND`] up are each client's own, and so are
+//! their `a`, `b` and `c`. Kind 0 is no record: the zeros of a sparse or
+//! freshly created file end replay.
+//!
+//! # The format number
+//!
+//! [`claim_format`] — run by every client on the generation file before
+//! it resumes, rewrites or appends — compares the file's header with the
+//! client's [`Format`]. A head of zeros (an empty file, or one whose
+//! header never reached the disk) is a fresh log: it gets its header
+//! then, with one positioned write and no fsync; under `fsync_on_commit`
+//! the first marker's sync makes it durable with the records. Anything
+//! else at the head — another client's header, another format number,
+//! or a log written before the header existed (48-byte record headers
+//! that start with an 8-byte magic) — is [`LogError::WrongFormat`], and
+//! the file is left as it was. So a client changes its record format by
+//! changing one number.
+//!
 //! # The check word and the payload digest
 //!
-//! A header's `check` is a splitmix64 hash of the other five words and
-//! of [`payload_digest`] of the payload (commit markers and tombstones
-//! fold digest 0). The digest is built from one step,
+//! A header's check word is a chain of splitmix64 steps over the kind,
+//! `a`, `b`, `c`, `len` and [`payload_digest`] of the payload (markers,
+//! tombstones and the format header fold digest 0). Each step is a
+//! bijection of its state, so a header that differs in exactly one field
+//! always checks differently; a flip that changes how the varints parse
+//! also moves every later field and the check word itself, and passes
+//! only if 64 bits collide.
+//!
+//! The digest is built from one step,
 //! `step(acc, w) = (acc ^ w).rotl(23) · 0x2545_f491_4f6c_dd1d`, which is
 //! a bijection in `acc` for a fixed word and in `w` for a fixed state
 //! (xor, rotate and multiplication by an odd constant are each
@@ -75,15 +131,10 @@
 //! collide; the unit tests pin those shapes too. The lanes are
 //! independent chains, so the digest runs at the multiplier's
 //! throughput rather than its latency.
-//!
-//! Payload-bearing magics a client used under an earlier digest or an
-//! earlier payload encoding are [`RETIRED_MAGICS`]. [`check_format`] — run by every client on the
-//! log file before it resumes, rewrites or appends — refuses a log
-//! whose head holds one as [`LogError::RetiredFormat`] and leaves the
-//! file as it was.
 
 use crate::combine::Combiner;
 use crate::rng::splitmix64;
+use crate::varint;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -93,42 +144,69 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Bytes of one log-record header: six little-endian `u64`s —
-/// `magic, a, b, c, len, check`.
-pub const REC_HEADER: u64 = 48;
+/// Kind of the format header every generation file starts with.
+const FORMAT_KIND: u8 = 1;
 
-/// Magic of a tombstone record ("BSPGDEAD"): a reserved range whose
-/// write failed while later appenders had already reserved beyond it.
-/// Replay skips it instead of stopping, so the records committed
-/// *after* the failure stay recoverable.
-pub const TOMBSTONE_MAGIC: u64 = 0x4253_5047_4445_4144;
+/// Kind of a commit marker.
+pub const COMMIT_KIND: u8 = 2;
 
-/// Magic of a commit marker ("BSPGCMT1"): field `a` is the marker's
-/// sequence number, `b` the offset the previous marker sealed up to;
-/// the marker commits every record between that offset and itself.
-pub const COMMIT_MAGIC: u64 = 0x4253_5047_434d_5431;
+/// Kind of a tombstone.
+pub const TOMBSTONE_KIND: u8 = 3;
 
-/// Magics of the payload-bearing records the engine's clients wrote
-/// under an earlier format: the page log's `BSPGLOG1` (no commit
-/// markers) and `BSPGLOG2`, the metadata journal's `BSMTPUT1` /
-/// `BSMTDEL1`, the version journal's `BSVRCRE1` / `BSVRPUB1` /
-/// `BSVRSNAP` (all under the single-chain payload digest). Their check
-/// words no longer validate, so replay would end at their first record
-/// and the log would open empty; [`check_format`] refuses them instead.
-/// The metadata journal's `BSMTPUT2` / `BSMTDEL2` validate but carry
-/// fixed-width tree nodes, which the varint decoder would misread, so
-/// they are refused the same way. A client never reuses one.
-pub const RETIRED_MAGICS: [u64; 9] = [
-    0x4253_5047_4c4f_4731, // BSPGLOG1
-    0x4253_5047_4c4f_4732, // BSPGLOG2
-    0x4253_4d54_5055_5431, // BSMTPUT1
-    0x4253_4d54_4445_4c31, // BSMTDEL1
-    0x4253_4d54_5055_5432, // BSMTPUT2
-    0x4253_4d54_4445_4c32, // BSMTDEL2
-    0x4253_5652_4352_4531, // BSVRCRE1
-    0x4253_5652_5055_4231, // BSVRPUB1
-    0x4253_5652_534e_4150, // BSVRSNAP
-];
+/// The first kind a client's records may take; the kinds below are the
+/// engine's (0 ends replay).
+pub const FIRST_CLIENT_KIND: u8 = 4;
+
+/// Bytes of the check word that ends every header.
+const CHECK_BYTES: usize = 8;
+
+/// The most bytes a header takes: the kind, four ten-byte varints and
+/// the check word.
+const MAX_HEADER: usize = 1 + 4 * varint::MAX_LEN + CHECK_BYTES;
+
+/// The clients of the engine, each with its own file base name and its
+/// own record kinds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Client {
+    /// The provider's page log, `pages.g<N>.log`.
+    PageLog = 1,
+    /// A DHT node's metadata journal, `meta.g<N>.log`.
+    Metadata = 2,
+    /// The version manager's journal, `version.g<N>.log`.
+    Version = 3,
+}
+
+impl Client {
+    /// The base name of the client's generation files.
+    pub fn base(self) -> &'static str {
+        ["pages", "meta", "version"][self as usize - 1]
+    }
+}
+
+/// What a log's format header names: the client, and the number of the
+/// record format it writes. A client that changes what its records hold
+/// raises the number, and a log of another number is refused at open.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Format {
+    /// Whose log it is.
+    pub client: Client,
+    /// The client's record format number.
+    pub number: u64,
+}
+
+impl Format {
+    /// The format header record.
+    pub fn header(self) -> Vec<u8> {
+        header(FORMAT_KIND, self.client as u64, self.number, 0, 0, 0)
+    }
+
+    /// Where a log of this format appends its first record: after the
+    /// format header, before any marker — what a replay of the bare
+    /// header returns.
+    pub fn start(self) -> ResumePoint {
+        replay(&self.header(), |_| ())
+    }
+}
 
 /// Seed of the digest's fold, and (times `lane + 1`) of each lane.
 const DIGEST_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -180,29 +258,51 @@ pub fn payload_digest(data: &[u8]) -> u64 {
     acc
 }
 
-/// The header check word: a splitmix64 hash over every header field and
-/// the payload digest, so a single flipped bit anywhere in the record
-/// fails validation.
-pub fn check_word(magic: u64, a: u64, b: u64, c: u64, len: u64, digest: u64) -> u64 {
-    let mut s = magic
-        ^ a.rotate_left(17)
-        ^ b.rotate_left(34)
-        ^ c.rotate_left(51)
-        ^ len
-        ^ digest.rotate_left(7);
-    splitmix64(&mut s)
+/// The header check word: a splitmix64 chain over the kind, every
+/// header field and the payload digest (see the module docs).
+pub fn check_word(kind: u8, a: u64, b: u64, c: u64, len: u64, digest: u64) -> u64 {
+    [a, b, c, len, digest]
+        .into_iter()
+        .fold(u64::from(kind), |acc, word| splitmix64(&mut (acc ^ word)))
 }
 
-/// Encode one record header (`magic, a, b, c, len, check`).
-pub fn encode_header(magic: u64, a: u64, b: u64, c: u64, len: u64, digest: u64) -> [u8; 48] {
-    let mut header = [0u8; REC_HEADER as usize];
-    for (i, word) in [magic, a, b, c, len, check_word(magic, a, b, c, len, digest)]
-        .into_iter()
-        .enumerate()
-    {
-        header[i * 8..i * 8 + 8].copy_from_slice(&word.to_le_bytes());
+/// The bytes a record with fields `a`, `b`, `c` and a `len`-byte
+/// payload takes in a log: its header and its payload. Every log's
+/// live and dead bytes are counted from it.
+pub fn footprint(a: u64, b: u64, c: u64, len: u64) -> u64 {
+    let varints: usize = [a, b, c, len].into_iter().map(varint::len).sum();
+    (1 + varints + CHECK_BYTES) as u64 + len
+}
+
+/// One record header (see the module docs): the kind, varint `a`, `b`,
+/// `c` and `len`, then the check word over them and the payload's
+/// `digest` (0 for the engine's kinds).
+pub fn header(kind: u8, a: u64, b: u64, c: u64, len: u64, digest: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(MAX_HEADER);
+    out.push(kind);
+    for field in [a, b, c, len] {
+        varint::put(&mut out, field);
     }
-    header
+    out.extend_from_slice(&check_word(kind, a, b, c, len, digest).to_le_bytes());
+    out
+}
+
+/// The commit marker of sequence number `seq`, sealing everything from
+/// `covered_from` to itself.
+fn marker(seq: u64, covered_from: u64) -> Vec<u8> {
+    header(COMMIT_KIND, seq, covered_from, 0, 0, 0)
+}
+
+/// A tombstone that, with the payload bytes it declares, spans exactly
+/// `span` bytes; `None` below the smallest header. Twelve of its bytes
+/// are fixed (the kind, one-byte `a`, `b` and `c`, the check word), and
+/// `len` and its varint take the rest — but for the one byte a shorter
+/// `len` varint can leave over, which `a` = 128 takes.
+fn tombstone(span: u64) -> Option<Vec<u8>> {
+    let rest = span.checked_sub(12)?;
+    let len = rest.checked_sub(varint::len(rest) as u64)?;
+    let over = rest - len - varint::len(len) as u64;
+    Some(header(TOMBSTONE_KIND, over * 128, 0, 0, len, 0))
 }
 
 /// Positioned write: the whole buffer at `off`, no seek on the shared
@@ -235,13 +335,9 @@ pub enum LogError {
     /// A commit marker could not be sealed (the append's bytes are on
     /// disk but un-acknowledged — replay will not surface them).
     CommitFailed,
-    /// The log was written in a retired format ([`RETIRED_MAGICS`]): its
-    /// first record, at `offset`, would not replay. The file is left
-    /// untouched.
-    RetiredFormat {
-        /// Byte offset of the refused record's header.
-        offset: u64,
-    },
+    /// The file's head is neither zeros nor the client's format header
+    /// ([`claim_format`]). The file is left untouched.
+    WrongFormat,
 }
 
 impl LogError {
@@ -253,15 +349,7 @@ impl LogError {
             LogError::WriteFailed { .. } => "log record write failed",
             LogError::Poisoned => "log poisoned by an earlier media failure",
             LogError::CommitFailed => "log commit marker could not be sealed",
-            LogError::RetiredFormat { .. } => "log written in a retired record format",
-        }
-    }
-
-    /// The log offset the error names (0 when it names no record).
-    pub fn offset(self) -> u64 {
-        match self {
-            LogError::RetiredFormat { offset } => offset,
-            _ => 0,
+            LogError::WrongFormat => "log file does not start with this format's header",
         }
     }
 }
@@ -278,8 +366,9 @@ impl fmt::Display for LogError {
 impl std::error::Error for LogError {}
 
 /// Durability knobs of an [`Appender`] (the page log's `LogOptions`
-/// carries the same two fields plus its compaction thresholds).
-#[derive(Debug, Clone, Copy)]
+/// carries the same two fields plus its compaction thresholds); both
+/// off by default.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecordLogOptions {
     /// `fdatasync` on every commit marker: an acknowledged append
     /// survives power loss, not just a process crash. One sync per
@@ -295,50 +384,38 @@ pub struct RecordLogOptions {
     pub group_commit_window: Duration,
 }
 
-impl Default for RecordLogOptions {
-    fn default() -> Self {
-        Self {
-            fsync_on_commit: false,
-            group_commit_window: Duration::ZERO,
-        }
-    }
-}
-
-/// One record to append: header words + payload. `magic` must not be
-/// [`COMMIT_MAGIC`] or [`TOMBSTONE_MAGIC`] (those are the engine's).
+/// One record to append: its client's kind, header fields and payload.
 #[derive(Debug, Clone, Copy)]
 pub struct Record<'a> {
-    /// Record-type magic (caller-defined).
-    pub magic: u64,
-    /// First header word.
+    /// Record kind, [`FIRST_CLIENT_KIND`] or above (the client's own).
+    pub kind: u8,
+    /// First header field.
     pub a: u64,
-    /// Second header word.
+    /// Second header field.
     pub b: u64,
-    /// Third header word.
+    /// Third header field.
     pub c: u64,
     /// Payload bytes (digest-protected).
     pub payload: &'a [u8],
 }
 
 impl Record<'_> {
-    /// On-disk footprint: header + payload.
-    fn footprint(&self) -> u64 {
-        REC_HEADER + self.payload.len() as u64
+    /// The bytes the record takes in a log ([`footprint`]).
+    pub fn footprint(&self) -> u64 {
+        footprint(self.a, self.b, self.c, self.payload.len() as u64)
     }
 
-    /// Land `header | payload` at `off` with two positioned writes.
-    fn write_to(&self, file: &File, off: u64) -> std::io::Result<()> {
-        debug_assert!(self.magic != COMMIT_MAGIC && self.magic != TOMBSTONE_MAGIC);
-        let header = encode_header(
-            self.magic,
-            self.a,
-            self.b,
-            self.c,
-            self.payload.len() as u64,
-            payload_digest(self.payload),
-        );
+    /// Land `header | payload` at `off` with two positioned writes;
+    /// returns the payload's offset.
+    fn write_to(&self, file: &File, off: u64) -> std::io::Result<u64> {
+        debug_assert!(self.kind >= FIRST_CLIENT_KIND, "a client kind");
+        let len = self.payload.len() as u64;
+        let digest = payload_digest(self.payload);
+        let header = header(self.kind, self.a, self.b, self.c, len, digest);
         write_at(file, &header, off)?;
-        write_at(file, self.payload, off + REC_HEADER)
+        let payload_at = off + header.len() as u64;
+        write_at(file, self.payload, payload_at)?;
+        Ok(payload_at)
     }
 }
 
@@ -346,30 +423,37 @@ impl Record<'_> {
 // Replay
 // ---------------------------------------------------------------------------
 
-/// One committed record surfaced by [`replay`]: the header words and
-/// where the payload sits in the replayed bytes.
-#[derive(Debug, Clone)]
-pub struct RecordRef {
-    /// Record-type magic.
-    pub magic: u64,
-    /// First header word.
+/// One committed record surfaced by [`replay`]: the header fields and
+/// the payload — where it sits in the replayed bytes, or (an
+/// [`OwnedRecord`]) a copy of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordRef<P = Range<usize>> {
+    /// Record kind.
+    pub kind: u8,
+    /// First header field.
     pub a: u64,
-    /// Second header word.
+    /// Second header field.
     pub b: u64,
-    /// Third header word.
+    /// Third header field.
     pub c: u64,
-    /// Byte offset of the record header in the log.
+    /// Byte offset of the record header in the log (error context for
+    /// callers whose payload decode fails).
     pub offset: u64,
-    /// The payload's byte range in the replayed buffer.
-    pub payload: Range<usize>,
+    /// The payload's byte range in the replayed buffer, or its bytes.
+    pub payload: P,
 }
+
+/// One committed record surfaced by [`RecordLog::open`], its payload
+/// copied out.
+pub type OwnedRecord = RecordRef<Vec<u8>>;
 
 /// Where appends continue after a replay (or after a sealed
 /// [`GenerationWriter`]): everything below `durable` is marker-sealed,
 /// and the next marker carries `next_seq`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumePoint {
-    /// End of the last valid in-sequence marker.
+    /// End of the last valid in-sequence marker (of the format header
+    /// before the first marker).
     pub durable: u64,
     /// Sequence number the next marker must carry.
     pub next_seq: u64,
@@ -377,48 +461,50 @@ pub struct ResumePoint {
 
 /// One parsed record.
 enum Parsed {
+    Format,
     Payload(RecordRef),
     Tombstone,
     Commit { seq: u64, covered_from: u64 },
 }
 
-/// The little-endian `u64` at `at`, or `None` past the end of `buf`.
-fn read_word(buf: &[u8], at: usize) -> Option<u64> {
-    let bytes = buf.get(at..at.checked_add(8)?)?;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
-}
-
 /// Parse the record at `off`, returning it with the offset one past
-/// its end; `None` is an invalid record (torn, corrupt, out of bounds)
-/// — replay ends at the last durable point before it.
+/// its end; `None` is no valid record (kind 0, torn, corrupt, out of
+/// bounds) — replay ends at the last durable point before it. Reads
+/// only what the header declares, and allocates nothing.
 fn parse_record(buf: &[u8], off: usize) -> Option<(Parsed, usize)> {
-    let mut words = [0u64; 6];
-    for (i, word) in words.iter_mut().enumerate() {
-        *word = read_word(buf, off + i * 8)?;
+    let kind = *buf.get(off).filter(|&&kind| kind != 0)?;
+    let mut at = off + 1;
+    let mut fields = [0u64; 4];
+    for field in &mut fields {
+        let (value, width) = varint::take(buf.get(at..)?).ok()?;
+        *field = value;
+        at += width;
     }
-    let [magic, a, b, c, len, check] = words;
-    let body = off + words.len() * 8;
+    let [a, b, c, len] = fields;
+    let check = buf.get(at..at.checked_add(CHECK_BYTES)?)?;
+    let check = u64::from_le_bytes(check.try_into().ok()?);
+    let body = at + CHECK_BYTES;
     let end = body.checked_add(usize::try_from(len).ok()?)?;
     let payload = buf.get(body..end)?;
-    // Markers and tombstones check the header only: a marker has no
-    // payload, and a tombstone's range is whatever the failed write
-    // left behind.
-    let digest = match magic {
-        COMMIT_MAGIC | TOMBSTONE_MAGIC => 0,
+    // The engine's records check the header only: they have no payload,
+    // and a tombstone's range is whatever the failed write left behind.
+    let digest = match kind {
+        FORMAT_KIND | COMMIT_KIND | TOMBSTONE_KIND => 0,
         _ => payload_digest(payload),
     };
-    if check != check_word(magic, a, b, c, len, digest) {
+    if check != check_word(kind, a, b, c, len, digest) {
         return None;
     }
-    let parsed = match magic {
-        COMMIT_MAGIC if len != 0 => return None,
-        COMMIT_MAGIC => Parsed::Commit {
+    let parsed = match kind {
+        FORMAT_KIND | COMMIT_KIND if len != 0 => return None,
+        FORMAT_KIND => Parsed::Format,
+        COMMIT_KIND => Parsed::Commit {
             seq: a,
             covered_from: b,
         },
-        TOMBSTONE_MAGIC => Parsed::Tombstone,
+        TOMBSTONE_KIND => Parsed::Tombstone,
         _ => Parsed::Payload(RecordRef {
-            magic,
+            kind,
             a,
             b,
             c,
@@ -429,19 +515,28 @@ fn parse_record(buf: &[u8], off: usize) -> Option<(Parsed, usize)> {
     Some((parsed, end))
 }
 
-/// Replay a log image: `visit` sees every **committed** record in
-/// append order, marker by marker — a record becomes visible only once
-/// a valid commit marker with the expected sequence number and
-/// coverage offset follows it. Replay ends at the first invalid
-/// record, or at a checksum-valid marker that is out of sequence or
-/// claims the wrong coverage (stale bytes from an earlier incarnation,
-/// not a commit); tombstones are stepped over. Everything beyond the
-/// returned [`ResumePoint`] — complete-but-uncommitted records
-/// included — was never acknowledged, and appends resume over it.
+/// Replay a log image that starts with its format header
+/// ([`claim_format`] checked it): `visit` sees every **committed**
+/// record in append order, marker by marker — a record becomes visible
+/// only once a valid commit marker with the expected sequence number
+/// and coverage offset follows it. Replay ends at the first invalid
+/// record (kind 0 among them: the zeros past a sparse file's records),
+/// or at a checksum-valid marker that is out of sequence or claims the
+/// wrong coverage (stale bytes from an earlier incarnation, not a
+/// commit); tombstones are stepped over. Everything beyond the returned
+/// [`ResumePoint`] — complete-but-uncommitted records included — was
+/// never acknowledged, and appends resume over it. An image without a
+/// format header replays nothing.
 pub fn replay(buf: &[u8], mut visit: impl FnMut(RecordRef)) -> ResumePoint {
-    let mut at = ResumePoint::default();
+    let Some((Parsed::Format, start)) = parse_record(buf, 0) else {
+        return ResumePoint::default();
+    };
+    let mut at = ResumePoint {
+        durable: start as u64,
+        next_seq: 0,
+    };
     let mut pending: Vec<RecordRef> = Vec::new();
-    let mut off = 0usize;
+    let mut off = start;
     while let Some((parsed, end)) = parse_record(buf, off) {
         match parsed {
             Parsed::Payload(rec) => pending.push(rec),
@@ -456,53 +551,41 @@ pub fn replay(buf: &[u8], mut visit: impl FnMut(RecordRef)) -> ResumePoint {
                 };
                 pending.drain(..).for_each(&mut visit);
             }
+            // A log has one format header, at its head.
+            Parsed::Format => break,
         }
         off = end;
     }
     at
 }
 
-/// Refuse a log file written in a retired format: step over the valid
-/// header-only records at its head (tombstones, markers) and fail with
-/// [`LogError::RetiredFormat`] if the first record after them carries
-/// one of [`RETIRED_MAGICS`]. Reads only those headers, with positioned
-/// reads, and never writes. Every client calls it before anything
-/// resumes, rewrites or appends over the file — [`replay`] alone would
-/// open such a log as empty and let appends overwrite it.
-pub fn check_format(file: &File) -> Result<(), LogError> {
-    let mut header = [0u8; REC_HEADER as usize];
-    let mut off = 0u64;
-    loop {
-        if !read_at(file, &mut header, off).map_err(|_| LogError::Io("read log head"))? {
-            return Ok(());
-        }
-        let mut words = [0u64; 6];
-        for (word, bytes) in words.iter_mut().zip(header.as_chunks::<8>().0) {
-            *word = u64::from_le_bytes(*bytes);
-        }
-        let [magic, a, b, c, len, check] = words;
-        if RETIRED_MAGICS.contains(&magic) {
-            return Err(LogError::RetiredFormat { offset: off });
-        }
-        let header_only = magic == TOMBSTONE_MAGIC || (magic == COMMIT_MAGIC && len == 0);
-        if !header_only || check != check_word(magic, a, b, c, len, 0) {
-            return Ok(());
-        }
-        match len.checked_add(REC_HEADER).and_then(|n| off.checked_add(n)) {
-            Some(end) => off = end,
-            None => return Ok(()),
-        }
-    }
-}
-
-/// Positioned read of exactly `buf.len()` bytes at `off` (`pread`);
-/// `Ok(false)` when the file ends first.
-fn read_at(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<bool> {
+/// Claim a log file for `format` before anything resumes, rewrites or
+/// appends over it: a head holding the format header is the client's
+/// log; a head of zeros (an empty file, or one whose header never
+/// reached the disk) is a fresh log, which gets its format header now —
+/// one positioned write, no fsync — and appends from [`Format::start`].
+/// Anything else is [`LogError::WrongFormat`], and the file is left
+/// byte-identical: [`replay`] alone would open such a log as empty and
+/// let appends overwrite it. Reads at most one header's bytes, with a
+/// positioned read; an empty file reads nothing (a read of a sparse
+/// file's hole would fault a readahead window of zeros in).
+pub fn claim_format(file: &File, format: Format) -> Result<(), LogError> {
     use std::os::unix::fs::FileExt;
-    match file.read_exact_at(buf, off) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
+    let size = file
+        .metadata()
+        .map_err(|_| LogError::Io("stat log file"))?
+        .len();
+    let mut head = [0u8; MAX_HEADER];
+    let head = &mut head[..usize::try_from(size).map_or(MAX_HEADER, |n| n.min(MAX_HEADER))];
+    file.read_exact_at(head, 0)
+        .map_err(|_| LogError::Io("read log head"))?;
+    let ours = format.header();
+    match &head[..] {
+        head if head.starts_with(&ours) => Ok(()),
+        head if head.iter().all(|&b| b == 0) => {
+            write_at(file, &ours, 0).map_err(|_| LogError::Io("write log header"))
+        }
+        _ => Err(LogError::WrongFormat),
     }
 }
 
@@ -526,6 +609,13 @@ struct CommitState {
     next_seq: u64,
     /// No further commit may succeed.
     poisoned: bool,
+}
+
+/// The headroom an append keeps below `capacity` for the marker that
+/// must seal it: the largest marker a log of that capacity can write,
+/// whose sequence number and coverage offset are both below it.
+fn marker_headroom(capacity: u64) -> u64 {
+    footprint(capacity, capacity, 0, 0)
 }
 
 /// The append/commit half of the engine, on a caller-supplied file.
@@ -602,8 +692,8 @@ impl Appender {
         self.tail.store(at.durable, Ordering::Relaxed);
     }
 
-    /// Current log size in bytes (reserved tail, headers and markers
-    /// included).
+    /// Current log size in bytes (reserved tail, the format header,
+    /// record headers and markers included).
     pub fn log_bytes(&self) -> u64 {
         self.tail.load(Ordering::Relaxed)
     }
@@ -611,7 +701,8 @@ impl Appender {
     /// Append one record, block until a commit marker covers it, and
     /// return the file offset of its **payload**.
     pub fn append(&self, rec: Record<'_>) -> Result<u64, LogError> {
-        Ok(self.append_batch(std::slice::from_ref(&rec))? + REC_HEADER)
+        let at = self.append_batch(std::slice::from_ref(&rec))?;
+        Ok(at + rec.footprint() - rec.payload.len() as u64)
     }
 
     /// Append a batch of records contiguously and block until one
@@ -626,7 +717,7 @@ impl Appender {
         let start = self
             .tail
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                cur.checked_add(total + REC_HEADER)
+                cur.checked_add(total + marker_headroom(self.capacity))
                     .filter(|&projected| projected <= self.capacity)
                     .map(|_| cur + total)
             })
@@ -654,15 +745,22 @@ impl Appender {
         if rolled_back {
             return LogError::WriteFailed { wasted: 0 };
         }
-        let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, end - start - REC_HEADER, 0);
-        if write_at(&self.file, &tomb, start).is_err() {
-            self.poison();
-        }
+        self.bury(start, end);
         // Either way the range is settled — committers must not stall
         // waiting for it.
         self.complete(start, end);
         LogError::WriteFailed {
             wasted: end - start,
+        }
+    }
+
+    /// Brand the reserved range `[start, end)` a tombstone replay steps
+    /// over; if it cannot be written, poison the log.
+    fn bury(&self, start: u64, end: u64) {
+        let landed =
+            tombstone(end - start).is_some_and(|tomb| write_at(&self.file, &tomb, start).is_ok());
+        if !landed {
+            self.poison();
         }
     }
 
@@ -732,16 +830,23 @@ impl Appender {
     /// A round leader's seal: reserve the marker slot at the tail
     /// (after every record its round's appends completed), wait for
     /// every record below it to finish writing, seal, and (optionally)
-    /// fsync.
+    /// fsync. Rounds never overlap, so the marker's sequence number and
+    /// coverage — hence its size — are known before its slot is.
     fn seal(&self) -> Result<(), LogError> {
+        let (seq, covered_from) = {
+            let st = self.commit.lock();
+            (st.next_seq, st.durable)
+        };
+        let marker = marker(seq, covered_from);
+        let size = marker.len() as u64;
         let marker_at = self
             .tail
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                cur.checked_add(REC_HEADER)
+                cur.checked_add(size)
                     .filter(|&projected| projected <= self.capacity)
             })
             .map_err(|_| LogError::Full)?;
-        let (seq, covered_from) = {
+        {
             let mut st = self.commit.lock();
             while st.frontier < marker_at {
                 if st.poisoned {
@@ -758,36 +863,30 @@ impl Appender {
                 return Err(LogError::Poisoned);
             }
             debug_assert_eq!(st.frontier, marker_at, "marker slot is the frontier");
-            (st.next_seq, st.durable)
-        };
-        let header = encode_header(COMMIT_MAGIC, seq, covered_from, 0, 0, 0);
-        if write_at(&self.file, &header, marker_at).is_err() {
+        }
+        let sealed_to = marker_at + size;
+        if write_at(&self.file, &marker, marker_at).is_err() {
             // The marker slot would be an un-skippable hole: a later
             // marker could commit records replay can never reach. Brand
             // the slot a tombstone so replay steps over it; if even
             // that fails, poison the log.
-            let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, 0, 0);
-            let mut st = self.commit.lock();
-            if write_at(&self.file, &tomb, marker_at).is_err() {
-                st.poisoned = true;
-            }
-            drop(st);
-            self.complete(marker_at, marker_at + REC_HEADER);
+            self.bury(marker_at, sealed_to);
+            self.complete(marker_at, sealed_to);
             return Err(LogError::CommitFailed);
         }
         if self.opts.fsync_on_commit && self.file.sync_data().is_err() {
             // The marker bytes may or may not be durable; conservatively
             // stop acknowledging anything further.
             self.poison();
-            self.complete(marker_at, marker_at + REC_HEADER);
+            self.complete(marker_at, sealed_to);
             return Err(LogError::CommitFailed);
         }
         {
             let mut st = self.commit.lock();
             st.next_seq = seq + 1;
-            st.durable = marker_at + REC_HEADER;
+            st.durable = sealed_to;
         }
-        self.complete(marker_at, marker_at + REC_HEADER);
+        self.complete(marker_at, sealed_to);
         Ok(())
     }
 }
@@ -871,9 +970,9 @@ impl Drop for TmpName {
     }
 }
 
-/// Writes the next generation of a log: records land in
-/// `<base>.g<N>.log.tmp`, [`seal`](Self::seal) commits them under a
-/// marker and fsyncs, [`install`](Self::install) renames the file into
+/// Writes the next generation of a log: its format header and records
+/// land in `<base>.g<N>.log.tmp`, [`seal`](Self::seal) commits them
+/// under a marker and fsyncs, [`install`](Self::install) renames the file into
 /// place. A crash before the rename leaves a `.tmp` that never wins;
 /// after it, the newest renamed generation wins
 /// ([`newest_generation`]). More records may be staged after a seal
@@ -893,10 +992,10 @@ pub struct GenerationWriter {
 }
 
 impl GenerationWriter {
-    /// Stage generation `number` of `<base>` under `dir`, holding at
-    /// most `capacity` bytes.
-    pub fn create(dir: &Path, base: &str, number: u64, capacity: u64) -> Result<Self, LogError> {
-        let name = generation_file_name(base, number);
+    /// Stage generation `number` of a `format` log under `dir`, holding
+    /// at most `cap` bytes, and write its format header.
+    pub fn create(dir: &Path, format: Format, number: u64, cap: u64) -> Result<Self, LogError> {
+        let name = generation_file_name(format.client.base(), number);
         let path = dir.join(&name);
         let tmp = TmpName(dir.join(format!("{name}.tmp")));
         let file = OpenOptions::new()
@@ -906,14 +1005,16 @@ impl GenerationWriter {
             .truncate(true)
             .open(&tmp.0)
             .map_err(|_| LogError::Io("create generation file"))?;
+        write_at(&file, &format.header(), 0).map_err(|_| LogError::Io("write log header"))?;
+        let start = format.start();
         Ok(Self {
             file,
             tmp,
             dir: dir.to_path_buf(),
             path,
-            capacity,
-            off: 0,
-            sealed: ResumePoint::default(),
+            capacity: cap,
+            off: start.durable,
+            sealed: start,
         })
     }
 
@@ -923,7 +1024,7 @@ impl GenerationWriter {
         &self.file
     }
 
-    /// Bytes staged so far (records and markers).
+    /// Bytes staged so far (the format header, records and markers).
     pub fn log_bytes(&self) -> u64 {
         self.off
     }
@@ -933,14 +1034,14 @@ impl GenerationWriter {
     pub fn put(&mut self, rec: Record<'_>) -> Result<u64, LogError> {
         let end = self.off + rec.footprint();
         if end
-            .checked_add(REC_HEADER)
+            .checked_add(marker_headroom(self.capacity))
             .is_none_or(|m| m > self.capacity)
         {
             return Err(LogError::Full);
         }
-        rec.write_to(&self.file, self.off)
+        let payload_at = rec
+            .write_to(&self.file, self.off)
             .map_err(|_| LogError::Io("write generation record"))?;
-        let payload_at = self.off + REC_HEADER;
         self.off = end;
         Ok(payload_at)
     }
@@ -948,19 +1049,12 @@ impl GenerationWriter {
     /// Commit everything staged since the previous seal under the next
     /// marker and fsync the file.
     pub fn seal(&mut self) -> Result<(), LogError> {
-        let marker = encode_header(
-            COMMIT_MAGIC,
-            self.sealed.next_seq,
-            self.sealed.durable,
-            0,
-            0,
-            0,
-        );
+        let marker = marker(self.sealed.next_seq, self.sealed.durable);
         write_at(&self.file, &marker, self.off).map_err(|_| LogError::Io("seal generation"))?;
         self.file
             .sync_data()
             .map_err(|_| LogError::Io("sync generation"))?;
-        self.off += REC_HEADER;
+        self.off += marker.len() as u64;
         self.sealed = ResumePoint {
             durable: self.off,
             next_seq: self.sealed.next_seq + 1,
@@ -1046,27 +1140,9 @@ pub struct CompactReport {
 // The plain-file client
 // ---------------------------------------------------------------------------
 
-/// One committed record surfaced by [`RecordLog::open`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedRecord {
-    /// Record-type magic.
-    pub magic: u64,
-    /// First header word.
-    pub a: u64,
-    /// Second header word.
-    pub b: u64,
-    /// Third header word.
-    pub c: u64,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-    /// Byte offset of the record header in the log file (error context
-    /// for callers whose payload decode fails).
-    pub offset: u64,
-}
-
 /// A crash-consistent append-only record log on a plain file: an
-/// unbounded [`Appender`] over the newest `<base>.g<N>.log` under a
-/// directory, replayed once at [`RecordLog::open`], swapped for a
+/// unbounded [`Appender`] over the newest generation file of its
+/// [`Format`] under a directory, replayed once at [`RecordLog::open`], swapped for a
 /// compacted next generation by a [`Rewrite`] ([`RecordLog::rewrite`]
 /// in one step).
 ///
@@ -1078,12 +1154,13 @@ pub struct OwnedRecord {
 #[derive(Debug)]
 pub struct RecordLog {
     dir: PathBuf,
-    base: String,
+    format: Format,
     gen: RwLock<Current>,
     /// One rewrite at a time.
     rewriting: Mutex<()>,
-    /// Size of the generation file when `open` read it.
-    opened_bytes: u64,
+    /// `open` found the generation file holding its format header and
+    /// nothing more.
+    opened_empty: bool,
 }
 
 /// The generation appends go to.
@@ -1095,34 +1172,25 @@ struct Current {
 }
 
 impl RecordLog {
-    /// Open (or create) the log `<base>.g<N>.log` under `dir`
-    /// ([`newest_generation`] picks `N` and removes the debris).
-    /// Replays the survivor and returns every committed record in
-    /// append order; appends resume at the last durable commit marker.
-    /// A survivor in a retired format is refused untouched
-    /// ([`check_format`]).
+    /// Open (or create) the `format` log under `dir`
+    /// ([`newest_generation`] picks the generation and removes the
+    /// debris). Replays the survivor and returns every committed record
+    /// in append order; appends resume at the last durable commit
+    /// marker. A survivor whose head is not `format`'s header is refused
+    /// untouched ([`claim_format`]). An error comes with the file it
+    /// concerns: the generation file for anything that failed after it
+    /// was opened (a wrong format, a failed read), `dir` before.
     pub fn open(
         dir: &Path,
-        base: &str,
-        opts: RecordLogOptions,
-    ) -> Result<(Self, Vec<OwnedRecord>), LogError> {
-        Self::open_reporting_file(dir, base, opts).map_err(|(e, _)| e)
-    }
-
-    /// [`open`](Self::open), reporting with an error the file it
-    /// concerns: the generation file it opened for anything that failed
-    /// after (a retired format, a failed read), `dir` before a file was
-    /// opened.
-    pub fn open_reporting_file(
-        dir: &Path,
-        base: &str,
+        format: Format,
         opts: RecordLogOptions,
     ) -> Result<(Self, Vec<OwnedRecord>), (LogError, PathBuf)> {
         let in_dir = |e| (e, dir.to_path_buf());
+        let base = format.client.base();
         let number = newest_generation(dir, base).map_err(in_dir)?;
         let (file, path) = open_generation(dir, base, number).map_err(in_dir)?;
         let in_file = |e| (e, path.clone());
-        check_format(&file).map_err(in_file)?;
+        claim_format(&file, format).map_err(in_file)?;
         if opts.fsync_on_commit {
             sync_dir(dir, true).map_err(in_file)?;
         }
@@ -1130,7 +1198,7 @@ impl RecordLog {
         let mut visible: Vec<OwnedRecord> = Vec::new();
         let at = replay(&buf, |r| {
             visible.push(OwnedRecord {
-                magic: r.magic,
+                kind: r.kind,
                 a: r.a,
                 b: r.b,
                 c: r.c,
@@ -1142,14 +1210,14 @@ impl RecordLog {
         });
         let log = Self {
             dir: dir.to_path_buf(),
-            base: base.to_string(),
+            format,
             gen: RwLock::new(Current {
                 number,
                 path,
                 log: Appender::new(file, u64::MAX, opts, at),
             }),
             rewriting: Mutex::new(()),
-            opened_bytes: buf.len() as u64,
+            opened_empty: buf.len() as u64 == format.start().durable,
         };
         Ok((log, visible))
     }
@@ -1164,11 +1232,11 @@ impl RecordLog {
         self.gen.read().log.log_bytes()
     }
 
-    /// Bytes the generation file held when [`open`](Self::open) read it,
-    /// an uncommitted tail included: 0 only for a log that never held a
-    /// byte (a fresh one).
-    pub fn opened_bytes(&self) -> u64 {
-        self.opened_bytes
+    /// True when [`open`](Self::open) found the generation file holding
+    /// its format header and nothing more — a fresh log — and false when
+    /// it held anything more, an uncommitted tail included.
+    pub fn opened_empty(&self) -> bool {
+        self.opened_empty
     }
 
     /// Append one record and block until a commit marker covers it.
@@ -1204,7 +1272,7 @@ impl RecordLog {
     pub fn begin_rewrite(&self) -> Result<Rewrite<'_>, LogError> {
         let one = self.rewriting.lock();
         let number = self.gen.read().number;
-        let next = GenerationWriter::create(&self.dir, &self.base, number + 1, u64::MAX)?;
+        let next = GenerationWriter::create(&self.dir, self.format, number + 1, u64::MAX)?;
         Ok(Rewrite {
             log: self,
             _one: one,
@@ -1298,8 +1366,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
-    const MAGIC_A: u64 = 0x5445_5354_4d41_4731; // "TESTMAG1"
-    const MAGIC_B: u64 = 0x5445_5354_4d41_4732;
+    const KIND_A: u8 = FIRST_CLIENT_KIND;
+    const KIND_B: u8 = FIRST_CLIENT_KIND + 1;
+
+    /// The format of the tests' logs.
+    const TEST: Format = Format {
+        client: Client::Metadata,
+        number: 7,
+    };
+
+    /// The tests' first generation file.
+    const G0: &str = "meta.g0.log";
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static NEXT: TestCounter = TestCounter::new(0);
@@ -1314,7 +1391,7 @@ mod tests {
 
     fn rec(a: u64, payload: &[u8]) -> Record<'_> {
         Record {
-            magic: MAGIC_A,
+            kind: KIND_A,
             a,
             b: a * 2,
             c: a * 3,
@@ -1322,20 +1399,104 @@ mod tests {
         }
     }
 
+    fn open(dir: &Path) -> Result<(RecordLog, Vec<OwnedRecord>), LogError> {
+        RecordLog::open(dir, TEST, RecordLogOptions::default()).map_err(|(e, _)| e)
+    }
+
+    /// The header of a payload record of `kind` over `payload`.
+    fn record_header(kind: u8, a: u64, b: u64, c: u64, payload: &[u8]) -> Vec<u8> {
+        let len = payload.len() as u64;
+        header(kind, a, b, c, len, payload_digest(payload))
+    }
+
+    /// A handcrafted log image: the format header, then whatever the
+    /// shape under test appends.
+    struct Image(Vec<u8>);
+
+    impl Image {
+        fn new() -> Self {
+            Self(TEST.header().to_vec())
+        }
+
+        fn record(mut self, a: u64, payload: &[u8]) -> Self {
+            self.0
+                .extend_from_slice(&record_header(KIND_A, a, 0, 0, payload));
+            self.0.extend_from_slice(payload);
+            self
+        }
+
+        fn marker(mut self, seq: u64, covered_from: u64) -> Self {
+            self.0.extend_from_slice(&marker(seq, covered_from));
+            self
+        }
+
+        /// A tombstone spanning `span` bytes over whatever the failed
+        /// write left behind.
+        fn tombstone(mut self, span: u64) -> Self {
+            let tomb = tombstone(span).unwrap();
+            self.0.extend_from_slice(&tomb);
+            self.0
+                .extend(std::iter::repeat_n(0xAB, span as usize - tomb.len()));
+            self
+        }
+
+        fn flip(mut self, at: usize) -> Self {
+            self.0[at] ^= 0xFF;
+            self
+        }
+
+        fn end(&self) -> u64 {
+            self.0.len() as u64
+        }
+    }
+
+    /// The `a` fields of the records `buf` replays, and where appends
+    /// resume.
+    fn replayed(buf: &[u8]) -> (Vec<u64>, ResumePoint) {
+        let mut seen = Vec::new();
+        let at = replay(buf, |r| seen.push(r.a));
+        (seen, at)
+    }
+
     #[test]
-    fn opened_bytes_counts_a_tail_no_marker_covers() {
-        let dir = tmp_dir("opened");
-        let (log, _) = RecordLog::open(&dir, "test", RecordLogOptions::default()).unwrap();
-        assert_eq!(log.opened_bytes(), 0, "a fresh log");
-        drop(log);
-        // A record no marker covers: nothing replays and appends resume
-        // at 0, but the file held bytes.
-        let torn = Image::default().record(1, b"torn");
-        std::fs::write(dir.join("test.g0.log"), &torn.0).unwrap();
-        let (log, replayed) = RecordLog::open(&dir, "test", RecordLogOptions::default()).unwrap();
+    fn a_fresh_log_is_its_format_header_and_opens_empty() {
+        let dir = tmp_dir("fresh");
+        let (log, replayed) = open(&dir).unwrap();
         assert!(replayed.is_empty());
-        assert_eq!(log.log_bytes(), 0);
-        assert_eq!(log.opened_bytes(), torn.end());
+        assert!(log.opened_empty(), "a fresh log");
+        assert_eq!(log.log_bytes(), TEST.start().durable);
+        drop(log);
+        // The header alone: still nothing past it.
+        assert_eq!(std::fs::read(dir.join(G0)).unwrap(), &TEST.header()[..]);
+        let (log, _) = open(&dir).unwrap();
+        assert!(log.opened_empty());
+        drop(log);
+        // A head of zeros is a log whose header never reached the disk:
+        // it opens with no record, gets its header, and appends after it.
+        std::fs::write(dir.join(G0), [0u8; 100]).unwrap();
+        let (log, replayed) = open(&dir).unwrap();
+        assert!(replayed.is_empty());
+        assert_eq!(log.log_bytes(), TEST.start().durable);
+        log.append(rec(1, b"one")).unwrap();
+        drop(log);
+        let (log, replayed) = open(&dir).unwrap();
+        assert_eq!(replayed.len(), 1);
+        assert!(!log.opened_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opened_empty_is_false_for_a_tail_no_marker_covers() {
+        let dir = tmp_dir("opened");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A record no marker covers: nothing replays and appends resume
+        // after the format header, but the file held bytes.
+        let torn = Image::new().record(1, b"torn");
+        std::fs::write(dir.join(G0), &torn.0).unwrap();
+        let (log, replayed) = open(&dir).unwrap();
+        assert!(replayed.is_empty());
+        assert_eq!(log.log_bytes(), TEST.start().durable);
+        assert!(!log.opened_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1343,23 +1504,20 @@ mod tests {
     fn roundtrip_single_and_batch() {
         let dir = tmp_dir("roundtrip");
         {
-            let (log, replayed) =
-                RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("open fresh log");
+            let (log, replayed) = open(&dir).expect("open fresh log");
             assert!(replayed.is_empty());
             log.append(rec(1, b"one")).unwrap();
             log.append_batch(&[rec(2, b"two"), rec(3, b"three")])
                 .unwrap();
         }
-        let (log, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen log");
+        let (log, replayed) = open(&dir).expect("reopen log");
         assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[0].payload, b"one");
         assert_eq!(replayed[2].a, 3);
         assert_eq!(replayed[2].payload, b"three");
         // Appends resume cleanly after a replayed reopen.
         log.append(rec(4, b"four")).unwrap();
-        let (_, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen again");
+        let (_, replayed) = open(&dir).expect("reopen again");
         assert_eq!(replayed.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1368,8 +1526,7 @@ mod tests {
     fn torn_tail_stops_at_last_marker() {
         let dir = tmp_dir("torn");
         let path = {
-            let (log, _) =
-                RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("open");
+            let (log, _) = open(&dir).expect("open");
             log.append(rec(1, b"committed")).unwrap();
             log.path().to_path_buf()
         };
@@ -1377,12 +1534,11 @@ mod tests {
         // that never finished (digest mismatch).
         let tail = std::fs::metadata(&path).unwrap().len();
         let file = OpenOptions::new().write(true).open(&path).unwrap();
-        let header = encode_header(MAGIC_A, 9, 9, 9, 100, payload_digest(b"intended"));
+        let header = header(KIND_A, 9, 9, 9, 100, payload_digest(b"intended"));
         write_at(&file, &header, tail).unwrap();
-        write_at(&file, b"torn", tail + REC_HEADER).unwrap();
+        write_at(&file, b"torn", tail + header.len() as u64).unwrap();
         drop(file);
-        let (_, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen");
+        let (_, replayed) = open(&dir).expect("reopen");
         assert_eq!(replayed.len(), 1, "torn tail is invisible");
         assert_eq!(replayed[0].payload, b"committed");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1392,8 +1548,7 @@ mod tests {
     fn uncommitted_records_do_not_replay() {
         let dir = tmp_dir("uncommitted");
         let path = {
-            let (log, _) =
-                RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("open");
+            let (log, _) = open(&dir).expect("open");
             log.append(rec(1, b"acked")).unwrap();
             log.path().to_path_buf()
         };
@@ -1402,24 +1557,15 @@ mod tests {
         let tail = std::fs::metadata(&path).unwrap().len();
         let file = OpenOptions::new().write(true).open(&path).unwrap();
         let payload = b"never-acked";
-        let header = encode_header(
-            MAGIC_B,
-            7,
-            14,
-            21,
-            payload.len() as u64,
-            payload_digest(payload),
-        );
+        let header = record_header(KIND_B, 7, 14, 21, payload);
         write_at(&file, &header, tail).unwrap();
-        write_at(&file, payload, tail + REC_HEADER).unwrap();
+        write_at(&file, payload, tail + header.len() as u64).unwrap();
         drop(file);
-        let (log, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen");
+        let (log, replayed) = open(&dir).expect("reopen");
         assert_eq!(replayed.len(), 1, "uncommitted record must not surface");
         // The next append overwrites the dangling record and commits.
         log.append(rec(2, b"after")).unwrap();
-        let (_, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen 2");
+        let (_, replayed) = open(&dir).expect("reopen 2");
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[1].payload, b"after");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1428,8 +1574,7 @@ mod tests {
     #[test]
     fn rewrite_swaps_generation_and_drops_history() {
         let dir = tmp_dir("rewrite");
-        let (mut log, _) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("open");
+        let (mut log, _) = open(&dir).expect("open");
         for i in 0..10 {
             log.append(rec(i, b"bulk")).unwrap();
         }
@@ -1440,13 +1585,12 @@ mod tests {
         // Appends after a rewrite land in the new generation.
         log.append(rec(100, b"incremental")).unwrap();
         drop(log);
-        let (log, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen");
+        let (log, replayed) = open(&dir).expect("reopen");
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[0].a, 99);
         assert_eq!(replayed[1].a, 100);
         assert!(
-            !dir.join("test.g0.log").exists(),
+            !dir.join(G0).exists(),
             "old generation unlinked after rewrite"
         );
         drop(log);
@@ -1456,7 +1600,7 @@ mod tests {
     #[test]
     fn concurrent_appends_all_replay() {
         let dir = tmp_dir("concurrent");
-        let (log, _) = RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("open");
+        let (log, _) = open(&dir).expect("open");
         let log = std::sync::Arc::new(log);
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -1472,8 +1616,7 @@ mod tests {
             t.join().unwrap();
         }
         drop(log);
-        let (_, replayed) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("reopen");
+        let (_, replayed) = open(&dir).expect("reopen");
         assert_eq!(replayed.len(), 200);
         let mut ids: Vec<u64> = replayed.iter().map(|r| r.a).collect();
         ids.sort_unstable();
@@ -1482,42 +1625,224 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A header field of one to ten varint bytes.
+    fn any_width() -> impl proptest::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+    }
+
     proptest::proptest! {
-        // Hostile bytes: any file content must open to `Ok` (with
-        // whatever committed prefix validates) or a typed error —
-        // never a panic, never an out-of-bounds read.
+        // Hostile bytes, with or without a valid format header before
+        // them: any file content must open to `Ok` (with whatever
+        // committed prefix validates) or a typed error — never a panic,
+        // never an out-of-bounds read.
         #[test]
-        fn hostile_bytes_never_panic(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096)) {
+        fn hostile_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+            headed in proptest::prelude::any::<bool>(),
+        ) {
             let dir = tmp_dir("hostile");
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join("test.g0.log"), &bytes).unwrap();
-            let _ = RecordLog::open(&dir, "test", RecordLogOptions::default());
+            let image = if headed { [&TEST.header()[..], &bytes].concat() } else { bytes };
+            std::fs::write(dir.join(G0), &image).unwrap();
+            let _ = open(&dir);
             let _ = std::fs::remove_dir_all(&dir);
         }
 
         // Truncating a valid log at any point never panics and never
         // surfaces a record that was not fully committed.
         #[test]
-        fn truncation_never_panics(cut in 0usize..600) {
+        fn truncation_never_panics(cut in 0usize..400) {
             let dir = tmp_dir("truncate");
             {
-                let (log, _) =
-                    RecordLog::open(&dir, "test", RecordLogOptions::default()).unwrap();
+                let (log, _) = open(&dir).unwrap();
                 log.append_batch(&[rec(1, b"alpha"), rec(2, b"beta")]).unwrap();
                 log.append(rec(3, b"gamma")).unwrap();
             }
-            let path = dir.join("test.g0.log");
+            let path = dir.join(G0);
             let bytes = std::fs::read(&path).unwrap();
             let cut = cut.min(bytes.len());
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            let (_, replayed) =
-                RecordLog::open(&dir, "test", RecordLogOptions::default()).unwrap();
+            // A cut inside the format header leaves a head that is
+            // neither zeros nor the header: refused, untouched.
+            let Ok((_, replayed)) = open(&dir) else {
+                proptest::prop_assert!(cut > 0 && cut < TEST.header().len());
+                proptest::prop_assert_eq!(std::fs::read(&path).unwrap(), &bytes[..cut]);
+                let _ = std::fs::remove_dir_all(&dir);
+                return;
+            };
             // Whatever replays must be an exact prefix of what was acked.
             let acked: Vec<&[u8]> = vec![b"alpha", b"beta", b"gamma"];
             proptest::prop_assert!(replayed.len() <= acked.len());
             for (r, want) in replayed.iter().zip(acked) {
                 proptest::prop_assert_eq!(&r.payload[..], want);
             }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        // One compact header, drawn at every field width: it round-trips,
+        // every single-bit flip anywhere in it (or in the marker that
+        // commits it) is refused, and a header cut at any byte is a torn
+        // tail that ends replay at the previous marker.
+        #[test]
+        fn compact_headers_roundtrip_and_refuse_every_flip_and_cut(
+            kind in FIRST_CLIENT_KIND..=u8::MAX,
+            a in any_width(),
+            b in any_width(),
+            c in any_width(),
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+        ) {
+            let prefix = Image::new().record(1, b"first").marker(0, TEST.start().durable);
+            let durable = ResumePoint { durable: prefix.end(), next_seq: 1 };
+            let header = record_header(kind, a, b, c, &payload);
+            let rec_at = prefix.0.len();
+            let marker_at = rec_at + header.len() + payload.len();
+            let mut image = prefix.0.clone();
+            image.extend_from_slice(&header);
+            image.extend_from_slice(&payload);
+            image.extend_from_slice(&marker(1, prefix.end()));
+            proptest::prop_assert_eq!(
+                header.len() as u64,
+                footprint(a, b, c, payload.len() as u64) - payload.len() as u64
+            );
+            let mut seen = Vec::new();
+            let at = replay(&image, |r| seen.push((r.kind, r.a, r.b, r.c, image[r.payload].to_vec())));
+            proptest::prop_assert_eq!(at, ResumePoint { durable: image.len() as u64, next_seq: 2 });
+            proptest::prop_assert_eq!(seen.len(), 2);
+            proptest::prop_assert_eq!(&seen[1], &(kind, a, b, c, payload.clone()));
+            // Every bit of the record's header and of its marker.
+            let marker_end = image.len();
+            for at in (rec_at..rec_at + header.len()).chain(marker_at..marker_end) {
+                for bit in 0..8 {
+                    image[at] ^= 1 << bit;
+                    proptest::prop_assert_eq!(
+                        replayed(&image),
+                        (vec![1], durable),
+                        "bit {} of byte {}", bit, at
+                    );
+                    image[at] ^= 1 << bit;
+                }
+            }
+            // Every cut of the record's header, of its payload and of
+            // its marker.
+            for cut in rec_at..marker_end {
+                proptest::prop_assert_eq!(replayed(&image[..cut]), (vec![1], durable), "cut at {}", cut);
+            }
+        }
+    }
+
+    #[test]
+    fn a_len_past_the_end_is_refused_before_any_allocation() {
+        // A header declaring 2^62 payload bytes: were anything sized
+        // from it, the allocation would abort the test process.
+        let mut image = Image::new()
+            .record(1, b"first")
+            .marker(0, TEST.start().durable);
+        let durable = ResumePoint {
+            durable: image.end(),
+            next_seq: 1,
+        };
+        image
+            .0
+            .extend_from_slice(&header(KIND_A, 2, 0, 0, 1 << 62, 0));
+        image.0.extend_from_slice(b"a few bytes");
+        assert_eq!(replayed(&image.0), (vec![1], durable));
+        let dir = tmp_dir("huge-len");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(G0), &image.0).unwrap();
+        let (log, replayed) = open(&dir).unwrap();
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(log.log_bytes(), durable.durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tombstone_fits_every_range_a_failed_record_can_leave() {
+        // The smallest record or marker is a 13-byte header. Exhaustive
+        // over the first few thousand spans, then each varint boundary
+        // of `len`, where one byte is left over unless `a` pads it.
+        let boundaries = (2..10).flat_map(|width| {
+            let edge = 1u64 << (7 * (width - 1));
+            (edge - 20)..(edge + 20)
+        });
+        for span in (13..5000).chain(boundaries) {
+            let tomb = tombstone(span).unwrap_or_else(|| panic!("no tombstone for {span}"));
+            // Parse the header back: its declared payload ends the span.
+            let mut fields = [0u64; 4];
+            let mut at = 1;
+            for field in &mut fields {
+                let (v, width) = varint::take(&tomb[at..]).unwrap();
+                *field = v;
+                at += width;
+            }
+            assert_eq!(tomb[0], TOMBSTONE_KIND);
+            assert_eq!(tomb.len() as u64 + fields[3], span, "span {span}");
+            // Replay steps over it, from a whole image, for spans small
+            // enough to build.
+            if span < 20_000 {
+                let first = Image::new().end();
+                let image = Image::new()
+                    .tombstone(span)
+                    .record(1, b"after")
+                    .marker(0, first);
+                let at = ResumePoint {
+                    durable: image.end(),
+                    next_seq: 1,
+                };
+                assert_eq!(replayed(&image.0), (vec![1], at), "span {span}");
+            }
+        }
+        assert!(tombstone(12).is_none());
+    }
+
+    #[test]
+    fn the_marker_headroom_covers_the_largest_marker_a_log_can_write() {
+        for capacity in [
+            100,
+            127,
+            128,
+            16_383,
+            16_384,
+            1 << 21,
+            1 << 28,
+            1 << 35,
+            1 << 56,
+            1 << 63,
+            u64::MAX,
+        ] {
+            // Every marker is at least 13 bytes, so at most capacity / 13
+            // of them fit, and each covers from an offset below its own.
+            let largest = marker(capacity / 13, capacity - 13).len() as u64;
+            assert!(marker_headroom(capacity) >= largest, "{capacity}");
+        }
+        // And a log filled to its capacity with single appends commits
+        // every append it reserves, a refused one reserving nothing:
+        // over every capacity from 60 to 399 B, and 16,370–16,419 B, so
+        // that some fill ends exactly where a record fits and only the
+        // marker's headroom decides, with coverage offsets of one to
+        // three varint bytes.
+        for capacity in (60..400).chain(16_370..16_420) {
+            let dir = tmp_dir("headroom");
+            std::fs::create_dir_all(&dir).unwrap();
+            let (file, path) = open_generation(&dir, "meta", 0).unwrap();
+            write_at(&file, &TEST.header(), 0).unwrap();
+            let log = Appender::new(file, capacity, RecordLogOptions::default(), TEST.start());
+            let mut acked = 0;
+            loop {
+                let before = log.log_bytes();
+                match log.append(rec(acked, b"x")) {
+                    Ok(_) => acked += 1,
+                    Err(LogError::Full) => {
+                        assert_eq!(log.log_bytes(), before, "nothing reserved");
+                        break;
+                    }
+                    Err(e) => panic!("capacity {capacity}: append {acked} failed: {e}"),
+                }
+            }
+            assert!(log.log_bytes() <= capacity && acked > 0);
+            let (seen, at) = replayed(&std::fs::read(&path).unwrap());
+            assert_eq!(seen, (0..acked).collect::<Vec<_>>(), "{capacity}");
+            assert_eq!(at.durable, log.log_bytes());
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1537,7 +1862,7 @@ mod tests {
             fsync_on_commit: true,
             ..RecordLogOptions::default()
         };
-        let (mut log, _) = RecordLog::open(&dir, "test", strict).expect("open");
+        let (mut log, _) = RecordLog::open(&dir, TEST, strict).expect("open");
         log.append(rec(1, b"kept")).unwrap();
         let set_mode = |mode| std::fs::set_permissions(&dir, PermissionsExt::from_mode(mode));
         set_mode(0o300).unwrap();
@@ -1549,69 +1874,27 @@ mod tests {
         let refused = log.rewrite(&[rec(9, b"checkpoint")]);
         set_mode(0o700).unwrap();
         assert_eq!(refused, Err(LogError::Io("sync log dir")));
-        assert!(log.path().ends_with("test.g0.log"), "old generation serves");
-        assert!(!dir.join("test.g1.log").exists(), "rename undone");
-        assert!(!dir.join("test.g1.log.tmp").exists(), "staged file removed");
+        assert!(log.path().ends_with(G0), "old generation serves");
+        assert!(!dir.join("meta.g1.log").exists(), "rename undone");
+        assert!(!dir.join("meta.g1.log.tmp").exists(), "staged file removed");
         log.append(rec(2, b"still appendable")).unwrap();
         drop(log);
-        let (_, replayed) = RecordLog::open(&dir, "test", strict).expect("reopen");
+        let (_, replayed) = RecordLog::open(&dir, TEST, strict).expect("reopen");
         assert_eq!(replayed.iter().map(|r| r.a).collect::<Vec<_>>(), [1, 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A handcrafted log image for the replay table.
-    #[derive(Default)]
-    struct Image(Vec<u8>);
-
-    impl Image {
-        fn record(mut self, a: u64, payload: &[u8]) -> Self {
-            let len = payload.len() as u64;
-            self.0.extend_from_slice(&encode_header(
-                MAGIC_A,
-                a,
-                0,
-                0,
-                len,
-                payload_digest(payload),
-            ));
-            self.0.extend_from_slice(payload);
-            self
-        }
-
-        fn marker(mut self, seq: u64, covered_from: u64) -> Self {
-            self.0
-                .extend_from_slice(&encode_header(COMMIT_MAGIC, seq, covered_from, 0, 0, 0));
-            self
-        }
-
-        /// A tombstone over `len` bytes of whatever the failed write
-        /// left behind.
-        fn tombstone(mut self, len: usize) -> Self {
-            self.0
-                .extend_from_slice(&encode_header(TOMBSTONE_MAGIC, 0, 0, 0, len as u64, 0));
-            self.0.extend(std::iter::repeat_n(0xAB, len));
-            self
-        }
-
-        fn flip(mut self, at: usize) -> Self {
-            self.0[at] ^= 0xFF;
-            self
-        }
-
-        fn end(&self) -> u64 {
-            self.0.len() as u64
-        }
-    }
-
     #[test]
     fn replay_table_every_crash_shape_over_vec_and_mapping() {
-        // Every shape shares the committed prefix `record 1 | marker 0`
-        // (ends at 48 + 5 + 48 = 101) and differs in what follows.
-        let prefix = || Image::default().record(1, b"first").marker(0, 0);
+        // Every shape shares the committed prefix `format header |
+        // record 1 | marker 0` and differs in what follows.
+        let start = TEST.start().durable;
+        let prefix = || Image::new().record(1, b"first").marker(0, start);
         let first = prefix().end();
-        let second_payload = first as usize + 48;
+        let second_payload = first + footprint(2, 0, 0, 6) - 6;
         let second_marker = second_payload + 6;
-        /// Visible records' `a` words + where appends resume.
+        let marker_len = marker(1, first).len() as u64;
+        /// Visible records' `a` fields + where appends resume.
         type Outcome = (Vec<u64>, ResumePoint);
         let committed_prefix: Outcome = (
             vec![1],
@@ -1626,7 +1909,7 @@ mod tests {
                 prefix()
                     .record(2, b"second")
                     .marker(1, first)
-                    .flip(second_payload + 3),
+                    .flip(second_payload as usize + 3),
                 committed_prefix.clone(),
             ),
             (
@@ -1634,7 +1917,7 @@ mod tests {
                 prefix()
                     .record(2, b"second")
                     .marker(1, first)
-                    .flip(second_marker + 9),
+                    .flip((second_marker + marker_len) as usize - 2),
                 committed_prefix.clone(),
             ),
             (
@@ -1643,13 +1926,22 @@ mod tests {
                 committed_prefix.clone(),
             ),
             (
-                "checksum-valid marker with the wrong coverage word",
+                "checksum-valid marker with the wrong coverage offset",
                 prefix().record(2, b"second").marker(1, first + 8),
                 committed_prefix.clone(),
             ),
             (
                 "record past the last marker was never acknowledged",
                 prefix().record(2, b"second"),
+                committed_prefix.clone(),
+            ),
+            (
+                "a second format header is no record",
+                {
+                    let mut image = prefix();
+                    image.0.extend_from_slice(&TEST.header());
+                    image.marker(1, first)
+                },
                 committed_prefix.clone(),
             ),
             {
@@ -1664,6 +1956,15 @@ mod tests {
                     (vec![1, 2], at),
                 )
             },
+            (
+                "no format header: nothing replays",
+                {
+                    let mut image = prefix();
+                    image.0.drain(..start as usize);
+                    image
+                },
+                (vec![], ResumePoint::default()),
+            ),
         ];
         let dir = tmp_dir("replay-table");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1697,7 +1998,11 @@ mod tests {
     fn bounded_appender_refuses_a_reservation_without_marker_headroom() {
         let dir = tmp_dir("bounded");
         std::fs::create_dir_all(&dir).unwrap();
-        let footprint = REC_HEADER + 7;
+        let record = rec(1, b"payload");
+        let footprint = record.footprint();
+        // Below 128 bytes of capacity the largest marker is 13 bytes.
+        let headroom = marker_headroom(127);
+        assert_eq!(headroom, 13);
         let open = |capacity: u64| {
             // (one generation file per appender; the number is just a name)
             let (file, _) = open_generation(&dir, "cap", capacity).unwrap();
@@ -1706,15 +2011,16 @@ mod tests {
         };
         // The record fits, the marker that must seal it does not: the
         // typed error, and nothing reserved.
-        let tight = open(footprint + REC_HEADER - 1);
-        assert_eq!(tight.append(rec(1, b"payload")), Err(LogError::Full));
+        let tight = open(footprint + headroom - 1);
+        assert_eq!(tight.append(record), Err(LogError::Full));
         assert_eq!(tight.log_bytes(), 0, "failed reservation reserves nothing");
         // One more byte of capacity and it commits, payload offset back.
-        let exact = open(footprint + REC_HEADER);
-        assert_eq!(exact.append(rec(1, b"payload")), Ok(REC_HEADER));
-        assert_eq!(exact.log_bytes(), footprint + REC_HEADER);
+        let exact = open(footprint + headroom);
+        assert_eq!(exact.append(record), Ok(footprint - 7));
+        let marker = marker(0, 0).len() as u64;
+        assert_eq!(exact.log_bytes(), footprint + marker);
         assert_eq!(exact.append(rec(2, b"")), Err(LogError::Full));
-        assert_eq!(exact.log_bytes(), footprint + REC_HEADER);
+        assert_eq!(exact.log_bytes(), footprint + marker);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1811,63 +2117,86 @@ mod tests {
     const DIGEST_EMPTY: u64 = 0xa665_a3dc_1ec1_29f7;
 
     #[test]
-    fn retired_formats_are_refused_untouched() {
-        let retired = |magic: u64| {
-            let mut header = encode_header(MAGIC_A, 1, 0, 0, 5, payload_digest(b"old!!"));
-            header[..8].copy_from_slice(&magic.to_le_bytes());
-            [
-                &header[..],
-                b"old!!",
-                &encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0),
-            ]
-            .concat()
+    fn a_head_but_this_formats_header_is_refused_untouched() {
+        // A log of the 48-byte headers this format replaced: six u64s
+        // (an 8-byte magic, a, b, c, len, check), payload, marker.
+        let mut old = Vec::new();
+        for word in [0x5445_5354_4d41_4731u64, 1, 0, 0, 5, 0x0123_4567_89ab_cdef] {
+            old.extend_from_slice(&word.to_le_bytes());
+        }
+        old.extend_from_slice(b"old!!");
+        let other_client = Format {
+            client: Client::Version,
+            ..TEST
         };
-        let heads = tmp_dir("heads");
-        std::fs::create_dir_all(&heads).unwrap();
-        let check_image = |image: &[u8]| {
-            let path = heads.join("head.log");
-            std::fs::write(&path, image).unwrap();
-            check_format(&File::open(&path).unwrap())
+        let other_number = Format {
+            number: TEST.number + 1,
+            ..TEST
         };
-        let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, 16, 0);
-        let marker = encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0);
-        for magic in RETIRED_MAGICS {
-            let image = retired(magic);
+        let heads: [(&str, Vec<u8>); 5] = [
+            ("a 48-byte-header log", old),
+            ("another client's log", other_client.header().to_vec()),
+            ("another format number", other_number.header().to_vec()),
+            ("a torn format header", TEST.header()[..5].to_vec()),
+            (
+                "a record where the header belongs",
+                [&record_header(KIND_A, 1, 0, 0, b"x")[..], b"x"].concat(),
+            ),
+        ];
+        for (name, head) in heads {
+            let image = [&head[..], &Image::new().record(1, b"x").0].concat();
+            let dir = tmp_dir("wrong-format");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(G0);
+            std::fs::write(&path, &image).unwrap();
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
             assert_eq!(
-                check_image(&image),
-                Err(LogError::RetiredFormat { offset: 0 })
-            );
-            // Behind the header-only records a failed first append can
-            // leave at the head.
-            let behind = [&tomb[..], &[0xAB; 16], &marker, &image].concat();
-            assert_eq!(
-                check_image(&behind),
-                Err(LogError::RetiredFormat { offset: 112 })
+                claim_format(&file, TEST),
+                Err(LogError::WrongFormat),
+                "{name}"
             );
             // RecordLog::open refuses before it resumes or appends: the
             // file is byte-identical and no generation is added.
-            let dir = tmp_dir("retired");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("test.g0.log");
-            std::fs::write(&path, &image).unwrap();
-            let refused = RecordLog::open(&dir, "test", RecordLogOptions::default());
-            assert_eq!(refused.err(), Some(LogError::RetiredFormat { offset: 0 }));
-            assert_eq!(std::fs::read(&path).unwrap(), image);
-            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+            assert_eq!(open(&dir).err(), Some(LogError::WrongFormat), "{name}");
+            assert_eq!(std::fs::read(&path).unwrap(), image, "{name}");
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "{name}");
             let _ = std::fs::remove_dir_all(&dir);
         }
-        // The current format (also sparse-padded, as the page log
-        // leaves it), an empty log, a bare marker and a tombstone whose
-        // range runs past the end pass.
-        let current = Image::default().record(1, b"new").marker(0, 0);
-        assert_eq!(check_image(&current.0), Ok(()));
-        assert_eq!(check_image(&[current.0, vec![0; 4096]].concat()), Ok(()));
-        assert_eq!(check_image(&[]), Ok(()));
-        assert_eq!(check_image(&marker), Ok(()));
-        assert_eq!(check_image(&tomb), Ok(()));
-        let _ = std::fs::remove_dir_all(&heads);
+        // The format's own header passes untouched, also sparse-padded as
+        // the page log leaves it; an empty file and a head of zeros are
+        // fresh, and get the header.
+        let dir = tmp_dir("heads");
+        std::fs::create_dir_all(&dir).unwrap();
+        let claim = |image: &[u8]| {
+            let path = dir.join("head.log");
+            std::fs::write(&path, image).unwrap();
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            claim_format(&file, TEST).map(|()| std::fs::read(&path).unwrap())
+        };
+        let current = Image::new()
+            .record(1, b"new")
+            .marker(0, TEST.start().durable);
+        let padded = [current.0.clone(), vec![0; 4096]].concat();
+        for image in [&current.0[..], &padded, &TEST.header()] {
+            assert_eq!(claim(image), Ok(image.to_vec()));
+        }
+        assert_eq!(claim(&[]), Ok(TEST.header()));
+        assert_eq!(claim(&[0; 7]), Ok(TEST.header()));
+        let zeros = claim(&[0; 4096]).unwrap();
+        assert_eq!(zeros.len(), 4096);
+        assert_eq!(zeros[..13], TEST.header()[..]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// FNV-1a over the image: independent of the engine's own digest.
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -1877,31 +2206,31 @@ mod tests {
     #[test]
     fn golden_image_pins_the_record_log_format() {
         let dir = tmp_dir("golden");
-        let (mut log, _) =
-            RecordLog::open(&dir, "test", RecordLogOptions::default()).expect("open");
+        let (mut log, _) = open(&dir).expect("open");
         log.append(rec(1, b"one")).unwrap();
         log.append_batch(&[rec(2, b"two"), rec(3, b"")]).unwrap();
+        let g0 = std::fs::read(dir.join(G0)).unwrap();
         assert_eq!(
-            fnv1a(&std::fs::read(dir.join("test.g0.log")).unwrap()),
+            (g0.len(), fnv1a(&g0)),
             GOLDEN_G0,
             "generation 0 image drifted"
         );
         log.rewrite(&[rec(9, b"checkpoint")]).unwrap();
         log.append(rec(10, b"after")).unwrap();
+        let g1 = std::fs::read(dir.join("meta.g1.log")).unwrap();
         assert_eq!(
-            fnv1a(&std::fs::read(dir.join("test.g1.log")).unwrap()),
+            (g1.len(), fnv1a(&g1)),
             GOLDEN_G1,
             "generation 1 image drifted"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    // Re-pinned for the eight-lane digest (was 18291613202746257468 /
-    // 17551492787344416262 under the single chain). Byte diff of the
-    // old images against these: both are the same length (246 and 207
-    // bytes) and differ only in bytes 40..48 — the check word — of the
-    // five payload records (g0 at offsets 0, 99, 150; g1 at 0, 106;
-    // the empty payload included). The test magic is not bumped, and
-    // payloads and markers are identical.
-    const GOLDEN_G0: u64 = 648087245581547038;
-    const GOLDEN_G1: u64 = 15581045687951484820;
+    // Re-pinned for the compact header and the format header (were
+    // 246 and 207 bytes under 48-byte headers). g0: the 13 B format
+    // header, `one` (13 + 3 B) and its 13 B marker, `two` (16 B) and
+    // the empty record (13 B) under one 13 B marker. g1: format header,
+    // `checkpoint` (13 + 10 B) and its marker, `after` (13 + 5 B) and its
+    // marker. Every header here is 13 B: each field fits one varint byte.
+    const GOLDEN_G0: (usize, u64) = (84, 7231617958502035803);
+    const GOLDEN_G1: (usize, u64) = (80, 3002398185330585803);
 }

@@ -39,32 +39,46 @@ pub struct BlobSnapshot {
     pub writes: Vec<(u64, u64, u64)>,
 }
 
+/// Varints: blob, total size, page size, the write count, then each
+/// write's id, offset and size.
 impl Wire for BlobSnapshot {
     fn encode(&self, out: &mut WireBuf) {
-        self.blob.encode(out);
-        self.total_size.encode(out);
-        self.page_size.encode(out);
-        self.writes.encode(out);
+        for field in [self.blob, self.total_size, self.page_size] {
+            out.put_varint(field);
+        }
+        out.put_varint(self.writes.len() as u64);
+        for &(write, offset, size) in &self.writes {
+            for field in [write, offset, size] {
+                out.put_varint(field);
+            }
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (blob, total_size, page_size) = (r.take_varint()?, r.take_varint()?, r.take_varint()?);
+        let count = r.take_varint_count()?;
+        let mut writes = Vec::with_capacity(count.min(r.remaining()));
+        for _ in 0..count {
+            writes.push((r.take_varint()?, r.take_varint()?, r.take_varint()?));
+        }
         Ok(Self {
-            blob: u64::decode(r)?,
-            total_size: u64::decode(r)?,
-            page_size: u64::decode(r)?,
-            writes: Vec::decode(r)?,
+            blob,
+            total_size,
+            page_size,
+            writes,
         })
     }
 }
 
-/// Magic + version prefix of the snapshot format.
-const MAGIC: u32 = 0xB10B_5EE5;
-const FORMAT: u32 = 1;
-
-/// Serialize the durable state of every blob (published prefix only).
+/// Serialize the durable state of every blob (published prefix only):
+/// the blob count, then each [`BlobSnapshot`], all varints. The
+/// snapshot carries no format number of its own: the version journal's
+/// format header names it.
 pub fn snapshot(registry: &VersionRegistry) -> Vec<u8> {
-    let mut blobs = Vec::new();
-    for state in registry.states() {
+    let mut out = WireBuf::new();
+    let states = registry.states();
+    out.put_varint(states.len() as u64);
+    for state in states {
         let published = state.latest();
         let mut writes = Vec::with_capacity(published as usize);
         for v in 1..=published {
@@ -73,17 +87,14 @@ pub fn snapshot(registry: &VersionRegistry) -> Vec<u8> {
                 writes.push((rec.write.0, rec.seg.offset, rec.seg.size));
             }
         }
-        blobs.push(BlobSnapshot {
+        BlobSnapshot {
             blob: state.blob.0,
             total_size: state.geom.total_size,
             page_size: state.geom.page_size,
             writes,
-        });
+        }
+        .encode(&mut out);
     }
-    let mut out = WireBuf::new();
-    MAGIC.encode(&mut out);
-    FORMAT.encode(&mut out);
-    blobs.encode(&mut out);
     out.finish().to_vec()
 }
 
@@ -106,15 +117,11 @@ pub fn restore(bytes: &[u8], window: usize) -> Result<VersionRegistry, BlobError
 /// (shard membership, grant batching, publish window).
 pub fn restore_with(bytes: &[u8], config: RegistryConfig) -> Result<VersionRegistry, BlobError> {
     let mut r = Reader::new(bytes);
-    let magic = u32::decode(&mut r).map_err(BlobError::Codec)?;
-    if magic != MAGIC {
-        return Err(BlobError::Internal("not a version-manager snapshot"));
+    let count = r.take_varint_count().map_err(BlobError::Codec)?;
+    let mut blobs = Vec::with_capacity(count.min(r.remaining()));
+    for _ in 0..count {
+        blobs.push(BlobSnapshot::decode(&mut r).map_err(BlobError::Codec)?);
     }
-    let format = u32::decode(&mut r).map_err(BlobError::Codec)?;
-    if format != FORMAT {
-        return Err(BlobError::Internal("unsupported snapshot format"));
-    }
-    let blobs: Vec<BlobSnapshot> = Vec::decode(&mut r).map_err(BlobError::Codec)?;
     r.finish().map_err(BlobError::Codec)?;
 
     let registry = VersionRegistry::with_config(config);

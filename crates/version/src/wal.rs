@@ -6,17 +6,19 @@
 //!
 //! ## Log format
 //!
-//! One generation file `version.g<N>.log` of 48-byte-header records:
+//! One generation file `version.g<N>.log`, its format header naming the
+//! version journal's format number ([`FORMAT`]), then records whose
+//! integers are all varints:
 //!
-//! * **snapshot** (`BSVRSNP2`): payload is a [`crate::recovery`]
+//! * **snapshot** ([`SNAPSHOT_KIND`]): payload is a [`crate::recovery`]
 //!   snapshot of the whole registry. At most one per generation, always
 //!   first — written by the checkpoint-on-open rewrite.
-//! * **create** (`BSVRCRE2`): `a` = blob id, `b` = total size, `c` =
-//!   page size; no payload. Appended *before* the blob id is
+//! * **create** ([`CREATE_KIND`]): `a` = blob id, `b` = total size,
+//!   `c` = page size; no payload. Appended *before* the blob id is
 //!   acknowledged to the client.
-//! * **publish** (`BSVRPUB2`): `a` = blob id, `b` = version, `c` =
-//!   write id; payload = 16 LE bytes `(offset, size)` of the patched
-//!   segment. Appended **before** the version becomes observable
+//! * **publish** ([`PUBLISH_KIND`]): `a` = blob id, `b` = version, `c` =
+//!   write id; payload = the patched segment's offset and size, two
+//!   varints. Appended **before** the version becomes observable
 //!   (write-ahead): a reader that ever saw `latest >= v` is guaranteed
 //!   to see `v` again after a crash. The publishers of one version
 //!   grant arrive together; the engine's group commit seals their
@@ -43,35 +45,62 @@
 //! staged, and no `fdatasync`, rename or directory sync is paid.
 //!
 //! Committed-but-undecodable bytes are a typed
-//! [`BlobError::Recovery`] carrying file + offset, never a panic.
+//! [`BlobError::Recovery`] carrying file + offset, never a panic. A
+//! journal whose head is not [`FORMAT`]'s header — one of another
+//! format number, or one written before format headers (48-byte records
+//! with the magics `BSVRSNP2`, `BSVRCRE2`, `BSVRPUB2` and older) — is
+//! refused at open the same way, untouched, before the checkpoint could
+//! rewrite it. A change to what these records hold (the publish's write
+//! id, a gc floor in the snapshot) is one more format number.
 
 use crate::recovery::{restore_with, snapshot};
 use crate::state::{RegistryConfig, VersionRegistry};
 use blobseer_proto::{BlobError, BlobId, Geometry, Segment, Version, WriteId};
-use blobseer_util::recordlog::{LogError, OwnedRecord, Record, RecordLog, RecordLogOptions};
+use blobseer_util::recordlog::{
+    Client, Format, LogError, OwnedRecord, Record, RecordLog, RecordLogOptions, FIRST_CLIENT_KIND,
+};
+use blobseer_util::varint;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Magic of a blob-create record ("BSVRCRE2"). The three version
-/// magics replaced `BSVRCRE1` / `BSVRPUB1` / `BSVRSNAP`, the same
-/// records under the engine's retired single-chain payload digest
-/// ([`blobseer_util::recordlog::RETIRED_MAGICS`]): a journal holding
-/// them is refused at open, before the checkpoint could rewrite it.
-pub const VERSION_CREATE_MAGIC: u64 = 0x4253_5652_4352_4532;
+/// The version journal's format: generation files
+/// `version.g<N>.log`, format number 1.
+pub const FORMAT: Format = Format {
+    client: Client::Version,
+    number: 1,
+};
 
-/// Magic of a publish record ("BSVRPUB2").
-pub const VERSION_PUBLISH_MAGIC: u64 = 0x4253_5652_5055_4232;
+/// Kind of a registry-snapshot record.
+pub const SNAPSHOT_KIND: u8 = FIRST_CLIENT_KIND;
 
-/// Magic of a registry-snapshot record ("BSVRSNP2").
-pub const VERSION_SNAPSHOT_MAGIC: u64 = 0x4253_5652_534e_5032;
+/// Kind of a blob-create record.
+pub const CREATE_KIND: u8 = FIRST_CLIENT_KIND + 1;
+
+/// Kind of a publish record.
+pub const PUBLISH_KIND: u8 = FIRST_CLIENT_KIND + 2;
 
 /// Map an engine error onto the typed recovery error.
 fn log_err(path: &Path, e: LogError) -> BlobError {
     BlobError::Recovery {
         file: path.display().to_string(),
-        offset: e.offset(),
+        offset: 0,
         detail: e.detail(),
     }
+}
+
+/// The publish payload of `seg`: its offset and size, two varints.
+fn publish_payload(seg: &Segment) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * varint::MAX_LEN);
+    varint::put(&mut out, seg.offset);
+    varint::put(&mut out, seg.size);
+    out
+}
+
+/// The segment a publish payload names: exactly two varints.
+fn decode_publish(payload: &[u8]) -> Option<Segment> {
+    let (offset, n) = varint::take(payload).ok()?;
+    let (size, m) = varint::take(payload.get(n..)?).ok()?;
+    (n + m == payload.len()).then(|| Segment::new(offset, size))
 }
 
 /// The version manager's write-ahead journal. See the module docs for
@@ -110,17 +139,17 @@ impl VersionLog {
         opts: RecordLogOptions,
         config: RegistryConfig,
     ) -> Result<(Self, VersionRegistry), BlobError> {
-        let (mut log, records) = RecordLog::open_reporting_file(dir, "version", opts)
-            .map_err(|(e, file)| log_err(&file, e))?;
+        let (mut log, records) =
+            RecordLog::open(dir, FORMAT, opts).map_err(|(e, file)| log_err(&file, e))?;
         let registry = replay(&log, &records, config)?;
-        if log.opened_bytes() == 0 {
+        if log.opened_empty() {
             // A fresh journal: no history to collapse, no tail to drop.
             return Ok((Self { log }, registry));
         }
         // Checkpoint-on-open: collapse history to one snapshot record.
         let snap = snapshot(&registry);
         log.rewrite(&[Record {
-            magic: VERSION_SNAPSHOT_MAGIC,
+            kind: SNAPSHOT_KIND,
             a: 0,
             b: 0,
             c: 0,
@@ -135,7 +164,7 @@ impl VersionLog {
     pub fn record_create(&self, blob: BlobId, geom: &Geometry) -> Result<(), BlobError> {
         self.log
             .append(Record {
-                magic: VERSION_CREATE_MAGIC,
+                kind: CREATE_KIND,
                 a: blob.0,
                 b: geom.total_size,
                 c: geom.page_size,
@@ -157,16 +186,13 @@ impl VersionLog {
         write: WriteId,
         seg: &Segment,
     ) -> Result<(), BlobError> {
-        let mut payload = [0u8; 16];
-        payload[..8].copy_from_slice(&seg.offset.to_le_bytes());
-        payload[8..].copy_from_slice(&seg.size.to_le_bytes());
         self.log
             .append(Record {
-                magic: VERSION_PUBLISH_MAGIC,
+                kind: PUBLISH_KIND,
                 a: blob.0,
                 b: version,
                 c: write.0,
-                payload: &payload,
+                payload: &publish_payload(seg),
             })
             .map_err(|e| log_err(&self.log.path(), e))
     }
@@ -194,29 +220,23 @@ fn replay(
     // blob -> version -> (write, segment), sorted by version.
     let mut pending: BTreeMap<u64, BTreeMap<u64, (u64, Segment)>> = BTreeMap::new();
     for rec in records {
-        match rec.magic {
-            VERSION_SNAPSHOT_MAGIC => {
+        match rec.kind {
+            SNAPSHOT_KIND => {
                 // A snapshot resets everything before it.
                 registry = restore_with(&rec.payload, config)
                     .map_err(|_| recovery(rec.offset, "undecodable registry snapshot"))?;
                 pending.clear();
             }
-            VERSION_CREATE_MAGIC => {
+            CREATE_KIND => {
                 let geom = Geometry::new(rec.b, rec.c)
                     .map_err(|_| recovery(rec.offset, "invalid geometry in create record"))?;
                 if registry.get(BlobId(rec.a)).is_err() {
                     registry.create_blob_with_id(BlobId(rec.a), geom);
                 }
             }
-            VERSION_PUBLISH_MAGIC => {
-                if rec.payload.len() != 16 {
-                    return Err(recovery(rec.offset, "malformed publish payload"));
-                }
-                // lint: allow(panic-on-serving-path) — payload length was checked
-                // to be exactly 16 just above
-                let offset = u64::from_le_bytes(rec.payload[..8].try_into().unwrap());
-                // lint: allow(panic-on-serving-path) — same 16-byte check as above
-                let size = u64::from_le_bytes(rec.payload[8..].try_into().unwrap());
+            PUBLISH_KIND => {
+                let seg = decode_publish(&rec.payload)
+                    .ok_or_else(|| recovery(rec.offset, "malformed publish payload"))?;
                 // Creates are logged before their id escapes, so a
                 // committed publish for an unknown blob is corruption.
                 registry
@@ -225,9 +245,9 @@ fn replay(
                 pending
                     .entry(rec.a)
                     .or_default()
-                    .insert(rec.b, (rec.c, Segment::new(offset, size)));
+                    .insert(rec.b, (rec.c, seg));
             }
-            _ => return Err(recovery(rec.offset, "unknown version record magic")),
+            _ => return Err(recovery(rec.offset, "unknown version record kind")),
         }
     }
     for (blob, versions) in pending {
@@ -249,7 +269,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::publish::DEFAULT_WINDOW;
-    use blobseer_util::recordlog::{encode_header, payload_digest, write_at, COMMIT_MAGIC};
+    use blobseer_util::recordlog::{footprint, header, payload_digest, COMMIT_KIND};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -270,6 +290,32 @@ mod tests {
 
     fn opts() -> RecordLogOptions {
         RecordLogOptions::default()
+    }
+
+    /// Where a journal's first record lands: after its format header.
+    fn start() -> u64 {
+        FORMAT.start().durable
+    }
+
+    /// A journal image: the format header, then each record's header and
+    /// payload (a marker's payload is empty).
+    fn image(records: &[(Vec<u8>, &[u8])]) -> Vec<u8> {
+        let mut image = FORMAT.header().to_vec();
+        for (header, payload) in records {
+            image.extend_from_slice(header);
+            image.extend_from_slice(payload);
+        }
+        image
+    }
+
+    /// The header of a record of `kind` over `payload`.
+    fn rec_header(kind: u8, a: u64, b: u64, c: u64, payload: &[u8]) -> Vec<u8> {
+        header(kind, a, b, c, payload.len() as u64, payload_digest(payload))
+    }
+
+    /// The publish payload of `Segment::new(0, 1024)`: two varints.
+    fn whole_page() -> Vec<u8> {
+        publish_payload(&Segment::new(0, 1024))
     }
 
     /// Drive one create + n publishes through the durable protocol the
@@ -413,20 +459,9 @@ mod tests {
             .unwrap();
         b.complete_write(t.version).unwrap();
         let snap = snapshot(&reg);
-        let path = dir.join("version.g0.log");
-        let file = std::fs::File::create(&path).unwrap();
-        let header = encode_header(
-            VERSION_SNAPSHOT_MAGIC,
-            0,
-            0,
-            0,
-            snap.len() as u64,
-            payload_digest(&snap),
-        );
-        write_at(&file, &header, 0).unwrap();
-        write_at(&file, &snap, 48).unwrap();
         // No commit marker: the record is not durable.
-        drop(file);
+        let torn = image(&[(rec_header(SNAPSHOT_KIND, 0, 0, 0, &snap), &snap)]);
+        std::fs::write(dir.join("version.g0.log"), torn).unwrap();
         let (_, recovered) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
         assert!(recovered.is_empty(), "uncommitted snapshot must not replay");
         let _ = std::fs::remove_dir_all(&dir);
@@ -439,32 +474,16 @@ mod tests {
         // optimization, not a requirement.
         let dir = tmp_dir("nosnap");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("version.g0.log");
-        let file = std::fs::File::create(&path).unwrap();
-        let mut off = 0u64;
-        let mut put = |magic: u64, a: u64, b: u64, c: u64, payload: &[u8]| {
-            let h = encode_header(
-                magic,
-                a,
-                b,
-                c,
-                payload.len() as u64,
-                payload_digest(payload),
-            );
-            write_at(&file, &h, off).unwrap();
-            write_at(&file, payload, off + 48).unwrap();
-            off += 48 + payload.len() as u64;
-        };
-        put(VERSION_CREATE_MAGIC, 7, 8192, 1024, &[]);
-        let mut seg = [0u8; 16];
-        seg[..8].copy_from_slice(&0u64.to_le_bytes());
-        seg[8..].copy_from_slice(&1024u64.to_le_bytes());
-        put(VERSION_PUBLISH_MAGIC, 7, 1, 42, &seg);
-        // Commit marker covering everything: seq 0 from offset 0
-        // (markers carry digest 0, not the empty-payload digest).
-        let marker = encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0);
-        write_at(&file, &marker, off).unwrap();
-        drop(file);
+        let seg = whole_page();
+        // Commit marker covering everything: seq 0 from the format
+        // header's end (markers carry digest 0, not the empty-payload
+        // digest).
+        let journal = image(&[
+            (rec_header(CREATE_KIND, 7, 8192, 1024, &[]), &[]),
+            (rec_header(PUBLISH_KIND, 7, 1, 42, &seg), &seg),
+            (header(COMMIT_KIND, 0, start(), 0, 0, 0), &[]),
+        ]);
+        std::fs::write(dir.join("version.g0.log"), journal).unwrap();
         let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
         let b = reg.get(BlobId(7)).unwrap();
         assert_eq!(b.latest(), 1);
@@ -521,15 +540,14 @@ mod tests {
             // Four publish records appended contiguously under one
             // commit marker (`RecordLog::append_batch`, what
             // `META_PUT_BATCH` journals through).
-            let mut seg = [0u8; 16];
-            seg[8..].copy_from_slice(&1024u64.to_le_bytes());
+            let seg = whole_page();
             let records: Vec<Record<'_>> = (1..=4u64)
                 .map(|w| {
                     let t = state
                         .request_version(WriteId(w), Segment::new(0, 1024))
                         .unwrap();
                     Record {
-                        magic: VERSION_PUBLISH_MAGIC,
+                        kind: PUBLISH_KIND,
                         a: state.blob.0,
                         b: t.version,
                         c: w,
@@ -554,31 +572,23 @@ mod tests {
     #[test]
     fn leader_crash_between_grant_and_wal_commit_acks_nothing() {
         // A grant leader assigned versions 1..=3 and appended their
-        // BSVRPUB2 batch, but the process died before the batch's commit
+        // publish batch, but the process died before the batch's commit
         // marker reached disk. No follower may have acked — and indeed
         // replay must surface none of the batch.
         let dir = tmp_dir("grantcrash");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("version.g0.log");
-        let file = std::fs::File::create(&path).unwrap();
-        let mut off = 0u64;
-        let mut put = |magic: u64, a: u64, b: u64, c: u64, payload: &[u8], commit: bool| {
-            let digest = if commit { 0 } else { payload_digest(payload) };
-            let h = encode_header(magic, a, b, c, payload.len() as u64, digest);
-            write_at(&file, &h, off).unwrap();
-            write_at(&file, payload, off + 48).unwrap();
-            off += 48 + payload.len() as u64;
-        };
-        put(VERSION_CREATE_MAGIC, 7, 8192, 1024, &[], false);
-        // Marker: the create is durable (the blob id was acknowledged).
-        put(COMMIT_MAGIC, 0, 0, 0, &[], true);
-        let mut seg = [0u8; 16];
-        seg[8..].copy_from_slice(&1024u64.to_le_bytes());
-        for v in 1..=3u64 {
-            put(VERSION_PUBLISH_MAGIC, 7, v, 40 + v, &seg, false);
-        }
-        // Crash: no commit marker for the publish batch.
-        drop(file);
+        let seg = whole_page();
+        let publish = |v: u64| (rec_header(PUBLISH_KIND, 7, v, 40 + v, &seg), &seg[..]);
+        // The marker: the create is durable (the blob id was
+        // acknowledged). Then the crash: no marker for the publishes.
+        let journal = image(&[
+            (rec_header(CREATE_KIND, 7, 8192, 1024, &[]), &[]),
+            (header(COMMIT_KIND, 0, start(), 0, 0, 0), &[]),
+            publish(1),
+            publish(2),
+            publish(3),
+        ]);
+        std::fs::write(dir.join("version.g0.log"), journal).unwrap();
         let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
         let b = reg.get(BlobId(7)).unwrap();
         assert_eq!(b.latest(), 0, "uncommitted grant batch must not replay");
@@ -673,8 +683,14 @@ mod tests {
                 }
             });
             assert_eq!(state.latest(), 16);
-            let markers = (wal.log_bytes() - before - 16 * (48 + 16)) / 48;
-            assert!((1..16).contains(&markers), "markers: {markers}");
+            // Sixteen 16-byte publish records (a 13-byte header: every
+            // field fits one varint byte; offset 0 and size 1024 take 3),
+            // and markers of at least 13 bytes each: fewer than 16 of
+            // them.
+            let records = 16 * footprint(1, 1, 1, whole_page().len() as u64);
+            assert_eq!(records, 16 * 16);
+            let markers = wal.log_bytes() - before - records;
+            assert!((13..16 * 13).contains(&markers), "marker bytes: {markers}");
         }
         let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
         assert_eq!(reg.get(blob).unwrap().latest(), 16);
@@ -719,69 +735,66 @@ mod tests {
     }
 
     #[test]
-    fn journal_in_a_retired_format_is_refused_untouched() {
-        // The journal the previous format leaves after opening an empty
-        // directory (checkpoint → generation 1), creating blob 1 and
-        // publishing one write: `BSVRSNAP`, `BSVRCRE1` and `BSVRPUB1`
-        // records whose check words the single-chain digest computed,
-        // each sealed by its own marker.
-        let dir = tmp_dir("retired");
+    fn journal_written_before_format_headers_is_refused_untouched() {
+        // The journal the 48-byte-header format leaves after opening an
+        // empty directory (no checkpoint), creating blob 1 of 8 KiB in
+        // 1 KiB pages and publishing one write of the first page: a
+        // `BSVRCRE2` record, a `BSVRPUB2` record of 16 fixed-width bytes,
+        // each sealed by its own `BSPGCMT1` marker — header words and
+        // check words as that format wrote them.
+        let dir = tmp_dir("before-headers");
         std::fs::create_dir_all(&dir).unwrap();
-        let empty_snapshot = snapshot(&VersionRegistry::default());
-        assert_eq!(empty_snapshot.len(), 12);
         let mut seg = [0u8; 16];
         seg[8..].copy_from_slice(&1024u64.to_le_bytes());
-        let records: [([u64; 6], &[u8]); 3] = [
-            (
-                [0x4253_5652_534e_4150, 0, 0, 0, 12, 0x6edb_bab4_05a0_0d1d],
-                &empty_snapshot,
-            ),
+        let records: [([u64; 6], &[u8]); 4] = [
             (
                 [
-                    0x4253_5652_4352_4531,
+                    0x4253_5652_4352_4532,
                     1,
                     8192,
                     1024,
                     0,
-                    0x5c44_0f1d_2a4d_69d5,
+                    0x6bd7_c3e7_cb3a_5288,
                 ],
                 &[],
             ),
             (
-                [0x4253_5652_5055_4231, 1, 1, 1, 16, 0x70fb_f726_1c2d_ff62],
+                [0x4253_5047_434d_5431, 0, 0, 0, 0, 0x4e2e_37c1_20c7_f245],
+                &[],
+            ),
+            (
+                [0x4253_5652_5055_4232, 1, 1, 1, 16, 0xfdc7_4c8c_1ceb_3873],
                 &seg,
+            ),
+            (
+                [0x4253_5047_434d_5431, 1, 96, 0, 0, 0x7c8a_f840_0cb3_422a],
+                &[],
             ),
         ];
         let mut image = Vec::new();
-        for (seq, (words, payload)) in (0u64..).zip(records) {
-            let covered_from = image.len() as u64;
+        for (words, payload) in records {
             image.extend(words.iter().flat_map(|w| w.to_le_bytes()));
             image.extend_from_slice(payload);
-            image.extend_from_slice(&encode_header(COMMIT_MAGIC, seq, covered_from, 0, 0, 0));
         }
-        assert_eq!(image.len(), 316);
-        let path = dir.join("version.g1.log");
+        assert_eq!(image.len(), 208);
+        let path = dir.join("version.g0.log");
         std::fs::write(&path, &image).unwrap();
         let err = match VersionLog::open(&dir, opts(), DEFAULT_WINDOW) {
             Err(e) => e,
-            Ok(_) => panic!("a retired journal opened"),
+            Ok(_) => panic!("a journal without a format header opened"),
         };
-        assert!(
-            matches!(err, BlobError::Recovery { offset: 0, .. }),
-            "got {err:?}"
-        );
-        // The refusal names the generation file it refused.
-        let BlobError::Recovery { file, .. } = &err else {
-            unreachable!()
+        // The refusal names the generation file it refused, at its head.
+        let BlobError::Recovery { file, offset, .. } = &err else {
+            panic!("expected Recovery, got {err:?}")
         };
-        assert_eq!(Path::new(file), path);
-        // Refused before the checkpoint: no generation 2 was written and
+        assert_eq!((Path::new(file), *offset), (path.as_path(), 0));
+        // Refused before the checkpoint: no generation 1 was written and
         // the old file is byte-identical.
         let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .collect();
-        assert_eq!(names, ["version.g1.log"]);
+        assert_eq!(names, ["version.g0.log"]);
         assert_eq!(std::fs::read(&path).unwrap(), image);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -790,28 +803,19 @@ mod tests {
     fn committed_garbage_is_typed_error_not_panic() {
         let dir = tmp_dir("garbage");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("version.g0.log");
-        let file = std::fs::File::create(&path).unwrap();
+        // A committed record of a kind the journal does not write.
         let payload = b"bogus";
-        let h = encode_header(
-            0xDEAD_BEEF,
-            0,
-            0,
-            0,
-            payload.len() as u64,
-            payload_digest(payload),
-        );
-        write_at(&file, &h, 0).unwrap();
-        write_at(&file, payload, 48).unwrap();
-        let m = encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0);
-        write_at(&file, &m, 48 + payload.len() as u64).unwrap();
-        drop(file);
+        let journal = image(&[
+            (rec_header(0xDE, 0, 0, 0, payload), payload),
+            (header(COMMIT_KIND, 0, start(), 0, 0, 0), &[]),
+        ]);
+        std::fs::write(dir.join("version.g0.log"), journal).unwrap();
         let err = match VersionLog::open(&dir, opts(), DEFAULT_WINDOW) {
             Err(e) => e,
             Ok(_) => panic!("committed garbage must not replay"),
         };
         assert!(
-            matches!(err, BlobError::Recovery { offset: 0, .. }),
+            matches!(err, BlobError::Recovery { offset, .. } if offset == start()),
             "got {err:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
